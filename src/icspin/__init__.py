@@ -39,7 +39,7 @@ from .hamiltonian import (
     subspace_hamiltonian,
     upper_manifold_hamiltonian,
 )
-from .kernels import FitnessKernel, numba_enabled
+from .kernels import FitnessKernel
 from .operators import spin_operators
 from .optimize import (
     GAConfig,
@@ -103,7 +103,6 @@ __all__ = [
     "subspace_hamiltonian",
     "upper_manifold_hamiltonian",
     "FitnessKernel",
-    "numba_enabled",
     "spin_operators",
     "GAConfig",
     "OptimizationResult",

@@ -72,9 +72,16 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None) -> 
 def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
     try:
         lo, hi, points = text.split(",")
-        return (float(lo), float(hi)), int(points)
+        lo, hi, points = float(lo), float(hi), int(points)
     except ValueError as exc:
         raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise CliError(f"--grid bounds must be finite, got {text!r}")
+    if lo > hi:
+        raise CliError(f"--grid min must not exceed max, got {text!r}")
+    if points < 1:
+        raise CliError(f"--grid needs at least one point, got {text!r}")
+    return (lo, hi), points
 
 
 def _load_system(path: str):
@@ -129,6 +136,7 @@ def cmd_verify(args) -> int:
             "omega1_grid_MHz": report.omega1s.tolist(),
             "fidelities": report.fidelities.tolist(),
             "mean_fidelity": report.mean,
+            "band_mean_fidelity": report.band_mean,
             "min_fidelity": report.min,
             "duration_us": seq.duration,
         },
@@ -139,7 +147,8 @@ def cmd_verify(args) -> int:
     print(f"verify: target={args.target} duration={seq.duration:.4f} us")
     for w, f in zip(report.omega1s, report.fidelities):
         print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
-    print(f"  mean F = {report.mean:.6f}   min F = {report.min:.6f}")
+    print(f"  mean F = {report.mean:.6f}   band mean F = {report.band_mean:.6f}"
+          f"   min F = {report.min:.6f}")
     return 0
 
 

@@ -13,14 +13,12 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import PROJ_UP, subspace_hamiltonian, upper_manifold_hamiltonian
-from .operators import kron_all, electron_drive_ops
+from .operators import TWO_PI, electron_drive_ops, kron_all
 from .propagation import drive_hamiltonian, expm_hermitian, sequence_propagator
 from .sequence import Pulse, PulseSequence
 from .states import basis_state, bloch_vector, density_matrix, partial_trace
 from .system import SpinSystemConfig
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
-
-TWO_PI = 2.0 * np.pi
 
 
 class InitializationDomainError(ValueError):

@@ -32,7 +32,8 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """Per-amplitude fidelities over an omega1 grid, plus mean and min."""
+    """Per-amplitude fidelities over an omega1 grid, plus mean, band mean
+    and min."""
 
     omega1s: np.ndarray
     fidelities: np.ndarray
@@ -40,6 +41,19 @@ class RobustnessReport:
     @property
     def mean(self) -> float:
         return float(self.fidelities.mean())
+
+    @property
+    def band_mean(self) -> float:
+        """Trapezoid average over the amplitude band the grid spans.
+
+        The equal-weight ``mean`` over-weights the band edges; a one-point
+        (or zero-width) grid has no band and gives its plain mean.
+        """
+        x, f = self.omega1s, self.fidelities
+        if x[-1] == x[0]:
+            return self.mean
+        half_steps = np.diff(x) / 2
+        return float((half_steps @ (f[:-1] + f[1:])) / (x[-1] - x[0]))
 
     @property
     def min(self) -> float:

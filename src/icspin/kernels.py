@@ -1,122 +1,38 @@
-"""Batched sequence-fidelity kernels for the optimizer hot loop.
+"""Batched sequence-fidelity kernel for the optimizer hot loop.
 
 Evaluating a genetic-algorithm population means composing thousands of
-small complex propagator chains. Both backends below share one
-precomputation: the free Hamiltonian and the phase-zero drive Hamiltonian
-at every amplitude grid point are eigendecomposed once, so each segment
-reduces to elementwise phase factors and small matrix products. A pulse at
-phase phi is obtained from the phase-zero pulse by conjugation with the
-electron z-rotation, which is diagonal in the working basis.
+short delay/pulse propagator chains. The kernel keeps the running
+propagator in the eigenbasis of the free Hamiltonian h, where everything
+but the pulses is diagonal:
 
-Backend selection: the numba path is used when numba imports and the
-environment flag ``ICSPIN_NO_NUMBA`` is unset/falsy; otherwise a vectorized
-pure-numpy path runs. ``PULSE_THREADS`` caps the numba thread count.
-Both paths compute identical math and agree to floating-point roundoff.
+* h is real and block-diagonal in the electron, so each electron block is
+  diagonalized on its own. The eigenvector matrix V = diag(V_0, V_1) is
+  real orthogonal, and the electron z-rotation Z(phi) = exp(-i phi s_z)
+  stays diagonal even when eigenvalues of the two blocks coincide.
+* A delay tau is the diagonal exp(-i 2pi w tau).
+* A pulse at phase phi is Z(phi) P Z(phi)^dag, where P is the phase-zero
+  pulse. The phase-zero drive Hamiltonian at grid point g is real with
+  eigenpairs (w_p, V_p), so in the free eigenbasis P = W diag(q) W^T with
+  the real mixing matrix W_g = V^T V_p(g) and q = exp(-i 2pi w_p t).
+
+A delay and the z-rotations on either side of it therefore merge into one
+row phase, and each pulse costs two left-multiplications by a real
+matrix, each run as one real matmul on the float64 view of the complex
+propagator. The first pulse acts on a diagonal and needs only one. The
+fidelity |Tr(T^dag U)| / d is read off in the same basis with
+T~ = V^T T V.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .operators import SZ_HALF
+from .operators import TWO_PI, assert_hermitian
 from .propagation import drive_hamiltonian
 
-TWO_PI = 2.0 * np.pi
 
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-
-def numba_enabled() -> bool:
-    """True when the compiled backend is active."""
-    flag = os.environ.get("ICSPIN_NO_NUMBA", "").strip().lower()
-    if flag in ("1", "true", "yes", "on"):
-        return False
-    return HAS_NUMBA
-
-
-_threads_applied = False
-
-
-def _apply_thread_cap() -> None:
-    global _threads_applied
-    if _threads_applied or not HAS_NUMBA:
-        return
-    raw = os.environ.get("PULSE_THREADS", "").strip()
-    if raw:
-        try:
-            numba.set_num_threads(max(1, int(raw)))
-        except ValueError:
-            pass
-    _threads_applied = True
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _evaluate_numba(genomes, n_pulses, ws, vs, vsd, wp, vp, vpd, zhalf,
-                        target_dag, out):  # pragma: no cover - compiled
-        n_genomes = genomes.shape[0]
-        n_grid = wp.shape[0]
-        dim = ws.shape[0]
-        for idx in prange(n_genomes * n_grid):
-            p = idx // n_grid
-            g = idx % n_grid
-            u = np.eye(dim, dtype=np.complex128)
-            for i in range(n_pulses):
-                tau = genomes[p, i]
-                phase = np.exp(-1j * TWO_PI * ws * tau)
-                u = np.dot(vs * phase, np.dot(vsd, u))
-                t = genomes[p, n_pulses + 1 + i]
-                phi = genomes[p, 2 * n_pulses + 1 + i]
-                q = np.exp(-1j * TWO_PI * wp[g] * t)
-                up = np.dot(vp[g] * q, vpd[g])
-                zp = np.exp(-1j * phi * zhalf)
-                zc = np.conj(zp)
-                for r in range(dim):
-                    for cidx in range(dim):
-                        up[r, cidx] = zp[r] * up[r, cidx] * zc[cidx]
-                u = np.dot(up, u)
-            tau = genomes[p, n_pulses]
-            phase = np.exp(-1j * TWO_PI * ws * tau)
-            u = np.dot(vs * phase, np.dot(vsd, u))
-            tr = 0.0 + 0.0j
-            for r in range(dim):
-                for cidx in range(dim):
-                    tr += target_dag[r, cidx] * u[cidx, r]
-            out[p, g] = abs(tr) / dim
-
-
-def _evaluate_numpy(genomes, n_pulses, ws, vs, vsd, wp, vp, vpd, zhalf,
-                    target_dag):
-    n_genomes = genomes.shape[0]
-    n_grid = wp.shape[0]
-    dim = ws.shape[0]
-    taus = genomes[:, : n_pulses + 1]
-    ts = genomes[:, n_pulses + 1 : 2 * n_pulses + 1]
-    phis = genomes[:, 2 * n_pulses + 1 :]
-
-    u = np.broadcast_to(np.eye(dim, dtype=complex), (n_genomes, n_grid, dim, dim)).copy()
-    for i in range(n_pulses):
-        phase = np.exp(-1j * TWO_PI * np.outer(taus[:, i], ws))        # (P, d)
-        d_free = (vs[None] * phase[:, None, :]) @ vsd                  # (P, d, d)
-        u = d_free[:, None] @ u
-        q = np.exp(-1j * TWO_PI * ts[:, i, None, None] * wp[None])     # (P, G, d)
-        up = (vp[None] * q[:, :, None, :]) @ vpd[None]                 # (P, G, d, d)
-        zp = np.exp(-1j * np.outer(phis[:, i], zhalf))                 # (P, d)
-        up = zp[:, None, :, None] * up * np.conj(zp)[:, None, None, :]
-        u = up @ u
-    phase = np.exp(-1j * TWO_PI * np.outer(taus[:, n_pulses], ws))
-    d_free = (vs[None] * phase[:, None, :]) @ vsd
-    u = d_free[:, None] @ u
-    traces = np.einsum("rc,pgcr->pg", target_dag, u)
-    return np.abs(traces) / dim
+def _real_left_mul(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a @ u for real a and C-contiguous complex u, as one real matmul."""
+    return (a @ u.view(np.float64)).view(np.complex128)
 
 
 class FitnessKernel:
@@ -124,62 +40,73 @@ class FitnessKernel:
 
     Parameters
     ----------
-    h : working-subspace Hamiltonian (MHz)
-    target : target unitary matrix
+    h : working-subspace Hamiltonian (MHz); real and block-diagonal in the
+        electron, as every register builder in the package produces it
+    target : target unitary matrix (or TargetGate)
     omega1s : amplitude grid (MHz)
     n_pulses : number of pulses in the genome template
-    backend : 'auto' (env-controlled), 'numba', or 'numpy'
     """
 
-    def __init__(self, h, target, omega1s, n_pulses, backend="auto"):
-        if backend not in ("auto", "numba", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "numba" and not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        if backend == "auto":
-            backend = "numba" if numba_enabled() else "numpy"
-        self.backend = backend
+    def __init__(self, h, target, omega1s, n_pulses):
         self.n_pulses = int(n_pulses)
-        self.omega1s = np.asarray(omega1s, dtype=float)
-        dim = h.shape[0]
-        n_carbons = int(np.log2(dim)) - 1
+        if self.n_pulses < 1:
+            raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+        self.omega1s = np.asarray(omega1s, dtype=float).reshape(-1)
+        if self.omega1s.size == 0 or not np.isfinite(self.omega1s).all():
+            raise ValueError("amplitude grid must be non-empty and finite")
+        h = np.asarray(h)
+        assert_hermitian(h)
+        if np.iscomplexobj(h) and np.any(h.imag != 0):
+            raise ValueError("the kernel needs a real Hamiltonian")
+        h = h.real
+        half = h.shape[0] // 2
+        if np.any(h[:half, half:] != 0) or np.any(h[half:, :half] != 0):
+            raise ValueError("the kernel needs a Hamiltonian block-diagonal in the electron")
 
-        ws, vs = np.linalg.eigh(h)
-        self._ws = ws
-        self._vs = np.ascontiguousarray(vs)
-        self._vsd = np.ascontiguousarray(vs.conj().T)
+        w_up, v_up = np.linalg.eigh(h[:half, :half])
+        w_dn, v_dn = np.linalg.eigh(h[half:, half:])
+        self._ws = np.concatenate([w_up, w_dn])
+        v = np.zeros_like(h)
+        v[:half, :half] = v_up
+        v[half:, half:] = v_dn
+        self._zhalf = np.repeat([0.5, -0.5], half)
 
-        wp = np.empty((self.omega1s.size, dim))
-        vp = np.empty((self.omega1s.size, dim, dim), dtype=complex)
+        wp = np.empty((self.omega1s.size, 2 * half))
+        mix = np.empty((self.omega1s.size, 2 * half, 2 * half))
         for g, w1 in enumerate(self.omega1s):
-            wg, vg = np.linalg.eigh(drive_hamiltonian(h, w1, 0.0))
-            wp[g] = wg
-            vp[g] = vg
+            wp[g], vp = np.linalg.eigh(drive_hamiltonian(h, w1, 0.0).real)
+            mix[g] = v.T @ vp
         self._wp = wp
-        self._vp = np.ascontiguousarray(vp)
-        self._vpd = np.ascontiguousarray(vp.conj().transpose(0, 2, 1))
+        self._mix = mix
+        self._mix_t = np.ascontiguousarray(mix.transpose(0, 2, 1))
 
-        ec = np.eye(2**n_carbons)
-        self._zhalf = np.real(np.kron(SZ_HALF, ec).diagonal()).copy()
-        u_target = target.matrix if hasattr(target, "matrix") else target
-        self._target_dag = np.ascontiguousarray(u_target.conj().T)
+        u_target = target.matrix if hasattr(target, "matrix") else np.asarray(target)
+        self._target_conj = (v.T @ u_target @ v).conj()
 
     def evaluate(self, genomes) -> np.ndarray:
         """Fidelities of shape (n_genomes, n_grid)."""
-        genomes = np.ascontiguousarray(np.atleast_2d(np.asarray(genomes, dtype=float)))
-        if genomes.shape[1] != 3 * self.n_pulses + 1:
-            raise ValueError(
-                f"genomes must have {3 * self.n_pulses + 1} columns, got {genomes.shape[1]}"
-            )
-        if self.backend == "numba":
-            _apply_thread_cap()
-            out = np.empty((genomes.shape[0], self.omega1s.size))
-            _evaluate_numba(
-                genomes, self.n_pulses, self._ws, self._vs, self._vsd,
-                self._wp, self._vp, self._vpd, self._zhalf, self._target_dag, out,
-            )
-            return out
-        return _evaluate_numpy(
-            genomes, self.n_pulses, self._ws, self._vs, self._vsd,
-            self._wp, self._vp, self._vpd, self._zhalf, self._target_dag,
-        )
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
+        n = self.n_pulses
+        if genomes.shape[1] != 3 * n + 1:
+            raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
+        taus = genomes[:, : n + 1]
+        ts = genomes[:, n + 1 : 2 * n + 1]
+        phis = genomes[:, 2 * n + 1 :]
+
+        # Row phase after delay i: Z(phi_i)^dag exp(-i 2pi w tau_i) Z(phi_{i-1}),
+        # with phi_{-1} = phi_n = 0 at the ends of the chain.
+        padded = np.pad(phis, ((0, 0), (1, 1)))
+        rows = np.exp(-1j * (TWO_PI * taus[:, :, None] * self._ws
+                             - np.diff(padded)[:, :, None] * self._zhalf))   # (P, n+1, d)
+        q = np.exp(-1j * TWO_PI * ts[:, :, None, None] * self._wp)           # (P, n, G, d)
+
+        u = q[:, 0, :, :, None] * self._mix_t * rows[:, 0, None, None, :]
+        u = _real_left_mul(self._mix, u)                                      # (P, G, d, d)
+        for i in range(1, n):
+            u *= rows[:, i, None, :, None]
+            u = _real_left_mul(self._mix_t, u)
+            u *= q[:, i, :, :, None]
+            u = _real_left_mul(self._mix, u)
+        weights = rows[:, n, :, None] * self._target_conj                     # (P, d, d)
+        traces = np.einsum("pij,pgij->pg", weights, u)
+        return np.abs(traces) / self._ws.size

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi
+
 E2 = np.eye(2, dtype=complex)
 E3 = np.eye(3, dtype=complex)
 

@@ -7,9 +7,9 @@ is uniform, mutation is Gaussian with a per-gene scale proportional to the
 gene's range; out-of-bounds genes are clamped. Elites pass through
 unchanged, which makes the best-fitness history non-decreasing.
 
-All random draws happen in the serial generation loop, so a fixed seed
-reproduces the trajectory bit-for-bit regardless of how the batched
-fitness evaluation is parallelized internally.
+All random draws happen in the serial generation loop, and the kernel
+scores a genome bit for bit the same alone or in any batch, so a fixed
+seed reproduces the trajectory bit for bit.
 """
 from __future__ import annotations
 
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE
+from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
 from .kernels import FitnessKernel
+from .operators import TWO_PI
 from .sequence import PulseSequence, sequence_from_genome
 from .targets import TargetGate
 
-TWO_PI = 2.0 * np.pi
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
 
 
@@ -83,6 +83,10 @@ class GAConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.omega1_points < 1:
+            raise ValueError("omega1_points must be >= 1")
+        if not self.mutation_scale >= 0.0:
+            raise ValueError("mutation_scale must be >= 0")
 
 
 def ga_config_from_dict(doc: dict) -> GAConfig:
@@ -169,12 +173,7 @@ def fitness(genome, target: TargetGate, h: np.ndarray, cfg: GAConfig) -> float:
 
 
 def _kernel(target, h, cfg: GAConfig, n_pulses: int) -> FitnessKernel:
-    lo, hi = cfg.omega1_range
-    if cfg.omega1_points == 1:
-        grid = np.array([(lo + hi) / 2.0])
-    else:
-        grid = np.linspace(lo, hi, cfg.omega1_points)
-    return FitnessKernel(h, target, grid, n_pulses)
+    return FitnessKernel(h, target, omega1_grid(cfg.omega1_range, cfg.omega1_points), n_pulses)
 
 
 def _duration(genomes: np.ndarray, n_pulses: int) -> np.ndarray:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import assert_hermitian, electron_drive_ops
+from .operators import TWO_PI, assert_hermitian, electron_drive_ops
 from .sequence import Delay, Pulse, PulseSequence
-
-TWO_PI = 2.0 * np.pi
 
 
 def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:

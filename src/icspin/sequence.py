@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .operators import TWO_PI
 
 
 class SequenceError(ValueError):

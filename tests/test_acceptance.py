@@ -56,6 +56,14 @@ def band_average(rep: icspin.RobustnessReport) -> float:
     return float(w @ f / (x[-1] - x[0]))
 
 
+def test_band_mean_matches_band_average(h_subspace, cnot_seq):
+    """RobustnessReport.band_mean agrees with this module's own trapezoid
+    helper, which stays here as the independent reference."""
+    rep = icspin.robust_fidelity(cnot_seq, icspin.cnot_on_carbon(1), h_subspace,
+                                 (0.48, 0.52), 81)
+    assert abs(rep.band_mean - band_average(rep)) < 1e-12
+
+
 def electron_flip_weight(u: np.ndarray) -> float:
     """Mean probability that u moves the electron out of its input state.
 

@@ -221,3 +221,47 @@ def test_rerun_reproduces_data_files_byte_identically(tmp_path):
         assert names1 == names2 and names1
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (kind, name)
+
+
+BAD_GRIDS = ["0.48,0.52,0", "0.48,0.52,-3", "0.52,0.48,5", "nan,0.52,5", "0.48,inf,5"]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_verify_bad_grid_is_usage_error(tmp_path, grid):
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
+                "--grid", grid, "--out", str(out)]) == 1
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_optimize_bad_grid_is_usage_error(tmp_path, grid):
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--grid", grid, "--out", str(out)]) == 1
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("ga_doc", [
+    {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 0}},
+    {"mutation_scale": -0.05},
+])
+def test_optimize_bad_ga_config_is_usage_error(tmp_path, ga_doc):
+    (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    assert not (out / "result.json").exists()
+
+
+def test_verify_reports_band_mean(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
+                "--grid", "0.48,0.52,81", "--out", str(out)]) == 0
+    doc = json.loads((out / "verify.json").read_text())
+    rep = icspin.RobustnessReport(np.array(doc["omega1_grid_MHz"]),
+                                  np.array(doc["fidelities"]))
+    assert doc["band_mean_fidelity"] == rep.band_mean
+    assert doc["mean_fidelity"] == rep.mean
+    assert doc["band_mean_fidelity"] >= 0.97
+    assert "band mean F" in capsys.readouterr().out

@@ -57,6 +57,7 @@ def test_single_point_grid_is_midpoint(h_subspace, hadamard_seq):
     direct = gate_fidelity(u, icspin.hadamard_on_carbon(1).matrix)
     assert rep.mean == pytest.approx(direct, abs=1e-15)
     assert rep.min == rep.mean
+    assert rep.band_mean == rep.mean
 
 
 def test_empty_grid_rejected(h_subspace, hadamard_seq):
@@ -70,6 +71,13 @@ def test_report_mean_and_min_consistent(h_subspace, cnot_seq):
     assert rep.mean == pytest.approx(rep.fidelities.mean())
     assert rep.min == pytest.approx(rep.fidelities.min())
     assert rep.omega1s.shape == rep.fidelities.shape
+
+
+def test_band_mean_weights_edges_by_half():
+    rep = icspin.RobustnessReport(omega1s=np.array([0.48, 0.49, 0.52]),
+                                  fidelities=np.array([1.0, 0.5, 0.0]))
+    # trapezoids: 0.01 * (1 + 0.5) / 2 + 0.03 * (0.5 + 0) / 2 over a 0.04 band
+    assert rep.band_mean == pytest.approx(0.375, abs=1e-15)
 
 
 def test_bundled_multiqubit_row_frozen_regression(registers):

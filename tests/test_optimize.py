@@ -44,6 +44,10 @@ def test_ga_config_validation():
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError):
         GAConfig(elite_count=100, population_size=100)
+    with pytest.raises(ValueError, match="omega1_points"):
+        GAConfig(omega1_points=0)
+    with pytest.raises(ValueError, match="mutation_scale"):
+        GAConfig(mutation_scale=-0.01)
 
 
 def test_ga_config_json_roundtrip():
