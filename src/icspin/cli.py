@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .fidelity import robust_fidelity
 from .geometry import GeometryError, dipolar_geometry
-from .hamiltonian import multiqubit_hamiltonian, subspace_hamiltonian
+from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .sequence import SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
@@ -77,6 +77,8 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
         raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise CliError(f"--grid bounds must be finite, got {text!r}")
+    if lo < 0:
+        raise CliError(f"--grid amplitudes must be >= 0, got {text!r}")
     if lo > hi:
         raise CliError(f"--grid min must not exceed max, got {text!r}")
     if points < 1:
@@ -89,10 +91,6 @@ def _load_system(path: str):
         return load_system(path)
     except (ConfigError, FileNotFoundError) as exc:
         raise CliError(str(exc)) from exc
-
-
-def _hamiltonian_for(cfg):
-    return subspace_hamiltonian(cfg) if cfg.n_carbons == 1 else multiqubit_hamiltonian(cfg)
 
 
 def _target_for(name: str, cfg):
@@ -115,7 +113,7 @@ def cmd_verify(args) -> int:
     except (SequenceError, FileNotFoundError) as exc:
         raise CliError(str(exc)) from exc
     target = _target_for(args.target, cfg)
-    h = _hamiltonian_for(cfg)
+    h = multiqubit_hamiltonian(cfg)
     if target.dim != h.shape[0]:
         raise CliError(
             f"target dimension {target.dim} does not match system dimension {h.shape[0]}"
@@ -155,7 +153,7 @@ def cmd_verify(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load_system(args.system)
     target = _target_for(args.target, cfg)
-    h = _hamiltonian_for(cfg)
+    h = multiqubit_hamiltonian(cfg)
     ga_doc = {}
     if args.ga_config:
         try:
@@ -232,7 +230,7 @@ def _scan_fid(args, cfg, out: Path) -> None:
 
 
 def _scan_spectrum(args, cfg, out: Path) -> None:
-    h = _hamiltonian_for(cfg)
+    h = multiqubit_hamiltonian(cfg)
     spec = esr_spectrum(h, linewidth=args.linewidth, detuning=args.detuning)
     spec.to_csv(out / "esr_spectrum.csv")
     _write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
@@ -244,7 +242,7 @@ def _scan_trajectory(args, cfg, out: Path) -> None:
     if not args.sequence:
         raise CliError("trajectory scan needs --sequence")
     seq = load_sequence(args.sequence)
-    h = _hamiltonian_for(cfg)
+    h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
     traj.to_csv(out / "trajectory.csv")
@@ -256,6 +254,8 @@ def _scan_trajectory(args, cfg, out: Path) -> None:
 
 
 def cmd_scan(args) -> int:
+    if not (np.isfinite(args.dt) and args.dt > 0):
+        raise CliError(f"--dt must be positive and finite, got {args.dt!r}")
     cfg = _load_system(args.system)
     out = _out_dir(args)
     runner = {

@@ -13,10 +13,10 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import PROJ_UP, subspace_hamiltonian, upper_manifold_hamiltonian
-from .operators import TWO_PI, electron_drive_ops, kron_all
-from .propagation import drive_hamiltonian, expm_hermitian, sequence_propagator
-from .sequence import Pulse, PulseSequence
-from .states import basis_state, bloch_vector, density_matrix, partial_trace
+from .operators import TWO_PI, kron_all
+from .propagation import PropagationEngine, expm_hermitian, sequence_propagator
+from .sequence import Delay, Pulse, PulseSequence
+from .states import basis_state, density_matrix, qubit_bloch_vectors
 from .system import SpinSystemConfig
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
 
@@ -134,12 +134,13 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
     """Instantaneous hard rotation of the electron pseudo-qubit.
 
-    axis_phi = 0 is an x rotation, pi/2 a y rotation.
+    axis_phi = 0 is an x rotation, pi/2 a y rotation. In closed form,
+    exp(-i angle (cos phi s_x + sin phi s_y)) = cos(angle/2) I
+    - i sin(angle/2) (cos phi sigma_x + sin phi sigma_y), times E on the carbons.
     """
-    sx, sy = electron_drive_ops(n_carbons)
-    gen = np.cos(axis_phi) * sx + np.sin(axis_phi) * sy
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+    c, s = np.cos(angle / 2), -1j * np.sin(angle / 2)
+    r = np.array([[c, s * np.exp(-1j * axis_phi)], [s * np.exp(1j * axis_phi), c]])
+    return np.kron(r, np.eye(2**n_carbons))
 
 
 def simulate_init_sequence(config: SpinSystemConfig):
@@ -223,6 +224,8 @@ def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     if t_grid.size < 2:
         raise ValueError("time grid needs at least two samples")
     steps = np.diff(t_grid)
+    if not (np.isfinite(t_grid).all() and steps[0] > 0):
+        raise ValueError("time grid must be finite and increasing")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform")
     return t_grid
@@ -246,15 +249,10 @@ def hadamard_circuit_scan(
     u_h = hadamard_on_carbon(1)
     g2 = _gate_matrix(gate, h, u_h)
     g1 = g2 if first_gate is None else _gate_matrix(first_gate, h, u_h)
-    psi0 = basis_state(0, 4)
-    after_first = g1 @ psi0
-
-    w, v = np.linalg.eigh(h)
-    coeff = v.conj().T @ after_first
-    signal = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        evolved = v @ (np.exp(-1j * TWO_PI * w * t) * coeff)
-        signal[k] = abs((g2 @ evolved)[0]) ** 2
+    engine = PropagationEngine(h)
+    # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
+    amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
+    signal = np.abs(np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w)) @ amps) ** 2
     return ScanResult(t_grid, signal, signal_spectrum(t_grid, signal, t2_star))
 
 
@@ -295,18 +293,19 @@ def electron_fid_scan(
 
     rho0 = density_matrix(np.asarray(state, dtype=complex))
     p0 = kron_all(PROJ_UP, np.eye(2**n_carbons, dtype=complex))
-    first = electron_rotation(np.pi / 2, 0.0, n_carbons)
-    rho1 = first @ rho0 @ first.conj().T
+    pulse = electron_rotation(np.pi / 2, 0.0, n_carbons)
+    rho1 = pulse @ rho0 @ pulse.conj().T
 
-    w, v = np.linalg.eigh(h)
-    rho1_eig = v.conj().T @ rho1 @ v
-    signal = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        phases = np.exp(-1j * TWO_PI * w * t)
-        rho_t = v @ (np.outer(phases, phases.conj()) * rho1_eig) @ v.conj().T
-        second = electron_rotation(np.pi / 2, -TWO_PI * nu_d * t, n_carbons)
-        rho_f = second @ rho_t @ second.conj().T
-        signal[k] = float(np.real(np.trace(p0 @ rho_f)))
+    # The second pulse at phase phi(t) is Z(phi) R Z(phi)^dag with the
+    # diagonal z-rotation Z, which commutes with the projector and with the
+    # block-diagonal V, so it merges with the delay into the diagonal
+    # exp(-i 2pi t (w + nu_d s_z)) in the free eigenbasis:
+    # signal(t) = Re sum_kl K_lk rho_kl e_k(t) e_l(t)^*, K = V^T R^dag P0 R V.
+    engine = PropagationEngine(h)
+    readout = engine.to_eigenbasis(pulse.conj().T @ p0 @ pulse)
+    weights = readout.T * engine.to_eigenbasis(rho1)
+    phases = np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w + nu_d * engine.zhalf))
+    signal = np.real(np.einsum("tk,kl,tl->t", phases, weights, phases.conj()))
 
     spec = signal_spectrum(t_grid, signal, t2_star)
     sticks = tuple((nu_d + p, wgt) for p, wgt in esr_lines(h))
@@ -335,14 +334,12 @@ def theta_scan(
     g = _gate_matrix(gate, h, cnot_on_carbon(1))
     flip = electron_rotation(np.pi, np.pi / 2)
     psi0 = basis_state(0, 4)
-    out = np.empty(np.asarray(theta_grid).size)
-    for k, theta in enumerate(np.asarray(theta_grid, dtype=float)):
-        prep = electron_rotation(theta, np.pi / 2)
-        psi = g @ (prep @ psi0)
-        if readout_branch == -1:
-            psi = flip @ psi
-        out[k] = abs(psi[1]) ** 2
-    return out
+    # a rotation by theta about a fixed axis is cos(theta/2) I + sin(theta/2) R(pi)
+    half = np.asarray(theta_grid, dtype=float).reshape(-1) / 2
+    psi = g @ (np.outer(psi0, np.cos(half)) + np.outer(flip @ psi0, np.sin(half)))
+    if readout_branch == -1:
+        psi = flip @ psi
+    return np.abs(psi[1]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,35 +449,33 @@ def bloch_trajectory(
     Segment boundaries are always sampled, so the last point equals the
     one-shot sequence propagator applied to the initial state.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    dim = h.shape[0]
-    n_sub = int(np.log2(dim))
-    dims = (2,) * n_sub
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     psi = np.asarray(initial, dtype=complex)
     rho_mode = psi.ndim == 2
+    engine = PropagationEngine(h, [seq.omega1])
+    v = engine.v
+    state = engine.to_eigenbasis(psi) if rho_mode else v.T @ psi   # free eigenbasis
 
     times = [0.0]
     states = [psi.copy()]
     now = 0.0
     for seg in seq.segments:
-        h_seg = drive_hamiltonian(h, seq.omega1, seg.phi) if isinstance(seg, Pulse) else h
-        w, v = np.linalg.eigh(h_seg)
+        steps = {}   # step length -> step propagator in the free eigenbasis
         remaining = seg.duration
         while remaining > 1e-15:
             step = min(dt, remaining)
-            u = (v * np.exp(-1j * TWO_PI * w * step)) @ v.conj().T
-            psi = u @ psi @ u.conj().T if rho_mode else u @ psi
+            if step not in steps:
+                part = Delay(step) if isinstance(seg, Delay) else Pulse(step, seg.phi)
+                steps[step] = engine.propagate([part])[0]
+            u = steps[step]
+            state = u @ state @ u.conj().T if rho_mode else u @ state
             remaining -= step
             now += step
             times.append(now)
-            states.append(psi.copy())
+            states.append(engine.to_lab(state) if rho_mode else v @ state)
 
-    vectors = np.empty((len(times), n_sub, 3))
-    for k, st in enumerate(states):
-        for s in range(n_sub):
-            vectors[k, s] = bloch_vector(partial_trace(st, s, dims))
-    return Trajectory(times=np.array(times), vectors=vectors)
+    return Trajectory(times=np.array(times), vectors=qubit_bloch_vectors(np.array(states)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,9 @@ class GAConfig:
             raise ValueError("restarts must be >= 1")
         if self.omega1_points < 1:
             raise ValueError("omega1_points must be >= 1")
+        lo, hi = self.omega1_range
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
+            raise ValueError(f"omega1 range must be finite with 0 <= min <= max, got {lo}, {hi}")
         if not self.mutation_scale >= 0.0:
             raise ValueError("mutation_scale must be >= 0")
 

@@ -61,8 +61,8 @@ class PulseSequence:
     omega1: float
 
     def __post_init__(self):
-        if self.omega1 < 0:
-            raise SequenceError("omega1 must be non-negative")
+        if not (np.isfinite(self.omega1) and self.omega1 >= 0):
+            raise SequenceError(f"omega1 must be finite and >= 0, got {self.omega1}")
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
                 raise SequenceError(f"unknown segment type: {type(seg).__name__}")
@@ -124,20 +124,30 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
     return {"omega1_MHz": seq.omega1, "segments": segments}
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SequenceError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def sequence_from_dict(doc: dict) -> PulseSequence:
     if not isinstance(doc, dict) or "omega1_MHz" not in doc or "segments" not in doc:
         raise SequenceError("sequence document needs omega1_MHz and segments")
+    if not isinstance(doc["segments"], list):
+        raise SequenceError(f"segments must be a list, got {doc['segments']!r}")
     segments: list = []
     for i, seg in enumerate(doc["segments"]):
         if not isinstance(seg, dict):
             raise SequenceError(f"segments[{i}] must be an object")
         if "delay_us" in seg:
-            segments.append(Delay(float(seg["delay_us"])))
+            segments.append(Delay(_number(seg["delay_us"], f"segments[{i}].delay_us")))
         elif "pulse_us" in seg:
-            segments.append(Pulse(float(seg["pulse_us"]), float(seg.get("phase_rad", 0.0))))
+            segments.append(Pulse(_number(seg["pulse_us"], f"segments[{i}].pulse_us"),
+                                  _number(seg.get("phase_rad", 0.0), f"segments[{i}].phase_rad")))
         else:
             raise SequenceError(f"segments[{i}] needs delay_us or pulse_us")
-    return PulseSequence(tuple(segments), float(doc["omega1_MHz"]))
+    return PulseSequence(tuple(segments), _number(doc["omega1_MHz"], "omega1_MHz"))
 
 
 def load_sequence(path: str | Path) -> PulseSequence:

@@ -26,3 +26,11 @@ def hadamard_seq():
 @pytest.fixture(scope="session")
 def cnot_seq():
     return icspin.load_sequence(icspin.data_path("sequences/cnot.json"))
+
+
+@pytest.fixture(scope="session")
+def register_hamiltonians(registers):
+    """Working-subspace Hamiltonians of the first 1..4 carbons (d4..d32)."""
+    labels = [c.label for c in registers.carbons]
+    return {k: icspin.multiqubit_hamiltonian(registers.subset(labels[:k]))
+            for k in range(1, len(labels) + 1)}

@@ -28,6 +28,28 @@ def oracle_propagator(h: np.ndarray, t: float) -> np.ndarray:
     return taylor_expm(-2j * np.pi * h * t)
 
 
+def oracle_sequence_propagator(segments, h: np.ndarray, omega1: float) -> np.ndarray:
+    """Segment-by-segment series propagation with a hand-written drive.
+
+    A segment with a ``tau`` attribute is a delay; any other carries a
+    duration ``t`` and a phase ``phi`` and is a pulse of amplitude omega1.
+    """
+    half = h.shape[0] // 2
+    drive_x = np.zeros(h.shape, dtype=complex)
+    drive_x[:half, half:] = drive_x[half:, :half] = 0.5 * np.eye(half)
+    drive_y = np.zeros(h.shape, dtype=complex)
+    drive_y[:half, half:] = -0.5j * np.eye(half)
+    drive_y[half:, :half] = 0.5j * np.eye(half)
+    u = np.eye(h.shape[0], dtype=complex)
+    for seg in segments:
+        if hasattr(seg, "tau"):
+            u = oracle_propagator(h, seg.tau) @ u
+        else:
+            hp = h + omega1 * (np.cos(seg.phi) * drive_x + np.sin(seg.phi) * drive_y)
+            u = oracle_propagator(hp, seg.t) @ u
+    return u
+
+
 def closed_form_free_propagator(config, tau: float) -> np.ndarray:
     """Analytic 4x4 free propagator of the working subspace.
 

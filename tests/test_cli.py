@@ -242,9 +242,19 @@ def test_optimize_bad_grid_is_usage_error(tmp_path, grid):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_negative_grid_amplitude_is_usage_error(tmp_path, command):
+    out = tmp_path / "o"
+    args = ["--sequence", CNOT] if command == "verify" else []
+    assert run([command, "--system", SYSTEM, "--target", "cnot", *args,
+                "--grid=-0.1,0.52,5", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ga_doc", [
     {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 0}},
     {"mutation_scale": -0.05},
+    {"omega1_grid": {"min_MHz": -0.2, "max_MHz": 0.52, "points": 5}},
 ])
 def test_optimize_bad_ga_config_is_usage_error(tmp_path, ga_doc):
     (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
@@ -265,3 +275,43 @@ def test_verify_reports_band_mean(tmp_path, capsys):
     assert doc["mean_fidelity"] == rep.mean
     assert doc["band_mean_fidelity"] >= 0.97
     assert "band mean F" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    {"omega1_MHz": 0.5, "segments": [{"delay_us": "abc"}]},
+    {"omega1_MHz": 0.5, "segments": [{"pulse_us": 1.0, "phase_rad": "x"}]},
+    {"omega1_MHz": 0.5, "segments": "xx"},
+    {"omega1_MHz": float("nan"), "segments": [{"delay_us": 1.0}]},
+], ids=["delay_string", "phase_string", "segments_string", "omega1_nan"])
+def test_verify_malformed_sequence_is_usage_error(tmp_path, capsys, doc):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", str(seq), "--target", "cnot",
+                "--out", str(out)]) == 1
+    assert not (out / "verify.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("segments" in err or "omega1" in err)
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "theta", "fid", "spectrum", "trajectory"])
+@pytest.mark.parametrize("dt", ["0", "-0.1", "nan", "inf"])
+def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--sequence", CNOT,
+                "--dt", dt, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, capsys):
+    """An engine that produced NaN propagators makes verify exit 2 and
+    write no data file."""
+    def broken(self, segments):
+        return np.full((self.omega1s.size, self.dim, self.dim), np.nan, dtype=complex)
+
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "propagate", broken)
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
+                "--out", str(out)]) == 2
+    assert not (out / "verify.json").exists()
+    assert "internal error" in capsys.readouterr().err

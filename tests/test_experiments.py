@@ -10,12 +10,15 @@ from icspin.experiments import (
     cleanup_delay,
     cleanup_propagator,
     electron_fid_scan,
+    electron_rotation,
     esr_spectrum,
     hadamard_circuit_scan,
     min_coherence_time,
     simulate_init_sequence,
     theta_scan,
 )
+from icspin.operators import electron_drive_ops
+from icspin.propagation import expm_hermitian
 from icspin.sequence import Delay, PulseSequence
 from icspin.states import basis_state, bloch_vector, density_matrix, partial_trace
 from icspin.system import HyperfineCoupling, SpinSystemConfig
@@ -128,6 +131,25 @@ def test_hadamard_scan_with_bundled_sequence(system, hadamard_seq):
     law = (1 + np.cos(2 * np.pi * system.nu_c * t)) / 2
     assert np.abs(result.signal - law).max() < 0.2
     assert result.spectrum.peak_frequency() == pytest.approx(0.158, abs=0.02)
+
+
+@pytest.mark.parametrize("t_grid", [np.zeros(8), np.arange(8) * -0.1,
+                                    np.array([0.0, np.nan, 0.2])])
+def test_scans_require_increasing_finite_grid(system, t_grid):
+    with pytest.raises(ValueError, match="increasing"):
+        hadamard_circuit_scan("ideal", t_grid, system)
+    with pytest.raises(ValueError, match="increasing"):
+        electron_fid_scan(basis_state(0, 4), 3.0, t_grid, system)
+
+
+@pytest.mark.parametrize("n_carbons", [1, 2, 3, 4])
+def test_electron_rotation_closed_form_matches_eigh(n_carbons):
+    sx, sy = electron_drive_ops(n_carbons)
+    rng = np.random.default_rng(n_carbons)
+    for angle, phi in rng.uniform(-2 * np.pi, 2 * np.pi, size=(20, 2)):
+        w, v = np.linalg.eigh(np.cos(phi) * sx + np.sin(phi) * sy)
+        ref = (v * np.exp(-1j * angle * w)) @ v.conj().T
+        assert np.abs(electron_rotation(angle, phi, n_carbons) - ref).max() < 1e-14
 
 
 def test_hadamard_scan_requires_uniform_grid(system):
@@ -245,6 +267,38 @@ def test_theta_scan_bundled_cnot_tracks_law(system, h_subspace, cnot_seq):
     assert dev[50] == pytest.approx(0.0205, abs=5e-4)  # theta = pi
 
 
+def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cnot_seq):
+    """The scans evaluate every time point (or angle) at once; one
+    expm_hermitian and one electron_rotation per point is the reference."""
+    h = icspin.subspace_hamiltonian(system)
+    t_grid = np.arange(64) * 0.15
+    psi0 = basis_state(0, 4)
+    g = icspin.sequence_propagator(hadamard_seq, h)
+    ref = [abs((g @ expm_hermitian(h, t) @ g @ psi0)[0]) ** 2 for t in t_grid]
+    assert np.abs(hadamard_circuit_scan(hadamard_seq, t_grid, system).signal - ref).max() < 1e-12
+
+    thetas = np.linspace(0, 2 * np.pi, 37)
+    g = icspin.sequence_propagator(cnot_seq, h)
+    flip = electron_rotation(np.pi, np.pi / 2)
+    ref = [abs((flip @ g @ electron_rotation(th, np.pi / 2) @ psi0)[1]) ** 2 for th in thetas]
+    assert np.abs(theta_scan(cnot_seq, thetas, -1, system) - ref).max() < 1e-12
+
+    mixed_carbon = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)
+    h8 = icspin.multiqubit_hamiltonian(registers.subset([1, 2]))
+    for hh, state, nu_d in ((h, psi0, 3.0), (h, mixed_carbon, 2.0), (h8, basis_state(3, 8), 3.0)):
+        n = int(np.log2(hh.shape[0])) - 1
+        rho = density_matrix(state)
+        p0 = np.kron(np.diag([1.0, 0.0]), np.eye(2**n))
+        first = electron_rotation(np.pi / 2, 0.0, n)
+        rho1 = first @ rho @ first.conj().T
+        ref = []
+        for t in t_grid:
+            u = electron_rotation(np.pi / 2, -2 * np.pi * nu_d * t, n) @ expm_hermitian(hh, t)
+            ref.append(np.real(np.trace(p0 @ u @ rho1 @ u.conj().T)))
+        out = electron_fid_scan(state, nu_d, t_grid, h=hh).signal
+        assert np.abs(out - ref).max() < 1e-12
+
+
 def test_theta_scan_validates_branch(system):
     with pytest.raises(ValueError, match="readout_branch"):
         theta_scan("cnot", np.array([0.1]), 1, system)
@@ -334,6 +388,20 @@ def test_trajectory_bloch_norm_bounded(system, h_subspace, cnot_seq):
 def test_trajectory_needs_positive_dt(system, h_subspace, cnot_seq):
     with pytest.raises(ValueError, match="dt"):
         bloch_trajectory(cnot_seq, h_subspace, basis_state(0, 4), dt=0.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_trajectory_needs_finite_dt(h_subspace, cnot_seq, dt):
+    with pytest.raises(ValueError, match="dt"):
+        bloch_trajectory(cnot_seq, h_subspace, basis_state(0, 4), dt=dt)
+
+
+def test_trajectory_of_density_matrix_matches_state_vector(h_subspace, hadamard_seq):
+    psi0 = basis_state(0, 4)
+    pure = bloch_trajectory(hadamard_seq, h_subspace, psi0, dt=0.3)
+    mixed = bloch_trajectory(hadamard_seq, h_subspace, density_matrix(psi0), dt=0.3)
+    assert np.array_equal(pure.times, mixed.times)
+    assert np.abs(pure.vectors - mixed.vectors).max() < 1e-12
 
 
 def test_trajectory_csv_columns(tmp_path, registers, h_subspace, hadamard_seq):

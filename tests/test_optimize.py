@@ -48,6 +48,9 @@ def test_ga_config_validation():
         GAConfig(omega1_points=0)
     with pytest.raises(ValueError, match="mutation_scale"):
         GAConfig(mutation_scale=-0.01)
+    for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
+        with pytest.raises(ValueError, match="omega1 range"):
+            GAConfig(omega1_range=bad)
 
 
 def test_ga_config_json_roundtrip():

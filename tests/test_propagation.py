@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icspin
 from icspin.propagation import (
+    PropagationEngine,
     assert_unitary,
     expm_hermitian,
     free_propagator,
@@ -13,7 +14,15 @@ from icspin.propagation import (
 )
 from icspin.sequence import Delay, Pulse, PulseSequence
 
-from oracles import closed_form_free_propagator, oracle_propagator, random_hermitian
+from oracles import (
+    closed_form_free_propagator,
+    oracle_propagator,
+    oracle_sequence_propagator,
+    random_hermitian,
+    random_unitary,
+)
+
+PHASE_MAX = np.nextafter(2 * np.pi, 0.0)
 
 
 def unitarity_residual(u):
@@ -152,3 +161,141 @@ def test_bundled_cnot_sequence_fidelity(system, h_subspace, cnot_seq):
     assert f_nominal == pytest.approx(0.9898, abs=2e-4)
     rep = icspin.robust_fidelity(cnot_seq, icspin.cnot_on_carbon(1), h_subspace)
     assert rep.mean == pytest.approx(0.9624, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# the propagation engine against the series oracle
+
+durations = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+phases = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-9),
+    st.floats(2 * np.pi - 1e-9, PHASE_MAX),
+    st.floats(0.0, PHASE_MAX),
+)
+segments = st.lists(
+    st.one_of(st.builds(Delay, durations), st.builds(Pulse, durations, phases)), max_size=8
+)
+ODD_SEQUENCES = [
+    [],
+    [Pulse(1.3, 0.2)],
+    [Pulse(0.7, 1e-10), Pulse(1.1, 2 * np.pi - 1e-10), Delay(0.4)],
+    [Delay(1.0), Delay(0.0), Delay(2.5)],
+    [Delay(0.0), Pulse(0.0, 3.0), Delay(1.2), Pulse(2.0, 5.0), Pulse(0.3, 0.0)],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_carbons=st.integers(1, 4), segs=segments, omega1=st.floats(0.0, 1.0))
+@example(n_carbons=4, segs=ODD_SEQUENCES[2], omega1=0.5)
+@example(n_carbons=2, segs=ODD_SEQUENCES[4], omega1=0.48)
+def test_sequence_propagator_matches_series_oracle(register_hamiltonians, n_carbons, segs,
+                                                   omega1):
+    """Any order of delays and pulses, zero-length segments and phases at
+    the ends of [0, 2pi) included, agrees with segment-wise Taylor series."""
+    h = register_hamiltonians[n_carbons]
+    u = sequence_propagator(PulseSequence(tuple(segs), omega1), h)
+    assert np.abs(u - oracle_sequence_propagator(segs, h, omega1)).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_carbons=st.integers(1, 4),
+    segs=segments,
+    lo=st.floats(0.0, 1.0),
+    width=st.floats(0.0, 0.2),
+    points=st.integers(1, 4),
+    target_seed=st.integers(0, 2**32 - 1),
+)
+@example(n_carbons=1, segs=ODD_SEQUENCES[0], lo=0.48, width=0.04, points=3, target_seed=0)
+@example(n_carbons=3, segs=ODD_SEQUENCES[1], lo=0.48, width=0.04, points=2, target_seed=1)
+@example(n_carbons=4, segs=ODD_SEQUENCES[3], lo=0.5, width=0.0, points=1, target_seed=2)
+def test_robust_fidelity_matches_series_oracle(register_hamiltonians, n_carbons, segs, lo,
+                                               width, points, target_seed):
+    h = register_hamiltonians[n_carbons]
+    target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
+    rep = icspin.robust_fidelity(PulseSequence(tuple(segs), 0.5), target, h,
+                                 (lo, lo + width), points)
+    for w1, f in zip(rep.omega1s, rep.fidelities):
+        u = oracle_sequence_propagator(segs, h, w1)
+        assert abs(f - abs(np.trace(target.conj().T @ u)) / h.shape[0]) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_carbons=st.integers(1, 4),
+    n_pulses=st.integers(1, 4),
+    data=st.data(),
+    target_seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_pulses, data,
+                                        target_seed):
+    """The genome fast path and the per-segment path share one precompute
+    and agree to roundoff."""
+    h = register_hamiltonians[n_carbons]
+    target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
+    genome = np.array(
+        data.draw(st.lists(durations, min_size=2 * n_pulses + 1, max_size=2 * n_pulses + 1))
+        + data.draw(st.lists(phases, min_size=n_pulses, max_size=n_pulses))
+    )
+    band = (0.48, 0.52)
+    grid = icspin.fidelity.omega1_grid(band, 5)
+    fast = icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
+    seq = icspin.sequence_from_genome(genome, n_pulses, 0.5)
+    assert np.abs(fast - icspin.robust_fidelity(seq, target, h, band, 5).fidelities).max() < 1e-13
+
+
+def test_engine_empty_sequence_is_identity_on_every_grid_point(h_subspace):
+    engine = PropagationEngine(h_subspace, [0.48, 0.5, 0.52])
+    assert np.array_equal(engine.propagate([]), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_engine_without_grid_propagates_delays_only(h_subspace):
+    engine = PropagationEngine(h_subspace)
+    assert engine.propagate([Delay(1.0)]).shape == (0, 4, 4)
+    assert engine.w_p.shape == (0, 4)
+
+
+@pytest.mark.parametrize("grid", [[-0.1], [0.5, np.nan], [np.inf]])
+def test_engine_rejects_negative_or_non_finite_grid(h_subspace, grid):
+    with pytest.raises(ValueError, match="grid"):
+        PropagationEngine(h_subspace, grid)
+
+
+def test_engine_rejects_unknown_segment(h_subspace):
+    with pytest.raises(TypeError, match="segment"):
+        PropagationEngine(h_subspace, [0.5]).propagate([Delay(1.0), "pulse"])
+
+
+def test_sequence_propagator_needs_register_structure(h_subspace):
+    h = h_subspace.copy()
+    h[0, 2] = h[2, 0] = 1e-3
+    with pytest.raises(ValueError, match="block-diagonal"):
+        sequence_propagator(PulseSequence((Delay(1.0),), 0.5), h)
+
+
+@pytest.mark.parametrize("scale", [np.nan, 2.0])
+def test_robust_fidelity_out_of_range_is_an_invariant_error(h_subspace, hadamard_seq, scale):
+    """A NaN fidelity, or one above 1 (here from a non-unitary target),
+    raises instead of being reported as data."""
+    target = scale * sequence_propagator(hadamard_seq, h_subspace)
+    with pytest.raises(RuntimeError, match="fidelity"):
+        icspin.robust_fidelity(hadamard_seq, target, h_subspace)
+
+
+def test_robust_fidelity_checks_target_dimension(h_subspace, hadamard_seq):
+    with pytest.raises(ValueError, match="mismatch"):
+        icspin.robust_fidelity(hadamard_seq, np.eye(8), h_subspace)
+
+
+def test_robust_fidelity_chunks_cover_the_grid(register_hamiltonians):
+    """At d = 32 a 41-point grid is propagated in several chunks; every
+    point matches its own one-amplitude propagation."""
+    h = register_hamiltonians[4]
+    seq = icspin.load_sequence(icspin.data_path("sequences/ccrot_n6_a.json"))
+    target = icspin.target_library("ccrot:1,180", n_carbons=4)
+    rep = icspin.robust_fidelity(seq, target, h, (0.4, 0.6), 41)
+    assert rep.fidelities.shape == (41,)
+    for w1, f in zip(rep.omega1s, rep.fidelities):
+        u = sequence_propagator(seq, h, omega1=w1)
+        assert abs(f - icspin.gate_fidelity(u, target.matrix)) < 1e-13

@@ -82,6 +82,19 @@ def test_malformed_documents_rejected():
         sequence_from_dict({"omega1_MHz": 0.5, "segments": [{"bogus": 1}]})
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"omega1_MHz": 0.5, "segments": [{"delay_us": "1.0"}]}, "delay_us"),
+    ({"omega1_MHz": 0.5, "segments": [{"pulse_us": True}]}, "pulse_us"),
+    ({"omega1_MHz": 0.5, "segments": [{"pulse_us": 1.0, "phase_rad": None}]}, "phase_rad"),
+    ({"omega1_MHz": "0.5", "segments": []}, "omega1_MHz"),
+    ({"omega1_MHz": 0.5, "segments": {"delay_us": 1.0}}, "segments must be a list"),
+    ({"omega1_MHz": float("inf"), "segments": []}, "omega1"),
+])
+def test_non_numbers_and_non_finite_values_rejected(doc, where):
+    with pytest.raises(SequenceError, match=where):
+        sequence_from_dict(doc)
+
+
 def test_bundled_tables_are_verbatim():
     """Bundled sequences carry the published parameters unchanged."""
     doc = json.loads(data_path("sequences/hadamard.json").read_text())

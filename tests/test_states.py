@@ -9,6 +9,7 @@ from icspin.states import (
     bloch_vector,
     density_matrix,
     partial_trace,
+    qubit_bloch_vectors,
 )
 
 
@@ -70,3 +71,19 @@ def test_bloch_norm_bounded():
 def test_assert_state_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         assert_state(np.eye(2, dtype=complex))
+
+
+def test_qubit_bloch_vectors_match_partial_traces():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3):
+        d = 2**n
+        psis = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        rhos = np.einsum("ki,kj->kij", psis, psis.conj())
+        for stack in (psis, rhos):
+            out = qubit_bloch_vectors(stack)
+            assert out.shape == (5, n, 3)
+            for k in range(5):
+                for s in range(n):
+                    ref = bloch_vector(partial_trace(stack[k], s, (2,) * n))
+                    assert np.abs(out[k, s] - ref).max() < 1e-14
