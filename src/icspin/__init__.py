@@ -33,12 +33,7 @@ from .geometry import (
     coupling_from_geometry,
     dipolar_geometry,
 )
-from .hamiltonian import (
-    lab_hamiltonian,
-    multiqubit_hamiltonian,
-    subspace_hamiltonian,
-    upper_manifold_hamiltonian,
-)
+from .hamiltonian import lab_hamiltonian, multiqubit_hamiltonian
 from .kernels import FitnessKernel
 from .operators import spin_operators
 from .optimize import (
@@ -100,8 +95,6 @@ __all__ = [
     "dipolar_geometry",
     "lab_hamiltonian",
     "multiqubit_hamiltonian",
-    "subspace_hamiltonian",
-    "upper_manifold_hamiltonian",
     "FitnessKernel",
     "spin_operators",
     "GAConfig",

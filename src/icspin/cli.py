@@ -53,6 +53,20 @@ class CliError(Exception):
     """Usage or config problem; maps to exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own usage errors exit 1 like every other usage error;
+    subparsers inherit the class. --help and --version still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _check_positive(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise CliError(f"{flag} must be positive and finite, got {value!r}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -160,6 +174,8 @@ def cmd_optimize(args) -> int:
             ga_doc = json.loads(Path(args.ga_config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read GA config: {exc}") from exc
+        if not isinstance(ga_doc, dict):
+            raise CliError("GA config must be a JSON object")
     ga_doc.setdefault("seed", args.seed)
     if args.grid:
         omega1_range, points = _parse_grid(args.grid)
@@ -216,6 +232,7 @@ def _scan_theta(args, cfg, out: Path) -> None:
 
 
 def _scan_fid(args, cfg, out: Path) -> None:
+    cfg.single_carbon()   # the prepared states below are two-qubit
     t_grid = np.arange(args.points) * args.dt
     state = density_matrix(basis_state(0, 4))
     if args.state == "thermal":
@@ -254,8 +271,12 @@ def _scan_trajectory(args, cfg, out: Path) -> None:
 
 
 def cmd_scan(args) -> int:
-    if not (np.isfinite(args.dt) and args.dt > 0):
-        raise CliError(f"--dt must be positive and finite, got {args.dt!r}")
+    _check_positive("--dt", args.dt)
+    _check_positive("--linewidth", args.linewidth)
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}")
+    if not np.isfinite(args.detuning):
+        raise CliError(f"--detuning must be finite, got {args.detuning!r}")
     cfg = _load_system(args.system)
     out = _out_dir(args)
     runner = {
@@ -279,6 +300,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_positive("--linewidth", args.linewidth)
     cfg = _load_system(args.system)
     eig = carbon_eigenstructure(cfg.subset([cfg.carbons[0].label]))
     payload: dict = {
@@ -321,7 +343,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icspin",
         description="Pulse-sequence simulator and compiler for electron-nuclear spin registers",
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
-from .hamiltonian import PROJ_UP, subspace_hamiltonian, upper_manifold_hamiltonian
+from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
 from .propagation import PropagationEngine, expm_hermitian, sequence_propagator
 from .sequence import Delay, Pulse, PulseSequence
@@ -150,7 +150,7 @@ def simulate_init_sequence(config: SpinSystemConfig):
     them, final state).
     """
     tau1, tau2 = analytic_init_delays(config)
-    h = subspace_hamiltonian(config)
+    h = multiqubit_hamiltonian(config)
     u_pi = electron_rotation(np.pi, 0.0)
     u = expm_hermitian(h, tau2) @ u_pi @ expm_hermitian(h, tau1) @ u_pi
     psi = u @ basis_state(0, 4)
@@ -182,8 +182,8 @@ def cleanup_propagator(config: SpinSystemConfig, ideal: bool = False) -> np.ndar
         u = np.eye(4, dtype=complex)
         u[[1, 1, 3, 3], [1, 3, 1, 3]] = [0.0, 1.0, 1.0, 0.0]
         return u
-    h = upper_manifold_hamiltonian(config)
     tau_c = cleanup_delay(config)
+    h = multiqubit_hamiltonian(config, m_s=+1)
     first = electron_rotation(np.pi / 2, 0.0)
     second = electron_rotation(-np.pi / 2, np.pi / 2)
     return second @ expm_hermitian(h, tau_c) @ first
@@ -207,14 +207,10 @@ def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
     return np.asarray(gate, dtype=complex)
 
 
-def signal_spectrum(times: np.ndarray, signal: np.ndarray,
-                    t2_star: float | None = None) -> Spectrum:
+def signal_spectrum(times: np.ndarray, signal: np.ndarray) -> Spectrum:
     """Magnitude DFT spectrum of a uniformly sampled, mean-subtracted signal."""
     dt = float(times[1] - times[0])
-    work = signal - signal.mean()
-    if t2_star is not None:
-        work = work * np.exp(-(times - times[0]) / t2_star)
-    amps = np.abs(np.fft.rfft(work))
+    amps = np.abs(np.fft.rfft(signal - signal.mean()))
     freqs = np.fft.rfftfreq(len(times), dt)
     return Spectrum(frequencies=freqs, amplitudes=amps)
 
@@ -236,7 +232,6 @@ def hadamard_circuit_scan(
     t_grid: np.ndarray,
     config: SpinSystemConfig,
     first_gate=None,
-    t2_star: float | None = None,
 ) -> ScanResult:
     """Population of |0,up> after (gate - free t - gate) applied to |0,up>.
 
@@ -245,7 +240,8 @@ def hadamard_circuit_scan(
     control run without the initial gate.
     """
     t_grid = _check_uniform(t_grid)
-    h = subspace_hamiltonian(config)
+    config.single_carbon()   # the gate and the readout act on one carbon
+    h = multiqubit_hamiltonian(config)
     u_h = hadamard_on_carbon(1)
     g2 = _gate_matrix(gate, h, u_h)
     g1 = g2 if first_gate is None else _gate_matrix(first_gate, h, u_h)
@@ -253,38 +249,26 @@ def hadamard_circuit_scan(
     # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
     amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
     signal = np.abs(np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w)) @ amps) ** 2
-    return ScanResult(t_grid, signal, signal_spectrum(t_grid, signal, t2_star))
-
-
-def transition_offsets(h: np.ndarray) -> np.ndarray:
-    """Signed frequency offsets of all electron-flip transitions of `h`."""
-    lines = esr_lines(h)
-    return np.array([p for p, _ in lines])
+    return ScanResult(t_grid, signal, signal_spectrum(t_grid, signal))
 
 
 def electron_fid_scan(
     state,
     nu_d: float,
     t_grid: np.ndarray,
-    config: SpinSystemConfig | None = None,
-    h: np.ndarray | None = None,
-    t2_star: float | None = None,
+    config: SpinSystemConfig,
 ) -> ScanResult:
     """Electron FID (90_x - t - 90_phi) with phase ramp phi(t) = -2pi nu_d t.
 
     The population of m_S = 0 is recorded as a function of t; its spectrum
     is centered at the detuning nu_d and split by the carbon state.
     """
-    if h is None:
-        if config is None:
-            raise ValueError("provide a config or a Hamiltonian")
-        h = subspace_hamiltonian(config)
     t_grid = _check_uniform(t_grid)
-    dim = h.shape[0]
-    n_carbons = int(np.log2(dim)) - 1
-
-    offsets = transition_offsets(h)
-    f_max = nu_d + float(np.abs(offsets).max())
+    if not np.isfinite(nu_d):
+        raise ValueError(f"detuning must be finite, got {nu_d}")
+    h = multiqubit_hamiltonian(config)
+    lines = esr_lines(h)
+    f_max = nu_d + max(abs(p) for p, _ in lines)
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
         raise NyquistError(
@@ -292,8 +276,8 @@ def electron_fid_scan(
         )
 
     rho0 = density_matrix(np.asarray(state, dtype=complex))
-    p0 = kron_all(PROJ_UP, np.eye(2**n_carbons, dtype=complex))
-    pulse = electron_rotation(np.pi / 2, 0.0, n_carbons)
+    p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))
+    pulse = electron_rotation(np.pi / 2, 0.0, config.n_carbons)
     rho1 = pulse @ rho0 @ pulse.conj().T
 
     # The second pulse at phase phi(t) is Z(phi) R Z(phi)^dag with the
@@ -307,8 +291,8 @@ def electron_fid_scan(
     phases = np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w + nu_d * engine.zhalf))
     signal = np.real(np.einsum("tk,kl,tl->t", phases, weights, phases.conj()))
 
-    spec = signal_spectrum(t_grid, signal, t2_star)
-    sticks = tuple((nu_d + p, wgt) for p, wgt in esr_lines(h))
+    spec = signal_spectrum(t_grid, signal)
+    sticks = tuple((nu_d + p, wgt) for p, wgt in lines)
     spec = Spectrum(spec.frequencies, spec.amplitudes, sticks)
     return ScanResult(t_grid, signal, spec)
 
@@ -328,7 +312,8 @@ def theta_scan(
     """
     if readout_branch not in (0, -1):
         raise ValueError("readout_branch must be 0 or -1")
-    h = subspace_hamiltonian(config)
+    config.single_carbon()   # the gate and the readout act on one carbon
+    h = multiqubit_hamiltonian(config)
     if isinstance(gate, str) and gate.lower() == "cnot":
         gate = "ideal"
     g = _gate_matrix(gate, h, cnot_on_carbon(1))
@@ -345,93 +330,64 @@ def theta_scan(
 # ---------------------------------------------------------------------------
 # spectra
 
+_SPECTRUM_POINTS = 4001   # frequency samples of an ESR spectrum
 
-def esr_lines(h: np.ndarray, flip_op: np.ndarray | None = None) -> list[tuple[float, float]]:
+
+def esr_lines(h: np.ndarray, populations=None) -> list[tuple[float, float]]:
     """Stick list of electron-flip transitions as (signed offset, weight).
 
-    Offsets are E_upper - E_lower between eigenstates connected by the
-    electron flip operator; weights are squared matrix elements.
+    The lower manifold is the first electron block of `h`. With the block
+    eigensystems (w_0, V_0) and (w_1, V_1) of ``PropagationEngine(h)``, the
+    offsets are w_1[:, None] - w_0 and the weights, squared matrix elements
+    of the electron flip, are the squared entries of V_1^T V_0. A state
+    vector or density matrix `populations` scales each weight by the
+    population difference of its lower and upper eigenstate; lines whose
+    difference is not positive drop out with those of weight below 1e-12.
     """
-    dim = h.shape[0]
-    n_carbons = int(np.log2(dim)) - 1
-    ec = np.eye(2**n_carbons, dtype=complex)
-    if flip_op is None:
-        flip_op = kron_all(np.array([[0, 1], [1, 0]], dtype=complex), ec)
-    p_lower = kron_all(PROJ_UP, ec)
-
-    w, v = np.linalg.eigh(h)
-    in_lower = np.real(np.einsum("ij,jk,ki->i", v.conj().T, p_lower, v)) > 0.5
-    lines = []
-    for i in np.where(in_lower)[0]:
-        for f in np.where(~in_lower)[0]:
-            weight = abs(v[:, f].conj() @ flip_op @ v[:, i]) ** 2
-            if weight > 1e-12:
-                lines.append((float(w[f] - w[i]), float(weight)))
-    lines.sort()
-    return lines
+    engine = PropagationEngine(h)
+    half = engine.dim // 2
+    weights = (engine.v[half:, half:].T @ engine.v[:half, :half]) ** 2
+    if populations is not None:
+        rho = engine.to_eigenbasis(density_matrix(populations))
+        pops = np.real(np.diag(rho))
+        weights *= pops[:half] - pops[half:, None]
+    offsets = engine.w[half:, None] - engine.w[:half]
+    keep = weights > 1e-12
+    return sorted(zip(offsets[keep].tolist(), weights[keep].tolist()))
 
 
 def esr_spectrum(
     h: np.ndarray,
     linewidth: float,
     detuning: float = 5.0,
-    flip_op: np.ndarray | None = None,
-    weights: str = "matrix_element",
-    state=None,
-    points: int = 4001,
+    populations=None,
 ) -> Spectrum:
     """Lorentzian-broadened electron spectrum of `h`.
 
     Stick positions sit at detuning + (E_upper - E_lower) for every pair of
     eigenstates connected by the electron flip operator. Weights are squared
-    matrix elements, optionally scaled by the population difference of a
-    provided `state` (weights='population').
+    matrix elements, scaled by population differences when a state is given
+    as `populations` (see ``esr_lines``).
     """
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
-    if weights not in ("matrix_element", "population"):
-        raise ValueError("weights must be 'matrix_element' or 'population'")
-    sticks = esr_lines(h, flip_op)
-    if weights == "population":
-        if state is None:
-            raise ValueError("population weighting needs a state")
-        sticks = _population_weighted(h, flip_op, state)
+    if not (np.isfinite(linewidth) and linewidth > 0):
+        raise ValueError(f"linewidth must be positive and finite, got {linewidth}")
+    sticks = esr_lines(h, populations)
+    if not sticks:
+        raise ValueError("no electron-flip line has positive weight")
     span = max(abs(p) for p, _ in sticks)
-    if detuning < span:
+    if not detuning >= span:   # NaN fails too
         raise ValueError(f"detuning {detuning} MHz must exceed the line span {span:.4f}")
     positions = np.array([detuning + p for p, _ in sticks])
     wts = np.array([wgt for _, wgt in sticks])
     lo = positions.min() - 8 * linewidth
     hi = positions.max() + 8 * linewidth
-    freqs = np.linspace(lo, hi, points)
+    freqs = np.linspace(lo, hi, _SPECTRUM_POINTS)
     half = linewidth / 2.0
     amps = np.zeros_like(freqs)
     for pos, wgt in zip(positions, wts):
         amps += wgt * half**2 / ((freqs - pos) ** 2 + half**2)
     lines = tuple((float(p), float(wgt)) for p, wgt in zip(positions, wts))
     return Spectrum(frequencies=freqs, amplitudes=amps, lines=lines)
-
-
-def _population_weighted(h, flip_op, state) -> list[tuple[float, float]]:
-    rho = density_matrix(np.asarray(state, dtype=complex))
-    dim = h.shape[0]
-    n_carbons = int(np.log2(dim)) - 1
-    ec = np.eye(2**n_carbons, dtype=complex)
-    if flip_op is None:
-        flip_op = kron_all(np.array([[0, 1], [1, 0]], dtype=complex), ec)
-    p_lower = kron_all(PROJ_UP, ec)
-    w, v = np.linalg.eigh(h)
-    in_lower = np.real(np.einsum("ij,jk,ki->i", v.conj().T, p_lower, v)) > 0.5
-    pops = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho, v))
-    lines = []
-    for i in np.where(in_lower)[0]:
-        for f in np.where(~in_lower)[0]:
-            me = abs(v[:, f].conj() @ flip_op @ v[:, i]) ** 2
-            wgt = me * max(pops[i] - pops[f], 0.0)
-            if wgt > 1e-12:
-                lines.append((float(w[f] - w[i]), float(wgt)))
-    lines.sort()
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +440,6 @@ def bloch_trajectory(
 
 def min_coherence_time(linewidth: float) -> float:
     """T2* (us) required to resolve lines of the given width (MHz)."""
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
+    if not (np.isfinite(linewidth) and linewidth > 0):
+        raise ValueError(f"linewidth must be positive and finite, got {linewidth}")
     return 1.0 / (np.pi * linewidth)

@@ -1,15 +1,15 @@
 """Register Hamiltonians in units of H/2pi (MHz).
 
-Three builders cover the register geometries used throughout:
+Two builders cover the register geometries used throughout:
 
 * ``lab_hamiltonian`` -- full 6x6 secular Hamiltonian of the spin-1 electron
   coupled to one carbon (nitrogen fixed in m_N = 1).
-* ``subspace_hamiltonian`` -- the 4x4 working-subspace Hamiltonian for the
-  electron pseudo-qubit spanned by m_S = {0, -1} and one carbon.
-* ``multiqubit_hamiltonian`` -- the 2^(n_carbons+1)-dimensional extension to
-  up to four carbons, each coupled to the same electron pseudo-qubit.
+* ``multiqubit_hamiltonian`` -- the 2^(n_carbons+1)-dimensional
+  working-subspace Hamiltonian of the electron pseudo-qubit spanned by
+  m_S = {0, m_s} and one to four carbons. Every simulated experiment uses
+  it: m_s = -1 for the gates, scans and spectra, m_s = +1 for the clean-up.
 
-The pseudo-qubit basis orders the electron factor first (|0> then |-1>),
+The pseudo-qubit basis orders the electron factor first (|0> then |m_s>),
 followed by carbons in ascending label order.
 """
 from __future__ import annotations
@@ -31,15 +31,6 @@ PROJ_UP = np.diag([1.0, 0.0]).astype(complex)   # electron |0><0|
 PROJ_DOWN = np.diag([0.0, 1.0]).astype(complex)  # electron |-1><-1| (or |+1><+1|)
 
 
-def carbon_block_hamiltonians(
-    nu_c: float, a_zz: float, a_zx: float, m_s: int = -1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-carbon 2x2 Hamiltonians (h_0, h_m) for electron state |0> and |m_S>."""
-    h0 = -nu_c * SZ_HALF
-    hm = -(nu_c - m_s * a_zz) * SZ_HALF + m_s * a_zx * SX_HALF
-    return h0, hm
-
-
 def lab_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
     """6x6 lab-frame Hamiltonian, electron spin-1 ⊗ one carbon, in MHz.
 
@@ -59,25 +50,12 @@ def lab_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
     return h
 
 
-def lab_basis_labels() -> list[str]:
-    return ["+1,up", "+1,dn", "0,up", "0,dn", "-1,up", "-1,dn"]
-
-
-def subspace_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
-    """4x4 working-subspace Hamiltonian over {|0,up>, |0,dn>, |-1,up>, |-1,dn>}."""
-    c = config.single_carbon()
-    h0, hm1 = carbon_block_hamiltonians(config.nu_c, c.a_zz, c.a_zx, m_s=-1)
-    h = kron_all(PROJ_UP, h0) + kron_all(PROJ_DOWN, hm1)
-    assert_hermitian(h)
-    return h
-
-
 def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarray:
     """Working-subspace Hamiltonian for 1..4 carbons, dimension 2^(n_carbons+1).
 
     Each carbon contributes its own |0>- and |m_S>-conditioned term acting on
-    its tensor slot; with one carbon this equals ``subspace_hamiltonian``.
-    `m_s` selects the lower electron manifold partner (-1 or +1).
+    its tensor slot. `m_s` selects the partner of m_S = 0 (-1 or +1); with
+    one carbon the basis is {|0,up>, |0,dn>, |m_s,up>, |m_s,dn>}.
     """
     if m_s not in (-1, 1):
         raise ValueError("m_s must be -1 or +1")
@@ -85,34 +63,10 @@ def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarra
     dim = 2 ** (n + 1)
     h = np.zeros((dim, dim), dtype=complex)
     for slot, c in enumerate(config.carbons):
-        h0, hm = carbon_block_hamiltonians(config.nu_c, c.a_zz, c.a_zx, m_s=m_s)
         ops0 = [PROJ_UP] + [E2] * n
         opsm = [PROJ_DOWN] + [E2] * n
-        ops0[slot + 1] = h0
-        opsm[slot + 1] = hm
+        ops0[slot + 1] = -config.nu_c * SZ_HALF
+        opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * SZ_HALF + m_s * c.a_zx * SX_HALF
         h += kron_all(*ops0) + kron_all(*opsm)
     assert_hermitian(h)
     return h
-
-
-def upper_manifold_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
-    """4x4 Hamiltonian of the m_S = {0, +1} manifold with one carbon.
-
-    Used by the clean-up operation, which shuffles population through the
-    upper electron manifold. Basis: {|0,up>, |0,dn>, |+1,up>, |+1,dn>}.
-    """
-    cfg1 = SpinSystemConfig(
-        config.d, config.nu_e, config.nu_c, config.a_n,
-        (config.single_carbon(),), config.b0,
-    )
-    return multiqubit_hamiltonian(cfg1, m_s=+1)
-
-
-def subspace_basis_labels(n_carbons: int = 1, m_s: int = -1) -> list[str]:
-    tag = "-1" if m_s == -1 else "+1"
-    labels = []
-    for e in ("0", tag):
-        for k in range(2**n_carbons):
-            spins = format(k, f"0{n_carbons}b").replace("0", "u").replace("1", "d")
-            labels.append(f"{e},{spins}")
-    return labels

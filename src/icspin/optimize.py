@@ -37,8 +37,10 @@ class ParameterBounds:
     def __post_init__(self):
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
-        if self.tau_max <= 0 or self.t_max <= 0:
-            raise ValueError("bounds must be positive")
+        for name in ("tau_max", "t_max"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
     @property
     def genome_length(self) -> int:
@@ -83,6 +85,12 @@ class GAConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.early_stop_fitness is not None and not np.isfinite(self.early_stop_fitness):
+            raise ValueError("early_stop must be finite or null")
         if self.omega1_points < 1:
             raise ValueError("omega1_points must be >= 1")
         lo, hi = self.omega1_range
@@ -92,27 +100,62 @@ class GAConfig:
             raise ValueError("mutation_scale must be >= 0")
 
 
+# GA-config document key -> GAConfig field; "omega1_grid" is the seventh key
+_GA_KEYS = {
+    "population": "population_size",
+    "generations": "generations",
+    "crossover_rate": "crossover_rate",
+    "mutation_rate": "mutation_rate",
+    "mutation_scale": "mutation_scale",
+    "elites": "elite_count",
+    "seed": "rng_seed",
+    "restarts": "restarts",
+    "early_stop": "early_stop_fitness",
+}
+_GA_INT_KEYS = {"population", "generations", "elites", "seed", "restarts", "points"}
+_GRID_KEYS = ("min_MHz", "max_MHz", "points")
+
+
+def _ga_value(doc: dict, key: str, where: str = "GA config"):
+    """doc[key], which must be a JSON integer or number as the key requires."""
+    value = doc[key]
+    kind = int if key in _GA_INT_KEYS else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if key in _GA_INT_KEYS else "a number"
+        raise TypeError(f"{where} {key} must be {noun}, got {value!r}")
+    return value
+
+
 def ga_config_from_dict(doc: dict) -> GAConfig:
-    """Build a GAConfig from its JSON document form."""
+    """Build a GAConfig from its JSON document form.
+
+    The document holds any of the keys ``ga_config_to_dict`` writes; an
+    ``omega1_grid`` needs all three of its fields. Wrong types raise
+    TypeError, unknown or missing keys ValueError, each naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError("GA config must be a JSON object")
+    unknown = doc.keys() - _GA_KEYS.keys() - {"omega1_grid"}
+    if unknown:
+        raise ValueError(f"GA config has unknown keys: {sorted(unknown)}")
     kwargs = {}
-    mapping = {
-        "population": "population_size",
-        "generations": "generations",
-        "crossover_rate": "crossover_rate",
-        "mutation_rate": "mutation_rate",
-        "mutation_scale": "mutation_scale",
-        "elites": "elite_count",
-        "seed": "rng_seed",
-        "restarts": "restarts",
-        "early_stop": "early_stop_fitness",
-    }
-    for key, attr in mapping.items():
+    for key, attr in _GA_KEYS.items():
         if key in doc:
-            kwargs[attr] = doc[key]
+            none_ok = key == "early_stop" and doc[key] is None
+            kwargs[attr] = None if none_ok else _ga_value(doc, key)
     if "omega1_grid" in doc:
         g = doc["omega1_grid"]
-        kwargs["omega1_range"] = (float(g["min_MHz"]), float(g["max_MHz"]))
-        kwargs["omega1_points"] = int(g["points"])
+        if not isinstance(g, dict):
+            raise TypeError("GA config omega1_grid must be a JSON object")
+        missing = [k for k in _GRID_KEYS if k not in g]
+        if missing:
+            raise ValueError(f"GA config omega1_grid is missing {missing}")
+        unknown = g.keys() - set(_GRID_KEYS)
+        if unknown:
+            raise ValueError(f"GA config omega1_grid has unknown keys: {sorted(unknown)}")
+        lo, hi, points = (_ga_value(g, k, "GA config omega1_grid") for k in _GRID_KEYS)
+        kwargs["omega1_range"] = (float(lo), float(hi))
+        kwargs["omega1_points"] = points
     return GAConfig(**kwargs)
 
 

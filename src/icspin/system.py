@@ -8,6 +8,7 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -81,6 +82,13 @@ class SpinSystemConfig:
 
 _REQUIRED_KEYS = {"D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "carbons"}
 _OPTIONAL_KEYS = {"B0_mT", "name"}
+_CARBON_KEYS = {"A_zz_MHz", "A_zx_MHz"}
+
+
+def _check_number(value, field: str) -> None:
+    """A finite JSON number; booleans, strings and NaN or infinity are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
 
 
 def validate_system_dict(doc: dict) -> None:
@@ -93,14 +101,19 @@ def validate_system_dict(doc: dict) -> None:
     unknown = doc.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
         raise ConfigError(f"system config has unknown keys: {sorted(unknown)}")
-    for key in ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz"):
-        if not isinstance(doc[key], (int, float)):
-            raise ConfigError(f"{key} must be a number")
+    for key in ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "B0_mT"):
+        if key in doc:
+            _check_number(doc[key], key)
     if not isinstance(doc["carbons"], list) or not doc["carbons"]:
         raise ConfigError("carbons must be a non-empty list")
     for i, c in enumerate(doc["carbons"]):
-        if not isinstance(c, dict) or not {"A_zz_MHz", "A_zx_MHz"} <= c.keys():
+        if not isinstance(c, dict) or not _CARBON_KEYS <= c.keys():
             raise ConfigError(f"carbons[{i}] needs A_zz_MHz and A_zx_MHz")
+        unknown = c.keys() - _CARBON_KEYS
+        if unknown:
+            raise ConfigError(f"carbons[{i}] has unknown keys: {sorted(unknown)}")
+        for key in sorted(_CARBON_KEYS):
+            _check_number(c[key], f"carbons[{i}].{key}")
 
 
 def system_from_dict(doc: dict) -> SpinSystemConfig:

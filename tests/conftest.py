@@ -15,7 +15,7 @@ def registers():
 
 @pytest.fixture(scope="session")
 def h_subspace(system):
-    return icspin.subspace_hamiltonian(system)
+    return icspin.multiqubit_hamiltonian(system)
 
 
 @pytest.fixture(scope="session")

@@ -180,8 +180,8 @@ def test_criterion_03_analytic_initialization_delays(system):
 
 def test_criterion_04_eigenstructure(system):
     eig = icspin.carbon_eigenstructure(system)
-    h_minus = icspin.subspace_hamiltonian(system)[2:, 2:]
-    h_plus = icspin.upper_manifold_hamiltonian(system)[2:, 2:]
+    h_minus = icspin.multiqubit_hamiltonian(system)[2:, 2:]
+    h_plus = icspin.multiqubit_hamiltonian(system, m_s=+1)[2:, 2:]
     resid = 0.0
     for h, states in ((h_minus, (eig.phi_minus, eig.psi_minus)),
                       (h_plus, (eig.phi_plus, eig.psi_plus))):
@@ -335,7 +335,7 @@ def test_criterion_09_spectra(system, registers, h_subspace):
 
     spec2 = esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0)
     n_lower = len(spec2.resolvable_lines(threshold=0.05))
-    spec_up = esr_spectrum(icspin.upper_manifold_hamiltonian(system),
+    spec_up = esr_spectrum(icspin.multiqubit_hamiltonian(system, m_s=+1),
                            linewidth=0.01, detuning=3.0)
     n_upper = len(spec_up.resolvable_lines(threshold=0.05))
 

@@ -255,13 +255,21 @@ def test_negative_grid_amplitude_is_usage_error(tmp_path, command):
     {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 0}},
     {"mutation_scale": -0.05},
     {"omega1_grid": {"min_MHz": -0.2, "max_MHz": 0.52, "points": 5}},
+    [{"population": 10}],
+    {"omega1_grid": {"min_MHz": 0.48, "points": 5}},
+    {"populaton": 5, "generations": 0},
+    {"generations": 1.5},
+    {"seed": -1},
+    {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 2.7}},
+    {"population": "10"},
 ])
-def test_optimize_bad_ga_config_is_usage_error(tmp_path, ga_doc):
+def test_optimize_bad_ga_config_is_usage_error(tmp_path, capsys, ga_doc):
     (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
     out = tmp_path / "o"
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
     assert not (out / "result.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_reports_band_mean(tmp_path, capsys):
@@ -315,3 +323,95 @@ def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, cap
                 "--out", str(out)]) == 2
     assert not (out / "verify.json").exists()
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "theta", "fid"])
+def test_two_qubit_scans_need_one_carbon(tmp_path, capsys, kind):
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", str(data_path("system_4c.json")),
+                "--out", str(out)]) == 1
+    assert "exactly one carbon" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _edit_nu_c_nan(doc):
+    doc["nu_C_MHz"] = float("nan")
+
+
+def _edit_coupling_inf(doc):
+    doc["carbons"][0]["A_zx_MHz"] = float("inf")
+
+
+def _edit_d_bool(doc):
+    doc["D_MHz"] = True
+
+
+def _edit_coupling_string(doc):
+    doc["carbons"][0]["A_zz_MHz"] = "-0.152"
+
+
+def _edit_b0_string(doc):
+    doc["B0_mT"] = "14.8"
+
+
+def _edit_carbon_unknown_key(doc):
+    doc["carbons"][0]["label"] = 2
+
+
+@pytest.mark.parametrize("edit,field", [
+    (_edit_nu_c_nan, "nu_C_MHz"),
+    (_edit_coupling_inf, "carbons[0].A_zx_MHz"),
+    (_edit_d_bool, "D_MHz"),
+    (_edit_coupling_string, "carbons[0].A_zz_MHz"),
+    (_edit_b0_string, "B0_mT"),
+    (_edit_carbon_unknown_key, "label"),
+], ids=["nu_c_nan", "coupling_inf", "d_bool", "coupling_string", "b0_string",
+        "carbon_unknown_key"])
+def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
+    doc = json.loads(Path(SYSTEM).read_text())
+    edit(doc)
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["verify", "--system", str(system), "--sequence", CNOT, "--target", "cnot",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["report", "--linewidth", "nan"], "--linewidth"),
+    (["scan", "--kind", "spectrum", "--linewidth", "nan"], "--linewidth"),
+    (["optimize", "--target", "cnot", "--tau-max", "nan"], "tau_max"),
+    (["scan", "--kind", "theta", "--points", "0"], "--points"),
+    (["scan", "--kind", "spectrum", "--detuning", "nan"], "--detuning"),
+    (["scan", "--kind", "fid", "--detuning", "nan"], "--detuning"),
+], ids=["report_linewidth_nan", "spectrum_linewidth_nan", "optimize_tau_max_nan",
+        "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan"])
+def test_bad_flag_is_usage_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "o"
+    assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sequence", CNOT, "--target", "cnot"],
+    ["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
+     "--grid", "-0.1,0.52,5"],
+], ids=["missing_system", "grid_value_after_space"])
+def test_argparse_usage_error_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["scan", "--help"]])
+def test_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0

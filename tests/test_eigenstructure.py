@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icspin.eigenstructure import DegenerateManifoldError, carbon_eigenstructure
-from icspin.hamiltonian import subspace_hamiltonian, upper_manifold_hamiltonian
+from icspin.hamiltonian import multiqubit_hamiltonian
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
 
@@ -23,8 +23,8 @@ def test_eigenvectors_diagonalize_blocks(system):
     """Every (state, frequency) pair satisfies the 2x2 eigenproblem of its
     manifold block to 1e-10."""
     eig = carbon_eigenstructure(system)
-    h_minus = subspace_hamiltonian(system)[2:, 2:]
-    h_plus = upper_manifold_hamiltonian(system)[2:, 2:]
+    h_minus = multiqubit_hamiltonian(system)[2:, 2:]
+    h_plus = multiqubit_hamiltonian(system, m_s=+1)[2:, 2:]
     for h, states in ((h_minus, (eig.phi_minus, eig.psi_minus)),
                       (h_plus, (eig.phi_plus, eig.psi_plus))):
         for v in states:

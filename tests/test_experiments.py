@@ -208,7 +208,6 @@ def test_fid_fully_mixed_state_is_flat(system):
 
 def test_fid_zero_coupling_single_line_at_detuning():
     cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(1e-30, 0.0),))
-    h = icspin.subspace_hamiltonian(cfg)
     t = np.arange(2048) * 0.12
     result = electron_fid_scan(density_matrix(basis_state(0, 4)), 3.0, t, config=cfg)
     assert np.allclose([p for p, _ in result.spectrum.lines], 3.0, atol=1e-12)
@@ -270,7 +269,7 @@ def test_theta_scan_bundled_cnot_tracks_law(system, h_subspace, cnot_seq):
 def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cnot_seq):
     """The scans evaluate every time point (or angle) at once; one
     expm_hermitian and one electron_rotation per point is the reference."""
-    h = icspin.subspace_hamiltonian(system)
+    h = icspin.multiqubit_hamiltonian(system)
     t_grid = np.arange(64) * 0.15
     psi0 = basis_state(0, 4)
     g = icspin.sequence_propagator(hadamard_seq, h)
@@ -284,9 +283,11 @@ def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cn
     assert np.abs(theta_scan(cnot_seq, thetas, -1, system) - ref).max() < 1e-12
 
     mixed_carbon = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)
-    h8 = icspin.multiqubit_hamiltonian(registers.subset([1, 2]))
-    for hh, state, nu_d in ((h, psi0, 3.0), (h, mixed_carbon, 2.0), (h8, basis_state(3, 8), 3.0)):
-        n = int(np.log2(hh.shape[0])) - 1
+    pair = registers.subset([1, 2])
+    for cfg, state, nu_d in ((system, psi0, 3.0), (system, mixed_carbon, 2.0),
+                             (pair, basis_state(3, 8), 3.0)):
+        hh = icspin.multiqubit_hamiltonian(cfg)
+        n = cfg.n_carbons
         rho = density_matrix(state)
         p0 = np.kron(np.diag([1.0, 0.0]), np.eye(2**n))
         first = electron_rotation(np.pi / 2, 0.0, n)
@@ -295,7 +296,7 @@ def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cn
         for t in t_grid:
             u = electron_rotation(np.pi / 2, -2 * np.pi * nu_d * t, n) @ expm_hermitian(hh, t)
             ref.append(np.real(np.trace(p0 @ u @ rho1 @ u.conj().T)))
-        out = electron_fid_scan(state, nu_d, t_grid, h=hh).signal
+        out = electron_fid_scan(state, nu_d, t_grid, cfg).signal
         assert np.abs(out - ref).max() < 1e-12
 
 
@@ -319,7 +320,7 @@ def test_working_subspace_has_four_lines(system, h_subspace):
 
 
 def test_upper_manifold_has_two_resolvable_lines(system):
-    h = icspin.upper_manifold_hamiltonian(system)
+    h = icspin.multiqubit_hamiltonian(system, m_s=+1)
     spec = esr_spectrum(h, linewidth=0.01, detuning=3.0)
     assert len(spec.lines) == 4
     assert len(spec.resolvable_lines(threshold=0.05)) == 2
@@ -334,8 +335,9 @@ def test_stick_positions_equal_fresh_eigendifferences(registers):
 
 
 def test_spectrum_rejects_bad_linewidth(h_subspace):
-    with pytest.raises(ValueError, match="linewidth"):
-        esr_spectrum(h_subspace, linewidth=0.0)
+    for linewidth in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="linewidth"):
+            esr_spectrum(h_subspace, linewidth=linewidth)
 
 
 def test_spectrum_rejects_small_detuning(h_subspace):
@@ -343,10 +345,22 @@ def test_spectrum_rejects_small_detuning(h_subspace):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=0.01)
 
 
+def test_nan_detuning_rejected(system, h_subspace):
+    with pytest.raises(ValueError, match="detuning"):
+        esr_spectrum(h_subspace, linewidth=0.01, detuning=np.nan)
+    with pytest.raises(ValueError, match="detuning"):
+        electron_fid_scan(basis_state(0, 4), np.nan, np.arange(64) * 0.1, system)
+
+
+def test_spectrum_without_weighted_lines_is_an_error(h_subspace):
+    rho = density_matrix(basis_state(2, 4))   # all population in m_S = -1
+    with pytest.raises(ValueError, match="positive weight"):
+        esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0, populations=rho)
+
+
 def test_population_weighting_drops_empty_levels(system, h_subspace):
     rho = density_matrix(basis_state(0, 4))  # only |0,up> occupied
-    spec = esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0,
-                        weights="population", state=rho)
+    spec = esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0, populations=rho)
     assert len(spec.lines) == 2  # only the up-conditioned transitions remain
 
 
@@ -428,5 +442,6 @@ def test_min_coherence_time_values():
     assert min_coherence_time(1.0 / np.pi) == pytest.approx(1.0, rel=1e-12)
     assert min_coherence_time(0.0106) == pytest.approx(30.0, abs=0.1)
     assert min_coherence_time(0.02) == pytest.approx(min_coherence_time(0.01) / 2)
-    with pytest.raises(ValueError):
-        min_coherence_time(0.0)
+    for linewidth in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            min_coherence_time(linewidth)

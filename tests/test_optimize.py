@@ -35,6 +35,10 @@ def test_bounds_validation():
         ParameterBounds(n_pulses=0)
     with pytest.raises(ValueError):
         ParameterBounds(n_pulses=1, tau_max=-1.0)
+    for field in ("tau_max", "t_max"):
+        for value in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                ParameterBounds(n_pulses=2, **{field: value})
 
 
 def test_ga_config_validation():
@@ -51,6 +55,26 @@ def test_ga_config_validation():
     for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
         with pytest.raises(ValueError, match="omega1 range"):
             GAConfig(omega1_range=bad)
+
+
+@pytest.mark.parametrize("doc,exc,key", [
+    ([1, 2], TypeError, "object"),
+    ({"populaton": 5}, ValueError, "populaton"),
+    ({"omega1_grid": {"min_MHz": 0.48, "points": 5}}, ValueError, "max_MHz"),
+    ({"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 5, "n": 1}}, ValueError, "'n'"),
+    ({"omega1_grid": [0.48, 0.52, 5]}, TypeError, "omega1_grid"),
+    ({"generations": 1.5}, TypeError, "generations"),
+    ({"population": "10"}, TypeError, "population"),
+    ({"elites": True}, TypeError, "elites"),
+    ({"crossover_rate": "0.9"}, TypeError, "crossover_rate"),
+    ({"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 2.7}}, TypeError, "points"),
+    ({"seed": -1}, ValueError, "seed"),
+    ({"generations": -1}, ValueError, "generations"),
+    ({"early_stop": float("nan")}, ValueError, "early_stop"),
+])
+def test_ga_config_from_dict_names_the_bad_key(doc, exc, key):
+    with pytest.raises(exc, match=key):
+        ga_config_from_dict(doc)
 
 
 def test_ga_config_json_roundtrip():
