@@ -268,7 +268,7 @@ def electron_fid_scan(
         raise ValueError(f"detuning must be finite, got {nu_d}")
     h = multiqubit_hamiltonian(config)
     lines = esr_lines(h)
-    f_max = nu_d + max(abs(p) for p, _ in lines)
+    f_max = abs(nu_d) + max(abs(p) for p, _ in lines)
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
         raise NyquistError(

@@ -5,16 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import PropagationEngine
+from .propagation import BATCH_ENTRIES, PropagationEngine
 from .sequence import PulseSequence
 from .targets import TargetGate
 
 DEFAULT_OMEGA1_RANGE = (0.48, 0.52)
 DEFAULT_GRID_POINTS = 5
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
-# Grid points times d^2 propagated at once: the whole grid up to d = 8, and
-# at d = 32 chunks of 16 points, which keeps the working set near 1 MB.
-BATCH_ENTRIES = 2**14
 
 
 def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
@@ -23,6 +20,14 @@ def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {u.shape} vs {u_target.shape}")
     d = u.shape[0]
     return float(abs(np.trace(u.conj().T @ u_target)) / d)
+
+
+def check_fidelities(fids: np.ndarray) -> None:
+    """Raise RuntimeError, an internal invariant violation, if a fidelity
+    is not finite or exceeds 1 + FIDELITY_SLACK."""
+    bad = ~(fids <= 1.0 + FIDELITY_SLACK)   # NaN compares False
+    if bad.any():
+        raise RuntimeError(f"fidelity outside [0, 1]: {fids[bad]}")
 
 
 def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
@@ -89,6 +94,5 @@ def robust_fidelity(
         weights = engine.to_eigenbasis(u_target).conj()
         traces.append(np.einsum("ij,gij->g", weights, engine.propagate(seq.segments)))
     fids = np.abs(np.concatenate(traces)) / h.shape[0]
-    if not (np.isfinite(fids).all() and fids.max() <= 1.0 + FIDELITY_SLACK):
-        raise RuntimeError(f"fidelity outside [0, 1]: {fids}")
+    check_fidelities(fids)
     return RobustnessReport(omega1s=grid, fidelities=fids)

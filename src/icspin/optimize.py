@@ -248,19 +248,22 @@ def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig, seed: int):
     for _ in range(cfg.generations):
         if cfg.early_stop_fitness is not None and fits[0] >= cfg.early_stop_fitness:
             break
-        children = np.empty((cfg.population_size - cfg.elite_count, bounds.genome_length))
-        for c in range(children.shape[0]):
-            i = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
-            j = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
+        # Draws stay per child in this order, so a seed keeps its stream;
+        # the arithmetic on them runs once over all children.
+        n_children = cfg.population_size - cfg.elite_count
+        parents = np.empty((2, n_children), dtype=int)
+        from_first = np.ones((n_children, bounds.genome_length), dtype=bool)
+        mutate = np.empty((n_children, bounds.genome_length), dtype=bool)
+        noise = np.empty((n_children, bounds.genome_length))
+        for c in range(n_children):
+            parents[0, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
+            parents[1, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
             if rng.random() < cfg.crossover_rate:
-                mask = rng.random(bounds.genome_length) < 0.5
-                child = np.where(mask, pop[i], pop[j])
-            else:
-                child = pop[i].copy()
-            mutate = rng.random(bounds.genome_length) < cfg.mutation_rate
-            noise = rng.normal(0.0, cfg.mutation_scale, bounds.genome_length) * span
-            child = np.where(mutate, child + noise, child)
-            children[c] = np.clip(child, lo, hi)
+                from_first[c] = rng.random(bounds.genome_length) < 0.5
+            mutate[c] = rng.random(bounds.genome_length) < cfg.mutation_rate
+            noise[c] = rng.normal(0.0, cfg.mutation_scale, bounds.genome_length)
+        children = np.where(from_first, pop[parents[0]], pop[parents[1]])
+        children = np.clip(np.where(mutate, children + noise * span, children), lo, hi)
         child_fits = kern.evaluate(children).mean(axis=1)
         pop = np.vstack([pop[: cfg.elite_count], children])
         fits = np.concatenate([fits[: cfg.elite_count], child_fits])

@@ -39,6 +39,12 @@ import numpy as np
 from .operators import TWO_PI, assert_hermitian, electron_drive_ops
 from .sequence import Delay, Pulse, PulseSequence
 
+# The engine's one chunking budget: robust_fidelity's grid chunks and the
+# fitness kernel's population chunks propagate at most this many entries
+# (stack size times d^2) per step. At d = 32 that is a stack of 16
+# propagators, 256 kB, which stays in cache.
+BATCH_ENTRIES = 2**14
+
 
 def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
     dim = u.shape[0]
@@ -74,9 +80,11 @@ def pulse_propagator(h: np.ndarray, omega1: float, phi: float, t: float) -> np.n
     return expm_hermitian(omega1 * (np.cos(phi) * sx + np.sin(phi) * sy) + h, t)
 
 
-def real_left_mul(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a @ u for real a and C-contiguous complex u, as one real matmul."""
-    return (a @ u.view(np.float64)).view(np.complex128)
+def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ u for real a and C-contiguous complex u, as one real matmul,
+    optionally into the C-contiguous complex `out`."""
+    out = None if out is None else out.view(np.float64)
+    return np.matmul(a, u.view(np.float64), out=out).view(np.complex128)
 
 
 class PropagationEngine:

@@ -90,5 +90,7 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
             raise TargetError(
                 f"ccrot parameters must be '<carbon>,<theta_deg>', got {params!r}"
             ) from exc
+        if not np.isfinite(theta):
+            raise TargetError(f"ccrot angle must be finite, got {theta_str!r}")
         return cc_rotation(n_carbons, carbon, theta)
     raise TargetError(f"unknown target {name!r}")

@@ -325,6 +325,41 @@ def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, cap
     assert "internal error" in capsys.readouterr().err
 
 
+def test_optimize_non_finite_fitness_is_internal_error(tmp_path, monkeypatch, capsys):
+    """An engine with NaN mixing matrices makes the kernel raise before the
+    GA ranks a genome, so optimize exits 2 and writes no result."""
+    original = icspin.propagation.PropagationEngine.__init__
+
+    def broken(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.mix = np.full_like(self.mix, np.nan)
+
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "__init__", broken)
+    (tmp_path / "ga.json").write_text(json.dumps({"population": 10, "generations": 2}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "2",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 2
+    assert not (out / "result.json").exists()
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_verify_non_finite_target_angle_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["verify", "--system", str(data_path("system_4c.json")), "--sequence", CNOT,
+                "--target", "ccrot:1,nan", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, capsys):
+    """--detuning -5 at the default dt 0.1 us (Nyquist 5 MHz) would alias."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "-5",
+                "--out", str(out)]) == 1
+    assert "undersamples" in capsys.readouterr().err
+    assert not any(out.glob("fid_*"))
+
+
 @pytest.mark.parametrize("kind", ["hadamard", "theta", "fid"])
 def test_two_qubit_scans_need_one_carbon(tmp_path, capsys, kind):
     out = tmp_path / "o"

@@ -215,9 +215,11 @@ def test_fid_zero_coupling_single_line_at_detuning():
 
 
 def test_fid_nyquist_guard(system):
-    t = np.arange(64) * 0.5  # Nyquist 1 MHz < detuning 3 MHz
-    with pytest.raises(NyquistError):
-        electron_fid_scan(density_matrix(basis_state(0, 4)), 3.0, t, system)
+    """A detuning of either sign beyond Nyquist is refused, not aliased."""
+    t = np.arange(64) * 0.5  # Nyquist 1 MHz < |detuning| 3 MHz
+    for detuning in (3.0, -3.0):
+        with pytest.raises(NyquistError):
+            electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
 
 
 # ---------------------------------------------------------------------------

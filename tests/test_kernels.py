@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import icspin
 from icspin.kernels import FitnessKernel
+from icspin.propagation import BATCH_ENTRIES
 
 from oracles import oracle_sequence_propagator, random_unitary
 
@@ -72,6 +75,48 @@ def test_single_genome_equals_its_batch_row(register_hamiltonians):
         batch = kern.evaluate(genomes)
         for i in (0, 9, 16):
             assert np.array_equal(kern.evaluate(genomes[i]), batch[i : i + 1])
+
+
+@pytest.mark.parametrize("n_carbons", [3, 4], ids=["d16", "d32"])
+def test_chunked_population_matches_single_genome_rows(register_hamiltonians, n_carbons):
+    """Populations around the chunk size c, ragged last chunks and the empty
+    population give every genome its one-genome row bit for bit."""
+    h = register_hamiltonians[n_carbons]
+    grid = np.linspace(0.48, 0.52, 5)
+    kern = FitnessKernel(h, icspin.cc_rotation(n_carbons, 1, np.pi), grid, 4)
+    c = max(1, BATCH_ENTRIES // (grid.size * h.shape[0] ** 2))
+    genomes = np.random.default_rng(11).uniform(0.0, 4.0, size=(100, 13))
+    singles = np.vstack([kern.evaluate(g) for g in genomes])
+    for size in (0, 1, c - 1, c, c + 1, 98, 100):
+        out = kern.evaluate(genomes[:size])
+        assert out.shape == (size, grid.size)
+        assert np.array_equal(out, singles[:size])
+
+
+def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians):
+    """A population of 100 at d32 never materializes as (P, G, d, d) arrays,
+    each 8 MB; the chunked pass peaks near 0.2 MB."""
+    h = register_hamiltonians[4]
+    kern = FitnessKernel(h, icspin.cc_rotation(4, 1, np.pi), np.linspace(0.48, 0.52, 5), 4)
+    genomes = np.random.default_rng(0).uniform(0.0, 4.0, size=(100, 13))
+    kern.evaluate(genomes[:1])
+    tracemalloc.start()
+    try:
+        kern.evaluate(genomes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("scale", [2.0, np.nan])
+def test_fidelity_outside_unit_interval_raises(workspace, scale):
+    """A target that is not unitary stands in for a broken chain: the empty
+    chain scores 2 against 2I, and NaN against a NaN target."""
+    h, _, grid = workspace
+    kern = FitnessKernel(h, scale * np.eye(h.shape[0]), grid, 1)
+    with pytest.raises(RuntimeError, match="outside"):
+        kern.evaluate(np.zeros(4))
 
 
 def test_column_count_validated(workspace):

@@ -78,3 +78,9 @@ def test_target_library_errors():
         target_library("toffoli")
     with pytest.raises(TargetError, match="parameters"):
         target_library("ccrot:nope")
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_target_library_rejects_non_finite_angle(angle):
+    with pytest.raises(TargetError, match="finite"):
+        target_library(f"ccrot:1,{angle}")
