@@ -71,7 +71,8 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None) -> None:
+def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
+                    **run_facts) -> None:
     manifest = {
         "command": command,
         "inputs": inputs,
@@ -79,6 +80,7 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None) -> 
         "output_dir": str(out),
         "tool_version": __version__,
         "written_at_unix": time.time(),
+        **run_facts,
     }
     _write_json(out / "manifest.json", manifest)
 
@@ -199,10 +201,13 @@ def cmd_optimize(args) -> int:
                     {"system": str(args.system), "target": args.target,
                      "pulses": args.pulses, "tau_max": args.tau_max,
                      "t_max": args.t_max, "ga": ga_config_to_dict(ga)},
-                    ga.rng_seed)
+                    ga.rng_seed,
+                    generations_run=result.generations_run,
+                    fitness_evaluations=result.fitness_evaluations,
+                    stop_reason=result.stop_reason)
     print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
     print(f"  duration = {result.best_sequence().duration:.4f} us over "
-          f"{len(result.history) - 1} generations (seed {result.seed})")
+          f"{result.generations_run} generations (seed {result.seed})")
     return 0
 
 

@@ -73,26 +73,26 @@ class FitnessKernel:
         n = self.n_pulses
         if genomes.shape[1] != 3 * n + 1:
             raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
+        # Row phase after delay i: Z(phi_i)^dag exp(-i 2pi w tau_i) Z(phi_{i-1}),
+        # with phi_{-1} = phi_n = 0 at the ends of the chain.
+        dphis = np.diff(genomes[:, 2 * n + 1 :], prepend=0.0, append=0.0)    # (P, n+1)
         fids = np.empty((len(genomes), self.omega1s.size))
         for start in range(0, len(genomes), self._chunk):
-            stop = start + self._chunk
-            fids[start:stop] = self._fidelities(genomes[start:stop])
+            chunk = slice(start, start + self._chunk)
+            fids[chunk] = self._fidelities(genomes[chunk], dphis[chunk])
         check_fidelities(fids)
         return fids
 
-    def _fidelities(self, genomes: np.ndarray) -> np.ndarray:
-        """Fidelities of one chunk of at most self._chunk genomes."""
+    def _fidelities(self, genomes: np.ndarray, dphis: np.ndarray) -> np.ndarray:
+        """Fidelities of one chunk of at most self._chunk genomes, whose
+        phase steps between delays are `dphis`."""
         n = self.n_pulses
         taus = genomes[:, : n + 1]
         ts = genomes[:, n + 1 : 2 * n + 1]
-        phis = genomes[:, 2 * n + 1 :]
 
-        # Row phase after delay i: Z(phi_i)^dag exp(-i 2pi w tau_i) Z(phi_{i-1}),
-        # with phi_{-1} = phi_n = 0 at the ends of the chain.
-        padded = np.pad(phis, ((0, 0), (1, 1)))
         e = self.engine
         rows = np.exp(-1j * (TWO_PI * taus[:, :, None] * e.w
-                             - np.diff(padded)[:, :, None] * e.zhalf))        # (P, n+1, d)
+                             - dphis[:, :, None] * e.zhalf))                  # (P, n+1, d)
         q = np.exp(-1j * TWO_PI * ts[:, :, None, None] * e.w_p)              # (P, n, G, d)
 
         u, spare = self._stacks[:, : len(genomes)]                           # (P, G, d, d)

@@ -2,18 +2,20 @@
 
 Genomes are flat real vectors [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n].
 The fitness of a genome is the mean trace fidelity against the target over
-the configured amplitude grid. Selection is tournament (size 3), crossover
-is uniform, mutation is Gaussian with a per-gene scale proportional to the
-gene's range; out-of-bounds genes are clamped. Elites pass through
-unchanged, which makes the best-fitness history non-decreasing.
+the configured amplitude grid. Selection is tournament (default size 3),
+crossover is uniform, mutation is Gaussian with a per-gene scale
+proportional to the gene's range; out-of-bounds genes are clamped. Elites
+pass through unchanged, which makes the best-fitness history
+non-decreasing.
 
-All random draws happen in the serial generation loop, and the kernel
-scores a genome bit for bit the same alone or in any batch, so a fixed
-seed reproduces the trajectory bit for bit.
+All random draws happen in the serial generation loop, in the per-child
+order ``_breed`` documents, and the kernel scores a genome bit for bit the
+same alone or in any batch, so a fixed seed reproduces the trajectory bit
+for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +100,12 @@ class GAConfig:
             raise ValueError(f"omega1 range must be finite with 0 <= min <= max, got {lo}, {hi}")
         if not self.mutation_scale >= 0.0:
             raise ValueError("mutation_scale must be >= 0")
+        k = self.tournament_size
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"tournament_size must be an integer >= 1, got {k!r}")
+        if not (np.isfinite(self.omega1_nominal) and self.omega1_nominal >= 0.0):
+            raise ValueError(
+                f"omega1_nominal must be finite and >= 0, got {self.omega1_nominal!r}")
 
 
 # GA-config document key -> GAConfig field; "omega1_grid" is the seventh key
@@ -190,6 +198,12 @@ class OptimizationResult:
     seed: int
     n_pulses: int
     omega1_nominal: float
+    fitness_evaluations: int
+    stop_reason: str
+
+    @property
+    def generations_run(self) -> int:
+        return len(self.history) - 1
 
     def best_sequence(self) -> PulseSequence:
         return sequence_from_genome(self.best_genome, self.n_pulses, self.omega1_nominal)
@@ -233,38 +247,73 @@ def _rank_keys(fits: np.ndarray, genomes: np.ndarray, n_pulses: int):
     return order
 
 
-def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig, seed: int):
+def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
+           bounds: ParameterBounds) -> np.ndarray:
+    """The population_size - elite_count children of the ranked `pop`.
+
+    A fixed seed must keep its stream, so each child makes its own
+    Generator calls, one per draw kind, in this order (L genes, tournament
+    size k, population size P):
+
+    1. ``integers(0, P, size=2k)``: both tournaments; a parent is the
+       lowest (best-ranked) index of its k draws;
+    2. ``random(L + 1)``: the crossover coin, then L doubles;
+    3. ``random(L)``, only when the coin crossed over: the mutation mask's
+       doubles; the L doubles of step 2 then pick each gene's parent
+       (< 0.5: the first). Without crossover the doubles of step 2 are the
+       mutation mask's;
+    4. ``normal(0, mutation_scale, L)``: the mutation noise.
+
+    These draw exactly what two ``size=k`` calls, a scalar coin and
+    separate masks drew: PCG64 keeps its spare 32-bit half in the
+    bit-generator state, and doubles take whole 64-bit words. Drawing the
+    masks as whole (children, L) arrays would reorder the stream. The
+    comparisons and the arithmetic run once over all children.
+    """
+    n_children = cfg.population_size - cfg.elite_count
+    k, n_genes = cfg.tournament_size, bounds.genome_length
+    draws = np.empty((n_children, 2 * k), dtype=np.int64)
+    doubles = np.empty((n_children, n_genes + 1))
+    mask_doubles = np.empty((n_children, n_genes))
+    noise = np.empty((n_children, n_genes))
+    for c in range(n_children):
+        draws[c] = rng.integers(0, cfg.population_size, size=2 * k)
+        doubles[c] = rng.random(n_genes + 1)
+        if doubles[c, 0] < cfg.crossover_rate:
+            mask_doubles[c] = rng.random(n_genes)
+        noise[c] = rng.normal(0.0, cfg.mutation_scale, n_genes)
+
+    parents = draws.reshape(n_children, 2, k).min(axis=2)
+    crossed = doubles[:, :1] < cfg.crossover_rate
+    from_first = ~crossed | (doubles[:, 1:] < 0.5)
+    mutate = np.where(crossed, mask_doubles, doubles[:, 1:]) < cfg.mutation_rate
+    children = np.where(from_first, pop[parents[:, 0]], pop[parents[:, 1]])
+    lo, hi = bounds.lower(), bounds.upper()
+    return np.clip(np.where(mutate, children + noise * (hi - lo), children), lo, hi)
+
+
+def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig,
+                seed: int) -> OptimizationResult:
     rng = np.random.default_rng(seed)
     kern = _kernel(target, h, cfg, bounds.n_pulses)
-    lo, hi = bounds.lower(), bounds.upper()
-    span = hi - lo
-    pop = rng.uniform(lo, hi, size=(cfg.population_size, bounds.genome_length))
+    pop = rng.uniform(bounds.lower(), bounds.upper(),
+                      size=(cfg.population_size, bounds.genome_length))
 
     fits = kern.evaluate(pop).mean(axis=1)
     order = _rank_keys(fits, pop, bounds.n_pulses)
     pop, fits = pop[order], fits[order]
     history = [float(fits[0])]
+    scored = len(pop)
+
+    def reached() -> bool:
+        return cfg.early_stop_fitness is not None and fits[0] >= cfg.early_stop_fitness
 
     for _ in range(cfg.generations):
-        if cfg.early_stop_fitness is not None and fits[0] >= cfg.early_stop_fitness:
+        if reached():
             break
-        # Draws stay per child in this order, so a seed keeps its stream;
-        # the arithmetic on them runs once over all children.
-        n_children = cfg.population_size - cfg.elite_count
-        parents = np.empty((2, n_children), dtype=int)
-        from_first = np.ones((n_children, bounds.genome_length), dtype=bool)
-        mutate = np.empty((n_children, bounds.genome_length), dtype=bool)
-        noise = np.empty((n_children, bounds.genome_length))
-        for c in range(n_children):
-            parents[0, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
-            parents[1, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
-            if rng.random() < cfg.crossover_rate:
-                from_first[c] = rng.random(bounds.genome_length) < 0.5
-            mutate[c] = rng.random(bounds.genome_length) < cfg.mutation_rate
-            noise[c] = rng.normal(0.0, cfg.mutation_scale, bounds.genome_length)
-        children = np.where(from_first, pop[parents[0]], pop[parents[1]])
-        children = np.clip(np.where(mutate, children + noise * span, children), lo, hi)
+        children = _breed(rng, pop, cfg, bounds)
         child_fits = kern.evaluate(children).mean(axis=1)
+        scored += len(children)
         pop = np.vstack([pop[: cfg.elite_count], children])
         fits = np.concatenate([fits[: cfg.elite_count], child_fits])
         order = _rank_keys(fits, pop, bounds.n_pulses)
@@ -272,7 +321,21 @@ def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig, seed: int):
         history.append(float(fits[0]))
 
     per_point = kern.evaluate(pop[0])[0]
-    return pop[0].copy(), float(fits[0]), np.array(history), per_point, kern.omega1s
+    scored += 1
+    return OptimizationResult(
+        best_genome=pop[0].copy(),
+        best_fitness=float(fits[0]),
+        history=np.array(history),
+        robustness_mean=float(per_point.mean()),
+        robustness_min=float(per_point.min()),
+        per_point=per_point,
+        omega1s=kern.omega1s,
+        seed=seed,
+        n_pulses=bounds.n_pulses,
+        omega1_nominal=cfg.omega1_nominal,
+        fitness_evaluations=scored * kern.omega1s.size,
+        stop_reason="early_stop" if reached() else "budget",
+    )
 
 
 def optimize(
@@ -286,23 +349,12 @@ def optimize(
     With cfg.restarts > 1 the search is repeated with derived seeds
     (seed + i) and the best run is returned. Non-convergence is simply a
     low best fitness, never an exception.
+
+    The result's ``stop_reason`` ("early_stop" once the best fitness
+    reaches cfg.early_stop_fitness, else "budget") and ``generations_run``
+    describe the returned run; ``fitness_evaluations`` counts the genomes
+    scored times the grid points over all restarts.
     """
-    best = None
-    for i in range(cfg.restarts):
-        seed = cfg.rng_seed + i
-        genome, fit, history, per_point, omega1s = _single_run(target, h, bounds, cfg, seed)
-        if best is None or fit > best[1]:
-            best = (genome, fit, history, per_point, omega1s, seed)
-    genome, fit, history, per_point, omega1s, seed = best
-    return OptimizationResult(
-        best_genome=genome,
-        best_fitness=fit,
-        history=history,
-        robustness_mean=float(per_point.mean()),
-        robustness_min=float(per_point.min()),
-        per_point=per_point,
-        omega1s=omega1s,
-        seed=seed,
-        n_pulses=bounds.n_pulses,
-        omega1_nominal=cfg.omega1_nominal,
-    )
+    runs = [_single_run(target, h, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
+    best = max(runs, key=lambda run: run.best_fitness)   # the first of equal bests
+    return replace(best, fitness_evaluations=sum(run.fitness_evaluations for run in runs))

@@ -160,12 +160,15 @@ class PropagationEngine:
                 z_dag = np.exp(1j * seg.phi * self.zhalf)
                 pending *= z_dag
                 if u is None:
+                    # The matmuls alternate between two stacks instead of
+                    # allocating, and faulting in, a fresh one each.
                     u = self.mix_t * pending
+                    spare = np.empty_like(u)
                 else:
                     u *= pending[:, None]
-                    u = real_left_mul(self.mix_t, u)
+                    u, spare = real_left_mul(self.mix_t, u, out=spare), u
                 u *= np.exp(-1j * TWO_PI * seg.t * self.w_p)[:, :, None]
-                u = real_left_mul(self.mix, u)
+                u, spare = real_left_mul(self.mix, u, out=spare), u
                 pending = z_dag.conj()
             else:
                 raise TypeError(f"unknown segment type: {type(seg).__name__}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,37 @@ def test_optimize_writes_artifacts_and_is_deterministic(tmp_path):
     assert all(b >= a for a, b in zip(hist, hist[1:]))
     seq = icspin.load_sequence(out1 / "best_sequence.json")
     assert seq.n_pulses == 2
+
+
+def test_optimize_manifest_explains_the_search(tmp_path):
+    ga = tmp_path / "ga.json"
+    base = ["optimize", "--system", SYSTEM, "--target", "hadamard", "--pulses", "2",
+            "--seed", "2", "--grid", "0.48,0.52,3", "--ga-config", str(ga)]
+    ga.write_text(json.dumps({"population": 10, "generations": 3, "early_stop": None}))
+    assert run(base + ["--out", str(tmp_path / "budget")]) == 0
+    ga.write_text(json.dumps({"population": 10, "generations": 3, "early_stop": 0.0,
+                              "restarts": 2}))
+    assert run(base + ["--out", str(tmp_path / "early")]) == 0
+    facts = ("generations_run", "fitness_evaluations", "stop_reason")
+    # genomes scored: the population, 8 children a generation and the final
+    # best, times 3 grid points, summed over restarts
+    for name, expected in (("budget", (3, (10 + 3 * 8 + 1) * 3, "budget")),
+                           ("early", (0, 2 * (10 + 1) * 3, "early_stop"))):
+        out = tmp_path / name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert tuple(manifest[key] for key in facts) == expected
+        for data in data_files(out):
+            assert not any(key in data.read_text() for key in facts), data.name
+
+
+def test_python_dash_m_icspin_runs_the_cli():
+    src = str(Path(icspin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "icspin", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert icspin.__version__ in proc.stdout
 
 
 def test_optimize_zero_generations(tmp_path):

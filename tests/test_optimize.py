@@ -7,6 +7,7 @@ import icspin
 from icspin.optimize import (
     GAConfig,
     ParameterBounds,
+    _breed,
     fitness,
     ga_config_from_dict,
     ga_config_to_dict,
@@ -55,6 +56,13 @@ def test_ga_config_validation():
     for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
         with pytest.raises(ValueError, match="omega1 range"):
             GAConfig(omega1_range=bad)
+    for bad in (0, -2, 2.0, 1.5, True):
+        with pytest.raises(ValueError, match="tournament_size"):
+            GAConfig(tournament_size=bad)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="omega1_nominal"):
+            GAConfig(omega1_nominal=bad)
+    assert GAConfig(tournament_size=np.int64(1), omega1_nominal=0.0).tournament_size == 1
 
 
 @pytest.mark.parametrize("doc,exc,key", [
@@ -179,6 +187,55 @@ def test_clamping_property(seed):
     child = child + rng.normal(0.0, 0.5, child.size)
     clamped = np.clip(child, lo, hi)
     assert np.all(clamped >= lo) and np.all(clamped <= hi)
+
+
+def _breed_per_child(rng, pop, cfg, bounds):
+    """The per-child breeding loop as it stood before ``_breed`` batched
+    its draws, kept verbatim as the oracle of the fixed-seed stream."""
+    lo, hi = bounds.lower(), bounds.upper()
+    span = hi - lo
+    n_children = cfg.population_size - cfg.elite_count
+    parents = np.empty((2, n_children), dtype=int)
+    from_first = np.ones((n_children, bounds.genome_length), dtype=bool)
+    mutate = np.empty((n_children, bounds.genome_length), dtype=bool)
+    noise = np.empty((n_children, bounds.genome_length))
+    for c in range(n_children):
+        parents[0, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
+        parents[1, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
+        if rng.random() < cfg.crossover_rate:
+            from_first[c] = rng.random(bounds.genome_length) < 0.5
+        mutate[c] = rng.random(bounds.genome_length) < cfg.mutation_rate
+        noise[c] = rng.normal(0.0, cfg.mutation_scale, bounds.genome_length)
+    children = np.where(from_first, pop[parents[0]], pop[parents[1]])
+    return np.clip(np.where(mutate, children + noise * span, children), lo, hi)
+
+
+@pytest.mark.parametrize("tournament_size", [1, 2, 3, 4])
+@pytest.mark.parametrize("mutation_rate", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
+def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournament_size):
+    """_breed returns the per-child loop's children bit for bit and leaves
+    the Generator in the same state, over several generations in a row (an
+    odd tournament size leaves PCG64's spare 32-bit half buffered)."""
+    for case in range(6):
+        n_pulses = (1, 3, 4)[case % 3]                     # genome lengths 4, 10, 13
+        population = (3, 7, 24, 100, 5, 51)[case]
+        cfg = GAConfig(population_size=population, elite_count=min(2, population - 1),
+                       crossover_rate=crossover_rate, mutation_rate=mutation_rate,
+                       tournament_size=tournament_size, mutation_scale=0.3)
+        bounds = ParameterBounds(n_pulses, tau_max=2.0, t_max=1.5)
+        for seed in range(4 * case, 4 * case + 4):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pop = rng.uniform(bounds.lower(), bounds.upper(),
+                              size=(population, bounds.genome_length))
+            oracle_rng.uniform(bounds.lower(), bounds.upper(),
+                               size=(population, bounds.genome_length))
+            for _ in range(3):
+                children = _breed(rng, pop, cfg, bounds)
+                expected = _breed_per_child(oracle_rng, pop, cfg, bounds)
+                assert children.tobytes() == expected.tobytes()
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                pop = np.vstack([pop[: cfg.elite_count], children])
 
 
 def test_restarts_pick_best(h_subspace):
