@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .eigenstructure import carbon_eigenstructure
+from .eigenstructure import DegenerateManifoldError, carbon_eigenstructure
 from .experiments import (
     InitializationDomainError,
     analytic_init_delays,
@@ -42,7 +42,7 @@ from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .sequence import SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
-from .system import ConfigError, load_system
+from .system import ConfigError, load_system, read_json
 from .targets import TargetError, target_library
 
 USAGE_ERROR = 1
@@ -105,7 +105,7 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
 def _load_system(path: str):
     try:
         return load_system(path)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     cfg = _load_system(args.system)
     try:
         seq = load_sequence(args.sequence)
-    except (SequenceError, FileNotFoundError) as exc:
+    except SequenceError as exc:
         raise CliError(str(exc)) from exc
     target = _target_for(args.target, cfg)
     h = multiqubit_hamiltonian(cfg)
@@ -172,10 +172,7 @@ def cmd_optimize(args) -> int:
     h = multiqubit_hamiltonian(cfg)
     ga_doc = {}
     if args.ga_config:
-        try:
-            ga_doc = json.loads(Path(args.ga_config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read GA config: {exc}") from exc
+        ga_doc = read_json(args.ga_config, CliError)
         if not isinstance(ga_doc, dict):
             raise CliError("GA config must be a JSON object")
     ga_doc.setdefault("seed", args.seed)
@@ -295,7 +292,7 @@ def cmd_scan(args) -> int:
         raise CliError(f"unknown scan kind {args.kind!r}")
     try:
         runner(args, cfg, out)
-    except (SequenceError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:   # SequenceError and ConfigError included
         raise CliError(str(exc)) from exc
     _write_manifest(out, f"scan:{args.kind}",
                     {"system": str(args.system), "kind": args.kind,
@@ -307,15 +304,17 @@ def cmd_scan(args) -> int:
 def cmd_report(args) -> int:
     _check_positive("--linewidth", args.linewidth)
     cfg = _load_system(args.system)
-    eig = carbon_eigenstructure(cfg.subset([cfg.carbons[0].label]))
+    single = cfg.subset([cfg.carbons[0].label])
+    try:
+        eig = carbon_eigenstructure(single)
+    except DegenerateManifoldError as exc:
+        raise CliError(str(exc)) from exc
     payload: dict = {
         "kappa_minus_deg": eig.kappa_minus_deg,
         "kappa_plus_deg": eig.kappa_plus_deg,
         "nu_minus_MHz": eig.nu_minus,
         "nu_plus_MHz": eig.nu_plus,
     }
-    first_carbon = cfg.carbons[0]
-    single = cfg.subset([first_carbon.label])
     try:
         tau1, tau2 = analytic_init_delays(single)
         payload["init_tau1_us"] = tau1
@@ -324,9 +323,13 @@ def cmd_report(args) -> int:
         payload["init_tau1_us"] = "n/a"
         payload["init_tau2_us"] = "n/a"
         payload["init_delay_note"] = str(exc)
-    payload["cleanup_tau_c_us"] = cleanup_delay(single)
     try:
-        geom = dipolar_geometry(first_carbon)
+        payload["cleanup_tau_c_us"] = cleanup_delay(single)
+    except ValueError as exc:
+        payload["cleanup_tau_c_us"] = "n/a"
+        payload["cleanup_note"] = str(exc)
+    try:
+        geom = dipolar_geometry(single.carbons[0])
         payload["dipolar_r_nm"] = geom.r_nm
         payload["dipolar_theta_deg"] = geom.theta_deg
     except GeometryError as exc:

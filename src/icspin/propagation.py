@@ -26,23 +26,24 @@ Two layers:
     the real mixing matrix W_g = V^T V_p(g) and q = exp(-i 2pi w_p t). The
     drive Hamiltonians of the whole grid go through one batched eigh.
 
-  Delays and the z-rotations around a pulse therefore collect into one
-  pending diagonal, and each pulse costs two left-multiplications by a real
+  Any sequence maps to the template genome: delay, then pulse and delay
+  n times. A delay and the z-rotations on either side of it merge into one
+  row phase, and each pulse costs two left-multiplications by a real
   matrix, each run as one real matmul on the float64 view of the complex
-  propagator. ``PropagationEngine.propagate`` takes any order of segments;
-  the fitness kernel's genome fast path runs on the same precompute.
+  propagator. ``PropagationEngine.chain`` is that one chain; ``propagate``
+  and the fitness kernel, and through it ``robust_fidelity``, all run on it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .operators import TWO_PI, assert_hermitian, electron_drive_ops
-from .sequence import Delay, Pulse, PulseSequence
+from .sequence import PulseSequence, genome_from_sequence
 
-# The engine's one chunking budget: robust_fidelity's grid chunks and the
-# fitness kernel's population chunks propagate at most this many entries
-# (stack size times d^2) per step. At d = 32 that is a stack of 16
-# propagators, 256 kB, which stays in cache.
+# The fitness kernel's chunking budget: each chunk of genomes, or of grid
+# points of one genome, propagates at most this many entries (stack size
+# times d^2) per step. At d = 32 that is a stack of 16 propagators, 256 kB,
+# which stays in cache.
 BATCH_ENTRIES = 2**14
 
 
@@ -80,11 +81,10 @@ def pulse_propagator(h: np.ndarray, omega1: float, phi: float, t: float) -> np.n
     return expm_hermitian(omega1 * (np.cos(phi) * sx + np.sin(phi) * sy) + h, t)
 
 
-def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ u for real a and C-contiguous complex u, as one real matmul,
-    optionally into the C-contiguous complex `out`."""
-    out = None if out is None else out.view(np.float64)
-    return np.matmul(a, u.view(np.float64), out=out).view(np.complex128)
+def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ u for real a and C-contiguous complex u, as one real matmul into
+    the C-contiguous complex `out`."""
+    return np.matmul(a, u.view(np.float64), out=out.view(np.float64)).view(np.complex128)
 
 
 class PropagationEngine:
@@ -145,37 +145,52 @@ class PropagationEngine:
         """V u V^T for one operator or a stack of them."""
         return self.v @ u @ self.v.T
 
+    def chain(self, genomes, dphis, u, spare, grid):
+        """Propagators of template genomes on the grid points `grid`, in the
+        free eigenbasis, less the row phase of the last delay.
+
+        A genome [tau_0..tau_n, t_1..t_n, phi_1..phi_n] is delay, then pulse
+        and delay n times; dphis[:, i] = phi_{i+1} - phi_i, with phi_0 =
+        phi_{n+1} = 0. The chain alternates between the C-contiguous
+        (P, len(grid), d, d) stacks `u` and `spare` and returns the one
+        holding the result (the identity when n = 0) and the (P, d) row
+        phase of the last delay.
+        """
+        n = dphis.shape[1] - 1
+        taus = genomes[:, : n + 1]
+        ts = genomes[:, n + 1 : 2 * n + 1]
+        rows = np.exp(-1j * (TWO_PI * taus[:, :, None] * self.w
+                             - dphis[:, :, None] * self.zhalf))               # (P, n+1, d)
+        if n == 0:
+            u[...] = np.eye(self.dim)
+            return u, rows[:, 0]
+        mix, mix_t = self.mix[grid], self.mix_t[grid]
+        q = np.exp(-1j * TWO_PI * ts[:, :, None, None] * self.w_p[grid])      # (P, n, G, d)
+        np.multiply(q[:, 0, :, :, None], mix_t, out=u)
+        u *= rows[:, 0, None, None, :]
+        u, spare = real_left_mul(mix, u, out=spare), u
+        for i in range(1, n):
+            u *= rows[:, i, None, :, None]
+            u, spare = real_left_mul(mix_t, u, out=spare), u
+            u *= q[:, i, :, :, None]
+            u, spare = real_left_mul(mix, u, out=spare), u
+        return u, rows[:, n]
+
     def propagate(self, segments) -> np.ndarray:
         """Propagators of `segments` at every grid point, in the free eigenbasis.
 
         The first segment acts first. Any order of delays and pulses is
-        accepted, the empty one included. Returns shape (G, d, d).
+        accepted, the empty one included: the segments run through
+        ``chain`` as their template genome (``genome_from_sequence``).
+        Returns shape (G, d, d).
         """
-        pending = np.ones(self.dim, dtype=complex)   # diagonal not yet applied
-        u = None                                     # None: nothing but `pending` yet
-        for seg in segments:
-            if isinstance(seg, Delay):
-                pending *= np.exp(-1j * TWO_PI * seg.tau * self.w)
-            elif isinstance(seg, Pulse):
-                z_dag = np.exp(1j * seg.phi * self.zhalf)
-                pending *= z_dag
-                if u is None:
-                    # The matmuls alternate between two stacks instead of
-                    # allocating, and faulting in, a fresh one each.
-                    u = self.mix_t * pending
-                    spare = np.empty_like(u)
-                else:
-                    u *= pending[:, None]
-                    u, spare = real_left_mul(self.mix_t, u, out=spare), u
-                u *= np.exp(-1j * TWO_PI * seg.t * self.w_p)[:, :, None]
-                u, spare = real_left_mul(self.mix, u, out=spare), u
-                pending = z_dag.conj()
-            else:
-                raise TypeError(f"unknown segment type: {type(seg).__name__}")
-        if u is None:
-            return np.broadcast_to(np.diag(pending), (self.omega1s.size,) + (self.dim,) * 2).copy()
-        u *= pending[:, None]
-        return u
+        seq = PulseSequence(tuple(segments), 0.0)
+        genome = genome_from_sequence(seq)[None]
+        dphis = np.diff(genome[:, 2 * seq.n_pulses + 1 :], prepend=0.0, append=0.0)
+        u = np.empty((1, self.omega1s.size, self.dim, self.dim), dtype=complex)
+        u, last = self.chain(genome, dphis, u, np.empty_like(u), slice(None))
+        u *= last[:, None, :, None]
+        return u[0]
 
 
 def sequence_propagator(

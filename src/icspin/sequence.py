@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import TWO_PI
+from .system import read_json
 
 
 class SequenceError(ValueError):
@@ -65,7 +66,7 @@ class PulseSequence:
             raise SequenceError(f"omega1 must be finite and >= 0, got {self.omega1}")
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
-                raise SequenceError(f"unknown segment type: {type(seg).__name__}")
+                raise TypeError(f"unknown segment type: {type(seg).__name__}")
 
     @property
     def duration(self) -> float:
@@ -96,21 +97,20 @@ def sequence_from_genome(genome, n_pulses: int, omega1: float) -> PulseSequence:
 
 
 def genome_from_sequence(seq: PulseSequence) -> np.ndarray:
-    """Inverse of ``sequence_from_genome`` for canonical alternating sequences."""
-    taus, ts, phis = [], [], []
-    expect_delay = True
+    """The template genome of any sequence; the inverse of
+    ``sequence_from_genome`` for canonical alternating sequences.
+
+    Adjacent delays add up, and a zero-length delay goes between adjacent
+    pulses and at either end.
+    """
+    taus, ts, phis = [0.0], [], []
     for seg in seq.segments:
-        if isinstance(seg, Delay) and expect_delay:
-            taus.append(seg.tau)
-            expect_delay = False
-        elif isinstance(seg, Pulse) and not expect_delay:
+        if isinstance(seg, Delay):
+            taus[-1] += seg.tau
+        else:
+            taus.append(0.0)
             ts.append(seg.t)
             phis.append(seg.phi)
-            expect_delay = True
-        else:
-            raise SequenceError("sequence does not follow the delay/pulse template")
-    if len(taus) != len(ts) + 1:
-        raise SequenceError("template requires a trailing delay")
     return np.array(taus + ts + phis, dtype=float)
 
 
@@ -131,8 +131,18 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+_SEGMENT_KEYS = {"delay_us": {"delay_us"}, "pulse_us": {"pulse_us", "phase_rad"}}
+
+
 def sequence_from_dict(doc: dict) -> PulseSequence:
-    if not isinstance(doc, dict) or "omega1_MHz" not in doc or "segments" not in doc:
+    """The document ``sequence_to_dict`` writes, phase_rad optional; any
+    other key, a misspelt one say, is rejected."""
+    if not isinstance(doc, dict):
+        raise SequenceError("sequence document must be a JSON object")
+    unknown = doc.keys() - {"omega1_MHz", "segments"}
+    if unknown:
+        raise SequenceError(f"sequence document has unknown keys: {sorted(unknown)}")
+    if "omega1_MHz" not in doc or "segments" not in doc:
         raise SequenceError("sequence document needs omega1_MHz and segments")
     if not isinstance(doc["segments"], list):
         raise SequenceError(f"segments must be a list, got {doc['segments']!r}")
@@ -140,23 +150,23 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
     for i, seg in enumerate(doc["segments"]):
         if not isinstance(seg, dict):
             raise SequenceError(f"segments[{i}] must be an object")
-        if "delay_us" in seg:
+        kind = "delay_us" if "delay_us" in seg else "pulse_us"
+        if kind not in seg:
+            raise SequenceError(f"segments[{i}] needs delay_us or pulse_us")
+        unknown = seg.keys() - _SEGMENT_KEYS[kind]
+        if unknown:
+            raise SequenceError(f"segments[{i}] has unknown keys for a {kind[:-3]}: "
+                                f"{sorted(unknown)}")
+        if kind == "delay_us":
             segments.append(Delay(_number(seg["delay_us"], f"segments[{i}].delay_us")))
-        elif "pulse_us" in seg:
+        else:
             segments.append(Pulse(_number(seg["pulse_us"], f"segments[{i}].pulse_us"),
                                   _number(seg.get("phase_rad", 0.0), f"segments[{i}].phase_rad")))
-        else:
-            raise SequenceError(f"segments[{i}] needs delay_us or pulse_us")
     return PulseSequence(tuple(segments), _number(doc["omega1_MHz"], "omega1_MHz"))
 
 
 def load_sequence(path: str | Path) -> PulseSequence:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SequenceError(f"cannot parse {path}: {exc}") from exc
-    return sequence_from_dict(doc)
+    return sequence_from_dict(read_json(path, SequenceError))
 
 
 def save_sequence(seq: PulseSequence, path: str | Path) -> None:

@@ -143,13 +143,17 @@ def system_to_dict(cfg: SpinSystemConfig) -> dict:
     }
 
 
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON document at `path`. A file that is missing, unreadable, not
+    UTF-8 or not JSON raises `error`, naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or bad JSON
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def load_system(path: str | Path) -> SpinSystemConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return system_from_dict(doc)
+    return system_from_dict(read_json(path, ConfigError))
 
 
 def save_system(cfg: SpinSystemConfig, path: str | Path) -> None:

@@ -238,6 +238,32 @@ def test_report_flags_unavailable_delays(tmp_path):
     assert doc["kappa_minus_deg"] == 0.0
 
 
+def test_report_flags_unavailable_cleanup(tmp_path):
+    """A register without a secular coupling has no clean-up delay: it is
+    reported as n/a with the reason, like the init delays."""
+    cfg = json.loads(Path(SYSTEM).read_text())
+    cfg["carbons"] = [{"A_zz_MHz": 0, "A_zx_MHz": 0.2}]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert run(["report", "--system", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["cleanup_tau_c_us"] == "n/a"
+    assert "secular" in doc["cleanup_note"]
+
+
+def test_report_degenerate_manifold_is_usage_error(tmp_path, capsys):
+    """A_zz = -nu_C with A_zx = 0 leaves the m_S = -1 tilt angle undefined."""
+    cfg = json.loads(Path(SYSTEM).read_text())
+    cfg["carbons"] = [{"A_zz_MHz": -cfg["nu_C_MHz"], "A_zx_MHz": 0.0}]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert run(["report", "--system", str(path), "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    assert "effective field vanishes" in capsys.readouterr().err
+
+
 def test_rerun_reproduces_data_files_byte_identically(tmp_path):
     """Identical inputs and seed give byte-identical data files; only the
     manifest carries a timestamp."""
@@ -336,6 +362,52 @@ def test_verify_malformed_sequence_is_usage_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and ("segments" in err or "omega1" in err)
 
 
+def _typo_docs():
+    """cnot.json with a misspelt phase key, an unknown top-level key, and a
+    segment that is both a delay and a pulse, each with the key to name."""
+    doc = json.loads(Path(CNOT).read_text())
+    phase = json.loads(json.dumps(doc))
+    for seg in phase["segments"]:
+        if "phase_rad" in seg:
+            seg["phase"] = seg.pop("phase_rad")
+    both = json.loads(json.dumps(doc))
+    both["segments"][0]["pulse_us"] = 1.0
+    return [(phase, "'phase'"), ({**doc, "omega1_Mhz": 0.5}, "'omega1_Mhz'"),
+            (both, "'pulse_us'")]
+
+
+@pytest.mark.parametrize("doc, key", _typo_docs(), ids=["phase", "omega1_Mhz", "delay_and_pulse"])
+def test_verify_sequence_with_unknown_key_is_usage_error(tmp_path, capsys, doc, key):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", str(seq), "--target", "cnot",
+                "--out", str(out)]) == 1
+    assert not (out / "verify.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("flag", ["--system", "--sequence", "--ga-config"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, flag, kind):
+    """A directory or a file that is not UTF-8 exits 1, naming the path."""
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"omega1_MHz": "\xff"}')
+    if flag == "--ga-config":
+        argv = ["optimize", "--system", SYSTEM, "--ga-config", str(bad)]
+    else:
+        argv = ["verify", "--system", SYSTEM, "--sequence", CNOT]
+        argv[argv.index(flag) + 1] = str(bad)
+    assert run(argv + ["--target", "cnot", "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 @pytest.mark.parametrize("kind", ["hadamard", "theta", "fid", "spectrum", "trajectory"])
 @pytest.mark.parametrize("dt", ["0", "-0.1", "nan", "inf"])
 def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
@@ -346,12 +418,13 @@ def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
 
 
 def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, capsys):
-    """An engine that produced NaN propagators makes verify exit 2 and
+    """A chain that produced NaN propagators makes verify exit 2 and
     write no data file."""
-    def broken(self, segments):
-        return np.full((self.omega1s.size, self.dim, self.dim), np.nan, dtype=complex)
+    def broken(self, genomes, dphis, u, spare, grid):
+        u[...] = np.nan
+        return u, np.ones((len(genomes), self.dim), dtype=complex)
 
-    monkeypatch.setattr(icspin.propagation.PropagationEngine, "propagate", broken)
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "chain", broken)
     out = tmp_path / "o"
     assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
                 "--out", str(out)]) == 2

@@ -65,6 +65,40 @@ def test_kernel_matches_taylor_oracle(register_hamiltonians, n_carbons, n_pulses
         assert abs(out[g] - ref) < 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n_carbons=st.integers(1, 4),
+    tau=durations,
+    grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    target_seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_delay_kernel_matches_taylor_oracle(register_hamiltonians, n_carbons, tau, grid,
+                                                 target_seed):
+    """n_pulses = 0 is one delay, the same on every grid point."""
+    h = register_hamiltonians[n_carbons]
+    target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
+    out = FitnessKernel(h, target, grid, 0).evaluate([tau])[0]
+    u = oracle_sequence_propagator([icspin.Delay(tau)], h, 0.5)
+    ref = abs(np.trace(target.conj().T @ u)) / h.shape[0]
+    assert np.abs(out - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("points", [41, 81])
+@pytest.mark.parametrize("population", [1, 3])
+def test_grid_chunks_match_one_point_evaluations(register_hamiltonians, points, population):
+    """At d32 a genome's grid exceeds BATCH_ENTRIES and runs in slices of
+    16 points, the last one ragged; every point matches its own one-point
+    kernel."""
+    h = register_hamiltonians[4]
+    target = icspin.cc_rotation(4, 1, np.pi)
+    grid = np.linspace(0.4, 0.6, points)
+    genomes = np.random.default_rng(points + population).uniform(0.0, 4.0, size=(population, 13))
+    out = FitnessKernel(h, target, grid, 4).evaluate(genomes)
+    for g, w1 in enumerate(grid):
+        one = FitnessKernel(h, target, [w1], 4).evaluate(genomes)[:, 0]
+        assert np.abs(out[:, g] - one).max() < 1e-13
+
+
 def test_single_genome_equals_its_batch_row(register_hamiltonians):
     """A genome evaluated alone gives its batch row bit for bit, which the
     GA's fixed-seed reproducibility rests on."""
@@ -109,6 +143,23 @@ def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians):
     assert peak < 2 * 2**20
 
 
+def test_robust_fidelity_peak_memory_is_grid_chunked(register_hamiltonians):
+    """robust_fidelity on the 81-point band at d32 holds the engine's
+    (81, d, d) mixing matrices and two 16-point stacks, about 2.1 MB; the
+    whole grid as two (81, d, d) complex stacks would add 2.6 MB."""
+    h = register_hamiltonians[4]
+    seq = icspin.load_sequence(icspin.data_path("sequences/ccrot_n6_a.json"))
+    target = icspin.cc_rotation(4, 1, np.pi)
+    icspin.robust_fidelity(seq, target, h, (0.48, 0.52), 81)
+    tracemalloc.start()
+    try:
+        icspin.robust_fidelity(seq, target, h, (0.48, 0.52), 81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 @pytest.mark.parametrize("scale", [2.0, np.nan])
 def test_fidelity_outside_unit_interval_raises(workspace, scale):
     """A target that is not unitary stands in for a broken chain: the empty
@@ -146,7 +197,7 @@ def test_rejects_coupled_electron_blocks(workspace):
 def test_rejects_no_pulses(workspace):
     h, target, grid = workspace
     with pytest.raises(ValueError, match="n_pulses"):
-        FitnessKernel(h, target, grid, 0)
+        FitnessKernel(h, target, grid, -1)
 
 
 @pytest.mark.parametrize("grid", [[], [0.48, np.nan], [np.inf]])

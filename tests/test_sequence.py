@@ -53,9 +53,13 @@ def test_genome_length_check():
 
 
 def test_genome_from_non_template_sequence():
+    """Adjacent delays add up; a zero-length delay goes between adjacent
+    pulses and at either end."""
     seq = PulseSequence((Pulse(0.5, 0.0), Delay(1.0)), omega1=0.5)
-    with pytest.raises(SequenceError, match="template"):
-        genome_from_sequence(seq)
+    assert genome_from_sequence(seq).tolist() == [0.0, 1.0, 0.5, 0.0]
+    seq = PulseSequence((Delay(0.25), Delay(0.5), Pulse(0.5, 1.0), Pulse(0.75, 2.0)), 0.5)
+    assert genome_from_sequence(seq).tolist() == [0.75, 0.0, 0.0, 0.5, 0.75, 1.0, 2.0]
+    assert genome_from_sequence(PulseSequence((), 0.5)).tolist() == [0.0]
 
 
 def test_json_roundtrip(tmp_path):
