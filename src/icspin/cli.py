@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -79,6 +80,8 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
         "seed": seed,
         "output_dir": str(out),
         "tool_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "written_at_unix": time.time(),
         **run_facts,
     }
@@ -100,6 +103,15 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
     if points < 1:
         raise CliError(f"--grid needs at least one point, got {text!r}")
     return (lo, hi), points
+
+
+def _check_amplitude_max(where: str, hi: float, cfg) -> None:
+    """The engine models the driven two-level working subspace of the
+    electron, which exists only for drive amplitudes below the zero-field
+    splitting D."""
+    if not hi < cfg.d:
+        raise CliError(f"{where} must be below the register's D_MHz = {cfg.d!r} MHz, "
+                       f"got {hi!r}")
 
 
 def _load_system(path: str):
@@ -135,6 +147,7 @@ def cmd_verify(args) -> int:
             f"target dimension {target.dim} does not match system dimension {h.shape[0]}"
         )
     omega1_range, points = _parse_grid(args.grid)
+    _check_amplitude_max("--grid max", omega1_range[1], cfg)
     report = robust_fidelity(seq, target, h, omega1_range, points)
 
     out = _out_dir(args)
@@ -157,7 +170,8 @@ def cmd_verify(args) -> int:
     )
     _write_manifest(out, "verify",
                     {"system": str(args.system), "sequence": str(args.sequence),
-                     "target": args.target, "grid": args.grid}, None)
+                     "target": args.target, "grid": args.grid}, None,
+                    kernel_workers=report.kernel_workers)
     print(f"verify: target={args.target} duration={seq.duration:.4f} us")
     for w, f in zip(report.omega1s, report.fidelities):
         print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
@@ -186,6 +200,8 @@ def cmd_optimize(args) -> int:
         bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
+    _check_amplitude_max(where, ga.omega1_range[1], cfg)
 
     result = optimize(target, h, bounds, ga)
     out = _out_dir(args)
@@ -201,7 +217,8 @@ def cmd_optimize(args) -> int:
                     ga.rng_seed,
                     generations_run=result.generations_run,
                     fitness_evaluations=result.fitness_evaluations,
-                    stop_reason=result.stop_reason)
+                    stop_reason=result.stop_reason,
+                    kernel_workers=result.kernel_workers)
     print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
     print(f"  duration = {result.best_sequence().duration:.4f} us over "
           f"{result.generations_run} generations (seed {result.seed})")

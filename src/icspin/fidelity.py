@@ -33,10 +33,11 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RobustnessReport:
     """Per-amplitude fidelities over an omega1 grid, plus mean, band mean
-    and min."""
+    and min; ``kernel_workers`` is the number of threads that computed them."""
 
     omega1s: np.ndarray
     fidelities: np.ndarray
+    kernel_workers: int = 1
 
     @property
     def mean(self) -> float:
@@ -77,4 +78,6 @@ def robust_fidelity(
     """
     grid = omega1_grid(omega1_range, grid_points)
     kernel = FitnessKernel(h, target, grid, seq.n_pulses)
-    return RobustnessReport(omega1s=grid, fidelities=kernel.evaluate(genome_from_sequence(seq))[0])
+    fidelities = kernel.evaluate(genome_from_sequence(seq))[0]
+    return RobustnessReport(omega1s=grid, fidelities=fidelities,
+                            kernel_workers=kernel.threads_used)

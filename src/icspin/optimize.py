@@ -98,8 +98,9 @@ class GAConfig:
         lo, hi = self.omega1_range
         if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
             raise ValueError(f"omega1 range must be finite with 0 <= min <= max, got {lo}, {hi}")
-        if not self.mutation_scale >= 0.0:
-            raise ValueError("mutation_scale must be >= 0")
+        if not (np.isfinite(self.mutation_scale) and self.mutation_scale >= 0.0):
+            raise ValueError(
+                f"mutation_scale must be finite and >= 0, got {self.mutation_scale!r}")
         k = self.tournament_size
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"tournament_size must be an integer >= 1, got {k!r}")
@@ -200,6 +201,7 @@ class OptimizationResult:
     omega1_nominal: float
     fitness_evaluations: int
     stop_reason: str
+    kernel_workers: int
 
     @property
     def generations_run(self) -> int:
@@ -335,6 +337,7 @@ def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig,
         omega1_nominal=cfg.omega1_nominal,
         fitness_evaluations=scored * kern.omega1s.size,
         stop_reason="early_stop" if reached() else "budget",
+        kernel_workers=kern.threads_used,
     )
 
 
@@ -353,8 +356,10 @@ def optimize(
     The result's ``stop_reason`` ("early_stop" once the best fitness
     reaches cfg.early_stop_fitness, else "budget") and ``generations_run``
     describe the returned run; ``fitness_evaluations`` counts the genomes
-    scored times the grid points over all restarts.
+    scored times the grid points over all restarts, and ``kernel_workers``
+    is the most threads a fitness kernel ran on in any restart.
     """
     runs = [_single_run(target, h, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
     best = max(runs, key=lambda run: run.best_fitness)   # the first of equal bests
-    return replace(best, fitness_evaluations=sum(run.fitness_evaluations for run in runs))
+    return replace(best, fitness_evaluations=sum(run.fitness_evaluations for run in runs),
+                   kernel_workers=max(run.kernel_workers for run in runs))

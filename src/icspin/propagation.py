@@ -42,9 +42,12 @@ from .sequence import PulseSequence, genome_from_sequence
 
 # The fitness kernel's chunking budget: each chunk of genomes, or of grid
 # points of one genome, propagates at most this many entries (stack size
-# times d^2) per step. At d = 32 that is a stack of 16 propagators, 256 kB,
-# which stays in cache.
-BATCH_ENTRIES = 2**14
+# times d^2) per step. At d = 32 that is a stack of 32 propagators, 512 kB,
+# which stays in a core's cache. When the chunks run on several threads,
+# every numpy call of the chain releases and retakes the interpreter lock;
+# calls on twice the 2**14 entries that suffice for one thread halve those
+# hand-overs per genome, and one thread runs as fast on either budget.
+BATCH_ENTRIES = 2**15
 
 
 def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
@@ -102,7 +105,8 @@ class PropagationEngine:
     v, w : real eigenvectors (columns) and eigenvalues of h, block by block
     zhalf : the s_z eigenvalue (+1/2 or -1/2) of each eigenvector
     w_p : (G, d) eigenvalues of the phase-zero drive Hamiltonian per grid point
-    mix, mix_t : (G, d, d) real mixing matrices W = V^T V_p and their transposes
+    mix : (G, d, d) real mixing matrices W = V^T V_p; the chain reads W^T as
+        a transposed view
     """
 
     def __init__(self, h, omega1s=()):
@@ -131,7 +135,6 @@ class PropagationEngine:
         drive[:half, half:] = drive[half:, :half] = 0.5 * np.eye(half)
         self.w_p, v_p = np.linalg.eigh(h + self.omega1s[:, None, None] * drive)
         self.mix = self.v.T @ v_p
-        self.mix_t = np.ascontiguousarray(self.mix.transpose(0, 2, 1))
 
     @property
     def dim(self) -> int:
@@ -164,7 +167,8 @@ class PropagationEngine:
         if n == 0:
             u[...] = np.eye(self.dim)
             return u, rows[:, 0]
-        mix, mix_t = self.mix[grid], self.mix_t[grid]
+        mix = self.mix[grid]
+        mix_t = mix.transpose(0, 2, 1)
         q = np.exp(-1j * TWO_PI * ts[:, :, None, None] * self.w_p[grid])      # (P, n, G, d)
         np.multiply(q[:, 0, :, :, None], mix_t, out=u)
         u *= rows[:, 0, None, None, :]

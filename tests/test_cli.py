@@ -1,7 +1,9 @@
 import json
 import os
+import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import icspin
 from icspin.cli import main
+from icspin.propagation import BATCH_ENTRIES
 from icspin.system import data_path
 
 
@@ -23,6 +26,11 @@ def run(args):
 
 def data_files(out: Path):
     return sorted(p for p in out.iterdir() if p.name != "manifest.json")
+
+
+# A one-carbon (d = 4) GA on this grid whose population is two kernel chunks
+TWO_CHUNK_GRID = "0.48,0.52,101"
+TWO_CHUNK_POPULATION = 2 * (BATCH_ENTRIES // (101 * 4 * 4))
 
 
 def test_verify_bundled_hadamard(tmp_path, capsys):
@@ -114,6 +122,29 @@ def test_optimize_manifest_explains_the_search(tmp_path):
         assert tuple(manifest[key] for key in facts) == expected
         for data in data_files(out):
             assert not any(key in data.read_text() for key in facts), data.name
+
+
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
+    """verify scores one genome on one thread; optimize runs two chunks of
+    genomes, one per CPU up to two."""
+    out = tmp_path / "o"
+    if command == "verify":
+        argv = ["verify", "--sequence", CNOT, "--target", "cnot"]
+        workers = 1
+    else:
+        (tmp_path / "ga.json").write_text(
+            json.dumps({"population": TWO_CHUNK_POPULATION, "generations": 1}))
+        argv = ["optimize", "--target", "cnot", "--pulses", "2", "--grid", TWO_CHUNK_GRID,
+                "--ga-config", str(tmp_path / "ga.json")]
+        workers = min(2, icspin.kernels.cpu_workers())
+    assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["kernel_workers"] == workers
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    for data in data_files(out):
+        assert "kernel_workers" not in data.read_text(), data.name
 
 
 def test_python_dash_m_icspin_runs_the_cli():
@@ -332,6 +363,40 @@ def test_optimize_bad_ga_config_is_usage_error(tmp_path, capsys, ga_doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_optimize_infinite_mutation_scale_is_usage_error(tmp_path, capsys):
+    """Python's json reads Infinity; the GA config still needs a finite scale."""
+    (tmp_path / "ga.json").write_text('{"mutation_scale": Infinity, "generations": 1}')
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    assert "mutation_scale" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("command,where,value", [
+    ("verify", "--grid", "0.48,1e300,3"),
+    ("optimize", "--grid", "0.48,2870,3"),
+    ("optimize", "omega1_grid max_MHz", 1e308),
+], ids=["verify_grid", "optimize_grid", "optimize_ga_config"])
+def test_amplitude_not_below_d_is_usage_error(tmp_path, capsys, command, where, value):
+    """The driven two-level working subspace needs drive amplitudes below the
+    register's zero-field splitting D (2870 MHz here)."""
+    out = tmp_path / "o"
+    argv = [command, "--system", SYSTEM, "--target", "cnot", "--out", str(out)]
+    if command == "verify":
+        argv += ["--sequence", CNOT]
+    if where == "--grid":
+        argv += ["--grid", value]
+    else:
+        (tmp_path / "ga.json").write_text(json.dumps(
+            {"omega1_grid": {"min_MHz": 0.48, "max_MHz": value, "points": 3}}))
+        argv += ["--ga-config", str(tmp_path / "ga.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert where in err and "D_MHz" in err
+    assert not out.exists()
+
+
 def test_verify_reports_band_mean(tmp_path, capsys):
     out = tmp_path / "v"
     assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
@@ -446,6 +511,36 @@ def test_optimize_non_finite_fitness_is_internal_error(tmp_path, monkeypatch, ca
     out = tmp_path / "o"
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "2",
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 2
+    assert not (out / "result.json").exists()
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_optimize_nan_from_a_pool_thread_is_internal_error(tmp_path, monkeypatch, capsys):
+    """NaN propagators in the chunk that a pool thread runs still make
+    optimize exit 2 and write no result: the range check covers the rows of
+    every thread. The calling thread holds its first chunk until the pool
+    thread has taken the other one."""
+    original = icspin.propagation.PropagationEngine.chain
+    poisoned = threading.Event()
+
+    def broken(self, genomes, dphis, u, spare, grid):
+        u, last = original(self, genomes, dphis, u, spare, grid)
+        if threading.current_thread() is threading.main_thread():
+            poisoned.wait(timeout=30.0)
+        else:
+            u[...] = np.nan
+            poisoned.set()
+        return u, last
+
+    monkeypatch.setattr(icspin.kernels, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "chain", broken)
+    (tmp_path / "ga.json").write_text(
+        json.dumps({"population": TWO_CHUNK_POPULATION, "generations": 2}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "2",
+                "--grid", TWO_CHUNK_GRID, "--ga-config", str(tmp_path / "ga.json"),
+                "--out", str(out)]) == 2
+    assert poisoned.is_set()
     assert not (out / "result.json").exists()
     assert "internal error" in capsys.readouterr().err
 

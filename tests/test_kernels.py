@@ -1,4 +1,8 @@
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icspin
+from icspin import kernels
 from icspin.kernels import FitnessKernel
 from icspin.propagation import BATCH_ENTRIES
 
@@ -87,8 +92,8 @@ def test_pure_delay_kernel_matches_taylor_oracle(register_hamiltonians, n_carbon
 @pytest.mark.parametrize("population", [1, 3])
 def test_grid_chunks_match_one_point_evaluations(register_hamiltonians, points, population):
     """At d32 a genome's grid exceeds BATCH_ENTRIES and runs in slices of
-    16 points, the last one ragged; every point matches its own one-point
-    kernel."""
+    BATCH_ENTRIES / d^2 points, the last one ragged; every point matches
+    its own one-point kernel."""
     h = register_hamiltonians[4]
     target = icspin.cc_rotation(4, 1, np.pi)
     grid = np.linspace(0.4, 0.6, points)
@@ -127,13 +132,88 @@ def test_chunked_population_matches_single_genome_rows(register_hamiltonians, n_
         assert np.array_equal(out, singles[:size])
 
 
-def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians):
+@pytest.mark.parametrize("n_carbons", [1, 2, 3, 4], ids=["d4", "d8", "d16", "d32"])
+def test_evaluate_is_bit_identical_on_one_or_two_threads(register_hamiltonians, monkeypatch,
+                                                         n_carbons):
+    """One genome, one chunk of c genomes, c + 1 (a second chunk) and a GA
+    generation of 98 give the same fidelities whether the chunks run on the
+    calling thread alone or also on the pool."""
+    h = register_hamiltonians[n_carbons]
+    grid = np.linspace(0.48, 0.52, 5)
+    kern = FitnessKernel(h, icspin.cc_rotation(n_carbons, 1, np.pi), grid, 4)
+    c = max(1, BATCH_ENTRIES // (grid.size * h.shape[0] ** 2))
+    genomes = np.random.default_rng(n_carbons).uniform(0.0, 4.0, size=(max(98, c + 1), 13))
+    for size in (1, c, c + 1, 98):
+        out = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "cpu_workers", lambda workers=workers: workers)
+            out[workers] = kern.evaluate(genomes[:size])
+        assert np.array_equal(out[1], out[2]), size
+    assert kern.threads_used == 2
+
+
+def test_one_cpu_starts_no_thread(register_hamiltonians, monkeypatch):
+    """With one CPU a population of many chunks runs on the calling thread
+    and builds no pool."""
+    monkeypatch.setattr(kernels, "cpu_workers", lambda: 1)
+    monkeypatch.setattr(kernels, "_pool", None)
+    threads = threading.active_count()
+    kern = FitnessKernel(register_hamiltonians[4], icspin.cc_rotation(4, 1, np.pi),
+                         np.linspace(0.48, 0.52, 5), 4)
+    kern.evaluate(np.random.default_rng(1).uniform(0.0, 4.0, size=(100, 13)))
+    assert kern.threads_used == 1
+    assert kernels._pool is None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_kernel_returns_in_a_forked_child(register_hamiltonians, monkeypatch):
+    """A child forked after the pool started inherits a pool with no
+    threads; the kernel builds its own there and still returns the parent's
+    fidelities."""
+    monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
+    kern = FitnessKernel(register_hamiltonians[4], icspin.cc_rotation(4, 1, np.pi),
+                         np.linspace(0.48, 0.52, 5), 4)
+    two_chunks = 2 * (BATCH_ENTRIES // (5 * 32 * 32))
+    genomes = np.random.default_rng(5).uniform(0.0, 4.0, size=(two_chunks, 13))
+    expected = kern.evaluate(genomes)
+    assert kern.threads_used == 2
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:   # the child: report through the pipe, never return to pytest
+        status = 1
+        try:
+            os.write(write, kern.evaluate(genomes).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        os.close(read)
+        pytest.fail("the kernel did not return in the forked child within 60 s")
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert np.array_equal(np.frombuffer(data).reshape(expected.shape), expected)
+
+
+def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch):
     """A population of 100 at d32 never materializes as (P, G, d, d) arrays,
-    each 8 MB; the chunked pass peaks near 0.2 MB."""
+    each 8 MB. Each thread keeps two chunk-sized stacks (983 kB), the pool
+    thread's made on its first chunk, so the count is fixed at two and the
+    warm-up makes them; a pass then peaks near 0.8 MB."""
+    monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
     h = register_hamiltonians[4]
     kern = FitnessKernel(h, icspin.cc_rotation(4, 1, np.pi), np.linspace(0.48, 0.52, 5), 4)
     genomes = np.random.default_rng(0).uniform(0.0, 4.0, size=(100, 13))
-    kern.evaluate(genomes[:1])
+    kern.evaluate(genomes)
     tracemalloc.start()
     try:
         kern.evaluate(genomes)

@@ -51,8 +51,9 @@ def test_ga_config_validation():
         GAConfig(elite_count=100, population_size=100)
     with pytest.raises(ValueError, match="omega1_points"):
         GAConfig(omega1_points=0)
-    with pytest.raises(ValueError, match="mutation_scale"):
-        GAConfig(mutation_scale=-0.01)
+    for bad in (-0.01, np.inf, np.nan):
+        with pytest.raises(ValueError, match="mutation_scale"):
+            GAConfig(mutation_scale=bad)
     for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
         with pytest.raises(ValueError, match="omega1 range"):
             GAConfig(omega1_range=bad)
