@@ -49,6 +49,14 @@ from .targets import TargetError, target_library
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
 
+# Size budgets, checked before anything is allocated. At d = 32 an amplitude
+# grid costs about 32 kB a point in the engine's batched eigensystem (96 MB
+# peak at 4096 points); 2**16 scan points cost about 50 MB, and a trajectory
+# about 2 kB a step (222 MB at 10**5 steps, on one carbon).
+MAX_GRID_POINTS = 2048
+MAX_SCAN_POINTS = 2**16
+MAX_TRAJECTORY_STEPS = 10_000
+
 
 class CliError(Exception):
     """Usage or config problem; maps to exit code 1."""
@@ -66,6 +74,28 @@ class _Parser(argparse.ArgumentParser):
 def _check_positive(flag: str, value: float) -> None:
     if not (np.isfinite(value) and value > 0):
         raise CliError(f"{flag} must be positive and finite, got {value!r}")
+
+
+def _check_size(what: str, size: float, budget: int) -> None:
+    if size > budget:
+        raise CliError(f"{what} must be at most {budget}, got {size:g}")
+
+
+class _Phases:
+    """Wall seconds of a command's phases, each timed from the end of the
+    one before; the manifest records them as ``phase_seconds``."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._phase, self._last = None, time.perf_counter()
+
+    def done(self, phase: str, earlier: float = 0.0) -> None:
+        """End `phase`; `earlier` seconds of it count to the phase before."""
+        now = time.perf_counter()
+        if earlier:
+            self.seconds[self._phase] += earlier
+        self.seconds[phase] = now - self._last - earlier
+        self._phase, self._last = phase, now
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -102,16 +132,15 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
         raise CliError(f"--grid min must not exceed max, got {text!r}")
     if points < 1:
         raise CliError(f"--grid needs at least one point, got {text!r}")
+    _check_size("--grid points", points, MAX_GRID_POINTS)
     return (lo, hi), points
 
 
 def _check_amplitude_max(where: str, hi: float, cfg) -> None:
-    """The engine models the driven two-level working subspace of the
-    electron, which exists only for drive amplitudes below the zero-field
-    splitting D."""
-    if not hi < cfg.d:
-        raise CliError(f"{where} must be below the register's D_MHz = {cfg.d!r} MHz, "
-                       f"got {hi!r}")
+    try:
+        cfg.check_drive_amplitude(hi, where)
+    except ConfigError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _load_system(path: str):
@@ -135,20 +164,24 @@ def _out_dir(args) -> Path:
 
 
 def cmd_verify(args) -> int:
+    phases = _Phases()
     cfg = _load_system(args.system)
     try:
         seq = load_sequence(args.sequence)
     except SequenceError as exc:
         raise CliError(str(exc)) from exc
     target = _target_for(args.target, cfg)
+    omega1_range, points = _parse_grid(args.grid)
+    _check_amplitude_max("--grid max", omega1_range[1], cfg)
+    phases.done("load")
     h = multiqubit_hamiltonian(cfg)
     if target.dim != h.shape[0]:
         raise CliError(
             f"target dimension {target.dim} does not match system dimension {h.shape[0]}"
         )
-    omega1_range, points = _parse_grid(args.grid)
-    _check_amplitude_max("--grid max", omega1_range[1], cfg)
+    phases.done("hamiltonian")
     report = robust_fidelity(seq, target, h, omega1_range, points)
+    phases.done("evaluate", earlier=report.precompute_seconds)
 
     out = _out_dir(args)
     rows = ["omega1_MHz,fidelity"]
@@ -168,10 +201,11 @@ def cmd_verify(args) -> int:
             "duration_us": seq.duration,
         },
     )
+    phases.done("write")
     _write_manifest(out, "verify",
                     {"system": str(args.system), "sequence": str(args.sequence),
                      "target": args.target, "grid": args.grid}, None,
-                    kernel_workers=report.kernel_workers)
+                    kernel_workers=report.kernel_workers, phase_seconds=phases.seconds)
     print(f"verify: target={args.target} duration={seq.duration:.4f} us")
     for w, f in zip(report.omega1s, report.fidelities):
         print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
@@ -181,9 +215,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    phases = _Phases()
     cfg = _load_system(args.system)
     target = _target_for(args.target, cfg)
-    h = multiqubit_hamiltonian(cfg)
     ga_doc = {}
     if args.ga_config:
         ga_doc = read_json(args.ga_config, CliError)
@@ -200,16 +234,23 @@ def cmd_optimize(args) -> int:
         bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    if not args.grid:   # --grid's points were checked as it was parsed
+        _check_size("GA config omega1_grid points", ga.omega1_points, MAX_GRID_POINTS)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     _check_amplitude_max(where, ga.omega1_range[1], cfg)
+    phases.done("load")
+    h = multiqubit_hamiltonian(cfg)
+    phases.done("hamiltonian")
 
     result = optimize(target, h, bounds, ga)
+    phases.done("search", earlier=result.precompute_seconds)
     out = _out_dir(args)
     save_sequence(result.best_sequence(), out / "best_sequence.json")
     rows = ["generation,best_fitness"]
     rows += [f"{g},{float(f)!r}" for g, f in enumerate(result.history)]
     (out / "history.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_json(out / "result.json", result.to_dict())
+    phases.done("write")
     _write_manifest(out, "optimize",
                     {"system": str(args.system), "target": args.target,
                      "pulses": args.pulses, "tau_max": args.tau_max,
@@ -218,7 +259,8 @@ def cmd_optimize(args) -> int:
                     generations_run=result.generations_run,
                     fitness_evaluations=result.fitness_evaluations,
                     stop_reason=result.stop_reason,
-                    kernel_workers=result.kernel_workers)
+                    kernel_workers=result.kernel_workers,
+                    phase_seconds=phases.seconds)
     print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
     print(f"  duration = {result.best_sequence().duration:.4f} us over "
           f"{result.generations_run} generations (seed {result.seed})")
@@ -278,6 +320,8 @@ def _scan_trajectory(args, cfg, out: Path) -> None:
     if not args.sequence:
         raise CliError("trajectory scan needs --sequence")
     seq = load_sequence(args.sequence)
+    _check_size("trajectory steps (sequence duration / --dt)", seq.duration / args.dt,
+                MAX_TRAJECTORY_STEPS)
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
@@ -294,6 +338,7 @@ def cmd_scan(args) -> int:
     _check_positive("--linewidth", args.linewidth)
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
+    _check_size("--points", args.points, MAX_SCAN_POINTS)
     if not np.isfinite(args.detuning):
         raise CliError(f"--detuning must be finite, got {args.detuning!r}")
     cfg = _load_system(args.system)

@@ -202,6 +202,7 @@ class OptimizationResult:
     fitness_evaluations: int
     stop_reason: str
     kernel_workers: int
+    precompute_seconds: float
 
     @property
     def generations_run(self) -> int:
@@ -249,13 +250,94 @@ def _rank_keys(fits: np.ndarray, genomes: np.ndarray, n_pulses: int):
     return order
 
 
+_DOUBLE_UNIT = 2.0**-53       # Generator.random's double is (word >> 11) * 2**-53
+_REWIND = 2**128              # PCG64.advance(_REWIND - n) steps the stream n words back
+
+
+def _words_to_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random`` makes of PCG64 words, one a word."""
+    return (words >> 11) * _DOUBLE_UNIT
+
+
+def _tournament_draws(words: np.ndarray, population: int):
+    """The draws ``integers(0, population, size=2k)`` makes of k PCG64 words
+    a row, and whether any of them needed more words.
+
+    The 2k 32-bit halves are used low half first, each by Lemire's method:
+    the draw is (u32 * P) >> 32, unless the low 32 bits of u32 * P fall
+    below (2**32 - P) % P, where numpy rejects it and draws again. Returns
+    the (rows, 2k) draws and True when any draw was rejected, which makes
+    the draws wrong from that one on.
+    """
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(len(words), -1)
+    scaled = halves * np.uint64(population)
+    rejected = bool(((scaled & 0xFFFFFFFF) < (2**32 - population) % population).any())
+    return (scaled >> 32).astype(np.int64), rejected
+
+
+def _draws_per_call(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
+    """Each child's draws by one Generator call per draw kind, in the order
+    ``_breed`` documents. The reference stream, and the path for the
+    generations that ``_draws_from_words`` cannot decode."""
+    n_children = cfg.population_size - cfg.elite_count
+    draws = np.empty((n_children, 2 * cfg.tournament_size), dtype=np.int64)
+    doubles = np.empty((n_children, 2 * n_genes + 1))
+    noise = np.empty((n_children, n_genes))
+    for c in range(n_children):
+        draws[c] = rng.integers(0, cfg.population_size, size=2 * cfg.tournament_size)
+        doubles[c, : n_genes + 1] = rng.random(n_genes + 1)
+        if doubles[c, 0] < cfg.crossover_rate:
+            doubles[c, n_genes + 1 :] = rng.random(n_genes)
+        noise[c] = rng.normal(0.0, cfg.mutation_scale, n_genes)
+    return draws, doubles, noise
+
+
+def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
+    """``_draws_per_call``'s draws and end state, from one ``random_raw``
+    and one ``standard_normal`` call per child; None, with the stream as
+    it was at entry, when the generation cannot be decoded this way.
+
+    A child's k + 2L + 1 words are its tournaments' k words, the coin and
+    the L gene doubles, then the L mask doubles, which are stepped back
+    over when the coin does not cross over. The noise is what
+    ``normal(0, s, L)`` computes, 0.0 + s * z. Integer draws leave the
+    high half of the last tournament word in PCG64's ``uinteger``, so the
+    end state gets it too. Decoding needs PCG64 with no spare 32-bit half
+    buffered, and no tournament draw that Lemire's method rejects.
+    """
+    bit_gen = rng.bit_generator
+    if type(bit_gen) is not np.random.PCG64:
+        return None
+    entry = bit_gen.state
+    if entry["has_uint32"]:
+        return None
+    n_children = cfg.population_size - cfg.elite_count
+    k = cfg.tournament_size
+    words = np.empty((n_children, k + 2 * n_genes + 1), dtype=np.uint64)
+    z = np.empty((n_children, n_genes))
+    for c in range(n_children):
+        row = words[c] = bit_gen.random_raw(words.shape[1])
+        if (int(row[k]) >> 11) * _DOUBLE_UNIT >= cfg.crossover_rate:
+            bit_gen.advance(_REWIND - n_genes)
+        rng.standard_normal(out=z[c])
+
+    draws, rejected = _tournament_draws(words[:, :k], cfg.population_size)
+    if rejected:
+        bit_gen.state = entry
+        return None
+    end = bit_gen.state
+    end["uinteger"] = int(words[-1, k - 1] >> 32)
+    bit_gen.state = end
+    return draws, _words_to_doubles(words[:, k:]), 0.0 + cfg.mutation_scale * z
+
+
 def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
            bounds: ParameterBounds) -> np.ndarray:
     """The population_size - elite_count children of the ranked `pop`.
 
-    A fixed seed must keep its stream, so each child makes its own
-    Generator calls, one per draw kind, in this order (L genes, tournament
-    size k, population size P):
+    A fixed seed must keep its stream, so each child's draws are those of
+    these Generator calls, made one after the other in this order (L genes,
+    tournament size k, population size P):
 
     1. ``integers(0, P, size=2k)``: both tournaments; a parent is the
        lowest (best-ranked) index of its k draws;
@@ -269,35 +351,28 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
     These draw exactly what two ``size=k`` calls, a scalar coin and
     separate masks drew: PCG64 keeps its spare 32-bit half in the
     bit-generator state, and doubles take whole 64-bit words. Drawing the
-    masks as whole (children, L) arrays would reorder the stream. The
+    masks as whole (children, L) arrays would reorder the stream.
+    ``_draws_from_words`` decodes steps 1-3 from raw PCG64 words, and
+    ``_draws_per_call`` makes the calls themselves where it cannot. The
     comparisons and the arithmetic run once over all children.
     """
-    n_children = cfg.population_size - cfg.elite_count
-    k, n_genes = cfg.tournament_size, bounds.genome_length
-    draws = np.empty((n_children, 2 * k), dtype=np.int64)
-    doubles = np.empty((n_children, n_genes + 1))
-    mask_doubles = np.empty((n_children, n_genes))
-    noise = np.empty((n_children, n_genes))
-    for c in range(n_children):
-        draws[c] = rng.integers(0, cfg.population_size, size=2 * k)
-        doubles[c] = rng.random(n_genes + 1)
-        if doubles[c, 0] < cfg.crossover_rate:
-            mask_doubles[c] = rng.random(n_genes)
-        noise[c] = rng.normal(0.0, cfg.mutation_scale, n_genes)
-
-    parents = draws.reshape(n_children, 2, k).min(axis=2)
+    n_genes = bounds.genome_length
+    tournaments, doubles, noise = (_draws_from_words(rng, cfg, n_genes)
+                                   or _draws_per_call(rng, cfg, n_genes))
+    n_children, k = len(tournaments), cfg.tournament_size
+    parents = tournaments.reshape(n_children, 2, k).min(axis=2)
     crossed = doubles[:, :1] < cfg.crossover_rate
-    from_first = ~crossed | (doubles[:, 1:] < 0.5)
-    mutate = np.where(crossed, mask_doubles, doubles[:, 1:]) < cfg.mutation_rate
+    genes, masks = doubles[:, 1 : n_genes + 1], doubles[:, n_genes + 1 :]
+    from_first = ~crossed | (genes < 0.5)
+    mutate = np.where(crossed, masks, genes) < cfg.mutation_rate
     children = np.where(from_first, pop[parents[:, 0]], pop[parents[:, 1]])
     lo, hi = bounds.lower(), bounds.upper()
     return np.clip(np.where(mutate, children + noise * (hi - lo), children), lo, hi)
 
 
-def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig,
+def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
                 seed: int) -> OptimizationResult:
     rng = np.random.default_rng(seed)
-    kern = _kernel(target, h, cfg, bounds.n_pulses)
     pop = rng.uniform(bounds.lower(), bounds.upper(),
                       size=(cfg.population_size, bounds.genome_length))
 
@@ -338,6 +413,7 @@ def _single_run(target, h, bounds: ParameterBounds, cfg: GAConfig,
         fitness_evaluations=scored * kern.omega1s.size,
         stop_reason="early_stop" if reached() else "budget",
         kernel_workers=kern.threads_used,
+        precompute_seconds=kern.precompute_seconds,
     )
 
 
@@ -356,10 +432,12 @@ def optimize(
     The result's ``stop_reason`` ("early_stop" once the best fitness
     reaches cfg.early_stop_fitness, else "budget") and ``generations_run``
     describe the returned run; ``fitness_evaluations`` counts the genomes
-    scored times the grid points over all restarts, and ``kernel_workers``
-    is the most threads a fitness kernel ran on in any restart.
+    scored times the grid points over all restarts. Every restart runs on
+    one fitness kernel: ``kernel_workers`` is the most threads it ran on,
+    and ``precompute_seconds`` the wall time of building it.
     """
-    runs = [_single_run(target, h, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
+    kern = _kernel(target, h, cfg, bounds.n_pulses)
+    runs = [_single_run(kern, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
     best = max(runs, key=lambda run: run.best_fitness)   # the first of equal bests
     return replace(best, fitness_evaluations=sum(run.fitness_evaluations for run in runs),
-                   kernel_workers=max(run.kernel_workers for run in runs))
+                   kernel_workers=kern.threads_used)

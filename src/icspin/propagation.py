@@ -98,7 +98,10 @@ class PropagationEngine:
     h : working-subspace Hamiltonian (MHz); real and block-diagonal in the
         electron
     omega1s : amplitude grid (MHz), finite and non-negative; may be empty
-        when only delays are propagated
+        when only delays are propagated. A grid on which the drive
+        Hamiltonian's angular frequencies 2 pi w_p overflow raises
+        ValueError; the physical ceiling, the zero-field splitting D, is
+        ``SpinSystemConfig.check_drive_amplitude``.
 
     Attributes
     ----------
@@ -134,6 +137,10 @@ class PropagationEngine:
         drive = np.zeros_like(h)
         drive[:half, half:] = drive[half:, :half] = 0.5 * np.eye(half)
         self.w_p, v_p = np.linalg.eigh(h + self.omega1s[:, None, None] * drive)
+        if not (np.abs(self.w_p) < np.finfo(float).max / TWO_PI).all():   # NaN too
+            raise ValueError("amplitude grid too large: the drive Hamiltonian's angular "
+                             "frequencies are not finite at omega1 up to "
+                             f"{float(self.omega1s.max())!r} MHz")
         self.mix = self.v.T @ v_p
 
     @property

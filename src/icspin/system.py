@@ -65,6 +65,18 @@ class SpinSystemConfig:
     def n_carbons(self) -> int:
         return len(self.carbons)
 
+    def check_drive_amplitude(self, omega1: float, where: str = "drive amplitude") -> None:
+        """Raise ConfigError, naming `where`, unless 0 <= omega1 < D.
+
+        The package models the driven two-level working subspace of the
+        electron, which exists only for drive amplitudes below the
+        zero-field splitting D. Check the largest amplitude of a grid
+        before propagating on it.
+        """
+        if not 0.0 <= omega1 < self.d:
+            raise ConfigError(f"{where} must lie in [0, D_MHz = {self.d!r}) MHz, "
+                              f"got {omega1!r}")
+
     def single_carbon(self) -> HyperfineCoupling:
         if len(self.carbons) != 1:
             raise ConfigError("operation requires exactly one carbon")

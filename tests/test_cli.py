@@ -127,7 +127,7 @@ def test_optimize_manifest_explains_the_search(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "optimize"])
 def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
     """verify scores one genome on one thread; optimize runs two chunks of
-    genomes, one per CPU up to two."""
+    genomes, one per CPU up to two. Both time their phases."""
     out = tmp_path / "o"
     if command == "verify":
         argv = ["verify", "--sequence", CNOT, "--target", "cnot"]
@@ -143,8 +143,13 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
     assert manifest["kernel_workers"] == workers
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    work = "evaluate" if command == "verify" else "search"
+    phases = manifest["phase_seconds"]
+    assert sorted(phases) == sorted(["load", "hamiltonian", work, "write"])
+    assert all(seconds >= 0.0 for seconds in phases.values())
     for data in data_files(out):
         assert "kernel_workers" not in data.read_text(), data.name
+        assert "phase_seconds" not in data.read_text(), data.name
 
 
 def test_python_dash_m_icspin_runs_the_cli():
@@ -395,6 +400,34 @@ def test_amplitude_not_below_d_is_usage_error(tmp_path, capsys, command, where, 
     err = capsys.readouterr().err
     assert where in err and "D_MHz" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["verify_grid", "optimize_ga_config_grid", "scan_points",
+                                  "trajectory_dt"])
+def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
+    """Each size is one past its budget, so the command is refused before it
+    allocates anything of that size."""
+    ga = tmp_path / "ga.json"
+    ga.write_text(json.dumps({"omega1_grid": {
+        "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.cli.MAX_GRID_POINTS + 1}}))
+    dt = icspin.load_sequence(CNOT).duration / (icspin.cli.MAX_TRAJECTORY_STEPS + 1)
+    argv, flag, written = {
+        "verify_grid": (["verify", "--sequence", CNOT, "--target", "cnot", "--grid",
+                         f"0.48,0.52,{icspin.cli.MAX_GRID_POINTS + 1}"],
+                        "--grid points", "verify.json"),
+        "optimize_ga_config_grid": (["optimize", "--target", "cnot", "--ga-config", str(ga)],
+                                    "GA config omega1_grid points", "result.json"),
+        "scan_points": (["scan", "--kind", "hadamard",
+                         "--points", str(icspin.cli.MAX_SCAN_POINTS + 1)],
+                        "--points", "hadamard.json"),
+        "trajectory_dt": (["scan", "--kind", "trajectory", "--sequence", CNOT, "--dt", repr(dt)],
+                          "--dt", "trajectory.json"),
+    }[case]
+    out = tmp_path / "o"
+    assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "at most" in err
+    assert not (out / written).exists()
 
 
 def test_verify_reports_band_mean(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,17 @@ from icspin.optimize import (
     GAConfig,
     ParameterBounds,
     _breed,
+    _draws_from_words,
+    _tournament_draws,
+    _words_to_doubles,
     fitness,
     ga_config_from_dict,
     ga_config_to_dict,
     optimize,
 )
+
+# the module; ``icspin.optimize`` the attribute is the function
+optimize_module = importlib.import_module("icspin.optimize")
 
 
 def small_cfg(seed=0, **kw):
@@ -237,6 +245,127 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
                 assert children.tobytes() == expected.tobytes()
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
                 pop = np.vstack([pop[: cfg.elite_count], children])
+
+
+def _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds):
+    children = _breed(rng, pop, cfg, bounds)
+    expected = _breed_per_child(oracle_rng, pop, cfg, bounds)
+    assert children.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    return children
+
+
+def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
+    """A generation entered with PCG64's spare 32-bit half buffered cannot
+    be decoded from whole words; it is drawn call by call, in the oracle's
+    stream, and so is the next one."""
+    cfg = GAConfig(population_size=30, tournament_size=3, mutation_scale=0.3)
+    bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    pop = rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))
+    oracle_rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))
+    rng.integers(0, 10)
+    oracle_rng.integers(0, 10)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert _draws_from_words(rng, cfg, bounds.genome_length) is None
+    for _ in range(2):
+        pop = _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
+
+
+def _zero_word_next(seed):
+    """A Generator whose next PCG64 word is 0: its XSL-RR output is the
+    rotated xor of the state's halves, which are equal here."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's LCG multiplier
+    equal_halves = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    state["state"]["state"] = ((equal_halves - state["state"]["inc"])
+                               * pow(multiplier, -1, 2**128)) % 2**128
+    rng.bit_generator.state = state
+    probe = np.random.PCG64()
+    probe.state = state
+    assert probe.random_raw() == 0, "numpy's PCG64 step or output function changed"
+    return rng
+
+
+@pytest.mark.parametrize("population", [3, 100])
+def test_breed_falls_back_on_a_rejected_tournament_draw(population):
+    """u32 = 0 is in Lemire's rejection zone for any P that does not divide
+    2**32: numpy draws again, so the generation is drawn call by call."""
+    rejected = np.array([[0]], dtype=np.uint64)
+    accepted = np.array([[(7 << 32) | 1]], dtype=np.uint64)
+    assert _tournament_draws(rejected, population)[1]
+    draws, flagged = _tournament_draws(accepted, population)
+    assert not flagged and draws.tolist() == [[population >> 32, (7 * population) >> 32]]
+
+    cfg = GAConfig(population_size=population, elite_count=1, mutation_scale=0.3)
+    bounds = ParameterBounds(2)
+    assert _draws_from_words(_zero_word_next(4), cfg, bounds.genome_length) is None
+    rng, oracle_rng = _zero_word_next(4), _zero_word_next(4)
+    pop = np.random.default_rng(0).uniform(bounds.lower(), bounds.upper(),
+                                           size=(population, bounds.genome_length))
+    _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
+
+
+def test_raw_word_decodes_match_numpy():
+    """The decodes of ``_draws_from_words`` against the Generator calls they
+    stand in for, on random states. A numpy release that changes how a
+    double, a bounded integer or a normal is made from PCG64 words fails
+    here, and then the decodes must change with it."""
+    for seed in range(20):
+        state = np.random.default_rng(1000 + seed).bit_generator.state
+        bit_gen = np.random.PCG64()
+        rng = np.random.Generator(bit_gen)
+
+        bit_gen.state = state
+        doubles = rng.random(7)
+        bit_gen.state = state
+        assert _words_to_doubles(bit_gen.random_raw(7)).tobytes() == doubles.tobytes(), \
+            "Generator.random no longer makes (word >> 11) * 2**-53"
+
+        for population in (2, 3, 24, 100, 1000, 2**31 - 1, 2**32 - 5):
+            bit_gen.state = state
+            expected = rng.integers(0, population, size=6)
+            after_integers = bit_gen.state
+            bit_gen.state = state
+            words = bit_gen.random_raw(3)
+            draws, rejected = _tournament_draws(words[None], population)
+            assert not rejected
+            assert draws[0].tolist() == expected.tolist(), \
+                "Generator.integers no longer draws (u32 * P) >> 32, low half first"
+            assert after_integers["has_uint32"] == 0
+            assert after_integers["uinteger"] == int(words[-1]) >> 32, \
+                "Generator.integers no longer leaves the last high half in uinteger"
+
+        bit_gen.state = state
+        noise = rng.normal(0.0, 0.3, 9)
+        bit_gen.state = state
+        assert (0.0 + 0.3 * rng.standard_normal(9)).tobytes() == noise.tobytes(), \
+            "Generator.normal(0, s) is no longer 0.0 + s * standard_normal"
+
+
+def test_optimize_draws_the_same_call_by_call(h_subspace, monkeypatch):
+    """Forcing every generation onto the per-call draws changes no bit of
+    the search, on seeds whose generations otherwise all decode raw words."""
+    target = icspin.hadamard_on_carbon(1)
+    bounds = ParameterBounds(n_pulses=3)
+    decoded = []
+    from_words = optimize_module._draws_from_words
+
+    def counted(*args):
+        draws = from_words(*args)
+        decoded.append(draws is not None)
+        return draws
+
+    monkeypatch.setattr(optimize_module, "_draws_from_words", counted)
+    raw = [optimize(target, h_subspace, bounds, small_cfg(seed=s, generations=20))
+           for s in range(4)]
+    assert decoded and all(decoded)
+    monkeypatch.setattr(optimize_module, "_draws_from_words", lambda *args: None)
+    for seed, result in enumerate(raw):
+        again = optimize(target, h_subspace, bounds, small_cfg(seed=seed, generations=20))
+        assert again.best_genome.tobytes() == result.best_genome.tobytes()
+        assert again.history.tobytes() == result.history.tobytes()
 
 
 def test_restarts_pick_best(h_subspace):

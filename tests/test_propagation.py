@@ -256,8 +256,10 @@ def test_engine_without_grid_propagates_delays_only(h_subspace):
     assert engine.w_p.shape == (0, 4)
 
 
-@pytest.mark.parametrize("grid", [[-0.1], [0.5, np.nan], [np.inf]])
+@pytest.mark.parametrize("grid", [[-0.1], [0.5, np.nan], [np.inf], [0.5, 1e308]])
 def test_engine_rejects_negative_or_non_finite_grid(h_subspace, grid):
+    """At 1e308 MHz the drive's angular frequencies overflow: a ValueError
+    too, not the invariant RuntimeError of the NaN fidelities it would give."""
     with pytest.raises(ValueError, match="grid"):
         PropagationEngine(h_subspace, grid)
 

@@ -50,6 +50,15 @@ def test_carbon_count_limits():
         SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
 
 
+@pytest.mark.parametrize("omega1", [2870.0, 1e308, -0.1, float("nan")])
+def test_drive_amplitude_must_lie_below_d(system, omega1):
+    """The driven working subspace exists for 0 <= omega1 < D = 2870 MHz."""
+    system.check_drive_amplitude(0.0)
+    system.check_drive_amplitude(2869.0)
+    with pytest.raises(ConfigError, match=r"grid max must lie in \[0, D_MHz = 2870.0\)"):
+        system.check_drive_amplitude(omega1, "grid max")
+
+
 def test_single_carbon_requires_one(registers):
     with pytest.raises(ConfigError):
         registers.single_carbon()
