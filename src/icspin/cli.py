@@ -16,7 +16,7 @@ manifest).
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import platform
 import sys
 import time
@@ -38,12 +38,13 @@ from .experiments import (
     theta_scan,
 )
 from .fidelity import robust_fidelity
+from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .sequence import SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
-from .system import ConfigError, load_system, read_json
+from .system import ConfigError, load_system
 from .targets import TargetError, target_library
 
 USAGE_ERROR = 1
@@ -52,14 +53,23 @@ INTERNAL_ERROR = 2
 # Size budgets, checked before anything is allocated. At d = 32 an amplitude
 # grid costs about 32 kB a point in the engine's batched eigensystem (96 MB
 # peak at 4096 points); 2**16 scan points cost about 50 MB, and a trajectory
-# about 2 kB a step (222 MB at 10**5 steps, on one carbon).
+# about 2 kB a step (222 MB at 10**5 steps, on one carbon). A GA population
+# of 10_000 genomes of 64 pulses is 15 MB; a one-carbon search at both
+# budgets peaks near 165 MB.
 MAX_GRID_POINTS = 2048
 MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
+MAX_PULSES = 64
+MAX_POPULATION = 10_000
 
 
 class CliError(Exception):
-    """Usage or config problem; maps to exit code 1."""
+    """Usage problem found by the CLI itself; maps to exit code 1."""
+
+
+# The errors that exit 1. Not SequenceError: the GA raises it on a faulty
+# genome, an internal fault, so a sequence file's is re-raised as CliError.
+USAGE_ERRORS = (CliError, ConfigError, TargetError, DegenerateManifoldError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,8 +108,13 @@ class _Phases:
         self._phase, self._last = phase, now
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    return {key: blas.get(key, "unknown") for key in ("name", "version")}
 
 
 def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
@@ -112,10 +127,13 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
         "tool_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas(),
+        "thread_env": {name: os.environ.get(name, "unset") for name in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "written_at_unix": time.time(),
         **run_facts,
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
 
 
 def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
@@ -136,27 +154,6 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
     return (lo, hi), points
 
 
-def _check_amplitude_max(where: str, hi: float, cfg) -> None:
-    try:
-        cfg.check_drive_amplitude(hi, where)
-    except ConfigError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _load_system(path: str):
-    try:
-        return load_system(path)
-    except ConfigError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _target_for(name: str, cfg):
-    try:
-        return target_library(name, n_carbons=cfg.n_carbons)
-    except TargetError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,29 +162,24 @@ def _out_dir(args) -> Path:
 
 def cmd_verify(args) -> int:
     phases = _Phases()
-    cfg = _load_system(args.system)
+    cfg = load_system(args.system)
     try:
         seq = load_sequence(args.sequence)
     except SequenceError as exc:
         raise CliError(str(exc)) from exc
-    target = _target_for(args.target, cfg)
+    target = target_library(args.target, n_carbons=cfg.n_carbons)
     omega1_range, points = _parse_grid(args.grid)
-    _check_amplitude_max("--grid max", omega1_range[1], cfg)
+    cfg.check_drive_amplitude(omega1_range[1], "--grid max")
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
-    if target.dim != h.shape[0]:
-        raise CliError(
-            f"target dimension {target.dim} does not match system dimension {h.shape[0]}"
-        )
     phases.done("hamiltonian")
     report = robust_fidelity(seq, target, h, omega1_range, points)
     phases.done("evaluate", earlier=report.precompute_seconds)
 
     out = _out_dir(args)
-    rows = ["omega1_MHz,fidelity"]
-    rows += [f"{float(w)!r},{float(f)!r}" for w, f in zip(report.omega1s, report.fidelities)]
-    (out / "fidelity_points.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(
+    write_csv(out / "fidelity_points.csv", ("omega1_MHz", "fidelity"),
+              report.omega1s, report.fidelities)
+    write_json(
         out / "verify.json",
         {
             "system": str(args.system),
@@ -216,8 +208,8 @@ def cmd_verify(args) -> int:
 
 def cmd_optimize(args) -> int:
     phases = _Phases()
-    cfg = _load_system(args.system)
-    target = _target_for(args.target, cfg)
+    cfg = load_system(args.system)
+    target = target_library(args.target, n_carbons=cfg.n_carbons)
     ga_doc = {}
     if args.ga_config:
         ga_doc = read_json(args.ga_config, CliError)
@@ -234,10 +226,12 @@ def cmd_optimize(args) -> int:
         bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    _check_size("--pulses", args.pulses, MAX_PULSES)
+    _check_size("GA config population", ga.population_size, MAX_POPULATION)
     if not args.grid:   # --grid's points were checked as it was parsed
         _check_size("GA config omega1_grid points", ga.omega1_points, MAX_GRID_POINTS)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
-    _check_amplitude_max(where, ga.omega1_range[1], cfg)
+    cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
     phases.done("hamiltonian")
@@ -246,10 +240,9 @@ def cmd_optimize(args) -> int:
     phases.done("search", earlier=result.precompute_seconds)
     out = _out_dir(args)
     save_sequence(result.best_sequence(), out / "best_sequence.json")
-    rows = ["generation,best_fitness"]
-    rows += [f"{g},{float(f)!r}" for g, f in enumerate(result.history)]
-    (out / "history.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(out / "result.json", result.to_dict())
+    write_csv(out / "history.csv", ("generation", "best_fitness"),
+              range(len(result.history)), result.history)
+    write_json(out / "result.json", result.to_dict())
     phases.done("write")
     _write_manifest(out, "optimize",
                     {"system": str(args.system), "target": args.target,
@@ -267,14 +260,21 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _scan_sequence(args, cfg):
+    """The --sequence of a scan, its amplitude checked against D."""
+    seq = load_sequence(args.sequence)
+    cfg.check_drive_amplitude(seq.omega1, "--sequence omega1_MHz")
+    return seq
+
+
 def _scan_hadamard(args, cfg, out: Path) -> None:
     t_grid = np.arange(args.points) * args.dt
-    gate = "ideal" if not args.sequence else load_sequence(args.sequence)
+    gate = "ideal" if not args.sequence else _scan_sequence(args, cfg)
     first = "noop" if args.noop else None
     result = hadamard_circuit_scan(gate, t_grid, cfg, first_gate=first)
     result.to_csv(out / "hadamard_signal.csv")
     result.spectrum.to_csv(out / "hadamard_spectrum.csv")
-    _write_json(out / "hadamard.json", {
+    write_json(out / "hadamard.json", {
         "peak_MHz": result.spectrum.peak_frequency(),
         "signal": result.signal.tolist(),
         "times_us": result.times.tolist(),
@@ -284,11 +284,9 @@ def _scan_hadamard(args, cfg, out: Path) -> None:
 
 def _scan_theta(args, cfg, out: Path) -> None:
     thetas = np.linspace(0.0, 2 * np.pi, args.points)
-    gate = args.gate if not args.sequence else load_sequence(args.sequence)
+    gate = args.gate if not args.sequence else _scan_sequence(args, cfg)
     values = theta_scan(gate, thetas, args.readout, cfg)
-    rows = ["theta_rad,p0_down"]
-    rows += [f"{float(t)!r},{float(p)!r}" for t, p in zip(thetas, values)]
-    (out / "theta_scan.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_csv(out / "theta_scan.csv", ("theta_rad", "p0_down"), thetas, values)
     print(f"scan theta: {args.points} points, readout m_S={args.readout}")
 
 
@@ -303,7 +301,7 @@ def _scan_fid(args, cfg, out: Path) -> None:
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
     result.to_csv(out / "fid_signal.csv")
     result.spectrum.to_csv(out / "fid_spectrum.csv")
-    _write_json(out / "fid_spectrum.json", result.spectrum.to_dict())
+    write_json(out / "fid_spectrum.json", result.spectrum.to_dict())
     print(f"scan fid: {len(result.spectrum.lines)} transition sticks")
 
 
@@ -311,7 +309,7 @@ def _scan_spectrum(args, cfg, out: Path) -> None:
     h = multiqubit_hamiltonian(cfg)
     spec = esr_spectrum(h, linewidth=args.linewidth, detuning=args.detuning)
     spec.to_csv(out / "esr_spectrum.csv")
-    _write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
+    write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
     print(f"scan spectrum: {len(spec.lines)} sticks, "
           f"{len(spec.resolvable_lines())} resolvable")
 
@@ -319,18 +317,27 @@ def _scan_spectrum(args, cfg, out: Path) -> None:
 def _scan_trajectory(args, cfg, out: Path) -> None:
     if not args.sequence:
         raise CliError("trajectory scan needs --sequence")
-    seq = load_sequence(args.sequence)
+    seq = _scan_sequence(args, cfg)
     _check_size("trajectory steps (sequence duration / --dt)", seq.duration / args.dt,
                 MAX_TRAJECTORY_STEPS)
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
     traj.to_csv(out / "trajectory.csv")
-    _write_json(out / "trajectory.json", {
+    write_json(out / "trajectory.json", {
         "times_us": traj.times.tolist(),
         "bloch_vectors": traj.vectors.tolist(),
     })
     print(f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
+
+
+_SCANS = {
+    "hadamard": _scan_hadamard,
+    "theta": _scan_theta,
+    "fid": _scan_fid,
+    "spectrum": _scan_spectrum,
+    "trajectory": _scan_trajectory,
+}
 
 
 def cmd_scan(args) -> int:
@@ -341,20 +348,11 @@ def cmd_scan(args) -> int:
     _check_size("--points", args.points, MAX_SCAN_POINTS)
     if not np.isfinite(args.detuning):
         raise CliError(f"--detuning must be finite, got {args.detuning!r}")
-    cfg = _load_system(args.system)
+    cfg = load_system(args.system)
     out = _out_dir(args)
-    runner = {
-        "hadamard": _scan_hadamard,
-        "theta": _scan_theta,
-        "fid": _scan_fid,
-        "spectrum": _scan_spectrum,
-        "trajectory": _scan_trajectory,
-    }.get(args.kind)
-    if runner is None:
-        raise CliError(f"unknown scan kind {args.kind!r}")
     try:
-        runner(args, cfg, out)
-    except ValueError as exc:   # SequenceError and ConfigError included
+        _SCANS[args.kind](args, cfg, out)
+    except ValueError as exc:   # a --sequence file's SequenceError included
         raise CliError(str(exc)) from exc
     _write_manifest(out, f"scan:{args.kind}",
                     {"system": str(args.system), "kind": args.kind,
@@ -365,12 +363,9 @@ def cmd_scan(args) -> int:
 
 def cmd_report(args) -> int:
     _check_positive("--linewidth", args.linewidth)
-    cfg = _load_system(args.system)
+    cfg = load_system(args.system)
     single = cfg.subset([cfg.carbons[0].label])
-    try:
-        eig = carbon_eigenstructure(single)
-    except DegenerateManifoldError as exc:
-        raise CliError(str(exc)) from exc
+    eig = carbon_eigenstructure(single)
     payload: dict = {
         "kappa_minus_deg": eig.kappa_minus_deg,
         "kappa_plus_deg": eig.kappa_plus_deg,
@@ -402,7 +397,7 @@ def cmd_report(args) -> int:
     payload["min_T2_star_us"] = min_coherence_time(args.linewidth)
 
     out = _out_dir(args)
-    _write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
     lines = [f"{key:>22s} : {value}" for key, value in payload.items()]
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -442,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="simulate a circuit scan")
     p.add_argument("--kind", required=True,
-                   choices=["hadamard", "theta", "fid", "spectrum", "trajectory"])
+                   choices=list(_SCANS))
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
     p.add_argument("--gate", default="cnot", choices=["noop", "cnot"])
@@ -470,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # invariant violations and bugs

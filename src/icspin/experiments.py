@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
+from .files import write_csv
 from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
 from .propagation import PropagationEngine, expm_hermitian, sequence_propagator
@@ -53,9 +54,7 @@ class Spectrum:
         return [(p, w) for p, w in self.lines if w >= threshold * wmax]
 
     def to_csv(self, path: str | Path) -> None:
-        rows = ["frequency_MHz,amplitude"]
-        rows += [f"{float(f)!r},{float(a)!r}" for f, a in zip(self.frequencies, self.amplitudes)]
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_csv(path, ("frequency_MHz", "amplitude"), self.frequencies, self.amplitudes)
 
     def to_dict(self) -> dict:
         return {
@@ -74,9 +73,7 @@ class ScanResult:
     spectrum: Spectrum
 
     def to_csv(self, path: str | Path) -> None:
-        rows = ["time_us,signal"]
-        rows += [f"{float(t)!r},{float(s)!r}" for t, s in zip(self.times, self.signal)]
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_csv(path, ("time_us", "signal"), self.times, self.signal)
 
 
 @dataclass(frozen=True)
@@ -101,11 +98,8 @@ class Trajectory:
             names = ["ex", "ey", "ez"]
             for j in range(1, self.n_subsystems):
                 names += [f"c{j}x", f"c{j}y", f"c{j}z"]
-        rows = ["time_us," + ",".join(names)]
-        for k, t in enumerate(self.times):
-            flat = self.vectors[k].reshape(-1)
-            rows.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in flat))
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_csv(path, ["time_us", *names], self.times,
+                  *self.vectors.reshape(self.times.size, -1).T)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class GAConfig:
                 f"omega1_nominal must be finite and >= 0, got {self.omega1_nominal!r}")
 
 
-# GA-config document key -> GAConfig field; "omega1_grid" is the seventh key
+# GA-config document key -> GAConfig field; "omega1_grid" holds the _GRID_KEYS
 _GA_KEYS = {
     "population": "population_size",
     "generations": "generations",
@@ -169,22 +169,9 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
 
 
 def ga_config_to_dict(cfg: GAConfig) -> dict:
-    return {
-        "population": cfg.population_size,
-        "generations": cfg.generations,
-        "crossover_rate": cfg.crossover_rate,
-        "mutation_rate": cfg.mutation_rate,
-        "mutation_scale": cfg.mutation_scale,
-        "elites": cfg.elite_count,
-        "seed": cfg.rng_seed,
-        "restarts": cfg.restarts,
-        "early_stop": cfg.early_stop_fitness,
-        "omega1_grid": {
-            "min_MHz": cfg.omega1_range[0],
-            "max_MHz": cfg.omega1_range[1],
-            "points": cfg.omega1_points,
-        },
-    }
+    doc = {key: getattr(cfg, attr) for key, attr in _GA_KEYS.items()}
+    doc["omega1_grid"] = dict(zip(_GRID_KEYS, (*cfg.omega1_range, cfg.omega1_points)))
+    return doc
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,13 @@ trailing included) and maps to the flat genome layout
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .files import read_json, write_json
 from .operators import TWO_PI
-from .system import read_json
 
 
 class SequenceError(ValueError):
@@ -170,7 +169,4 @@ def load_sequence(path: str | Path) -> PulseSequence:
 
 
 def save_sequence(seq: PulseSequence, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(sequence_to_dict(seq), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, sequence_to_dict(seq))

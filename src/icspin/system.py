@@ -7,11 +7,12 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+from .files import read_json, write_json
 
 
 class ConfigError(ValueError):
@@ -155,23 +156,12 @@ def system_to_dict(cfg: SpinSystemConfig) -> dict:
     }
 
 
-def read_json(path: str | Path, error: type[Exception]):
-    """The JSON document at `path`. A file that is missing, unreadable, not
-    UTF-8 or not JSON raises `error`, naming the path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or bad JSON
-        raise error(f"cannot read {path}: {exc}") from exc
-
-
 def load_system(path: str | Path) -> SpinSystemConfig:
     return system_from_dict(read_json(path, ConfigError))
 
 
 def save_system(cfg: SpinSystemConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(system_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, system_to_dict(cfg))
 
 
 def data_path(name: str) -> Path:

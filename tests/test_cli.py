@@ -143,6 +143,11 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
     assert manifest["kernel_workers"] == workers
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["thread_env"] == {
+        name: os.environ.get(name, "unset")
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     work = "evaluate" if command == "verify" else "search"
     phases = manifest["phase_seconds"]
     assert sorted(phases) == sorted(["load", "hamiltonian", work, "write"])
@@ -150,6 +155,7 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
     for data in data_files(out):
         assert "kernel_workers" not in data.read_text(), data.name
         assert "phase_seconds" not in data.read_text(), data.name
+        assert "thread_env" not in data.read_text(), data.name
 
 
 def test_python_dash_m_icspin_runs_the_cli():
@@ -358,6 +364,7 @@ def test_negative_grid_amplitude_is_usage_error(tmp_path, command):
     {"seed": -1},
     {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 2.7}},
     {"population": "10"},
+    [1, 2],
 ])
 def test_optimize_bad_ga_config_is_usage_error(tmp_path, capsys, ga_doc):
     (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
@@ -402,14 +409,34 @@ def test_amplitude_not_below_d_is_usage_error(tmp_path, capsys, command, where, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["hadamard", "theta", "trajectory"])
+def test_scan_sequence_amplitude_not_below_d_is_usage_error(tmp_path, capsys, kind):
+    doc = json.loads(Path(CNOT).read_text())
+    doc["omega1_MHz"] = 3000
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--sequence", str(seq),
+                "--dt", "0.01", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--sequence omega1_MHz" in err and "D_MHz" in err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("case", ["verify_grid", "optimize_ga_config_grid", "scan_points",
-                                  "trajectory_dt"])
+                                  "trajectory_dt", "optimize_pulses", "optimize_population"])
 def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     """Each size is one past its budget, so the command is refused before it
-    allocates anything of that size."""
+    allocates anything of that size. The GA configs run no generation, so a
+    missing check costs one small population."""
     ga = tmp_path / "ga.json"
     ga.write_text(json.dumps({"omega1_grid": {
         "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.cli.MAX_GRID_POINTS + 1}}))
+    small_ga = tmp_path / "small_ga.json"
+    small_ga.write_text(json.dumps({"population": 4, "elites": 1, "generations": 0}))
+    large_ga = tmp_path / "large_ga.json"
+    large_ga.write_text(json.dumps(
+        {"population": icspin.cli.MAX_POPULATION + 1, "generations": 0}))
     dt = icspin.load_sequence(CNOT).duration / (icspin.cli.MAX_TRAJECTORY_STEPS + 1)
     argv, flag, written = {
         "verify_grid": (["verify", "--sequence", CNOT, "--target", "cnot", "--grid",
@@ -422,6 +449,11 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
                         "--points", "hadamard.json"),
         "trajectory_dt": (["scan", "--kind", "trajectory", "--sequence", CNOT, "--dt", repr(dt)],
                           "--dt", "trajectory.json"),
+        "optimize_pulses": (["optimize", "--target", "cnot", "--ga-config", str(small_ga),
+                             "--pulses", str(icspin.cli.MAX_PULSES + 1)],
+                            "--pulses", "result.json"),
+        "optimize_population": (["optimize", "--target", "cnot", "--ga-config", str(large_ga)],
+                                "GA config population", "result.json"),
     }[case]
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
