@@ -42,7 +42,7 @@ from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
-from .sequence import SequenceError, load_sequence, save_sequence
+from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
 from .system import ConfigError, load_system
 from .targets import TargetError, target_library
@@ -67,9 +67,7 @@ class CliError(Exception):
     """Usage problem found by the CLI itself; maps to exit code 1."""
 
 
-# The errors that exit 1. Not SequenceError: the GA raises it on a faulty
-# genome, an internal fault, so a sequence file's is re-raised as CliError.
-USAGE_ERRORS = (CliError, ConfigError, TargetError, DegenerateManifoldError)
+USAGE_ERRORS = (CliError, ConfigError, SequenceError, TargetError, DegenerateManifoldError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +86,7 @@ def _check_positive(flag: str, value: float) -> None:
 
 def _check_size(what: str, size: float, budget: int) -> None:
     if size > budget:
-        raise CliError(f"{what} must be at most {budget}, got {size:g}")
+        raise CliError(f"{what} must be at most {budget}, got {size}")
 
 
 class _Phases:
@@ -163,10 +161,7 @@ def _out_dir(args) -> Path:
 def cmd_verify(args) -> int:
     phases = _Phases()
     cfg = load_system(args.system)
-    try:
-        seq = load_sequence(args.sequence)
-    except SequenceError as exc:
-        raise CliError(str(exc)) from exc
+    seq = load_sequence(args.sequence)
     target = target_library(args.target, n_carbons=cfg.n_carbons)
     omega1_range, points = _parse_grid(args.grid)
     cfg.check_drive_amplitude(omega1_range[1], "--grid max")
@@ -215,7 +210,11 @@ def cmd_optimize(args) -> int:
         ga_doc = read_json(args.ga_config, CliError)
         if not isinstance(ga_doc, dict):
             raise CliError("GA config must be a JSON object")
-    ga_doc.setdefault("seed", args.seed)
+    for flag, value, key in (("--seed", args.seed, "seed"), ("--grid", args.grid, "omega1_grid")):
+        if value is not None and key in ga_doc:
+            raise CliError(f"{flag} and the GA config's {key} set the same value; give one")
+    if args.seed is not None:
+        ga_doc["seed"] = args.seed
     if args.grid:
         omega1_range, points = _parse_grid(args.grid)
         ga_doc["omega1_grid"] = {
@@ -267,8 +266,16 @@ def _scan_sequence(args, cfg):
     return seq
 
 
+def _scan_times(args) -> np.ndarray:
+    """The sample times of a time-domain scan; their span, like any
+    duration, is at most MAX_DURATION_US."""
+    _check_size("scan time span (--points - 1) * --dt in us", (args.points - 1) * args.dt,
+                MAX_DURATION_US)
+    return np.arange(args.points) * args.dt
+
+
 def _scan_hadamard(args, cfg, out: Path) -> None:
-    t_grid = np.arange(args.points) * args.dt
+    t_grid = _scan_times(args)
     gate = "ideal" if not args.sequence else _scan_sequence(args, cfg)
     first = "noop" if args.noop else None
     result = hadamard_circuit_scan(gate, t_grid, cfg, first_gate=first)
@@ -292,7 +299,7 @@ def _scan_theta(args, cfg, out: Path) -> None:
 
 def _scan_fid(args, cfg, out: Path) -> None:
     cfg.single_carbon()   # the prepared states below are two-qubit
-    t_grid = np.arange(args.points) * args.dt
+    t_grid = _scan_times(args)
     state = density_matrix(basis_state(0, 4))
     if args.state == "thermal":
         # electron polarized, carbon unpolarized: the no-carbon-init control.
@@ -352,7 +359,7 @@ def cmd_scan(args) -> int:
     out = _out_dir(args)
     try:
         _SCANS[args.kind](args, cfg, out)
-    except ValueError as exc:   # a --sequence file's SequenceError included
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_manifest(out, f"scan:{args.kind}",
                     {"system": str(args.system), "kind": args.kind,
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulses", type=int, default=3)
     p.add_argument("--tau-max", type=float, default=4.0)
     p.add_argument("--t-max", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ga-config", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", default="out")

@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
+from .files import check_keys, json_number
 from .kernels import FitnessKernel
 from .operators import TWO_PI
-from .sequence import PulseSequence, sequence_from_genome
+from .sequence import MAX_DURATION_US, PulseSequence, SequenceError, sequence_from_genome
 from .targets import TargetGate
 
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
@@ -41,8 +42,8 @@ class ParameterBounds:
             raise ValueError("need at least one pulse")
         for name in ("tau_max", "t_max"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            if not 0 < v <= MAX_DURATION_US:
+                raise ValueError(f"{name} must lie in (0, {MAX_DURATION_US:g}] us, got {v!r}")
 
     @property
     def genome_length(self) -> int:
@@ -126,13 +127,7 @@ _GRID_KEYS = ("min_MHz", "max_MHz", "points")
 
 
 def _ga_value(doc: dict, key: str, where: str = "GA config"):
-    """doc[key], which must be a JSON integer or number as the key requires."""
-    value = doc[key]
-    kind = int if key in _GA_INT_KEYS else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if key in _GA_INT_KEYS else "a number"
-        raise TypeError(f"{where} {key} must be {noun}, got {value!r}")
-    return value
+    return json_number(doc[key], f"{where} {key}", TypeError, integer=key in _GA_INT_KEYS)
 
 
 def ga_config_from_dict(doc: dict) -> GAConfig:
@@ -144,26 +139,16 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
     """
     if not isinstance(doc, dict):
         raise TypeError("GA config must be a JSON object")
-    unknown = doc.keys() - _GA_KEYS.keys() - {"omega1_grid"}
-    if unknown:
-        raise ValueError(f"GA config has unknown keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, attr in _GA_KEYS.items():
-        if key in doc:
-            none_ok = key == "early_stop" and doc[key] is None
-            kwargs[attr] = None if none_ok else _ga_value(doc, key)
+    check_keys(doc, "GA config", ValueError, optional=(*_GA_KEYS, "omega1_grid"))
+    kwargs = {attr: None if key == "early_stop" and doc[key] is None else _ga_value(doc, key)
+              for key, attr in _GA_KEYS.items() if key in doc}
     if "omega1_grid" in doc:
         g = doc["omega1_grid"]
         if not isinstance(g, dict):
             raise TypeError("GA config omega1_grid must be a JSON object")
-        missing = [k for k in _GRID_KEYS if k not in g]
-        if missing:
-            raise ValueError(f"GA config omega1_grid is missing {missing}")
-        unknown = g.keys() - set(_GRID_KEYS)
-        if unknown:
-            raise ValueError(f"GA config omega1_grid has unknown keys: {sorted(unknown)}")
+        check_keys(g, "GA config omega1_grid", ValueError, required=_GRID_KEYS)
         lo, hi, points = (_ga_value(g, k, "GA config omega1_grid") for k in _GRID_KEYS)
-        kwargs["omega1_range"] = (float(lo), float(hi))
+        kwargs["omega1_range"] = (lo, hi)
         kwargs["omega1_points"] = points
     return GAConfig(**kwargs)
 
@@ -196,7 +181,12 @@ class OptimizationResult:
         return len(self.history) - 1
 
     def best_sequence(self) -> PulseSequence:
-        return sequence_from_genome(self.best_genome, self.n_pulses, self.omega1_nominal)
+        """The best genome as a sequence; a genome that is no valid sequence
+        is an internal fault, so its SequenceError becomes RuntimeError."""
+        try:
+            return sequence_from_genome(self.best_genome, self.n_pulses, self.omega1_nominal)
+        except SequenceError as exc:
+            raise RuntimeError(f"the best genome is no valid sequence: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {

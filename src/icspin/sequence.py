@@ -7,13 +7,18 @@ trailing included) and maps to the flat genome layout
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .files import read_json, write_json
+from .files import check_keys, json_list, json_number, read_json, write_json
 from .operators import TWO_PI
+
+
+# The longest delay or pulse, in us. With every frequency of a system config
+# at most 1e6 MHz, the phases 2 pi f t stay near 1e13 rad, far from overflow.
+MAX_DURATION_US = 1e6
 
 
 class SequenceError(ValueError):
@@ -27,8 +32,8 @@ class Delay:
     tau: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise SequenceError(f"delay must be finite and >= 0, got {self.tau}")
+        if not 0.0 <= self.tau <= MAX_DURATION_US:
+            raise SequenceError(f"delay_us must lie in [0, {MAX_DURATION_US:g}], got {self.tau!r}")
 
     @property
     def duration(self) -> float:
@@ -43,10 +48,10 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.t) or self.t < 0:
-            raise SequenceError(f"pulse duration must be finite and >= 0, got {self.t}")
+        if not 0.0 <= self.t <= MAX_DURATION_US:
+            raise SequenceError(f"pulse_us must lie in [0, {MAX_DURATION_US:g}], got {self.t!r}")
         if not 0.0 <= self.phi < TWO_PI:
-            raise SequenceError(f"phase must lie in [0, 2pi), got {self.phi}")
+            raise SequenceError(f"phase_rad must lie in [0, 2pi), got {self.phi!r}")
 
     @property
     def duration(self) -> float:
@@ -113,55 +118,28 @@ def genome_from_sequence(seq: PulseSequence) -> np.ndarray:
     return np.array(taus + ts + phis, dtype=float)
 
 
+# segment class -> its document keys in field order; only the first is required
+_SEGMENT_KEYS = {Delay: ("delay_us",), Pulse: ("pulse_us", "phase_rad")}
+
+
 def sequence_to_dict(seq: PulseSequence) -> dict:
-    segments = []
-    for seg in seq.segments:
-        if isinstance(seg, Delay):
-            segments.append({"delay_us": seg.tau})
-        else:
-            segments.append({"pulse_us": seg.t, "phase_rad": seg.phi})
+    segments = [dict(zip(_SEGMENT_KEYS[type(seg)], astuple(seg))) for seg in seq.segments]
     return {"omega1_MHz": seq.omega1, "segments": segments}
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a float; strings, booleans and null are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SequenceError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-_SEGMENT_KEYS = {"delay_us": {"delay_us"}, "pulse_us": {"pulse_us", "phase_rad"}}
-
-
 def sequence_from_dict(doc: dict) -> PulseSequence:
-    """The document ``sequence_to_dict`` writes, phase_rad optional; any
-    other key, a misspelt one say, is rejected."""
-    if not isinstance(doc, dict):
-        raise SequenceError("sequence document must be a JSON object")
-    unknown = doc.keys() - {"omega1_MHz", "segments"}
-    if unknown:
-        raise SequenceError(f"sequence document has unknown keys: {sorted(unknown)}")
-    if "omega1_MHz" not in doc or "segments" not in doc:
-        raise SequenceError("sequence document needs omega1_MHz and segments")
-    if not isinstance(doc["segments"], list):
-        raise SequenceError(f"segments must be a list, got {doc['segments']!r}")
-    segments: list = []
-    for i, seg in enumerate(doc["segments"]):
-        if not isinstance(seg, dict):
-            raise SequenceError(f"segments[{i}] must be an object")
-        kind = "delay_us" if "delay_us" in seg else "pulse_us"
-        if kind not in seg:
-            raise SequenceError(f"segments[{i}] needs delay_us or pulse_us")
-        unknown = seg.keys() - _SEGMENT_KEYS[kind]
-        if unknown:
-            raise SequenceError(f"segments[{i}] has unknown keys for a {kind[:-3]}: "
-                                f"{sorted(unknown)}")
-        if kind == "delay_us":
-            segments.append(Delay(_number(seg["delay_us"], f"segments[{i}].delay_us")))
-        else:
-            segments.append(Pulse(_number(seg["pulse_us"], f"segments[{i}].pulse_us"),
-                                  _number(seg.get("phase_rad", 0.0), f"segments[{i}].phase_rad")))
-    return PulseSequence(tuple(segments), _number(doc["omega1_MHz"], "omega1_MHz"))
+    """The document ``sequence_to_dict`` writes, phase_rad optional (0 when
+    left out); any other key, a misspelt one say, is rejected."""
+    check_keys(doc, "sequence document", SequenceError, required=("omega1_MHz", "segments"))
+    segments = []
+    for i, seg in enumerate(json_list(doc["segments"], "segments", SequenceError)):
+        kind = Delay if isinstance(seg, dict) and "delay_us" in seg else Pulse
+        keys = _SEGMENT_KEYS[kind]
+        check_keys(seg, f"segments[{i}]", SequenceError, required=keys[:1], optional=keys[1:])
+        segments.append(kind(*(json_number(seg.get(key, 0.0), f"segments[{i}].{key}",
+                                           SequenceError) for key in keys)))
+    return PulseSequence(tuple(segments),
+                         json_number(doc["omega1_MHz"], "omega1_MHz", SequenceError))
 
 
 def load_sequence(path: str | Path) -> PulseSequence:

@@ -7,12 +7,11 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .files import read_json, write_json
+from .files import check_keys, json_list, json_number, read_json, write_json
 
 
 class ConfigError(ValueError):
@@ -93,67 +92,46 @@ class SpinSystemConfig:
         return SpinSystemConfig(self.d, self.nu_e, self.nu_c, self.a_n, chosen, self.b0)
 
 
-_REQUIRED_KEYS = {"D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "carbons"}
-_OPTIONAL_KEYS = {"B0_mT", "name"}
-_CARBON_KEYS = {"A_zz_MHz", "A_zx_MHz"}
+# Document key -> SpinSystemConfig field, and -> HyperfineCoupling field
+_SYSTEM_KEYS = {"D_MHz": "d", "nu_e_MHz": "nu_e", "nu_C_MHz": "nu_c", "A_N_MHz": "a_n",
+                "B0_mT": "b0"}
+_CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
+# The largest magnitude of a system config's numbers: MHz for every field
+# but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
+# 2 pi f t stay near 1e13 rad, far from overflow.
+MAX_CONFIG_VALUE = 1e6
 
 
-def _check_number(value, field: str) -> None:
-    """A finite JSON number; booleans, strings and NaN or infinity are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{field} must be a finite number, got {value!r}")
-
-
-def validate_system_dict(doc: dict) -> None:
-    """Structural validation of a system config document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("system config must be a JSON object")
-    missing = _REQUIRED_KEYS - doc.keys()
-    if missing:
-        raise ConfigError(f"system config missing keys: {sorted(missing)}")
-    unknown = doc.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ConfigError(f"system config has unknown keys: {sorted(unknown)}")
-    for key in ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "B0_mT"):
-        if key in doc:
-            _check_number(doc[key], key)
-    if not isinstance(doc["carbons"], list) or not doc["carbons"]:
-        raise ConfigError("carbons must be a non-empty list")
-    for i, c in enumerate(doc["carbons"]):
-        if not isinstance(c, dict) or not _CARBON_KEYS <= c.keys():
-            raise ConfigError(f"carbons[{i}] needs A_zz_MHz and A_zx_MHz")
-        unknown = c.keys() - _CARBON_KEYS
-        if unknown:
-            raise ConfigError(f"carbons[{i}] has unknown keys: {sorted(unknown)}")
-        for key in sorted(_CARBON_KEYS):
-            _check_number(c[key], f"carbons[{i}].{key}")
+def _config_number(value, where: str) -> float:
+    value = json_number(value, where, ConfigError)
+    if not abs(value) <= MAX_CONFIG_VALUE:   # NaN fails this too
+        raise ConfigError(f"{where} must be finite with magnitude at most "
+                          f"{MAX_CONFIG_VALUE:g}, got {value!r}")
+    return value
 
 
 def system_from_dict(doc: dict) -> SpinSystemConfig:
-    validate_system_dict(doc)
-    carbons = tuple(
-        HyperfineCoupling(float(c["A_zz_MHz"]), float(c["A_zx_MHz"]), label=i + 1)
-        for i, c in enumerate(doc["carbons"])
-    )
-    return SpinSystemConfig(
-        d=float(doc["D_MHz"]),
-        nu_e=float(doc["nu_e_MHz"]),
-        nu_c=float(doc["nu_C_MHz"]),
-        a_n=float(doc["A_N_MHz"]),
-        carbons=carbons,
-        b0=float(doc.get("B0_mT", 0.0)),
-    )
+    """The document ``system_to_dict`` writes; B0_mT (0 when left out) and a
+    free-text name are optional, and any other key is rejected."""
+    check_keys(doc, "system config", ConfigError, optional=("B0_mT", "name"),
+               required=(*[key for key in _SYSTEM_KEYS if key != "B0_mT"], "carbons"))
+    fields = {field: _config_number(doc.get(key, 0.0), key) for key, field in _SYSTEM_KEYS.items()}
+    if not json_list(doc["carbons"], "carbons", ConfigError):
+        raise ConfigError("carbons must not be empty")
+    carbons = []
+    for i, c in enumerate(doc["carbons"]):
+        check_keys(c, f"carbons[{i}]", ConfigError, required=tuple(_CARBON_KEYS))
+        carbons.append(HyperfineCoupling(
+            label=i + 1, **{field: _config_number(c[key], f"carbons[{i}].{key}")
+                            for key, field in _CARBON_KEYS.items()}))
+    return SpinSystemConfig(carbons=tuple(carbons), **fields)
 
 
 def system_to_dict(cfg: SpinSystemConfig) -> dict:
-    return {
-        "D_MHz": cfg.d,
-        "nu_e_MHz": cfg.nu_e,
-        "nu_C_MHz": cfg.nu_c,
-        "A_N_MHz": cfg.a_n,
-        "B0_mT": cfg.b0,
-        "carbons": [{"A_zz_MHz": c.a_zz, "A_zx_MHz": c.a_zx} for c in cfg.carbons],
-    }
+    doc = {key: getattr(cfg, field) for key, field in _SYSTEM_KEYS.items()}
+    doc["carbons"] = [{key: getattr(c, field) for key, field in _CARBON_KEYS.items()}
+                      for c in cfg.carbons]
+    return doc
 
 
 def load_system(path: str | Path) -> SpinSystemConfig:

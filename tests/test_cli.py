@@ -12,6 +12,7 @@ import pytest
 import icspin
 from icspin.cli import main
 from icspin.propagation import BATCH_ENTRIES
+from icspin.sequence import MAX_DURATION_US, SequenceError
 from icspin.system import data_path
 
 
@@ -717,3 +718,127 @@ def test_help_and_version_exit_0(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 0
+
+
+def _overflowing_system(tmp_path, edit):
+    doc = json.loads(Path(SYSTEM).read_text())
+    edit(doc)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _edit_nu_c_huge(doc):
+    doc["nu_C_MHz"] = 1e308
+
+
+def _edit_couplings_huge(doc):
+    doc["carbons"][0].update(A_zz_MHz=1e308, A_zx_MHz=1e308)
+
+
+@pytest.mark.parametrize("argv,edit,field", [
+    (["verify", "--sequence", CNOT, "--target", "cnot"], _edit_nu_c_huge, "nu_C_MHz"),
+    (["optimize", "--target", "cnot", "--pulses", "1"], _edit_nu_c_huge, "nu_C_MHz"),
+    (["scan", "--kind", "fid"], _edit_nu_c_huge, "nu_C_MHz"),
+    (["scan", "--kind", "hadamard"], _edit_nu_c_huge, "nu_C_MHz"),
+    (["report"], _edit_couplings_huge, "carbons[0].A_zz_MHz"),
+], ids=["verify", "optimize", "scan_fid", "scan_hadamard", "report"])
+def test_system_number_past_its_ceiling_is_usage_error(tmp_path, capsys, argv, edit, field):
+    """A frequency of 1e308 MHz overflowed 2 pi f t into NaN signals, an
+    invalid report.json or a misleading internal error; the reader's
+    ceiling refuses it with the field named."""
+    out = tmp_path / "o"
+    system = _overflowing_system(tmp_path, edit)
+    assert run(argv + ["--system", system, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "at most" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--target", "cnot"],
+    ["scan", "--kind", "hadamard"],
+    ["scan", "--kind", "theta"],
+], ids=["verify", "scan_hadamard", "scan_theta"])
+def test_sequence_duration_past_its_ceiling_is_usage_error(tmp_path, capsys, argv):
+    doc = json.loads(Path(CNOT).read_text())
+    doc["segments"][0]["delay_us"] = 1e308
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(argv + ["--system", SYSTEM, "--sequence", str(seq), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delay_us" in err
+    assert not out.exists() or not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag", ["--tau-max", "--t-max"])
+def test_optimize_bound_past_the_duration_ceiling_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", flag, "1e308",
+                "--out", str(out)]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "fid"])
+def test_scan_time_span_past_the_duration_ceiling_is_usage_error(tmp_path, capsys, kind):
+    out = tmp_path / "o"
+    dt = repr(1.01 * MAX_DURATION_US / 255)
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--points", "256", "--dt", dt,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--dt" in err and "at most" in err
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag,value,ga_doc", [
+    ("--seed", "5", {"seed": 3, "generations": 0}),
+    ("--grid", "0.48,0.52,3",
+     {"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 3}, "generations": 0}),
+], ids=["seed", "grid"])
+def test_flag_and_the_ga_config_key_it_also_sets_is_usage_error(tmp_path, capsys, flag, value,
+                                                                 ga_doc):
+    (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", flag, value,
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and next(iter(ga_doc)) in err
+    assert not out.exists()
+
+
+def test_optimize_faulty_genome_is_internal_error(tmp_path, monkeypatch, capsys):
+    """A best genome that is no valid sequence is the GA's fault, not the
+    user's: the SequenceError it raises exits 2, not 1, and nothing is
+    written."""
+    def faulty(*args, **kwargs):
+        raise SequenceError("faulty genome")
+
+    monkeypatch.setattr(sys.modules["icspin.optimize"], "sequence_from_genome", faulty)
+    (tmp_path / "ga.json").write_text(json.dumps({"population": 4, "elites": 1,
+                                                  "generations": 1}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "1",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 2
+    assert "internal error" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("flag,text,field", [
+    ("--system", Path(SYSTEM).read_text().replace("0.158", "1" + "0" * 400), "nu_C_MHz"),
+    ("--sequence", Path(CNOT).read_text().replace("3.78", "1" + "0" * 400), "delay_us"),
+    ("--ga-config", '{"population": 1%s, "generations": 0}' % ("0" * 400), "population"),
+], ids=["system", "sequence", "ga_config"])
+def test_integer_past_the_float_range_is_usage_error(tmp_path, capsys, flag, text, field):
+    """Python's json reads a 401-digit integer exactly; converting it to a
+    float raised OverflowError, an internal error."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {"--system": ["verify", "--system", str(path), "--sequence", CNOT],
+            "--sequence": ["verify", "--system", SYSTEM, "--sequence", str(path)],
+            "--ga-config": ["optimize", "--system", SYSTEM, "--ga-config", str(path)]}[flag]
+    out = tmp_path / "o"
+    assert run(argv + ["--target", "cnot", "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
