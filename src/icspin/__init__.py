@@ -43,12 +43,7 @@ from .optimize import (
     fitness,
     optimize,
 )
-from .propagation import (
-    expm_hermitian,
-    free_propagator,
-    pulse_propagator,
-    sequence_propagator,
-)
+from .propagation import sequence_propagator
 from .sequence import (
     Delay,
     Pulse,
@@ -102,9 +97,6 @@ __all__ = [
     "ParameterBounds",
     "fitness",
     "optimize",
-    "expm_hermitian",
-    "free_propagator",
-    "pulse_propagator",
     "sequence_propagator",
     "Delay",
     "Pulse",

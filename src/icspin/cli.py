@@ -84,6 +84,14 @@ def _check_positive(flag: str, value: float) -> None:
         raise CliError(f"{flag} must be positive and finite, got {value!r}")
 
 
+def _check_linewidth(value: float) -> None:
+    """At the floor 1 / (pi * MAX_DURATION_US) a linewidth's T2* is the longest
+    duration the package accepts; below it the Lorentzians underflow."""
+    if not (np.isfinite(value) and value >= 1.0 / (np.pi * MAX_DURATION_US)):
+        raise CliError(f"--linewidth must be finite and at least 1 / (pi * "
+                       f"{MAX_DURATION_US:g} us), got {value!r}")
+
+
 def _check_size(what: str, size: float, budget: int) -> None:
     if size > budget:
         raise CliError(f"{what} must be at most {budget}, got {size}")
@@ -338,18 +346,29 @@ def _scan_trajectory(args, cfg, out: Path) -> None:
     print(f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
 
 
+# _SCAN_OPTIONS: the defaults of the flags only some scan kinds read. The
+# parser leaves those None, so one given to a kind that never reads it is
+# refused. _SCANS: kind -> (scan, the flags it reads, which the manifest records).
+_SCAN_OPTIONS = {"sequence": None, "gate": "cnot", "noop": False, "readout": -1,
+                 "state": "pure"}
 _SCANS = {
-    "hadamard": _scan_hadamard,
-    "theta": _scan_theta,
-    "fid": _scan_fid,
-    "spectrum": _scan_spectrum,
-    "trajectory": _scan_trajectory,
+    "hadamard": (_scan_hadamard, ("sequence", "noop", "points", "dt")),
+    "theta": (_scan_theta, ("sequence", "gate", "readout", "points")),
+    "fid": (_scan_fid, ("state", "detuning", "points", "dt")),
+    "spectrum": (_scan_spectrum, ("detuning", "linewidth")),
+    "trajectory": (_scan_trajectory, ("sequence", "dt")),
 }
 
 
 def cmd_scan(args) -> int:
+    scan, reads = _SCANS[args.kind]
+    for name, default in _SCAN_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads:
+            raise CliError(f"--{name} is not read by --kind {args.kind}")
     _check_positive("--dt", args.dt)
-    _check_positive("--linewidth", args.linewidth)
+    _check_linewidth(args.linewidth)
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
     _check_size("--points", args.points, MAX_SCAN_POINTS)
@@ -358,18 +377,17 @@ def cmd_scan(args) -> int:
     cfg = load_system(args.system)
     out = _out_dir(args)
     try:
-        _SCANS[args.kind](args, cfg, out)
+        scan(args, cfg, out)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_manifest(out, f"scan:{args.kind}",
                     {"system": str(args.system), "kind": args.kind,
-                     "sequence": args.sequence or "", "points": args.points,
-                     "dt": args.dt}, None)
+                     **{name: getattr(args, name) for name in reads}}, None)
     return 0
 
 
 def cmd_report(args) -> int:
-    _check_positive("--linewidth", args.linewidth)
+    _check_linewidth(args.linewidth)
     cfg = load_system(args.system)
     single = cfg.subset([cfg.carbons[0].label])
     eig = carbon_eigenstructure(single)
@@ -447,15 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(_SCANS))
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
-    p.add_argument("--gate", default="cnot", choices=["noop", "cnot"])
-    p.add_argument("--noop", action="store_true",
+    p.add_argument("--gate", choices=["noop", "cnot"], help="theta only; default cnot")
+    p.add_argument("--noop", action="store_true", default=None,
                    help="replace the first gate of the hadamard scan with NOOP")
-    p.add_argument("--readout", type=int, default=-1, choices=[0, -1])
+    p.add_argument("--readout", type=int, choices=[0, -1], help="theta only; default -1")
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--detuning", type=float, default=3.0)
     p.add_argument("--linewidth", type=float, default=0.0106)
-    p.add_argument("--state", default="pure", choices=["pure", "thermal"])
+    p.add_argument("--state", choices=["pure", "thermal"], help="fid only; default pure")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_scan)
 

@@ -15,7 +15,7 @@ from .eigenstructure import carbon_eigenstructure
 from .files import write_csv
 from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
-from .propagation import PropagationEngine, expm_hermitian, sequence_propagator
+from .propagation import PropagationEngine, sequence_propagator
 from .sequence import Delay, Pulse, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
 from .system import SpinSystemConfig
@@ -141,13 +141,14 @@ def simulate_init_sequence(config: SpinSystemConfig):
     """Statevector run of (180 - tau_1 - 180 - tau_2) with ideal pulses.
 
     Returns (populations of |0,up> and |0,dn>, coherence magnitude between
-    them, final state).
+    them, final state). Like any delay, tau_1 and tau_2 must not pass
+    MAX_DURATION_US, else SequenceError.
     """
-    tau1, tau2 = analytic_init_delays(config)
     h = multiqubit_hamiltonian(config)
+    delay1, delay2 = (sequence_propagator(PulseSequence((Delay(tau),), 0.0), h)
+                      for tau in analytic_init_delays(config))
     u_pi = electron_rotation(np.pi, 0.0)
-    u = expm_hermitian(h, tau2) @ u_pi @ expm_hermitian(h, tau1) @ u_pi
-    psi = u @ basis_state(0, 4)
+    psi = delay2 @ u_pi @ delay1 @ u_pi @ basis_state(0, 4)
     pops = (float(abs(psi[0]) ** 2), float(abs(psi[1]) ** 2))
     coherence = float(abs(psi[0] * np.conj(psi[1])))
     return pops, coherence, psi
@@ -170,17 +171,18 @@ def cleanup_propagator(config: SpinSystemConfig, ideal: bool = False) -> np.ndar
     Moves the |0,dn> population to |+1,dn> while returning |0,up> to itself.
     The second pulse rotates about -y, which closes the transfer for the
     phase accumulated over tau_c = 1/(2|a_zz|) under this sign convention.
-    With ideal=True an exact |0,dn> <-> |+1,dn> swap is returned instead.
+    With ideal=True an exact |0,dn> <-> |+1,dn> swap is returned instead;
+    otherwise tau_c past MAX_DURATION_US (|a_zz| < 5e-7 MHz) raises SequenceError.
     """
     if ideal:
         u = np.eye(4, dtype=complex)
         u[[1, 1, 3, 3], [1, 3, 1, 3]] = [0.0, 1.0, 1.0, 0.0]
         return u
-    tau_c = cleanup_delay(config)
     h = multiqubit_hamiltonian(config, m_s=+1)
+    delay = sequence_propagator(PulseSequence((Delay(cleanup_delay(config)),), 0.0), h)
     first = electron_rotation(np.pi / 2, 0.0)
     second = electron_rotation(-np.pi / 2, np.pi / 2)
-    return second @ expm_hermitian(h, tau_c) @ first
+    return second @ delay @ first
 
 
 # ---------------------------------------------------------------------------

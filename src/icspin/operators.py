@@ -51,13 +51,6 @@ def embed(op: np.ndarray, slot: int, n_slots: int) -> np.ndarray:
     return kron_all(*ops)
 
 
-def electron_drive_ops(n_carbons: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s_x ⊗ E, s_y ⊗ E) acting on the electron pseudo-qubit of a register
-    with `n_carbons` carbon spins."""
-    ec = np.eye(2**n_carbons, dtype=complex)
-    return np.kron(SX_HALF, ec), np.kron(SY_HALF, ec)
-
-
 def assert_hermitian(h: np.ndarray, rtol: float = 1e-12) -> None:
     """Raise ValueError if `h` deviates from Hermiticity beyond `rtol` (relative
     to the largest matrix element)."""

@@ -5,39 +5,34 @@ propagates as U = exp(-i 2pi H t). The drive is resonant with the electron
 pseudo-qubit transition; a pulse of amplitude omega1 (MHz) and phase phi
 adds omega1 * (cos phi s_x + sin phi s_y) ⊗ E to the free Hamiltonian.
 
-Two layers:
+``PropagationEngine`` composes sequences of delays and pulses over an
+amplitude grid in the eigenbasis of the free Hamiltonian h, which every
+register builder gives real and block-diagonal in the electron:
 
-* ``expm_hermitian``, ``free_propagator`` and ``pulse_propagator`` are the
-  single-segment primitives. They take any Hermitian h and run one
-  eigendecomposition per call.
-* ``PropagationEngine`` composes whole sequences of delays and pulses over
-  an amplitude grid in the eigenbasis of the free Hamiltonian h. Every
-  register builder in the package gives a real h that is block-diagonal in
-  the electron, and the engine relies on both:
+* Each electron block is diagonalized on its own. The eigenvector matrix
+  V = diag(V_0, V_1) is real orthogonal, and the electron z-rotation
+  Z(phi) = exp(-i phi s_z) stays diagonal even when eigenvalues of the two
+  blocks coincide.
+* A delay tau is the diagonal exp(-i 2pi w tau).
+* A pulse at phase phi is Z(phi) P Z(phi)^dag, where P is the phase-zero
+  pulse. The phase-zero drive Hamiltonian at grid point g is real with
+  eigenpairs (w_p, V_p), so in the free eigenbasis P = W diag(q) W^T with the
+  real mixing matrix W_g = V^T V_p(g) and q = exp(-i 2pi w_p t). The drive
+  Hamiltonians of the whole grid go through one batched eigh.
 
-  - Each electron block is diagonalized on its own. The eigenvector matrix
-    V = diag(V_0, V_1) is real orthogonal, and the electron z-rotation
-    Z(phi) = exp(-i phi s_z) stays diagonal even when eigenvalues of the
-    two blocks coincide.
-  - A delay tau is the diagonal exp(-i 2pi w tau).
-  - A pulse at phase phi is Z(phi) P Z(phi)^dag, where P is the phase-zero
-    pulse. The phase-zero drive Hamiltonian at grid point g is real with
-    eigenpairs (w_p, V_p), so in the free eigenbasis P = W diag(q) W^T with
-    the real mixing matrix W_g = V^T V_p(g) and q = exp(-i 2pi w_p t). The
-    drive Hamiltonians of the whole grid go through one batched eigh.
-
-  Any sequence maps to the template genome: delay, then pulse and delay
-  n times. A delay and the z-rotations on either side of it merge into one
-  row phase, and each pulse costs two left-multiplications by a real
-  matrix, each run as one real matmul on the float64 view of the complex
-  propagator. ``PropagationEngine.chain`` is that one chain; ``propagate``
-  and the fitness kernel, and through it ``robust_fidelity``, all run on it.
+Any sequence maps to the template genome: delay, then pulse and delay n
+times. A delay and the z-rotations on either side of it merge into one row
+phase, and each pulse costs two left-multiplications by a real matrix, each
+run as one real matmul on the float64 view of the complex propagator.
+``PropagationEngine.chain`` is that one chain; ``propagate``,
+``sequence_propagator`` and the fitness kernel, and through them every
+propagator of the package, run on it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import TWO_PI, assert_hermitian, electron_drive_ops
+from .operators import TWO_PI, assert_hermitian
 from .sequence import PulseSequence, genome_from_sequence
 
 # The fitness kernel's chunking budget: each chunk of genomes, or of grid
@@ -48,40 +43,6 @@ from .sequence import PulseSequence, genome_from_sequence
 # calls on twice the 2**14 entries that suffice for one thread halve those
 # hand-overs per genome, and one thread runs as fast on either budget.
 BATCH_ENTRIES = 2**15
-
-
-def assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
-    dim = u.shape[0]
-    resid = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if resid > tol:
-        raise ValueError(f"matrix is not unitary: residual {resid:.3e} > {tol:.1e}")
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i 2pi h t) for Hermitian h (MHz) and duration t (us)."""
-    assert_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * TWO_PI * w * t)) @ v.conj().T
-
-
-def free_propagator(h: np.ndarray, tau: float) -> np.ndarray:
-    """Propagator for a delay of tau microseconds under h."""
-    if tau < 0:
-        raise ValueError("delay must be non-negative")
-    return expm_hermitian(h, tau)
-
-
-def pulse_propagator(h: np.ndarray, omega1: float, phi: float, t: float) -> np.ndarray:
-    """Propagator for a pulse of duration t, amplitude omega1, phase phi.
-
-    omega1 = 0 reduces exactly to the free propagator.
-    """
-    if omega1 < 0:
-        raise ValueError("omega1 must be non-negative")
-    if t < 0:
-        raise ValueError("pulse duration must be non-negative")
-    sx, sy = electron_drive_ops(int(np.log2(h.shape[0])) - 1)
-    return expm_hermitian(omega1 * (np.cos(phi) * sx + np.sin(phi) * sy) + h, t)
 
 
 def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:

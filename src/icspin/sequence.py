@@ -67,7 +67,7 @@ class PulseSequence:
 
     def __post_init__(self):
         if not (np.isfinite(self.omega1) and self.omega1 >= 0):
-            raise SequenceError(f"omega1 must be finite and >= 0, got {self.omega1}")
+            raise SequenceError(f"omega1_MHz must be finite and >= 0, got {self.omega1!r}")
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
                 raise TypeError(f"unknown segment type: {type(seg).__name__}")
@@ -136,8 +136,11 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
         kind = Delay if isinstance(seg, dict) and "delay_us" in seg else Pulse
         keys = _SEGMENT_KEYS[kind]
         check_keys(seg, f"segments[{i}]", SequenceError, required=keys[:1], optional=keys[1:])
-        segments.append(kind(*(json_number(seg.get(key, 0.0), f"segments[{i}].{key}",
-                                           SequenceError) for key in keys)))
+        try:
+            segments.append(kind(*(json_number(seg.get(key, 0.0), key, SequenceError)
+                                   for key in keys)))
+        except SequenceError as exc:   # each message starts with its key
+            raise SequenceError(f"segments[{i}].{exc}") from exc
     return PulseSequence(tuple(segments),
                          json_number(doc["omega1_MHz"], "omega1_MHz", SequenceError))
 

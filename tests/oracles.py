@@ -28,18 +28,24 @@ def oracle_propagator(h: np.ndarray, t: float) -> np.ndarray:
     return taylor_expm(-2j * np.pi * h * t)
 
 
+def electron_drive(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hand-written (s_x ⊗ E, s_y ⊗ E) on the electron of a dim-level register."""
+    half = dim // 2
+    drive_x = np.zeros((dim, dim), dtype=complex)
+    drive_x[:half, half:] = drive_x[half:, :half] = 0.5 * np.eye(half)
+    drive_y = np.zeros((dim, dim), dtype=complex)
+    drive_y[:half, half:] = -0.5j * np.eye(half)
+    drive_y[half:, :half] = 0.5j * np.eye(half)
+    return drive_x, drive_y
+
+
 def oracle_sequence_propagator(segments, h: np.ndarray, omega1: float) -> np.ndarray:
     """Segment-by-segment series propagation with a hand-written drive.
 
     A segment with a ``tau`` attribute is a delay; any other carries a
     duration ``t`` and a phase ``phi`` and is a pulse of amplitude omega1.
     """
-    half = h.shape[0] // 2
-    drive_x = np.zeros(h.shape, dtype=complex)
-    drive_x[:half, half:] = drive_x[half:, :half] = 0.5 * np.eye(half)
-    drive_y = np.zeros(h.shape, dtype=complex)
-    drive_y[:half, half:] = -0.5j * np.eye(half)
-    drive_y[half:, :half] = 0.5j * np.eye(half)
+    drive_x, drive_y = electron_drive(h.shape[0])
     u = np.eye(h.shape[0], dtype=complex)
     for seg in segments:
         if hasattr(seg, "tau"):
@@ -72,9 +78,16 @@ def closed_form_free_propagator(config, tau: float) -> np.ndarray:
     return u
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (a + a.conj().T) / 2.0
+def random_register_hamiltonian(rng: np.random.Generator, dim: int,
+                                scale: float = 1.0) -> np.ndarray:
+    """A random real symmetric h, block-diagonal in the electron: the shape
+    every register builder of the package gives."""
+    half = dim // 2
+    h = np.zeros((dim, dim))
+    for block in (slice(None, half), slice(half, None)):
+        a = rng.normal(size=(half, half))
+        h[block, block] = scale * (a + a.T) / 2.0
+    return h
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -27,14 +27,15 @@ from icspin.experiments import (
 )
 from icspin.geometry import DipolarGeometry, coupling_from_geometry, dipolar_geometry
 from icspin.optimize import GAConfig, ParameterBounds, optimize
-from icspin.propagation import expm_hermitian, free_propagator, pulse_propagator
+from icspin.propagation import sequence_propagator
+from icspin.sequence import Delay, Pulse, PulseSequence
 from icspin.system import data_path
 
 from oracles import (
     closed_form_free_propagator,
     eigen_difference_lines,
-    oracle_propagator,
-    random_hermitian,
+    oracle_sequence_propagator,
+    random_register_hamiltonian,
 )
 
 
@@ -278,15 +279,26 @@ def test_criterion_07_optimizer_from_scratch(system, h_subspace):
 
 
 def test_criterion_08_numerical_kernels(system, h_subspace):
+    """Every propagator comes from the propagation engine: random delay and
+    pulse sequences on random register-shaped Hamiltonians (real and
+    block-diagonal in the electron, d = 4 to 32) against the series oracle,
+    then the 4-level free evolution against its closed form."""
+    def delay(h, tau):
+        return sequence_propagator(PulseSequence((Delay(tau),), 0.0), h)
+
     rng = np.random.default_rng(777)
-    worst_expm = 0.0
+    worst_oracle = 0.0
     worst_unitary = 0.0
     for _ in range(100):
-        dim = int(rng.integers(4, 33))
-        h = random_hermitian(rng, dim, scale=0.5)
-        t = float(rng.uniform(0, 2.0))
-        u = expm_hermitian(h, t)
-        worst_expm = max(worst_expm, float(np.abs(u - oracle_propagator(h, t)).max()))
+        dim = int(rng.choice([4, 8, 16, 32]))
+        h = random_register_hamiltonian(rng, dim, scale=0.5)
+        segments = [Delay(float(rng.uniform(0, 2.0))) if rng.random() < 0.5
+                    else Pulse(float(rng.uniform(0, 2.0)), float(rng.uniform(0, 2 * np.pi)))
+                    for _ in range(int(rng.integers(1, 5)))]
+        omega1 = float(rng.uniform(0, 1))
+        u = sequence_propagator(PulseSequence(tuple(segments), omega1), h)
+        ref = oracle_sequence_propagator(segments, h, omega1)
+        worst_oracle = max(worst_oracle, float(np.abs(u - ref).max()))
         worst_unitary = max(
             worst_unitary, float(np.abs(u.conj().T @ u - np.eye(dim)).max())
         )
@@ -294,8 +306,7 @@ def test_criterion_08_numerical_kernels(system, h_subspace):
     worst_closed = 0.0
     for tau in rng.uniform(0, 25, size=50):
         diff = np.abs(
-            free_propagator(h_subspace, float(tau))
-            - closed_form_free_propagator(system, float(tau))
+            delay(h_subspace, float(tau)) - closed_form_free_propagator(system, float(tau))
         ).max()
         worst_closed = max(worst_closed, float(diff))
 
@@ -303,24 +314,16 @@ def test_criterion_08_numerical_kernels(system, h_subspace):
     for _ in range(20):
         a, b = rng.uniform(0, 8, size=2)
         diff = np.abs(
-            free_propagator(h_subspace, a) @ free_propagator(h_subspace, b)
-            - free_propagator(h_subspace, a + b)
+            delay(h_subspace, a) @ delay(h_subspace, b) - delay(h_subspace, a + b)
         ).max()
         worst_comp = max(worst_comp, float(diff))
 
-    for _ in range(20):
-        u = pulse_propagator(h_subspace, float(rng.uniform(0, 1)),
-                             float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 5)))
-        worst_unitary = max(
-            worst_unitary, float(np.abs(u.conj().T @ u - np.eye(4)).max())
-        )
-
-    ok = worst_expm < 1e-10 and worst_unitary < 1e-10 and worst_closed < 1e-12 \
+    ok = worst_oracle < 1e-10 and worst_unitary < 1e-10 and worst_closed < 1e-12 \
         and worst_comp < 1e-10
     report(8, "numerical kernels", ok,
-           f"expm vs series={worst_expm:.1e}, unitarity={worst_unitary:.1e}, "
+           f"engine vs series={worst_oracle:.1e}, unitarity={worst_unitary:.1e}, "
            f"closed form={worst_closed:.1e}, composition={worst_comp:.1e}")
-    assert worst_expm < 1e-10
+    assert worst_oracle < 1e-10
     assert worst_unitary < 1e-10
     assert worst_closed < 1e-12
     assert worst_comp < 1e-10

@@ -699,6 +699,71 @@ def test_bad_flag_is_usage_error(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+LINEWIDTH_FLOOR = 1.0 / (np.pi * MAX_DURATION_US)
+
+
+@pytest.mark.parametrize("argv", [["report"], ["scan", "--kind", "spectrum"]],
+                         ids=["report", "scan_spectrum"])
+@pytest.mark.parametrize("linewidth", ["1e-300", "1e-320", repr(0.99 * LINEWIDTH_FLOOR)])
+def test_linewidth_below_its_floor_is_usage_error(tmp_path, capsys, argv, linewidth):
+    """A tiny linewidth wrote NaN spectrum rows or an infinite T2*; below
+    1 / (pi * MAX_DURATION_US) the T2* it implies is longer than any
+    duration the package accepts."""
+    out = tmp_path / "o"
+    assert run(argv + ["--system", SYSTEM, "--linewidth", linewidth, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --linewidth must be finite and at least")
+    assert not out.exists()
+
+
+def test_linewidth_at_its_floor_runs(tmp_path):
+    out = tmp_path / "o"
+    floor = repr(LINEWIDTH_FLOOR)
+    assert run(["report", "--system", SYSTEM, "--linewidth", floor, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["min_T2_star_us"] == \
+        pytest.approx(MAX_DURATION_US, rel=1e-12)
+    assert run(["scan", "--kind", "spectrum", "--system", SYSTEM, "--linewidth", floor,
+                "--out", str(out)]) == 0
+    assert "nan" not in (out / "esr_spectrum.csv").read_text()
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("fid", ["--sequence", CNOT]),
+    ("spectrum", ["--sequence", CNOT]),
+    ("theta", ["--noop"]),
+    ("fid", ["--noop"]),
+    ("hadamard", ["--gate", "noop"]),
+    ("spectrum", ["--gate", "cnot"]),
+    ("trajectory", ["--readout", "0"]),
+    ("hadamard", ["--readout", "-1"]),
+    ("spectrum", ["--state", "thermal"]),
+    ("theta", ["--state", "pure"]),
+], ids=lambda v: v if isinstance(v, str) else v[0][2:])
+def test_scan_flag_its_kind_never_reads_is_usage_error(tmp_path, capsys, kind, flag):
+    """A flag the kind ignores is refused, even at its default value, before
+    --out is made."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, *flag, "--out", str(out)]) == 1
+    assert f"error: {flag[0]} is not read by --kind {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,extra,inputs", [
+    ("spectrum", [], {"detuning": 3.0, "linewidth": 0.0106}),
+    ("fid", ["--state", "thermal"], {"state": "thermal", "detuning": 3.0, "points": 256,
+                                     "dt": 0.1}),
+    ("hadamard", ["--noop"], {"sequence": None, "noop": True, "points": 256, "dt": 0.1}),
+    ("theta", ["--sequence", CNOT], {"sequence": CNOT, "gate": "cnot", "readout": -1,
+                                     "points": 256}),
+    ("trajectory", ["--sequence", CNOT], {"sequence": CNOT, "dt": 0.1}),
+])
+def test_scan_manifest_records_the_inputs_its_kind_read(tmp_path, kind, extra, inputs):
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, *extra, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"system": SYSTEM, "kind": kind, **inputs}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--sequence", CNOT, "--target", "cnot"],
     ["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
@@ -768,8 +833,25 @@ def test_sequence_duration_past_its_ceiling_is_usage_error(tmp_path, capsys, arg
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--sequence", str(seq), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "delay_us" in err
+    assert err.startswith("error: ") and "segments[0].delay_us must lie in" in err
     assert not out.exists() or not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("index,key,value,field", [
+    (1, "pulse_us", -1.0, "segments[1].pulse_us"),
+    (3, "phase_rad", 7.0, "segments[3].phase_rad"),
+    (None, "omega1_MHz", -0.5, "omega1_MHz"),
+], ids=["pulse_us", "phase_rad", "omega1"])
+def test_sequence_value_error_names_its_path(tmp_path, capsys, index, key, value, field):
+    doc = json.loads(Path(CNOT).read_text())
+    (doc if index is None else doc["segments"][index])[key] = value
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", str(seq), "--target", "cnot",
+                "--out", str(out)]) == 1
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--tau-max", "--t-max"])

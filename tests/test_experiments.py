@@ -17,13 +17,11 @@ from icspin.experiments import (
     simulate_init_sequence,
     theta_scan,
 )
-from icspin.operators import electron_drive_ops
-from icspin.propagation import expm_hermitian
-from icspin.sequence import Delay, PulseSequence
+from icspin.sequence import MAX_DURATION_US, Delay, PulseSequence, SequenceError
 from icspin.states import basis_state, bloch_vector, density_matrix, partial_trace
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
-from oracles import eigen_difference_lines
+from oracles import eigen_difference_lines, electron_drive, oracle_propagator
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +95,14 @@ def test_cleanup_needs_secular_coupling():
         cleanup_delay(cfg)
 
 
+def test_cleanup_delay_past_the_duration_ceiling_is_a_sequence_error():
+    """The clean-up's delay is an engine delay, bounded like any other."""
+    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-1e-7, 0.11),))
+    assert cleanup_delay(cfg) > MAX_DURATION_US
+    with pytest.raises(SequenceError, match="delay_us"):
+        cleanup_propagator(cfg)
+
+
 # ---------------------------------------------------------------------------
 # carbon-coherence scan
 
@@ -144,7 +150,7 @@ def test_scans_require_increasing_finite_grid(system, t_grid):
 
 @pytest.mark.parametrize("n_carbons", [1, 2, 3, 4])
 def test_electron_rotation_closed_form_matches_eigh(n_carbons):
-    sx, sy = electron_drive_ops(n_carbons)
+    sx, sy = electron_drive(2 ** (n_carbons + 1))
     rng = np.random.default_rng(n_carbons)
     for angle, phi in rng.uniform(-2 * np.pi, 2 * np.pi, size=(20, 2)):
         w, v = np.linalg.eigh(np.cos(phi) * sx + np.sin(phi) * sy)
@@ -270,12 +276,12 @@ def test_theta_scan_bundled_cnot_tracks_law(system, h_subspace, cnot_seq):
 
 def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cnot_seq):
     """The scans evaluate every time point (or angle) at once; one
-    expm_hermitian and one electron_rotation per point is the reference."""
+    series-oracle delay and one electron_rotation per point is the reference."""
     h = icspin.multiqubit_hamiltonian(system)
     t_grid = np.arange(64) * 0.15
     psi0 = basis_state(0, 4)
     g = icspin.sequence_propagator(hadamard_seq, h)
-    ref = [abs((g @ expm_hermitian(h, t) @ g @ psi0)[0]) ** 2 for t in t_grid]
+    ref = [abs((g @ oracle_propagator(h, t) @ g @ psi0)[0]) ** 2 for t in t_grid]
     assert np.abs(hadamard_circuit_scan(hadamard_seq, t_grid, system).signal - ref).max() < 1e-12
 
     thetas = np.linspace(0, 2 * np.pi, 37)
@@ -296,7 +302,7 @@ def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cn
         rho1 = first @ rho @ first.conj().T
         ref = []
         for t in t_grid:
-            u = electron_rotation(np.pi / 2, -2 * np.pi * nu_d * t, n) @ expm_hermitian(hh, t)
+            u = electron_rotation(np.pi / 2, -2 * np.pi * nu_d * t, n) @ oracle_propagator(hh, t)
             ref.append(np.real(np.trace(p0 @ u @ rho1 @ u.conj().T)))
         out = electron_fid_scan(state, nu_d, t_grid, cfg).signal
         assert np.abs(out - ref).max() < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icspin.operators import assert_hermitian, electron_drive_ops, embed, kron_all, spin_operators
+from icspin.operators import assert_hermitian, embed, kron_all, spin_operators
 
 
 def test_spin_half_z_is_diagonal():
@@ -38,12 +38,6 @@ def test_embed_places_operator():
     full = embed(sx, 1, 3)
     assert full.shape == (8, 8)
     assert np.allclose(full, np.kron(np.eye(2), np.kron(sx, np.eye(2))))
-
-
-def test_drive_ops_dimensions():
-    sx, sy = electron_drive_ops(2)
-    assert sx.shape == (8, 8)
-    assert np.abs(sx @ sy - sy @ sx - 1j * np.kron(np.diag([0.5, -0.5]), np.eye(4))).max() < 1e-14
 
 
 def test_assert_hermitian_rejects():
