@@ -44,7 +44,7 @@ from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
-from .system import ConfigError, load_system
+from .system import MAX_CONFIG_VALUE, ConfigError, load_system
 from .targets import TargetError, target_library
 
 USAGE_ERROR = 1
@@ -55,12 +55,16 @@ INTERNAL_ERROR = 2
 # peak at 4096 points); 2**16 scan points cost about 50 MB, and a trajectory
 # about 2 kB a step (222 MB at 10**5 steps, on one carbon). A GA population
 # of 10_000 genomes of 64 pulses is 15 MB; a one-carbon search at both
-# budgets peaks near 165 MB.
+# budgets peaks near 165 MB. A GA scores at most population * (generations
+# + 1) * restarts genomes, at about 13 us each on one carbon and 0.24 ms at
+# d = 32 (5 amplitudes, 4 pulses): 3.01e6 genomes, the population budget at
+# the default 300 generations, take about 40 s and 12 min.
 MAX_GRID_POINTS = 2048
 MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 MAX_PULSES = 64
 MAX_POPULATION = 10_000
+MAX_GA_GENOMES = 3_010_000
 
 
 class CliError(Exception):
@@ -79,17 +83,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _check_positive(flag: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise CliError(f"{flag} must be positive and finite, got {value!r}")
+def _check_dt(value: float) -> None:
+    """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
+    largest frequency a config may hold; below it the spectra overflow."""
+    if not (np.isfinite(value) and value >= 0.5 / MAX_CONFIG_VALUE):
+        raise CliError(f"--dt must be finite and at least 0.5 / {MAX_CONFIG_VALUE:g} MHz "
+                       f"= {0.5 / MAX_CONFIG_VALUE:g} us, got {value!r}")
 
 
 def _check_linewidth(value: float) -> None:
     """At the floor 1 / (pi * MAX_DURATION_US) a linewidth's T2* is the longest
-    duration the package accepts; below it the Lorentzians underflow."""
-    if not (np.isfinite(value) and value >= 1.0 / (np.pi * MAX_DURATION_US)):
-        raise CliError(f"--linewidth must be finite and at least 1 / (pi * "
-                       f"{MAX_DURATION_US:g} us), got {value!r}")
+    duration the package accepts; below it the Lorentzians underflow, and
+    past the ceiling MAX_CONFIG_VALUE their squared half widths overflow."""
+    if not 1.0 / (np.pi * MAX_DURATION_US) <= value <= MAX_CONFIG_VALUE:   # NaN fails too
+        raise CliError(f"--linewidth must be finite and at least 1 / (pi * {MAX_DURATION_US:g} "
+                       f"us), at most {MAX_CONFIG_VALUE:g} MHz, got {value!r}")
 
 
 def _check_size(what: str, size: float, budget: int) -> None:
@@ -235,6 +243,8 @@ def cmd_optimize(args) -> int:
         raise CliError(str(exc)) from exc
     _check_size("--pulses", args.pulses, MAX_PULSES)
     _check_size("GA config population", ga.population_size, MAX_POPULATION)
+    _check_size("GA work population * (generations + 1) * restarts",
+                ga.population_size * (ga.generations + 1) * ga.restarts, MAX_GA_GENOMES)
     if not args.grid:   # --grid's points were checked as it was parsed
         _check_size("GA config omega1_grid points", ga.omega1_points, MAX_GRID_POINTS)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
@@ -362,12 +372,14 @@ _SCANS = {
 
 def cmd_scan(args) -> int:
     scan, reads = _SCANS[args.kind]
+    if args.kind == "theta" and args.gate is not None and args.sequence is not None:
+        raise CliError("--gate and --sequence both choose the theta scan's gate; give one")
     for name, default in _SCAN_OPTIONS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif name not in reads:
             raise CliError(f"--{name} is not read by --kind {args.kind}")
-    _check_positive("--dt", args.dt)
+    _check_dt(args.dt)
     _check_linewidth(args.linewidth)
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")

@@ -106,11 +106,13 @@ class Trajectory:
 # analytic initialization delays
 
 
+@np.errstate(over="ignore", divide="ignore")   # subnormal frequencies; checked below
 def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
     """Delays (tau_1, tau_2) of the two-pulse mapping |0,up> -> |0,(up+dn)/sqrt2>.
 
     Raises InitializationDomainError when the carbon tilt angle is below 45
-    degrees, where the arcsine argument leaves its domain.
+    degrees, where the arcsine argument leaves its domain, or when a delay
+    overflows.
     """
     eig = carbon_eigenstructure(config)
     kappa = abs(eig.kappa_minus)
@@ -122,6 +124,8 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
     arg = min(1.0 / (np.sqrt(2.0) * sin_k), 1.0)
     tau1 = float(np.arcsin(arg) / (np.pi * eig.nu_minus))
     tau2 = float(np.arccos(np.cos(kappa) / sin_k) / (TWO_PI * config.nu_c))
+    if not (np.isfinite(tau1) and np.isfinite(tau2)):
+        raise InitializationDomainError(f"the delays overflow, got ({tau1}, {tau2}) us")
     return tau1, tau2
 
 
@@ -160,9 +164,11 @@ def simulate_init_sequence(config: SpinSystemConfig):
 
 def cleanup_delay(config: SpinSystemConfig) -> float:
     a_zz = config.single_carbon().a_zz
-    if a_zz == 0.0:
-        raise ValueError("clean-up needs a non-zero secular coupling")
-    return 1.0 / (2.0 * abs(a_zz))
+    tau_c = 1.0 / (2.0 * abs(a_zz)) if a_zz else np.inf
+    if not np.isfinite(tau_c):   # zero, or so small that the delay overflows
+        raise ValueError(f"clean-up needs a secular coupling with a finite delay "
+                         f"1 / (2 |A_zz|), got A_zz = {a_zz!r} MHz")
+    return tau_c
 
 
 def cleanup_propagator(config: SpinSystemConfig, ideal: bool = False) -> np.ndarray:
@@ -267,9 +273,8 @@ def electron_fid_scan(
     f_max = abs(nu_d) + max(abs(p) for p, _ in lines)
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
-        raise NyquistError(
-            f"dt = {dt} us undersamples f_max = {f_max} MHz (need dt < {0.5 / f_max:.4f})"
-        )
+        raise NyquistError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
+                           f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
 
     rho0 = density_matrix(np.asarray(state, dtype=complex))
     p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))

@@ -70,8 +70,11 @@ def write_json(path: str | Path, doc) -> None:
 
 def write_csv(path: str | Path, header, *columns) -> None:
     """One column per name in `header`; integer columns are written as
-    integers, real ones as floats."""
+    integers, real ones as floats. A NaN or an infinity raises RuntimeError,
+    an internal fault, before the file is touched, as in `write_json`."""
     columns = [np.asarray(column) for column in columns]
+    if not all(np.isfinite(column).all() for column in columns):
+        raise RuntimeError(f"cannot write {path}: a column holds NaN or infinity")
     cells = [map(repr, map(int if c.dtype.kind in "iu" else float, c)) for c in columns]
     rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

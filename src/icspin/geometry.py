@@ -61,6 +61,7 @@ def coupling_from_geometry(geom: DipolarGeometry, gamma_e: float = GAMMA_E,
     )
 
 
+@np.errstate(all="ignore")   # subnormal couplings overflow; the result is checked
 def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
                      gamma_c: float = GAMMA_C13) -> DipolarGeometry:
     """Invert the point-dipole map.
@@ -88,6 +89,9 @@ def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
         theta = magic if azx_n > 0 else np.pi - magic
     else:
         rho = azx_n / azz_n
+        if not np.isfinite(rho):
+            raise GeometryError(f"the coupling ratio A_zx / A_zz = {azx:g} / {azz:g} "
+                                "is not finite")
         # two roots of rho*u^2 + 3u - 2*rho = 0
         disc = np.sqrt(9 + 8 * rho * rho)
         roots = [(-3 + disc) / (2 * rho), (-3 - disc) / (2 * rho)]
@@ -109,4 +113,6 @@ def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
     else:
         f_needed = azx / (3 * np.sin(theta) * np.cos(theta))
     r = (f_unit / f_needed) ** (1.0 / 3.0)
+    if not np.isfinite(r):   # theta is finite wherever rho is
+        raise GeometryError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")
     return DipolarGeometry(r_nm=float(r), theta_deg=float(np.degrees(theta)))

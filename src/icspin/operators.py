@@ -24,31 +24,12 @@ SY_ONE = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
 SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
-def spin_operators(spin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (S_x, S_y, S_z) for spin 1/2 or spin 1.
-
-    Raises ValueError for any other spin quantum number.
-    """
-    if spin == 0.5:
-        return SX_HALF.copy(), SY_HALF.copy(), SZ_HALF.copy()
-    if spin == 1:
-        return SX_ONE.copy(), SY_ONE.copy(), SZ_ONE.copy()
-    raise ValueError(f"unsupported spin quantum number: {spin!r} (expected 1/2 or 1)")
-
-
 def kron_all(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of the given operators, left to right."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
-
-
-def embed(op: np.ndarray, slot: int, n_slots: int) -> np.ndarray:
-    """Embed a single-qubit operator at position `slot` of an n-qubit register."""
-    ops = [E2] * n_slots
-    ops[slot] = op
-    return kron_all(*ops)
 
 
 def assert_hermitian(h: np.ndarray, rtol: float = 1e-12) -> None:

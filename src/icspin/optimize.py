@@ -24,6 +24,7 @@ from .files import check_keys, json_number
 from .kernels import FitnessKernel
 from .operators import TWO_PI
 from .sequence import MAX_DURATION_US, PulseSequence, SequenceError, sequence_from_genome
+from .system import MAX_CONFIG_VALUE
 from .targets import TargetGate
 
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
@@ -39,7 +40,7 @@ class ParameterBounds:
 
     def __post_init__(self):
         if self.n_pulses < 1:
-            raise ValueError("need at least one pulse")
+            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
         for name in ("tau_max", "t_max"):
             v = getattr(self, name)
             if not 0 < v <= MAX_DURATION_US:
@@ -79,9 +80,9 @@ class GAConfig:
 
     def __post_init__(self):
         if self.elite_count < 1:
-            raise ValueError("elite_count must be >= 1")
+            raise ValueError("elites must be >= 1")
         if self.elite_count >= self.population_size:
-            raise ValueError("elite_count must be smaller than the population")
+            raise ValueError("elites must be smaller than the population")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -98,10 +99,11 @@ class GAConfig:
             raise ValueError("omega1_points must be >= 1")
         lo, hi = self.omega1_range
         if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
-            raise ValueError(f"omega1 range must be finite with 0 <= min <= max, got {lo}, {hi}")
-        if not (np.isfinite(self.mutation_scale) and self.mutation_scale >= 0.0):
-            raise ValueError(
-                f"mutation_scale must be finite and >= 0, got {self.mutation_scale!r}")
+            raise ValueError(f"omega1 range min_MHz, max_MHz must be finite with "
+                             f"0 <= min <= max, got {lo}, {hi}")
+        if not 0.0 <= self.mutation_scale <= MAX_CONFIG_VALUE:   # NaN fails too
+            raise ValueError(f"mutation_scale must be finite and in [0, {MAX_CONFIG_VALUE:g}], "
+                             f"got {self.mutation_scale!r}")
         k = self.tournament_size
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"tournament_size must be an integer >= 1, got {k!r}")
@@ -203,13 +205,6 @@ class OptimizationResult:
             "n_pulses": self.n_pulses,
             "omega1_nominal_MHz": self.omega1_nominal,
         }
-
-
-def fitness(genome, target: TargetGate, h: np.ndarray, cfg: GAConfig) -> float:
-    """Mean robust fidelity of one genome (the GA objective)."""
-    n_pulses = (np.asarray(genome).size - 1) // 3
-    kern = _kernel(target, h, cfg, n_pulses)
-    return float(kern.evaluate(genome).mean())
 
 
 def _kernel(target, h, cfg: GAConfig, n_pulses: int) -> FitnessKernel:

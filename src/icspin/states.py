@@ -22,15 +22,6 @@ def density_matrix(state: np.ndarray) -> np.ndarray:
     return state
 
 
-def assert_state(rho: np.ndarray, tol: float = 1e-10) -> None:
-    rho = density_matrix(rho)
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"state trace deviates from 1 by {abs(np.trace(rho) - 1):.3e}")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
-        raise ValueError(f"state has negative eigenvalue {evals.min():.3e}")
-
-
 def partial_trace(state: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix of subsystem `keep` from a state over `dims`.
 

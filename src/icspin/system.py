@@ -28,7 +28,7 @@ class HyperfineCoupling:
 
     def __post_init__(self):
         if self.a_zz == 0.0 and self.a_zx == 0.0:
-            raise ConfigError("a physical carbon needs a non-zero coupling pair")
+            raise ConfigError("a physical carbon needs a non-zero A_zz_MHz or A_zx_MHz")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class SpinSystemConfig:
 
     def __post_init__(self):
         if self.nu_c <= 0:
-            raise ConfigError("nu_c must be positive (sign convention)")
+            raise ConfigError(f"nu_C_MHz must be positive (sign convention: nu_c > 0), "
+                              f"got {self.nu_c!r}")
         if not 1 <= len(self.carbons) <= 4:
             raise ConfigError("register supports 1 to 4 carbons")
         labels = [c.label for c in self.carbons]
@@ -98,7 +99,9 @@ _SYSTEM_KEYS = {"D_MHz": "d", "nu_e_MHz": "nu_e", "nu_C_MHz": "nu_c", "A_N_MHz":
 _CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
 # The largest magnitude of a system config's numbers: MHz for every field
 # but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
-# 2 pi f t stay near 1e13 rad, far from overflow.
+# 2 pi f t stay near 1e13 rad, far from overflow. It also caps the CLI's
+# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth) and a GA
+# config's mutation_scale.
 MAX_CONFIG_VALUE = 1e6
 
 
@@ -149,13 +152,3 @@ def data_path(name: str) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return p
-
-
-def default_system() -> SpinSystemConfig:
-    """The bundled single-carbon reference register."""
-    return load_system(data_path("system_2q.json"))
-
-
-def registers_system() -> SpinSystemConfig:
-    """The bundled four-carbon register."""
-    return load_system(data_path("system_4c.json"))

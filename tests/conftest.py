@@ -5,12 +5,12 @@ import icspin
 
 @pytest.fixture(scope="session")
 def system():
-    return icspin.default_system()
+    return icspin.load_system(icspin.data_path("system_2q.json"))
 
 
 @pytest.fixture(scope="session")
 def registers():
-    return icspin.registers_system()
+    return icspin.load_system(icspin.data_path("system_4c.json"))
 
 
 @pytest.fixture(scope="session")

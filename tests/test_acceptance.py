@@ -18,6 +18,7 @@ import pytest
 
 import icspin
 from icspin.cli import main as cli_main
+from icspin.eigenstructure import carbon_eigenstructure
 from icspin.experiments import (
     analytic_init_delays,
     esr_spectrum,
@@ -25,6 +26,7 @@ from icspin.experiments import (
     simulate_init_sequence,
     theta_scan,
 )
+from icspin.fidelity import RobustnessReport, gate_fidelity
 from icspin.geometry import DipolarGeometry, coupling_from_geometry, dipolar_geometry
 from icspin.optimize import GAConfig, ParameterBounds, optimize
 from icspin.propagation import sequence_propagator
@@ -47,7 +49,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def band_average(rep: icspin.RobustnessReport) -> float:
+def band_average(rep: RobustnessReport) -> float:
     """Trapezoid average of the fidelity over the report's amplitude band."""
     x, f = rep.omega1s, rep.fidelities
     half_steps = np.diff(x) / 2
@@ -98,7 +100,7 @@ def test_criterion_01_two_qubit_table_verification(system, h_subspace,
         averages[name] = fine
         shifts[name] = abs(fine - coarse)
     cnot_five_point = icspin.robust_fidelity(cnot_seq, cnot, h_subspace, band, 5).mean
-    cnot_nominal = icspin.gate_fidelity(
+    cnot_nominal = gate_fidelity(
         icspin.sequence_propagator(cnot_seq, h_subspace, omega1=0.50), cnot.matrix
     )
     elapsed = time.perf_counter() - start
@@ -132,7 +134,7 @@ def test_criterion_02_multiqubit_table_verification(registers):
         target = icspin.target_library(case["target"], n_carbons=cfg.n_carbons)
         seq = icspin.load_sequence(data_path(case["sequence"]))
         u = icspin.sequence_propagator(seq, h)  # nominal amplitude 0.5 MHz
-        f = icspin.gate_fidelity(u, target.matrix)
+        f = gate_fidelity(u, target.matrix)
         genome = icspin.genome_from_sequence(seq)
         exact_duration = float(genome[: 2 * seq.n_pulses + 1].sum())
         durations_ok &= abs(seq.duration - exact_duration) < 1e-9
@@ -180,7 +182,7 @@ def test_criterion_03_analytic_initialization_delays(system):
 
 
 def test_criterion_04_eigenstructure(system):
-    eig = icspin.carbon_eigenstructure(system)
+    eig = carbon_eigenstructure(system)
     h_minus = icspin.multiqubit_hamiltonian(system)[2:, 2:]
     h_plus = icspin.multiqubit_hamiltonian(system, m_s=+1)[2:, 2:]
     resid = 0.0

@@ -11,9 +11,10 @@ import pytest
 
 import icspin
 from icspin.cli import main
+from icspin.fidelity import RobustnessReport
 from icspin.propagation import BATCH_ENTRIES
 from icspin.sequence import MAX_DURATION_US, SequenceError
-from icspin.system import data_path
+from icspin.system import MAX_CONFIG_VALUE, data_path, save_system
 
 
 SYSTEM = str(data_path("system_2q.json"))
@@ -185,9 +186,9 @@ def test_optimize_invalid_bounds_usage_error(tmp_path):
 
 
 def test_optimize_multiqubit_target(tmp_path):
-    two_carbons = icspin.registers_system().subset([1, 2])
+    two_carbons = icspin.load_system(data_path("system_4c.json")).subset([1, 2])
     sys_path = tmp_path / "system_2c.json"
-    icspin.save_system(two_carbons, sys_path)
+    save_system(two_carbons, sys_path)
     (tmp_path / "ga.json").write_text(json.dumps({"population": 60, "generations": 60}))
     out = tmp_path / "o"
     assert run(["optimize", "--system", str(sys_path), "--target", "ccrot:1,180",
@@ -376,6 +377,22 @@ def test_optimize_bad_ga_config_is_usage_error(tmp_path, capsys, ga_doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("ga_doc,key", [
+    ({"mutation_scale": 1e308}, "mutation_scale"),
+    ({"elites": 0}, "elites"),
+    ({"omega1_grid": {"min_MHz": 1.0, "max_MHz": 0.5, "points": 3}}, "min_MHz"),
+], ids=["mutation_scale_1e308", "elites_0", "omega1_grid_min_above_max"])
+def test_ga_config_error_names_its_key(tmp_path, capsys, ga_doc, key):
+    """The mutation noise overflowed at a scale of 1e308 (exit 2), and the
+    other two messages named GAConfig fields, not the document's keys."""
+    (tmp_path / "ga.json").write_text(json.dumps({**ga_doc, "generations": 1}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_infinite_mutation_scale_is_usage_error(tmp_path, capsys):
     """Python's json reads Infinity; the GA config still needs a finite scale."""
     (tmp_path / "ga.json").write_text('{"mutation_scale": Infinity, "generations": 1}')
@@ -468,7 +485,7 @@ def test_verify_reports_band_mean(tmp_path, capsys):
     assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
                 "--grid", "0.48,0.52,81", "--out", str(out)]) == 0
     doc = json.loads((out / "verify.json").read_text())
-    rep = icspin.RobustnessReport(np.array(doc["omega1_grid_MHz"]),
+    rep = RobustnessReport(np.array(doc["omega1_grid_MHz"]),
                                   np.array(doc["fidelities"]))
     assert doc["band_mean_fidelity"] == rep.band_mean
     assert doc["mean_fidelity"] == rep.mean
@@ -624,7 +641,8 @@ def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, caps
     out = tmp_path / "o"
     assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "-5",
                 "--out", str(out)]) == 1
-    assert "undersamples" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "undersamples" in err and "detuning" in err
     assert not any(out.glob("fid_*"))
 
 
@@ -661,6 +679,14 @@ def _edit_carbon_unknown_key(doc):
     doc["carbons"][0]["label"] = 2
 
 
+def _edit_nu_c_zero(doc):
+    doc["nu_C_MHz"] = 0
+
+
+def _edit_couplings_zero(doc):
+    doc["carbons"][0].update(A_zz_MHz=0, A_zx_MHz=0)
+
+
 @pytest.mark.parametrize("edit,field", [
     (_edit_nu_c_nan, "nu_C_MHz"),
     (_edit_coupling_inf, "carbons[0].A_zx_MHz"),
@@ -668,8 +694,10 @@ def _edit_carbon_unknown_key(doc):
     (_edit_coupling_string, "carbons[0].A_zz_MHz"),
     (_edit_b0_string, "B0_mT"),
     (_edit_carbon_unknown_key, "label"),
+    (_edit_nu_c_zero, "nu_C_MHz"),
+    (_edit_couplings_zero, "A_zz_MHz"),
 ], ids=["nu_c_nan", "coupling_inf", "d_bool", "coupling_string", "b0_string",
-        "carbon_unknown_key"])
+        "carbon_unknown_key", "nu_c_zero", "couplings_zero"])
 def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     doc = json.loads(Path(SYSTEM).read_text())
     edit(doc)
@@ -690,8 +718,12 @@ def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     (["scan", "--kind", "theta", "--points", "0"], "--points"),
     (["scan", "--kind", "spectrum", "--detuning", "nan"], "--detuning"),
     (["scan", "--kind", "fid", "--detuning", "nan"], "--detuning"),
+    (["report", "--linewidth", "1e308"], "--linewidth"),
+    (["scan", "--kind", "spectrum", "--linewidth", "1e308"], "--linewidth"),
+    (["optimize", "--target", "cnot", "--pulses", "0"], "pulses"),
 ], ids=["report_linewidth_nan", "spectrum_linewidth_nan", "optimize_tau_max_nan",
-        "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan"])
+        "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan",
+        "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_0"])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, field):
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
@@ -923,4 +955,84 @@ def test_integer_past_the_float_range_is_usage_error(tmp_path, capsys, flag, tex
     out = tmp_path / "o"
     assert run(argv + ["--target", "cnot", "--out", str(out)]) == 1
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def edited_system(tmp_path: Path, **fields) -> str:
+    """The bundled one-carbon system with top-level or carbon fields replaced."""
+    doc = json.loads(Path(SYSTEM).read_text())
+    for key, value in fields.items():
+        (doc["carbons"][0] if key.startswith("A_") else doc)[key] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "fid"])
+def test_scan_dt_below_its_nyquist_floor_is_usage_error(tmp_path, capsys, kind):
+    """At --dt 1e-310 the spectra's frequencies overflowed: hadamard wrote
+    non-finite rows and fid exited 2, leaving its CSVs behind. At the floor
+    the Nyquist frequency 0.5 / dt is MAX_CONFIG_VALUE MHz."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--dt", "1e-310",
+                "--out", str(out)]) == 1
+    assert "--dt must be finite and at least" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--dt", repr(0.5 / MAX_CONFIG_VALUE),
+                "--points", "16", "--out", str(tmp_path / "floor")]) == 0
+
+
+@pytest.mark.parametrize("fields,notes", [
+    ({"A_zz_MHz": 5e-324}, ("dipolar_note", "cleanup_note")),
+    ({"A_zz_MHz": 1e-320, "nu_C_MHz": 1e-320}, ("dipolar_note", "init_delay_note")),
+], ids=["subnormal_a_zz", "subnormal_a_zz_and_nu_c"])
+def test_report_subnormal_coupling_writes_na(tmp_path, fields, notes):
+    """A subnormal A_zz_MHz made report exit 2: the clean-up delay
+    1 / (2 |A_zz|) and the ratio A_zx / A_zz were infinite, and with a
+    subnormal nu_C_MHz so was the second initialization delay."""
+    out = tmp_path / "o"
+    assert run(["report", "--system", edited_system(tmp_path, **fields), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["dipolar_r_nm"] == "n/a"
+    assert all(note in report for note in notes)
+
+
+@pytest.mark.parametrize("key", ["generations", "restarts"])
+def test_ga_work_past_its_budget_is_usage_error(tmp_path, capsys, monkeypatch, key):
+    """At 2**63 generations or restarts the search never ended. The work is
+    refused before the kernel is built; a search that starts here fails the
+    test instead of hanging it."""
+    def search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(icspin.cli, "optimize", search)
+    (tmp_path / "ga.json").write_text(json.dumps({key: 2**63}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "GA work population * (generations + 1) * restarts must be at most" in err
+    assert not (out / "result.json").exists()
+
+
+def test_ga_work_budget_admits_the_population_budget_at_the_default_generations(
+        tmp_path, capsys, monkeypatch):
+    def search(*args):
+        raise RuntimeError("the search started")
+
+    monkeypatch.setattr(icspin.cli, "optimize", search)
+    (tmp_path / "ga.json").write_text(json.dumps({"population": icspin.cli.MAX_POPULATION}))
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "the search started" in capsys.readouterr().err
+
+
+def test_scan_theta_gate_and_sequence_is_usage_error(tmp_path, capsys):
+    """--gate was ignored when --sequence was given, yet the manifest
+    recorded it."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", "theta", "--system", SYSTEM, "--sequence", CNOT,
+                "--gate", "noop", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--gate" in err and "--sequence" in err
     assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import icspin
+from icspin.eigenstructure import carbon_eigenstructure
 from icspin.experiments import (
     InitializationDomainError,
     NyquistError,
@@ -17,6 +18,7 @@ from icspin.experiments import (
     simulate_init_sequence,
     theta_scan,
 )
+from icspin.fidelity import gate_fidelity
 from icspin.sequence import MAX_DURATION_US, Delay, PulseSequence, SequenceError
 from icspin.states import basis_state, bloch_vector, density_matrix, partial_trace
 from icspin.system import HyperfineCoupling, SpinSystemConfig
@@ -37,7 +39,7 @@ def test_init_delays_reference_values(system):
 def test_init_delays_orthogonal_tilt_limit():
     """At a 90-degree tilt the delays reduce to quarter periods."""
     cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-0.158, 0.2),))
-    eig = icspin.carbon_eigenstructure(cfg)
+    eig = carbon_eigenstructure(cfg)
     assert eig.kappa_minus_deg == pytest.approx(90.0)
     tau1, tau2 = analytic_init_delays(cfg)
     assert tau1 == pytest.approx(1.0 / (4 * eig.nu_minus), rel=1e-12)
@@ -264,7 +266,7 @@ def test_theta_scan_bundled_cnot_tracks_law(system, h_subspace, cnot_seq):
     (The tighter 2(1-F) holds only near the fully flipped preparation; the
     measured profile is frozen below.)"""
     u = icspin.sequence_propagator(cnot_seq, h_subspace)
-    f = icspin.gate_fidelity(u, icspin.cnot_on_carbon(1).matrix)
+    f = gate_fidelity(u, icspin.cnot_on_carbon(1).matrix)
     thetas = np.linspace(0, 2 * np.pi, 101)
     p = theta_scan(cnot_seq, thetas, -1, system)
     law = (1 - np.cos(thetas)) / 2
@@ -322,7 +324,7 @@ def test_working_subspace_has_four_lines(system, h_subspace):
     resolvable = spec.resolvable_lines(threshold=0.05)
     assert len(resolvable) == 4
     weights = sorted(w for _, w in resolvable)
-    eig = icspin.carbon_eigenstructure(system)
+    eig = carbon_eigenstructure(system)
     expect = sorted([np.cos(eig.kappa_minus / 2) ** 2, np.sin(eig.kappa_minus / 2) ** 2] * 2)
     assert np.allclose(weights, expect, atol=1e-10)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icspin
-from icspin.fidelity import gate_fidelity, omega1_grid, robust_fidelity
+from icspin.fidelity import RobustnessReport, gate_fidelity, omega1_grid, robust_fidelity
 
 from oracles import random_unitary
 
@@ -74,7 +74,7 @@ def test_report_mean_and_min_consistent(h_subspace, cnot_seq):
 
 
 def test_band_mean_weights_edges_by_half():
-    rep = icspin.RobustnessReport(omega1s=np.array([0.48, 0.49, 0.52]),
+    rep = RobustnessReport(omega1s=np.array([0.48, 0.49, 0.52]),
                                   fidelities=np.array([1.0, 0.5, 0.0]))
     # trapezoids: 0.01 * (1 + 0.5) / 2 + 0.03 * (0.5 + 0) / 2 over a 0.04 band
     assert rep.band_mean == pytest.approx(0.375, abs=1e-15)

@@ -61,3 +61,11 @@ def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError, match="t.json"):
         write_json(path, {"a": float("nan")})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_csv_refuses_non_finite_and_leaves_no_file(tmp_path, value):
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="t.csv"):
+        write_csv(path, ("generation", "best_fitness"), range(2), [0.5, value])
+    assert not path.exists()

@@ -1,0 +1,165 @@
+"""Input fuzzing of the CLI, run in-process on the bundled documents.
+
+Each case sets one or two fields of the system, sequence or GA-config
+document, or one flag, to an edge value. Whatever the value, the command
+exits 0 and every data file it wrote holds only finite numbers, or it exits
+1 with a message that names the field or flag and writes no file. It never
+exits 2, and never runs on without bound: a case past CASE_SECONDS fails.
+"""
+import contextlib
+import io
+import json
+import math
+import signal
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from icspin.cli import main
+from icspin.system import data_path
+
+EDGE_VALUES = (0, -1, 5e-324, 1e-320, 1e6 + 1, 1e308, math.nan, math.inf, -math.inf,
+               "x", None, True, [1.0], 2**63, 10**400)
+
+DOCUMENTS = {
+    "system": json.loads(data_path("system_2q.json").read_text()),
+    "sequence": json.loads(data_path("sequences/cnot.json").read_text()),
+    "ga": {"population": 8, "elites": 1, "generations": 2, "early_stop": None,
+           "omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 3}},
+}
+# The fields a case may set: a key path into one document
+FIELDS = {
+    "system": [("D_MHz",), ("nu_e_MHz",), ("nu_C_MHz",), ("A_N_MHz",), ("B0_mT",), ("carbons",),
+               ("carbons", 0, "A_zz_MHz"), ("carbons", 0, "A_zx_MHz")],
+    "sequence": [("omega1_MHz",), ("segments",), ("segments", 0, "delay_us"),
+                 ("segments", 1, "pulse_us"), ("segments", 1, "phase_rad")],
+    "ga": [("population",), ("generations",), ("crossover_rate",), ("mutation_rate",),
+           ("mutation_scale",), ("elites",), ("seed",), ("restarts",), ("early_stop",),
+           ("omega1_grid",), ("omega1_grid", "min_MHz"), ("omega1_grid", "max_MHz"),
+           ("omega1_grid", "points")],
+}
+# command -> (its argv, the documents it reads, the flags a case may set)
+COMMANDS = {
+    "verify": (["verify", "--target", "cnot", "--grid", "0.48,0.52,3"],
+               ("system", "sequence"), ("--grid",)),
+    "optimize": (["optimize", "--target", "cnot", "--pulses", "2"], ("system", "ga"),
+                 ("--pulses", "--tau-max", "--t-max", "--seed")),
+    "scan hadamard": (["scan", "--kind", "hadamard", "--points", "32"], ("system", "sequence"),
+                      ("--points", "--dt")),
+    "scan theta": (["scan", "--kind", "theta", "--points", "32"], ("system", "sequence"),
+                   ("--points", "--readout")),
+    "scan fid": (["scan", "--kind", "fid", "--points", "32"], ("system",),
+                 ("--points", "--dt", "--detuning")),
+    "scan spectrum": (["scan", "--kind", "spectrum"], ("system",),
+                      ("--detuning", "--linewidth")),
+    "scan trajectory": (["scan", "--kind", "trajectory", "--dt", "0.1"], ("system", "sequence"),
+                        ("--dt",)),
+    "report": (["report"], ("system",), ("--linewidth",)),
+}
+DOCUMENT_FLAGS = {"system": "--system", "sequence": "--sequence", "ga": "--ga-config"}
+CASE_SECONDS = 20
+
+
+class _Overran(BaseException):
+    """A case ran past CASE_SECONDS; a BaseException, so the CLI cannot catch it."""
+
+
+def _overran(signum, frame):
+    raise _Overran(f"the case ran past {CASE_SECONDS} s")
+
+
+@st.composite
+def cases(draw):
+    """(command, [(target, value), ...]): one flag, or one or two fields."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, documents, flags = COMMANDS[command]
+    values = st.sampled_from(EDGE_VALUES)
+    if draw(st.booleans()):
+        return command, [(draw(st.sampled_from(flags)), draw(values))]
+    fields = st.sampled_from([(doc, *path) for doc in documents for path in FIELDS[doc]])
+    return command, draw(st.lists(st.tuples(fields, values), min_size=1, max_size=2,
+                                  unique_by=lambda change: change[0]))
+
+
+def _text(value) -> str:
+    return str(value) if isinstance(value, (str, float)) else json.dumps(value)
+
+
+def _run(command: str, changes: list, root: Path) -> tuple[int, str]:
+    argv, documents, _ = COMMANDS[command]
+    argv = list(argv)
+    docs = {doc: json.loads(json.dumps(DOCUMENTS[doc])) for doc in documents}
+    # a field is set before the document or list that holds it, which then replaces it
+    for target, value in sorted(changes, key=lambda change: -len(change[0])):
+        if isinstance(target, str):   # a flag, given after any default it replaces
+            if target in argv:
+                del argv[argv.index(target):argv.index(target) + 2]
+            if target == "--grid":
+                value = f"0.48,{_text(value)},3"
+            argv.append(f"{target}={_text(value)}")
+        else:
+            doc, *path = target
+            node = docs[doc]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+    for doc, content in docs.items():
+        path = root / f"{doc}.json"
+        path.write_text(json.dumps(content))
+        argv += [DOCUMENT_FLAGS[doc], str(path)]
+    argv += ["--out", str(root / "out")]
+
+    stderr = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, stderr.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _assert_finite(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_reject_constant)
+    elif path.suffix == ".csv":
+        for row in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")), (path, row)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=cases())
+@example(case=("scan hadamard", [("--dt", 5e-324)]))
+@example(case=("scan fid", [("--dt", 5e-324)]))
+@example(case=("report", [(("system", "carbons", 0, "A_zz_MHz"), 5e-324)]))
+@example(case=("optimize", [(("ga", "generations"), 2**63)]))
+@example(case=("optimize", [(("ga", "restarts"), 2**63)]))
+def test_edge_value_exits_zero_with_finite_files_or_one_naming_it(case):
+    command, changes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, err = _run(command, changes, root)
+        out = root / "out"
+        files = sorted(out.iterdir()) if out.exists() else []
+        assert code in (0, 1), err
+        if code == 0:
+            for path in files:
+                _assert_finite(path)
+        else:
+            # a flag is named as itself or as its parameter, e.g. tau_max
+            names = [name for target, _ in changes for name in
+                     ((target, target[2:].replace("-", "_")) if isinstance(target, str) else
+                      (next(key for key in reversed(target) if isinstance(key, str)),))]
+            assert any(name in err for name in names), err
+            assert not files, files

@@ -75,3 +75,11 @@ def test_invalid_geometry_values():
         DipolarGeometry(r_nm=-1.0, theta_deg=10.0)
     with pytest.raises(GeometryError):
         DipolarGeometry(r_nm=1.0, theta_deg=200.0)
+
+
+@pytest.mark.parametrize("a_zz,a_zx", [(5e-324, 0.11), (1e-320, 0.0), (-0.152, 1e-320)],
+                         ids=["infinite_ratio", "infinite_distance", "subnormal_a_zx"])
+def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
+    """A subnormal coupling overflowed the ratio A_zx / A_zz or the distance."""
+    with pytest.raises(GeometryError):
+        dipolar_geometry(HyperfineCoupling(a_zz, a_zx))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icspin
+from icspin.fidelity import omega1_grid
 from icspin.optimize import (
     GAConfig,
     ParameterBounds,
@@ -13,7 +14,6 @@ from icspin.optimize import (
     _draws_from_words,
     _tournament_draws,
     _words_to_doubles,
-    fitness,
     ga_config_from_dict,
     ga_config_to_dict,
     optimize,
@@ -21,6 +21,13 @@ from icspin.optimize import (
 
 # the module; ``icspin.optimize`` the attribute is the function
 optimize_module = importlib.import_module("icspin.optimize")
+
+
+def fitness(genome, target, h, cfg):
+    """The GA objective of one genome: its mean fidelity over cfg's grid."""
+    grid = omega1_grid(cfg.omega1_range, cfg.omega1_points)
+    n_pulses = (genome.size - 1) // 3
+    return icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome).mean()
 
 
 def small_cfg(seed=0, **kw):

@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icspin
+from icspin.eigenstructure import carbon_eigenstructure
+from icspin.fidelity import gate_fidelity
 from icspin.propagation import PropagationEngine, sequence_propagator
-from icspin.sequence import Delay, Pulse, PulseSequence
+from icspin.sequence import Delay, Pulse, PulseSequence, sequence_from_genome
 
 from oracles import (
     closed_form_free_propagator,
@@ -54,7 +56,7 @@ def test_free_propagator_matches_closed_form(system, h_subspace):
 def test_free_propagator_full_period(system, h_subspace):
     """After 1/nu_- the lower-manifold block returns to minus identity
     (half-integer spin)."""
-    eig = icspin.carbon_eigenstructure(system)
+    eig = carbon_eigenstructure(system)
     u = delay_propagator(h_subspace, 1.0 / eig.nu_minus)
     assert np.abs(u[2:, 2:] + np.eye(2)).max() < 1e-10
 
@@ -91,7 +93,7 @@ def test_pulse_pi_rotation_swaps_electron_states():
 def test_pulse_continuity_to_free(h_subspace):
     u_eps = one_pulse_propagator(h_subspace, 1e-6, 0.7, 1.5)
     u_free = delay_propagator(h_subspace, 1.5)
-    f = icspin.gate_fidelity(u_eps, u_free)
+    f = gate_fidelity(u_eps, u_free)
     assert 1.0 - f < 1e-8
 
 
@@ -144,7 +146,7 @@ def test_bundled_cnot_sequence_fidelity(system, h_subspace, cnot_seq):
     0.97' average is not reproducible from the rounded bundled parameters
     (see the acceptance suite)."""
     u = sequence_propagator(cnot_seq, h_subspace)
-    f_nominal = icspin.gate_fidelity(u, icspin.cnot_on_carbon(1).matrix)
+    f_nominal = gate_fidelity(u, icspin.cnot_on_carbon(1).matrix)
     assert f_nominal >= 0.97
     assert f_nominal == pytest.approx(0.9898, abs=2e-4)
     rep = icspin.robust_fidelity(cnot_seq, icspin.cnot_on_carbon(1), h_subspace)
@@ -229,7 +231,7 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
     band = (0.48, 0.52)
     grid = icspin.fidelity.omega1_grid(band, 5)
     fast = icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
-    seq = icspin.sequence_from_genome(genome, n_pulses, 0.5)
+    seq = sequence_from_genome(genome, n_pulses, 0.5)
     assert np.abs(fast - icspin.robust_fidelity(seq, target, h, band, 5).fidelities).max() < 1e-13
 
 
@@ -288,4 +290,4 @@ def test_robust_fidelity_chunks_cover_the_grid(register_hamiltonians):
     assert rep.fidelities.shape == (41,)
     for w1, f in zip(rep.omega1s, rep.fidelities):
         u = sequence_propagator(seq, h, omega1=w1)
-        assert abs(f - icspin.gate_fidelity(u, target.matrix)) < 1e-13
+        assert abs(f - gate_fidelity(u, target.matrix)) < 1e-13

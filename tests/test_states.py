@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icspin.states import (
-    assert_state,
     basis_state,
     bloch_vector,
     density_matrix,
@@ -66,11 +65,6 @@ def test_bloch_norm_bounded():
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
         assert np.linalg.norm(bloch_vector(density_matrix(psi))) <= 1 + 1e-10
-
-
-def test_assert_state_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        assert_state(np.eye(2, dtype=complex))
 
 
 def test_qubit_bloch_vectors_match_partial_traces():

@@ -7,9 +7,7 @@ from icspin.system import (
     HyperfineCoupling,
     SpinSystemConfig,
     data_path,
-    default_system,
     load_system,
-    registers_system,
     save_system,
     system_from_dict,
 )
@@ -92,7 +90,7 @@ def test_missing_keys_rejected():
 
 
 def test_bundled_files_exist():
-    default_system()
-    registers_system()
+    load_system(data_path("system_2q.json"))
+    load_system(data_path("system_4c.json"))
     with pytest.raises(FileNotFoundError):
         data_path("nope.json")
