@@ -278,7 +278,10 @@ def cmd_optimize(args) -> int:
 
 
 def _scan_sequence(args, cfg):
-    """The --sequence of a scan, its amplitude checked against D."""
+    """The --sequence of a scan, its amplitude checked against D; None
+    without the flag."""
+    if args.sequence is None:
+        return None
     seq = load_sequence(args.sequence)
     cfg.check_drive_amplitude(seq.omega1, "--sequence omega1_MHz")
     return seq
@@ -292,30 +295,39 @@ def _scan_times(args) -> np.ndarray:
     return np.arange(args.points) * args.dt
 
 
-def _scan_hadamard(args, cfg, out: Path) -> None:
+# Each scan computes its result from the flags, the config and the loaded
+# --sequence (or None), and returns the function that writes its files into
+# the output directory and prints its summary.
+
+def _scan_hadamard(args, cfg, seq):
     t_grid = _scan_times(args)
-    gate = "ideal" if not args.sequence else _scan_sequence(args, cfg)
     first = "noop" if args.noop else None
-    result = hadamard_circuit_scan(gate, t_grid, cfg, first_gate=first)
-    result.to_csv(out / "hadamard_signal.csv")
-    result.spectrum.to_csv(out / "hadamard_spectrum.csv")
-    write_json(out / "hadamard.json", {
-        "peak_MHz": result.spectrum.peak_frequency(),
-        "signal": result.signal.tolist(),
-        "times_us": result.times.tolist(),
-    })
-    print(f"scan hadamard: spectrum peak at {result.spectrum.peak_frequency():.4f} MHz")
+    result = hadamard_circuit_scan("ideal" if seq is None else seq, t_grid, cfg,
+                                   first_gate=first)
+
+    def write(out: Path) -> None:
+        result.to_csv(out / "hadamard_signal.csv")
+        result.spectrum.to_csv(out / "hadamard_spectrum.csv")
+        write_json(out / "hadamard.json", {
+            "peak_MHz": result.spectrum.peak_frequency(),
+            "signal": result.signal.tolist(),
+            "times_us": result.times.tolist(),
+        })
+        print(f"scan hadamard: spectrum peak at {result.spectrum.peak_frequency():.4f} MHz")
+    return write
 
 
-def _scan_theta(args, cfg, out: Path) -> None:
+def _scan_theta(args, cfg, seq):
     thetas = np.linspace(0.0, 2 * np.pi, args.points)
-    gate = args.gate if not args.sequence else _scan_sequence(args, cfg)
-    values = theta_scan(gate, thetas, args.readout, cfg)
-    write_csv(out / "theta_scan.csv", ("theta_rad", "p0_down"), thetas, values)
-    print(f"scan theta: {args.points} points, readout m_S={args.readout}")
+    values = theta_scan(args.gate if seq is None else seq, thetas, args.readout, cfg)
+
+    def write(out: Path) -> None:
+        write_csv(out / "theta_scan.csv", ("theta_rad", "p0_down"), thetas, values)
+        print(f"scan theta: {args.points} points, readout m_S={args.readout}")
+    return write
 
 
-def _scan_fid(args, cfg, out: Path) -> None:
+def _scan_fid(args, cfg, seq):
     cfg.single_carbon()   # the prepared states below are two-qubit
     t_grid = _scan_times(args)
     state = density_matrix(basis_state(0, 4))
@@ -324,36 +336,44 @@ def _scan_fid(args, cfg, out: Path) -> None:
         # A fully mixed 4-level state is unitary-invariant and gives no signal.
         state = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0).astype(complex)
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
-    result.to_csv(out / "fid_signal.csv")
-    result.spectrum.to_csv(out / "fid_spectrum.csv")
-    write_json(out / "fid_spectrum.json", result.spectrum.to_dict())
-    print(f"scan fid: {len(result.spectrum.lines)} transition sticks")
+
+    def write(out: Path) -> None:
+        result.to_csv(out / "fid_signal.csv")
+        result.spectrum.to_csv(out / "fid_spectrum.csv")
+        write_json(out / "fid_spectrum.json", result.spectrum.to_dict())
+        print(f"scan fid: {len(result.spectrum.lines)} transition sticks")
+    return write
 
 
-def _scan_spectrum(args, cfg, out: Path) -> None:
+def _scan_spectrum(args, cfg, seq):
     h = multiqubit_hamiltonian(cfg)
     spec = esr_spectrum(h, linewidth=args.linewidth, detuning=args.detuning)
-    spec.to_csv(out / "esr_spectrum.csv")
-    write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
-    print(f"scan spectrum: {len(spec.lines)} sticks, "
-          f"{len(spec.resolvable_lines())} resolvable")
+
+    def write(out: Path) -> None:
+        spec.to_csv(out / "esr_spectrum.csv")
+        write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
+        print(f"scan spectrum: {len(spec.lines)} sticks, "
+              f"{len(spec.resolvable_lines())} resolvable")
+    return write
 
 
-def _scan_trajectory(args, cfg, out: Path) -> None:
-    if not args.sequence:
+def _scan_trajectory(args, cfg, seq):
+    if seq is None:
         raise CliError("trajectory scan needs --sequence")
-    seq = _scan_sequence(args, cfg)
     _check_size("trajectory steps (sequence duration / --dt)", seq.duration / args.dt,
                 MAX_TRAJECTORY_STEPS)
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
-    traj.to_csv(out / "trajectory.csv")
-    write_json(out / "trajectory.json", {
-        "times_us": traj.times.tolist(),
-        "bloch_vectors": traj.vectors.tolist(),
-    })
-    print(f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
+
+    def write(out: Path) -> None:
+        traj.to_csv(out / "trajectory.csv")
+        write_json(out / "trajectory.json", {
+            "times_us": traj.times.tolist(),
+            "bloch_vectors": traj.vectors.tolist(),
+        })
+        print(f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
+    return write
 
 
 # _SCAN_OPTIONS: the defaults of the flags only some scan kinds read. The
@@ -371,9 +391,12 @@ _SCANS = {
 
 
 def cmd_scan(args) -> int:
+    phases = _Phases()
     scan, reads = _SCANS[args.kind]
-    if args.kind == "theta" and args.gate is not None and args.sequence is not None:
-        raise CliError("--gate and --sequence both choose the theta scan's gate; give one")
+    if args.kind == "theta" and args.sequence is not None:
+        if args.gate is not None:
+            raise CliError("--gate and --sequence both choose the theta scan's gate; give one")
+        reads = tuple(name for name in reads if name != "gate")   # the sequence is the gate
     for name, default in _SCAN_OPTIONS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -387,20 +410,28 @@ def cmd_scan(args) -> int:
     if not np.isfinite(args.detuning):
         raise CliError(f"--detuning must be finite, got {args.detuning!r}")
     cfg = load_system(args.system)
-    out = _out_dir(args)
+    seq = _scan_sequence(args, cfg)
+    phases.done("load")
     try:
-        scan(args, cfg, out)
+        write = scan(args, cfg, seq)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    phases.done("compute")
+    out = _out_dir(args)   # only once the scan has run, so a failed one leaves no directory
+    write(out)
+    phases.done("write")
     _write_manifest(out, f"scan:{args.kind}",
                     {"system": str(args.system), "kind": args.kind,
-                     **{name: getattr(args, name) for name in reads}}, None)
+                     **{name: getattr(args, name) for name in reads}}, None,
+                    phase_seconds=phases.seconds)
     return 0
 
 
 def cmd_report(args) -> int:
+    phases = _Phases()
     _check_linewidth(args.linewidth)
     cfg = load_system(args.system)
+    phases.done("load")
     single = cfg.subset([cfg.carbons[0].label])
     eig = carbon_eigenstructure(single)
     payload: dict = {
@@ -432,14 +463,17 @@ def cmd_report(args) -> int:
         payload["dipolar_note"] = str(exc)
     payload["esr_linewidth_MHz"] = args.linewidth
     payload["min_T2_star_us"] = min_coherence_time(args.linewidth)
+    phases.done("compute")
 
     out = _out_dir(args)
     write_json(out / "report.json", payload)
     lines = [f"{key:>22s} : {value}" for key, value in payload.items()]
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
+    phases.done("write")
     _write_manifest(out, "report",
-                    {"system": str(args.system), "linewidth": args.linewidth}, None)
+                    {"system": str(args.system), "linewidth": args.linewidth}, None,
+                    phase_seconds=phases.seconds)
     print(text, end="")
     return 0
 

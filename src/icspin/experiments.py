@@ -15,7 +15,7 @@ from .eigenstructure import carbon_eigenstructure
 from .files import write_csv
 from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
-from .propagation import PropagationEngine, sequence_propagator
+from .propagation import engine_for, sequence_propagator
 from .sequence import Delay, Pulse, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
 from .system import SpinSystemConfig
@@ -247,7 +247,7 @@ def hadamard_circuit_scan(
     u_h = hadamard_on_carbon(1)
     g2 = _gate_matrix(gate, h, u_h)
     g1 = g2 if first_gate is None else _gate_matrix(first_gate, h, u_h)
-    engine = PropagationEngine(h)
+    engine = engine_for(h)
     # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
     amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
     signal = np.abs(np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w)) @ amps) ** 2
@@ -286,7 +286,7 @@ def electron_fid_scan(
     # block-diagonal V, so it merges with the delay into the diagonal
     # exp(-i 2pi t (w + nu_d s_z)) in the free eigenbasis:
     # signal(t) = Re sum_kl K_lk rho_kl e_k(t) e_l(t)^*, K = V^T R^dag P0 R V.
-    engine = PropagationEngine(h)
+    engine = engine_for(h)
     readout = engine.to_eigenbasis(pulse.conj().T @ p0 @ pulse)
     weights = readout.T * engine.to_eigenbasis(rho1)
     phases = np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w + nu_d * engine.zhalf))
@@ -338,14 +338,14 @@ def esr_lines(h: np.ndarray, populations=None) -> list[tuple[float, float]]:
     """Stick list of electron-flip transitions as (signed offset, weight).
 
     The lower manifold is the first electron block of `h`. With the block
-    eigensystems (w_0, V_0) and (w_1, V_1) of ``PropagationEngine(h)``, the
+    eigensystems (w_0, V_0) and (w_1, V_1) of ``engine_for(h)``, the
     offsets are w_1[:, None] - w_0 and the weights, squared matrix elements
     of the electron flip, are the squared entries of V_1^T V_0. A state
     vector or density matrix `populations` scales each weight by the
     population difference of its lower and upper eigenstate; lines whose
     difference is not positive drop out with those of weight below 1e-12.
     """
-    engine = PropagationEngine(h)
+    engine = engine_for(h)
     half = engine.dim // 2
     weights = (engine.v[half:, half:].T @ engine.v[:half, :half]) ** 2
     if populations is not None:
@@ -410,7 +410,7 @@ def bloch_trajectory(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     psi = np.asarray(initial, dtype=complex)
     rho_mode = psi.ndim == 2
-    engine = PropagationEngine(h, [seq.omega1])
+    engine = engine_for(h, [seq.omega1])
     v = engine.v
     state = engine.to_eigenbasis(psi) if rho_mode else v.T @ psi   # free eigenbasis
 

@@ -75,6 +75,7 @@ def write_csv(path: str | Path, header, *columns) -> None:
     columns = [np.asarray(column) for column in columns]
     if not all(np.isfinite(column).all() for column in columns):
         raise RuntimeError(f"cannot write {path}: a column holds NaN or infinity")
-    cells = [map(repr, map(int if c.dtype.kind in "iu" else float, c)) for c in columns]
+    cells = [map(repr, (c if c.dtype.kind in "iu" else c.astype(float)).tolist())
+             for c in columns]
     rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from .propagation import BATCH_ENTRIES, PropagationEngine
+from .propagation import BATCH_ENTRIES, engine_for
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
 
@@ -118,7 +118,7 @@ class FitnessKernel:
         self.omega1s = np.asarray(omega1s, dtype=float).reshape(-1)
         if self.omega1s.size == 0:
             raise ValueError("amplitude grid must be non-empty")
-        self.engine = PropagationEngine(h, self.omega1s)
+        self.engine = engine_for(h, self.omega1s)
         u_target = target.matrix if hasattr(target, "matrix") else np.asarray(target)
         g, d = self.omega1s.size, self.engine.dim
         if u_target.shape != (d, d):

@@ -27,6 +27,11 @@ run as one real matmul on the float64 view of the complex propagator.
 ``PropagationEngine.chain`` is that one chain; ``propagate``,
 ``sequence_propagator`` and the fitness kernel, and through them every
 propagator of the package, run on it.
+
+Every engine of the package comes from ``engine_for``, which hands back the
+engine of its previous call when h and the grid are the same value for value,
+so a run of commands on one register and band diagonalizes them once. The
+engine's arrays are read-only, as one engine may serve many callers.
 """
 from __future__ import annotations
 
@@ -71,6 +76,8 @@ class PropagationEngine:
     w_p : (G, d) eigenvalues of the phase-zero drive Hamiltonian per grid point
     mix : (G, d, d) real mixing matrices W = V^T V_p; the chain reads W^T as
         a transposed view
+
+    All of them, and ``omega1s``, are read-only.
     """
 
     def __init__(self, h, omega1s=()):
@@ -83,7 +90,7 @@ class PropagationEngine:
         if np.any(h[:half, half:] != 0) or np.any(h[half:, :half] != 0):
             raise ValueError(
                 "the propagation engine needs a Hamiltonian block-diagonal in the electron")
-        self.omega1s = np.asarray(omega1s, dtype=float).reshape(-1)
+        self.omega1s = np.array(omega1s, dtype=float).reshape(-1)
         if not np.isfinite(self.omega1s).all() or np.any(self.omega1s < 0):
             raise ValueError("amplitude grid must be finite and non-negative")
 
@@ -103,6 +110,8 @@ class PropagationEngine:
                              "frequencies are not finite at omega1 up to "
                              f"{float(self.omega1s.max())!r} MHz")
         self.mix = self.v.T @ v_p
+        for array in (self.omega1s, self.v, self.w, self.zhalf, self.w_p, self.mix):
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -165,6 +174,30 @@ class PropagationEngine:
         return u[0]
 
 
+# The engine of the last ``engine_for`` call, as ((h key, grid key), engine).
+# Two threads that miss at once each build an engine, and the last one stays.
+_last_engine = None
+
+
+def engine_for(h, omega1s=()) -> PropagationEngine:
+    """``PropagationEngine(h, omega1s)``, or the engine of the previous call
+    when h and the float grid have the same dtype, shape and bytes.
+
+    Only that one engine is kept: at d = 32 it holds about 8 kB a grid point,
+    17 MB at 2048 points. A one-ulp change in h or the grid builds anew.
+    """
+    global _last_engine
+    h = np.asarray(h)
+    grid = np.asarray(omega1s, dtype=float).reshape(-1)
+    key = tuple((a.dtype, a.shape, a.tobytes()) for a in (h, grid))
+    last = _last_engine
+    if last is not None and last[0] == key:
+        return last[1]
+    engine = PropagationEngine(h, grid)
+    _last_engine = (key, engine)
+    return engine
+
+
 def sequence_propagator(
     seq: PulseSequence, h: np.ndarray, omega1: float | None = None
 ) -> np.ndarray:
@@ -173,5 +206,5 @@ def sequence_propagator(
     `omega1` overrides the sequence amplitude, e.g. for robustness grids.
     """
     amp = seq.omega1 if omega1 is None else omega1
-    engine = PropagationEngine(h, [amp])
+    engine = engine_for(h, [amp])
     return engine.to_lab(engine.propagate(seq.segments)[0])

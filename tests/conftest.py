@@ -1,6 +1,15 @@
 import pytest
 
 import icspin
+import icspin.propagation
+
+
+@pytest.fixture(autouse=True)
+def _fresh_engine_memo(monkeypatch):
+    """Each test starts with no engine kept by ``engine_for``, so an engine
+    built by an earlier test, or before a test patched the engine class,
+    is never handed back."""
+    monkeypatch.setattr(icspin.propagation, "_last_engine", None)
 
 
 @pytest.fixture(scope="session")

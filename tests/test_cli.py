@@ -160,6 +160,24 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
         assert "thread_env" not in data.read_text(), data.name
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--kind", "hadamard"],
+    ["scan", "--kind", "theta"],
+    ["scan", "--kind", "fid"],
+    ["scan", "--kind", "spectrum"],
+    ["scan", "--kind", "trajectory", "--sequence", CNOT],
+    ["report"],
+], ids=lambda argv: argv[2] if argv[0] == "scan" else argv[0])
+def test_scan_and_report_manifests_time_their_phases(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 0
+    phases = json.loads((out / "manifest.json").read_text())["phase_seconds"]
+    assert sorted(phases) == ["compute", "load", "write"]
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    for data in data_files(out):
+        assert "phase_seconds" not in data.read_text(), data.name
+
+
 def test_python_dash_m_icspin_runs_the_cli():
     src = str(Path(icspin.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -643,7 +661,24 @@ def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, caps
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "undersamples" in err and "detuning" in err
-    assert not any(out.glob("fid_*"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_scan_leaves_out_as_it_found_it(tmp_path, capsys, existing):
+    """A scan that fails after its inputs loaded makes no --out, nor a parent
+    of it, and keeps an --out that was there, with its files."""
+    out = tmp_path / "parent" / "o"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("kept")
+    assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "1e5",
+                "--out", str(out)]) == 1
+    assert "undersamples" in capsys.readouterr().err
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    else:
+        assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("kind", ["hadamard", "theta", "fid"])
@@ -652,7 +687,7 @@ def test_two_qubit_scans_need_one_carbon(tmp_path, capsys, kind):
     assert run(["scan", "--kind", kind, "--system", str(data_path("system_4c.json")),
                 "--out", str(out)]) == 1
     assert "exactly one carbon" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _edit_nu_c_nan(doc):
@@ -785,11 +820,13 @@ def test_scan_flag_its_kind_never_reads_is_usage_error(tmp_path, capsys, kind, f
     ("fid", ["--state", "thermal"], {"state": "thermal", "detuning": 3.0, "points": 256,
                                      "dt": 0.1}),
     ("hadamard", ["--noop"], {"sequence": None, "noop": True, "points": 256, "dt": 0.1}),
-    ("theta", ["--sequence", CNOT], {"sequence": CNOT, "gate": "cnot", "readout": -1,
-                                     "points": 256}),
+    ("theta", ["--sequence", CNOT], {"sequence": CNOT, "readout": -1, "points": 256}),
     ("trajectory", ["--sequence", CNOT], {"sequence": CNOT, "dt": 0.1}),
+    ("theta", [], {"sequence": None, "gate": "cnot", "readout": -1, "points": 256}),
 ])
 def test_scan_manifest_records_the_inputs_its_kind_read(tmp_path, kind, extra, inputs):
+    """Only the flags the scan read: with --sequence the theta scan never
+    reads --gate, so its default is not recorded."""
     out = tmp_path / "o"
     assert run(["scan", "--kind", kind, "--system", SYSTEM, *extra, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -866,7 +903,7 @@ def test_sequence_duration_past_its_ceiling_is_usage_error(tmp_path, capsys, arg
     assert run(argv + ["--system", SYSTEM, "--sequence", str(seq), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "segments[0].delay_us must lie in" in err
-    assert not out.exists() or not any(out.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("index,key,value,field", [

@@ -12,6 +12,28 @@ def test_write_csv_keeps_ints_and_writes_floats_by_repr(tmp_path):
         "generation,best_fitness\n0,0.1\n1,0.3333333333333333\n")
 
 
+def test_write_csv_writes_the_bytes_of_per_element_formatting(tmp_path):
+    """Whole-column tolist gives the bytes of repr(int(x)) or repr(float(x))
+    per element: a bool prints as 1.0, a float32 as its exact double."""
+    rng = np.random.default_rng(7)
+    columns = [
+        np.array([0, -1, 2**63 - 1, -(2**63), 7], dtype=np.int64),
+        np.array([1.0 / 3.0, -0.0, 5e-324, 1e308, 0.1]),
+        rng.standard_normal(5).astype(np.float32),
+        np.array([True, False, True, True, False]),
+        np.array([0, 1, 2**64 - 1, 3, 4], dtype=np.uint64),
+    ]
+    header = ("i", "f", "f32", "b", "u")
+    rows = [",".join(header)] + [
+        ",".join(repr(int(x) if c.dtype.kind in "iu" else float(x)) for x, c in
+                 zip(row, columns))
+        for row in zip(*columns)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, *columns)
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert path.read_text().splitlines()[1].split(",")[3] == "1.0"
+
+
 def test_write_json_round_trips_sorted_with_one_newline(tmp_path):
     path = tmp_path / "t.json"
     doc = {"b": [0.1, 2], "a": None}

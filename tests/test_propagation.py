@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 import icspin
 from icspin.eigenstructure import carbon_eigenstructure
 from icspin.fidelity import gate_fidelity
-from icspin.propagation import PropagationEngine, sequence_propagator
+from icspin import propagation
+from icspin.propagation import PropagationEngine, engine_for, sequence_propagator
 from icspin.sequence import Delay, Pulse, PulseSequence, sequence_from_genome
 
 from oracles import (
@@ -42,7 +45,7 @@ def test_expm_forced_phases(system):
 
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        PropagationEngine(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        engine_for(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_free_propagator_matches_closed_form(system, h_subspace):
@@ -236,12 +239,12 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
 
 
 def test_engine_empty_sequence_is_identity_on_every_grid_point(h_subspace):
-    engine = PropagationEngine(h_subspace, [0.48, 0.5, 0.52])
+    engine = engine_for(h_subspace, [0.48, 0.5, 0.52])
     assert np.array_equal(engine.propagate([]), np.broadcast_to(np.eye(4), (3, 4, 4)))
 
 
 def test_engine_without_grid_propagates_delays_only(h_subspace):
-    engine = PropagationEngine(h_subspace)
+    engine = engine_for(h_subspace)
     assert engine.propagate([Delay(1.0)]).shape == (0, 4, 4)
     assert engine.w_p.shape == (0, 4)
 
@@ -251,12 +254,12 @@ def test_engine_rejects_negative_or_non_finite_grid(h_subspace, grid):
     """At 1e308 MHz the drive's angular frequencies overflow: a ValueError
     too, not the invariant RuntimeError of the NaN fidelities it would give."""
     with pytest.raises(ValueError, match="grid"):
-        PropagationEngine(h_subspace, grid)
+        engine_for(h_subspace, grid)
 
 
 def test_engine_rejects_unknown_segment(h_subspace):
     with pytest.raises(TypeError, match="segment"):
-        PropagationEngine(h_subspace, [0.5]).propagate([Delay(1.0), "pulse"])
+        engine_for(h_subspace, [0.5]).propagate([Delay(1.0), "pulse"])
 
 
 def test_sequence_propagator_needs_register_structure(h_subspace):
@@ -291,3 +294,69 @@ def test_robust_fidelity_chunks_cover_the_grid(register_hamiltonians):
     for w1, f in zip(rep.omega1s, rep.fidelities):
         u = sequence_propagator(seq, h, omega1=w1)
         assert abs(f - gate_fidelity(u, target.matrix)) < 1e-13
+
+
+def test_engine_for_hands_back_the_last_engine_for_the_same_values(h_subspace):
+    """A copy of h, and a grid given as a list, are the same values."""
+    engine = engine_for(h_subspace, [0.48, 0.5, 0.52])
+    assert engine_for(h_subspace.copy(), np.array([0.48, 0.5, 0.52])) is engine
+    assert engine_for(h_subspace) is not engine
+
+
+@pytest.mark.parametrize("change", ["h", "grid"])
+def test_engine_for_builds_anew_on_a_one_ulp_change(h_subspace, change):
+    grid = np.array([0.48, 0.5, 0.52])
+    engine = engine_for(h_subspace, grid)
+    h = h_subspace.copy()
+    if change == "h":
+        h[0, 0] = np.nextafter(h[0, 0].real, np.inf)
+    else:
+        grid[1] = np.nextafter(grid[1], np.inf)
+    other = engine_for(h, grid)
+    assert other is not engine
+    assert engine_for(h, grid) is other
+
+
+@pytest.mark.parametrize("name", ["omega1s", "v", "w", "zhalf", "w_p", "mix"])
+def test_shared_engine_arrays_are_read_only(h_subspace, name):
+    grid = np.array([0.48, 0.5, 0.52])
+    array = getattr(engine_for(h_subspace, grid), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+    grid[0] = 0.0   # the engine keeps its own copy of the caller's grid
+    assert engine_for(h_subspace, [0.48, 0.5, 0.52]).omega1s[0] == 0.48
+
+
+def test_the_ccrot_suite_on_four_carbons_builds_one_d32_engine(registers, monkeypatch):
+    """The four n6 rows share the register and the 81-point band: one d32
+    eigensystem serves them, and their fidelities equal those of engines
+    built afresh, bit for bit."""
+    suite = json.loads(icspin.data_path("suite_ccrot.json").read_text())
+    cases = [case for case in suite["cases"] if len(case["carbon_labels"]) == 4]
+    assert [case["name"] for case in cases] == ["n6_a", "n6_b", "n6_c", "n6_d"]
+
+    def verify(case):
+        cfg = registers.subset(case["carbon_labels"])
+        seq = icspin.load_sequence(icspin.data_path(case["sequence"]))
+        target = icspin.target_library(case["target"], n_carbons=cfg.n_carbons)
+        h = icspin.multiqubit_hamiltonian(cfg)
+        return icspin.robust_fidelity(seq, target, h, (0.48, 0.52), 81).fidelities
+
+    fresh = []
+    for case in cases:
+        monkeypatch.setattr(propagation, "_last_engine", None)
+        fresh.append(verify(case))
+
+    built = []
+    original = PropagationEngine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.dim)
+
+    monkeypatch.setattr(PropagationEngine, "__init__", spy)
+    monkeypatch.setattr(propagation, "_last_engine", None)
+    shared = [verify(case) for case in cases]
+    assert built == [32]
+    for a, b in zip(fresh, shared):
+        assert np.array_equal(a, b)
