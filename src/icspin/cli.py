@@ -37,7 +37,7 @@ from .experiments import (
     min_coherence_time,
     theta_scan,
 )
-from .fidelity import robust_fidelity
+from .fidelity import omega1_grid, robust_fidelity
 from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
@@ -50,16 +50,14 @@ from .targets import TargetError, target_library
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
 
-# Size budgets, checked before anything is allocated. At d = 32 an amplitude
-# grid costs about 32 kB a point in the engine's batched eigensystem (96 MB
-# peak at 4096 points); 2**16 scan points cost about 50 MB, and a trajectory
+# Size budgets, checked before anything is allocated (omega1_grid holds the
+# amplitude grid's). 2**16 scan points cost about 50 MB, and a trajectory
 # about 2 kB a step (222 MB at 10**5 steps, on one carbon). A GA population
 # of 10_000 genomes of 64 pulses is 15 MB; a one-carbon search at both
 # budgets peaks near 165 MB. A GA scores at most population * (generations
 # + 1) * restarts genomes, at about 13 us each on one carbon and 0.24 ms at
 # d = 32 (5 amplitudes, 4 pulses): 3.01e6 genomes, the population budget at
 # the default 300 generations, take about 40 s and 12 min.
-MAX_GRID_POINTS = 2048
 MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 MAX_PULSES = 64
@@ -71,7 +69,7 @@ class CliError(Exception):
     """Usage problem found by the CLI itself; maps to exit code 1."""
 
 
-USAGE_ERRORS = (CliError, ConfigError, SequenceError, TargetError, DegenerateManifoldError)
+USAGE_ERRORS = (CliError, ConfigError, SequenceError, DegenerateManifoldError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,16 +154,18 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
         lo, hi, points = float(lo), float(hi), int(points)
     except ValueError as exc:
         raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise CliError(f"--grid bounds must be finite, got {text!r}")
-    if lo < 0:
-        raise CliError(f"--grid amplitudes must be >= 0, got {text!r}")
-    if lo > hi:
-        raise CliError(f"--grid min must not exceed max, got {text!r}")
-    if points < 1:
-        raise CliError(f"--grid needs at least one point, got {text!r}")
-    _check_size("--grid points", points, MAX_GRID_POINTS)
+    try:
+        omega1_grid((lo, hi), points)
+    except ValueError as exc:
+        raise CliError(f"--grid {exc}") from exc
     return (lo, hi), points
+
+
+def _target(args, cfg):
+    try:
+        return target_library(args.target, n_carbons=cfg.n_carbons)
+    except TargetError as exc:
+        raise CliError(f"--target: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
     phases = _Phases()
     cfg = load_system(args.system)
     seq = load_sequence(args.sequence)
-    target = target_library(args.target, n_carbons=cfg.n_carbons)
+    target = _target(args, cfg)
     omega1_range, points = _parse_grid(args.grid)
     cfg.check_drive_amplitude(omega1_range[1], "--grid max")
     phases.done("load")
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
 def cmd_optimize(args) -> int:
     phases = _Phases()
     cfg = load_system(args.system)
-    target = target_library(args.target, n_carbons=cfg.n_carbons)
+    target = _target(args, cfg)
     ga_doc = {}
     if args.ga_config:
         ga_doc = read_json(args.ga_config, CliError)
@@ -245,8 +245,6 @@ def cmd_optimize(args) -> int:
     _check_size("GA config population", ga.population_size, MAX_POPULATION)
     _check_size("GA work population * (generations + 1) * restarts",
                 ga.population_size * (ga.generations + 1) * ga.restarts, MAX_GA_GENOMES)
-    if not args.grid:   # --grid's points were checked as it was parsed
-        _check_size("GA config omega1_grid points", ga.omega1_points, MAX_GRID_POINTS)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
@@ -254,7 +252,7 @@ def cmd_optimize(args) -> int:
     phases.done("hamiltonian")
 
     result = optimize(target, h, bounds, ga)
-    phases.done("search", earlier=result.precompute_seconds)
+    phases.done("search", earlier=result.robustness.precompute_seconds)
     out = _out_dir(args)
     save_sequence(result.best_sequence(), out / "best_sequence.json")
     write_csv(out / "history.csv", ("generation", "best_fitness"),
@@ -269,7 +267,7 @@ def cmd_optimize(args) -> int:
                     generations_run=result.generations_run,
                     fitness_evaluations=result.fitness_evaluations,
                     stop_reason=result.stop_reason,
-                    kernel_workers=result.kernel_workers,
+                    kernel_workers=result.robustness.kernel_workers,
                     phase_seconds=phases.seconds)
     print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
     print(f"  duration = {result.best_sequence().duration:.4f} us over "

@@ -11,6 +11,10 @@ from .targets import TargetGate
 
 DEFAULT_OMEGA1_RANGE = (0.48, 0.52)
 DEFAULT_GRID_POINTS = 5
+# At d = 32 a grid point costs about 32 kB in the engine's batched
+# eigensystem (96 MB peak at 4096 points), so a band is refused past this
+# many points before anything is allocated.
+MAX_GRID_POINTS = 2048
 
 
 def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
@@ -22,9 +26,15 @@ def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
 
 
 def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
+    """`points` amplitudes spanning the band, or its centre for one point. The one
+    check of a band: ValueError names min_MHz, max_MHz or points for the caller to prefix."""
     lo, hi = omega1_range
-    if points < 1:
-        raise ValueError("grid needs at least one point")
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
+        raise ValueError(f"min_MHz and max_MHz must be finite with 0 <= min_MHz <= max_MHz, "
+                         f"got {lo!r}, {hi!r}")
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise ValueError(f"points must be at least one and at most {MAX_GRID_POINTS}, "
+                         f"got {points!r}")
     if points == 1:
         return np.array([(lo + hi) / 2.0])
     return np.linspace(lo, hi, points)

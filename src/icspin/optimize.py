@@ -2,7 +2,7 @@
 
 Genomes are flat real vectors [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n].
 The fitness of a genome is the mean trace fidelity against the target over
-the configured amplitude grid. Selection is tournament (default size 3),
+the configured amplitude grid. Selection is tournament (TOURNAMENT_SIZE),
 crossover is uniform, mutation is Gaussian with a per-gene scale
 proportional to the gene's range; out-of-bounds genes are clamped. Elites
 pass through unchanged, which makes the best-fitness history
@@ -15,11 +15,11 @@ for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
+from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessReport, omega1_grid
 from .files import check_keys, json_number
 from .kernels import FitnessKernel
 from .operators import TWO_PI
@@ -28,6 +28,7 @@ from .system import MAX_CONFIG_VALUE
 from .targets import TargetGate
 
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
+TOURNAMENT_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,9 @@ class GAConfig:
     mutation_rate: float = 0.25
     mutation_scale: float = 0.05
     elite_count: int = 2
-    tournament_size: int = 3
     rng_seed: int = 0
     omega1_range: tuple[float, float] = DEFAULT_OMEGA1_RANGE
     omega1_points: int = DEFAULT_GRID_POINTS
-    omega1_nominal: float = 0.5
     early_stop_fitness: float | None = 0.999
     restarts: int = 1
 
@@ -95,21 +94,13 @@ class GAConfig:
             raise ValueError("seed must be >= 0")
         if self.early_stop_fitness is not None and not np.isfinite(self.early_stop_fitness):
             raise ValueError("early_stop must be finite or null")
-        if self.omega1_points < 1:
-            raise ValueError("omega1_points must be >= 1")
-        lo, hi = self.omega1_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
-            raise ValueError(f"omega1 range min_MHz, max_MHz must be finite with "
-                             f"0 <= min <= max, got {lo}, {hi}")
+        try:
+            omega1_grid(self.omega1_range, self.omega1_points)
+        except ValueError as exc:
+            raise ValueError(f"GA config omega1_grid {exc}") from exc
         if not 0.0 <= self.mutation_scale <= MAX_CONFIG_VALUE:   # NaN fails too
             raise ValueError(f"mutation_scale must be finite and in [0, {MAX_CONFIG_VALUE:g}], "
                              f"got {self.mutation_scale!r}")
-        k = self.tournament_size
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"tournament_size must be an integer >= 1, got {k!r}")
-        if not (np.isfinite(self.omega1_nominal) and self.omega1_nominal >= 0.0):
-            raise ValueError(
-                f"omega1_nominal must be finite and >= 0, got {self.omega1_nominal!r}")
 
 
 # GA-config document key -> GAConfig field; "omega1_grid" holds the _GRID_KEYS
@@ -163,24 +154,24 @@ def ga_config_to_dict(cfg: GAConfig) -> dict:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best restart's search, and ``robustness``: its genome's report on the band."""
+
     best_genome: np.ndarray
     best_fitness: float
     history: np.ndarray
-    robustness_mean: float
-    robustness_min: float
-    per_point: np.ndarray
-    omega1s: np.ndarray
+    robustness: RobustnessReport
     seed: int
     n_pulses: int
-    omega1_nominal: float
     fitness_evaluations: int
     stop_reason: str
-    kernel_workers: int
-    precompute_seconds: float
 
     @property
     def generations_run(self) -> int:
         return len(self.history) - 1
+
+    @property
+    def omega1_nominal(self) -> float:   # the band's centre, the saved sequence's amplitude
+        return float((self.robustness.omega1s[0] + self.robustness.omega1s[-1]) / 2.0)
 
     def best_sequence(self) -> PulseSequence:
         """The best genome as a sequence; a genome that is no valid sequence
@@ -196,19 +187,15 @@ class OptimizationResult:
             "best_fitness": self.best_fitness,
             "history": self.history.tolist(),
             "robustness": {
-                "mean": self.robustness_mean,
-                "min": self.robustness_min,
-                "omega1s_MHz": self.omega1s.tolist(),
-                "fidelities": self.per_point.tolist(),
+                "mean": self.robustness.mean,
+                "min": self.robustness.min,
+                "omega1s_MHz": self.robustness.omega1s.tolist(),
+                "fidelities": self.robustness.fidelities.tolist(),
             },
             "seed": self.seed,
             "n_pulses": self.n_pulses,
             "omega1_nominal_MHz": self.omega1_nominal,
         }
-
-
-def _kernel(target, h, cfg: GAConfig, n_pulses: int) -> FitnessKernel:
-    return FitnessKernel(h, target, omega1_grid(cfg.omega1_range, cfg.omega1_points), n_pulses)
 
 
 def _duration(genomes: np.ndarray, n_pulses: int) -> np.ndarray:
@@ -252,11 +239,11 @@ def _draws_per_call(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
     ``_breed`` documents. The reference stream, and the path for the
     generations that ``_draws_from_words`` cannot decode."""
     n_children = cfg.population_size - cfg.elite_count
-    draws = np.empty((n_children, 2 * cfg.tournament_size), dtype=np.int64)
+    draws = np.empty((n_children, 2 * TOURNAMENT_SIZE), dtype=np.int64)
     doubles = np.empty((n_children, 2 * n_genes + 1))
     noise = np.empty((n_children, n_genes))
     for c in range(n_children):
-        draws[c] = rng.integers(0, cfg.population_size, size=2 * cfg.tournament_size)
+        draws[c] = rng.integers(0, cfg.population_size, size=2 * TOURNAMENT_SIZE)
         doubles[c, : n_genes + 1] = rng.random(n_genes + 1)
         if doubles[c, 0] < cfg.crossover_rate:
             doubles[c, n_genes + 1 :] = rng.random(n_genes)
@@ -283,8 +270,7 @@ def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
     entry = bit_gen.state
     if entry["has_uint32"]:
         return None
-    n_children = cfg.population_size - cfg.elite_count
-    k = cfg.tournament_size
+    n_children, k = cfg.population_size - cfg.elite_count, TOURNAMENT_SIZE
     words = np.empty((n_children, k + 2 * n_genes + 1), dtype=np.uint64)
     z = np.empty((n_children, n_genes))
     for c in range(n_children):
@@ -309,7 +295,7 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
 
     A fixed seed must keep its stream, so each child's draws are those of
     these Generator calls, made one after the other in this order (L genes,
-    tournament size k, population size P):
+    k = TOURNAMENT_SIZE, population size P):
 
     1. ``integers(0, P, size=2k)``: both tournaments; a parent is the
        lowest (best-ranked) index of its k draws;
@@ -331,7 +317,7 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
     n_genes = bounds.genome_length
     tournaments, doubles, noise = (_draws_from_words(rng, cfg, n_genes)
                                    or _draws_per_call(rng, cfg, n_genes))
-    n_children, k = len(tournaments), cfg.tournament_size
+    n_children, k = len(tournaments), TOURNAMENT_SIZE
     parents = tournaments.reshape(n_children, 2, k).min(axis=2)
     crossed = doubles[:, :1] < cfg.crossover_rate
     genes, masks = doubles[:, 1 : n_genes + 1], doubles[:, n_genes + 1 :]
@@ -343,7 +329,9 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
 
 
 def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
-                seed: int) -> OptimizationResult:
+                seed: int) -> tuple[np.ndarray, np.ndarray, str, int]:
+    """One search from `seed`: its best genome, best-fitness history, stop
+    reason and the number of genomes it scored."""
     rng = np.random.default_rng(seed)
     pop = rng.uniform(bounds.lower(), bounds.upper(),
                       size=(cfg.population_size, bounds.genome_length))
@@ -369,24 +357,7 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
         pop, fits = pop[order], fits[order]
         history.append(float(fits[0]))
 
-    per_point = kern.evaluate(pop[0])[0]
-    scored += 1
-    return OptimizationResult(
-        best_genome=pop[0].copy(),
-        best_fitness=float(fits[0]),
-        history=np.array(history),
-        robustness_mean=float(per_point.mean()),
-        robustness_min=float(per_point.min()),
-        per_point=per_point,
-        omega1s=kern.omega1s,
-        seed=seed,
-        n_pulses=bounds.n_pulses,
-        omega1_nominal=cfg.omega1_nominal,
-        fitness_evaluations=scored * kern.omega1s.size,
-        stop_reason="early_stop" if reached() else "budget",
-        kernel_workers=kern.threads_used,
-        precompute_seconds=kern.precompute_seconds,
-    )
+    return pop[0].copy(), np.array(history), "early_stop" if reached() else "budget", scored
 
 
 def optimize(
@@ -403,13 +374,19 @@ def optimize(
 
     The result's ``stop_reason`` ("early_stop" once the best fitness
     reaches cfg.early_stop_fitness, else "budget") and ``generations_run``
-    describe the returned run; ``fitness_evaluations`` counts the genomes
-    scored times the grid points over all restarts. Every restart runs on
-    one fitness kernel: ``kernel_workers`` is the most threads it ran on,
-    and ``precompute_seconds`` the wall time of building it.
+    describe the returned run. Every restart runs on one fitness kernel,
+    which then scores the best genome once for ``robustness``;
+    ``fitness_evaluations`` counts the genomes scored times the grid points.
     """
-    kern = _kernel(target, h, cfg, bounds.n_pulses)
+    grid = omega1_grid(cfg.omega1_range, cfg.omega1_points)
+    kern = FitnessKernel(h, target, grid, bounds.n_pulses)
     runs = [_single_run(kern, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
-    best = max(runs, key=lambda run: run.best_fitness)   # the first of equal bests
-    return replace(best, fitness_evaluations=sum(run.fitness_evaluations for run in runs),
-                   kernel_workers=kern.threads_used)
+    # the run whose history ends highest, the first of equal ones
+    best = max(range(cfg.restarts), key=lambda i: runs[i][1][-1])
+    genome, history, stop_reason, _ = runs[best]
+    fidelities = kern.evaluate(genome)[0]
+    report = RobustnessReport(grid, fidelities, kern.threads_used, kern.precompute_seconds)
+    return OptimizationResult(
+        best_genome=genome, best_fitness=float(history[-1]), history=history, robustness=report,
+        seed=cfg.rng_seed + best, n_pulses=bounds.n_pulses, stop_reason=stop_reason,
+        fitness_evaluations=(sum(run[-1] for run in runs) + 1) * grid.size)

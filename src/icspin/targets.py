@@ -75,12 +75,10 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
 
     Recognized forms: ``hadamard``, ``cnot``, ``ccrot:<carbon>,<theta_deg>``.
     """
-    base, _, params = name.partition(":")
+    base, colon, params = name.partition(":")
     base = base.strip().lower()
-    if base == "hadamard":
-        return hadamard_on_carbon(n_carbons)
-    if base == "cnot":
-        return cnot_on_carbon(n_carbons)
+    if base in ("hadamard", "cnot") and not colon:
+        return (hadamard_on_carbon if base == "hadamard" else cnot_on_carbon)(n_carbons)
     if base == "ccrot":
         try:
             carbon_str, theta_str = params.split(",")
@@ -93,4 +91,5 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
         if not np.isfinite(theta):
             raise TargetError(f"ccrot angle must be finite, got {theta_str!r}")
         return cc_rotation(n_carbons, carbon, theta)
-    raise TargetError(f"unknown target {name!r}")
+    raise TargetError(f"unknown target {name!r}; the forms are hadamard, cnot and "
+                      f"ccrot:<carbon>,<theta_deg>")

@@ -76,6 +76,20 @@ def test_verify_unknown_target_is_usage_error(tmp_path):
                 "--target", "nope", "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+@pytest.mark.parametrize("target", ["hadamard:7", "cnot:junk", "cnot:", "ccrot:0,90",
+                                    "ccrot:1,nan", "ccrot:nope", "toffoli"])
+def test_bad_target_is_usage_error_naming_the_flag(tmp_path, capsys, command, target):
+    """hadamard and cnot took any parameters and recorded the mistyped name,
+    and the carbon-range, parameter and angle errors did not name --target."""
+    args = ["--sequence", CNOT] if command == "verify" else []
+    out = tmp_path / "o"
+    assert run([command, "--system", SYSTEM, "--target", target, *args,
+                "--out", str(out)]) == 1
+    assert "--target" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_sequence_against_identity(tmp_path):
     """A zero-duration genome scores unit fidelity against a zero-angle
     conditional rotation."""
@@ -115,10 +129,10 @@ def test_optimize_manifest_explains_the_search(tmp_path):
                               "restarts": 2}))
     assert run(base + ["--out", str(tmp_path / "early")]) == 0
     facts = ("generations_run", "fitness_evaluations", "stop_reason")
-    # genomes scored: the population, 8 children a generation and the final
-    # best, times 3 grid points, summed over restarts
+    # genomes scored: the population and 8 children a generation, summed
+    # over restarts, and the best once, times 3 grid points
     for name, expected in (("budget", (3, (10 + 3 * 8 + 1) * 3, "budget")),
-                           ("early", (0, 2 * (10 + 1) * 3, "early_stop"))):
+                           ("early", (0, (2 * 10 + 1) * 3, "early_stop"))):
         out = tmp_path / name
         manifest = json.loads((out / "manifest.json").read_text())
         assert tuple(manifest[key] for key in facts) == expected
@@ -196,6 +210,25 @@ def test_optimize_zero_generations(tmp_path):
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 0
     result = json.loads((out / "result.json").read_text())
     assert len(result["history"]) == 1
+
+
+@pytest.mark.parametrize("band", ["flag", "ga_config"])
+def test_optimize_saves_the_sequence_at_the_band_centre(tmp_path, band):
+    """The saved sequence runs at the centre of the band it was optimized
+    on; it was saved at 0.5 MHz whatever the band."""
+    ga = {"population": 8, "elites": 1, "generations": 1}
+    argv = ["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "2",
+            "--ga-config", str(tmp_path / "ga.json"), "--out", str(tmp_path / "o")]
+    if band == "flag":
+        argv += ["--grid", "0.9,1.1,3"]
+    else:
+        ga["omega1_grid"] = {"min_MHz": 0.9, "max_MHz": 1.1, "points": 3}
+    (tmp_path / "ga.json").write_text(json.dumps(ga))
+    assert run(argv) == 0
+    result = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert result["omega1_nominal_MHz"] == 1.0
+    assert result["robustness"]["omega1s_MHz"] == [0.9, 1.0, 1.1]
+    assert json.loads((tmp_path / "o" / "best_sequence.json").read_text())["omega1_MHz"] == 1.0
 
 
 def test_optimize_invalid_bounds_usage_error(tmp_path):
@@ -467,7 +500,7 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     missing check costs one small population."""
     ga = tmp_path / "ga.json"
     ga.write_text(json.dumps({"omega1_grid": {
-        "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.cli.MAX_GRID_POINTS + 1}}))
+        "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.fidelity.MAX_GRID_POINTS + 1}}))
     small_ga = tmp_path / "small_ga.json"
     small_ga.write_text(json.dumps({"population": 4, "elites": 1, "generations": 0}))
     large_ga = tmp_path / "large_ga.json"
@@ -476,7 +509,7 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     dt = icspin.load_sequence(CNOT).duration / (icspin.cli.MAX_TRAJECTORY_STEPS + 1)
     argv, flag, written = {
         "verify_grid": (["verify", "--sequence", CNOT, "--target", "cnot", "--grid",
-                         f"0.48,0.52,{icspin.cli.MAX_GRID_POINTS + 1}"],
+                         f"0.48,0.52,{icspin.fidelity.MAX_GRID_POINTS + 1}"],
                         "--grid points", "verify.json"),
         "optimize_ga_config_grid": (["optimize", "--target", "cnot", "--ga-config", str(ga)],
                                     "GA config omega1_grid points", "result.json"),

@@ -1,7 +1,8 @@
 """Input fuzzing of the CLI, run in-process on the bundled documents.
 
 Each case sets one or two fields of the system, sequence or GA-config
-document, or one flag, to an edge value. Whatever the value, the command
+document, or one flag, to an edge value; a flag that holds several values
+gets the edge value in one of them. Whatever the value, the command
 exits 0 and every data file it wrote holds only finite numbers, or it exits
 1 with a message that names the field or flag and writes no file. It never
 exits 2, and never runs on without bound: a case past CASE_SECONDS fails.
@@ -40,12 +41,18 @@ FIELDS = {
            ("omega1_grid",), ("omega1_grid", "min_MHz"), ("omega1_grid", "max_MHz"),
            ("omega1_grid", "points")],
 }
+# A flag whose text holds several values: the case's name for one of them ->
+# (the flag, its text around the edge value)
+FLAG_FIELDS = {"--grid max": ("--grid", "0.48,{},3"),
+               "--target carbon": ("--target", "ccrot:{},90"),
+               "--target angle": ("--target", "ccrot:1,{}")}
+TARGET_FIELDS = ("--target carbon", "--target angle")
 # command -> (its argv, the documents it reads, the flags a case may set)
 COMMANDS = {
     "verify": (["verify", "--target", "cnot", "--grid", "0.48,0.52,3"],
-               ("system", "sequence"), ("--grid",)),
+               ("system", "sequence"), ("--grid max", *TARGET_FIELDS)),
     "optimize": (["optimize", "--target", "cnot", "--pulses", "2"], ("system", "ga"),
-                 ("--pulses", "--tau-max", "--t-max", "--seed")),
+                 ("--pulses", "--tau-max", "--t-max", "--seed", *TARGET_FIELDS)),
     "scan hadamard": (["scan", "--kind", "hadamard", "--points", "32"], ("system", "sequence"),
                       ("--points", "--dt")),
     "scan theta": (["scan", "--kind", "theta", "--points", "32"], ("system", "sequence"),
@@ -94,11 +101,10 @@ def _run(command: str, changes: list, root: Path) -> tuple[int, str]:
     # a field is set before the document or list that holds it, which then replaces it
     for target, value in sorted(changes, key=lambda change: -len(change[0])):
         if isinstance(target, str):   # a flag, given after any default it replaces
-            if target in argv:
-                del argv[argv.index(target):argv.index(target) + 2]
-            if target == "--grid":
-                value = f"0.48,{_text(value)},3"
-            argv.append(f"{target}={_text(value)}")
+            flag, text = FLAG_FIELDS.get(target, (target, "{}"))
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            argv.append(f"{flag}={text.format(_text(value))}")
         else:
             doc, *path = target
             node = docs[doc]
@@ -145,6 +151,7 @@ def _assert_finite(path: Path) -> None:
 @example(case=("report", [(("system", "carbons", 0, "A_zz_MHz"), 5e-324)]))
 @example(case=("optimize", [(("ga", "generations"), 2**63)]))
 @example(case=("optimize", [(("ga", "restarts"), 2**63)]))
+@example(case=("verify", [("--target carbon", 0)]))
 def test_edge_value_exits_zero_with_finite_files_or_one_naming_it(case):
     command, changes = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,8 +165,10 @@ def test_edge_value_exits_zero_with_finite_files_or_one_naming_it(case):
                 _assert_finite(path)
         else:
             # a flag is named as itself or as its parameter, e.g. tau_max
-            names = [name for target, _ in changes for name in
-                     ((target, target[2:].replace("-", "_")) if isinstance(target, str) else
-                      (next(key for key in reversed(target) if isinstance(key, str)),))]
+            flags = [FLAG_FIELDS.get(target, (target,))[0] for target, _ in changes
+                     if isinstance(target, str)]
+            names = [name for flag in flags for name in (flag, flag[2:].replace("-", "_"))]
+            names += [next(key for key in reversed(target) if isinstance(key, str))
+                      for target, _ in changes if not isinstance(target, str)]
             assert any(name in err for name in names), err
             assert not files, files

@@ -64,21 +64,15 @@ def test_ga_config_validation():
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError):
         GAConfig(elite_count=100, population_size=100)
-    with pytest.raises(ValueError, match="omega1_points"):
-        GAConfig(omega1_points=0)
+    for bad in (0, icspin.fidelity.MAX_GRID_POINTS + 1):
+        with pytest.raises(ValueError, match="omega1_grid points"):
+            GAConfig(omega1_points=bad)
     for bad in (-0.01, np.inf, np.nan):
         with pytest.raises(ValueError, match="mutation_scale"):
             GAConfig(mutation_scale=bad)
     for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
-        with pytest.raises(ValueError, match="omega1 range"):
+        with pytest.raises(ValueError, match="omega1_grid min_MHz"):
             GAConfig(omega1_range=bad)
-    for bad in (0, -2, 2.0, 1.5, True):
-        with pytest.raises(ValueError, match="tournament_size"):
-            GAConfig(tournament_size=bad)
-    for bad in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="omega1_nominal"):
-            GAConfig(omega1_nominal=bad)
-    assert GAConfig(tournament_size=np.int64(1), omega1_nominal=0.0).tournament_size == 1
 
 
 @pytest.mark.parametrize("doc,exc,key", [
@@ -142,7 +136,7 @@ def test_history_monotone_and_best_reported(h_subspace):
     res = optimize(target, h_subspace, bounds, small_cfg(seed=3, generations=20))
     assert np.all(np.diff(res.history) >= 0.0)
     assert res.best_fitness == res.history[-1]
-    assert res.robustness_mean == pytest.approx(res.best_fitness, abs=1e-12)
+    assert res.robustness.mean == pytest.approx(res.best_fitness, abs=1e-12)
 
 
 def test_best_beats_initial_population(h_subspace):
@@ -155,7 +149,7 @@ def test_best_beats_initial_population(h_subspace):
     init = rng.uniform(bounds.lower(), bounds.upper(),
                        size=(cfg.population_size, bounds.genome_length))
     kern_fits = icspin.FitnessKernel(
-        h_subspace, target, res.omega1s, bounds.n_pulses
+        h_subspace, target, res.robustness.omega1s, bounds.n_pulses
     ).evaluate(init).mean(axis=1)
     assert res.best_fitness >= kern_fits.max() - 1e-12
     assert res.best_fitness >= res.history[0] - 1e-12
@@ -205,9 +199,10 @@ def test_clamping_property(seed):
     assert np.all(clamped >= lo) and np.all(clamped <= hi)
 
 
-def _breed_per_child(rng, pop, cfg, bounds):
+def _breed_per_child(rng, pop, cfg, bounds, k=optimize_module.TOURNAMENT_SIZE):
     """The per-child breeding loop as it stood before ``_breed`` batched
-    its draws, kept verbatim as the oracle of the fixed-seed stream."""
+    its draws, kept as the oracle of the fixed-seed stream; `k` is the
+    tournament size."""
     lo, hi = bounds.lower(), bounds.upper()
     span = hi - lo
     n_children = cfg.population_size - cfg.elite_count
@@ -216,8 +211,8 @@ def _breed_per_child(rng, pop, cfg, bounds):
     mutate = np.empty((n_children, bounds.genome_length), dtype=bool)
     noise = np.empty((n_children, bounds.genome_length))
     for c in range(n_children):
-        parents[0, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
-        parents[1, c] = rng.integers(0, cfg.population_size, size=cfg.tournament_size).min()
+        parents[0, c] = rng.integers(0, cfg.population_size, size=k).min()
+        parents[1, c] = rng.integers(0, cfg.population_size, size=k).min()
         if rng.random() < cfg.crossover_rate:
             from_first[c] = rng.random(bounds.genome_length) < 0.5
         mutate[c] = rng.random(bounds.genome_length) < cfg.mutation_rate
@@ -229,16 +224,20 @@ def _breed_per_child(rng, pop, cfg, bounds):
 @pytest.mark.parametrize("tournament_size", [1, 2, 3, 4])
 @pytest.mark.parametrize("mutation_rate", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
-def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournament_size):
+def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournament_size,
+                                         monkeypatch):
     """_breed returns the per-child loop's children bit for bit and leaves
     the Generator in the same state, over several generations in a row (an
-    odd tournament size leaves PCG64's spare 32-bit half buffered)."""
+    odd tournament size leaves PCG64's spare 32-bit half buffered). The GA
+    runs TOURNAMENT_SIZE = 3; the decoding is written for any k, so the
+    other sizes patch the constant."""
+    monkeypatch.setattr(optimize_module, "TOURNAMENT_SIZE", tournament_size)
     for case in range(6):
         n_pulses = (1, 3, 4)[case % 3]                     # genome lengths 4, 10, 13
         population = (3, 7, 24, 100, 5, 51)[case]
         cfg = GAConfig(population_size=population, elite_count=min(2, population - 1),
                        crossover_rate=crossover_rate, mutation_rate=mutation_rate,
-                       tournament_size=tournament_size, mutation_scale=0.3)
+                       mutation_scale=0.3)
         bounds = ParameterBounds(n_pulses, tau_max=2.0, t_max=1.5)
         for seed in range(4 * case, 4 * case + 4):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -248,7 +247,7 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
                                size=(population, bounds.genome_length))
             for _ in range(3):
                 children = _breed(rng, pop, cfg, bounds)
-                expected = _breed_per_child(oracle_rng, pop, cfg, bounds)
+                expected = _breed_per_child(oracle_rng, pop, cfg, bounds, tournament_size)
                 assert children.tobytes() == expected.tobytes()
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
                 pop = np.vstack([pop[: cfg.elite_count], children])
@@ -266,7 +265,7 @@ def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
     """A generation entered with PCG64's spare 32-bit half buffered cannot
     be decoded from whole words; it is drawn call by call, in the oracle's
     stream, and so is the next one."""
-    cfg = GAConfig(population_size=30, tournament_size=3, mutation_scale=0.3)
+    cfg = GAConfig(population_size=30, mutation_scale=0.3)
     bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
     pop = rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))

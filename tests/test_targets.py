@@ -78,6 +78,9 @@ def test_target_library_errors():
         target_library("toffoli")
     with pytest.raises(TargetError, match="parameters"):
         target_library("ccrot:nope")
+    for name in ("hadamard:7", "cnot:junk", "CNOT:"):
+        with pytest.raises(TargetError, match="unknown target"):
+            target_library(name)
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
