@@ -430,8 +430,8 @@ def cmd_report(args) -> int:
     _check_linewidth(args.linewidth)
     cfg = load_system(args.system)
     phases.done("load")
-    single = cfg.subset([cfg.carbons[0].label])
-    eig = carbon_eigenstructure(single)
+    carbon = cfg.single_carbon()   # every quantity below describes one carbon
+    eig = carbon_eigenstructure(cfg)
     payload: dict = {
         "kappa_minus_deg": eig.kappa_minus_deg,
         "kappa_plus_deg": eig.kappa_plus_deg,
@@ -439,7 +439,7 @@ def cmd_report(args) -> int:
         "nu_plus_MHz": eig.nu_plus,
     }
     try:
-        tau1, tau2 = analytic_init_delays(single)
+        tau1, tau2 = analytic_init_delays(cfg)
         payload["init_tau1_us"] = tau1
         payload["init_tau2_us"] = tau2
     except InitializationDomainError as exc:
@@ -447,12 +447,12 @@ def cmd_report(args) -> int:
         payload["init_tau2_us"] = "n/a"
         payload["init_delay_note"] = str(exc)
     try:
-        payload["cleanup_tau_c_us"] = cleanup_delay(single)
+        payload["cleanup_tau_c_us"] = cleanup_delay(cfg)
     except ValueError as exc:
         payload["cleanup_tau_c_us"] = "n/a"
         payload["cleanup_note"] = str(exc)
     try:
-        geom = dipolar_geometry(single.carbons[0])
+        geom = dipolar_geometry(carbon)
         payload["dipolar_r_nm"] = geom.r_nm
         payload["dipolar_theta_deg"] = geom.theta_deg
     except GeometryError as exc:

@@ -171,19 +171,14 @@ def cleanup_delay(config: SpinSystemConfig) -> float:
     return tau_c
 
 
-def cleanup_propagator(config: SpinSystemConfig, ideal: bool = False) -> np.ndarray:
+def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
     """(90_x - tau_c - 90_y) on the m_S = {0, +1} manifold.
 
     Moves the |0,dn> population to |+1,dn> while returning |0,up> to itself.
     The second pulse rotates about -y, which closes the transfer for the
     phase accumulated over tau_c = 1/(2|a_zz|) under this sign convention.
-    With ideal=True an exact |0,dn> <-> |+1,dn> swap is returned instead;
-    otherwise tau_c past MAX_DURATION_US (|a_zz| < 5e-7 MHz) raises SequenceError.
+    tau_c past MAX_DURATION_US (|a_zz| < 5e-7 MHz) raises SequenceError.
     """
-    if ideal:
-        u = np.eye(4, dtype=complex)
-        u[[1, 1, 3, 3], [1, 3, 1, 3]] = [0.0, 1.0, 1.0, 0.0]
-        return u
     h = multiqubit_hamiltonian(config, m_s=+1)
     delay = sequence_propagator(PulseSequence((Delay(cleanup_delay(config)),), 0.0), h)
     first = electron_rotation(np.pi / 2, 0.0)
@@ -197,16 +192,14 @@ def cleanup_propagator(config: SpinSystemConfig, ideal: bool = False) -> np.ndar
 
 def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
     """Resolve a gate argument: None/'ideal' -> default target matrix,
-    'noop' -> identity, PulseSequence -> its propagator, ndarray passthrough."""
+    'noop' -> identity, PulseSequence -> its propagator."""
     if gate is None or (isinstance(gate, str) and gate.lower() == "ideal"):
         return default.matrix
     if isinstance(gate, str) and gate.lower() == "noop":
         return np.eye(h.shape[0], dtype=complex)
     if isinstance(gate, PulseSequence):
         return sequence_propagator(gate, h)
-    if isinstance(gate, TargetGate):
-        return gate.matrix
-    return np.asarray(gate, dtype=complex)
+    raise ValueError(f"gate must be 'ideal', 'noop' or a PulseSequence, got {gate!r}")
 
 
 def signal_spectrum(times: np.ndarray, signal: np.ndarray) -> Spectrum:
@@ -237,9 +230,9 @@ def hadamard_circuit_scan(
 ) -> ScanResult:
     """Population of |0,up> after (gate - free t - gate) applied to |0,up>.
 
-    `gate` is the carbon Hadamard: 'ideal', a PulseSequence, or an explicit
-    matrix. `first_gate` defaults to the same gate; pass 'noop' for the
-    control run without the initial gate.
+    `gate` is the carbon Hadamard: 'ideal' or a PulseSequence. `first_gate`
+    defaults to the same gate; pass 'noop' for the control run without the
+    initial gate.
     """
     t_grid = _check_uniform(t_grid)
     config.single_carbon()   # the gate and the readout act on one carbon
@@ -263,14 +256,18 @@ def electron_fid_scan(
     """Electron FID (90_x - t - 90_phi) with phase ramp phi(t) = -2pi nu_d t.
 
     The population of m_S = 0 is recorded as a function of t; its spectrum
-    is centered at the detuning nu_d and split by the carbon state.
+    is centered at the detuning nu_d and split by the carbon state. |nu_d|
+    must reach the line span, else lines of either sign fold over zero.
     """
     t_grid = _check_uniform(t_grid)
     if not np.isfinite(nu_d):
         raise ValueError(f"detuning must be finite, got {nu_d}")
     h = multiqubit_hamiltonian(config)
     lines = esr_lines(h)
-    f_max = abs(nu_d) + max(abs(p) for p, _ in lines)
+    span = max(abs(p) for p, _ in lines)
+    if abs(nu_d) < span:
+        raise ValueError(f"detuning {nu_d} MHz must reach the line span {span:.4f} in magnitude")
+    f_max = abs(nu_d) + span
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
         raise NyquistError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
@@ -305,7 +302,7 @@ def theta_scan(
     config: SpinSystemConfig,
 ) -> np.ndarray:
     """P(|0,dn>) after preparing cos(t/2)|0,up> + sin(t/2)|-1,up> and applying
-    `gate` ('noop', 'cnot', a PulseSequence, or a matrix).
+    `gate` ('noop', 'cnot' or a PulseSequence).
 
     readout_branch -1 inserts the hard 180_y that maps the m_S = -1
     population into m_S = 0 before the projective readout; branch 0 reads
@@ -334,24 +331,18 @@ def theta_scan(
 _SPECTRUM_POINTS = 4001   # frequency samples of an ESR spectrum
 
 
-def esr_lines(h: np.ndarray, populations=None) -> list[tuple[float, float]]:
+def esr_lines(h: np.ndarray) -> list[tuple[float, float]]:
     """Stick list of electron-flip transitions as (signed offset, weight).
 
     The lower manifold is the first electron block of `h`. With the block
     eigensystems (w_0, V_0) and (w_1, V_1) of ``engine_for(h)``, the
     offsets are w_1[:, None] - w_0 and the weights, squared matrix elements
-    of the electron flip, are the squared entries of V_1^T V_0. A state
-    vector or density matrix `populations` scales each weight by the
-    population difference of its lower and upper eigenstate; lines whose
-    difference is not positive drop out with those of weight below 1e-12.
+    of the electron flip, are the squared entries of V_1^T V_0; lines of
+    weight below 1e-12 drop out.
     """
     engine = engine_for(h)
     half = engine.dim // 2
     weights = (engine.v[half:, half:].T @ engine.v[:half, :half]) ** 2
-    if populations is not None:
-        rho = engine.to_eigenbasis(density_matrix(populations))
-        pops = np.real(np.diag(rho))
-        weights *= pops[:half] - pops[half:, None]
     offsets = engine.w[half:, None] - engine.w[:half]
     keep = weights > 1e-12
     return sorted(zip(offsets[keep].tolist(), weights[keep].tolist()))
@@ -361,20 +352,16 @@ def esr_spectrum(
     h: np.ndarray,
     linewidth: float,
     detuning: float = 5.0,
-    populations=None,
 ) -> Spectrum:
     """Lorentzian-broadened electron spectrum of `h`.
 
     Stick positions sit at detuning + (E_upper - E_lower) for every pair of
     eigenstates connected by the electron flip operator. Weights are squared
-    matrix elements, scaled by population differences when a state is given
-    as `populations` (see ``esr_lines``).
+    matrix elements (see ``esr_lines``).
     """
     if not (np.isfinite(linewidth) and linewidth > 0):
         raise ValueError(f"linewidth must be positive and finite, got {linewidth}")
-    sticks = esr_lines(h, populations)
-    if not sticks:
-        raise ValueError("no electron-flip line has positive weight")
+    sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
         raise ValueError(f"detuning {detuning} MHz must exceed the line span {span:.4f}")
@@ -403,16 +390,19 @@ def bloch_trajectory(
 ) -> Trajectory:
     """Bloch vectors of the electron and each carbon sampled every `dt` us.
 
-    Segment boundaries are always sampled, so the last point equals the
-    one-shot sequence propagator applied to the initial state.
+    `initial` is a state vector of the register's dimension. Segment
+    boundaries are always sampled, so the last point equals the one-shot
+    sequence propagator applied to the initial state.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     psi = np.asarray(initial, dtype=complex)
-    rho_mode = psi.ndim == 2
+    if psi.shape != (h.shape[0],):
+        raise ValueError(f"initial must be a state vector of shape ({h.shape[0]},), "
+                         f"got shape {psi.shape}")
     engine = engine_for(h, [seq.omega1])
     v = engine.v
-    state = engine.to_eigenbasis(psi) if rho_mode else v.T @ psi   # free eigenbasis
+    state = v.T @ psi   # free eigenbasis
 
     times = [0.0]
     states = [psi.copy()]
@@ -426,11 +416,11 @@ def bloch_trajectory(
                 part = Delay(step) if isinstance(seg, Delay) else Pulse(step, seg.phi)
                 steps[step] = engine.propagate([part])[0]
             u = steps[step]
-            state = u @ state @ u.conj().T if rho_mode else u @ state
+            state = u @ state
             remaining -= step
             now += step
             times.append(now)
-            states.append(engine.to_lab(state) if rho_mode else v @ state)
+            states.append(v @ state)
 
     return Trajectory(times=np.array(times), vectors=qubit_bloch_vectors(np.array(states)))
 

@@ -42,18 +42,16 @@ class DipolarGeometry:
             raise GeometryError("theta must lie in [0, 180] degrees")
 
 
-def dipolar_prefactor_mhz(r_nm: float, gamma_e: float = GAMMA_E,
-                          gamma_c: float = GAMMA_C13) -> float:
-    """f(r) in MHz for a distance in nm."""
+def dipolar_prefactor_mhz(r_nm: float) -> float:
+    """f(r) in MHz for a distance in nm; positive, f(1 nm) = 0.1249 MHz."""
     r_m = r_nm * 1e-9
-    b = -MU0_OVER_4PI * gamma_e * gamma_c * PLANCK_H / r_m**3  # rad/s scale
+    b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / r_m**3  # rad/s scale
     return b / (2 * np.pi) / 1e6
 
 
-def coupling_from_geometry(geom: DipolarGeometry, gamma_e: float = GAMMA_E,
-                           gamma_c: float = GAMMA_C13) -> HyperfineCoupling:
+def coupling_from_geometry(geom: DipolarGeometry) -> HyperfineCoupling:
     """Forward map (r, theta) -> (a_zz, a_zx) in MHz."""
-    f = dipolar_prefactor_mhz(geom.r_nm, gamma_e, gamma_c)
+    f = dipolar_prefactor_mhz(geom.r_nm)
     th = np.radians(geom.theta_deg)
     return HyperfineCoupling(
         a_zz=f * (3 * np.cos(th) ** 2 - 1),
@@ -62,8 +60,7 @@ def coupling_from_geometry(geom: DipolarGeometry, gamma_e: float = GAMMA_E,
 
 
 @np.errstate(all="ignore")   # subnormal couplings overflow; the result is checked
-def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
-                     gamma_c: float = GAMMA_C13) -> DipolarGeometry:
+def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
     """Invert the point-dipole map.
 
     The angle comes from the coupling ratio: with u = tan(theta),
@@ -74,21 +71,16 @@ def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
     azz, azx = coupling.a_zz, coupling.a_zx
     if azz == 0.0 and azx == 0.0:
         raise GeometryError("zero coupling has no geometric preimage")
-    f_unit = dipolar_prefactor_mhz(1.0, gamma_e, gamma_c)  # f at r = 1 nm
-    if f_unit == 0.0:
-        raise GeometryError("gyromagnetic ratios give a vanishing dipolar field")
+    f_unit = dipolar_prefactor_mhz(1.0)  # f at r = 1 nm, positive
 
-    sign = 1.0 if f_unit > 0 else -1.0
-    azz_n, azx_n = sign * azz, sign * azx  # couplings for an effective f > 0
-
-    if azx_n == 0.0:
+    if azx == 0.0:
         # axis-aligned (theta 0 or 180) or equatorial (theta 90)
-        theta = 0.0 if azz_n > 0 else np.pi / 2
-    elif azz_n == 0.0:
+        theta = 0.0 if azz > 0 else np.pi / 2
+    elif azz == 0.0:
         magic = np.arccos(np.sqrt(1.0 / 3.0))
-        theta = magic if azx_n > 0 else np.pi - magic
+        theta = magic if azx > 0 else np.pi - magic
     else:
-        rho = azx_n / azz_n
+        rho = azx / azz
         if not np.isfinite(rho):
             raise GeometryError(f"the coupling ratio A_zx / A_zz = {azx:g} / {azz:g} "
                                 "is not finite")
@@ -99,7 +91,7 @@ def dipolar_geometry(coupling: HyperfineCoupling, gamma_e: float = GAMMA_E,
         for u in roots:
             cand = np.arctan(u) if u >= 0 else np.arctan(u) + np.pi
             denom = 3 * np.cos(cand) ** 2 - 1
-            if denom * azz_n > 0 and np.sin(cand) * np.cos(cand) * azx_n > 0:
+            if denom * azz > 0 and np.sin(cand) * np.cos(cand) * azx > 0:
                 theta = cand
                 break
         if theta is None:

@@ -1,7 +1,7 @@
 """Angular-momentum operators and tensor-product helpers.
 
 All matrices are dense complex128 numpy arrays. Spin-1/2 operators use the
-convention s_z = diag(+1/2, -1/2); spin-1 uses S_z = diag(1, 0, -1).
+convention s_z = diag(+1/2, -1/2).
 """
 from __future__ import annotations
 
@@ -10,18 +10,11 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 E2 = np.eye(2, dtype=complex)
-E3 = np.eye(3, dtype=complex)
 
 # spin-1/2 (also used for the electron pseudo-qubit spanned by m_S = 0, -1,
 # with |0> playing the role of "up")
 SX_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-SY_HALF = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 SZ_HALF = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-
-_SQ2 = np.sqrt(2.0)
-SX_ONE = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
-SY_ONE = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
-SZ_ONE = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
 def kron_all(*ops: np.ndarray) -> np.ndarray:

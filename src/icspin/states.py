@@ -56,23 +56,19 @@ def bloch_vector(rho2: np.ndarray) -> np.ndarray:
 
 
 def qubit_bloch_vectors(states: np.ndarray) -> np.ndarray:
-    """Bloch vector of every qubit for a stack of register states.
+    """Bloch vector of every qubit for a stack of register state vectors.
 
-    `states` holds K state vectors (K, d) or density matrices (K, d, d) of
-    a register of n qubits, d = 2**n. Returns (K, n, 3); entry [k, s] is
+    `states` holds K state vectors (K, d) of a register of n qubits,
+    d = 2**n. Returns (K, n, 3); entry [k, s] is
     ``bloch_vector(partial_trace(states[k], s, (2,) * n))``.
     """
     states = np.asarray(states, dtype=complex)
-    k, d = states.shape[:2]
+    k, d = states.shape
     n = int(np.log2(d))
     paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
     out = np.empty((k, n, 3))
     for s in range(n):
-        left, right = 2**s, 2 ** (n - s - 1)
-        if states.ndim == 2:
-            psi = states.reshape(k, left, 2, right)
-            rho = np.einsum("kiaj,kibj->kab", psi, psi.conj())
-        else:
-            rho = np.einsum("kiajibj->kab", states.reshape(k, left, 2, right, left, 2, right))
+        psi = states.reshape(k, 2**s, 2, 2 ** (n - s - 1))
+        rho = np.einsum("kiaj,kibj->kab", psi, psi.conj())
         out[:, s] = np.einsum("kab,pba->kp", rho, paulis).real
     return out

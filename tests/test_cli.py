@@ -359,6 +359,15 @@ def test_report_degenerate_manifold_is_usage_error(tmp_path, capsys):
     assert "effective field vanishes" in capsys.readouterr().err
 
 
+def test_report_needs_one_carbon(tmp_path, capsys):
+    """Its tilt angles, delays and geometry describe one carbon; on a larger
+    register they described carbon 1 without saying so."""
+    out = tmp_path / "r"
+    assert run(["report", "--system", str(data_path("system_4c.json")), "--out", str(out)]) == 1
+    assert "exactly one carbon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_reproduces_data_files_byte_identically(tmp_path):
     """Identical inputs and seed give byte-identical data files; only the
     manifest carries a timestamp."""
@@ -695,6 +704,22 @@ def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, caps
     err = capsys.readouterr().err
     assert "undersamples" in err and "detuning" in err
     assert not out.exists()
+
+
+def test_scan_fid_detuning_inside_line_span_is_usage_error(tmp_path, capsys):
+    """The sticks sit at detuning + offset, offsets up to 0.134 MHz on this
+    register: a smaller |--detuning| folded lines over zero, as spectrum
+    refuses. A negative detuning outside the span still runs."""
+    out = tmp_path / "o"
+    for detuning in ("0", "-0.1"):
+        assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", detuning,
+                    "--out", str(out)]) == 1
+        assert "detuning" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "-3",
+                "--out", str(out)]) == 0
+    lines = json.loads((out / "fid_spectrum.json").read_text())["lines"]
+    assert all(p < 0 for p, _ in lines)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])

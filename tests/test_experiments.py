@@ -84,13 +84,6 @@ def test_cleanup_preserves_up_population(system):
     assert abs(out[0]) ** 2 >= 0.9
 
 
-def test_cleanup_ideal_toggle(system):
-    u = cleanup_propagator(system, ideal=True)
-    assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-14
-    assert abs((u @ basis_state(1, 4))[3]) == pytest.approx(1.0)
-    assert abs((u @ basis_state(0, 4))[0]) == pytest.approx(1.0)
-
-
 def test_cleanup_needs_secular_coupling():
     cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(0.0, 0.1),))
     with pytest.raises(ValueError, match="secular"):
@@ -230,6 +223,17 @@ def test_fid_nyquist_guard(system):
             electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
 
 
+def test_fid_detuning_inside_line_span_is_refused(system):
+    """Sticks sit at nu_d + offset, so a smaller |nu_d| folds them over zero;
+    a negative detuning outside the span is a mirrored, valid spectrum."""
+    t = np.arange(64) * 0.1
+    for detuning in (0.0, 0.05, -0.1):
+        with pytest.raises(ValueError, match="detuning"):
+            electron_fid_scan(basis_state(0, 4), detuning, t, system)
+    lines = electron_fid_scan(basis_state(0, 4), -3.0, t, system).spectrum.lines
+    assert all(p < 0 for p, _ in lines)
+
+
 # ---------------------------------------------------------------------------
 # theta scan
 
@@ -315,6 +319,12 @@ def test_theta_scan_validates_branch(system):
         theta_scan("cnot", np.array([0.1]), 1, system)
 
 
+def test_scans_refuse_a_gate_they_cannot_resolve(system):
+    for gate in (icspin.cnot_on_carbon(1).matrix, icspin.cnot_on_carbon(1), "cz"):
+        with pytest.raises(ValueError, match="gate"):
+            theta_scan(gate, np.array([0.1]), -1, system)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -360,18 +370,6 @@ def test_nan_detuning_rejected(system, h_subspace):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=np.nan)
     with pytest.raises(ValueError, match="detuning"):
         electron_fid_scan(basis_state(0, 4), np.nan, np.arange(64) * 0.1, system)
-
-
-def test_spectrum_without_weighted_lines_is_an_error(h_subspace):
-    rho = density_matrix(basis_state(2, 4))   # all population in m_S = -1
-    with pytest.raises(ValueError, match="positive weight"):
-        esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0, populations=rho)
-
-
-def test_population_weighting_drops_empty_levels(system, h_subspace):
-    rho = density_matrix(basis_state(0, 4))  # only |0,up> occupied
-    spec = esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0, populations=rho)
-    assert len(spec.lines) == 2  # only the up-conditioned transitions remain
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +418,11 @@ def test_trajectory_needs_finite_dt(h_subspace, cnot_seq, dt):
         bloch_trajectory(cnot_seq, h_subspace, basis_state(0, 4), dt=dt)
 
 
-def test_trajectory_of_density_matrix_matches_state_vector(h_subspace, hadamard_seq):
+def test_trajectory_needs_a_state_vector(h_subspace, cnot_seq):
     psi0 = basis_state(0, 4)
-    pure = bloch_trajectory(hadamard_seq, h_subspace, psi0, dt=0.3)
-    mixed = bloch_trajectory(hadamard_seq, h_subspace, density_matrix(psi0), dt=0.3)
-    assert np.array_equal(pure.times, mixed.times)
-    assert np.abs(pure.vectors - mixed.vectors).max() < 1e-12
+    for initial in (density_matrix(psi0), basis_state(0, 8)):
+        with pytest.raises(ValueError, match="initial"):
+            bloch_trajectory(cnot_seq, h_subspace, initial, dt=0.1)
 
 
 def test_trajectory_csv_columns(tmp_path, registers, h_subspace, hadamard_seq):

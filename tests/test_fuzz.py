@@ -1,7 +1,9 @@
 """Input fuzzing of the CLI, run in-process on the bundled documents.
 
-Each case sets one or two fields of the system, sequence or GA-config
-document, or one flag, to an edge value; a flag that holds several values
+Two registers are the bases: the one-carbon system with the CNOT sequence,
+and the four-carbon system with the ccrot_n4_c12 sequence and target
+ccrot:2,90. Each case sets one or two fields of the system, sequence or
+GA-config document, or one flag, to an edge value; a flag that holds several values
 gets the edge value in one of them. Whatever the value, the command
 exits 0 and every data file it wrote holds only finite numbers, or it exits
 1 with a message that names the field or flag and writes no file. It never
@@ -27,6 +29,8 @@ EDGE_VALUES = (0, -1, 5e-324, 1e-320, 1e6 + 1, 1e308, math.nan, math.inf, -math.
 DOCUMENTS = {
     "system": json.loads(data_path("system_2q.json").read_text()),
     "sequence": json.loads(data_path("sequences/cnot.json").read_text()),
+    "system_4c": json.loads(data_path("system_4c.json").read_text()),
+    "sequence_4c": json.loads(data_path("sequences/ccrot_n4_c12.json").read_text()),
     "ga": {"population": 8, "elites": 1, "generations": 2, "early_stop": None,
            "omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 3}},
 }
@@ -36,6 +40,10 @@ FIELDS = {
                ("carbons", 0, "A_zz_MHz"), ("carbons", 0, "A_zx_MHz")],
     "sequence": [("omega1_MHz",), ("segments",), ("segments", 0, "delay_us"),
                  ("segments", 1, "pulse_us"), ("segments", 1, "phase_rad")],
+    "system_4c": [("D_MHz",), ("nu_C_MHz",), ("carbons",),
+                  *[("carbons", i, key) for i in range(4) for key in ("A_zz_MHz", "A_zx_MHz")]],
+    "sequence_4c": [("omega1_MHz",), ("segments", 0, "delay_us"), ("segments", 1, "pulse_us"),
+                    ("segments", 1, "phase_rad")],
     "ga": [("population",), ("generations",), ("crossover_rate",), ("mutation_rate",),
            ("mutation_scale",), ("elites",), ("seed",), ("restarts",), ("early_stop",),
            ("omega1_grid",), ("omega1_grid", "min_MHz"), ("omega1_grid", "max_MHz"),
@@ -64,8 +72,17 @@ COMMANDS = {
     "scan trajectory": (["scan", "--kind", "trajectory", "--dt", "0.1"], ("system", "sequence"),
                         ("--dt",)),
     "report": (["report"], ("system",), ("--linewidth",)),
+    "verify 4c": (["verify", "--target", "ccrot:2,90", "--grid", "0.48,0.52,3"],
+                  ("system_4c", "sequence_4c"), ("--grid max", *TARGET_FIELDS)),
+    "optimize 4c": (["optimize", "--target", "ccrot:2,90", "--pulses", "2"], ("system_4c", "ga"),
+                    ("--pulses", "--tau-max", *TARGET_FIELDS)),
+    "scan spectrum 4c": (["scan", "--kind", "spectrum"], ("system_4c",),
+                         ("--detuning", "--linewidth")),
+    "scan trajectory 4c": (["scan", "--kind", "trajectory", "--dt", "1.0"],
+                           ("system_4c", "sequence_4c"), ("--dt",)),
 }
-DOCUMENT_FLAGS = {"system": "--system", "sequence": "--sequence", "ga": "--ga-config"}
+DOCUMENT_FLAGS = {"system": "--system", "sequence": "--sequence", "system_4c": "--system",
+                  "sequence_4c": "--sequence", "ga": "--ga-config"}
 CASE_SECONDS = 20
 
 
@@ -152,6 +169,8 @@ def _assert_finite(path: Path) -> None:
 @example(case=("optimize", [(("ga", "generations"), 2**63)]))
 @example(case=("optimize", [(("ga", "restarts"), 2**63)]))
 @example(case=("verify", [("--target carbon", 0)]))
+@example(case=("verify 4c", [(("system_4c", "carbons", 3, "A_zx_MHz"), math.nan)]))
+@example(case=("scan spectrum 4c", [(("system_4c", "carbons", 1, "A_zz_MHz"), 1e6 + 1)]))
 def test_edge_value_exits_zero_with_finite_files_or_one_naming_it(case):
     command, changes = case
     with tempfile.TemporaryDirectory() as tmp:

