@@ -42,6 +42,7 @@ from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
+from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
 from .states import basis_state, density_matrix
 from .system import MAX_CONFIG_VALUE, ConfigError, load_system
@@ -109,15 +110,12 @@ class _Phases:
 
     def __init__(self):
         self.seconds = {}
-        self._phase, self._last = None, time.perf_counter()
+        self._last = time.perf_counter()
 
-    def done(self, phase: str, earlier: float = 0.0) -> None:
-        """End `phase`; `earlier` seconds of it count to the phase before."""
+    def done(self, phase: str) -> None:
         now = time.perf_counter()
-        if earlier:
-            self.seconds[self._phase] += earlier
-        self.seconds[phase] = now - self._last - earlier
-        self._phase, self._last = phase, now
+        self.seconds[phase] = now - self._last
+        self._last = now
 
 
 def _blas() -> dict:
@@ -183,9 +181,10 @@ def cmd_verify(args) -> int:
     cfg.check_drive_amplitude(omega1_range[1], "--grid max")
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
+    engine_for(h, omega1_grid(omega1_range, points))   # the kernel reuses it
     phases.done("hamiltonian")
     report = robust_fidelity(seq, target, h, omega1_range, points)
-    phases.done("evaluate", earlier=report.precompute_seconds)
+    phases.done("evaluate")
 
     out = _out_dir(args)
     write_csv(out / "fidelity_points.csv", ("omega1_MHz", "fidelity"),
@@ -249,10 +248,11 @@ def cmd_optimize(args) -> int:
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
+    engine_for(h, omega1_grid(ga.omega1_range, ga.omega1_points))   # the kernel reuses it
     phases.done("hamiltonian")
 
     result = optimize(target, h, bounds, ga)
-    phases.done("search", earlier=result.robustness.precompute_seconds)
+    phases.done("search")
     out = _out_dir(args)
     save_sequence(result.best_sequence(), out / "best_sequence.json")
     write_csv(out / "history.csv", ("generation", "best_fitness"),

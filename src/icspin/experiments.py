@@ -16,7 +16,7 @@ from .files import write_csv
 from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
 from .propagation import engine_for, sequence_propagator
-from .sequence import Delay, Pulse, PulseSequence
+from .sequence import Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
 from .system import SpinSystemConfig
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
@@ -255,7 +255,8 @@ def electron_fid_scan(
 ) -> ScanResult:
     """Electron FID (90_x - t - 90_phi) with phase ramp phi(t) = -2pi nu_d t.
 
-    The population of m_S = 0 is recorded as a function of t; its spectrum
+    `state` is a state vector or a density matrix of the register. The
+    population of m_S = 0 is recorded as a function of t; its spectrum
     is centered at the detuning nu_d and split by the carbon state. |nu_d|
     must reach the line span, else lines of either sign fold over zero.
     """
@@ -263,6 +264,9 @@ def electron_fid_scan(
     if not np.isfinite(nu_d):
         raise ValueError(f"detuning must be finite, got {nu_d}")
     h = multiqubit_hamiltonian(config)
+    state = np.asarray(state, dtype=complex)
+    if state.shape not in ((h.shape[0],), h.shape):
+        raise ValueError(f"state must have shape ({h.shape[0]},) or {h.shape}, got {state.shape}")
     lines = esr_lines(h)
     span = max(abs(p) for p, _ in lines)
     if abs(nu_d) < span:
@@ -273,7 +277,7 @@ def electron_fid_scan(
         raise NyquistError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
                            f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
 
-    rho0 = density_matrix(np.asarray(state, dtype=complex))
+    rho0 = density_matrix(state)
     p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))
     pulse = electron_rotation(np.pi / 2, 0.0, config.n_carbons)
     rho1 = pulse @ rho0 @ pulse.conj().T
@@ -390,8 +394,9 @@ def bloch_trajectory(
 ) -> Trajectory:
     """Bloch vectors of the electron and each carbon sampled every `dt` us.
 
-    `initial` is a state vector of the register's dimension. Segment
-    boundaries are always sampled, so the last point equals the one-shot
+    `initial` is a state vector of the register's dimension. A segment of
+    duration T starting at s is sampled in closed form at s + min(k dt, T),
+    k = 1 .. ceil((T - 1e-15) / dt), so the last point equals the one-shot
     sequence propagator applied to the initial state.
     """
     if not (np.isfinite(dt) and dt > 0):
@@ -401,28 +406,25 @@ def bloch_trajectory(
         raise ValueError(f"initial must be a state vector of shape ({h.shape[0]},), "
                          f"got shape {psi.shape}")
     engine = engine_for(h, [seq.omega1])
-    v = engine.v
-    state = v.T @ psi   # free eigenbasis
+    state = engine.v.T @ psi   # free eigenbasis
 
-    times = [0.0]
-    states = [psi.copy()]
-    now = 0.0
-    for seg in seq.segments:
-        steps = {}   # step length -> step propagator in the free eigenbasis
-        remaining = seg.duration
-        while remaining > 1e-15:
-            step = min(dt, remaining)
-            if step not in steps:
-                part = Delay(step) if isinstance(seg, Delay) else Pulse(step, seg.phi)
-                steps[step] = engine.propagate([part])[0]
-            u = steps[step]
-            state = u @ state
-            remaining -= step
-            now += step
-            times.append(now)
-            states.append(v @ state)
+    times, states = [np.zeros(1)], [state[None]]
+    for seg in seq.segments:   # each starts at the last sample, times[-1][-1]
+        count = int(np.ceil((seg.duration - 1e-15) / dt))
+        offsets = np.minimum(np.arange(1, count + 1) * dt, seg.duration)
+        if isinstance(seg, Delay):
+            block = np.exp(-1j * TWO_PI * np.outer(offsets, engine.w)) * state
+        else:   # Z W exp(-i 2pi t w_p) W^T Z^dag
+            z, mix = np.exp(-1j * seg.phi * engine.zhalf), engine.mix[0]
+            q = np.exp(-1j * TWO_PI * np.outer(offsets, engine.w_p[0]))
+            block = ((q * (mix.T @ (z.conj() * state))) @ mix.T) * z
+        if count > 0:
+            state = block[-1]
+            times.append(times[-1][-1] + offsets)
+            states.append(block)
 
-    return Trajectory(times=np.array(times), vectors=qubit_bloch_vectors(np.array(states)))
+    lab = np.concatenate(states) @ engine.v.T
+    return Trajectory(times=np.concatenate(times), vectors=qubit_bloch_vectors(lab))
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,11 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RobustnessReport:
     """Per-amplitude fidelities over an omega1 grid, plus mean, band mean
-    and min; ``kernel_workers`` is the number of threads that computed them
-    and ``precompute_seconds`` the wall time of building their kernel."""
+    and min; ``kernel_workers`` is the number of threads that computed them."""
 
     omega1s: np.ndarray
     fidelities: np.ndarray
     kernel_workers: int = 1
-    precompute_seconds: float = 0.0
 
     @property
     def mean(self) -> float:
@@ -92,5 +90,4 @@ def robust_fidelity(
     kernel = FitnessKernel(h, target, grid, seq.n_pulses)
     fidelities = kernel.evaluate(genome_from_sequence(seq))[0]
     return RobustnessReport(omega1s=grid, fidelities=fidelities,
-                            kernel_workers=kernel.threads_used,
-                            precompute_seconds=kernel.precompute_seconds)
+                            kernel_workers=kernel.threads_used)

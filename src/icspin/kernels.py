@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 import numpy as np
 
@@ -102,7 +101,6 @@ class FitnessKernel:
     ----------
     threads_used : the most threads any ``evaluate`` call has run on, 0
         before the first call
-    precompute_seconds : wall time of building the kernel
 
     ``evaluate`` works in propagator stacks that the kernel keeps, one pair
     per thread it runs on, so one kernel is not re-entrant: it must not be
@@ -111,7 +109,6 @@ class FitnessKernel:
     """
 
     def __init__(self, h, target, omega1s, n_pulses):
-        start = time.perf_counter()
         self.n_pulses = int(n_pulses)
         if self.n_pulses < 0:
             raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
@@ -134,7 +131,6 @@ class FitnessKernel:
                              for s in range(0, g, self._points)]
         self._workspaces = [self._new_workspace()]   # one per thread; None until used
         self.threads_used = 0
-        self.precompute_seconds = time.perf_counter() - start
 
     def _new_workspace(self):
         """Two chunk-sized stacks, as (grid slice, stack views) pairs."""

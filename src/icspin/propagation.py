@@ -24,9 +24,9 @@ Any sequence maps to the template genome: delay, then pulse and delay n
 times. A delay and the z-rotations on either side of it merge into one row
 phase, and each pulse costs two left-multiplications by a real matrix, each
 run as one real matmul on the float64 view of the complex propagator.
-``PropagationEngine.chain`` is that one chain; ``propagate``,
-``sequence_propagator`` and the fitness kernel, and through them every
-propagator of the package, run on it.
+``PropagationEngine.chain`` is that one chain; ``sequence_propagator`` and
+the fitness kernel, and through them every propagator of the package, run
+on it.
 
 Every engine of the package comes from ``engine_for``, which hands back the
 engine of its previous call when h and the grid are the same value for value,
@@ -157,22 +157,6 @@ class PropagationEngine:
             u, spare = real_left_mul(mix, u, out=spare), u
         return u, rows[:, n]
 
-    def propagate(self, segments) -> np.ndarray:
-        """Propagators of `segments` at every grid point, in the free eigenbasis.
-
-        The first segment acts first. Any order of delays and pulses is
-        accepted, the empty one included: the segments run through
-        ``chain`` as their template genome (``genome_from_sequence``).
-        Returns shape (G, d, d).
-        """
-        seq = PulseSequence(tuple(segments), 0.0)
-        genome = genome_from_sequence(seq)[None]
-        dphis = np.diff(genome[:, 2 * seq.n_pulses + 1 :], prepend=0.0, append=0.0)
-        u = np.empty((1, self.omega1s.size, self.dim, self.dim), dtype=complex)
-        u, last = self.chain(genome, dphis, u, np.empty_like(u), slice(None))
-        u *= last[:, None, :, None]
-        return u[0]
-
 
 # The engine of the last ``engine_for`` call, as ((h key, grid key), engine).
 # Two threads that miss at once each build an engine, and the last one stays.
@@ -204,7 +188,12 @@ def sequence_propagator(
     """Time-ordered propagator of the whole sequence (first segment acts first).
 
     `omega1` overrides the sequence amplitude, e.g. for robustness grids.
+    Any order of delays and pulses runs as its template genome in one chain.
     """
     amp = seq.omega1 if omega1 is None else omega1
     engine = engine_for(h, [amp])
-    return engine.to_lab(engine.propagate(seq.segments)[0])
+    genome = genome_from_sequence(seq)[None]
+    dphis = np.diff(genome[:, 2 * seq.n_pulses + 1 :], prepend=0.0, append=0.0)
+    u = np.empty((1, 1, engine.dim, engine.dim), dtype=complex)
+    u, last = engine.chain(genome, dphis, u, np.empty_like(u), slice(None))
+    return engine.to_lab(u[0, 0] * last[0, :, None])

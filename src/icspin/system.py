@@ -80,7 +80,8 @@ class SpinSystemConfig:
 
     def single_carbon(self) -> HyperfineCoupling:
         if len(self.carbons) != 1:
-            raise ConfigError("operation requires exactly one carbon")
+            raise ConfigError(f"operation requires exactly one carbon, but carbons holds "
+                              f"{len(self.carbons)}")
         return self.carbons[0]
 
     def subset(self, labels: list[int]) -> "SpinSystemConfig":

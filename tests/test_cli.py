@@ -174,6 +174,35 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
         assert "thread_env" not in data.read_text(), data.name
 
 
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_verify_and_optimize_build_one_engine_in_the_hamiltonian_phase(tmp_path, monkeypatch,
+                                                                       command):
+    """The eigendecomposition is timed with the Hamiltonian: the command
+    builds the engine of its band before the kernel, which reuses it."""
+    events = []
+    original = icspin.propagation.PropagationEngine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        events.append("engine")
+
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "__init__", spy)
+    work = icspin.cli.robust_fidelity if command == "verify" else icspin.cli.optimize
+
+    def traced(*args):
+        events.append(work.__name__)
+        return work(*args)
+
+    monkeypatch.setattr(icspin.cli, work.__name__, traced)
+    if command == "verify":
+        argv = ["verify", "--sequence", CNOT, "--target", "cnot"]
+    else:
+        (tmp_path / "ga.json").write_text(json.dumps({"population": 10, "generations": 1}))
+        argv = ["optimize", "--target", "cnot", "--ga-config", str(tmp_path / "ga.json")]
+    assert run(argv + ["--system", SYSTEM, "--out", str(tmp_path / "o")]) == 0
+    assert events == ["engine", work.__name__]
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--kind", "hadamard"],
     ["scan", "--kind", "theta"],
@@ -364,7 +393,9 @@ def test_report_needs_one_carbon(tmp_path, capsys):
     register they described carbon 1 without saying so."""
     out = tmp_path / "r"
     assert run(["report", "--system", str(data_path("system_4c.json")), "--out", str(out)]) == 1
-    assert "exactly one carbon" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exactly one carbon" in err
+    assert "carbons holds 4" in err
     assert not out.exists()
 
 

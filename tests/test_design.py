@@ -3,6 +3,7 @@ import ast
 from pathlib import Path
 
 import icspin
+from icspin.propagation import PropagationEngine
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
            for path in Path(icspin.__file__).parent.glob("*.py")}
@@ -18,3 +19,20 @@ def test_one_propagation_engine_and_one_hamiltonian_builder():
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                       and node.name.endswith("_hamiltonian"))
     assert builders == ["hamiltonian.py:multiqubit_hamiltonian"]
+
+
+def test_only_the_cli_reads_the_clock():
+    """Run timing belongs to the CLI and its manifests, never to the physics
+    results."""
+    users = sorted(name for name, text in SOURCES.items()
+                   for node in ast.walk(ast.parse(text))
+                   if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+                   or (isinstance(node, ast.ImportFrom) and node.module == "time"))
+    assert users == ["cli.py"]
+
+
+def test_the_engine_has_three_entry_points():
+    """Every propagator is one ``chain``; the rest is a change of basis."""
+    public = sorted(name for name in vars(PropagationEngine) if not name.startswith("_"))
+    assert public == ["chain", "dim", "to_eigenbasis", "to_lab"]
+    assert isinstance(vars(PropagationEngine)["dim"], property)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import icspin
 from icspin.eigenstructure import carbon_eigenstructure
@@ -19,11 +21,22 @@ from icspin.experiments import (
     theta_scan,
 )
 from icspin.fidelity import gate_fidelity
-from icspin.sequence import MAX_DURATION_US, Delay, PulseSequence, SequenceError
-from icspin.states import basis_state, bloch_vector, density_matrix, partial_trace
+from icspin.sequence import MAX_DURATION_US, Delay, Pulse, PulseSequence, SequenceError
+from icspin.states import (
+    basis_state,
+    bloch_vector,
+    density_matrix,
+    partial_trace,
+    qubit_bloch_vectors,
+)
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
-from oracles import eigen_difference_lines, electron_drive, oracle_propagator
+from oracles import (
+    eigen_difference_lines,
+    electron_drive,
+    oracle_propagator,
+    oracle_sequence_propagator,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +236,15 @@ def test_fid_nyquist_guard(system):
             electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
 
 
+@pytest.mark.parametrize("state", [basis_state(0, 8), np.eye(3), np.ones((4, 4, 1))],
+                         ids=["vector8", "matrix3", "rank3"])
+def test_fid_state_of_another_shape_is_refused(system, state):
+    """Only a vector (d,) or a matrix (d, d) of the register's dimension is
+    a state; any other shape names `state` instead of failing in a matmul."""
+    with pytest.raises(ValueError, match="state must have shape"):
+        electron_fid_scan(state, 3.0, np.arange(64) * 0.1, system)
+
+
 def test_fid_detuning_inside_line_span_is_refused(system):
     """Sticks sit at nu_d + offset, so a smaller |nu_d| folds them over zero;
     a negative detuning outside the span is a mirrored, valid spectrum."""
@@ -399,6 +421,45 @@ def test_trajectory_endpoint_matches_one_shot(system, h_subspace, hadamard_seq):
     ])
     assert np.abs(traj.vectors[-1] - expected).max() < 1e-10
     assert traj.times[-1] == pytest.approx(hadamard_seq.duration, abs=1e-12)
+
+
+TRAJECTORY_SEGMENTS = st.lists(
+    st.one_of(st.builds(Delay, st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+              st.builds(Pulse, st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                        st.floats(0.0, np.nextafter(2 * np.pi, 0.0)))),
+    max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_carbons=st.integers(1, 4), segs=TRAJECTORY_SEGMENTS, omega1=st.floats(0.3, 0.7),
+       dt=st.floats(0.1, 0.5), state_seed=st.integers(0, 2**32 - 1))
+@example(n_carbons=1, segs=[Pulse(0.4, 1.0), Pulse(0.25, 4.0), Delay(0.0), Delay(0.7)],
+         omega1=0.5, dt=0.3, state_seed=0)
+@example(n_carbons=3, segs=[Delay(0.0), Pulse(0.0, 2.0), Delay(0.65), Pulse(0.9, 0.5)],
+         omega1=0.48, dt=0.2, state_seed=1)
+def test_every_trajectory_sample_matches_the_series_oracle(register_hamiltonians, n_carbons,
+                                                           segs, omega1, dt, state_seed):
+    """A segment of duration T starting at s is sampled at s + min(k dt, T),
+    k = 1 .. ceil((T - 1e-15) / dt), and each sample is the initial state
+    propagated by the series oracle through the sequence cut at its time."""
+    h = register_hamiltonians[n_carbons]
+    rng = np.random.default_rng(state_seed)
+    psi0 = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    psi0 /= np.linalg.norm(psi0)
+    traj = bloch_trajectory(PulseSequence(tuple(segs), omega1), h, psi0, dt)
+
+    times, states, start = [0.0], [psi0], 0.0
+    for i, seg in enumerate(segs):
+        before = oracle_sequence_propagator(segs[:i], h, omega1) @ psi0
+        for k in range(1, int(np.ceil((seg.duration - 1e-15) / dt)) + 1):
+            offset = min(k * dt, seg.duration)
+            cut = Delay(offset) if isinstance(seg, Delay) else Pulse(offset, seg.phi)
+            times.append(start + offset)
+            states.append(oracle_sequence_propagator([cut], h, omega1) @ before)
+        start += seg.duration
+    assert traj.times.shape == (len(times),)
+    assert np.abs(traj.times - times).max() < 1e-12
+    assert np.abs(traj.vectors - qubit_bloch_vectors(np.array(states))).max() < 1e-10
 
 
 def test_trajectory_bloch_norm_bounded(system, h_subspace, cnot_seq):

@@ -239,14 +239,20 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
 
 
 def test_engine_empty_sequence_is_identity_on_every_grid_point(h_subspace):
-    engine = engine_for(h_subspace, [0.48, 0.5, 0.52])
-    assert np.array_equal(engine.propagate([]), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    """V I V^T carries roundoff of about 3e-17."""
+    for omega1 in (0.48, 0.5, 0.52):
+        u = sequence_propagator(PulseSequence((), omega1), h_subspace)
+        assert np.allclose(u, np.eye(4), rtol=0.0, atol=1e-15)
 
 
 def test_engine_without_grid_propagates_delays_only(h_subspace):
+    """An engine without a grid has no pulse eigensystems, and its free
+    eigensystem gives the delay propagator V exp(-i 2pi w tau) V^T."""
     engine = engine_for(h_subspace)
-    assert engine.propagate([Delay(1.0)]).shape == (0, 4, 4)
     assert engine.w_p.shape == (0, 4)
+    assert engine.mix.shape == (0, 4, 4)
+    u = engine.to_lab(np.diag(np.exp(-2j * np.pi * engine.w)))
+    assert np.allclose(u, delay_propagator(h_subspace, 1.0), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("grid", [[-0.1], [0.5, np.nan], [np.inf], [0.5, 1e308]])
@@ -255,11 +261,6 @@ def test_engine_rejects_negative_or_non_finite_grid(h_subspace, grid):
     too, not the invariant RuntimeError of the NaN fidelities it would give."""
     with pytest.raises(ValueError, match="grid"):
         engine_for(h_subspace, grid)
-
-
-def test_engine_rejects_unknown_segment(h_subspace):
-    with pytest.raises(TypeError, match="segment"):
-        engine_for(h_subspace, [0.5]).propagate([Delay(1.0), "pulse"])
 
 
 def test_sequence_propagator_needs_register_structure(h_subspace):

@@ -27,6 +27,11 @@ def test_segment_validation():
         Pulse(1.0, 7.0)  # phase outside [0, 2pi)
 
 
+def test_sequence_rejects_unknown_segment():
+    with pytest.raises(TypeError, match="segment"):
+        PulseSequence((Delay(1.0), "pulse"), omega1=0.5)
+
+
 def test_duration_sums_segments():
     seq = PulseSequence((Delay(1.0), Pulse(0.5, 0.0), Delay(2.0)), omega1=0.5)
     assert seq.duration == pytest.approx(3.5)
