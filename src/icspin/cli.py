@@ -41,6 +41,7 @@ from .fidelity import omega1_grid, robust_fidelity
 from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
+from .kernels import cpu_workers
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
@@ -140,6 +141,7 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
         "blas": _blas(),
         "thread_env": {name: os.environ.get(name, "unset") for name in
                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpus": cpu_workers(),
         "written_at_unix": time.time(),
         **run_facts,
     }
@@ -207,7 +209,7 @@ def cmd_verify(args) -> int:
     _write_manifest(out, "verify",
                     {"system": str(args.system), "sequence": str(args.sequence),
                      "target": args.target, "grid": args.grid}, None,
-                    kernel_workers=report.kernel_workers, phase_seconds=phases.seconds)
+                    phase_seconds=phases.seconds)
     print(f"verify: target={args.target} duration={seq.duration:.4f} us")
     for w, f in zip(report.omega1s, report.fidelities):
         print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
@@ -267,7 +269,6 @@ def cmd_optimize(args) -> int:
                     generations_run=result.generations_run,
                     fitness_evaluations=result.fitness_evaluations,
                     stop_reason=result.stop_reason,
-                    kernel_workers=result.robustness.kernel_workers,
                     phase_seconds=phases.seconds)
     print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
     print(f"  duration = {result.best_sequence().duration:.4f} us over "
@@ -376,9 +377,11 @@ def _scan_trajectory(args, cfg, seq):
 
 # _SCAN_OPTIONS: the defaults of the flags only some scan kinds read. The
 # parser leaves those None, so one given to a kind that never reads it is
-# refused. _SCANS: kind -> (scan, the flags it reads, which the manifest records).
+# refused. --detuning is not among them: every kind accepts it, as scripts
+# pass it to all five. _SCANS: kind -> (scan, the flags it reads, which the
+# manifest records).
 _SCAN_OPTIONS = {"sequence": None, "gate": "cnot", "noop": False, "readout": -1,
-                 "state": "pure"}
+                 "state": "pure", "points": 256, "dt": 0.1, "linewidth": 0.0106}
 _SCANS = {
     "hadamard": (_scan_hadamard, ("sequence", "noop", "points", "dt")),
     "theta": (_scan_theta, ("sequence", "gate", "readout", "points")),
@@ -513,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noop", action="store_true", default=None,
                    help="replace the first gate of the hadamard scan with NOOP")
     p.add_argument("--readout", type=int, choices=[0, -1], help="theta only; default -1")
-    p.add_argument("--points", type=int, default=256)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--points", type=int, help="hadamard, theta and fid; default 256")
+    p.add_argument("--dt", type=float, help="hadamard, fid and trajectory; default 0.1 us")
     p.add_argument("--detuning", type=float, default=3.0)
-    p.add_argument("--linewidth", type=float, default=0.0106)
+    p.add_argument("--linewidth", type=float, help="spectrum only; default 0.0106 MHz")
     p.add_argument("--state", choices=["pure", "thermal"], help="fid only; default pure")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_scan)

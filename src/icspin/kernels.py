@@ -12,12 +12,12 @@ pulse and delay n times. The kernel runs the template on
   alone exceeds the budget (32 points at d = 32). Two chunk-sized
   propagator stacks hold every chunk, so the chain builds no (P, G, d, d)
   temporaries of the whole population.
-* The genome chunks run on every CPU the process may use (``cpu_workers``):
-  the calling thread, in the kernel's own stacks, and the threads of a pool
-  shared by the process, each in stacks of its own made on its first chunk.
-  Every thread takes the next chunk not yet taken until none is left, so a
-  thread on a busy CPU takes fewer. A chunk's arithmetic does not depend on
-  the thread that runs it, so the result is bit for bit the same for any
+* A call runs its genome chunks on min(``cpu_workers()``, chunks) threads:
+  the calling thread and the threads of an executor that the call opens
+  and joins before it returns. Each thread works in two stacks of its own,
+  and takes the next chunk not yet taken until none is left, so a thread
+  on a busy CPU takes fewer. A chunk's arithmetic does not depend on the
+  thread that runs it, so the result is bit for bit the same for any
   number of CPUs. The grid slices of one genome stay on one thread, so a
   single genome (``robust_fidelity``) runs serially, and with one CPU or
   one chunk no thread starts.
@@ -33,12 +33,6 @@ from .propagation import BATCH_ENTRIES, engine_for
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
 
-# The process's chunk pool as (pid, threads, executor), built on the first
-# call that runs on two threads or more; concurrent.futures is imported there
-# too, so importing the package starts no thread.
-_pool = None
-_pool_lock = threading.Lock()
-
 
 def cpu_workers() -> int:
     """The CPUs this process may run on: its affinity mask where the
@@ -46,23 +40,6 @@ def cpu_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _executor(threads: int):
-    """The chunk pool, with at least `threads` threads.
-
-    A pool copied into a child by fork has no threads, and work sent to it
-    would never run, so a process whose pid is not the one that built the
-    pool builds its own. A replaced pool's idle threads exit once it is
-    garbage-collected.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid() or _pool[1] < threads:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = (os.getpid(), threads,
-                     ThreadPoolExecutor(threads, thread_name_prefix="icspin-kernel"))
-        return _pool[2]
 
 
 def _dealer(items):
@@ -97,15 +74,9 @@ class FitnessKernel:
     omega1s : amplitude grid (MHz)
     n_pulses : number of pulses in the genome template; 0 is one delay
 
-    Attributes
-    ----------
-    threads_used : the most threads any ``evaluate`` call has run on, 0
-        before the first call
-
     ``evaluate`` works in propagator stacks that the kernel keeps, one pair
-    per thread it runs on, so one kernel is not re-entrant: it must not be
-    evaluated from two threads at once. Different kernels may be, and they
-    share the process's chunk pool.
+    per thread a call has run on, so one kernel is not re-entrant: it must
+    not be evaluated from two threads at once. Different kernels may be.
     """
 
     def __init__(self, h, target, omega1s, n_pulses):
@@ -129,8 +100,7 @@ class FitnessKernel:
         self._chunk = max(1, BATCH_ENTRIES // (self._points * d * d))
         self._grid_slices = [slice(s, min(s + self._points, g))
                              for s in range(0, g, self._points)]
-        self._workspaces = [self._new_workspace()]   # one per thread; None until used
-        self.threads_used = 0
+        self._workspaces = [self._new_workspace()]   # one per thread a call has run on
 
     def _new_workspace(self):
         """Two chunk-sized stacks, as (grid slice, stack views) pairs."""
@@ -156,32 +126,28 @@ class FitnessKernel:
         fids = np.empty((len(genomes), self.omega1s.size))
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
-        deal = _dealer(starts)
+        while len(self._workspaces) < threads:
+            self._workspaces.append(self._new_workspace())
+        work = (_dealer(starts), genomes, dphis, fids)
         if threads == 1:
-            self._run_chunks(0, deal, genomes, dphis, fids)
+            self._run_chunks(self._workspaces[0], *work)
         else:
-            self._workspaces += [None] * (threads - len(self._workspaces))
-            pool = _executor(threads - 1)
-            futures = [pool.submit(self._run_chunks, k, deal, genomes, dphis, fids)
-                       for k in range(1, threads)]
-            try:
-                self._run_chunks(0, deal, genomes, dphis, fids)
-            finally:
-                for future in futures:
-                    future.exception()   # waits, and keeps an error of this thread's chunks
+            # imported here: it loads logging, which no one-thread command needs
+            from concurrent.futures import ThreadPoolExecutor
+            # leaving the block joins every thread, also when this one raises
+            with ThreadPoolExecutor(threads - 1, thread_name_prefix="icspin-kernel") as pool:
+                futures = [pool.submit(self._run_chunks, workspace, *work)
+                           for workspace in self._workspaces[1:threads]]
+                self._run_chunks(self._workspaces[0], *work)
             for future in futures:
                 future.result()
-        self.threads_used = max(self.threads_used, threads)
         check_fidelities(fids)
         return fids
 
-    def _run_chunks(self, thread, deal, genomes, dphis, fids):
+    def _run_chunks(self, workspace, deal, genomes, dphis, fids):
         """Write the fidelities of the chunks that `deal` hands out into
-        `fids`, in the stacks of `thread`, made on its first chunk."""
-        workspace = self._workspaces[thread]
+        `fids`, in the stacks of `workspace`."""
         while (start := deal()) is not None:
-            if workspace is None:
-                workspace = self._workspaces[thread] = self._new_workspace()
             chunk = slice(start, start + self._chunk)
             for grid, stacks in workspace:
                 u, spare = stacks[:, : len(genomes[chunk])]

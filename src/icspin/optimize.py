@@ -384,8 +384,7 @@ def optimize(
     # the run whose history ends highest, the first of equal ones
     best = max(range(cfg.restarts), key=lambda i: runs[i][1][-1])
     genome, history, stop_reason, _ = runs[best]
-    fidelities = kern.evaluate(genome)[0]
-    report = RobustnessReport(grid, fidelities, kern.threads_used)
+    report = RobustnessReport(grid, kern.evaluate(genome)[0])
     return OptimizationResult(
         best_genome=genome, best_fitness=float(history[-1]), history=history, robustness=report,
         seed=cfg.rng_seed + best, n_pulses=bounds.n_pulses, stop_reason=stop_reason,

@@ -140,23 +140,21 @@ def test_optimize_manifest_explains_the_search(tmp_path):
             assert not any(key in data.read_text() for key in facts), data.name
 
 
-@pytest.mark.parametrize("command", ["verify", "optimize"])
-def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
-    """verify scores one genome on one thread; optimize runs two chunks of
-    genomes, one per CPU up to two. Both time their phases."""
+@pytest.mark.parametrize("command", ["verify", "optimize", "scan", "report"])
+def test_manifest_records_cpus_and_versions(tmp_path, command):
+    """Every manifest records the CPUs the fitness kernel may run on, from
+    which the threads of its calls follow. verify and optimize time their
+    phases; the scan and report phases are checked below."""
     out = tmp_path / "o"
-    if command == "verify":
-        argv = ["verify", "--sequence", CNOT, "--target", "cnot"]
-        workers = 1
-    else:
-        (tmp_path / "ga.json").write_text(
-            json.dumps({"population": TWO_CHUNK_POPULATION, "generations": 1}))
-        argv = ["optimize", "--target", "cnot", "--pulses", "2", "--grid", TWO_CHUNK_GRID,
-                "--ga-config", str(tmp_path / "ga.json")]
-        workers = min(2, icspin.kernels.cpu_workers())
+    (tmp_path / "ga.json").write_text(json.dumps({"population": 10, "generations": 1}))
+    argv = {"verify": ["verify", "--sequence", CNOT, "--target", "cnot"],
+            "optimize": ["optimize", "--target", "cnot", "--pulses", "2",
+                         "--ga-config", str(tmp_path / "ga.json")],
+            "scan": ["scan", "--kind", "spectrum"],
+            "report": ["report"]}[command]
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["kernel_workers"] == workers
+    assert manifest["cpus"] == icspin.kernels.cpu_workers()
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -164,14 +162,14 @@ def test_manifest_records_kernel_workers_and_versions(tmp_path, command):
     assert manifest["thread_env"] == {
         name: os.environ.get(name, "unset")
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    work = "evaluate" if command == "verify" else "search"
-    phases = manifest["phase_seconds"]
-    assert sorted(phases) == sorted(["load", "hamiltonian", work, "write"])
-    assert all(seconds >= 0.0 for seconds in phases.values())
+    if command in ("verify", "optimize"):
+        work = "evaluate" if command == "verify" else "search"
+        phases = manifest["phase_seconds"]
+        assert sorted(phases) == sorted(["load", "hamiltonian", work, "write"])
+        assert all(seconds >= 0.0 for seconds in phases.values())
     for data in data_files(out):
-        assert "kernel_workers" not in data.read_text(), data.name
-        assert "phase_seconds" not in data.read_text(), data.name
-        assert "thread_env" not in data.read_text(), data.name
+        for key in ("cpus", "phase_seconds", "thread_env"):
+            assert key not in data.read_text(), (data.name, key)
 
 
 @pytest.mark.parametrize("command", ["verify", "optimize"])
@@ -526,7 +524,7 @@ def test_scan_sequence_amplitude_not_below_d_is_usage_error(tmp_path, capsys, ki
     seq.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert run(["scan", "--kind", kind, "--system", SYSTEM, "--sequence", str(seq),
-                "--dt", "0.01", "--out", str(out)]) == 1
+                "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "--sequence omega1_MHz" in err and "D_MHz" in err
     assert not (out / "manifest.json").exists()
@@ -894,6 +892,10 @@ def test_linewidth_at_its_floor_runs(tmp_path):
     ("hadamard", ["--readout", "-1"]),
     ("spectrum", ["--state", "thermal"]),
     ("theta", ["--state", "pure"]),
+    ("theta", ["--dt", "5"]),
+    ("spectrum", ["--points", "3"]),
+    ("fid", ["--linewidth", "0.2"]),
+    ("trajectory", ["--points", "7"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0][2:])
 def test_scan_flag_its_kind_never_reads_is_usage_error(tmp_path, capsys, kind, flag):
     """A flag the kind ignores is refused, even at its default value, before

@@ -36,3 +36,30 @@ def test_the_engine_has_three_entry_points():
     public = sorted(name for name in vars(PropagationEngine) if not name.startswith("_"))
     assert public == ["chain", "dim", "to_eigenbasis", "to_lab"]
     assert isinstance(vars(PropagationEngine)["dim"], property)
+
+
+def _called_name(call: ast.Call) -> str:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+
+
+def test_only_the_kernel_starts_threads_and_no_module_keeps_an_executor():
+    """Threads belong to the fitness kernel, and an executor lives for one
+    ``with`` block of one call: no module binds one, at import or later."""
+    importers = set()
+    for name, text in SOURCES.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] in ("threading", "concurrent") for module in modules):
+                importers.add(name)
+        in_with = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, ast.With) for item in node.items}
+        executors = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and _called_name(node).endswith("Executor")]
+        assert all(id(node) in in_with for node in executors), name
+    assert sorted(importers) == ["kernels.py"]

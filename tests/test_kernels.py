@@ -133,15 +133,29 @@ def test_chunked_population_matches_single_genome_rows(register_hamiltonians, n_
         assert np.array_equal(out, singles[:size])
 
 
+def _on_each_run(monkeypatch, kern, note):
+    """Call `note` on the thread of each ``_run_chunks`` call of `kern`."""
+    run_chunks = kern._run_chunks
+
+    def spy(*args):
+        note()
+        run_chunks(*args)
+
+    monkeypatch.setattr(kern, "_run_chunks", spy)
+
+
 @pytest.mark.parametrize("n_carbons", [1, 2, 3, 4], ids=["d4", "d8", "d16", "d32"])
 def test_evaluate_is_bit_identical_on_one_or_two_threads(register_hamiltonians, monkeypatch,
                                                          n_carbons):
     """One genome, one chunk of c genomes, c + 1 (a second chunk) and a GA
     generation of 98 give the same fidelities whether the chunks run on the
-    calling thread alone or also on the pool."""
+    calling thread alone or also on a second thread."""
     h = register_hamiltonians[n_carbons]
     grid = np.linspace(0.48, 0.52, 5)
     kern = FitnessKernel(h, icspin.cc_rotation(n_carbons, 1, np.pi), grid, 4)
+    on_main_thread = set()
+    _on_each_run(monkeypatch, kern,
+                 lambda: on_main_thread.add(threading.current_thread() is threading.main_thread()))
     c = max(1, BATCH_ENTRIES // (grid.size * h.shape[0] ** 2))
     genomes = np.random.default_rng(n_carbons).uniform(0.0, 4.0, size=(max(98, c + 1), 13))
     for size in (1, c, c + 1, 98):
@@ -150,35 +164,33 @@ def test_evaluate_is_bit_identical_on_one_or_two_threads(register_hamiltonians, 
             monkeypatch.setattr(kernels, "cpu_workers", lambda workers=workers: workers)
             out[workers] = kern.evaluate(genomes[:size])
         assert np.array_equal(out[1], out[2]), size
-    assert kern.threads_used == 2
+    assert on_main_thread == {True, False}
 
 
 def test_one_cpu_starts_no_thread(register_hamiltonians, monkeypatch):
-    """With one CPU a population of many chunks runs on the calling thread
-    and builds no pool."""
+    """With one CPU a population of many chunks runs on the calling thread,
+    and no other thread is alive while it does."""
     monkeypatch.setattr(kernels, "cpu_workers", lambda: 1)
-    monkeypatch.setattr(kernels, "_pool", None)
     threads = threading.active_count()
     kern = FitnessKernel(register_hamiltonians[4], icspin.cc_rotation(4, 1, np.pi),
                          np.linspace(0.48, 0.52, 5), 4)
+    seen = []
+    _on_each_run(monkeypatch, kern, lambda: seen.append(threading.active_count()))
     kern.evaluate(np.random.default_rng(1).uniform(0.0, 4.0, size=(100, 13)))
-    assert kern.threads_used == 1
-    assert kernels._pool is None
-    assert threading.active_count() == threads
+    assert seen == [threads]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_kernel_returns_in_a_forked_child(register_hamiltonians, monkeypatch):
-    """A child forked after the pool started inherits a pool with no
-    threads; the kernel builds its own there and still returns the parent's
-    fidelities."""
+    """A child forked after the kernel has run on two threads runs on two
+    threads again, with an executor of its own call, and returns the
+    parent's fidelities."""
     monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
     kern = FitnessKernel(register_hamiltonians[4], icspin.cc_rotation(4, 1, np.pi),
                          np.linspace(0.48, 0.52, 5), 4)
     two_chunks = 2 * (BATCH_ENTRIES // (5 * 32 * 32))
     genomes = np.random.default_rng(5).uniform(0.0, 4.0, size=(two_chunks, 13))
     expected = kern.evaluate(genomes)
-    assert kern.threads_used == 2
     read, write = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
@@ -207,9 +219,9 @@ def test_kernel_returns_in_a_forked_child(register_hamiltonians, monkeypatch):
 
 def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch):
     """A population of 100 at d32 never materializes as (P, G, d, d) arrays,
-    each 8 MB. Each thread keeps two chunk-sized stacks (983 kB), the pool
-    thread's made on its first chunk, so the count is fixed at two and the
-    warm-up makes them; a pass then peaks near 0.8 MB."""
+    each 8 MB. The kernel keeps two chunk-sized stacks (983 kB) per thread,
+    made by the first call on that many threads, so the count is fixed at
+    two and the warm-up makes them; a pass then peaks near 0.7 MB."""
     monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
     h = register_hamiltonians[4]
     kern = FitnessKernel(h, icspin.cc_rotation(4, 1, np.pi), np.linspace(0.48, 0.52, 5), 4)
@@ -225,9 +237,10 @@ def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch)
 
 
 def test_robust_fidelity_peak_memory_is_grid_chunked(register_hamiltonians):
-    """robust_fidelity on the 81-point band at d32 holds the engine's
-    (81, d, d) mixing matrices and two 16-point stacks, about 2.1 MB; the
-    whole grid as two (81, d, d) complex stacks would add 2.6 MB."""
+    """robust_fidelity on the 81-point band at d32 works in two 32-point
+    stacks (1.0 MB) and peaks near 1.4 MB; the warm-up call leaves the
+    engine in the memo. Two (81, d, d) complex stacks of the whole grid
+    would take 2.7 MB instead."""
     h = register_hamiltonians[4]
     seq = icspin.load_sequence(icspin.data_path("sequences/ccrot_n6_a.json"))
     target = icspin.cc_rotation(4, 1, np.pi)
