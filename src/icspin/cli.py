@@ -35,6 +35,7 @@ from .experiments import (
     esr_spectrum,
     hadamard_circuit_scan,
     min_coherence_time,
+    segment_samples,
     theta_scan,
 )
 from .fidelity import omega1_grid, robust_fidelity
@@ -54,12 +55,14 @@ INTERNAL_ERROR = 2
 
 # Size budgets, checked before anything is allocated (omega1_grid holds the
 # amplitude grid's). 2**16 scan points cost about 50 MB, and a trajectory
-# about 2 kB a step (222 MB at 10**5 steps, on one carbon). A GA population
-# of 10_000 genomes of 64 pulses is 15 MB; a one-carbon search at both
-# budgets peaks near 165 MB. A GA scores at most population * (generations
-# + 1) * restarts genomes, at about 13 us each on one carbon and 0.24 ms at
-# d = 32 (5 amplitudes, 4 pulses): 3.01e6 genomes, the population budget at
-# the default 300 generations, take about 40 s and 12 min.
+# about 2 kB a step (222 MB at 10**5 steps, on one carbon). MAX_PULSES holds
+# every --sequence as well as the GA's genomes: a chain's arrays grow with
+# the pulses. A GA population of 10_000 genomes of 64 pulses is 15 MB; a
+# one-carbon search at both budgets peaks near 165 MB. A GA scores at most
+# population * (generations + 1) * restarts genomes, at about 13 us each on
+# one carbon and 0.24 ms at d = 32 (5 amplitudes, 4 pulses): 3.01e6
+# genomes, the population budget at the default 300 generations, take about
+# 40 s and 12 min.
 MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 MAX_PULSES = 64
@@ -161,6 +164,12 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
     return (lo, hi), points
 
 
+def _load_sequence(path):
+    seq = load_sequence(path)
+    _check_size("--sequence pulses", seq.n_pulses, MAX_PULSES)
+    return seq
+
+
 def _target(args, cfg):
     try:
         return target_library(args.target, n_carbons=cfg.n_carbons)
@@ -177,7 +186,7 @@ def _out_dir(args) -> Path:
 def cmd_verify(args) -> int:
     phases = _Phases()
     cfg = load_system(args.system)
-    seq = load_sequence(args.sequence)
+    seq = _load_sequence(args.sequence)
     target = _target(args, cfg)
     omega1_range, points = _parse_grid(args.grid)
     cfg.check_drive_amplitude(omega1_range[1], "--grid max")
@@ -259,7 +268,20 @@ def cmd_optimize(args) -> int:
     save_sequence(result.best_sequence(), out / "best_sequence.json")
     write_csv(out / "history.csv", ("generation", "best_fitness"),
               range(len(result.history)), result.history)
-    write_json(out / "result.json", result.to_dict())
+    write_json(out / "result.json", {
+        "best_genome": result.best_genome.tolist(),
+        "best_fitness": result.best_fitness,
+        "history": result.history.tolist(),
+        "robustness": {
+            "mean": result.robustness.mean,
+            "min": result.robustness.min,
+            "omega1s_MHz": result.robustness.omega1s.tolist(),
+            "fidelities": result.robustness.fidelities.tolist(),
+        },
+        "seed": result.seed,
+        "n_pulses": result.n_pulses,
+        "omega1_nominal_MHz": result.omega1_nominal,
+    })
     phases.done("write")
     _write_manifest(out, "optimize",
                     {"system": str(args.system), "target": args.target,
@@ -281,7 +303,7 @@ def _scan_sequence(args, cfg):
     without the flag."""
     if args.sequence is None:
         return None
-    seq = load_sequence(args.sequence)
+    seq = _load_sequence(args.sequence)
     cfg.check_drive_amplitude(seq.omega1, "--sequence omega1_MHz")
     return seq
 
@@ -296,7 +318,21 @@ def _scan_times(args) -> np.ndarray:
 
 # Each scan computes its result from the flags, the config and the loaded
 # --sequence (or None), and returns the function that writes its files into
-# the output directory and prints its summary.
+# the output directory and prints its summary. The arrays live in the CSVs;
+# a JSON companion holds only what no CSV does.
+
+def _write_spectrum(path: Path, spec) -> None:
+    write_csv(path, ("frequency_MHz", "amplitude"), spec.frequencies, spec.amplitudes)
+
+
+def _write_lines(path: Path, spec) -> None:
+    write_json(path, {"lines": [[p, w] for p, w in spec.lines]})
+
+
+def _write_time_scan(out: Path, kind: str, result) -> None:
+    write_csv(out / f"{kind}_signal.csv", ("time_us", "signal"), result.times, result.signal)
+    _write_spectrum(out / f"{kind}_spectrum.csv", result.spectrum)
+
 
 def _scan_hadamard(args, cfg, seq):
     t_grid = _scan_times(args)
@@ -305,13 +341,8 @@ def _scan_hadamard(args, cfg, seq):
                                    first_gate=first)
 
     def write(out: Path) -> None:
-        result.to_csv(out / "hadamard_signal.csv")
-        result.spectrum.to_csv(out / "hadamard_spectrum.csv")
-        write_json(out / "hadamard.json", {
-            "peak_MHz": result.spectrum.peak_frequency(),
-            "signal": result.signal.tolist(),
-            "times_us": result.times.tolist(),
-        })
+        _write_time_scan(out, "hadamard", result)
+        write_json(out / "hadamard.json", {"peak_MHz": result.spectrum.peak_frequency()})
         print(f"scan hadamard: spectrum peak at {result.spectrum.peak_frequency():.4f} MHz")
     return write
 
@@ -337,9 +368,8 @@ def _scan_fid(args, cfg, seq):
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
 
     def write(out: Path) -> None:
-        result.to_csv(out / "fid_signal.csv")
-        result.spectrum.to_csv(out / "fid_spectrum.csv")
-        write_json(out / "fid_spectrum.json", result.spectrum.to_dict())
+        _write_time_scan(out, "fid", result)
+        _write_lines(out / "fid_spectrum.json", result.spectrum)
         print(f"scan fid: {len(result.spectrum.lines)} transition sticks")
     return write
 
@@ -349,8 +379,8 @@ def _scan_spectrum(args, cfg, seq):
     spec = esr_spectrum(h, linewidth=args.linewidth, detuning=args.detuning)
 
     def write(out: Path) -> None:
-        spec.to_csv(out / "esr_spectrum.csv")
-        write_json(out / "esr_lines.json", {"lines": [[p, w] for p, w in spec.lines]})
+        _write_spectrum(out / "esr_spectrum.csv", spec)
+        _write_lines(out / "esr_lines.json", spec)
         print(f"scan spectrum: {len(spec.lines)} sticks, "
               f"{len(spec.resolvable_lines())} resolvable")
     return write
@@ -359,14 +389,18 @@ def _scan_spectrum(args, cfg, seq):
 def _scan_trajectory(args, cfg, seq):
     if seq is None:
         raise CliError("trajectory scan needs --sequence")
-    _check_size("trajectory steps (sequence duration / --dt)", seq.duration / args.dt,
-                MAX_TRAJECTORY_STEPS)
+    _check_size("trajectory steps (each segment's duration / --dt, rounded up)",
+                sum(segment_samples(seq, args.dt)), MAX_TRAJECTORY_STEPS)
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
+    # one carbon is c, several are c1, c2, ... in label order
+    carbons = [""] if cfg.n_carbons == 1 else range(1, cfg.n_carbons + 1)
+    header = ["time_us", "ex", "ey", "ez", *(f"c{j}{axis}" for j in carbons for axis in "xyz")]
 
     def write(out: Path) -> None:
-        traj.to_csv(out / "trajectory.csv")
+        write_csv(out / "trajectory.csv", header, traj.times,
+                  *traj.vectors.reshape(traj.times.size, -1).T)
         write_json(out / "trajectory.json", {
             "times_us": traj.times.tolist(),
             "bloch_vectors": traj.vectors.tolist(),

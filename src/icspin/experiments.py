@@ -7,12 +7,10 @@ physics is out of scope, and measurements are projective populations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
-from .files import write_csv
 from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
 from .operators import TWO_PI, kron_all
 from .propagation import engine_for, sequence_propagator
@@ -53,16 +51,6 @@ class Spectrum:
         wmax = max(w for _, w in self.lines)
         return [(p, w) for p, w in self.lines if w >= threshold * wmax]
 
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ("frequency_MHz", "amplitude"), self.frequencies, self.amplitudes)
-
-    def to_dict(self) -> dict:
-        return {
-            "frequencies_MHz": self.frequencies.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
-            "lines": [[p, w] for p, w in self.lines],
-        }
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -71,9 +59,6 @@ class ScanResult:
     times: np.ndarray
     signal: np.ndarray
     spectrum: Spectrum
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ("time_us", "signal"), self.times, self.signal)
 
 
 @dataclass(frozen=True)
@@ -86,20 +71,6 @@ class Trajectory:
 
     times: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def n_subsystems(self) -> int:
-        return self.vectors.shape[1]
-
-    def to_csv(self, path: str | Path) -> None:
-        if self.n_subsystems == 2:
-            names = ["ex", "ey", "ez", "cx", "cy", "cz"]
-        else:
-            names = ["ex", "ey", "ez"]
-            for j in range(1, self.n_subsystems):
-                names += [f"c{j}x", f"c{j}y", f"c{j}z"]
-        write_csv(path, ["time_us", *names], self.times,
-                  *self.vectors.reshape(self.times.size, -1).T)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +357,12 @@ def esr_spectrum(
 # trajectories
 
 
+def segment_samples(seq: PulseSequence, dt: float) -> list[int]:
+    """The samples ``bloch_trajectory`` takes of each segment of `seq` at
+    step `dt`, the segment's start left out."""
+    return [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
+
+
 def bloch_trajectory(
     seq: PulseSequence,
     h: np.ndarray,
@@ -409,8 +386,8 @@ def bloch_trajectory(
     state = engine.v.T @ psi   # free eigenbasis
 
     times, states = [np.zeros(1)], [state[None]]
-    for seg in seq.segments:   # each starts at the last sample, times[-1][-1]
-        count = int(np.ceil((seg.duration - 1e-15) / dt))
+    # each segment starts at the last sample, times[-1][-1]
+    for seg, count in zip(seq.segments, segment_samples(seq, dt)):
         offsets = np.minimum(np.arange(1, count + 1) * dt, seg.duration)
         if isinstance(seg, Delay):
             block = np.exp(-1j * TWO_PI * np.outer(offsets, engine.w)) * state

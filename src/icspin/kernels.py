@@ -29,9 +29,18 @@ import threading
 
 import numpy as np
 
-from .propagation import BATCH_ENTRIES, engine_for
+from .propagation import engine_for
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
+
+# The chunking budget: each chunk of genomes, or of grid points of one
+# genome, propagates at most this many entries (stack size times d^2) per
+# step. At d = 32 that is a stack of 32 propagators, 512 kB, which stays in
+# a core's cache. When the chunks run on several threads, every numpy call
+# of the chain releases and retakes the interpreter lock; calls on twice the
+# 2**14 entries that suffice for one thread halve those hand-overs per
+# genome, and one thread runs as fast on either budget.
+BATCH_ENTRIES = 2**15
 
 
 def cpu_workers() -> int:
@@ -122,13 +131,12 @@ class FitnessKernel:
         n = self.n_pulses
         if genomes.shape[1] != 3 * n + 1:
             raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
-        dphis = np.diff(genomes[:, 2 * n + 1 :], prepend=0.0, append=0.0)    # (P, n+1)
         fids = np.empty((len(genomes), self.omega1s.size))
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
         while len(self._workspaces) < threads:
             self._workspaces.append(self._new_workspace())
-        work = (_dealer(starts), genomes, dphis, fids)
+        work = (_dealer(starts), genomes, fids)
         if threads == 1:
             self._run_chunks(self._workspaces[0], *work)
         else:
@@ -144,14 +152,14 @@ class FitnessKernel:
         check_fidelities(fids)
         return fids
 
-    def _run_chunks(self, workspace, deal, genomes, dphis, fids):
+    def _run_chunks(self, workspace, deal, genomes, fids):
         """Write the fidelities of the chunks that `deal` hands out into
         `fids`, in the stacks of `workspace`."""
         while (start := deal()) is not None:
             chunk = slice(start, start + self._chunk)
             for grid, stacks in workspace:
                 u, spare = stacks[:, : len(genomes[chunk])]
-                u, last = self.engine.chain(genomes[chunk], dphis[chunk], u, spare, grid)
+                u, last = self.engine.chain(genomes[chunk], u, spare, grid)
                 weights = last[:, :, None] * self._target_conj                # (P, d, d)
                 traces = np.einsum("pij,pgij->pg", weights, u)
                 fids[chunk, grid] = np.abs(traces) / self.engine.dim

@@ -181,22 +181,6 @@ class OptimizationResult:
         except SequenceError as exc:
             raise RuntimeError(f"the best genome is no valid sequence: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "best_genome": self.best_genome.tolist(),
-            "best_fitness": self.best_fitness,
-            "history": self.history.tolist(),
-            "robustness": {
-                "mean": self.robustness.mean,
-                "min": self.robustness.min,
-                "omega1s_MHz": self.robustness.omega1s.tolist(),
-                "fidelities": self.robustness.fidelities.tolist(),
-            },
-            "seed": self.seed,
-            "n_pulses": self.n_pulses,
-            "omega1_nominal_MHz": self.omega1_nominal,
-        }
-
 
 def _duration(genomes: np.ndarray, n_pulses: int) -> np.ndarray:
     return genomes[:, : 2 * n_pulses + 1].sum(axis=1)

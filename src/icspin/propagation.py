@@ -40,15 +40,6 @@ import numpy as np
 from .operators import TWO_PI, assert_hermitian
 from .sequence import PulseSequence, genome_from_sequence
 
-# The fitness kernel's chunking budget: each chunk of genomes, or of grid
-# points of one genome, propagates at most this many entries (stack size
-# times d^2) per step. At d = 32 that is a stack of 32 propagators, 512 kB,
-# which stays in a core's cache. When the chunks run on several threads,
-# every numpy call of the chain releases and retakes the interpreter lock;
-# calls on twice the 2**14 entries that suffice for one thread halve those
-# hand-overs per genome, and one thread runs as fast on either budget.
-BATCH_ENTRIES = 2**15
-
 
 def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ u for real a and C-contiguous complex u, as one real matmul into
@@ -125,20 +116,26 @@ class PropagationEngine:
         """V u V^T for one operator or a stack of them."""
         return self.v @ u @ self.v.T
 
-    def chain(self, genomes, dphis, u, spare, grid):
+    def chain(self, genomes, u, spare, grid):
         """Propagators of template genomes on the grid points `grid`, in the
         free eigenbasis, less the row phase of the last delay.
 
         A genome [tau_0..tau_n, t_1..t_n, phi_1..phi_n] is delay, then pulse
-        and delay n times; dphis[:, i] = phi_{i+1} - phi_i, with phi_0 =
-        phi_{n+1} = 0. The chain alternates between the C-contiguous
-        (P, len(grid), d, d) stacks `u` and `spare` and returns the one
-        holding the result (the identity when n = 0) and the (P, d) row
-        phase of the last delay.
+        and delay n times. Delay i and the z-rotations on either side of it
+        merge into one row phase through the phase step dphis[:, i] =
+        phi_{i+1} - phi_i, with phi_0 = phi_{n+1} = 0. The chain alternates
+        between the C-contiguous (P, len(grid), d, d) stacks `u` and `spare`
+        and returns the one holding the result (the identity when n = 0) and
+        the (P, d) row phase of the last delay.
         """
-        n = dphis.shape[1] - 1
+        n = (genomes.shape[1] - 1) // 3
         taus = genomes[:, : n + 1]
         ts = genomes[:, n + 1 : 2 * n + 1]
+        # phi_0..phi_{n+1}; np.diff with prepend and append takes five times
+        # as long, and the kernel calls the chain once a chunk
+        phis = np.zeros((len(genomes), n + 2))
+        phis[:, 1:-1] = genomes[:, 2 * n + 1 :]
+        dphis = phis[:, 1:] - phis[:, :-1]                                    # (P, n+1)
         rows = np.exp(-1j * (TWO_PI * taus[:, :, None] * self.w
                              - dphis[:, :, None] * self.zhalf))               # (P, n+1, d)
         if n == 0:
@@ -192,8 +189,6 @@ def sequence_propagator(
     """
     amp = seq.omega1 if omega1 is None else omega1
     engine = engine_for(h, [amp])
-    genome = genome_from_sequence(seq)[None]
-    dphis = np.diff(genome[:, 2 * seq.n_pulses + 1 :], prepend=0.0, append=0.0)
     u = np.empty((1, 1, engine.dim, engine.dim), dtype=complex)
-    u, last = engine.chain(genome, dphis, u, np.empty_like(u), slice(None))
+    u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), slice(None))
     return engine.to_lab(u[0, 0] * last[0, :, None])

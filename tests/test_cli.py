@@ -12,7 +12,7 @@ import pytest
 import icspin
 from icspin.cli import main
 from icspin.fidelity import RobustnessReport
-from icspin.propagation import BATCH_ENTRIES
+from icspin.kernels import BATCH_ENTRIES
 from icspin.sequence import MAX_DURATION_US, SequenceError
 from icspin.system import MAX_CONFIG_VALUE, data_path, save_system
 
@@ -284,6 +284,7 @@ def test_scan_hadamard_peak(tmp_path):
     assert run(["scan", "--kind", "hadamard", "--system", SYSTEM,
                 "--points", "512", "--dt", "0.2", "--out", str(out)]) == 0
     doc = json.loads((out / "hadamard.json").read_text())
+    assert doc.keys() == {"peak_MHz"}   # the signal and its times live in the CSV
     assert doc["peak_MHz"] == pytest.approx(0.158, abs=0.005)
     text = (out / "hadamard_signal.csv").read_text().splitlines()
     assert text[0] == "time_us,signal"
@@ -316,6 +317,23 @@ def test_scan_fid_and_spectrum_and_trajectory(tmp_path):
                 "--sequence", HADAMARD, "--dt", "0.1", "--out", str(out)]) == 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "time_us,ex,ey,ez,cx,cy,cz"
+
+
+def test_trajectory_csv_columns(tmp_path, registers):
+    """One carbon's columns are cx,cy,cz; several carbons' are numbered in
+    label order."""
+    two_carbons = tmp_path / "two_carbons.json"
+    save_system(registers.subset([1, 2]), two_carbons)
+    seq = tmp_path / "delay.json"
+    seq.write_text(json.dumps({"omega1_MHz": 0.5, "segments": [{"delay_us": 0.5}]}))
+    headers = []
+    for i, system in enumerate((SYSTEM, two_carbons)):
+        out = tmp_path / f"o{i}"
+        assert run(["scan", "--kind", "trajectory", "--system", str(system),
+                    "--sequence", str(seq), "--dt", "0.25", "--out", str(out)]) == 0
+        headers.append((out / "trajectory.csv").read_text().splitlines()[0])
+    assert headers == ["time_us,ex,ey,ez,cx,cy,cz",
+                       "time_us,ex,ey,ez,c1x,c1y,c1z,c2x,c2y,c2z"]
 
 
 def test_scan_trajectory_requires_sequence(tmp_path):
@@ -531,11 +549,15 @@ def test_scan_sequence_amplitude_not_below_d_is_usage_error(tmp_path, capsys, ki
 
 
 @pytest.mark.parametrize("case", ["verify_grid", "optimize_ga_config_grid", "scan_points",
-                                  "trajectory_dt", "optimize_pulses", "optimize_population"])
+                                  "trajectory_dt", "trajectory_segments", "optimize_pulses",
+                                  "optimize_population", "verify_sequence_pulses",
+                                  "scan_sequence_pulses"])
 def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
-    """Each size is one past its budget, so the command is refused before it
+    """Each size is past its budget, so the command is refused before it
     allocates anything of that size. The GA configs run no generation, so a
-    missing check costs one small population."""
+    missing check costs one small population. 12_000 delays of 1e-6 us
+    last less than one --dt, yet the trajectory samples each of them: 12_000
+    steps."""
     ga = tmp_path / "ga.json"
     ga.write_text(json.dumps({"omega1_grid": {
         "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.fidelity.MAX_GRID_POINTS + 1}}))
@@ -545,6 +567,11 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     large_ga.write_text(json.dumps(
         {"population": icspin.cli.MAX_POPULATION + 1, "generations": 0}))
     dt = icspin.load_sequence(CNOT).duration / (icspin.cli.MAX_TRAJECTORY_STEPS + 1)
+    delays = tmp_path / "delays.json"
+    delays.write_text(json.dumps({"omega1_MHz": 0.5, "segments": [{"delay_us": 1e-6}] * 12_000}))
+    pulses = tmp_path / "pulses.json"
+    pulses.write_text(json.dumps(
+        {"omega1_MHz": 0.5, "segments": [{"pulse_us": 0.01}] * (icspin.cli.MAX_PULSES + 1)}))
     argv, flag, written = {
         "verify_grid": (["verify", "--sequence", CNOT, "--target", "cnot", "--grid",
                          f"0.48,0.52,{icspin.fidelity.MAX_GRID_POINTS + 1}"],
@@ -556,11 +583,17 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
                         "--points", "hadamard.json"),
         "trajectory_dt": (["scan", "--kind", "trajectory", "--sequence", CNOT, "--dt", repr(dt)],
                           "--dt", "trajectory.json"),
+        "trajectory_segments": (["scan", "--kind", "trajectory", "--sequence", str(delays),
+                                 "--dt", "0.1"], "trajectory steps", "trajectory.json"),
         "optimize_pulses": (["optimize", "--target", "cnot", "--ga-config", str(small_ga),
                              "--pulses", str(icspin.cli.MAX_PULSES + 1)],
                             "--pulses", "result.json"),
         "optimize_population": (["optimize", "--target", "cnot", "--ga-config", str(large_ga)],
                                 "GA config population", "result.json"),
+        "verify_sequence_pulses": (["verify", "--sequence", str(pulses), "--target", "cnot"],
+                                   "--sequence pulses", "verify.json"),
+        "scan_sequence_pulses": (["scan", "--kind", "theta", "--sequence", str(pulses)],
+                                 "--sequence pulses", "theta_scan.csv"),
     }[case]
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
@@ -657,7 +690,7 @@ def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
 def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, capsys):
     """A chain that produced NaN propagators makes verify exit 2 and
     write no data file."""
-    def broken(self, genomes, dphis, u, spare, grid):
+    def broken(self, genomes, u, spare, grid):
         u[...] = np.nan
         return u, np.ones((len(genomes), self.dim), dtype=complex)
 
@@ -666,7 +699,7 @@ def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, cap
     assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
                 "--out", str(out)]) == 2
     assert not (out / "verify.json").exists()
-    assert "internal error" in capsys.readouterr().err
+    assert "internal error: fidelity outside [0, 1]" in capsys.readouterr().err
 
 
 def test_optimize_non_finite_fitness_is_internal_error(tmp_path, monkeypatch, capsys):
@@ -695,8 +728,8 @@ def test_optimize_nan_from_a_pool_thread_is_internal_error(tmp_path, monkeypatch
     original = icspin.propagation.PropagationEngine.chain
     poisoned = threading.Event()
 
-    def broken(self, genomes, dphis, u, spare, grid):
-        u, last = original(self, genomes, dphis, u, spare, grid)
+    def broken(self, genomes, u, spare, grid):
+        u, last = original(self, genomes, u, spare, grid)
         if threading.current_thread() is threading.main_thread():
             poisoned.wait(timeout=30.0)
         else:
@@ -747,8 +780,9 @@ def test_scan_fid_detuning_inside_line_span_is_usage_error(tmp_path, capsys):
         assert not out.exists()
     assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "-3",
                 "--out", str(out)]) == 0
-    lines = json.loads((out / "fid_spectrum.json").read_text())["lines"]
-    assert all(p < 0 for p, _ in lines)
+    doc = json.loads((out / "fid_spectrum.json").read_text())
+    assert doc.keys() == {"lines"}   # the spectrum's arrays live in fid_spectrum.csv
+    assert all(p < 0 for p, _ in doc["lines"])
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])

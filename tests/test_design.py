@@ -38,6 +38,22 @@ def test_the_engine_has_three_entry_points():
     assert isinstance(vars(PropagationEngine)["dim"], property)
 
 
+def test_result_objects_write_no_files():
+    """The CLI lays out every output file; the input formats, a sequence and
+    a system config, keep a writer next to their reader. No class writes
+    itself."""
+    writers = sorted(name for name, text in SOURCES.items()
+                     for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.ImportFrom)
+                     and {"write_csv", "write_json"} & {alias.name for alias in node.names})
+    assert writers == ["cli.py", "sequence.py", "system.py"]
+    methods = sorted(f"{name}:{cls.name}.{node.name}" for name, text in SOURCES.items()
+                     for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, ast.FunctionDef)
+                     and node.name in ("to_csv", "to_dict"))
+    assert methods == []
+
+
 def _called_name(call: ast.Call) -> str:
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
 

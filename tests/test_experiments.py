@@ -17,6 +17,7 @@ from icspin.experiments import (
     esr_spectrum,
     hadamard_circuit_scan,
     min_coherence_time,
+    segment_samples,
     simulate_init_sequence,
     theta_scan,
 )
@@ -486,20 +487,17 @@ def test_trajectory_needs_a_state_vector(h_subspace, cnot_seq):
             bloch_trajectory(cnot_seq, h_subspace, initial, dt=0.1)
 
 
-def test_trajectory_csv_columns(tmp_path, registers, h_subspace, hadamard_seq):
-    traj = bloch_trajectory(hadamard_seq, h_subspace, basis_state(0, 4), dt=0.5)
-    path = tmp_path / "two.csv"
-    traj.to_csv(path)
-    assert path.read_text().splitlines()[0] == "time_us,ex,ey,ez,cx,cy,cz"
-
-    cfg = registers.subset([1, 2])
-    h = icspin.multiqubit_hamiltonian(cfg)
-    seq = PulseSequence((Delay(0.5),), omega1=0.5)
-    traj = bloch_trajectory(seq, h, basis_state(0, 8), dt=0.25)
-    path = tmp_path / "multi.csv"
-    traj.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "time_us,ex,ey,ez,c1x,c1y,c1z,c2x,c2y,c2z"
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.37, 40.0])
+def test_segment_samples_count_the_trajectory(h_subspace, cnot_seq, dt):
+    """The CLI's trajectory budget counts with ``segment_samples``; the
+    trajectory takes exactly that many samples after its start, one at least
+    for each segment of non-zero length, however short."""
+    seq = PulseSequence((Delay(1e-6),) * 5 + cnot_seq.segments + (Pulse(0.0, 0.0),),
+                        omega1=cnot_seq.omega1)
+    counts = segment_samples(seq, dt)
+    traj = bloch_trajectory(seq, h_subspace, basis_state(0, 4), dt)
+    assert traj.times.size == 1 + sum(counts)
+    assert counts[:5] == [1] * 5 and counts[-1] == 0
 
 
 # ---------------------------------------------------------------------------

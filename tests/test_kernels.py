@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import icspin
 from icspin import kernels
-from icspin.kernels import FitnessKernel
-from icspin.propagation import BATCH_ENTRIES
+from icspin.kernels import BATCH_ENTRIES, FitnessKernel
 from icspin.sequence import sequence_from_genome
 
 from oracles import oracle_sequence_propagator, random_unitary
