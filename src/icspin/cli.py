@@ -16,6 +16,7 @@ manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import platform
 import sys
@@ -566,9 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main parses with, built on its first call: parsing leaves
+    it unchanged (each call fills its own Namespace), and building it costs
+    about 1 ms. Two threads that race here may each build one; either serves."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. It may be called repeatedly in one process; the
+    ``cmd_*`` are bound when the parser is built, so patch the names they
+    call, not the commands."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -19,6 +19,10 @@ from .operators import TWO_PI
 # The longest delay or pulse, in us. With every frequency of a system config
 # at most 1e6 MHz, the phases 2 pi f t stay near 1e13 rad, far from overflow.
 MAX_DURATION_US = 1e6
+# The most segments a sequence document may hold, checked before any is
+# built. Verify and the scans work through every segment, and zero-length
+# delays pass every duration and step budget, so only a count bounds them.
+MAX_SEGMENTS = 2**15
 
 
 class SequenceError(ValueError):
@@ -131,8 +135,11 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
     """The document ``sequence_to_dict`` writes, phase_rad optional (0 when
     left out); any other key, a misspelt one say, is rejected."""
     check_keys(doc, "sequence document", SequenceError, required=("omega1_MHz", "segments"))
+    raw = json_list(doc["segments"], "segments", SequenceError)
+    if len(raw) > MAX_SEGMENTS:
+        raise SequenceError(f"segments must hold at most {MAX_SEGMENTS} entries, got {len(raw)}")
     segments = []
-    for i, seg in enumerate(json_list(doc["segments"], "segments", SequenceError)):
+    for i, seg in enumerate(raw):
         kind = Delay if isinstance(seg, dict) and "delay_us" in seg else Pulse
         keys = _SEGMENT_KEYS[kind]
         check_keys(seg, f"segments[{i}]", SequenceError, required=keys[:1], optional=keys[1:])

@@ -13,7 +13,8 @@ import icspin
 from icspin.cli import main
 from icspin.fidelity import RobustnessReport
 from icspin.kernels import BATCH_ENTRIES
-from icspin.sequence import MAX_DURATION_US, SequenceError
+from icspin.optimize import ga_config_from_dict
+from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS, SequenceError
 from icspin.system import MAX_CONFIG_VALUE, data_path, save_system
 
 
@@ -551,13 +552,14 @@ def test_scan_sequence_amplitude_not_below_d_is_usage_error(tmp_path, capsys, ki
 @pytest.mark.parametrize("case", ["verify_grid", "optimize_ga_config_grid", "scan_points",
                                   "trajectory_dt", "trajectory_segments", "optimize_pulses",
                                   "optimize_population", "verify_sequence_pulses",
-                                  "scan_sequence_pulses"])
+                                  "scan_sequence_pulses", "sequence_segments"])
 def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     """Each size is past its budget, so the command is refused before it
     allocates anything of that size. The GA configs run no generation, so a
     missing check costs one small population. 12_000 delays of 1e-6 us
     last less than one --dt, yet the trajectory samples each of them: 12_000
-    steps."""
+    steps. Zero-length delays pass every duration and step budget; only
+    the segment count bounds them."""
     ga = tmp_path / "ga.json"
     ga.write_text(json.dumps({"omega1_grid": {
         "min_MHz": 0.48, "max_MHz": 0.52, "points": icspin.fidelity.MAX_GRID_POINTS + 1}}))
@@ -572,6 +574,9 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     pulses = tmp_path / "pulses.json"
     pulses.write_text(json.dumps(
         {"omega1_MHz": 0.5, "segments": [{"pulse_us": 0.01}] * (icspin.cli.MAX_PULSES + 1)}))
+    empty_delays = tmp_path / "empty_delays.json"
+    empty_delays.write_text(json.dumps(
+        {"omega1_MHz": 0.5, "segments": [{"delay_us": 0}] * (MAX_SEGMENTS + 1)}))
     argv, flag, written = {
         "verify_grid": (["verify", "--sequence", CNOT, "--target", "cnot", "--grid",
                          f"0.48,0.52,{icspin.fidelity.MAX_GRID_POINTS + 1}"],
@@ -594,6 +599,8 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
                                    "--sequence pulses", "verify.json"),
         "scan_sequence_pulses": (["scan", "--kind", "theta", "--sequence", str(pulses)],
                                  "--sequence pulses", "theta_scan.csv"),
+        "sequence_segments": (["verify", "--sequence", str(empty_delays), "--target", "cnot"],
+                              "segments", "verify.json"),
     }[case]
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
@@ -977,6 +984,57 @@ def test_help_and_version_exit_0(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 0
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    """After the first call, no call builds a parser, and the parser's
+    messages go to the streams of the call that prints them."""
+    run(["report", "--system", SYSTEM, "--out", str(tmp_path / "warm")])
+    built = []
+    original = icspin.cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(icspin.cli._Parser, "__init__", spy)
+    capsys.readouterr()
+    assert run(["verify", "--system", SYSTEM, "--sequence", CNOT, "--target", "cnot",
+                "--out", str(tmp_path / "v")]) == 0
+    assert run(["scan", "--kind", "spectrum", "--system", SYSTEM,
+                "--out", str(tmp_path / "s")]) == 0
+    assert run(["report", "--system", SYSTEM, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--sequence", CNOT, "--target", "cnot"])
+    assert exc.value.code == 1
+    assert "--system" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert icspin.__version__ in capsys.readouterr().out
+    assert built == []
+
+
+def test_no_flag_carries_over_to_the_next_call(tmp_path):
+    """Scan defaults and --seed belong to the call that parsed them."""
+    manifests = []
+    for i, gate in enumerate((["--gate", "noop"], [])):
+        out = tmp_path / f"theta{i}"
+        assert run(["scan", "--kind", "theta", "--system", SYSTEM, "--points", "8", *gate,
+                    "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert [m["inputs"]["gate"] for m in manifests] == ["noop", "cnot"]
+
+    ga_doc = {"population": 4, "elites": 1, "generations": 0}
+    (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
+    seeds = []
+    for i, seed in enumerate((["--seed", "5"], [])):
+        out = tmp_path / f"ga{i}"
+        assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "1",
+                    "--ga-config", str(tmp_path / "ga.json"), *seed, "--out", str(out)]) == 0
+        seeds.append(json.loads((out / "manifest.json").read_text())["seed"])
+    assert seeds == [5, ga_config_from_dict(ga_doc).rng_seed]
 
 
 def _overflowing_system(tmp_path, edit):

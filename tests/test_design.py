@@ -79,3 +79,23 @@ def test_only_the_kernel_starts_threads_and_no_module_keeps_an_executor():
                      if isinstance(node, ast.Call) and _called_name(node).endswith("Executor")]
         assert all(id(node) in in_with for node in executors), name
     assert sorted(importers) == ["kernels.py"]
+
+
+def test_only_the_cli_builds_a_parser_and_main_reuses_it():
+    """Parsing arguments belongs to the CLI, and ``main`` parses with the
+    parser built on its first call, not a new one each call."""
+    builders = set()
+    for name, text in SOURCES.items():
+        tree = ast.parse(text)
+        parsers = {"ArgumentParser"} | {
+            cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any((base.id if isinstance(base, ast.Name) else getattr(base, "attr", ""))
+                    == "ArgumentParser" for base in cls.bases)}
+        if any(isinstance(node, ast.Call) and _called_name(node) in parsers
+               for node in ast.walk(tree)):
+            builders.add(name)
+    assert sorted(builders) == ["cli.py"]
+    main = next(node for node in ast.parse(SOURCES["cli.py"]).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    called = {_called_name(node) for node in ast.walk(main) if isinstance(node, ast.Call)}
+    assert "build_parser" not in called
