@@ -312,6 +312,8 @@ def _scan_sequence(args, cfg):
 def _scan_times(args) -> np.ndarray:
     """The sample times of a time-domain scan; their span, like any
     duration, is at most MAX_DURATION_US."""
+    if args.points < 2:   # a spectrum needs two samples
+        raise CliError(f"--points must be >= 2 for --kind {args.kind}, got {args.points}")
     _check_size("scan time span (--points - 1) * --dt in us", (args.points - 1) * args.dt,
                 MAX_DURATION_US)
     return np.arange(args.points) * args.dt

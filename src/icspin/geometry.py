@@ -8,7 +8,8 @@ dipole form
     a_zx = f(r) * (3 sin theta cos theta)
 
 with f(r) = -(mu0/4pi) * gamma_e * gamma_c * h / r^3 expressed in MHz.
-Both directions of the map are provided; the inverse has a closed form.
+Both directions of the map are provided; the inverse is closed form and
+unique with theta in [0, 180) degrees.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ class DipolarGeometry:
     theta_deg: float
 
     def __post_init__(self):
-        if self.r_nm <= 0:
-            raise GeometryError("distance must be positive")
+        if not 0.0 < self.r_nm < np.inf:
+            raise GeometryError(f"r_nm must be positive and finite, got {self.r_nm!r}")
         if not 0.0 <= self.theta_deg <= 180.0:
             raise GeometryError("theta must lie in [0, 180] degrees")
 
@@ -59,52 +60,25 @@ def coupling_from_geometry(geom: DipolarGeometry) -> HyperfineCoupling:
     )
 
 
-@np.errstate(all="ignore")   # subnormal couplings overflow; the result is checked
+@np.errstate(all="ignore")   # couplings whose squares underflow give no finite r; it is checked
 def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
-    """Invert the point-dipole map.
+    """Invert the point-dipole map in closed form.
 
-    The angle comes from the coupling ratio: with u = tan(theta),
-    a_zx/a_zz = 3u / (2 - u^2), a quadratic in u. The sign pattern of
-    (a_zz, a_zx) picks the branch on [0, 180] degrees; the distance follows
-    from the prefactor magnitude.
+    With u = 1/f(r) the map reads 2 a_zz u - 1 = 3 cos 2theta and
+    2 a_zx u = 3 sin 2theta, so R^2 u^2 - a_zz u - 2 = 0 with
+    R^2 = a_zz^2 + a_zx^2. Its one positive root is
+
+        u = (a_zz + sqrt(a_zz^2 + 8 R^2)) / (2 R^2),
+
+    and then r = (f(1 nm) u)^(1/3) and
+    theta = atan2(2 a_zx u, 2 a_zz u - 1) / 2 mod 180 degrees. Every
+    non-zero coupling has exactly this one preimage with theta in [0, 180).
     """
-    azz, azx = coupling.a_zz, coupling.a_zx
-    if azz == 0.0 and azx == 0.0:
-        raise GeometryError("zero coupling has no geometric preimage")
-    f_unit = dipolar_prefactor_mhz(1.0)  # f at r = 1 nm, positive
-
-    if azx == 0.0:
-        # axis-aligned (theta 0 or 180) or equatorial (theta 90)
-        theta = 0.0 if azz > 0 else np.pi / 2
-    elif azz == 0.0:
-        magic = np.arccos(np.sqrt(1.0 / 3.0))
-        theta = magic if azx > 0 else np.pi - magic
-    else:
-        rho = azx / azz
-        if not np.isfinite(rho):
-            raise GeometryError(f"the coupling ratio A_zx / A_zz = {azx:g} / {azz:g} "
-                                "is not finite")
-        # two roots of rho*u^2 + 3u - 2*rho = 0
-        disc = np.sqrt(9 + 8 * rho * rho)
-        roots = [(-3 + disc) / (2 * rho), (-3 - disc) / (2 * rho)]
-        theta = None
-        for u in roots:
-            cand = np.arctan(u) if u >= 0 else np.arctan(u) + np.pi
-            denom = 3 * np.cos(cand) ** 2 - 1
-            if denom * azz > 0 and np.sin(cand) * np.cos(cand) * azx > 0:
-                theta = cand
-                break
-        if theta is None:
-            raise GeometryError(
-                f"no (r, theta) reproduces the sign pattern ({azz:+g}, {azx:+g})"
-            )
-
-    denom = 3 * np.cos(theta) ** 2 - 1
-    if abs(denom) > abs(3 * np.sin(theta) * np.cos(theta)):
-        f_needed = azz / denom
-    else:
-        f_needed = azx / (3 * np.sin(theta) * np.cos(theta))
-    r = (f_unit / f_needed) ** (1.0 / 3.0)
-    if not np.isfinite(r):   # theta is finite wherever rho is
+    azz, azx = np.float64(coupling.a_zz), np.float64(coupling.a_zx)
+    r2 = azz * azz + azx * azx
+    u = (azz + np.sqrt(azz * azz + 8 * r2)) / (2 * r2)
+    r = (dipolar_prefactor_mhz(1.0) * u) ** (1.0 / 3.0)
+    if not np.isfinite(r):
         raise GeometryError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")
+    theta = np.arctan2(2 * azx * u, 2 * azz * u - 1) / 2 % np.pi
     return DipolarGeometry(r_nm=float(r), theta_deg=float(np.degrees(theta)))

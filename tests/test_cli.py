@@ -884,9 +884,12 @@ def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     (["report", "--linewidth", "1e308"], "--linewidth"),
     (["scan", "--kind", "spectrum", "--linewidth", "1e308"], "--linewidth"),
     (["optimize", "--target", "cnot", "--pulses", "0"], "pulses"),
+    (["scan", "--kind", "hadamard", "--points", "1"], "--points must be >= 2 for --kind hadamard"),
+    (["scan", "--kind", "fid", "--points", "1"], "--points must be >= 2 for --kind fid"),
 ], ids=["report_linewidth_nan", "spectrum_linewidth_nan", "optimize_tau_max_nan",
         "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan",
-        "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_0"])
+        "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_0",
+        "hadamard_points_1", "fid_points_1"])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, field):
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
@@ -1203,18 +1206,29 @@ def test_scan_dt_below_its_nyquist_floor_is_usage_error(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("fields,notes", [
-    ({"A_zz_MHz": 5e-324}, ("dipolar_note", "cleanup_note")),
-    ({"A_zz_MHz": 1e-320, "nu_C_MHz": 1e-320}, ("dipolar_note", "init_delay_note")),
-], ids=["subnormal_a_zz", "subnormal_a_zz_and_nu_c"])
+    ({"A_zz_MHz": 5e-324}, ("cleanup_note",)),
+    ({"A_zz_MHz": 1e-320, "nu_C_MHz": 1e-320}, ("init_delay_note",)),
+    ({"A_zz_MHz": 1e-320, "A_zx_MHz": 1e-320}, ("dipolar_note", "cleanup_note")),
+], ids=["subnormal_a_zz", "subnormal_a_zz_and_nu_c", "subnormal_a_zz_and_a_zx"])
 def test_report_subnormal_coupling_writes_na(tmp_path, fields, notes):
     """A subnormal A_zz_MHz made report exit 2: the clean-up delay
-    1 / (2 |A_zz|) and the ratio A_zx / A_zz were infinite, and with a
-    subnormal nu_C_MHz so was the second initialization delay."""
+    1 / (2 |A_zz|) was infinite, and with a subnormal nu_C_MHz so was the
+    second initialization delay. Its geometry is that of A_zz = 0; only
+    couplings whose squares underflow have none."""
     out = tmp_path / "o"
     assert run(["report", "--system", edited_system(tmp_path, **fields), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["dipolar_r_nm"] == "n/a"
     assert all(note in report for note in notes)
+    if "dipolar_note" in notes:
+        assert report["dipolar_r_nm"] == "n/a"
+    else:
+        zero = tmp_path / "zero"
+        zero.mkdir()
+        assert run(["report", "--system", edited_system(zero, A_zz_MHz=0),
+                    "--out", str(zero / "o")]) == 0
+        want = json.loads((zero / "o" / "report.json").read_text())
+        assert report["dipolar_r_nm"] == want["dipolar_r_nm"]
+        assert report["dipolar_theta_deg"] == want["dipolar_theta_deg"]
 
 
 @pytest.mark.parametrize("key", ["generations", "restarts"])

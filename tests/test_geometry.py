@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icspin.geometry import (
@@ -65,9 +67,56 @@ def test_invalid_geometry_values():
         DipolarGeometry(r_nm=1.0, theta_deg=200.0)
 
 
-@pytest.mark.parametrize("a_zz,a_zx", [(5e-324, 0.11), (1e-320, 0.0), (-0.152, 1e-320)],
-                         ids=["infinite_ratio", "infinite_distance", "subnormal_a_zx"])
+@pytest.mark.parametrize("r_nm", [math.nan, math.inf])
+def test_non_finite_distance_rejected(r_nm):
+    """A NaN distance was accepted, and the forward map turned it into a
+    NaN coupling."""
+    with pytest.raises(GeometryError, match="r_nm"):
+        DipolarGeometry(r_nm=r_nm, theta_deg=10.0)
+
+
+# 0, -0.0 or a signed magnitude from 1e-12 to 1e6 MHz: a ratio of up to 1e18
+coupling_component = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 6.0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a_zz=coupling_component, a_zx=coupling_component)
+@example(a_zz=0.152, a_zx=1e-9)   # near-axial, about (1.1802 nm, 2.5e-7 degrees)
+@example(a_zz=1e-300, a_zx=0.11)  # near the magic angle
+@example(a_zz=252.32313434172946, a_zx=2.6601018692215267e-06)   # components 1e8 apart
+def test_every_coupling_inverts_to_its_geometry(a_zz, a_zx):
+    """Each non-zero coupling has one preimage with theta in [0, 180), however
+    far apart its components are."""
+    assume(a_zz != 0.0 or a_zx != 0.0)
+    geom = dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
+    assert 0.0 <= geom.theta_deg <= 180.0
+    back = coupling_from_geometry(geom)
+    tol = 1e-12 * math.hypot(a_zz, a_zx)
+    assert abs(back.a_zz - a_zz) <= tol
+    assert abs(back.a_zx - a_zx) <= tol
+
+
+@pytest.mark.parametrize("tiny,limit,theta_deg", [
+    ((5e-324, 0.11), (0.0, 0.11), 54.7356),
+    ((-0.152, 1e-320), (-0.152, 0.0), 90.0),
+], ids=["tiny_a_zz", "tiny_a_zx"])
+def test_tiny_component_gives_the_geometry_of_its_zero_limit(tiny, limit, theta_deg):
+    """A subnormal component overflowed the ratio A_zx / A_zz; its geometry
+    is the magic-angle or equatorial one of the zero it nearly is."""
+    geom = dipolar_geometry(HyperfineCoupling(*tiny))
+    want = dipolar_geometry(HyperfineCoupling(*limit))
+    assert want.theta_deg == pytest.approx(theta_deg, abs=1e-4)
+    assert geom.r_nm == pytest.approx(want.r_nm, rel=1e-12, abs=0.0)
+    assert geom.theta_deg == pytest.approx(want.theta_deg, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a_zz,a_zx", [(1e-320, 0.0), (1e-320, 1e-320)],
+                         ids=["infinite_distance", "both_squares_underflow"])
 def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
-    """A subnormal coupling overflowed the ratio A_zx / A_zz or the distance."""
-    with pytest.raises(GeometryError):
+    """Couplings whose squares underflow to zero give an infinite distance."""
+    with pytest.raises(GeometryError, match="no finite distance"):
         dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
