@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ class CliError(Exception):
     """Usage problem found by the CLI itself; maps to exit code 1."""
 
 
-USAGE_ERRORS = (CliError, ConfigError, SequenceError, DegenerateManifoldError)
+USAGE_ERRORS = (CliError, ConfigError, SequenceError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,6 +153,22 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
     write_json(out / "manifest.json", manifest)
 
 
+def _finish(args, phases: _Phases, command: str, write, inputs: dict, seed: int | None = None,
+            **run_facts) -> int:
+    """The end of every command once it has computed: make --out (only now, so a
+    failed command leaves no directory), write the data files and the summary,
+    then the manifest. An --out that cannot be made or written is a usage error."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write(out)
+        phases.done("write")
+        _write_manifest(out, command, inputs, seed, **run_facts, phase_seconds=phases.seconds)
+    except OSError as exc:
+        raise CliError(f"--out {args.out} cannot be written: {exc}") from exc
+    return 0
+
+
 def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
     try:
         lo, hi, points = text.split(",")
@@ -178,14 +195,7 @@ def _target(args, cfg):
         raise CliError(f"--target: {exc}") from exc
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_verify(args) -> int:
-    phases = _Phases()
+def cmd_verify(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     seq = _load_sequence(args.sequence)
     target = _target(args, cfg)
@@ -198,38 +208,34 @@ def cmd_verify(args) -> int:
     report = robust_fidelity(seq, target, h, omega1_range, points)
     phases.done("evaluate")
 
-    out = _out_dir(args)
-    write_csv(out / "fidelity_points.csv", ("omega1_MHz", "fidelity"),
-              report.omega1s, report.fidelities)
-    write_json(
-        out / "verify.json",
-        {
-            "system": str(args.system),
-            "sequence": str(args.sequence),
-            "target": args.target,
-            "omega1_grid_MHz": report.omega1s.tolist(),
-            "fidelities": report.fidelities.tolist(),
-            "mean_fidelity": report.mean,
-            "band_mean_fidelity": report.band_mean,
-            "min_fidelity": report.min,
-            "duration_us": seq.duration,
-        },
-    )
-    phases.done("write")
-    _write_manifest(out, "verify",
-                    {"system": str(args.system), "sequence": str(args.sequence),
-                     "target": args.target, "grid": args.grid}, None,
-                    phase_seconds=phases.seconds)
-    print(f"verify: target={args.target} duration={seq.duration:.4f} us")
-    for w, f in zip(report.omega1s, report.fidelities):
-        print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
-    print(f"  mean F = {report.mean:.6f}   band mean F = {report.band_mean:.6f}"
-          f"   min F = {report.min:.6f}")
-    return 0
+    def write(out: Path) -> None:
+        write_csv(out / "fidelity_points.csv", ("omega1_MHz", "fidelity"),
+                  report.omega1s, report.fidelities)
+        write_json(
+            out / "verify.json",
+            {
+                "system": str(args.system),
+                "sequence": str(args.sequence),
+                "target": args.target,
+                "omega1_grid_MHz": report.omega1s.tolist(),
+                "fidelities": report.fidelities.tolist(),
+                "mean_fidelity": report.mean,
+                "band_mean_fidelity": report.band_mean,
+                "min_fidelity": report.min,
+                "duration_us": seq.duration,
+            },
+        )
+        print(f"verify: target={args.target} duration={seq.duration:.4f} us")
+        for w, f in zip(report.omega1s, report.fidelities):
+            print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
+        print(f"  mean F = {report.mean:.6f}   band mean F = {report.band_mean:.6f}"
+              f"   min F = {report.min:.6f}")
+    return _finish(args, phases, "verify", write,
+                   {"system": str(args.system), "sequence": str(args.sequence),
+                    "target": args.target, "grid": args.grid})
 
 
-def cmd_optimize(args) -> int:
-    phases = _Phases()
+def cmd_optimize(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     target = _target(args, cfg)
     ga_doc = {}
@@ -265,38 +271,36 @@ def cmd_optimize(args) -> int:
 
     result = optimize(target, h, bounds, ga)
     phases.done("search")
-    out = _out_dir(args)
-    save_sequence(result.best_sequence(), out / "best_sequence.json")
-    write_csv(out / "history.csv", ("generation", "best_fitness"),
-              range(len(result.history)), result.history)
-    write_json(out / "result.json", {
-        "best_genome": result.best_genome.tolist(),
-        "best_fitness": result.best_fitness,
-        "history": result.history.tolist(),
-        "robustness": {
-            "mean": result.robustness.mean,
-            "min": result.robustness.min,
-            "omega1s_MHz": result.robustness.omega1s.tolist(),
-            "fidelities": result.robustness.fidelities.tolist(),
-        },
-        "seed": result.seed,
-        "n_pulses": result.n_pulses,
-        "omega1_nominal_MHz": result.omega1_nominal,
-    })
-    phases.done("write")
-    _write_manifest(out, "optimize",
-                    {"system": str(args.system), "target": args.target,
-                     "pulses": args.pulses, "tau_max": args.tau_max,
-                     "t_max": args.t_max, "ga": ga_config_to_dict(ga)},
-                    ga.rng_seed,
-                    generations_run=result.generations_run,
-                    fitness_evaluations=result.fitness_evaluations,
-                    stop_reason=result.stop_reason,
-                    phase_seconds=phases.seconds)
-    print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
-    print(f"  duration = {result.best_sequence().duration:.4f} us over "
-          f"{result.generations_run} generations (seed {result.seed})")
-    return 0
+
+    def write(out: Path) -> None:
+        save_sequence(result.best_sequence(), out / "best_sequence.json")
+        write_csv(out / "history.csv", ("generation", "best_fitness"),
+                  range(len(result.history)), result.history)
+        write_json(out / "result.json", {
+            "best_genome": result.best_genome.tolist(),
+            "best_fitness": result.best_fitness,
+            "history": result.history.tolist(),
+            "robustness": {
+                "mean": result.robustness.mean,
+                "min": result.robustness.min,
+                "omega1s_MHz": result.robustness.omega1s.tolist(),
+                "fidelities": result.robustness.fidelities.tolist(),
+            },
+            "seed": result.seed,
+            "n_pulses": result.n_pulses,
+            "omega1_nominal_MHz": result.omega1_nominal,
+        })
+        print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
+        print(f"  duration = {result.best_sequence().duration:.4f} us over "
+              f"{result.generations_run} generations (seed {result.seed})")
+    return _finish(args, phases, "optimize", write,
+                   {"system": str(args.system), "target": args.target,
+                    "pulses": args.pulses, "tau_max": args.tau_max,
+                    "t_max": args.t_max, "ga": ga_config_to_dict(ga)},
+                   ga.rng_seed,
+                   generations_run=result.generations_run,
+                   fitness_evaluations=result.fitness_evaluations,
+                   stop_reason=result.stop_reason)
 
 
 def _scan_sequence(args, cfg):
@@ -428,8 +432,7 @@ _SCANS = {
 }
 
 
-def cmd_scan(args) -> int:
-    phases = _Phases()
+def cmd_scan(args, phases: _Phases) -> int:
     scan, reads = _SCANS[args.kind]
     if args.kind == "theta" and args.sequence is not None:
         if args.gate is not None:
@@ -455,65 +458,47 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     phases.done("compute")
-    out = _out_dir(args)   # only once the scan has run, so a failed one leaves no directory
-    write(out)
-    phases.done("write")
-    _write_manifest(out, f"scan:{args.kind}",
-                    {"system": str(args.system), "kind": args.kind,
-                     **{name: getattr(args, name) for name in reads}}, None,
-                    phase_seconds=phases.seconds)
-    return 0
+    return _finish(args, phases, f"scan:{args.kind}", write,
+                   {"system": str(args.system), "kind": args.kind,
+                    **{name: getattr(args, name) for name in reads}})
 
 
-def cmd_report(args) -> int:
-    phases = _Phases()
+def cmd_report(args, phases: _Phases) -> int:
     _check_linewidth(args.linewidth)
     cfg = load_system(args.system)
     phases.done("load")
     carbon = cfg.single_carbon()   # every quantity below describes one carbon
-    eig = carbon_eigenstructure(cfg)
-    payload: dict = {
-        "kappa_minus_deg": eig.kappa_minus_deg,
-        "kappa_plus_deg": eig.kappa_plus_deg,
-        "nu_minus_MHz": eig.nu_minus,
-        "nu_plus_MHz": eig.nu_plus,
-    }
-    try:
-        tau1, tau2 = analytic_init_delays(cfg)
-        payload["init_tau1_us"] = tau1
-        payload["init_tau2_us"] = tau2
-    except InitializationDomainError as exc:
-        payload["init_tau1_us"] = "n/a"
-        payload["init_tau2_us"] = "n/a"
-        payload["init_delay_note"] = str(exc)
-    try:
-        payload["cleanup_tau_c_us"] = cleanup_delay(cfg)
-    except ValueError as exc:
-        payload["cleanup_tau_c_us"] = "n/a"
-        payload["cleanup_note"] = str(exc)
-    try:
-        geom = dipolar_geometry(carbon)
-        payload["dipolar_r_nm"] = geom.r_nm
-        payload["dipolar_theta_deg"] = geom.theta_deg
-    except GeometryError as exc:
-        payload["dipolar_r_nm"] = "n/a"
-        payload["dipolar_theta_deg"] = "n/a"
-        payload["dipolar_note"] = str(exc)
+    # What a register may lack, in report order: keys, the note saying why they
+    # are "n/a", the errors that mean so, and the computation (its names looked
+    # up when called, so a patched icspin.cli.<name> is the one that runs).
+    groups = (
+        (("kappa_minus_deg", "kappa_plus_deg", "nu_minus_MHz", "nu_plus_MHz"),
+         "eigenstructure_note", DegenerateManifoldError,
+         lambda: attrgetter("kappa_minus_deg", "kappa_plus_deg", "nu_minus",
+                            "nu_plus")(carbon_eigenstructure(cfg))),
+        (("init_tau1_us", "init_tau2_us"), "init_delay_note",
+         (InitializationDomainError, DegenerateManifoldError), lambda: analytic_init_delays(cfg)),
+        (("cleanup_tau_c_us",), "cleanup_note", ValueError, lambda: (cleanup_delay(cfg),)),
+        (("dipolar_r_nm", "dipolar_theta_deg"), "dipolar_note", GeometryError,
+         lambda: attrgetter("r_nm", "theta_deg")(dipolar_geometry(carbon))),
+    )
+    payload: dict = {}
+    for keys, note, errors, compute in groups:
+        try:
+            payload.update(zip(keys, compute()))
+        except errors as exc:
+            payload.update(dict.fromkeys(keys, "n/a"), **{note: str(exc)})
     payload["esr_linewidth_MHz"] = args.linewidth
     payload["min_T2_star_us"] = min_coherence_time(args.linewidth)
     phases.done("compute")
 
-    out = _out_dir(args)
-    write_json(out / "report.json", payload)
-    lines = [f"{key:>22s} : {value}" for key, value in payload.items()]
-    text = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    phases.done("write")
-    _write_manifest(out, "report",
-                    {"system": str(args.system), "linewidth": args.linewidth}, None,
-                    phase_seconds=phases.seconds)
-    print(text, end="")
-    return 0
+    def write(out: Path) -> None:
+        write_json(out / "report.json", payload)
+        text = "".join(f"{key:>22s} : {value}\n" for key, value in payload.items())
+        (out / "report.txt").write_text(text, encoding="utf-8")
+        print(text, end="")
+    return _finish(args, phases, "report", write,
+                   {"system": str(args.system), "linewidth": args.linewidth})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,7 +568,7 @@ def main(argv=None) -> int:
     call, not the commands."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Phases())
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -60,7 +60,7 @@ def coupling_from_geometry(geom: DipolarGeometry) -> HyperfineCoupling:
     )
 
 
-@np.errstate(all="ignore")   # couplings whose squares underflow give no finite r; it is checked
+@np.errstate(all="ignore")   # subnormal couplings give no finite r; it is checked
 def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
     """Invert the point-dipole map in closed form.
 
@@ -73,10 +73,15 @@ def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
     and then r = (f(1 nm) u)^(1/3) and
     theta = atan2(2 a_zx u, 2 a_zz u - 1) / 2 mod 180 degrees. Every
     non-zero coupling has exactly this one preimage with theta in [0, 180).
+    The root is taken on the couplings scaled exactly by the power of two
+    that brings the larger to [0.5, 1), so R^2 cannot overflow; only
+    couplings so small that u overflows (subnormal ones) have no finite r.
     """
     azz, azx = np.float64(coupling.a_zz), np.float64(coupling.a_zx)
-    r2 = azz * azz + azx * azx
-    u = (azz + np.sqrt(azz * azz + 8 * r2)) / (2 * r2)
+    e = np.frexp(max(abs(azz), abs(azx)))[1]
+    zz, zx = np.ldexp(azz, -e), np.ldexp(azx, -e)
+    r2 = zz * zz + zx * zx
+    u = np.ldexp((zz + np.sqrt(zz * zz + 8 * r2)) / (2 * r2), -e)
     r = (dipolar_prefactor_mhz(1.0) * u) ** (1.0 / 3.0)
     if not np.isfinite(r):
         raise GeometryError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")

@@ -393,16 +393,64 @@ def test_report_flags_unavailable_cleanup(tmp_path):
     assert "secular" in doc["cleanup_note"]
 
 
-def test_report_degenerate_manifold_is_usage_error(tmp_path, capsys):
-    """A_zz = -nu_C with A_zx = 0 leaves the m_S = -1 tilt angle undefined."""
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["minus_nu_c", "plus_nu_c"])
+def test_report_field_free_manifold_writes_na(tmp_path, sign):
+    """A_zz = -nu_C (or +nu_C) with A_zx = 0 leaves the m_S = -1 (or +1) tilt
+    angle undefined: the tilts, frequencies and init delays are n/a with the
+    reason, and the rest of the register is still reported."""
     cfg = json.loads(Path(SYSTEM).read_text())
-    cfg["carbons"] = [{"A_zz_MHz": -cfg["nu_C_MHz"], "A_zx_MHz": 0.0}]
+    cfg["carbons"] = [{"A_zz_MHz": sign * cfg["nu_C_MHz"], "A_zx_MHz": 0.0}]
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "r"
-    assert run(["report", "--system", str(path), "--out", str(out)]) == 1
-    assert not (out / "report.json").exists()
-    assert "effective field vanishes" in capsys.readouterr().err
+    assert run(["report", "--system", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    for key in ("kappa_minus_deg", "kappa_plus_deg", "nu_minus_MHz", "nu_plus_MHz",
+                "init_tau1_us", "init_tau2_us"):
+        assert doc[key] == "n/a", key
+    assert "effective field vanishes" in doc["eigenstructure_note"]
+    assert "effective field vanishes" in doc["init_delay_note"]
+    assert doc["cleanup_tau_c_us"] == pytest.approx(0.5 / cfg["nu_C_MHz"])
+    assert doc["dipolar_theta_deg"] == pytest.approx(90.0 if sign < 0 else 0.0)
+    assert "eigenstructure_note" in (out / "report.txt").read_text()
+
+
+def test_report_nan_quantity_is_internal_error(tmp_path, monkeypatch, capsys):
+    """A NaN in a data file is a fault of the program, not of --out."""
+    monkeypatch.setattr(icspin.cli, "min_coherence_time", lambda linewidth: float("nan"))
+    assert run(["report", "--system", SYSTEM, "--out", str(tmp_path / "r")]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
+# One cheap run of each command, and a data file it writes
+OUT_RUNS = {
+    "verify": (["verify", "--sequence", CNOT, "--target", "cnot"], "verify.json"),
+    "optimize": (["optimize", "--target", "cnot", "--pulses", "1"], "result.json"),
+    "scan": (["scan", "--kind", "theta", "--points", "8"], "theta_scan.csv"),
+    "report": (["report"], "report.txt"),
+}
+
+
+@pytest.mark.parametrize("case", ["a_file", "under_a_file", "data_file_is_a_dir",
+                                  "manifest_is_a_dir"])
+@pytest.mark.parametrize("command", list(OUT_RUNS))
+def test_unusable_out_is_usage_error(tmp_path, capsys, command, case):
+    """An --out that is a file, lies under one, or has a directory where a
+    file goes exits 1 naming --out; it exited 2 as an internal error."""
+    argv, data_file = OUT_RUNS[command]
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = {"a_file": afile, "under_a_file": afile / "sub"}.get(case, tmp_path / "o")
+    if case.endswith("is_a_dir"):
+        (out / (data_file if case == "data_file_is_a_dir" else "manifest.json")).mkdir(parents=True)
+    if command == "optimize":
+        (tmp_path / "ga.json").write_text(json.dumps({"population": 4, "generations": 0}))
+        argv = argv + ["--ga-config", str(tmp_path / "ga.json")]
+    assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--out {out} cannot be written" in err
+    assert "internal error" not in err
+    assert afile.read_text() == "kept"
 
 
 def test_report_needs_one_carbon(tmp_path, capsys):

@@ -99,3 +99,15 @@ def test_only_the_cli_builds_a_parser_and_main_reuses_it():
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     called = {_called_name(node) for node in ast.walk(main) if isinstance(node, ast.Call)}
     assert "build_parser" not in called
+
+
+def test_one_function_ends_every_command():
+    """In the CLI one function makes --out and writes the manifest, for every
+    command; no ``cmd_*`` does either itself."""
+    functions = [node for node in ast.walk(ast.parse(SOURCES["cli.py"]))
+                 if isinstance(node, ast.FunctionDef)]
+    for name in ("_write_manifest", "mkdir"):
+        callers = sorted(func.name for func in functions
+                         if any(isinstance(node, ast.Call) and _called_name(node) == name
+                                for node in ast.walk(func)))
+        assert callers == ["_finish"], name

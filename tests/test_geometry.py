@@ -88,6 +88,9 @@ coupling_component = st.one_of(
 @example(a_zz=0.152, a_zx=1e-9)   # near-axial, about (1.1802 nm, 2.5e-7 degrees)
 @example(a_zz=1e-300, a_zx=0.11)  # near the magic angle
 @example(a_zz=252.32313434172946, a_zx=2.6601018692215267e-06)   # components 1e8 apart
+@example(a_zz=1e160, a_zx=1.0)         # R^2 overflows unscaled; r = 2.92e-54 nm
+@example(a_zz=-1e200, a_zx=3e199)
+@example(a_zz=1e-200, a_zx=1e-200)     # R^2 underflows unscaled; r = 2.52e66 nm
 def test_every_coupling_inverts_to_its_geometry(a_zz, a_zx):
     """Each non-zero coupling has one preimage with theta in [0, 180), however
     far apart its components are."""
@@ -117,6 +120,6 @@ def test_tiny_component_gives_the_geometry_of_its_zero_limit(tiny, limit, theta_
 @pytest.mark.parametrize("a_zz,a_zx", [(1e-320, 0.0), (1e-320, 1e-320)],
                          ids=["infinite_distance", "both_squares_underflow"])
 def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
-    """Couplings whose squares underflow to zero give an infinite distance."""
+    """Subnormal couplings give a distance past the float range."""
     with pytest.raises(GeometryError, match="no finite distance"):
         dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
