@@ -48,7 +48,7 @@ from .kernels import cpu_workers
 from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
-from .states import basis_state, density_matrix
+from .states import basis_state
 from .system import MAX_CONFIG_VALUE, ConfigError, load_system
 from .targets import TargetError, target_library
 
@@ -344,8 +344,7 @@ def _write_time_scan(out: Path, kind: str, result) -> None:
 def _scan_hadamard(args, cfg, seq):
     t_grid = _scan_times(args)
     first = "noop" if args.noop else None
-    result = hadamard_circuit_scan("ideal" if seq is None else seq, t_grid, cfg,
-                                   first_gate=first)
+    result = hadamard_circuit_scan(seq, t_grid, cfg, first_gate=first)
 
     def write(out: Path) -> None:
         _write_time_scan(out, "hadamard", result)
@@ -367,7 +366,7 @@ def _scan_theta(args, cfg, seq):
 def _scan_fid(args, cfg, seq):
     cfg.single_carbon()   # the prepared states below are two-qubit
     t_grid = _scan_times(args)
-    state = density_matrix(basis_state(0, 4))
+    state = basis_state(0, 4)
     if args.state == "thermal":
         # electron polarized, carbon unpolarized: the no-carbon-init control.
         # A fully mixed 4-level state is unitary-invariant and gives no signal.

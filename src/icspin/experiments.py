@@ -24,10 +24,6 @@ class InitializationDomainError(ValueError):
     """No analytic initialization delays exist for this coupling regime."""
 
 
-class NyquistError(ValueError):
-    """The requested time grid undersamples the expected spectrum."""
-
-
 # ---------------------------------------------------------------------------
 # result containers
 
@@ -44,12 +40,12 @@ class Spectrum:
     def peak_frequency(self) -> float:
         return float(self.frequencies[np.argmax(self.amplitudes)])
 
-    def resolvable_lines(self, threshold: float = 0.05) -> list[tuple[float, float]]:
-        """Sticks whose weight is at least `threshold` of the strongest one."""
+    def resolvable_lines(self) -> list[tuple[float, float]]:
+        """Sticks whose weight is at least 5% of the strongest one."""
         if not self.lines:
             return []
         wmax = max(w for _, w in self.lines)
-        return [(p, w) for p, w in self.lines if w >= threshold * wmax]
+        return [(p, w) for p, w in self.lines if w >= 0.05 * wmax]
 
 
 @dataclass(frozen=True)
@@ -245,8 +241,8 @@ def electron_fid_scan(
     f_max = abs(nu_d) + span
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
-        raise NyquistError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
-                           f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
+        raise ValueError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
+                         f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
 
     rho0 = density_matrix(state)
     p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))

@@ -50,14 +50,21 @@ def dipolar_prefactor_mhz(r_nm: float) -> float:
     return b / (2 * np.pi) / 1e6
 
 
+@np.errstate(over="ignore", under="ignore")   # the couplings are checked
 def coupling_from_geometry(geom: DipolarGeometry) -> HyperfineCoupling:
-    """Forward map (r, theta) -> (a_zz, a_zx) in MHz."""
-    f = dipolar_prefactor_mhz(geom.r_nm)
+    """Forward map (r, theta) -> (a_zz, a_zx) in MHz.
+
+    r is split exactly as m 2^e and f(r) = f(m) 2^(-3e), so r^3 cannot
+    underflow; a geometry whose couplings leave the float range is refused.
+    """
+    m, e = np.frexp(geom.r_nm)
+    f = dipolar_prefactor_mhz(m)
     th = np.radians(geom.theta_deg)
-    return HyperfineCoupling(
-        a_zz=f * (3 * np.cos(th) ** 2 - 1),
-        a_zx=f * (3 * np.sin(th) * np.cos(th)),
-    )
+    azz = np.ldexp(f * (3 * np.cos(th) ** 2 - 1), -3 * e)
+    azx = np.ldexp(f * (3 * np.sin(th) * np.cos(th)), -3 * e)
+    if not (np.isfinite(azz) and np.isfinite(azx)) or azz == azx == 0.0:
+        raise GeometryError(f"r_nm = {geom.r_nm!r} gives couplings outside the float range")
+    return HyperfineCoupling(a_zz=azz, a_zx=azx)
 
 
 @np.errstate(all="ignore")   # subnormal couplings give no finite r; it is checked
@@ -73,17 +80,18 @@ def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
     and then r = (f(1 nm) u)^(1/3) and
     theta = atan2(2 a_zx u, 2 a_zz u - 1) / 2 mod 180 degrees. Every
     non-zero coupling has exactly this one preimage with theta in [0, 180).
-    The root is taken on the couplings scaled exactly by the power of two
-    that brings the larger to [0.5, 1), so R^2 cannot overflow; only
-    couplings so small that u overflows (subnormal ones) have no finite r.
+    Root and angle are taken on the couplings scaled exactly by the power
+    of two that brings the larger to [0.5, 1), where a_zz u is zz times the
+    scaled root, so neither R^2 nor 2 a_zx u can overflow; only couplings
+    so small that u overflows (subnormal ones) have no finite r.
     """
     azz, azx = np.float64(coupling.a_zz), np.float64(coupling.a_zx)
     e = np.frexp(max(abs(azz), abs(azx)))[1]
     zz, zx = np.ldexp(azz, -e), np.ldexp(azx, -e)
     r2 = zz * zz + zx * zx
-    u = np.ldexp((zz + np.sqrt(zz * zz + 8 * r2)) / (2 * r2), -e)
-    r = (dipolar_prefactor_mhz(1.0) * u) ** (1.0 / 3.0)
+    root = (zz + np.sqrt(zz * zz + 8 * r2)) / (2 * r2)
+    r = (dipolar_prefactor_mhz(1.0) * np.ldexp(root, -e)) ** (1.0 / 3.0)
     if not np.isfinite(r):
         raise GeometryError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")
-    theta = np.arctan2(2 * azx * u, 2 * azz * u - 1) / 2 % np.pi
+    theta = np.arctan2(2 * zx * root, 2 * zz * root - 1) / 2 % np.pi
     return DipolarGeometry(r_nm=float(r), theta_deg=float(np.degrees(theta)))

@@ -92,12 +92,11 @@ class FitnessKernel:
         self.n_pulses = int(n_pulses)
         if self.n_pulses < 0:
             raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
-        self.omega1s = np.asarray(omega1s, dtype=float).reshape(-1)
-        if self.omega1s.size == 0:
+        if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")
-        self.engine = engine_for(h, self.omega1s)
+        self.engine = engine_for(h, omega1s)
         u_target = target.matrix if hasattr(target, "matrix") else np.asarray(target)
-        g, d = self.omega1s.size, self.engine.dim
+        g, d = self.engine.omega1s.size, self.engine.dim
         if u_target.shape != (d, d):
             raise ValueError(f"dimension mismatch: {(d, d)} vs {u_target.shape}")
         self._target_conj = self.engine.to_eigenbasis(u_target).conj()
@@ -131,7 +130,7 @@ class FitnessKernel:
         n = self.n_pulses
         if genomes.shape[1] != 3 * n + 1:
             raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
-        fids = np.empty((len(genomes), self.omega1s.size))
+        fids = np.empty((len(genomes), self.engine.omega1s.size))
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
         while len(self._workspaces) < threads:

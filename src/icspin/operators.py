@@ -25,10 +25,10 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def assert_hermitian(h: np.ndarray, rtol: float = 1e-12) -> None:
-    """Raise ValueError if `h` deviates from Hermiticity beyond `rtol` (relative
-    to the largest matrix element)."""
+def assert_hermitian(h: np.ndarray) -> None:
+    """Raise ValueError if `h` deviates from Hermiticity beyond 1e-12 of its
+    largest matrix element (or of 1, if that is larger)."""
     scale = max(np.abs(h).max(), 1.0)
     resid = np.abs(h - h.conj().T).max()
-    if resid > rtol * scale:
-        raise ValueError(f"matrix is not Hermitian: residual {resid:.3e} > {rtol:.1e} * {scale:.3e}")
+    if resid > 1e-12 * scale:
+        raise ValueError(f"matrix is not Hermitian: residual {resid:.3e} > 1.0e-12 * {scale:.3e}")

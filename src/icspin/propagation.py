@@ -179,16 +179,13 @@ def engine_for(h, omega1s=()) -> PropagationEngine:
     return engine
 
 
-def sequence_propagator(
-    seq: PulseSequence, h: np.ndarray, omega1: float | None = None
-) -> np.ndarray:
-    """Time-ordered propagator of the whole sequence (first segment acts first).
+def sequence_propagator(seq: PulseSequence, h: np.ndarray) -> np.ndarray:
+    """Time-ordered propagator of the whole sequence (first segment acts first)
+    at its own amplitude.
 
-    `omega1` overrides the sequence amplitude, e.g. for robustness grids.
     Any order of delays and pulses runs as its template genome in one chain.
     """
-    amp = seq.omega1 if omega1 is None else omega1
-    engine = engine_for(h, [amp])
+    engine = engine_for(h, [seq.omega1])
     u = np.empty((1, 1, engine.dim, engine.dim), dtype=complex)
     u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), slice(None))
     return engine.to_lab(u[0, 0] * last[0, :, None])

@@ -23,12 +23,7 @@ class TargetError(ValueError):
 
 @dataclass(frozen=True)
 class TargetGate:
-    name: str
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def x_rotation(theta: float) -> np.ndarray:
@@ -36,38 +31,32 @@ def x_rotation(theta: float) -> np.ndarray:
     return np.cos(theta / 2) * E2 - 1j * np.sin(theta / 2) * 2 * SX_HALF
 
 
-def hadamard_on_carbon(n_carbons: int = 1, carbon: int = 1) -> TargetGate:
-    """Hadamard on one carbon, identity on the electron and other carbons."""
-    _check_carbon(carbon, n_carbons)
-    ops = [E2] * (n_carbons + 1)
-    ops[carbon] = HADAMARD_2
-    return TargetGate("hadamard", kron_all(*ops))
+def hadamard_on_carbon(n_carbons: int = 1) -> TargetGate:
+    """Hadamard on carbon 1, identity on the electron and other carbons."""
+    _check_carbon(1, n_carbons)
+    return TargetGate(kron_all(E2, HADAMARD_2, *[E2] * (n_carbons - 1)))
 
 
-def cnot_on_carbon(n_carbons: int = 1, carbon: int = 1) -> TargetGate:
-    """Carbon flip (exp(-i pi I_x)) conditioned on electron |-1>."""
-    return TargetGate("cnot", _conditional_rotation(n_carbons, carbon, np.pi).matrix)
+def cnot_on_carbon(n_carbons: int = 1) -> TargetGate:
+    """Carbon 1 flip (exp(-i pi I_x)) conditioned on electron |-1>."""
+    return cc_rotation(n_carbons, 1, np.pi)
 
 
 def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     """exp(-i theta I_x) on the chosen carbon conditioned on electron |-1>,
     identity on all other carbons."""
-    gate = _conditional_rotation(n_carbons, carbon, theta)
-    return TargetGate(f"ccrot({carbon},{np.degrees(theta):g}deg)", gate.matrix)
+    _check_carbon(carbon, n_carbons)
+    if not np.isfinite(theta):
+        raise TargetError(f"ccrot angle must be finite, got {theta}")
+    rot_ops = [E2] * n_carbons
+    rot_ops[carbon - 1] = x_rotation(theta)
+    e_carb = np.eye(2**n_carbons, dtype=complex)
+    return TargetGate(kron_all(PROJ_UP, e_carb) + kron_all(PROJ_DOWN, kron_all(*rot_ops)))
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:
     if not 1 <= carbon <= n_carbons:
         raise TargetError(f"carbon index {carbon} out of range 1..{n_carbons}")
-
-
-def _conditional_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
-    _check_carbon(carbon, n_carbons)
-    rot_ops = [E2] * n_carbons
-    rot_ops[carbon - 1] = x_rotation(theta)
-    e_carb = np.eye(2**n_carbons, dtype=complex)
-    matrix = kron_all(PROJ_UP, e_carb) + kron_all(PROJ_DOWN, kron_all(*rot_ops))
-    return TargetGate("conditional-x", matrix)
 
 
 def target_library(name: str, n_carbons: int = 1) -> TargetGate:
@@ -88,8 +77,6 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
             raise TargetError(
                 f"ccrot parameters must be '<carbon>,<theta_deg>', got {params!r}"
             ) from exc
-        if not np.isfinite(theta):
-            raise TargetError(f"ccrot angle must be finite, got {theta_str!r}")
         return cc_rotation(n_carbons, carbon, theta)
     raise TargetError(f"unknown target {name!r}; the forms are hadamard, cnot and "
                       f"ccrot:<carbon>,<theta_deg>")

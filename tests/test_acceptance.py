@@ -100,9 +100,7 @@ def test_criterion_01_two_qubit_table_verification(system, h_subspace,
         averages[name] = fine
         shifts[name] = abs(fine - coarse)
     cnot_five_point = icspin.robust_fidelity(cnot_seq, cnot, h_subspace, band, 5).mean
-    cnot_nominal = gate_fidelity(
-        icspin.sequence_propagator(cnot_seq, h_subspace, omega1=0.50), cnot.matrix
-    )
+    cnot_nominal = gate_fidelity(icspin.sequence_propagator(cnot_seq, h_subspace), cnot.matrix)
     elapsed = time.perf_counter() - start
     shift = max(shifts.values())
     ok = averages["hadamard"] >= 0.96 and averages["cnot"] >= 0.97 and shift < 1e-4 \
@@ -339,10 +337,10 @@ def test_criterion_09_spectra(system, registers, h_subspace):
     stick_err = float(np.abs(np.array(positions) - np.array(oracle)).max())
 
     spec2 = esr_spectrum(h_subspace, linewidth=0.01, detuning=3.0)
-    n_lower = len(spec2.resolvable_lines(threshold=0.05))
+    n_lower = len(spec2.resolvable_lines())
     spec_up = esr_spectrum(icspin.multiqubit_hamiltonian(system, m_s=+1),
                            linewidth=0.01, detuning=3.0)
-    n_upper = len(spec_up.resolvable_lines(threshold=0.05))
+    n_upper = len(spec_up.resolvable_lines())
 
     ok = stick_err < 1e-10 and n_lower == 4 and n_upper == 2
     report(9, "spectra", ok,

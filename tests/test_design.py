@@ -1,8 +1,12 @@
 """Design invariants of the package, read from its source files."""
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import icspin
+from icspin import experiments, targets
+from icspin.operators import assert_hermitian
 from icspin.propagation import PropagationEngine
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
@@ -111,3 +115,16 @@ def test_one_function_ends_every_command():
                          if any(isinstance(node, ast.Call) and _called_name(node) == name
                                 for node in ast.walk(func)))
         assert callers == ["_finish"], name
+
+
+def test_no_library_setting_without_a_caller():
+    """A parameter, field or error type that nothing sets, reads or catches
+    is a constant or goes; the CNOT is the pi case of ``cc_rotation``."""
+    assert tuple(f.name for f in dataclasses.fields(targets.TargetGate)) == ("matrix",)
+    removed = {icspin.sequence_propagator: "omega1",
+               targets.hadamard_on_carbon: "carbon", targets.cnot_on_carbon: "carbon",
+               assert_hermitian: "rtol", experiments.Spectrum.resolvable_lines: "threshold"}
+    for func, name in removed.items():
+        assert name not in inspect.signature(func).parameters, func.__qualname__
+    assert not hasattr(experiments, "NyquistError")
+    assert not hasattr(targets, "_conditional_rotation")

@@ -53,7 +53,7 @@ def test_grid_endpoints():
 def test_single_point_grid_is_midpoint(h_subspace, hadamard_seq):
     rep = robust_fidelity(hadamard_seq, icspin.hadamard_on_carbon(1), h_subspace,
                           omega1_range=(0.5, 0.5), grid_points=1)
-    u = icspin.sequence_propagator(hadamard_seq, h_subspace, omega1=0.5)
+    u = icspin.sequence_propagator(hadamard_seq, h_subspace)
     direct = gate_fidelity(u, icspin.hadamard_on_carbon(1).matrix)
     assert rep.mean == pytest.approx(direct, abs=1e-15)
     assert rep.min == rep.mean

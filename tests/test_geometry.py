@@ -91,6 +91,9 @@ coupling_component = st.one_of(
 @example(a_zz=1e160, a_zx=1.0)         # R^2 overflows unscaled; r = 2.92e-54 nm
 @example(a_zz=-1e200, a_zx=3e199)
 @example(a_zz=1e-200, a_zx=1e-200)     # R^2 underflows unscaled; r = 2.52e66 nm
+@example(a_zz=1e300, a_zx=1e300)       # r^3 underflows unscaled; r = 5.43e-101 nm
+@example(a_zz=-1e308, a_zx=1e307)      # u is subnormal unscaled; theta = 88.095
+@example(a_zz=1.7e308, a_zx=1.7e308)   # 2 a_zz overflows unscaled; theta = 29.317
 def test_every_coupling_inverts_to_its_geometry(a_zz, a_zx):
     """Each non-zero coupling has one preimage with theta in [0, 180), however
     far apart its components are."""
@@ -98,7 +101,7 @@ def test_every_coupling_inverts_to_its_geometry(a_zz, a_zx):
     geom = dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
     assert 0.0 <= geom.theta_deg <= 180.0
     back = coupling_from_geometry(geom)
-    tol = 1e-12 * math.hypot(a_zz, a_zx)
+    tol = 2e-12 * math.hypot(a_zz / 2, a_zx / 2)   # the same bound, finite up to 1.8e308
     assert abs(back.a_zz - a_zz) <= tol
     assert abs(back.a_zx - a_zx) <= tol
 
@@ -123,3 +126,11 @@ def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
     """Subnormal couplings give a distance past the float range."""
     with pytest.raises(GeometryError, match="no finite distance"):
         dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
+
+
+@pytest.mark.parametrize("r_nm", [1e-104, 1e-200, 1e300], ids=["overflow", "far_overflow", "underflow"])
+def test_geometry_past_the_float_range_is_refused(r_nm):
+    """r^3 underflowed to zero and the forward map divided by it; now a
+    distance whose couplings leave the float range is named."""
+    with pytest.raises(GeometryError, match="r_nm"):
+        coupling_from_geometry(DipolarGeometry(r_nm=r_nm, theta_deg=30.0))

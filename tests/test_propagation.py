@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def test_robust_fidelity_chunks_cover_the_grid(register_hamiltonians):
     rep = icspin.robust_fidelity(seq, target, h, (0.4, 0.6), 41)
     assert rep.fidelities.shape == (41,)
     for w1, f in zip(rep.omega1s, rep.fidelities):
-        u = sequence_propagator(seq, h, omega1=w1)
+        u = sequence_propagator(replace(seq, omega1=w1), h)
         assert abs(f - gate_fidelity(u, target.matrix)) < 1e-13
 
 

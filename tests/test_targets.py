@@ -66,10 +66,10 @@ def test_carbon_index_range():
 
 
 def test_target_library_parsing():
-    assert target_library("hadamard").name == "hadamard"
-    assert target_library("cnot").name == "cnot"
+    assert np.array_equal(target_library("hadamard").matrix, hadamard_on_carbon(1).matrix)
+    assert np.array_equal(target_library("cnot").matrix, cnot_on_carbon(1).matrix)
     g = target_library("ccrot:2,180", n_carbons=3)
-    assert g.dim == 16
+    assert g.matrix.shape == (16, 16)
     assert np.allclose(g.matrix, cc_rotation(3, 2, np.pi).matrix)
 
 
@@ -87,3 +87,5 @@ def test_target_library_errors():
 def test_target_library_rejects_non_finite_angle(angle):
     with pytest.raises(TargetError, match="finite"):
         target_library(f"ccrot:1,{angle}")
+    with pytest.raises(TargetError, match="finite"):   # the library form refuses it too
+        cc_rotation(1, 1, float(angle))
