@@ -259,9 +259,9 @@ def cmd_optimize(args, phases: _Phases) -> int:
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     _check_size("--pulses", args.pulses, MAX_PULSES)
-    _check_size("GA config population", ga.population_size, MAX_POPULATION)
+    _check_size("GA config population", ga.population, MAX_POPULATION)
     _check_size("GA work population * (generations + 1) * restarts",
-                ga.population_size * (ga.generations + 1) * ga.restarts, MAX_GA_GENOMES)
+                ga.population * (ga.generations + 1) * ga.restarts, MAX_GA_GENOMES)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
@@ -297,7 +297,7 @@ def cmd_optimize(args, phases: _Phases) -> int:
                    {"system": str(args.system), "target": args.target,
                     "pulses": args.pulses, "tau_max": args.tau_max,
                     "t_max": args.t_max, "ga": ga_config_to_dict(ga)},
-                   ga.rng_seed,
+                   ga.seed,
                    generations_run=result.generations_run,
                    fitness_evaluations=result.fitness_evaluations,
                    stop_reason=result.stop_reason)

@@ -43,11 +43,22 @@ class DipolarGeometry:
             raise GeometryError("theta must lie in [0, 180] degrees")
 
 
+@np.errstate(over="ignore", under="ignore")   # the prefactor is checked
 def dipolar_prefactor_mhz(r_nm: float) -> float:
-    """f(r) in MHz for a distance in nm; positive, f(1 nm) = 0.1249 MHz."""
-    r_m = r_nm * 1e-9
-    b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / r_m**3  # rad/s scale
-    return b / (2 * np.pi) / 1e6
+    """f(r) in MHz for a distance in nm; positive, f(1 nm) = 0.1249 MHz.
+
+    r is split exactly as m 2^e and f(r) = f(m) 2^(-3e), so r^3 cannot
+    underflow; a distance that is not positive and finite, or whose f(r)
+    leaves the float range, raises GeometryError.
+    """
+    if not 0.0 < r_nm < np.inf:
+        raise GeometryError(f"r_nm must be positive and finite, got {r_nm!r}")
+    m, e = np.frexp(r_nm)
+    b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / (m * 1e-9) ** 3  # rad/s scale
+    f = np.ldexp(b / (2 * np.pi) / 1e6, -3 * e)
+    if not 0.0 < f < np.inf:
+        raise GeometryError(f"r_nm = {r_nm!r} gives a prefactor outside the float range")
+    return float(f)
 
 
 @np.errstate(over="ignore", under="ignore")   # the couplings are checked

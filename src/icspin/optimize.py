@@ -15,7 +15,7 @@ for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,22 +65,25 @@ class ParameterBounds:
 
 @dataclass(frozen=True)
 class GAConfig:
-    population_size: int = 100
+    """The GA's settings; each field but the band is a GA-document key of its
+    own name, and the band is the document's one "omega1_grid" object."""
+
+    population: int = 100
     generations: int = 300
     crossover_rate: float = 0.9
     mutation_rate: float = 0.25
     mutation_scale: float = 0.05
-    elite_count: int = 2
-    rng_seed: int = 0
+    elites: int = 2
+    seed: int = 0
+    restarts: int = 1
+    early_stop: float | None = 0.999
     omega1_range: tuple[float, float] = DEFAULT_OMEGA1_RANGE
     omega1_points: int = DEFAULT_GRID_POINTS
-    early_stop_fitness: float | None = 0.999
-    restarts: int = 1
 
     def __post_init__(self):
-        if self.elite_count < 1:
+        if self.elites < 1:
             raise ValueError("elites must be >= 1")
-        if self.elite_count >= self.population_size:
+        if self.elites >= self.population:
             raise ValueError("elites must be smaller than the population")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
@@ -90,9 +93,9 @@ class GAConfig:
             raise ValueError("restarts must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        if self.rng_seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.early_stop_fitness is not None and not np.isfinite(self.early_stop_fitness):
+        if self.early_stop is not None and not np.isfinite(self.early_stop):
             raise ValueError("early_stop must be finite or null")
         try:
             omega1_grid(self.omega1_range, self.omega1_points)
@@ -103,18 +106,8 @@ class GAConfig:
                              f"got {self.mutation_scale!r}")
 
 
-# GA-config document key -> GAConfig field; "omega1_grid" holds the _GRID_KEYS
-_GA_KEYS = {
-    "population": "population_size",
-    "generations": "generations",
-    "crossover_rate": "crossover_rate",
-    "mutation_rate": "mutation_rate",
-    "mutation_scale": "mutation_scale",
-    "elites": "elite_count",
-    "seed": "rng_seed",
-    "restarts": "restarts",
-    "early_stop": "early_stop_fitness",
-}
+_GA_KEYS = tuple(f.name for f in fields(GAConfig)
+                 if f.name not in ("omega1_range", "omega1_points"))
 _GA_INT_KEYS = {"population", "generations", "elites", "seed", "restarts", "points"}
 _GRID_KEYS = ("min_MHz", "max_MHz", "points")
 
@@ -133,8 +126,8 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
     if not isinstance(doc, dict):
         raise TypeError("GA config must be a JSON object")
     check_keys(doc, "GA config", ValueError, optional=(*_GA_KEYS, "omega1_grid"))
-    kwargs = {attr: None if key == "early_stop" and doc[key] is None else _ga_value(doc, key)
-              for key, attr in _GA_KEYS.items() if key in doc}
+    kwargs = {key: None if key == "early_stop" and doc[key] is None else _ga_value(doc, key)
+              for key in _GA_KEYS if key in doc}
     if "omega1_grid" in doc:
         g = doc["omega1_grid"]
         if not isinstance(g, dict):
@@ -147,7 +140,7 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
 
 
 def ga_config_to_dict(cfg: GAConfig) -> dict:
-    doc = {key: getattr(cfg, attr) for key, attr in _GA_KEYS.items()}
+    doc = {key: getattr(cfg, key) for key in _GA_KEYS}
     doc["omega1_grid"] = dict(zip(_GRID_KEYS, (*cfg.omega1_range, cfg.omega1_points)))
     return doc
 
@@ -222,12 +215,12 @@ def _draws_per_call(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
     """Each child's draws by one Generator call per draw kind, in the order
     ``_breed`` documents. The reference stream, and the path for the
     generations that ``_draws_from_words`` cannot decode."""
-    n_children = cfg.population_size - cfg.elite_count
+    n_children = cfg.population - cfg.elites
     draws = np.empty((n_children, 2 * TOURNAMENT_SIZE), dtype=np.int64)
     doubles = np.empty((n_children, 2 * n_genes + 1))
     noise = np.empty((n_children, n_genes))
     for c in range(n_children):
-        draws[c] = rng.integers(0, cfg.population_size, size=2 * TOURNAMENT_SIZE)
+        draws[c] = rng.integers(0, cfg.population, size=2 * TOURNAMENT_SIZE)
         doubles[c, : n_genes + 1] = rng.random(n_genes + 1)
         if doubles[c, 0] < cfg.crossover_rate:
             doubles[c, n_genes + 1 :] = rng.random(n_genes)
@@ -254,7 +247,7 @@ def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
     entry = bit_gen.state
     if entry["has_uint32"]:
         return None
-    n_children, k = cfg.population_size - cfg.elite_count, TOURNAMENT_SIZE
+    n_children, k = cfg.population - cfg.elites, TOURNAMENT_SIZE
     words = np.empty((n_children, k + 2 * n_genes + 1), dtype=np.uint64)
     z = np.empty((n_children, n_genes))
     for c in range(n_children):
@@ -263,7 +256,7 @@ def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
             bit_gen.advance(_REWIND - n_genes)
         rng.standard_normal(out=z[c])
 
-    draws, rejected = _tournament_draws(words[:, :k], cfg.population_size)
+    draws, rejected = _tournament_draws(words[:, :k], cfg.population)
     if rejected:
         bit_gen.state = entry
         return None
@@ -275,7 +268,7 @@ def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
 
 def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
            bounds: ParameterBounds) -> np.ndarray:
-    """The population_size - elite_count children of the ranked `pop`.
+    """The population - elites children of the ranked `pop`.
 
     A fixed seed must keep its stream, so each child's draws are those of
     these Generator calls, made one after the other in this order (L genes,
@@ -318,7 +311,7 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
     reason and the number of genomes it scored."""
     rng = np.random.default_rng(seed)
     pop = rng.uniform(bounds.lower(), bounds.upper(),
-                      size=(cfg.population_size, bounds.genome_length))
+                      size=(cfg.population, bounds.genome_length))
 
     fits = kern.evaluate(pop).mean(axis=1)
     order = _rank_keys(fits, pop, bounds.n_pulses)
@@ -327,7 +320,7 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
     scored = len(pop)
 
     def reached() -> bool:
-        return cfg.early_stop_fitness is not None and fits[0] >= cfg.early_stop_fitness
+        return cfg.early_stop is not None and fits[0] >= cfg.early_stop
 
     for _ in range(cfg.generations):
         if reached():
@@ -335,8 +328,8 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
         children = _breed(rng, pop, cfg, bounds)
         child_fits = kern.evaluate(children).mean(axis=1)
         scored += len(children)
-        pop = np.vstack([pop[: cfg.elite_count], children])
-        fits = np.concatenate([fits[: cfg.elite_count], child_fits])
+        pop = np.vstack([pop[: cfg.elites], children])
+        fits = np.concatenate([fits[: cfg.elites], child_fits])
         order = _rank_keys(fits, pop, bounds.n_pulses)
         pop, fits = pop[order], fits[order]
         history.append(float(fits[0]))
@@ -357,19 +350,19 @@ def optimize(
     low best fitness, never an exception.
 
     The result's ``stop_reason`` ("early_stop" once the best fitness
-    reaches cfg.early_stop_fitness, else "budget") and ``generations_run``
+    reaches cfg.early_stop, else "budget") and ``generations_run``
     describe the returned run. Every restart runs on one fitness kernel,
     which then scores the best genome once for ``robustness``;
     ``fitness_evaluations`` counts the genomes scored times the grid points.
     """
     grid = omega1_grid(cfg.omega1_range, cfg.omega1_points)
     kern = FitnessKernel(h, target, grid, bounds.n_pulses)
-    runs = [_single_run(kern, bounds, cfg, cfg.rng_seed + i) for i in range(cfg.restarts)]
+    runs = [_single_run(kern, bounds, cfg, cfg.seed + i) for i in range(cfg.restarts)]
     # the run whose history ends highest, the first of equal ones
     best = max(range(cfg.restarts), key=lambda i: runs[i][1][-1])
     genome, history, stop_reason, _ = runs[best]
     report = RobustnessReport(grid, kern.evaluate(genome)[0])
     return OptimizationResult(
         best_genome=genome, best_fitness=float(history[-1]), history=history, robustness=report,
-        seed=cfg.rng_seed + best, n_pulses=bounds.n_pulses, stop_reason=stop_reason,
+        seed=cfg.seed + best, n_pulses=bounds.n_pulses, stop_reason=stop_reason,
         fitness_evaluations=(sum(run[-1] for run in runs) + 1) * grid.size)

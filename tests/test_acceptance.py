@@ -256,7 +256,7 @@ def test_criterion_06_ideal_circuit_laws(system):
 
 def test_criterion_07_optimizer_from_scratch(system, h_subspace):
     bounds = ParameterBounds(n_pulses=3, tau_max=4.0, t_max=4.0)
-    cfg = GAConfig(rng_seed=0)  # default settings, fixed seed
+    cfg = GAConfig(seed=0)  # default settings, fixed seed
 
     start = time.perf_counter()
     res_h = optimize(icspin.hadamard_on_carbon(1), h_subspace, bounds, cfg)

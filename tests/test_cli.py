@@ -922,6 +922,18 @@ def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     assert not (out / "verify.json").exists()
 
 
+def test_report_on_a_system_without_carbons_is_usage_error(tmp_path, capsys):
+    doc = json.loads(Path(SYSTEM).read_text())
+    doc["carbons"] = []
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["report", "--system", str(system), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "carbons" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,field", [
     (["report", "--linewidth", "nan"], "--linewidth"),
     (["scan", "--kind", "spectrum", "--linewidth", "nan"], "--linewidth"),
@@ -1085,7 +1097,7 @@ def test_no_flag_carries_over_to_the_next_call(tmp_path):
         assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "1",
                     "--ga-config", str(tmp_path / "ga.json"), *seed, "--out", str(out)]) == 0
         seeds.append(json.loads((out / "manifest.json").read_text())["seed"])
-    assert seeds == [5, ga_config_from_dict(ga_doc).rng_seed]
+    assert seeds == [5, ga_config_from_dict(ga_doc).seed]
 
 
 def _overflowing_system(tmp_path, edit):

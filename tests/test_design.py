@@ -7,6 +7,7 @@ from pathlib import Path
 import icspin
 from icspin import experiments, targets
 from icspin.operators import assert_hermitian
+from icspin.optimize import GAConfig, ga_config_to_dict
 from icspin.propagation import PropagationEngine
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
@@ -128,3 +129,13 @@ def test_no_library_setting_without_a_caller():
         assert name not in inspect.signature(func).parameters, func.__qualname__
     assert not hasattr(experiments, "NyquistError")
     assert not hasattr(targets, "_conditional_rotation")
+
+
+def test_each_ga_setting_has_one_name():
+    """GAConfig's fields are the GA document's keys, but for the band, which
+    the document holds as one ``omega1_grid``; the fields' retired names
+    are gone from the package."""
+    settings = {f.name for f in dataclasses.fields(GAConfig)} - {"omega1_range", "omega1_points"}
+    assert settings == ga_config_to_dict(GAConfig()).keys() - {"omega1_grid"}
+    retired = ("population_size", "elite_count", "rng_seed", "early_stop_fitness")
+    assert [name for name in retired if any(name in text for text in SOURCES.values())] == []

@@ -7,6 +7,7 @@ import icspin
 from icspin.eigenstructure import carbon_eigenstructure
 from icspin.experiments import (
     InitializationDomainError,
+    Spectrum,
     analytic_init_delays,
     bloch_trajectory,
     cleanup_delay,
@@ -169,6 +170,11 @@ def test_electron_rotation_closed_form_matches_eigh(n_carbons):
 def test_hadamard_scan_requires_uniform_grid(system):
     with pytest.raises(ValueError, match="uniform"):
         hadamard_circuit_scan("ideal", np.array([0.0, 0.1, 0.5]), system)
+
+
+def test_scans_require_two_samples(system):
+    with pytest.raises(ValueError, match="at least two samples"):
+        hadamard_circuit_scan("ideal", np.array([0.0]), system)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +372,10 @@ def test_upper_manifold_has_two_resolvable_lines(system):
     spec = esr_spectrum(h, linewidth=0.01, detuning=3.0)
     assert len(spec.lines) == 4
     assert len(spec.resolvable_lines()) == 2
+
+
+def test_spectrum_without_sticks_has_no_resolvable_lines():
+    assert Spectrum(np.zeros(3), np.zeros(3)).resolvable_lines() == []
 
 
 def test_stick_positions_equal_fresh_eigendifferences(registers):

@@ -9,6 +9,7 @@ from icspin.geometry import (
     GeometryError,
     coupling_from_geometry,
     dipolar_geometry,
+    dipolar_prefactor_mhz,
 )
 from icspin.system import HyperfineCoupling
 
@@ -134,3 +135,18 @@ def test_geometry_past_the_float_range_is_refused(r_nm):
     distance whose couplings leave the float range is named."""
     with pytest.raises(GeometryError, match="r_nm"):
         coupling_from_geometry(DipolarGeometry(r_nm=r_nm, theta_deg=30.0))
+
+
+@pytest.mark.parametrize("r_nm,want", [
+    (1e-100, 1.2494575332046197e299), (0.0, None), (-1.0, None), (math.nan, None),
+    (1e-104, None), (1e200, None),
+], ids=["tiny", "zero", "negative", "nan", "overflow", "underflow"])
+def test_prefactor_is_positive_or_refused(r_nm, want):
+    """r^3 underflowed to zero, overflowed or went negative; now f(r) is
+    taken on the exact split of r, and a distance with no positive finite
+    f(r) is named."""
+    if want is None:
+        with pytest.raises(GeometryError, match="r_nm"):
+            dipolar_prefactor_mhz(r_nm)
+    else:
+        assert dipolar_prefactor_mhz(r_nm) == pytest.approx(want, rel=1e-12)

@@ -103,6 +103,11 @@ def test_multiqubit_stick_positions_against_fresh_diagonalization(register_hamil
         assert np.abs(ours - ref).max() < 1e-12
 
 
+def test_m_s_must_pick_a_partner_manifold(system):
+    with pytest.raises(ValueError, match="m_s must be -1 or"):
+        multiqubit_hamiltonian(system, m_s=0)
+
+
 def test_upper_manifold_block_structure(system):
     h = multiqubit_hamiltonian(system, m_s=+1)
     c = system.single_carbon()

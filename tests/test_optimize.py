@@ -31,7 +31,7 @@ def fitness(genome, target, h, cfg):
 
 
 def small_cfg(seed=0, **kw):
-    base = dict(population_size=24, generations=12, rng_seed=seed)
+    base = dict(population=24, generations=12, seed=seed)
     base.update(kw)
     return GAConfig(**base)
 
@@ -59,11 +59,11 @@ def test_bounds_validation():
 
 def test_ga_config_validation():
     with pytest.raises(ValueError):
-        GAConfig(elite_count=0)
+        GAConfig(elites=0)
     with pytest.raises(ValueError):
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError):
-        GAConfig(elite_count=100, population_size=100)
+        GAConfig(elites=100, population=100)
     for bad in (0, icspin.fidelity.MAX_GRID_POINTS + 1):
         with pytest.raises(ValueError, match="omega1_grid points"):
             GAConfig(omega1_points=bad)
@@ -96,7 +96,7 @@ def test_ga_config_from_dict_names_the_bad_key(doc, exc, key):
 
 
 def test_ga_config_json_roundtrip():
-    cfg = GAConfig(population_size=64, rng_seed=7, omega1_range=(0.4, 0.6), omega1_points=3)
+    cfg = GAConfig(population=64, seed=7, omega1_range=(0.4, 0.6), omega1_points=3)
     doc = ga_config_to_dict(cfg)
     again = ga_config_from_dict(doc)
     assert again == cfg
@@ -147,7 +147,7 @@ def test_best_beats_initial_population(h_subspace):
     res = optimize(target, h_subspace, bounds, cfg)
     rng = np.random.default_rng(11)
     init = rng.uniform(bounds.lower(), bounds.upper(),
-                       size=(cfg.population_size, bounds.genome_length))
+                       size=(cfg.population, bounds.genome_length))
     kern_fits = icspin.FitnessKernel(
         h_subspace, target, res.robustness.omega1s, bounds.n_pulses
     ).evaluate(init).mean(axis=1)
@@ -205,14 +205,14 @@ def _breed_per_child(rng, pop, cfg, bounds, k=optimize_module.TOURNAMENT_SIZE):
     tournament size."""
     lo, hi = bounds.lower(), bounds.upper()
     span = hi - lo
-    n_children = cfg.population_size - cfg.elite_count
+    n_children = cfg.population - cfg.elites
     parents = np.empty((2, n_children), dtype=int)
     from_first = np.ones((n_children, bounds.genome_length), dtype=bool)
     mutate = np.empty((n_children, bounds.genome_length), dtype=bool)
     noise = np.empty((n_children, bounds.genome_length))
     for c in range(n_children):
-        parents[0, c] = rng.integers(0, cfg.population_size, size=k).min()
-        parents[1, c] = rng.integers(0, cfg.population_size, size=k).min()
+        parents[0, c] = rng.integers(0, cfg.population, size=k).min()
+        parents[1, c] = rng.integers(0, cfg.population, size=k).min()
         if rng.random() < cfg.crossover_rate:
             from_first[c] = rng.random(bounds.genome_length) < 0.5
         mutate[c] = rng.random(bounds.genome_length) < cfg.mutation_rate
@@ -235,7 +235,7 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
     for case in range(6):
         n_pulses = (1, 3, 4)[case % 3]                     # genome lengths 4, 10, 13
         population = (3, 7, 24, 100, 5, 51)[case]
-        cfg = GAConfig(population_size=population, elite_count=min(2, population - 1),
+        cfg = GAConfig(population=population, elites=min(2, population - 1),
                        crossover_rate=crossover_rate, mutation_rate=mutation_rate,
                        mutation_scale=0.3)
         bounds = ParameterBounds(n_pulses, tau_max=2.0, t_max=1.5)
@@ -250,7 +250,7 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
                 expected = _breed_per_child(oracle_rng, pop, cfg, bounds, tournament_size)
                 assert children.tobytes() == expected.tobytes()
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
-                pop = np.vstack([pop[: cfg.elite_count], children])
+                pop = np.vstack([pop[: cfg.elites], children])
 
 
 def _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds):
@@ -265,7 +265,7 @@ def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
     """A generation entered with PCG64's spare 32-bit half buffered cannot
     be decoded from whole words; it is drawn call by call, in the oracle's
     stream, and so is the next one."""
-    cfg = GAConfig(population_size=30, mutation_scale=0.3)
+    cfg = GAConfig(population=30, mutation_scale=0.3)
     bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
     pop = rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))
@@ -304,7 +304,7 @@ def test_breed_falls_back_on_a_rejected_tournament_draw(population):
     draws, flagged = _tournament_draws(accepted, population)
     assert not flagged and draws.tolist() == [[population >> 32, (7 * population) >> 32]]
 
-    cfg = GAConfig(population_size=population, elite_count=1, mutation_scale=0.3)
+    cfg = GAConfig(population=population, elites=1, mutation_scale=0.3)
     bounds = ParameterBounds(2)
     assert _draws_from_words(_zero_word_next(4), cfg, bounds.genome_length) is None
     rng, oracle_rng = _zero_word_next(4), _zero_word_next(4)
@@ -389,7 +389,7 @@ def test_restarts_pick_best(h_subspace):
 def test_early_stop_halts_history(h_subspace):
     target = icspin.hadamard_on_carbon(1)
     bounds = ParameterBounds(n_pulses=2)
-    cfg = small_cfg(seed=4, generations=50, early_stop_fitness=0.2)
+    cfg = small_cfg(seed=4, generations=50, early_stop=0.2)
     res = optimize(target, h_subspace, bounds, cfg)
     assert len(res.history) - 1 < 50
     assert res.best_fitness >= 0.2
@@ -407,7 +407,7 @@ def test_multiqubit_conditional_not_search(registers):
     target = icspin.cc_rotation(2, 1, np.pi)
     bounds = ParameterBounds(n_pulses=4, tau_max=4.5, t_max=2.5)
     res = optimize(target, h, bounds,
-                   GAConfig(rng_seed=1, population_size=60, generations=60))
+                   GAConfig(seed=1, population=60, generations=60))
     assert res.best_fitness >= 0.85
     assert res.best_sequence().duration < 20.0
     assert np.all(np.diff(res.history) >= 0)

@@ -48,6 +48,12 @@ def test_carbon_count_limits():
         SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
 
 
+def test_carbon_labels_must_ascend():
+    c = (HyperfineCoupling(-0.1, 0.1, label=2), HyperfineCoupling(-0.1, 0.1, label=1))
+    with pytest.raises(ConfigError, match="unique and ascending"):
+        SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
+
+
 @pytest.mark.parametrize("omega1", [2870.0, 1e308, -0.1, float("nan")])
 def test_drive_amplitude_must_lie_below_d(system, omega1):
     """The driven working subspace exists for 0 <= omega1 < D = 2870 MHz."""
