@@ -111,17 +111,21 @@ def _check_size(what: str, size: float, budget: int) -> None:
 
 
 class _Phases:
-    """Wall seconds of a command's phases, each timed from the end of the
-    one before; the manifest records them as ``phase_seconds``."""
+    """Wall and process CPU seconds of a command's phases, each timed from the
+    end of the one before; the manifest records them as ``phase_seconds`` and
+    ``phase_cpu_seconds``."""
 
     def __init__(self):
         self.seconds = {}
+        self.cpu_seconds = {}
         self._last = time.perf_counter()
+        self._last_cpu = time.process_time()
 
     def done(self, phase: str) -> None:
-        now = time.perf_counter()
+        now, now_cpu = time.perf_counter(), time.process_time()
         self.seconds[phase] = now - self._last
-        self._last = now
+        self.cpu_seconds[phase] = now_cpu - self._last_cpu
+        self._last, self._last_cpu = now, now_cpu
 
 
 def _blas() -> dict:
@@ -163,7 +167,8 @@ def _finish(args, phases: _Phases, command: str, write, inputs: dict, seed: int 
         out.mkdir(parents=True, exist_ok=True)
         write(out)
         phases.done("write")
-        _write_manifest(out, command, inputs, seed, **run_facts, phase_seconds=phases.seconds)
+        _write_manifest(out, command, inputs, seed, **run_facts, phase_seconds=phases.seconds,
+                        phase_cpu_seconds=phases.cpu_seconds)
     except OSError as exc:
         raise CliError(f"--out {args.out} cannot be written: {exc}") from exc
     return 0

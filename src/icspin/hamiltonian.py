@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import E2, SX_HALF, SZ_HALF, assert_hermitian, kron_all
+from .operators import assert_hermitian
 from .system import SpinSystemConfig
 
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)   # electron |0><0|
@@ -25,17 +25,24 @@ def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarra
     Each carbon contributes its own |0>- and |m_S>-conditioned term acting on
     its tensor slot. `m_s` selects the partner of m_S = 0 (-1 or +1); with
     one carbon the basis is {|0,up>, |0,dn>, |m_s,up>, |m_s,dn>}.
+
+    The terms are placed by index: the carbon of slot k is bit 2^(n-1-k) of a
+    basis index (clear for up), so its s_z term sits on the diagonal and its
+    |m_S> a_zx s_x term at (i, i ^ bit) in the |m_S> block. Summed in slot
+    order, the entries equal the Kronecker sum's bit for bit.
     """
     if m_s not in (-1, 1):
         raise ValueError("m_s must be -1 or +1")
     n = config.n_carbons
     dim = 2 ** (n + 1)
+    rows = np.arange(dim)
+    lower = rows[dim // 2:]
     h = np.zeros((dim, dim), dtype=complex)
     for slot, c in enumerate(config.carbons):
-        ops0 = [PROJ_UP] + [E2] * n
-        opsm = [PROJ_DOWN] + [E2] * n
-        ops0[slot + 1] = -config.nu_c * SZ_HALF
-        opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * SZ_HALF + m_s * c.a_zx * SX_HALF
-        h += kron_all(*ops0) + kron_all(*opsm)
+        bit = 2 ** (n - 1 - slot)
+        sz = np.where(rows & bit, -0.5, 0.5)
+        nu = np.where(rows < dim // 2, -config.nu_c, -(config.nu_c - m_s * c.a_zz))
+        h[rows, rows] += nu * sz
+        h[lower, lower ^ bit] += m_s * c.a_zx * 0.5
     assert_hermitian(h)
     return h

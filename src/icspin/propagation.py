@@ -28,12 +28,17 @@ run as one real matmul on the float64 view of the complex propagator.
 the fitness kernel, and through them every propagator of the package, run
 on it.
 
-Every engine of the package comes from ``engine_for``, which hands back the
-engine of its previous call when h and the grid are the same value for value,
-so a run of commands on one register and band diagonalizes them once. The
-engine's arrays are read-only, as one engine may serve many callers.
+Every engine of the package comes from ``engine_for``, which keeps the
+engines of its recent calls, least recently used first, within
+``ENGINE_MEMO_BYTES`` of arrays, and hands one back when h and the grid are
+the same value for value. A run of commands that moves among a few registers
+and bands diagonalizes each of them once a process. The engine's arrays are
+read-only, as one engine may serve many callers.
 """
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -155,28 +160,47 @@ class PropagationEngine:
         return u, rows[:, n]
 
 
-# The engine of the last ``engine_for`` call, as ((h key, grid key), engine).
-# Two threads that miss at once each build an engine, and the last one stays.
-_last_engine = None
+# Bytes of engine arrays that ``engine_for`` keeps: about four times the
+# seven engines (about 1 MB) of one verify of the bundled sequences with
+# every scan and report.
+ENGINE_MEMO_BYTES = 2**22
+
+# The engines of recent ``engine_for`` calls, least recently used first, by
+# (h key, grid key). The lock guards the bookkeeping, not the builds.
+_engines: OrderedDict = OrderedDict()
+_engines_lock = threading.Lock()
 
 
 def engine_for(h, omega1s=()) -> PropagationEngine:
-    """``PropagationEngine(h, omega1s)``, or the engine of the previous call
-    when h and the float grid have the same dtype, shape and bytes.
+    """``PropagationEngine(h, omega1s)``, or a kept engine built from an h and
+    a float grid of the same dtype, shape and bytes.
 
-    Only that one engine is kept: at d = 32 it holds about 8 kB a grid point,
-    17 MB at 2048 points. A one-ulp change in h or the grid builds anew.
+    The engines of recent calls are kept until their arrays exceed
+    ``ENGINE_MEMO_BYTES``; then the least recently used go first. The newest
+    engine is always kept, however large: at d = 32 an engine holds about
+    8 kB a grid point, 17 MB at 2048 points. A one-ulp change in h or the
+    grid builds anew. Two threads that miss on one key at once each build an
+    engine; the one stored first is kept and handed to both.
     """
-    global _last_engine
     h = np.asarray(h)
     grid = np.asarray(omega1s, dtype=float).reshape(-1)
     key = tuple((a.dtype, a.shape, a.tobytes()) for a in (h, grid))
-    last = _last_engine
-    if last is not None and last[0] == key:
-        return last[1]
+    with _engines_lock:
+        if key in _engines:
+            _engines.move_to_end(key)
+            return _engines[key]
     engine = PropagationEngine(h, grid)
-    _last_engine = (key, engine)
+    with _engines_lock:
+        engine = _engines.setdefault(key, engine)
+        _engines.move_to_end(key)
+        kept = sum(_nbytes(e) for e in _engines.values())
+        while kept > ENGINE_MEMO_BYTES and len(_engines) > 1:
+            kept -= _nbytes(_engines.popitem(last=False)[1])
     return engine
+
+
+def _nbytes(engine: PropagationEngine) -> int:
+    return sum(array.nbytes for array in vars(engine).values())
 
 
 def sequence_propagator(seq: PulseSequence, h: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import pytest
 
 import icspin
@@ -9,7 +11,7 @@ def _fresh_engine_memo(monkeypatch):
     """Each test starts with no engine kept by ``engine_for``, so an engine
     built by an earlier test, or before a test patched the engine class,
     is never handed back."""
-    monkeypatch.setattr(icspin.propagation, "_last_engine", None)
+    monkeypatch.setattr(icspin.propagation, "_engines", OrderedDict())
 
 
 @pytest.fixture(scope="session")

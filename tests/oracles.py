@@ -78,6 +78,33 @@ def closed_form_free_propagator(config, tau: float) -> np.ndarray:
     return u
 
 
+def kronecker_register_hamiltonian(config, m_s: int = -1) -> np.ndarray:
+    """The working-subspace Hamiltonian as a sum of Kronecker products, one
+    |0>-conditioned and one |m_S>-conditioned term per carbon, added in slot
+    order."""
+    n = config.n_carbons
+    eye2 = np.eye(2, dtype=complex)
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    sz = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+    proj_up = np.diag([1.0, 0.0]).astype(complex)
+    proj_down = np.diag([0.0, 1.0]).astype(complex)
+
+    def kron_all(ops):
+        out = ops[0]
+        for op in ops[1:]:
+            out = np.kron(out, op)
+        return out
+
+    h = np.zeros((2 ** (n + 1),) * 2, dtype=complex)
+    for slot, c in enumerate(config.carbons):
+        ops0 = [proj_up] + [eye2] * n
+        opsm = [proj_down] + [eye2] * n
+        ops0[slot + 1] = -config.nu_c * sz
+        opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * sz + m_s * c.a_zx * sx
+        h += kron_all(ops0) + kron_all(opsm)
+    return h
+
+
 def random_register_hamiltonian(rng: np.random.Generator, dim: int,
                                 scale: float = 1.0) -> np.ndarray:
     """A random real symmetric h, block-diagonal in the electron: the shape

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -168,8 +169,11 @@ def test_manifest_records_cpus_and_versions(tmp_path, command):
         phases = manifest["phase_seconds"]
         assert sorted(phases) == sorted(["load", "hamiltonian", work, "write"])
         assert all(seconds >= 0.0 for seconds in phases.values())
+    assert manifest["phase_cpu_seconds"].keys() == manifest["phase_seconds"].keys()
+    assert all(math.isfinite(seconds) and seconds >= 0.0
+               for seconds in manifest["phase_cpu_seconds"].values())
     for data in data_files(out):
-        for key in ("cpus", "phase_seconds", "thread_env"):
+        for key in ("cpus", "phase_seconds", "phase_cpu_seconds", "thread_env"):
             assert key not in data.read_text(), (data.name, key)
 
 
@@ -202,6 +206,35 @@ def test_verify_and_optimize_build_one_engine_in_the_hamiltonian_phase(tmp_path,
     assert events == ["engine", work.__name__]
 
 
+def test_a_second_pass_of_commands_builds_no_engine(tmp_path, monkeypatch):
+    """Commands that move among registers and bands in one process
+    diagonalize each of them once: the second pass reuses every engine."""
+    built = []
+    original = icspin.propagation.PropagationEngine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.omega1s.size)
+
+    monkeypatch.setattr(icspin.propagation.PropagationEngine, "__init__", spy)
+    register = str(data_path("system_4c.json"))
+    passes = [["verify", "--sequence", CNOT, "--target", "cnot", "--system", SYSTEM],
+              ["verify", "--sequence", HADAMARD, "--target", "hadamard", "--system", SYSTEM,
+               "--grid", "0.48,0.52,81"],
+              ["verify", "--sequence", str(data_path("sequences/ccrot_n6_a.json")),
+               "--target", "ccrot:1,180", "--system", register, "--grid", "0.48,0.52,81"],
+              ["scan", "--kind", "theta", "--system", SYSTEM],
+              ["scan", "--kind", "spectrum", "--system", SYSTEM]]
+    counts = []
+    for attempt in range(2):
+        before = len(built)
+        for i, argv in enumerate(passes):
+            assert run(argv + ["--out", str(tmp_path / f"{attempt}_{i}")]) == 0
+        counts.append(len(built) - before)
+    assert counts[0] >= 3
+    assert counts[1] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--kind", "hadamard"],
     ["scan", "--kind", "theta"],
@@ -213,11 +246,14 @@ def test_verify_and_optimize_build_one_engine_in_the_hamiltonian_phase(tmp_path,
 def test_scan_and_report_manifests_time_their_phases(tmp_path, argv):
     out = tmp_path / "o"
     assert run(argv + ["--system", SYSTEM, "--out", str(out)]) == 0
-    phases = json.loads((out / "manifest.json").read_text())["phase_seconds"]
-    assert sorted(phases) == ["compute", "load", "write"]
-    assert all(seconds >= 0.0 for seconds in phases.values())
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("phase_seconds", "phase_cpu_seconds"):
+        assert sorted(manifest[key]) == ["compute", "load", "write"]
+        assert all(math.isfinite(seconds) and seconds >= 0.0
+                   for seconds in manifest[key].values())
     for data in data_files(out):
         assert "phase_seconds" not in data.read_text(), data.name
+        assert "phase_cpu_seconds" not in data.read_text(), data.name
 
 
 def test_python_dash_m_icspin_runs_the_cli():

@@ -36,6 +36,19 @@ def test_only_the_cli_reads_the_clock():
     assert users == ["cli.py"]
 
 
+def test_every_engine_comes_from_the_memo():
+    """Only ``engine_for`` constructs a ``PropagationEngine``, so every engine
+    of the package is kept and shared by one memo."""
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and _called_name(node) == "PropagationEngine"]
+
+    everywhere = sum(len(calls(ast.parse(text))) for text in SOURCES.values())
+    memo = next(node for node in ast.parse(SOURCES["propagation.py"]).body
+                if isinstance(node, ast.FunctionDef) and node.name == "engine_for")
+    assert everywhere == len(calls(memo)) == 1
+
+
 def test_the_engine_has_three_entry_points():
     """Every propagator is one ``chain``; the rest is a change of basis."""
     public = sorted(name for name in vars(PropagationEngine) if not name.startswith("_"))
@@ -63,9 +76,25 @@ def _called_name(call: ast.Call) -> str:
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
 
 
+def _threading_for_a_lock_only(tree: ast.Module) -> bool:
+    """``import threading`` as it is, and every use of the name is
+    ``threading.Lock``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading":
+            return False
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "threading"
+                                                and alias.asname for alias in node.names):
+            return False
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "threading"]
+    locks = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "Lock"}
+    return all(id(node) in locks for node in uses)
+
+
 def test_only_the_kernel_starts_threads_and_no_module_keeps_an_executor():
     """Threads belong to the fitness kernel, and an executor lives for one
-    ``with`` block of one call: no module binds one, at import or later."""
+    ``with`` block of one call: no module binds one, at import or later.
+    Another module may take a ``threading.Lock`` and nothing else of it."""
     importers = set()
     for name, text in SOURCES.items():
         tree = ast.parse(text)
@@ -76,7 +105,10 @@ def test_only_the_kernel_starts_threads_and_no_module_keeps_an_executor():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(module.split(".")[0] in ("threading", "concurrent") for module in modules):
+            if any(module.split(".")[0] == "concurrent" for module in modules):
+                importers.add(name)
+            if (any(module.split(".")[0] == "threading" for module in modules)
+                    and (name == "kernels.py" or not _threading_for_a_lock_only(tree))):
                 importers.add(name)
         in_with = {id(item.context_expr) for node in ast.walk(tree)
                    if isinstance(node, ast.With) for item in node.items}

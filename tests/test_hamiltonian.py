@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icspin
 from icspin.hamiltonian import multiqubit_hamiltonian
 from icspin.operators import SX_HALF, SZ_HALF, kron_all
 from icspin.system import HyperfineCoupling, SpinSystemConfig
+
+from oracles import kronecker_register_hamiltonian
 
 E2 = np.eye(2, dtype=complex)
 
@@ -114,3 +118,36 @@ def test_upper_manifold_block_structure(system):
     expected_upper = -(system.nu_c - c.a_zz) * SZ_HALF + c.a_zx * SX_HALF
     assert np.abs(h[2:, 2:] - expected_upper).max() < 1e-12
     assert np.abs(h[:2, :2] - (-system.nu_c * SZ_HALF)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m_s", [-1, 1])
+@pytest.mark.parametrize("name", ["system_2q.json", "system_4c.json"])
+def test_bundled_registers_equal_the_kronecker_sum_byte_for_byte(name, m_s):
+    """Every leading subset of each bundled register, as the CLI builds it."""
+    cfg = icspin.load_system(icspin.data_path(name))
+    labels = [c.label for c in cfg.carbons]
+    for k in range(1, len(labels) + 1):
+        sub = cfg.subset(labels[:k])
+        h = multiqubit_hamiltonian(sub, m_s)
+        assert h.dtype == np.complex128
+        assert h.tobytes() == kronecker_register_hamiltonian(sub, m_s).tobytes()
+
+
+_coupling = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+_hyperfine = st.one_of(st.just(0.0), _coupling)
+
+
+@st.composite
+def _registers(draw):
+    pairs = draw(st.lists(st.tuples(_hyperfine, _hyperfine).filter(lambda p: p != (0.0, 0.0)),
+                          min_size=1, max_size=4))
+    carbons = tuple(HyperfineCoupling(a_zz, a_zx, label=k + 1)
+                    for k, (a_zz, a_zx) in enumerate(pairs))
+    return SpinSystemConfig(2870.0, -414.0, draw(st.floats(1e-3, 2.0)), -2.16, carbons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_registers(), st.sampled_from([-1, 1]))
+def test_index_placement_equals_the_kronecker_sum(cfg, m_s):
+    """1-4 carbons, with zero a_zz or a_zx components."""
+    assert np.array_equal(multiqubit_hamiltonian(cfg, m_s), kronecker_register_hamiltonian(cfg, m_s))

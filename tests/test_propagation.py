@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -346,7 +349,7 @@ def test_the_ccrot_suite_on_four_carbons_builds_one_d32_engine(registers, monkey
 
     fresh = []
     for case in cases:
-        monkeypatch.setattr(propagation, "_last_engine", None)
+        monkeypatch.setattr(propagation, "_engines", OrderedDict())
         fresh.append(verify(case))
 
     built = []
@@ -357,8 +360,110 @@ def test_the_ccrot_suite_on_four_carbons_builds_one_d32_engine(registers, monkey
         built.append(self.dim)
 
     monkeypatch.setattr(PropagationEngine, "__init__", spy)
-    monkeypatch.setattr(propagation, "_last_engine", None)
+    monkeypatch.setattr(propagation, "_engines", OrderedDict())
     shared = [verify(case) for case in cases]
     assert built == [32]
     for a, b in zip(fresh, shared):
         assert np.array_equal(a, b)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Spy on ``PropagationEngine.__init__``: the returned list gains each
+    built engine's grid size."""
+    built = []
+    original = PropagationEngine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.omega1s.size)
+
+    monkeypatch.setattr(PropagationEngine, "__init__", spy)
+    return built
+
+
+def test_interleaved_registers_and_bands_build_each_engine_once(register_hamiltonians,
+                                                                monkeypatch):
+    """Two registers and two bands, visited in turn three times, build four
+    engines; what they give equals what fresh engines give, bit for bit."""
+    rng = np.random.default_rng(7)
+    cases = [(k, band) for _ in range(3) for k in (1, 2) for band in ((0.48, 0.52), (0.4, 0.6))]
+    sequences = {k: sequence_from_genome(np.concatenate([rng.uniform(0.1, 2.0, 7),
+                                                         rng.uniform(0.0, 6.0, 3)]), 3, 0.5)
+                 for k in (1, 2)}
+
+    def fidelities(k, band):
+        target = icspin.target_library("cnot", n_carbons=k)
+        return icspin.robust_fidelity(sequences[k], target, register_hamiltonians[k],
+                                      band, 9).fidelities
+
+    fresh = []
+    for k, band in cases:
+        monkeypatch.setattr(propagation, "_engines", OrderedDict())
+        fresh.append(fidelities(k, band))
+    monkeypatch.setattr(propagation, "_engines", OrderedDict())
+    built = _count_builds(monkeypatch)
+    kept = [fidelities(k, band) for k, band in cases]
+    assert built == [9, 9, 9, 9]
+    for a, b in zip(fresh, kept):
+        assert np.array_equal(a, b)
+
+
+def test_the_memo_evicts_the_least_recently_used_engine_first(h_subspace, monkeypatch):
+    grids = [np.linspace(0.4, 0.6, 5) + shift for shift in (0.0, 0.01, 0.02)]
+    first = engine_for(h_subspace, grids[0])
+    monkeypatch.setattr(propagation, "ENGINE_MEMO_BYTES", 2 * propagation._nbytes(first))
+    second = engine_for(h_subspace, grids[1])
+    assert engine_for(h_subspace, grids[0]) is first   # now the second is the oldest
+    third = engine_for(h_subspace, grids[2])
+    assert list(propagation._engines.values()) == [first, third]
+    built = _count_builds(monkeypatch)
+    assert engine_for(h_subspace, grids[0]) is first
+    assert engine_for(h_subspace, grids[1]) is not second
+    assert built == [5]
+
+
+def test_an_engine_over_the_budget_is_still_kept_until_the_next(h_subspace, monkeypatch):
+    monkeypatch.setattr(propagation, "ENGINE_MEMO_BYTES", 1)
+    big = engine_for(h_subspace, np.linspace(0.4, 0.6, 64))
+    assert propagation._nbytes(big) > 1
+    assert engine_for(h_subspace, np.linspace(0.4, 0.6, 64)) is big
+    other = engine_for(h_subspace, [0.5])
+    assert list(propagation._engines.values()) == [other]
+    assert engine_for(h_subspace, np.linspace(0.4, 0.6, 64)) is not big
+
+
+def test_threads_sharing_the_memo_get_their_own_engines(h_subspace, monkeypatch):
+    """Eight threads, switching every microsecond, ask for four bands with
+    room for two: each call gets the engine of its band without error, and
+    the memo ends within its budget."""
+    grids = [np.linspace(0.4, 0.6, 5) + shift for shift in (0.0, 0.01, 0.02, 0.03)]
+    monkeypatch.setattr(propagation, "ENGINE_MEMO_BYTES",
+                        2 * propagation._nbytes(engine_for(h_subspace, grids[0])))
+    wrong, errors = [], []
+
+    def work(offset):
+        for i in range(300):
+            grid = grids[(i + offset) % 4]
+            try:
+                engine = engine_for(h_subspace, grid)
+            except Exception as exc:   # reported below; a thread's error is lost otherwise
+                errors.append(exc)
+                continue
+            if not np.array_equal(engine.omega1s, grid):
+                wrong.append(grid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    kept = sum(propagation._nbytes(e) for e in propagation._engines.values())
+    assert 1 <= len(propagation._engines) <= 2
+    assert kept <= propagation.ENGINE_MEMO_BYTES
