@@ -40,12 +40,12 @@ from .experiments import (
     segment_samples,
     theta_scan,
 )
-from .fidelity import omega1_grid, robust_fidelity
+from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid, robust_fidelity
 from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
-from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
+from .optimize import GAConfig, ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
 from .states import basis_state
@@ -62,14 +62,13 @@ INTERNAL_ERROR = 2
 # the pulses. A GA population of 10_000 genomes of 64 pulses is 15 MB; a
 # one-carbon search at both budgets peaks near 165 MB. A GA scores at most
 # population * (generations + 1) * restarts genomes, at about 13 us each on
-# one carbon and 0.24 ms at d = 32 (5 amplitudes, 4 pulses): 3.01e6
-# genomes, the population budget at the default 300 generations, take about
-# 40 s and 12 min.
+# one carbon and 0.24 ms at d = 32 (5 amplitudes, 4 pulses): the 3.01e6 of
+# MAX_GA_GENOMES take about 40 s and 12 min.
 MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 MAX_PULSES = 64
 MAX_POPULATION = 10_000
-MAX_GA_GENOMES = 3_010_000
+MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
 
 
 class CliError(Exception):
@@ -452,8 +451,9 @@ def cmd_scan(args, phases: _Phases) -> int:
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
     _check_size("--points", args.points, MAX_SCAN_POINTS)
-    if not np.isfinite(args.detuning):
-        raise CliError(f"--detuning must be finite, got {args.detuning!r}")
+    if not abs(args.detuning) <= MAX_CONFIG_VALUE:   # NaN fails too
+        raise CliError(f"--detuning must be finite with magnitude at most "
+                       f"{MAX_CONFIG_VALUE:g} MHz, got {args.detuning!r}")
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)
     phases.done("load")
@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--grid", default="0.48,0.52,5")
+    p.add_argument("--grid", default=",".join(map(str, (*DEFAULT_OMEGA1_RANGE,
+                                                       DEFAULT_GRID_POINTS))))
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_verify)
 
@@ -525,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--pulses", type=int, default=3)
-    p.add_argument("--tau-max", type=float, default=4.0)
-    p.add_argument("--t-max", type=float, default=4.0)
+    p.add_argument("--tau-max", type=float, default=ParameterBounds.tau_max)
+    p.add_argument("--t-max", type=float, default=ParameterBounds.t_max)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ga-config", default=None)
     p.add_argument("--grid", default=None)
@@ -538,21 +539,23 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(_SCANS))
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
-    p.add_argument("--gate", choices=["noop", "cnot"], help="theta only; default cnot")
+    d = _SCAN_OPTIONS   # each scan flag's help names its default
+    p.add_argument("--gate", choices=["noop", "cnot"], help=f"theta only; default {d['gate']}")
     p.add_argument("--noop", action="store_true", default=None,
                    help="replace the first gate of the hadamard scan with NOOP")
-    p.add_argument("--readout", type=int, choices=[0, -1], help="theta only; default -1")
-    p.add_argument("--points", type=int, help="hadamard, theta and fid; default 256")
-    p.add_argument("--dt", type=float, help="hadamard, fid and trajectory; default 0.1 us")
+    p.add_argument("--readout", type=int, choices=[0, -1],
+                   help=f"theta only; default {d['readout']}")
+    p.add_argument("--points", type=int, help=f"hadamard, theta and fid; default {d['points']}")
+    p.add_argument("--dt", type=float, help=f"hadamard, fid and trajectory; default {d['dt']} us")
     p.add_argument("--detuning", type=float, default=3.0)
-    p.add_argument("--linewidth", type=float, help="spectrum only; default 0.0106 MHz")
-    p.add_argument("--state", choices=["pure", "thermal"], help="fid only; default pure")
+    p.add_argument("--linewidth", type=float, help=f"spectrum only; default {d['linewidth']} MHz")
+    p.add_argument("--state", choices=["pure", "thermal"], help=f"fid only; default {d['state']}")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("report", help="derived quantities of a register")
     p.add_argument("--system", required=True)
-    p.add_argument("--linewidth", type=float, default=0.0106)
+    p.add_argument("--linewidth", type=float, default=_SCAN_OPTIONS["linewidth"])
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_report)
     return parser

@@ -319,11 +319,7 @@ def esr_lines(h: np.ndarray) -> list[tuple[float, float]]:
     return sorted(zip(offsets[keep].tolist(), weights[keep].tolist()))
 
 
-def esr_spectrum(
-    h: np.ndarray,
-    linewidth: float,
-    detuning: float = 5.0,
-) -> Spectrum:
+def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     """Lorentzian-broadened electron spectrum of `h`.
 
     Stick positions sit at detuning + (E_upper - E_lower) for every pair of

@@ -40,6 +40,11 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
+def equal_weight_score(fidelities: np.ndarray) -> np.ndarray:
+    """Each row's equal-weight mean over the grid (the last axis): the GA's fitness."""
+    return fidelities.mean(axis=-1)
+
+
 @dataclass(frozen=True)
 class RobustnessReport:
     """Per-amplitude fidelities over an omega1 grid, plus mean, band mean
@@ -50,7 +55,7 @@ class RobustnessReport:
 
     @property
     def mean(self) -> float:
-        return float(self.fidelities.mean())
+        return float(equal_weight_score(self.fidelities))
 
     @property
     def band_mean(self) -> float:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessReport, omega1_grid
+from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessReport,
+                       equal_weight_score, omega1_grid)
 from .files import check_keys, json_number
 from .kernels import FitnessKernel
 from .operators import TWO_PI
@@ -33,7 +34,7 @@ TOURNAMENT_SIZE = 3
 
 @dataclass(frozen=True)
 class ParameterBounds:
-    """Box bounds of the genome: per-delay and per-pulse maxima in us."""
+    """Box bounds of the genome: per-delay and per-pulse maxima in us; every floor is 0."""
 
     n_pulses: int
     tau_max: float = 4.0
@@ -50,9 +51,6 @@ class ParameterBounds:
     @property
     def genome_length(self) -> int:
         return 3 * self.n_pulses + 1
-
-    def lower(self) -> np.ndarray:
-        return np.zeros(self.genome_length)
 
     def upper(self) -> np.ndarray:
         n = self.n_pulses
@@ -147,16 +145,23 @@ def ga_config_to_dict(cfg: GAConfig) -> dict:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """The best restart's search, and ``robustness``: its genome's report on the band."""
+    """The best restart's search, and ``robustness``: its genome's report on the
+    band. The best fitness is the history's last entry; n pulses take 3n + 1 genes."""
 
     best_genome: np.ndarray
-    best_fitness: float
     history: np.ndarray
     robustness: RobustnessReport
     seed: int
-    n_pulses: int
     fitness_evaluations: int
     stop_reason: str
+
+    @property
+    def best_fitness(self) -> float:
+        return float(self.history[-1])
+
+    @property
+    def n_pulses(self) -> int:
+        return self.best_genome.size // 3
 
     @property
     def generations_run(self) -> int:
@@ -170,20 +175,16 @@ class OptimizationResult:
         """The best genome as a sequence; a genome that is no valid sequence
         is an internal fault, so its SequenceError becomes RuntimeError."""
         try:
-            return sequence_from_genome(self.best_genome, self.n_pulses, self.omega1_nominal)
+            return sequence_from_genome(self.best_genome, self.omega1_nominal)
         except SequenceError as exc:
             raise RuntimeError(f"the best genome is no valid sequence: {exc}") from exc
 
 
-def _duration(genomes: np.ndarray, n_pulses: int) -> np.ndarray:
-    return genomes[:, : 2 * n_pulses + 1].sum(axis=1)
-
-
-def _rank_keys(fits: np.ndarray, genomes: np.ndarray, n_pulses: int):
-    """Sort order: fitness desc, then duration asc, then genome lexicographic."""
-    dur = _duration(genomes, n_pulses)
-    order = np.lexsort(tuple(genomes.T[::-1]) + (dur, -fits))
-    return order
+def _rank_keys(fits: np.ndarray, genomes: np.ndarray):
+    """Sort order: fitness desc, then duration (the 2n + 1 delays and pulses
+    of 3n + 1 genes) asc, then genome lexicographic."""
+    dur = genomes[:, : 2 * (genomes.shape[1] // 3) + 1].sum(axis=1)
+    return np.lexsort(tuple(genomes.T[::-1]) + (dur, -fits))
 
 
 _DOUBLE_UNIT = 2.0**-53       # Generator.random's double is (word >> 11) * 2**-53
@@ -301,8 +302,8 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
     from_first = ~crossed | (genes < 0.5)
     mutate = np.where(crossed, masks, genes) < cfg.mutation_rate
     children = np.where(from_first, pop[parents[:, 0]], pop[parents[:, 1]])
-    lo, hi = bounds.lower(), bounds.upper()
-    return np.clip(np.where(mutate, children + noise * (hi - lo), children), lo, hi)
+    hi = bounds.upper()
+    return np.clip(np.where(mutate, children + noise * hi, children), 0.0, hi)
 
 
 def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
@@ -310,11 +311,10 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
     """One search from `seed`: its best genome, best-fitness history, stop
     reason and the number of genomes it scored."""
     rng = np.random.default_rng(seed)
-    pop = rng.uniform(bounds.lower(), bounds.upper(),
-                      size=(cfg.population, bounds.genome_length))
+    pop = rng.uniform(0.0, bounds.upper(), size=(cfg.population, bounds.genome_length))
 
-    fits = kern.evaluate(pop).mean(axis=1)
-    order = _rank_keys(fits, pop, bounds.n_pulses)
+    fits = equal_weight_score(kern.evaluate(pop))
+    order = _rank_keys(fits, pop)
     pop, fits = pop[order], fits[order]
     history = [float(fits[0])]
     scored = len(pop)
@@ -326,11 +326,11 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
         if reached():
             break
         children = _breed(rng, pop, cfg, bounds)
-        child_fits = kern.evaluate(children).mean(axis=1)
+        child_fits = equal_weight_score(kern.evaluate(children))
         scored += len(children)
         pop = np.vstack([pop[: cfg.elites], children])
         fits = np.concatenate([fits[: cfg.elites], child_fits])
-        order = _rank_keys(fits, pop, bounds.n_pulses)
+        order = _rank_keys(fits, pop)
         pop, fits = pop[order], fits[order]
         history.append(float(fits[0]))
 
@@ -363,6 +363,6 @@ def optimize(
     genome, history, stop_reason, _ = runs[best]
     report = RobustnessReport(grid, kern.evaluate(genome)[0])
     return OptimizationResult(
-        best_genome=genome, best_fitness=float(history[-1]), history=history, robustness=report,
-        seed=cfg.seed + best, n_pulses=bounds.n_pulses, stop_reason=stop_reason,
+        best_genome=genome, history=history, robustness=report, seed=cfg.seed + best,
+        stop_reason=stop_reason,
         fitness_evaluations=(sum(run[-1] for run in runs) + 1) * grid.size)

@@ -85,14 +85,12 @@ class PulseSequence:
         return sum(isinstance(seg, Pulse) for seg in self.segments)
 
 
-def sequence_from_genome(genome, n_pulses: int, omega1: float) -> PulseSequence:
-    """Decode [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n] into a sequence."""
+def sequence_from_genome(genome, omega1: float) -> PulseSequence:
+    """Decode [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n], 3n + 1 genes, into a sequence."""
     genome = np.asarray(genome, dtype=float)
-    if genome.shape != (3 * n_pulses + 1,):
-        raise SequenceError(
-            f"genome for {n_pulses} pulses needs {3 * n_pulses + 1} entries, "
-            f"got {genome.shape}"
-        )
+    if genome.ndim != 1 or genome.size % 3 != 1:
+        raise SequenceError(f"a genome needs 3n + 1 entries for n pulses, got {genome.shape}")
+    n_pulses = genome.size // 3
     taus = genome[: n_pulses + 1]
     ts = genome[n_pulses + 1 : 2 * n_pulses + 1]
     phis = np.mod(genome[2 * n_pulses + 1 :], TWO_PI)

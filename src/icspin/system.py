@@ -24,7 +24,6 @@ class HyperfineCoupling:
 
     a_zz: float
     a_zx: float
-    label: int = 1
 
     def __post_init__(self):
         if self.a_zz == 0.0 and self.a_zx == 0.0:
@@ -41,7 +40,7 @@ class SpinSystemConfig:
     nu_e : electron Larmor frequency (MHz, signed)
     nu_c : carbon-13 Larmor frequency (MHz, positive by convention)
     a_n : nitrogen hyperfine coupling (MHz)
-    carbons : hyperfine couplings, ascending label order
+    carbons : hyperfine couplings; carbon k (its label) is carbons[k - 1]
     b0 : field strength in mT (informational only)
     """
 
@@ -58,9 +57,6 @@ class SpinSystemConfig:
                               f"got {self.nu_c!r}")
         if not 1 <= len(self.carbons) <= 4:
             raise ConfigError("register supports 1 to 4 carbons")
-        labels = [c.label for c in self.carbons]
-        if sorted(labels) != labels or len(set(labels)) != len(labels):
-            raise ConfigError("carbon labels must be unique and ascending")
 
     @property
     def n_carbons(self) -> int:
@@ -85,12 +81,14 @@ class SpinSystemConfig:
         return self.carbons[0]
 
     def subset(self, labels: list[int]) -> "SpinSystemConfig":
-        """A new config keeping only the carbons with the given labels."""
-        by_label = {c.label: c for c in self.carbons}
-        try:
-            chosen = tuple(by_label[l] for l in sorted(labels))
-        except KeyError as exc:
-            raise ConfigError(f"no carbon with label {exc.args[0]}") from exc
+        """A new config keeping the carbons with the given labels, in label
+        order; it numbers them afresh from 1."""
+        for i, label in enumerate(labels):
+            if (not isinstance(label, int) or not 1 <= label <= self.n_carbons
+                    or label in labels[:i]):
+                raise ConfigError(f"carbon labels must be distinct integers from 1 to "
+                                  f"{self.n_carbons}, got {label!r}")
+        chosen = tuple(self.carbons[label - 1] for label in sorted(labels))
         return SpinSystemConfig(self.d, self.nu_e, self.nu_c, self.a_n, chosen, self.b0)
 
 
@@ -101,8 +99,8 @@ _CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
 # The largest magnitude of a system config's numbers: MHz for every field
 # but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
 # 2 pi f t stay near 1e13 rad, far from overflow. It also caps the CLI's
-# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth) and a GA
-# config's mutation_scale.
+# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth, --detuning)
+# and a GA config's mutation_scale.
 MAX_CONFIG_VALUE = 1e6
 
 
@@ -125,9 +123,8 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
     carbons = []
     for i, c in enumerate(doc["carbons"]):
         check_keys(c, f"carbons[{i}]", ConfigError, required=tuple(_CARBON_KEYS))
-        carbons.append(HyperfineCoupling(
-            label=i + 1, **{field: _config_number(c[key], f"carbons[{i}].{key}")
-                            for key, field in _CARBON_KEYS.items()}))
+        carbons.append(HyperfineCoupling(**{field: _config_number(c[key], f"carbons[{i}].{key}")
+                                            for key, field in _CARBON_KEYS.items()}))
     return SpinSystemConfig(carbons=tuple(carbons), **fields)
 
 

@@ -42,6 +42,5 @@ def cnot_seq():
 @pytest.fixture(scope="session")
 def register_hamiltonians(registers):
     """Working-subspace Hamiltonians of the first 1..4 carbons (d4..d32)."""
-    labels = [c.label for c in registers.carbons]
-    return {k: icspin.multiqubit_hamiltonian(registers.subset(labels[:k]))
-            for k in range(1, len(labels) + 1)}
+    return {k: icspin.multiqubit_hamiltonian(registers.subset(list(range(1, k + 1))))
+            for k in range(1, registers.n_carbons + 1)}

@@ -1301,6 +1301,26 @@ def test_scan_dt_below_its_nyquist_floor_is_usage_error(tmp_path, capsys, kind):
                 "--points", "16", "--out", str(tmp_path / "floor")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["spectrum", "fid"])
+def test_scan_detuning_past_the_config_ceiling_is_usage_error(tmp_path, capsys, kind):
+    """--detuning 1e300 made spectrum exit 0, writing 4,001 identical rows
+    with its four sticks collapsed onto 1e300. Like the CLI's other
+    frequencies it is at most MAX_CONFIG_VALUE MHz in magnitude; within
+    that, fid's Nyquist check still refuses what its --dt undersamples."""
+    for detuning in ("1e300", "-1e300", "inf"):
+        out = tmp_path / "o"
+        assert run(["scan", "--kind", kind, "--system", SYSTEM, f"--detuning={detuning}",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--detuning must be finite with magnitude at most 1e+06 MHz" in err
+        assert not out.exists()
+    assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--detuning", "1e5",
+                "--out", str(tmp_path / "o")]) == 1
+    assert "undersamples" in capsys.readouterr().err
+    assert run(["scan", "--kind", "spectrum", "--system", SYSTEM, "--detuning",
+                repr(MAX_CONFIG_VALUE), "--out", str(tmp_path / "ceiling")]) == 0
+
+
 @pytest.mark.parametrize("fields,notes", [
     ({"A_zz_MHz": 5e-324}, ("cleanup_note",)),
     ({"A_zz_MHz": 1e-320, "nu_C_MHz": 1e-320}, ("init_delay_note",)),

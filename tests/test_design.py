@@ -5,10 +5,13 @@ import inspect
 from pathlib import Path
 
 import icspin
-from icspin import experiments, targets
+from icspin import cli, experiments, targets
+from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE
 from icspin.operators import assert_hermitian
-from icspin.optimize import GAConfig, ga_config_to_dict
+from icspin.optimize import GAConfig, OptimizationResult, ParameterBounds, ga_config_to_dict
 from icspin.propagation import PropagationEngine
+from icspin.sequence import sequence_from_genome
+from icspin.system import HyperfineCoupling
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
            for path in Path(icspin.__file__).parent.glob("*.py")}
@@ -171,3 +174,30 @@ def test_each_ga_setting_has_one_name():
     assert settings == ga_config_to_dict(GAConfig()).keys() - {"omega1_grid"}
     retired = ("population_size", "elite_count", "rng_seed", "early_stop_fitness")
     assert [name for name in retired if any(name in text for text in SOURCES.values())] == []
+
+
+def test_each_value_has_one_source():
+    """A carbon's label is its position, every gene's floor is 0, a search
+    result reads its best fitness and pulse count from its history and
+    genome, and each CLI default is the library's."""
+    assert tuple(f.name for f in dataclasses.fields(HyperfineCoupling)) == ("a_zz", "a_zx")
+    result_fields = {f.name for f in dataclasses.fields(OptimizationResult)}
+    assert not result_fields & {"best_fitness", "n_pulses"}
+    assert not hasattr(ParameterBounds, "lower")
+    assert "n_pulses" not in inspect.signature(sequence_from_genome).parameters
+    detuning = inspect.signature(experiments.esr_spectrum).parameters["detuning"]
+    assert detuning.default is inspect.Parameter.empty
+
+    parser = cli.build_parser()
+    verify = parser.parse_args(["verify", "--system", "s", "--sequence", "q", "--target", "t"])
+    assert cli._parse_grid(verify.grid) == (DEFAULT_OMEGA1_RANGE, DEFAULT_GRID_POINTS)
+    search = parser.parse_args(["optimize", "--system", "s", "--target", "t"])
+    assert (search.tau_max, search.t_max) == (ParameterBounds.tau_max, ParameterBounds.t_max)
+    assert parser.parse_args(["report", "--system", "s"]).linewidth == \
+        cli._SCAN_OPTIONS["linewidth"]
+    scan = next(a for a in parser._actions if a.dest == "command").choices["scan"]
+    helps = {action.dest: action.help for action in scan._actions}
+    for name, default in cli._SCAN_OPTIONS.items():
+        if default not in (None, False):   # --sequence and --noop name none
+            assert f"default {default}" in helps[name], name
+    assert cli.MAX_GA_GENOMES == cli.MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000

@@ -389,7 +389,7 @@ def test_stick_positions_equal_fresh_eigendifferences(registers):
 def test_spectrum_rejects_bad_linewidth(h_subspace):
     for linewidth in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="linewidth"):
-            esr_spectrum(h_subspace, linewidth=linewidth)
+            esr_spectrum(h_subspace, linewidth=linewidth, detuning=5.0)
 
 
 def test_spectrum_rejects_small_detuning(h_subspace):

@@ -63,7 +63,7 @@ def test_kernel_matches_taylor_oracle(register_hamiltonians, n_carbons, n_pulses
         + data.draw(st.lists(phases, min_size=n_pulses, max_size=n_pulses))
     )
     out = FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
-    seq = sequence_from_genome(genome, n_pulses, 0.5)
+    seq = sequence_from_genome(genome, 0.5)
     for g, w1 in enumerate(grid):
         u = oracle_sequence_propagator(seq.segments, h, w1)
         ref = abs(np.trace(target.conj().T @ u)) / h.shape[0]

@@ -12,6 +12,7 @@ from icspin.optimize import (
     ParameterBounds,
     _breed,
     _draws_from_words,
+    _rank_keys,
     _tournament_draws,
     _words_to_doubles,
     ga_config_from_dict,
@@ -43,7 +44,18 @@ def test_bounds_layout():
     assert np.all(up[:4] == 4.0)
     assert np.all(up[4:7] == 2.0)
     assert np.all(up[7:] < 2 * np.pi)
-    assert np.all(b.lower() == 0.0)
+
+
+def test_rank_keys_break_fitness_ties_by_duration_then_genome():
+    """Fitness first; among equal fitnesses the shorter sequence, whose
+    duration is the 2n + 1 delays and pulses of the 3n + 1 genes and never
+    the phases; then the genome in lexicographic order."""
+    genomes = np.array([[1.0, 1.0, 0.5, 0.0],    # duration 2.5
+                        [1.0, 0.9, 0.5, 3.0],    # 2.4, the largest phase
+                        [0.5, 1.0, 1.0, 1.0],    # 2.5, lexicographically first
+                        [9.0, 9.0, 9.0, 0.0]])   # 27, the fittest
+    fits = np.array([0.5, 0.5, 0.5, 0.9])
+    assert _rank_keys(fits, genomes).tolist() == [3, 1, 2, 0]
 
 
 def test_bounds_validation():
@@ -146,7 +158,7 @@ def test_best_beats_initial_population(h_subspace):
     cfg = small_cfg(seed=11, generations=8)
     res = optimize(target, h_subspace, bounds, cfg)
     rng = np.random.default_rng(11)
-    init = rng.uniform(bounds.lower(), bounds.upper(),
+    init = rng.uniform(0.0, bounds.upper(),
                        size=(cfg.population, bounds.genome_length))
     kern_fits = icspin.FitnessKernel(
         h_subspace, target, res.robustness.omega1s, bounds.n_pulses
@@ -182,7 +194,7 @@ def test_genomes_respect_bounds_after_evolution(h_subspace):
     target = icspin.hadamard_on_carbon(1)
     bounds = ParameterBounds(n_pulses=2, tau_max=1.5, t_max=0.8)
     res = optimize(target, h_subspace, bounds, small_cfg(seed=7, generations=15))
-    assert np.all(res.best_genome >= bounds.lower() - 1e-15)
+    assert np.all(res.best_genome >= -1e-15)
     assert np.all(res.best_genome <= bounds.upper() + 1e-15)
 
 
@@ -192,18 +204,18 @@ def test_clamping_property(seed):
     """Mutation + clamp keeps every gene inside the box for arbitrary seeds."""
     rng = np.random.default_rng(seed)
     bounds = ParameterBounds(n_pulses=2, tau_max=2.0, t_max=1.0)
-    lo, hi = bounds.lower(), bounds.upper()
-    child = rng.uniform(lo, hi)
+    hi = bounds.upper()
+    child = rng.uniform(0.0, hi)
     child = child + rng.normal(0.0, 0.5, child.size)
-    clamped = np.clip(child, lo, hi)
-    assert np.all(clamped >= lo) and np.all(clamped <= hi)
+    clamped = np.clip(child, 0.0, hi)
+    assert np.all(clamped >= 0.0) and np.all(clamped <= hi)
 
 
 def _breed_per_child(rng, pop, cfg, bounds, k=optimize_module.TOURNAMENT_SIZE):
     """The per-child breeding loop as it stood before ``_breed`` batched
     its draws, kept as the oracle of the fixed-seed stream; `k` is the
     tournament size."""
-    lo, hi = bounds.lower(), bounds.upper()
+    lo, hi = np.zeros(bounds.genome_length), bounds.upper()
     span = hi - lo
     n_children = cfg.population - cfg.elites
     parents = np.empty((2, n_children), dtype=int)
@@ -241,9 +253,9 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
         bounds = ParameterBounds(n_pulses, tau_max=2.0, t_max=1.5)
         for seed in range(4 * case, 4 * case + 4):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            pop = rng.uniform(bounds.lower(), bounds.upper(),
+            pop = rng.uniform(0.0, bounds.upper(),
                               size=(population, bounds.genome_length))
-            oracle_rng.uniform(bounds.lower(), bounds.upper(),
+            oracle_rng.uniform(0.0, bounds.upper(),
                                size=(population, bounds.genome_length))
             for _ in range(3):
                 children = _breed(rng, pop, cfg, bounds)
@@ -268,8 +280,8 @@ def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
     cfg = GAConfig(population=30, mutation_scale=0.3)
     bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-    pop = rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))
-    oracle_rng.uniform(bounds.lower(), bounds.upper(), size=(30, bounds.genome_length))
+    pop = rng.uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
+    oracle_rng.uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
     rng.integers(0, 10)
     oracle_rng.integers(0, 10)
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -308,7 +320,7 @@ def test_breed_falls_back_on_a_rejected_tournament_draw(population):
     bounds = ParameterBounds(2)
     assert _draws_from_words(_zero_word_next(4), cfg, bounds.genome_length) is None
     rng, oracle_rng = _zero_word_next(4), _zero_word_next(4)
-    pop = np.random.default_rng(0).uniform(bounds.lower(), bounds.upper(),
+    pop = np.random.default_rng(0).uniform(0.0, bounds.upper(),
                                            size=(population, bounds.genome_length))
     _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
 

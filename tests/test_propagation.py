@@ -238,7 +238,7 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
     band = (0.48, 0.52)
     grid = icspin.fidelity.omega1_grid(band, 5)
     fast = icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
-    seq = sequence_from_genome(genome, n_pulses, 0.5)
+    seq = sequence_from_genome(genome, 0.5)
     assert np.abs(fast - icspin.robust_fidelity(seq, target, h, band, 5).fidelities).max() < 1e-13
 
 
@@ -388,7 +388,7 @@ def test_interleaved_registers_and_bands_build_each_engine_once(register_hamilto
     rng = np.random.default_rng(7)
     cases = [(k, band) for _ in range(3) for k in (1, 2) for band in ((0.48, 0.52), (0.4, 0.6))]
     sequences = {k: sequence_from_genome(np.concatenate([rng.uniform(0.1, 2.0, 7),
-                                                         rng.uniform(0.0, 6.0, 3)]), 3, 0.5)
+                                                         rng.uniform(0.0, 6.0, 3)]), 0.5)
                  for k in (1, 2)}
 
     def fidelities(k, band):

@@ -40,7 +40,7 @@ def test_duration_sums_segments():
 
 def test_genome_roundtrip():
     genome = np.array([0.1, 0.2, 0.3, 0.4, 1.0, 1.1, 1.2, 0.5, 1.5, 2.5])
-    seq = sequence_from_genome(genome, n_pulses=3, omega1=0.5)
+    seq = sequence_from_genome(genome, omega1=0.5)
     assert seq.n_pulses == 3
     assert len(seq.segments) == 7
     assert np.allclose(genome_from_sequence(seq), genome)
@@ -48,13 +48,13 @@ def test_genome_roundtrip():
 
 def test_genome_phase_wrapping():
     genome = np.array([0.0, 0.0, 1.0, -np.pi])
-    seq = sequence_from_genome(genome, n_pulses=1, omega1=0.5)
+    seq = sequence_from_genome(genome, omega1=0.5)
     assert seq.segments[1].phi == pytest.approx(np.pi)
 
 
 def test_genome_length_check():
     with pytest.raises(SequenceError, match="entries"):
-        sequence_from_genome([0.0, 1.0], n_pulses=1, omega1=0.5)
+        sequence_from_genome([0.0, 1.0], omega1=0.5)
 
 
 def test_genome_from_non_template_sequence():
@@ -68,7 +68,7 @@ def test_genome_from_non_template_sequence():
 
 
 def test_json_roundtrip(tmp_path):
-    seq = sequence_from_genome([0.1, 0.2, 0.9, 1.2], n_pulses=1, omega1=0.5)
+    seq = sequence_from_genome([0.1, 0.2, 0.9, 1.2], omega1=0.5)
     path = tmp_path / "seq.json"
     save_sequence(seq, path)
     again = load_sequence(path)

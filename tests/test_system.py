@@ -43,14 +43,8 @@ def test_negative_nu_c_rejected():
 
 
 def test_carbon_count_limits():
-    c = tuple(HyperfineCoupling(-0.1, 0.1, label=i + 1) for i in range(5))
+    c = tuple(HyperfineCoupling(-0.1, 0.1) for _ in range(5))
     with pytest.raises(ConfigError, match="1 to 4"):
-        SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
-
-
-def test_carbon_labels_must_ascend():
-    c = (HyperfineCoupling(-0.1, 0.1, label=2), HyperfineCoupling(-0.1, 0.1, label=1))
-    with pytest.raises(ConfigError, match="unique and ascending"):
         SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
 
 
@@ -69,11 +63,23 @@ def test_single_carbon_requires_one(registers):
 
 
 def test_subset_selects_labels(registers):
-    sub = registers.subset([1, 3])
-    assert [c.label for c in sub.carbons] == [1, 3]
+    """A carbon's label is its 1-based position; the subset keeps label
+    order and numbers its carbons afresh."""
+    sub = registers.subset([3, 1])
+    assert sub.carbons == (registers.carbons[0], registers.carbons[2])
     assert sub.carbons[1].a_zz == pytest.approx(-0.152 * 2 / 3)
-    with pytest.raises(ConfigError, match="label"):
-        registers.subset([7])
+    assert sub.subset([2]).carbons == (registers.carbons[2],)
+    assert (sub.d, sub.nu_e, sub.nu_c, sub.a_n, sub.b0) == (
+        registers.d, registers.nu_e, registers.nu_c, registers.a_n, registers.b0)
+
+
+@pytest.mark.parametrize("labels, named", [
+    ([7], "7"), ([0], "0"), ([1, 1], "1"), ([2, 3, 2], "2"), ([1.0], "1.0"), (["2"], "'2'"),
+], ids=["unknown", "zero", "repeated", "repeated_later", "float", "string"])
+def test_subset_refuses_bad_labels(registers, labels, named):
+    """An unknown, repeated or non-integer label is refused, named."""
+    with pytest.raises(ConfigError, match=f"distinct integers from 1 to 4, got {named}$"):
+        registers.subset(labels)
 
 
 def test_roundtrip_json(tmp_path, system):
