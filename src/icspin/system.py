@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .files import check_keys, json_list, json_number, read_json, write_json
+from .files import check_keys, json_list, json_number, read_json
 
 
 class ConfigError(ValueError):
@@ -32,24 +32,25 @@ class HyperfineCoupling:
 
 @dataclass(frozen=True)
 class SpinSystemConfig:
-    """Field and coupling parameters defining the register.
+    """The register parameters the model reads.
 
     Attributes
     ----------
-    d : zero-field splitting (MHz)
-    nu_e : electron Larmor frequency (MHz, signed)
+    d : zero-field splitting (MHz); drive amplitudes must stay below it
     nu_c : carbon-13 Larmor frequency (MHz, positive by convention)
-    a_n : nitrogen hyperfine coupling (MHz)
     carbons : hyperfine couplings; carbon k (its label) is carbons[k - 1]
-    b0 : field strength in mT (informational only)
+
+    A system document also holds nu_e_MHz and A_N_MHz, and may hold B0_mT.
+    They are checked but not modelled: the drive is resonant with the
+    electron's {0, -1} transition and the nitrogen stays frozen in m_N = 1,
+    so the electron Zeeman and nitrogen hyperfine terms only set that
+    transition's frequency, which the rotating frame removes; B0 is
+    informational.
     """
 
     d: float
-    nu_e: float
     nu_c: float
-    a_n: float
     carbons: tuple[HyperfineCoupling, ...]
-    b0: float = 0.0
 
     def __post_init__(self):
         if self.nu_c <= 0:
@@ -89,18 +90,18 @@ class SpinSystemConfig:
                 raise ConfigError(f"carbon labels must be distinct integers from 1 to "
                                   f"{self.n_carbons}, got {label!r}")
         chosen = tuple(self.carbons[label - 1] for label in sorted(labels))
-        return SpinSystemConfig(self.d, self.nu_e, self.nu_c, self.a_n, chosen, self.b0)
+        return SpinSystemConfig(self.d, self.nu_c, chosen)
 
 
-# Document key -> SpinSystemConfig field, and -> HyperfineCoupling field
-_SYSTEM_KEYS = {"D_MHz": "d", "nu_e_MHz": "nu_e", "nu_C_MHz": "nu_c", "A_N_MHz": "a_n",
-                "B0_mT": "b0"}
+# The system document's numbers, checked in this order; all but the last,
+# B0_mT, are required
+_SYSTEM_NUMBERS = ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "B0_mT")
 _CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
 # The largest magnitude of a system config's numbers: MHz for every field
 # but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
 # 2 pi f t stay near 1e13 rad, far from overflow. It also caps the CLI's
-# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth, --detuning)
-# and a GA config's mutation_scale.
+# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth, --detuning),
+# a GA config's mutation_scale and a ccrot target's angle in degrees.
 MAX_CONFIG_VALUE = 1e6
 
 
@@ -113,11 +114,13 @@ def _config_number(value, where: str) -> float:
 
 
 def system_from_dict(doc: dict) -> SpinSystemConfig:
-    """The document ``system_to_dict`` writes; B0_mT (0 when left out) and a
-    free-text name are optional, and any other key is rejected."""
+    """The register a system document describes. Every number is checked,
+    but only D_MHz, nu_C_MHz and the carbons are kept (see
+    SpinSystemConfig); B0_mT and a free-text name are optional, and any
+    other key is rejected."""
     check_keys(doc, "system config", ConfigError, optional=("B0_mT", "name"),
-               required=(*[key for key in _SYSTEM_KEYS if key != "B0_mT"], "carbons"))
-    fields = {field: _config_number(doc.get(key, 0.0), key) for key, field in _SYSTEM_KEYS.items()}
+               required=(*_SYSTEM_NUMBERS[:-1], "carbons"))
+    numbers = {key: _config_number(doc[key], key) for key in _SYSTEM_NUMBERS if key in doc}
     if not json_list(doc["carbons"], "carbons", ConfigError):
         raise ConfigError("carbons must not be empty")
     carbons = []
@@ -125,22 +128,11 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
         check_keys(c, f"carbons[{i}]", ConfigError, required=tuple(_CARBON_KEYS))
         carbons.append(HyperfineCoupling(**{field: _config_number(c[key], f"carbons[{i}].{key}")
                                             for key, field in _CARBON_KEYS.items()}))
-    return SpinSystemConfig(carbons=tuple(carbons), **fields)
-
-
-def system_to_dict(cfg: SpinSystemConfig) -> dict:
-    doc = {key: getattr(cfg, field) for key, field in _SYSTEM_KEYS.items()}
-    doc["carbons"] = [{key: getattr(c, field) for key, field in _CARBON_KEYS.items()}
-                      for c in cfg.carbons]
-    return doc
+    return SpinSystemConfig(numbers["D_MHz"], numbers["nu_C_MHz"], tuple(carbons))
 
 
 def load_system(path: str | Path) -> SpinSystemConfig:
     return system_from_dict(read_json(path, ConfigError))
-
-
-def save_system(cfg: SpinSystemConfig, path: str | Path) -> None:
-    write_json(path, system_to_dict(cfg))
 
 
 def data_path(name: str) -> Path:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .operators import E2, SX_HALF, kron_all
 from .hamiltonian import PROJ_UP, PROJ_DOWN
+from .system import MAX_CONFIG_VALUE
 
 HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -44,10 +45,13 @@ def cnot_on_carbon(n_carbons: int = 1) -> TargetGate:
 
 def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     """exp(-i theta I_x) on the chosen carbon conditioned on electron |-1>,
-    identity on all other carbons."""
+    identity on all other carbons. |theta| may be at most
+    MAX_CONFIG_VALUE degrees, where a float still holds the angle's
+    fraction of a turn to about 1e-10 degrees."""
     _check_carbon(carbon, n_carbons)
-    if not np.isfinite(theta):
-        raise TargetError(f"ccrot angle must be finite, got {theta}")
+    if not abs(theta) <= np.radians(MAX_CONFIG_VALUE):   # NaN fails this too
+        raise TargetError(f"ccrot angle must be finite with magnitude at most "
+                          f"{MAX_CONFIG_VALUE:g} degrees, got {np.degrees(theta):.15g}")
     rot_ops = [E2] * n_carbons
     rot_ops[carbon - 1] = x_rotation(theta)
     e_carb = np.eye(2**n_carbons, dtype=complex)

@@ -16,7 +16,7 @@ from icspin.fidelity import RobustnessReport
 from icspin.kernels import BATCH_ENTRIES
 from icspin.optimize import ga_config_from_dict
 from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS, SequenceError
-from icspin.system import MAX_CONFIG_VALUE, data_path, save_system
+from icspin.system import MAX_CONFIG_VALUE, data_path
 
 
 SYSTEM = str(data_path("system_2q.json"))
@@ -30,6 +30,14 @@ def run(args):
 
 def data_files(out: Path):
     return sorted(p for p in out.iterdir() if p.name != "manifest.json")
+
+
+def write_two_carbon_system(path: Path) -> Path:
+    """The four-carbon register's document with its carbons 1 and 2 only."""
+    doc = json.loads(data_path("system_4c.json").read_text())
+    doc["carbons"] = doc["carbons"][:2]
+    path.write_text(json.dumps(doc))
+    return path
 
 
 # A one-carbon (d = 4) GA on this grid whose population is two kernel chunks
@@ -140,6 +148,20 @@ def test_optimize_manifest_explains_the_search(tmp_path):
         assert tuple(manifest[key] for key in facts) == expected
         for data in data_files(out):
             assert not any(key in data.read_text() for key in facts), data.name
+
+
+def _no_mode_dicts(mode=None):
+    raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+
+@pytest.mark.parametrize("show_config", [
+    _no_mode_dicts, lambda mode: {}, lambda mode: {"Build Dependencies": {}},
+], ids=["no_mode_dicts", "no_build_dependencies", "no_blas"])
+def test_manifest_blas_unknown_without_numpy_build_facts(monkeypatch, show_config):
+    """A numpy without show_config(mode="dicts"), or without a BLAS entry in
+    it, gives an unknown BLAS rather than an error."""
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert icspin.cli._blas() == {"name": "unknown", "version": "unknown"}
 
 
 @pytest.mark.parametrize("command", ["verify", "optimize", "scan", "report"])
@@ -301,9 +323,7 @@ def test_optimize_invalid_bounds_usage_error(tmp_path):
 
 
 def test_optimize_multiqubit_target(tmp_path):
-    two_carbons = icspin.load_system(data_path("system_4c.json")).subset([1, 2])
-    sys_path = tmp_path / "system_2c.json"
-    save_system(two_carbons, sys_path)
+    sys_path = write_two_carbon_system(tmp_path / "system_2c.json")
     (tmp_path / "ga.json").write_text(json.dumps({"population": 60, "generations": 60}))
     out = tmp_path / "o"
     assert run(["optimize", "--system", str(sys_path), "--target", "ccrot:1,180",
@@ -356,11 +376,10 @@ def test_scan_fid_and_spectrum_and_trajectory(tmp_path):
     assert header == "time_us,ex,ey,ez,cx,cy,cz"
 
 
-def test_trajectory_csv_columns(tmp_path, registers):
+def test_trajectory_csv_columns(tmp_path):
     """One carbon's columns are cx,cy,cz; several carbons' are numbered in
     label order."""
-    two_carbons = tmp_path / "two_carbons.json"
-    save_system(registers.subset([1, 2]), two_carbons)
+    two_carbons = write_two_carbon_system(tmp_path / "two_carbons.json")
     seq = tmp_path / "delay.json"
     seq.write_text(json.dumps({"omega1_MHz": 0.5, "segments": [{"delay_us": 0.5}]}))
     headers = []
@@ -847,6 +866,20 @@ def test_verify_non_finite_target_angle_is_usage_error(tmp_path, capsys):
                 "--target", "ccrot:1,nan", "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
     assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("angle, code", [("1e308", 1), ("-1e7", 1), ("-720", 0), ("1e6", 0)])
+def test_verify_target_angle_past_its_ceiling_is_usage_error(tmp_path, capsys, angle, code):
+    """A ccrot angle of 1e308 degrees kept no digit below 720 and was scored;
+    |theta| is capped at MAX_CONFIG_VALUE degrees, like the CLI's other numbers."""
+    out = tmp_path / "o"
+    assert run(["verify", "--system", SYSTEM, "--sequence", CNOT,
+                "--target", f"ccrot:1,{angle}", "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: --target: ccrot angle must be finite with magnitude "
+                              f"at most {MAX_CONFIG_VALUE:g} degrees, got {float(angle):.15g}")
+        assert not out.exists()
 
 
 def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, capsys):

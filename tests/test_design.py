@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import icspin
-from icspin import cli, experiments, targets
+from icspin import cli, experiments, system, targets
 from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE
 from icspin.operators import assert_hermitian
 from icspin.optimize import GAConfig, OptimizationResult, ParameterBounds, ga_config_to_dict
@@ -60,14 +60,14 @@ def test_the_engine_has_three_entry_points():
 
 
 def test_result_objects_write_no_files():
-    """The CLI lays out every output file; the input formats, a sequence and
-    a system config, keep a writer next to their reader. No class writes
-    itself."""
+    """The CLI lays out every output file; of the input formats, only the
+    sequence, which ``optimize`` saves, keeps a writer next to its reader.
+    No class writes itself."""
     writers = sorted(name for name, text in SOURCES.items()
                      for node in ast.walk(ast.parse(text))
                      if isinstance(node, ast.ImportFrom)
                      and {"write_csv", "write_json"} & {alias.name for alias in node.names})
-    assert writers == ["cli.py", "sequence.py", "system.py"]
+    assert writers == ["cli.py", "sequence.py"]
     methods = sorted(f"{name}:{cls.name}.{node.name}" for name, text in SOURCES.items()
                      for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
                      for node in cls.body if isinstance(node, ast.FunctionDef)
@@ -154,9 +154,14 @@ def test_one_function_ends_every_command():
 
 
 def test_no_library_setting_without_a_caller():
-    """A parameter, field or error type that nothing sets, reads or catches
-    is a constant or goes; the CNOT is the pi case of ``cc_rotation``."""
+    """A parameter, field, function or error type that nothing sets, reads,
+    calls or catches is a constant or goes; the CNOT is the pi case of
+    ``cc_rotation``. A register keeps only what the model reads, and no
+    writer round-trips its document."""
     assert tuple(f.name for f in dataclasses.fields(targets.TargetGate)) == ("matrix",)
+    assert tuple(f.name for f in dataclasses.fields(system.SpinSystemConfig)) == (
+        "d", "nu_c", "carbons")
+    assert not hasattr(system, "save_system") and not hasattr(system, "system_to_dict")
     removed = {icspin.sequence_propagator: "omega1",
                targets.hadamard_on_carbon: "carbon", targets.cnot_on_carbon: "carbon",
                assert_hermitian: "rtol", experiments.Spectrum.resolvable_lines: "threshold"}

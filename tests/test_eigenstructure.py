@@ -41,7 +41,7 @@ def test_eigenstates_orthonormal(system):
 
 
 def test_zero_transverse_coupling_gives_bare_states():
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-0.4, 0.0),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.4, 0.0),))
     eig = carbon_eigenstructure(cfg)
     assert eig.kappa_minus == 0.0
     assert np.allclose(eig.phi_minus, [1, 0])
@@ -50,7 +50,7 @@ def test_zero_transverse_coupling_gives_bare_states():
 
 def test_degenerate_block_raises():
     # a_zz + nu_c = 0 and a_zx = 0 leaves the lower manifold with no field
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-0.158, 0.0),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.158, 0.0),))
     with pytest.raises(DegenerateManifoldError):
         carbon_eigenstructure(cfg)
 

@@ -52,7 +52,7 @@ def test_init_delays_reference_values(system):
 
 def test_init_delays_orthogonal_tilt_limit():
     """At a 90-degree tilt the delays reduce to quarter periods."""
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-0.158, 0.2),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.158, 0.2),))
     eig = carbon_eigenstructure(cfg)
     assert eig.kappa_minus_deg == pytest.approx(90.0)
     tau1, tau2 = analytic_init_delays(cfg)
@@ -62,7 +62,7 @@ def test_init_delays_orthogonal_tilt_limit():
 
 def test_init_delays_domain_error():
     # small transverse coupling -> tilt below 45 degrees
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(0.3, 0.1),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(0.3, 0.1),))
     with pytest.raises(InitializationDomainError, match="no solution"):
         analytic_init_delays(cfg)
 
@@ -99,14 +99,14 @@ def test_cleanup_preserves_up_population(system):
 
 
 def test_cleanup_needs_secular_coupling():
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(0.0, 0.1),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(0.0, 0.1),))
     with pytest.raises(ValueError, match="secular"):
         cleanup_delay(cfg)
 
 
 def test_cleanup_delay_past_the_duration_ceiling_is_a_sequence_error():
     """The clean-up's delay is an engine delay, bounded like any other."""
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-1e-7, 0.11),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-1e-7, 0.11),))
     assert cleanup_delay(cfg) > MAX_DURATION_US
     with pytest.raises(SequenceError, match="delay_us"):
         cleanup_propagator(cfg)
@@ -227,7 +227,7 @@ def test_fid_fully_mixed_state_is_flat(system):
 
 
 def test_fid_zero_coupling_single_line_at_detuning():
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(1e-30, 0.0),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(1e-30, 0.0),))
     t = np.arange(2048) * 0.12
     result = electron_fid_scan(density_matrix(basis_state(0, 4)), 3.0, t, config=cfg)
     assert np.allclose([p for p, _ in result.spectrum.lines], 3.0, atol=1e-12)

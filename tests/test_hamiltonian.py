@@ -32,7 +32,7 @@ def test_subspace_matches_four_operator_expansion(system):
 
 
 def test_subspace_diagonal_when_no_transverse_coupling():
-    cfg = SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, (HyperfineCoupling(-0.2, 0.0),))
+    cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.2, 0.0),))
     h = multiqubit_hamiltonian(cfg)
     assert np.abs(h - np.diag(np.diag(h))).max() < 1e-15
 
@@ -141,7 +141,7 @@ def _registers(draw):
     pairs = draw(st.lists(st.tuples(_hyperfine, _hyperfine).filter(lambda p: p != (0.0, 0.0)),
                           min_size=1, max_size=4))
     carbons = tuple(HyperfineCoupling(a_zz, a_zx) for a_zz, a_zx in pairs)
-    return SpinSystemConfig(2870.0, -414.0, draw(st.floats(1e-3, 2.0)), -2.16, carbons)
+    return SpinSystemConfig(2870.0, draw(st.floats(1e-3, 2.0)), carbons)
 
 
 @settings(max_examples=60, deadline=None)

@@ -166,6 +166,15 @@ def test_evaluate_is_bit_identical_on_one_or_two_threads(register_hamiltonians, 
     assert on_main_thread == {True, False}
 
 
+@pytest.mark.parametrize("cpu_count, expected", [(3, 3), (None, 1)])
+def test_cpu_workers_without_an_affinity_mask(monkeypatch, cpu_count, expected):
+    """Where the platform has no affinity mask the machine's CPU count is
+    used, and 1 when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert kernels.cpu_workers() == expected
+
+
 def test_one_cpu_starts_no_thread(register_hamiltonians, monkeypatch):
     """With one CPU a population of many chunks runs on the calling thread,
     and no other thread is alive while it does."""

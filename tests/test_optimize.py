@@ -290,6 +290,23 @@ def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
         pop = _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
 
 
+def test_breed_on_another_bit_generator_draws_call_by_call():
+    """Only PCG64 words can be decoded: on an MT19937 Generator
+    ``_draws_from_words`` declines and leaves the stream as it was, and
+    ``_breed`` gives the per-call draws' children."""
+    cfg = GAConfig(population=30, mutation_scale=0.3)
+    bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
+    rng, twin = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    assert _draws_from_words(rng, cfg, bounds.genome_length) is None
+    assert rng.random(8).tobytes() == twin.random(8).tobytes()
+
+    rng, oracle_rng = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+    pop = np.random.default_rng(0).uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
+    children = _breed(rng, pop, cfg, bounds)
+    assert children.tobytes() == _breed_per_child(oracle_rng, pop, cfg, bounds).tobytes()
+    assert rng.random(8).tobytes() == oracle_rng.random(8).tobytes()
+
+
 def _zero_word_next(seed):
     """A Generator whose next PCG64 word is 0: its XSL-RR output is the
     rotated xor of the state's halves, which are equal here."""

@@ -8,17 +8,13 @@ from icspin.system import (
     SpinSystemConfig,
     data_path,
     load_system,
-    save_system,
     system_from_dict,
 )
 
 
 def test_default_system_values(system):
     assert system.d == 2870.0
-    assert system.nu_e == -414.0
     assert system.nu_c == 0.158
-    assert system.a_n == -2.16
-    assert system.b0 == 14.8
     assert system.n_carbons == 1
     c = system.single_carbon()
     assert (c.a_zz, c.a_zx) == (-0.152, 0.110)
@@ -39,13 +35,13 @@ def test_zero_coupling_rejected():
 
 def test_negative_nu_c_rejected():
     with pytest.raises(ConfigError, match="nu_c"):
-        SpinSystemConfig(2870.0, -414.0, -0.158, -2.16, (HyperfineCoupling(-0.1, 0.1),))
+        SpinSystemConfig(2870.0, -0.158, (HyperfineCoupling(-0.1, 0.1),))
 
 
 def test_carbon_count_limits():
     c = tuple(HyperfineCoupling(-0.1, 0.1) for _ in range(5))
     with pytest.raises(ConfigError, match="1 to 4"):
-        SpinSystemConfig(2870.0, -414.0, 0.158, -2.16, c)
+        SpinSystemConfig(2870.0, 0.158, c)
 
 
 @pytest.mark.parametrize("omega1", [2870.0, 1e308, -0.1, float("nan")])
@@ -69,8 +65,7 @@ def test_subset_selects_labels(registers):
     assert sub.carbons == (registers.carbons[0], registers.carbons[2])
     assert sub.carbons[1].a_zz == pytest.approx(-0.152 * 2 / 3)
     assert sub.subset([2]).carbons == (registers.carbons[2],)
-    assert (sub.d, sub.nu_e, sub.nu_c, sub.a_n, sub.b0) == (
-        registers.d, registers.nu_e, registers.nu_c, registers.a_n, registers.b0)
+    assert (sub.d, sub.nu_c) == (registers.d, registers.nu_c)
 
 
 @pytest.mark.parametrize("labels, named", [
@@ -80,13 +75,6 @@ def test_subset_refuses_bad_labels(registers, labels, named):
     """An unknown, repeated or non-integer label is refused, named."""
     with pytest.raises(ConfigError, match=f"distinct integers from 1 to 4, got {named}$"):
         registers.subset(labels)
-
-
-def test_roundtrip_json(tmp_path, system):
-    path = tmp_path / "sys.json"
-    save_system(system, path)
-    again = load_system(path)
-    assert again == system
 
 
 def test_unknown_keys_rejected():
