@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FitnessKernel
+from .operators import is_integer
 from .sequence import PulseSequence, genome_from_sequence
 from .targets import TargetGate
 
@@ -32,7 +33,7 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
         raise ValueError(f"min_MHz and max_MHz must be finite with 0 <= min_MHz <= max_MHz, "
                          f"got {lo!r}, {hi!r}")
-    if not 1 <= points <= MAX_GRID_POINTS:
+    if not (is_integer(points) and 1 <= points <= MAX_GRID_POINTS):
         raise ValueError(f"points must be at least one and at most {MAX_GRID_POINTS}, "
                          f"got {points!r}")
     if points == 1:

@@ -29,6 +29,7 @@ import threading
 
 import numpy as np
 
+from .operators import is_integer
 from .propagation import engine_for
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
@@ -84,14 +85,15 @@ class FitnessKernel:
     n_pulses : number of pulses in the genome template; 0 is one delay
 
     ``evaluate`` works in propagator stacks that the kernel keeps, one pair
-    per thread a call has run on, so one kernel is not re-entrant: it must
-    not be evaluated from two threads at once. Different kernels may be.
+    per thread a call has run on, made by the first call on that many
+    threads. So one kernel is not re-entrant: it must not be evaluated from
+    two threads at once. Different kernels may be.
     """
 
     def __init__(self, h, target, omega1s, n_pulses):
+        if not (is_integer(n_pulses) and n_pulses >= 0):
+            raise ValueError(f"n_pulses must be >= 0, got {n_pulses!r}")
         self.n_pulses = int(n_pulses)
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
         if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")
         self.engine = engine_for(h, omega1s)
@@ -100,21 +102,11 @@ class FitnessKernel:
         if u_target.shape != (d, d):
             raise ValueError(f"dimension mismatch: {(d, d)} vs {u_target.shape}")
         self._target_conj = self.engine.to_eigenbasis(u_target).conj()
-        # Every chunk runs in two kept propagator stacks: a fresh stack per
-        # chunk or call would grow and trim the heap and fault its pages
-        # back in each time. Grid slices and the calling thread's stack
-        # views are fixed here, so a call pays no set-up per chunk.
         self._points = min(g, max(1, BATCH_ENTRIES // (d * d)))
         self._chunk = max(1, BATCH_ENTRIES // (self._points * d * d))
         self._grid_slices = [slice(s, min(s + self._points, g))
                              for s in range(0, g, self._points)]
-        self._workspaces = [self._new_workspace()]   # one per thread a call has run on
-
-    def _new_workspace(self):
-        """Two chunk-sized stacks, as (grid slice, stack views) pairs."""
-        d = self.engine.dim
-        stacks = np.empty((2, self._chunk, self._points, d, d), dtype=complex)
-        return [(grid, stacks[:, :, : grid.stop - grid.start]) for grid in self._grid_slices]
+        self._stacks = []   # two propagator stacks per thread a call has run on
 
     def evaluate(self, genomes) -> np.ndarray:
         """Fidelities of shape (n_genomes, n_grid).
@@ -130,34 +122,35 @@ class FitnessKernel:
         n = self.n_pulses
         if genomes.shape[1] != 3 * n + 1:
             raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
-        fids = np.empty((len(genomes), self.engine.omega1s.size))
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
-        while len(self._workspaces) < threads:
-            self._workspaces.append(self._new_workspace())
+        d = self.engine.dim
+        while len(self._stacks) < threads:
+            self._stacks.append(np.empty((2, self._chunk, self._points, d, d), dtype=complex))
+        fids = np.empty((len(genomes), self.engine.omega1s.size))
         work = (_dealer(starts), genomes, fids)
         if threads == 1:
-            self._run_chunks(self._workspaces[0], *work)
+            self._run_chunks(self._stacks[0], *work)
         else:
             # imported here: it loads logging, which no one-thread command needs
             from concurrent.futures import ThreadPoolExecutor
             # leaving the block joins every thread, also when this one raises
             with ThreadPoolExecutor(threads - 1, thread_name_prefix="icspin-kernel") as pool:
-                futures = [pool.submit(self._run_chunks, workspace, *work)
-                           for workspace in self._workspaces[1:threads]]
-                self._run_chunks(self._workspaces[0], *work)
+                futures = [pool.submit(self._run_chunks, stacks, *work)
+                           for stacks in self._stacks[1:threads]]
+                self._run_chunks(self._stacks[0], *work)
             for future in futures:
                 future.result()
         check_fidelities(fids)
         return fids
 
-    def _run_chunks(self, workspace, deal, genomes, fids):
+    def _run_chunks(self, stacks, deal, genomes, fids):
         """Write the fidelities of the chunks that `deal` hands out into
-        `fids`, in the stacks of `workspace`."""
+        `fids`, in the two propagator stacks `stacks`."""
         while (start := deal()) is not None:
             chunk = slice(start, start + self._chunk)
-            for grid, stacks in workspace:
-                u, spare = stacks[:, : len(genomes[chunk])]
+            for grid in self._grid_slices:
+                u, spare = stacks[:, : len(genomes[chunk]), : grid.stop - grid.start]
                 u, last = self.engine.chain(genomes[chunk], u, spare, grid)
                 weights = last[:, :, None] * self._target_conj                # (P, d, d)
                 traces = np.einsum("pij,pgij->pg", weights, u)

@@ -25,6 +25,12 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and for anything
+    else, a whole float or a digit string included."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def assert_hermitian(h: np.ndarray) -> None:
     """Raise ValueError if `h` deviates from Hermiticity beyond 1e-12 of its
     largest matrix element (or of 1, if that is larger)."""

@@ -23,7 +23,7 @@ from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessRepo
                        equal_weight_score, omega1_grid)
 from .files import check_keys, json_number
 from .kernels import FitnessKernel
-from .operators import TWO_PI
+from .operators import TWO_PI, is_integer
 from .sequence import MAX_DURATION_US, PulseSequence, SequenceError, sequence_from_genome
 from .system import MAX_CONFIG_VALUE
 from .targets import TargetGate
@@ -41,7 +41,7 @@ class ParameterBounds:
     t_max: float = 4.0
 
     def __post_init__(self):
-        if self.n_pulses < 1:
+        if not (is_integer(self.n_pulses) and self.n_pulses >= 1):
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
         for name in ("tau_max", "t_max"):
             v = getattr(self, name)

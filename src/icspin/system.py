@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .files import check_keys, json_list, json_number, read_json
+from .operators import is_integer
 
 
 class ConfigError(ValueError):
@@ -85,7 +86,7 @@ class SpinSystemConfig:
         """A new config keeping the carbons with the given labels, in label
         order; it numbers them afresh from 1."""
         for i, label in enumerate(labels):
-            if (not isinstance(label, int) or not 1 <= label <= self.n_carbons
+            if (not is_integer(label) or not 1 <= label <= self.n_carbons
                     or label in labels[:i]):
                 raise ConfigError(f"carbon labels must be distinct integers from 1 to "
                                   f"{self.n_carbons}, got {label!r}")

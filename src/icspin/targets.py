@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import E2, SX_HALF, kron_all
+from .operators import E2, SX_HALF, is_integer, kron_all
 from .hamiltonian import PROJ_UP, PROJ_DOWN
 from .system import MAX_CONFIG_VALUE
 
@@ -59,8 +59,8 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:
-    if not 1 <= carbon <= n_carbons:
-        raise TargetError(f"carbon index {carbon} out of range 1..{n_carbons}")
+    if not (is_integer(carbon) and is_integer(n_carbons) and 1 <= carbon <= n_carbons):
+        raise TargetError(f"carbon index {carbon!r} out of range 1..{n_carbons!r}")
 
 
 def target_library(name: str, n_carbons: int = 1) -> TargetGate:

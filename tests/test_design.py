@@ -1,17 +1,22 @@
-"""Design invariants of the package, read from its source files."""
+"""Design invariants of the package, most of them read from its source files."""
 import ast
 import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import icspin
 from icspin import cli, experiments, system, targets
-from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE
+from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
+from icspin.kernels import FitnessKernel
 from icspin.operators import assert_hermitian
 from icspin.optimize import GAConfig, OptimizationResult, ParameterBounds, ga_config_to_dict
 from icspin.propagation import PropagationEngine
 from icspin.sequence import sequence_from_genome
-from icspin.system import HyperfineCoupling
+from icspin.system import ConfigError, HyperfineCoupling
+from icspin.targets import TargetError, cc_rotation
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
            for path in Path(icspin.__file__).parent.glob("*.py")}
@@ -206,3 +211,34 @@ def test_each_value_has_one_source():
         if default not in (None, False):   # --sequence and --noop name none
             assert f"default {default}" in helps[name], name
     assert cli.MAX_GA_GENOMES == cli.MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000
+
+
+# Each library count: its error, the parameter its message names, and a call
+# that passes `value` as the count
+COUNTS = {
+    "kernel_n_pulses": (ValueError, "n_pulses", lambda cfg, value: FitnessKernel(
+        icspin.multiqubit_hamiltonian(cfg), cc_rotation(1, 1, np.pi), [0.5], value)),
+    "bounds_n_pulses": (ValueError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
+    "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
+    "grid_points": (ValueError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
+    "ccrot_n_carbons": (TargetError, "out of range", lambda cfg, value: cc_rotation(value, 1, np.pi)),
+    "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    *((site, value) for site in COUNTS if site != "subset_label" for value in (True, 1.0, 2.5, "1")),
+    ("subset_label", True),
+])
+def test_library_counts_refuse_what_is_not_an_integer(system, site, value):
+    """A bool, a float or a string given as a count raises the error of an
+    out-of-range count, naming the parameter."""
+    error, name, call = COUNTS[site]
+    with pytest.raises(error, match=name):
+        call(system, value)
+
+
+def test_library_counts_take_numpy_integers(system):
+    """A numpy integer is a count like a Python int."""
+    for site, (_, _, call) in COUNTS.items():
+        call(system, np.int64(1))

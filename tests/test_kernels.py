@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import icspin
 from icspin import kernels
 from icspin.kernels import BATCH_ENTRIES, FitnessKernel
+from icspin.propagation import engine_for
 from icspin.sequence import sequence_from_genome
 
 from oracles import oracle_sequence_propagator, random_unitary
@@ -242,6 +243,51 @@ def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch)
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_kernel_allocates_no_stack_until_its_first_call(register_hamiltonians):
+    """Building a d32 kernel on an engine the memo holds traces no
+    propagator stack (two would take 983 kB): the first call makes them."""
+    h = register_hamiltonians[4]
+    grid = np.linspace(0.48, 0.52, 5)
+    target = icspin.cc_rotation(4, 1, np.pi)
+    engine_for(h, grid)
+    tracemalloc.start()
+    try:
+        FitnessKernel(h, target, grid, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+
+
+def test_two_kernels_on_one_engine_run_at_once(register_hamiltonians, monkeypatch):
+    """Two kernels on one engine, each evaluated from its own thread at the
+    same time and each on two threads, return their serial rows bit for
+    bit, and no stack of one is a stack of the other."""
+    monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
+    h = register_hamiltonians[4]
+    grid = np.linspace(0.48, 0.52, 5)
+    kerns = [FitnessKernel(h, icspin.cc_rotation(4, carbon, np.pi), grid, 4) for carbon in (1, 2)]
+    assert kerns[0].engine is kerns[1].engine
+    genomes = np.random.default_rng(8).uniform(0.0, 4.0, size=(98, 13))
+    expected = [kern.evaluate(genomes) for kern in kerns]
+    start = threading.Barrier(2)
+    out = [[], []]
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            out[i].append(kerns[i].evaluate(genomes))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for rows, serial in zip(out, expected):
+        assert len(rows) == 3 and all(np.array_equal(r, serial) for r in rows)
+    assert not any(np.shares_memory(a, b) for a in kerns[0]._stacks for b in kerns[1]._stacks)
 
 
 def test_robust_fidelity_peak_memory_is_grid_chunked(register_hamiltonians):
