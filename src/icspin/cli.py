@@ -45,6 +45,7 @@ from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
+from .operators import E2, PROJ_UP
 from .optimize import GAConfig, ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
@@ -374,7 +375,7 @@ def _scan_fid(args, cfg, seq):
     if args.state == "thermal":
         # electron polarized, carbon unpolarized: the no-carbon-init control.
         # A fully mixed 4-level state is unitary-invariant and gives no signal.
-        state = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0).astype(complex)
+        state = np.kron(PROJ_UP, E2) / 2
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
 
     def write(out: Path) -> None:

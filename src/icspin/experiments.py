@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
-from .hamiltonian import PROJ_UP, multiqubit_hamiltonian
-from .operators import TWO_PI, kron_all
+from .hamiltonian import multiqubit_hamiltonian
+from .operators import PROJ_UP, TWO_PI, kron_all, rotation
 from .propagation import engine_for, sequence_propagator
 from .sequence import Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
@@ -97,15 +97,9 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
 
 
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
-    """Instantaneous hard rotation of the electron pseudo-qubit.
-
-    axis_phi = 0 is an x rotation, pi/2 a y rotation. In closed form,
-    exp(-i angle (cos phi s_x + sin phi s_y)) = cos(angle/2) I
-    - i sin(angle/2) (cos phi sigma_x + sin phi sigma_y), times E on the carbons.
-    """
-    c, s = np.cos(angle / 2), -1j * np.sin(angle / 2)
-    r = np.array([[c, s * np.exp(-1j * axis_phi)], [s * np.exp(1j * axis_phi), c]])
-    return np.kron(r, np.eye(2**n_carbons))
+    """Instantaneous hard rotation of the electron pseudo-qubit,
+    ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
+    return np.kron(rotation(angle, axis_phi), np.eye(2**n_carbons))
 
 
 def simulate_init_sequence(config: SpinSystemConfig):

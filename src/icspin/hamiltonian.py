@@ -15,9 +15,6 @@ import numpy as np
 from .operators import assert_hermitian
 from .system import SpinSystemConfig
 
-PROJ_UP = np.diag([1.0, 0.0]).astype(complex)   # electron |0><0|
-PROJ_DOWN = np.diag([0.0, 1.0]).astype(complex)  # electron |-1><-1| (or |+1><+1|)
-
 
 def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarray:
     """Working-subspace Hamiltonian for 1..4 carbons, dimension 2^(n_carbons+1).

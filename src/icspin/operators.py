@@ -1,7 +1,10 @@
-"""Angular-momentum operators and tensor-product helpers.
+"""The spin-1/2 algebra and tensor-product helpers.
 
-All matrices are dense complex128 numpy arrays. Spin-1/2 operators use the
-convention s_z = diag(+1/2, -1/2).
+Every 2x2 spin matrix of the package is defined here: the Pauli matrices,
+the Hadamard, the projectors and the closed-form rotation. All matrices are
+dense complex128 numpy arrays. Spin-1/2 operators use the convention
+s_z = diag(+1/2, -1/2) = PAULI_Z / 2; the electron pseudo-qubit spanned by
+m_S = 0, m_s is one too, with |0> playing the role of "up".
 """
 from __future__ import annotations
 
@@ -10,11 +13,22 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 E2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PROJ_UP = np.diag([1.0, 0.0]).astype(complex)     # |up><up|: electron |0><0|
+PROJ_DOWN = np.diag([0.0, 1.0]).astype(complex)   # |dn><dn|: electron |m_s><m_s|
 
-# spin-1/2 (also used for the electron pseudo-qubit spanned by m_S = 0, -1,
-# with |0> playing the role of "up")
-SX_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-SZ_HALF = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+
+def rotation(angle: float, axis_phi: float) -> np.ndarray:
+    """exp(-i angle (cos phi s_x + sin phi s_y)) in closed form:
+    cos(angle/2) E2 - i sin(angle/2) (cos phi sigma_x + sin phi sigma_y).
+
+    axis_phi = 0 is an x rotation, pi/2 a y rotation.
+    """
+    c, s = np.cos(angle / 2), -1j * np.sin(angle / 2)
+    return np.array([[c, s * np.exp(-1j * axis_phi)], [s * np.exp(1j * axis_phi), c]])
 
 
 def kron_all(*ops: np.ndarray) -> np.ndarray:
@@ -33,8 +47,8 @@ def is_integer(value) -> bool:
 
 def assert_hermitian(h: np.ndarray) -> None:
     """Raise ValueError if `h` deviates from Hermiticity beyond 1e-12 of its
-    largest matrix element (or of 1, if that is larger)."""
+    largest matrix element (or of 1, if that is larger), or holds NaN."""
     scale = max(np.abs(h).max(), 1.0)
     resid = np.abs(h - h.conj().T).max()
-    if resid > 1e-12 * scale:
+    if not resid <= 1e-12 * scale:   # NaN fails this too
         raise ValueError(f"matrix is not Hermitian: residual {resid:.3e} > 1.0e-12 * {scale:.3e}")

@@ -1,6 +1,6 @@
 """Genetic-algorithm search over pulse-sequence parameters.
 
-Genomes are flat real vectors [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n].
+Genomes are flat real vectors [tau_0..tau_n, t_1..t_n, phi_1..phi_n].
 The fitness of a genome is the mean trace fidelity against the target over
 the configured amplitude grid. Selection is tournament (TOURNAMENT_SIZE),
 crossover is uniform, mutation is Gaussian with a per-gene scale
@@ -79,20 +79,17 @@ class GAConfig:
     omega1_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        if self.elites < 1:
-            raise ValueError("elites must be >= 1")
+        for name, least in (("population", 2), ("generations", 0), ("elites", 1),
+                            ("seed", 0), ("restarts", 1)):
+            v = getattr(self, name)
+            if not (is_integer(v) and v >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if self.elites >= self.population:
             raise ValueError("elites must be smaller than the population")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.early_stop is not None and not np.isfinite(self.early_stop):
             raise ValueError("early_stop must be finite or null")
         try:

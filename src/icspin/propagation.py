@@ -42,7 +42,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .operators import TWO_PI, assert_hermitian
+from .operators import PAULI_X, TWO_PI, assert_hermitian
 from .sequence import PulseSequence, genome_from_sequence
 
 
@@ -98,8 +98,7 @@ class PropagationEngine:
         self.v[half:, half:] = v_dn
         self.zhalf = np.repeat([0.5, -0.5], half)
 
-        drive = np.zeros_like(h)
-        drive[:half, half:] = drive[half:, :half] = 0.5 * np.eye(half)
+        drive = np.kron(PAULI_X.real / 2, np.eye(half))
         self.w_p, v_p = np.linalg.eigh(h + self.omega1s[:, None, None] * drive)
         if not (np.abs(self.w_p) < np.finfo(float).max / TWO_PI).all():   # NaN too
             raise ValueError("amplitude grid too large: the drive Hamiltonian's angular "

@@ -3,7 +3,7 @@
 A sequence alternates free-evolution delays and resonant microwave pulses;
 the canonical template with n pulses carries n+1 delays (leading and
 trailing included) and maps to the flat genome layout
-[tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n] used by the optimizer.
+[tau_0..tau_n, t_1..t_n, phi_1..phi_n] used by the optimizer.
 """
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ class PulseSequence:
 
 
 def sequence_from_genome(genome, omega1: float) -> PulseSequence:
-    """Decode [tau_1..tau_{n+1}, t_1..t_n, phi_1..phi_n], 3n + 1 genes, into a sequence."""
+    """Decode [tau_0..tau_n, t_1..t_n, phi_1..phi_n], 3n + 1 genes, into a sequence."""
     genome = np.asarray(genome, dtype=float)
     if genome.ndim != 1 or genome.size % 3 != 1:
         raise SequenceError(f"a genome needs 3n + 1 entries for n pulses, got {genome.shape}")

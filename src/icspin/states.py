@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from .operators import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:

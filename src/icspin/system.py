@@ -7,6 +7,7 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,6 +28,8 @@ class HyperfineCoupling:
     a_zx: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a_zz) and math.isfinite(self.a_zx)):
+            raise ConfigError(f"hyperfine couplings must be finite, got {self!r}")
         if self.a_zz == 0.0 and self.a_zx == 0.0:
             raise ConfigError("a physical carbon needs a non-zero A_zz_MHz or A_zx_MHz")
 
@@ -54,7 +57,7 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        if self.nu_c <= 0:
+        if not self.nu_c > 0:   # NaN fails this too
             raise ConfigError(f"nu_C_MHz must be positive (sign convention: nu_c > 0), "
                               f"got {self.nu_c!r}")
         if not 1 <= len(self.carbons) <= 4:

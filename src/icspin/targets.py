@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import E2, SX_HALF, is_integer, kron_all
-from .hamiltonian import PROJ_UP, PROJ_DOWN
+from .operators import E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, is_integer, kron_all, rotation
 from .system import MAX_CONFIG_VALUE
-
-HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class TargetError(ValueError):
@@ -25,11 +22,6 @@ class TargetError(ValueError):
 @dataclass(frozen=True)
 class TargetGate:
     matrix: np.ndarray
-
-
-def x_rotation(theta: float) -> np.ndarray:
-    """exp(-i theta I_x) on one carbon."""
-    return np.cos(theta / 2) * E2 - 1j * np.sin(theta / 2) * 2 * SX_HALF
 
 
 def hadamard_on_carbon(n_carbons: int = 1) -> TargetGate:
@@ -53,7 +45,7 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
         raise TargetError(f"ccrot angle must be finite with magnitude at most "
                           f"{MAX_CONFIG_VALUE:g} degrees, got {np.degrees(theta):.15g}")
     rot_ops = [E2] * n_carbons
-    rot_ops[carbon - 1] = x_rotation(theta)
+    rot_ops[carbon - 1] = rotation(theta, 0.0)
     e_carb = np.eye(2**n_carbons, dtype=complex)
     return TargetGate(kron_all(PROJ_UP, e_carb) + kron_all(PROJ_DOWN, kron_all(*rot_ops)))
 

@@ -7,6 +7,11 @@ eigen-differences.
 """
 import numpy as np
 
+# Spin-1/2 operators written out by hand, s_z = diag(+1/2, -1/2)
+SX_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+SY_HALF = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+SZ_HALF = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+
 
 def taylor_expm(m: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring Taylor series exp(m)."""
@@ -84,8 +89,6 @@ def kronecker_register_hamiltonian(config, m_s: int = -1) -> np.ndarray:
     order."""
     n = config.n_carbons
     eye2 = np.eye(2, dtype=complex)
-    sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    sz = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
     proj_up = np.diag([1.0, 0.0]).astype(complex)
     proj_down = np.diag([0.0, 1.0]).astype(complex)
 
@@ -99,8 +102,8 @@ def kronecker_register_hamiltonian(config, m_s: int = -1) -> np.ndarray:
     for slot, c in enumerate(config.carbons):
         ops0 = [proj_up] + [eye2] * n
         opsm = [proj_down] + [eye2] * n
-        ops0[slot + 1] = -config.nu_c * sz
-        opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * sz + m_s * c.a_zx * sx
+        ops0[slot + 1] = -config.nu_c * SZ_HALF
+        opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * SZ_HALF + m_s * c.a_zx * SX_HALF
         h += kron_all(ops0) + kron_all(opsm)
     return h
 

@@ -217,12 +217,14 @@ def test_each_value_has_one_source():
 # that passes `value` as the count
 COUNTS = {
     "kernel_n_pulses": (ValueError, "n_pulses", lambda cfg, value: FitnessKernel(
-        icspin.multiqubit_hamiltonian(cfg), cc_rotation(1, 1, np.pi), [0.5], value)),
+        icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
     "bounds_n_pulses": (ValueError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
     "grid_points": (ValueError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
     "ccrot_n_carbons": (TargetError, "out of range", lambda cfg, value: cc_rotation(value, 1, np.pi)),
     "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
+    **{f"ga_{name}": (ValueError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+       for name in ("population", "generations", "elites", "seed", "restarts")},
 }
 
 
@@ -238,7 +240,33 @@ def test_library_counts_refuse_what_is_not_an_integer(system, site, value):
         call(system, value)
 
 
-def test_library_counts_take_numpy_integers(system):
+def test_library_counts_take_numpy_integers(registers):
     """A numpy integer is a count like a Python int."""
     for site, (_, _, call) in COUNTS.items():
-        call(system, np.int64(1))
+        call(registers, np.int64(3))
+
+
+def _spin_matrix_literals(tree: ast.Module) -> list:
+    """2x2 nested list or tuple literals, and ``diag`` calls on a pair."""
+    def pair(node):
+        return isinstance(node, (ast.List, ast.Tuple)) and len(node.elts) == 2
+    return [node for node in ast.walk(tree)
+            if (pair(node) and all(pair(elt) for elt in node.elts))
+            or (isinstance(node, ast.Call) and _called_name(node) == "diag"
+                and node.args and pair(node.args[0]))]
+
+
+def test_one_spin_half_algebra():
+    """Every 2x2 spin matrix, the closed-form rotation among them, is
+    written in ``operators``; ``hamiltonian`` holds only the Hamiltonian
+    builder, and the targets do not import it."""
+    writers = sorted(name for name, text in SOURCES.items()
+                     if _spin_matrix_literals(ast.parse(text)))
+    assert writers == ["operators.py"]
+    tree = ast.parse(SOURCES["hamiltonian.py"])
+    defined = [getattr(node, "name", None) or ast.unparse(node) for node in tree.body
+               if not isinstance(node, (ast.Import, ast.ImportFrom, ast.Expr))]
+    assert defined == ["multiqubit_hamiltonian"]
+    imported = [node.module for node in ast.walk(ast.parse(SOURCES["targets.py"]))
+                if isinstance(node, ast.ImportFrom)]
+    assert not [module for module in imported if "hamiltonian" in (module or "")]

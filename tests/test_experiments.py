@@ -157,7 +157,7 @@ def test_scans_require_increasing_finite_grid(system, t_grid):
         electron_fid_scan(basis_state(0, 4), 3.0, t_grid, system)
 
 
-@pytest.mark.parametrize("n_carbons", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_carbons", [0, 1, 2, 3, 4])
 def test_electron_rotation_closed_form_matches_eigh(n_carbons):
     sx, sy = electron_drive(2 ** (n_carbons + 1))
     rng = np.random.default_rng(n_carbons)

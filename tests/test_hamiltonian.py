@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 import icspin
 from icspin.hamiltonian import multiqubit_hamiltonian
-from icspin.operators import SX_HALF, SZ_HALF, kron_all
+from icspin.operators import kron_all
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
-from oracles import kronecker_register_hamiltonian
+from oracles import SX_HALF, SZ_HALF, kronecker_register_hamiltonian
 
 E2 = np.eye(2, dtype=complex)
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from icspin.operators import SX_HALF, SZ_HALF, assert_hermitian, kron_all
+from icspin.operators import PAULI_X, PAULI_Y, PAULI_Z, assert_hermitian, kron_all
 
-SY_HALF = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)   # not needed by the package
-SPIN_OPERATORS = {0.5: (SX_HALF, SY_HALF, SZ_HALF)}
+from oracles import SX_HALF, SY_HALF, SZ_HALF
+
+SPIN_OPERATORS = {0.5: (PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2)}
 
 
 def test_spin_half_z_is_diagonal():
-    assert np.allclose(SZ_HALF, np.diag([0.5, -0.5]))
+    """The Pauli matrices are twice the hand-written spin-1/2 operators."""
+    assert np.allclose(PAULI_Z / 2, np.diag([0.5, -0.5]))
+    for op, oracle in zip(SPIN_OPERATORS[0.5], (SX_HALF, SY_HALF, SZ_HALF)):
+        assert np.array_equal(op, oracle)
 
 
 @pytest.mark.parametrize("spin", [0.5])

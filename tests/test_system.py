@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from icspin.operators import assert_hermitian
 from icspin.system import (
     ConfigError,
     HyperfineCoupling,
@@ -36,6 +38,19 @@ def test_zero_coupling_rejected():
 def test_negative_nu_c_rejected():
     with pytest.raises(ConfigError, match="nu_c"):
         SpinSystemConfig(2870.0, -0.158, (HyperfineCoupling(-0.1, 0.1),))
+
+
+def test_nan_registers_are_refused_where_they_are_made():
+    """A library caller's non-finite coupling, NaN Larmor frequency or NaN
+    matrix is refused at once, not in ``eigh`` later."""
+    nan, inf = float("nan"), float("inf")
+    for a_zz, a_zx in ((nan, 0.1), (-0.152, nan), (inf, 0.1), (-0.152, -inf)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            HyperfineCoupling(a_zz, a_zx)
+    with pytest.raises(ConfigError, match="nu_C_MHz must be positive"):
+        SpinSystemConfig(2870.0, nan, (HyperfineCoupling(-0.152, 0.110),))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assert_hermitian(np.array([[0.0, nan], [nan, 0.0]]))
 
 
 def test_carbon_count_limits():

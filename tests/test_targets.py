@@ -8,8 +8,9 @@ from icspin.targets import (
     cnot_on_carbon,
     hadamard_on_carbon,
     target_library,
-    x_rotation,
 )
+
+from oracles import SX_HALF
 
 
 def basis(i, dim=4):
@@ -53,7 +54,7 @@ def test_cc_rotation_full_turn_flips_sign():
 
 def test_cc_rotation_spectator_carbons_untouched():
     u = cc_rotation(2, 1, np.pi).matrix
-    rot = x_rotation(np.pi)
+    rot = -2j * SX_HALF   # exp(-i pi s_x)
     expected = np.kron(np.diag([1.0, 0]), np.eye(4)) + np.kron(
         np.diag([0, 1.0]), np.kron(rot, np.eye(2))
     )
