@@ -32,6 +32,9 @@ from .experiments import (
     InitializationDomainError,
     analytic_init_delays,
     bloch_trajectory,
+    check_detuning,
+    check_linewidth,
+    check_time_step,
     cleanup_delay,
     electron_fid_scan,
     esr_spectrum,
@@ -50,7 +53,7 @@ from .optimize import GAConfig, ParameterBounds, ga_config_from_dict, ga_config_
 from .propagation import engine_for
 from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
 from .states import basis_state
-from .system import MAX_CONFIG_VALUE, ConfigError, load_system
+from .system import ConfigError, load_system
 from .targets import TargetError, target_library
 
 USAGE_ERROR = 1
@@ -86,23 +89,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _check_dt(value: float) -> None:
-    """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
-    largest frequency a config may hold; below it the spectra overflow."""
-    if not (np.isfinite(value) and value >= 0.5 / MAX_CONFIG_VALUE):
-        raise CliError(f"--dt must be finite and at least 0.5 / {MAX_CONFIG_VALUE:g} MHz "
-                       f"= {0.5 / MAX_CONFIG_VALUE:g} us, got {value!r}")
-
-
-def _check_linewidth(value: float) -> None:
-    """At the floor 1 / (pi * MAX_DURATION_US) a linewidth's T2* is the longest
-    duration the package accepts; below it the Lorentzians underflow, and
-    past the ceiling MAX_CONFIG_VALUE their squared half widths overflow."""
-    if not 1.0 / (np.pi * MAX_DURATION_US) <= value <= MAX_CONFIG_VALUE:   # NaN fails too
-        raise CliError(f"--linewidth must be finite and at least 1 / (pi * {MAX_DURATION_US:g} "
-                       f"us), at most {MAX_CONFIG_VALUE:g} MHz, got {value!r}")
 
 
 def _check_size(what: str, size: float, budget: int) -> None:
@@ -447,14 +433,12 @@ def cmd_scan(args, phases: _Phases) -> int:
             setattr(args, name, default)
         elif name not in reads:
             raise CliError(f"--{name} is not read by --kind {args.kind}")
-    _check_dt(args.dt)
-    _check_linewidth(args.linewidth)
+    check_time_step(args.dt, "--dt")
+    check_linewidth(args.linewidth, "--linewidth")
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
     _check_size("--points", args.points, MAX_SCAN_POINTS)
-    if not abs(args.detuning) <= MAX_CONFIG_VALUE:   # NaN fails too
-        raise CliError(f"--detuning must be finite with magnitude at most "
-                       f"{MAX_CONFIG_VALUE:g} MHz, got {args.detuning!r}")
+    check_detuning(args.detuning, "--detuning")
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)
     phases.done("load")
@@ -469,7 +453,7 @@ def cmd_scan(args, phases: _Phases) -> int:
 
 
 def cmd_report(args, phases: _Phases) -> int:
-    _check_linewidth(args.linewidth)
+    check_linewidth(args.linewidth, "--linewidth")
     cfg = load_system(args.system)
     phases.done("load")
     carbon = cfg.single_carbon()   # every quantity below describes one carbon

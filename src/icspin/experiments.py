@@ -14,9 +14,9 @@ from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import multiqubit_hamiltonian
 from .operators import PROJ_UP, TWO_PI, kron_all, rotation
 from .propagation import engine_for, sequence_propagator
-from .sequence import Delay, PulseSequence
+from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
-from .system import SpinSystemConfig
+from .system import MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
 
 
@@ -151,6 +151,30 @@ def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
 # scans
 
 
+# The range of each scan input; a check raises ConfigError naming `where`.
+def check_time_step(dt: float, where: str = "dt") -> None:
+    """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
+    largest frequency a config may hold; below it the spectra overflow."""
+    if not (np.isfinite(dt) and dt >= 0.5 / MAX_CONFIG_VALUE):
+        raise ConfigError(f"{where} must be finite and at least 0.5 / {MAX_CONFIG_VALUE:g} MHz "
+                          f"= {0.5 / MAX_CONFIG_VALUE:g} us, got {dt!r}")
+
+
+def check_linewidth(linewidth: float, where: str = "linewidth") -> None:
+    """At the floor 1 / (pi * MAX_DURATION_US) T2* is the longest duration allowed; below
+    it the Lorentzians underflow, and past the ceiling their squared half widths overflow."""
+    if not 1.0 / (np.pi * MAX_DURATION_US) <= linewidth <= MAX_CONFIG_VALUE:   # NaN fails too
+        raise ConfigError(f"{where} must be finite and at least 1 / (pi * {MAX_DURATION_US:g} "
+                          f"us), at most {MAX_CONFIG_VALUE:g} MHz, got {linewidth!r}")
+
+
+def check_detuning(detuning: float, where: str = "detuning") -> None:
+    """A detuning is capped like any frequency a config may hold."""
+    if not abs(detuning) <= MAX_CONFIG_VALUE:   # NaN fails too
+        raise ConfigError(f"{where} must be finite with magnitude at most "
+                          f"{MAX_CONFIG_VALUE:g} MHz, got {detuning!r}")
+
+
 def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
     """Resolve a gate argument: None/'ideal' -> default target matrix,
     'noop' -> identity, PulseSequence -> its propagator."""
@@ -176,10 +200,9 @@ def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     if t_grid.size < 2:
         raise ValueError("time grid needs at least two samples")
     steps = np.diff(t_grid)
-    if not (np.isfinite(t_grid).all() and steps[0] > 0):
-        raise ValueError("time grid must be finite and increasing")
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
+    check_time_step(float(steps[0]), "the step of an increasing t_grid")
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):   # NaN fails too
+        raise ValueError("time grid must be finite and uniform")
     return t_grid
 
 
@@ -222,8 +245,7 @@ def electron_fid_scan(
     must reach the line span, else lines of either sign fold over zero.
     """
     t_grid = _check_uniform(t_grid)
-    if not np.isfinite(nu_d):
-        raise ValueError(f"detuning must be finite, got {nu_d}")
+    check_detuning(nu_d, "detuning nu_d")
     h = multiqubit_hamiltonian(config)
     state = np.asarray(state, dtype=complex)
     if state.shape not in ((h.shape[0],), h.shape):
@@ -320,8 +342,8 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     eigenstates connected by the electron flip operator. Weights are squared
     matrix elements (see ``esr_lines``).
     """
-    if not (np.isfinite(linewidth) and linewidth > 0):
-        raise ValueError(f"linewidth must be positive and finite, got {linewidth}")
+    check_linewidth(linewidth)
+    check_detuning(detuning)
     sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
@@ -346,6 +368,7 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
 def segment_samples(seq: PulseSequence, dt: float) -> list[int]:
     """The samples ``bloch_trajectory`` takes of each segment of `seq` at
     step `dt`, the segment's start left out."""
+    check_time_step(dt)
     return [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
 
 
@@ -362,8 +385,7 @@ def bloch_trajectory(
     k = 1 .. ceil((T - 1e-15) / dt), so the last point equals the one-shot
     sequence propagator applied to the initial state.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    counts = segment_samples(seq, dt)
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ValueError(f"initial must be a state vector of shape ({h.shape[0]},), "
@@ -373,7 +395,7 @@ def bloch_trajectory(
 
     times, states = [np.zeros(1)], [state[None]]
     # each segment starts at the last sample, times[-1][-1]
-    for seg, count in zip(seq.segments, segment_samples(seq, dt)):
+    for seg, count in zip(seq.segments, counts):
         offsets = np.minimum(np.arange(1, count + 1) * dt, seg.duration)
         if isinstance(seg, Delay):
             block = np.exp(-1j * TWO_PI * np.outer(offsets, engine.w)) * state
@@ -396,6 +418,5 @@ def bloch_trajectory(
 
 def min_coherence_time(linewidth: float) -> float:
     """T2* (us) required to resolve lines of the given width (MHz)."""
-    if not (np.isfinite(linewidth) and linewidth > 0):
-        raise ValueError(f"linewidth must be positive and finite, got {linewidth}")
+    check_linewidth(linewidth)
     return 1.0 / (np.pi * linewidth)

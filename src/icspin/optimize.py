@@ -61,6 +61,10 @@ class ParameterBounds:
         return up
 
 
+# The GA's integer settings and the least value of each
+_GA_COUNTS = {"population": 2, "generations": 0, "elites": 1, "seed": 0, "restarts": 1}
+
+
 @dataclass(frozen=True)
 class GAConfig:
     """The GA's settings; each field but the band is a GA-document key of its
@@ -79,8 +83,7 @@ class GAConfig:
     omega1_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        for name, least in (("population", 2), ("generations", 0), ("elites", 1),
-                            ("seed", 0), ("restarts", 1)):
+        for name, least in _GA_COUNTS.items():
             v = getattr(self, name)
             if not (is_integer(v) and v >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
@@ -103,7 +106,7 @@ class GAConfig:
 
 _GA_KEYS = tuple(f.name for f in fields(GAConfig)
                  if f.name not in ("omega1_range", "omega1_points"))
-_GA_INT_KEYS = {"population", "generations", "elites", "seed", "restarts", "points"}
+_GA_INT_KEYS = {*_GA_COUNTS, "points"}
 _GRID_KEYS = ("min_MHz", "max_MHz", "points")
 
 

@@ -17,7 +17,7 @@ from .operators import is_integer
 
 
 class ConfigError(ValueError):
-    """Raised for malformed or physically invalid register configs."""
+    """A malformed or physically invalid register config, or a scan input out of range."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,9 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        if not self.nu_c > 0:   # NaN fails this too
+        if not self.d > 0:   # NaN fails this too
+            raise ConfigError(f"D_MHz must be positive, got {self.d!r}")
+        if not self.nu_c > 0:
             raise ConfigError(f"nu_C_MHz must be positive (sign convention: nu_c > 0), "
                               f"got {self.nu_c!r}")
         if not 1 <= len(self.carbons) <= 4:
@@ -103,9 +105,9 @@ _SYSTEM_NUMBERS = ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "B0_mT")
 _CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
 # The largest magnitude of a system config's numbers: MHz for every field
 # but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
-# 2 pi f t stay near 1e13 rad, far from overflow. It also caps the CLI's
-# other frequencies (a scan's Nyquist 0.5 / --dt, --linewidth, --detuning),
-# a GA config's mutation_scale and a ccrot target's angle in degrees.
+# 2 pi f t stay near 1e13 rad, far from overflow. It also caps the scan inputs'
+# frequencies in experiments.check_time_step (the Nyquist 0.5 / dt), check_linewidth
+# and check_detuning, a GA config's mutation_scale and a ccrot target's angle in degrees.
 MAX_CONFIG_VALUE = 1e6
 
 

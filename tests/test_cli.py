@@ -991,6 +991,22 @@ def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     assert not (out / "verify.json").exists()
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_system_with_negative_d_is_usage_error(tmp_path, capsys, command):
+    """A negative D loaded: report ran on it, and verify blamed --grid max.
+    Both now refuse the register itself."""
+    doc = json.loads(Path(SYSTEM).read_text())
+    doc["D_MHz"] = -5
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = {"report": ["report"],
+            "verify": ["verify", "--sequence", CNOT, "--target", "cnot"]}[command]
+    assert run(argv + ["--system", str(system), "--out", str(out)]) == 1
+    assert "error: D_MHz must be positive, got -5.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_on_a_system_without_carbons_is_usage_error(tmp_path, capsys):
     doc = json.loads(Path(SYSTEM).read_text())
     doc["carbons"] = []

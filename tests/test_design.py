@@ -270,3 +270,39 @@ def test_one_spin_half_algebra():
     imported = [node.module for node in ast.walk(ast.parse(SOURCES["targets.py"]))
                 if isinstance(node, ast.ImportFrom)]
     assert not [module for module in imported if "hamiltonian" in (module or "")]
+
+
+# Each scan input's check, a phrase of its message, and every function that
+# calls it; bloch_trajectory reads dt through segment_samples
+SCAN_INPUT_RULES = {
+    "check_time_step": ("at least 0.5 / {MAX_CONFIG_VALUE:g} MHz",
+                        {"experiments.py:_check_uniform", "experiments.py:segment_samples",
+                         "cli.py:cmd_scan"}),
+    "check_linewidth": ("at least 1 / (pi * {MAX_DURATION_US:g} us)",
+                        {"experiments.py:esr_spectrum", "experiments.py:min_coherence_time",
+                         "cli.py:cmd_scan", "cli.py:cmd_report"}),
+    "check_detuning": ("magnitude at most {MAX_CONFIG_VALUE:g} MHz",
+                       {"experiments.py:electron_fid_scan", "experiments.py:esr_spectrum",
+                        "cli.py:cmd_scan"}),
+}
+
+
+def test_each_scan_input_has_one_rule():
+    """The time step, the linewidth and the detuning each have one range
+    rule, written in ``experiments``, which every library reader and the
+    CLI call; the CLI writes none of its own."""
+    functions = [(f"{name}:{node.name}", node) for name, text in SOURCES.items()
+                 for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+    for check, (phrase, readers) in SCAN_INPUT_RULES.items():
+        writers = [where for where, func in functions for node in ast.walk(func)
+                   if isinstance(node, ast.JoinedStr) and phrase in ast.unparse(node)]
+        assert writers == [f"experiments.py:{check}"], check
+        callers = {where for where, func in functions
+                   if any(isinstance(node, ast.Call) and _called_name(node) == check
+                          for node in ast.walk(func))}
+        assert callers == readers, check
+    cli_functions = {where for where, _ in functions if where.startswith("cli.py:")}
+    assert not cli_functions & {"cli.py:_check_dt", "cli.py:_check_linewidth"}
+    imported = {alias.name for node in ast.walk(ast.parse(SOURCES["cli.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "MAX_CONFIG_VALUE" not in imported

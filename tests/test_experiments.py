@@ -10,6 +10,9 @@ from icspin.experiments import (
     Spectrum,
     analytic_init_delays,
     bloch_trajectory,
+    check_detuning,
+    check_linewidth,
+    check_time_step,
     cleanup_delay,
     cleanup_propagator,
     electron_fid_scan,
@@ -30,7 +33,7 @@ from icspin.states import (
     partial_trace,
     qubit_bloch_vectors,
 )
-from icspin.system import HyperfineCoupling, SpinSystemConfig
+from icspin.system import MAX_CONFIG_VALUE, ConfigError, HyperfineCoupling, SpinSystemConfig
 
 from oracles import (
     eigen_difference_lines,
@@ -520,3 +523,49 @@ def test_min_coherence_time_values():
     for linewidth in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             min_coherence_time(linewidth)
+
+
+# ---------------------------------------------------------------------------
+# the range of each scan input
+
+
+TINY_GRID = np.arange(4) * 1e-310
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda cfg, h, seq: esr_spectrum(h, 1e-300, 3.0), "linewidth"),
+    (lambda cfg, h, seq: esr_spectrum(h, 0.0106, 1e300), "detuning"),
+    (lambda cfg, h, seq: esr_spectrum(h, 1e300, 1e300), "linewidth"),
+    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", TINY_GRID, cfg), "t_grid"),
+    (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 3.0, TINY_GRID, cfg), "t_grid"),
+    (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 1e300, np.arange(64) * 0.1, cfg),
+     "nu_d"),
+    (lambda cfg, h, seq: min_coherence_time(1e-300), "linewidth"),
+    (lambda cfg, h, seq: segment_samples(seq, 0.0), "dt"),
+], ids=["esr_linewidth", "esr_detuning", "esr_both", "hadamard_step", "fid_step",
+        "fid_detuning", "coherence_linewidth", "segment_dt"])
+def test_scan_inputs_out_of_range_are_refused(system, h_subspace, cnot_seq, call, name):
+    """The CLI's rules hold for every caller. These calls gave NaN
+    amplitudes, 4,001 equal frequencies of 1e300, an OverflowError,
+    non-finite spectrum frequencies, an undersampling error that blamed the
+    time step, a T2* of 3e299 us and a ZeroDivisionError."""
+    with pytest.raises(ConfigError, match=name):
+        call(system, h_subspace, cnot_seq)
+
+
+def test_scan_input_checks_hold_their_bounds():
+    """Each bound is accepted and the next float past it is refused, as
+    are NaN and infinity, with the caller's label."""
+    dt_floor = 0.5 / MAX_CONFIG_VALUE
+    linewidth_floor = 1.0 / (np.pi * MAX_DURATION_US)
+    past = np.nextafter(MAX_CONFIG_VALUE, np.inf)
+    cases = ((check_time_step, (dt_floor, 1e300), (np.nextafter(dt_floor, 0.0), np.inf)),
+             (check_linewidth, (linewidth_floor, MAX_CONFIG_VALUE),
+              (np.nextafter(linewidth_floor, 0.0), past)),
+             (check_detuning, (-MAX_CONFIG_VALUE, 0.0, MAX_CONFIG_VALUE), (-past, past)))
+    for check, valid, invalid in cases:
+        for value in valid:
+            check(value)
+        for value in (*invalid, np.nan, -np.inf):
+            with pytest.raises(ConfigError, match="^--flag must be finite"):
+                check(value, "--flag")

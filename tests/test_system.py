@@ -40,6 +40,14 @@ def test_negative_nu_c_rejected():
         SpinSystemConfig(2870.0, -0.158, (HyperfineCoupling(-0.1, 0.1),))
 
 
+@pytest.mark.parametrize("d", [float("nan"), -5.0, 0.0])
+def test_zero_field_splitting_must_be_positive(d):
+    """A D that is not positive was accepted, and ``verify`` then blamed the
+    drive amplitude against it; the register refuses it, naming D_MHz."""
+    with pytest.raises(ConfigError, match="D_MHz must be positive"):
+        SpinSystemConfig(d, 0.158, (HyperfineCoupling(-0.152, 0.110),))
+
+
 def test_nan_registers_are_refused_where_they_are_made():
     """A library caller's non-finite coupling, NaN Larmor frequency or NaN
     matrix is refused at once, not in ``eigh`` later."""
