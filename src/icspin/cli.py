@@ -34,6 +34,8 @@ from .experiments import (
     bloch_trajectory,
     check_detuning,
     check_linewidth,
+    check_scan_points,
+    check_time_span,
     check_time_step,
     cleanup_delay,
     electron_fid_scan,
@@ -49,30 +51,15 @@ from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
 from .operators import E2, PROJ_UP
-from .optimize import GAConfig, ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
+from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
 from .propagation import engine_for
-from .sequence import MAX_DURATION_US, SequenceError, load_sequence, save_sequence
+from .sequence import SequenceError, check_pulses, load_sequence, save_sequence
 from .states import basis_state
 from .system import ConfigError, load_system
 from .targets import TargetError, target_library
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
-
-# Size budgets, checked before anything is allocated (omega1_grid holds the
-# amplitude grid's). 2**16 scan points cost about 50 MB, and a trajectory
-# about 2 kB a step (222 MB at 10**5 steps, on one carbon). MAX_PULSES holds
-# every --sequence as well as the GA's genomes: a chain's arrays grow with
-# the pulses. A GA population of 10_000 genomes of 64 pulses is 15 MB; a
-# one-carbon search at both budgets peaks near 165 MB. A GA scores at most
-# population * (generations + 1) * restarts genomes, at about 13 us each on
-# one carbon and 0.24 ms at d = 32 (5 amplitudes, 4 pulses): the 3.01e6 of
-# MAX_GA_GENOMES take about 40 s and 12 min.
-MAX_SCAN_POINTS = 2**16
-MAX_TRAJECTORY_STEPS = 10_000
-MAX_PULSES = 64
-MAX_POPULATION = 10_000
-MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
 
 
 class CliError(Exception):
@@ -89,11 +76,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _check_size(what: str, size: float, budget: int) -> None:
-    if size > budget:
-        raise CliError(f"{what} must be at most {budget}, got {size}")
 
 
 class _Phases:
@@ -175,7 +157,7 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
 
 def _load_sequence(path):
     seq = load_sequence(path)
-    _check_size("--sequence pulses", seq.n_pulses, MAX_PULSES)
+    check_pulses(seq.n_pulses, "--sequence pulses")
     return seq
 
 
@@ -246,13 +228,10 @@ def cmd_optimize(args, phases: _Phases) -> int:
         }
     try:
         ga = ga_config_from_dict(ga_doc)
+        check_pulses(args.pulses, "--pulses")
         bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    _check_size("--pulses", args.pulses, MAX_PULSES)
-    _check_size("GA config population", ga.population, MAX_POPULATION)
-    _check_size("GA work population * (generations + 1) * restarts",
-                ga.population * (ga.generations + 1) * ga.restarts, MAX_GA_GENOMES)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
@@ -305,12 +284,10 @@ def _scan_sequence(args, cfg):
 
 
 def _scan_times(args) -> np.ndarray:
-    """The sample times of a time-domain scan; their span, like any
-    duration, is at most MAX_DURATION_US."""
+    """The sample times of a time-domain scan."""
     if args.points < 2:   # a spectrum needs two samples
         raise CliError(f"--points must be >= 2 for --kind {args.kind}, got {args.points}")
-    _check_size("scan time span (--points - 1) * --dt in us", (args.points - 1) * args.dt,
-                MAX_DURATION_US)
+    check_time_span((args.points - 1) * args.dt, "scan time span (--points - 1) * --dt in us")
     return np.arange(args.points) * args.dt
 
 
@@ -386,8 +363,7 @@ def _scan_spectrum(args, cfg, seq):
 def _scan_trajectory(args, cfg, seq):
     if seq is None:
         raise CliError("trajectory scan needs --sequence")
-    _check_size("trajectory steps (each segment's duration / --dt, rounded up)",
-                sum(segment_samples(seq, args.dt)), MAX_TRAJECTORY_STEPS)
+    segment_samples(seq, args.dt, "--dt")   # the step budget, before anything is built
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
     traj = bloch_trajectory(seq, h, initial, args.dt)
@@ -437,7 +413,7 @@ def cmd_scan(args, phases: _Phases) -> int:
     check_linewidth(args.linewidth, "--linewidth")
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}")
-    _check_size("--points", args.points, MAX_SCAN_POINTS)
+    check_scan_points(args.points, "--points")
     check_detuning(args.detuning, "--detuning")
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)

@@ -175,6 +175,23 @@ def check_detuning(detuning: float, where: str = "detuning") -> None:
                           f"{MAX_CONFIG_VALUE:g} MHz, got {detuning!r}")
 
 
+# Scan sizes, checked before they are allocated; a check raises ConfigError naming `where`.
+# 2**16 points cost about 50 MB, a trajectory about 2 kB a step (222 MB at 10**5 steps on
+# one carbon), and a time span, like any duration, is at most MAX_DURATION_US.
+MAX_SCAN_POINTS = 2**16
+MAX_TRAJECTORY_STEPS = 10_000
+
+
+def check_scan_points(points: int, where: str) -> None:
+    if points > MAX_SCAN_POINTS:
+        raise ConfigError(f"{where} must be at most {MAX_SCAN_POINTS}, got {points}")
+
+
+def check_time_span(span: float, where: str) -> None:
+    if span > MAX_DURATION_US:
+        raise ConfigError(f"{where} must be at most {MAX_DURATION_US}, got {span}")
+
+
 def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
     """Resolve a gate argument: None/'ideal' -> default target matrix,
     'noop' -> identity, PulseSequence -> its propagator."""
@@ -199,10 +216,12 @@ def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise ValueError("time grid needs at least two samples")
+    check_scan_points(t_grid.size, "t_grid points")
     steps = np.diff(t_grid)
     check_time_step(float(steps[0]), "the step of an increasing t_grid")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):   # NaN fails too
         raise ValueError("time grid must be finite and uniform")
+    check_time_span(t_grid[-1] - t_grid[0], "t_grid span (last - first) in us")
     return t_grid
 
 
@@ -297,6 +316,7 @@ def theta_scan(
     """
     if readout_branch not in (0, -1):
         raise ValueError("readout_branch must be 0 or -1")
+    check_scan_points(np.size(theta_grid), "theta_grid points")
     config.single_carbon()   # the gate and the readout act on one carbon
     h = multiqubit_hamiltonian(config)
     if isinstance(gate, str) and gate.lower() == "cnot":
@@ -365,11 +385,16 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
 # trajectories
 
 
-def segment_samples(seq: PulseSequence, dt: float) -> list[int]:
+def segment_samples(seq: PulseSequence, dt: float, where: str = "dt") -> list[int]:
     """The samples ``bloch_trajectory`` takes of each segment of `seq` at
-    step `dt`, the segment's start left out."""
-    check_time_step(dt)
-    return [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
+    step `dt`, the segment's start left out; their sum is at most
+    MAX_TRAJECTORY_STEPS. A check of `dt` raises ConfigError naming `where`."""
+    check_time_step(dt, where)
+    counts = [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
+    if sum(counts) > MAX_TRAJECTORY_STEPS:
+        raise ConfigError(f"trajectory steps (each segment's duration / {where}, rounded up) "
+                          f"must be at most {MAX_TRAJECTORY_STEPS}, got {sum(counts)}")
+    return counts
 
 
 def bloch_trajectory(

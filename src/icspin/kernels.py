@@ -31,6 +31,7 @@ import numpy as np
 
 from .operators import is_integer
 from .propagation import engine_for
+from .sequence import check_pulses
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
 
@@ -82,7 +83,7 @@ class FitnessKernel:
         electron, as every register builder in the package produces it
     target : target unitary matrix (or TargetGate)
     omega1s : amplitude grid (MHz)
-    n_pulses : number of pulses in the genome template; 0 is one delay
+    n_pulses : number of pulses in the genome template, 0 (one delay) to MAX_PULSES
 
     ``evaluate`` works in propagator stacks that the kernel keeps, one pair
     per thread a call has run on, made by the first call on that many
@@ -93,6 +94,7 @@ class FitnessKernel:
     def __init__(self, h, target, omega1s, n_pulses):
         if not (is_integer(n_pulses) and n_pulses >= 0):
             raise ValueError(f"n_pulses must be >= 0, got {n_pulses!r}")
+        check_pulses(n_pulses, "n_pulses")
         self.n_pulses = int(n_pulses)
         if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")

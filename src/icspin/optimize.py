@@ -16,6 +16,7 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessRepo
 from .files import check_keys, json_number
 from .kernels import FitnessKernel
 from .operators import TWO_PI, is_integer
-from .sequence import MAX_DURATION_US, PulseSequence, SequenceError, sequence_from_genome
+from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
+                       sequence_from_genome)
 from .system import MAX_CONFIG_VALUE
 from .targets import TargetGate
 
@@ -43,6 +45,7 @@ class ParameterBounds:
     def __post_init__(self):
         if not (is_integer(self.n_pulses) and self.n_pulses >= 1):
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
+        check_pulses(self.n_pulses, "n_pulses")
         for name in ("tau_max", "t_max"):
             v = getattr(self, name)
             if not 0 < v <= MAX_DURATION_US:
@@ -63,6 +66,11 @@ class ParameterBounds:
 
 # The GA's integer settings and the least value of each
 _GA_COUNTS = {"population": 2, "generations": 0, "elites": 1, "seed": 0, "restarts": 1}
+# A search's size budgets. MAX_POPULATION genomes of MAX_PULSES pulses are 15 MB, and a
+# one-carbon search at both budgets peaks near 165 MB. A search scores population *
+# (generations + 1) * restarts genomes, about 13 us each on one carbon and 0.24 ms at d = 32
+# (5 amplitudes, 4 pulses): the 3.01e6 of MAX_GA_GENOMES take about 40 s and 12 min.
+MAX_POPULATION = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,11 @@ class GAConfig:
             v = getattr(self, name)
             if not (is_integer(v) and v >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, Real)) and not (
+                    name == "early_stop" and v is None):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if self.elites >= self.population:
             raise ValueError("elites must be smaller than the population")
         for name in ("crossover_rate", "mutation_rate"):
@@ -102,8 +115,16 @@ class GAConfig:
         if not 0.0 <= self.mutation_scale <= MAX_CONFIG_VALUE:   # NaN fails too
             raise ValueError(f"mutation_scale must be finite and in [0, {MAX_CONFIG_VALUE:g}], "
                              f"got {self.mutation_scale!r}")
+        if self.population > MAX_POPULATION:
+            raise ValueError(f"GA config population must be at most {MAX_POPULATION}, "
+                             f"got {self.population}")
+        work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
+        if work > MAX_GA_GENOMES:
+            raise ValueError("GA work population * (generations + 1) * restarts must be "
+                             f"at most {MAX_GA_GENOMES}, got {work}")
 
 
+MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
 _GA_KEYS = tuple(f.name for f in fields(GAConfig)
                  if f.name not in ("omega1_range", "omega1_points"))
 _GA_INT_KEYS = {*_GA_COUNTS, "points"}

@@ -23,10 +23,18 @@ MAX_DURATION_US = 1e6
 # built. Verify and the scans work through every segment, and zero-length
 # delays pass every duration and step budget, so only a count bounds them.
 MAX_SEGMENTS = 2**15
+# The most pulses of a kernel's template, so of every sequence it scores and every GA
+# genome, checked before either is made: a chain's arrays grow with the pulses.
+MAX_PULSES = 64
 
 
 class SequenceError(ValueError):
     """Raised for malformed sequence documents or parameters."""
+
+
+def check_pulses(n_pulses: int, where: str) -> None:
+    if n_pulses > MAX_PULSES:
+        raise SequenceError(f"{where} must be at most {MAX_PULSES}, got {n_pulses}")
 
 
 @dataclass(frozen=True)

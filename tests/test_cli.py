@@ -14,7 +14,7 @@ import icspin
 from icspin.cli import main
 from icspin.fidelity import RobustnessReport
 from icspin.kernels import BATCH_ENTRIES
-from icspin.optimize import ga_config_from_dict
+from icspin.optimize import MAX_POPULATION, ga_config_from_dict
 from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS, SequenceError
 from icspin.system import MAX_CONFIG_VALUE, data_path
 
@@ -670,13 +670,13 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
     small_ga.write_text(json.dumps({"population": 4, "elites": 1, "generations": 0}))
     large_ga = tmp_path / "large_ga.json"
     large_ga.write_text(json.dumps(
-        {"population": icspin.cli.MAX_POPULATION + 1, "generations": 0}))
-    dt = icspin.load_sequence(CNOT).duration / (icspin.cli.MAX_TRAJECTORY_STEPS + 1)
+        {"population": MAX_POPULATION + 1, "generations": 0}))
+    dt = icspin.load_sequence(CNOT).duration / (icspin.experiments.MAX_TRAJECTORY_STEPS + 1)
     delays = tmp_path / "delays.json"
     delays.write_text(json.dumps({"omega1_MHz": 0.5, "segments": [{"delay_us": 1e-6}] * 12_000}))
     pulses = tmp_path / "pulses.json"
     pulses.write_text(json.dumps(
-        {"omega1_MHz": 0.5, "segments": [{"pulse_us": 0.01}] * (icspin.cli.MAX_PULSES + 1)}))
+        {"omega1_MHz": 0.5, "segments": [{"pulse_us": 0.01}] * (icspin.sequence.MAX_PULSES + 1)}))
     empty_delays = tmp_path / "empty_delays.json"
     empty_delays.write_text(json.dumps(
         {"omega1_MHz": 0.5, "segments": [{"delay_us": 0}] * (MAX_SEGMENTS + 1)}))
@@ -687,14 +687,14 @@ def test_size_past_its_budget_is_usage_error(tmp_path, capsys, case):
         "optimize_ga_config_grid": (["optimize", "--target", "cnot", "--ga-config", str(ga)],
                                     "GA config omega1_grid points", "result.json"),
         "scan_points": (["scan", "--kind", "hadamard",
-                         "--points", str(icspin.cli.MAX_SCAN_POINTS + 1)],
+                         "--points", str(icspin.experiments.MAX_SCAN_POINTS + 1)],
                         "--points", "hadamard.json"),
         "trajectory_dt": (["scan", "--kind", "trajectory", "--sequence", CNOT, "--dt", repr(dt)],
                           "--dt", "trajectory.json"),
         "trajectory_segments": (["scan", "--kind", "trajectory", "--sequence", str(delays),
                                  "--dt", "0.1"], "trajectory steps", "trajectory.json"),
         "optimize_pulses": (["optimize", "--target", "cnot", "--ga-config", str(small_ga),
-                             "--pulses", str(icspin.cli.MAX_PULSES + 1)],
+                             "--pulses", str(icspin.sequence.MAX_PULSES + 1)],
                             "--pulses", "result.json"),
         "optimize_population": (["optimize", "--target", "cnot", "--ga-config", str(large_ga)],
                                 "GA config population", "result.json"),
@@ -1420,7 +1420,7 @@ def test_ga_work_budget_admits_the_population_budget_at_the_default_generations(
         raise RuntimeError("the search started")
 
     monkeypatch.setattr(icspin.cli, "optimize", search)
-    (tmp_path / "ga.json").write_text(json.dumps({"population": icspin.cli.MAX_POPULATION}))
+    (tmp_path / "ga.json").write_text(json.dumps({"population": MAX_POPULATION}))
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(tmp_path / "o")]) == 2
     assert "the search started" in capsys.readouterr().err

@@ -12,7 +12,8 @@ from icspin import cli, experiments, system, targets
 from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
 from icspin.kernels import FitnessKernel
 from icspin.operators import assert_hermitian
-from icspin.optimize import GAConfig, OptimizationResult, ParameterBounds, ga_config_to_dict
+from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, OptimizationResult,
+                             ParameterBounds, ga_config_to_dict)
 from icspin.propagation import PropagationEngine
 from icspin.sequence import sequence_from_genome
 from icspin.system import ConfigError, HyperfineCoupling
@@ -210,7 +211,7 @@ def test_each_value_has_one_source():
     for name, default in cli._SCAN_OPTIONS.items():
         if default not in (None, False):   # --sequence and --noop name none
             assert f"default {default}" in helps[name], name
-    assert cli.MAX_GA_GENOMES == cli.MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000
+    assert MAX_GA_GENOMES == MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000
 
 
 # Each library count: its error, the parameter its message names, and a call
@@ -306,3 +307,63 @@ def test_each_scan_input_has_one_rule():
     imported = {alias.name for node in ast.walk(ast.parse(SOURCES["cli.py"]))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "MAX_CONFIG_VALUE" not in imported
+
+
+# Each size budget: the function that holds its one rule, and every function
+# that calls that rule. The hadamard and fid scans check their grids in
+# _check_uniform, and bloch_trajectory counts its steps with segment_samples.
+SIZE_BUDGETS = {
+    "MAX_SCAN_POINTS": ("experiments.py:check_scan_points",
+                        {"experiments.py:_check_uniform", "experiments.py:theta_scan",
+                         "cli.py:cmd_scan"}),
+    "MAX_DURATION_US": ("experiments.py:check_time_span",
+                        {"experiments.py:_check_uniform", "cli.py:_scan_times"}),
+    "MAX_TRAJECTORY_STEPS": ("experiments.py:segment_samples",
+                             {"experiments.py:bloch_trajectory", "cli.py:_scan_trajectory"}),
+    "MAX_PULSES": ("sequence.py:check_pulses",
+                   {"optimize.py:ParameterBounds.__post_init__",
+                    "kernels.py:FitnessKernel.__init__", "cli.py:_load_sequence",
+                    "cli.py:cmd_optimize"}),
+    "MAX_POPULATION": ("optimize.py:GAConfig.__post_init__",
+                       {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
+    "MAX_GA_GENOMES": ("optimize.py:GAConfig.__post_init__",
+                       {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
+}
+
+
+def _top_functions():
+    """(module:name, node) of every module-level function and method, a
+    method named Class.method."""
+    for module, text in SOURCES.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}:{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f"{module}:{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+
+
+def test_each_size_has_one_budget():
+    """Each size budget is one constant and one rule, which every library
+    reader and the CLI call; the CLI holds no budget of its own."""
+    functions = list(_top_functions())
+    for budget, (rule, callers) in SIZE_BUDGETS.items():
+        defined = [name for name, text in SOURCES.items() for node in ast.parse(text).body
+                   if isinstance(node, ast.Assign) and budget in map(ast.unparse, node.targets)]
+        assert len(defined) == 1, budget
+        writers = [where for where, func in functions for node in ast.walk(func)
+                   if isinstance(node, ast.JoinedStr)
+                   and f"at most {{{budget}}}" in ast.unparse(node)]
+        assert writers == [rule], budget
+        called = rule.split(":")[1].split(".")[0]
+        assert {where for where, func in functions
+                if any(isinstance(node, ast.Call) and _called_name(node) == called
+                       for node in ast.walk(func))} == callers, budget
+    tree = ast.parse(SOURCES["cli.py"])
+    names = {getattr(node, "name", None) for node in tree.body}
+    names |= {ast.unparse(target) for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    names |= {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not [name for name in names if name and name.startswith("MAX_")]
+    assert "_check_size" not in names

@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 import icspin
 from icspin.eigenstructure import carbon_eigenstructure
 from icspin.experiments import (
+    MAX_SCAN_POINTS,
+    MAX_TRAJECTORY_STEPS,
     InitializationDomainError,
     Spectrum,
     analytic_init_delays,
     bloch_trajectory,
     check_detuning,
     check_linewidth,
+    check_scan_points,
+    check_time_span,
     check_time_step,
     cleanup_delay,
     cleanup_propagator,
@@ -499,9 +503,9 @@ def test_trajectory_needs_a_state_vector(h_subspace, cnot_seq):
             bloch_trajectory(cnot_seq, h_subspace, initial, dt=0.1)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.37, 40.0])
+@pytest.mark.parametrize("dt", [2e-3, 0.1, 0.37, 40.0])
 def test_segment_samples_count_the_trajectory(h_subspace, cnot_seq, dt):
-    """The CLI's trajectory budget counts with ``segment_samples``; the
+    """The trajectory step budget counts with ``segment_samples``; the
     trajectory takes exactly that many samples after its start, one at least
     for each segment of non-zero length, however short."""
     seq = PulseSequence((Delay(1e-6),) * 5 + cnot_seq.segments + (Pulse(0.0, 0.0),),
@@ -569,3 +573,50 @@ def test_scan_input_checks_hold_their_bounds():
         for value in (*invalid, np.nan, -np.inf):
             with pytest.raises(ConfigError, match="^--flag must be finite"):
                 check(value, "--flag")
+
+
+# ---------------------------------------------------------------------------
+# the size budgets of the scans
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", np.arange(4) * 1e300, cfg), "t_grid span"),
+    (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 3.0,
+                                           np.arange(MAX_SCAN_POINTS + 1) * 0.01, cfg),
+     "t_grid points"),
+    (lambda cfg, h, seq: theta_scan("cnot", np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS + 1),
+                                    -1, cfg), "theta_grid points"),
+    (lambda cfg, h, seq: segment_samples(seq, 1e-3), "dt"),
+    (lambda cfg, h, seq: bloch_trajectory(seq, h, basis_state(0, 4), 1e-3), "dt"),
+], ids=["hadamard_span", "fid_points", "theta_points", "segment_steps", "trajectory_steps"])
+def test_scan_sizes_past_their_budget_are_refused(system, h_subspace, cnot_seq, call, name):
+    """The CLI's budgets hold for every caller. The hadamard scan returned a
+    signal of phases near 1e303 rad, and the CNOT's trajectory at 1e-3 us
+    takes 16,410 samples."""
+    with pytest.raises(ConfigError, match=f"{name}.* must be at most"):
+        call(system, h_subspace, cnot_seq)
+
+
+def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
+    """2**16 samples of each scan, a span of MAX_DURATION_US and exactly
+    MAX_TRAJECTORY_STEPS steps of a trajectory pass; one more is refused,
+    with the caller's label."""
+    times = np.arange(MAX_SCAN_POINTS) * 0.01
+    assert hadamard_circuit_scan("ideal", times, system).signal.size == MAX_SCAN_POINTS
+    assert electron_fid_scan(basis_state(0, 4), 3.0, times, system).signal.size == MAX_SCAN_POINTS
+    thetas = np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS)
+    assert theta_scan("cnot", thetas, -1, system).size == MAX_SCAN_POINTS
+    hadamard_circuit_scan("ideal", np.array([0.0, MAX_DURATION_US]), system)
+    seq = PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25),), 0.0)
+    assert segment_samples(seq, 0.25) == [MAX_TRAJECTORY_STEPS]
+    traj = bloch_trajectory(seq, h_subspace, basis_state(0, 4), 0.25)
+    assert traj.times.size == MAX_TRAJECTORY_STEPS + 1
+    with pytest.raises(ConfigError, match=r"^trajectory steps \(each segment's duration / --dt"):
+        segment_samples(PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25 + 0.25),), 0.0), 0.25,
+                        "--dt")
+    for check, budget, past in ((check_scan_points, MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1),
+                                (check_time_span, MAX_DURATION_US,
+                                 np.nextafter(MAX_DURATION_US, np.inf))):
+        check(budget, "--flag")
+        with pytest.raises(ConfigError, match="^--flag must be at most"):
+            check(past, "--flag")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import icspin
 from icspin.fidelity import omega1_grid
 from icspin.optimize import (
+    MAX_GA_GENOMES,
+    MAX_POPULATION,
     GAConfig,
     ParameterBounds,
     _breed,
@@ -19,6 +21,7 @@ from icspin.optimize import (
     ga_config_to_dict,
     optimize,
 )
+from icspin.sequence import MAX_PULSES
 
 # the module; ``icspin.optimize`` the attribute is the function
 optimize_module = importlib.import_module("icspin.optimize")
@@ -85,6 +88,52 @@ def test_ga_config_validation():
     for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
         with pytest.raises(ValueError, match="omega1_grid min_MHz"):
             GAConfig(omega1_range=bad)
+
+
+@pytest.mark.parametrize("name", ["crossover_rate", "mutation_rate", "mutation_scale",
+                                  "early_stop"])
+@pytest.mark.parametrize("value", [True, False, "0.9", [0.5]])
+def test_ga_config_real_settings_refuse_what_is_not_a_number(name, value):
+    """A bool passed the range checks, and a string reached them and raised
+    numpy's or Python's bare TypeError."""
+    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+        GAConfig(**{name: value})
+
+
+def test_ga_config_real_settings_take_numpy_floats_and_early_stop_none():
+    cfg = GAConfig(crossover_rate=np.float32(0.5), mutation_rate=np.float64(0.1),
+                   mutation_scale=np.int64(1), early_stop=np.float32(0.9))
+    assert cfg.crossover_rate == 0.5
+    assert GAConfig(early_stop=None).early_stop is None
+    with pytest.raises(ValueError, match="^crossover_rate must be a number"):
+        GAConfig(crossover_rate=None)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda h: GAConfig(population=MAX_POPULATION + 1), "population"),
+    (lambda h: GAConfig(generations=2**63), "generations"),
+    (lambda h: GAConfig(restarts=2**63), "restarts"),
+    (lambda h: GAConfig(generations=np.int64(2**62)), "generations"),
+    (lambda h: ParameterBounds(MAX_PULSES + 1), "n_pulses"),
+    (lambda h: icspin.FitnessKernel(h, icspin.cnot_on_carbon(1), [0.5], MAX_PULSES + 1),
+     "n_pulses"),
+], ids=["population", "generations", "restarts", "int64_generations", "bounds_pulses",
+        "kernel_pulses"])
+def test_search_sizes_past_their_budget_are_refused(h_subspace, call, name):
+    """The CLI's budgets hold for every caller; a search of 2**63 generations
+    never ended. The work is counted in Python integers, so numpy counts
+    whose product overflows int64 are refused too."""
+    with pytest.raises(ValueError, match=f"{name}.* must be at most"):
+        call(h_subspace)
+
+
+def test_search_sizes_at_their_budget_are_accepted(h_subspace):
+    """MAX_GA_GENOMES is the population budget at the default generations."""
+    cfg = GAConfig(population=MAX_POPULATION)
+    assert cfg.population * (cfg.generations + 1) * cfg.restarts == MAX_GA_GENOMES
+    assert ParameterBounds(MAX_PULSES).genome_length == 3 * MAX_PULSES + 1
+    kernel = icspin.FitnessKernel(h_subspace, icspin.cnot_on_carbon(1), [0.5], MAX_PULSES)
+    assert kernel.evaluate(np.zeros(3 * MAX_PULSES + 1)).shape == (1, 1)
 
 
 @pytest.mark.parametrize("doc,exc,key", [
