@@ -12,7 +12,7 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import multiqubit_hamiltonian
-from .operators import PROJ_UP, TWO_PI, kron_all, rotation
+from .operators import PROJ_UP, TWO_PI, check_real, kron_all, rotation
 from .propagation import engine_for, sequence_propagator
 from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
@@ -155,24 +155,18 @@ def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
 def check_time_step(dt: float, where: str = "dt") -> None:
     """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
     largest frequency a config may hold; below it the spectra overflow."""
-    if not (np.isfinite(dt) and dt >= 0.5 / MAX_CONFIG_VALUE):
-        raise ConfigError(f"{where} must be finite and at least 0.5 / {MAX_CONFIG_VALUE:g} MHz "
-                          f"= {0.5 / MAX_CONFIG_VALUE:g} us, got {dt!r}")
+    check_real(dt, where, ConfigError, 0.5 / MAX_CONFIG_VALUE)
 
 
 def check_linewidth(linewidth: float, where: str = "linewidth") -> None:
     """At the floor 1 / (pi * MAX_DURATION_US) T2* is the longest duration allowed; below
     it the Lorentzians underflow, and past the ceiling their squared half widths overflow."""
-    if not 1.0 / (np.pi * MAX_DURATION_US) <= linewidth <= MAX_CONFIG_VALUE:   # NaN fails too
-        raise ConfigError(f"{where} must be finite and at least 1 / (pi * {MAX_DURATION_US:g} "
-                          f"us), at most {MAX_CONFIG_VALUE:g} MHz, got {linewidth!r}")
+    check_real(linewidth, where, ConfigError, 1.0 / (np.pi * MAX_DURATION_US), MAX_CONFIG_VALUE)
 
 
 def check_detuning(detuning: float, where: str = "detuning") -> None:
     """A detuning is capped like any frequency a config may hold."""
-    if not abs(detuning) <= MAX_CONFIG_VALUE:   # NaN fails too
-        raise ConfigError(f"{where} must be finite with magnitude at most "
-                          f"{MAX_CONFIG_VALUE:g} MHz, got {detuning!r}")
+    check_real(detuning, where, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
 
 
 # Scan sizes, checked before they are allocated; a check raises ConfigError naming `where`.
@@ -188,8 +182,7 @@ def check_scan_points(points: int, where: str) -> None:
 
 
 def check_time_span(span: float, where: str) -> None:
-    if span > MAX_DURATION_US:
-        raise ConfigError(f"{where} must be at most {MAX_DURATION_US}, got {span}")
+    check_real(span, where, ConfigError, high=MAX_DURATION_US)
 
 
 def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FitnessKernel
-from .operators import is_integer
+from .operators import check_real, is_integer
 from .sequence import PulseSequence, genome_from_sequence
 from .targets import TargetGate
 
@@ -30,9 +30,8 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
     """`points` amplitudes spanning the band, or its centre for one point. The one
     check of a band: ValueError names min_MHz, max_MHz or points for the caller to prefix."""
     lo, hi = omega1_range
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
-        raise ValueError(f"min_MHz and max_MHz must be finite with 0 <= min_MHz <= max_MHz, "
-                         f"got {lo!r}, {hi!r}")
+    check_real(lo, "min_MHz", ValueError, 0.0)
+    check_real(hi, "max_MHz (at least min_MHz)", ValueError, lo)
     if not (is_integer(points) and 1 <= points <= MAX_GRID_POINTS):
         raise ValueError(f"points must be at least one and at most {MAX_GRID_POINTS}, "
                          f"got {points!r}")

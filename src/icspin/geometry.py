@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import check_real
 from .system import HyperfineCoupling
 
 MU0_OVER_4PI = 1e-7            # T m / A
@@ -37,10 +38,8 @@ class DipolarGeometry:
     theta_deg: float
 
     def __post_init__(self):
-        if not 0.0 < self.r_nm < np.inf:
-            raise GeometryError(f"r_nm must be positive and finite, got {self.r_nm!r}")
-        if not 0.0 <= self.theta_deg <= 180.0:
-            raise GeometryError("theta must lie in [0, 180] degrees")
+        check_real(self.r_nm, "r_nm", GeometryError, 0.0, np.inf, "()")
+        check_real(self.theta_deg, "theta_deg", GeometryError, 0.0, 180.0)
 
 
 @np.errstate(over="ignore", under="ignore")   # the prefactor is checked
@@ -51,8 +50,7 @@ def dipolar_prefactor_mhz(r_nm: float) -> float:
     underflow; a distance that is not positive and finite, or whose f(r)
     leaves the float range, raises GeometryError.
     """
-    if not 0.0 < r_nm < np.inf:
-        raise GeometryError(f"r_nm must be positive and finite, got {r_nm!r}")
+    check_real(r_nm, "r_nm", GeometryError, 0.0, np.inf, "()")
     m, e = np.frexp(r_nm)
     b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / (m * 1e-9) ** 3  # rad/s scale
     f = np.ldexp(b / (2 * np.pi) / 1e6, -3 * e)

@@ -4,9 +4,14 @@ Every 2x2 spin matrix of the package is defined here: the Pauli matrices,
 the Hadamard, the projectors and the closed-form rotation. All matrices are
 dense complex128 numpy arrays. Spin-1/2 operators use the convention
 s_z = diag(+1/2, -1/2) = PAULI_Z / 2; the electron pseudo-qubit spanned by
-m_S = 0, m_s is one too, with |0> playing the role of "up".
+m_S = 0, m_s is one too, with |0> playing the role of "up". The two
+input rules of the library live here too: `is_integer` for counts and
+`check_real` for every real-valued input.
 """
 from __future__ import annotations
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +48,26 @@ def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool and for anything
     else, a whole float or a digit string included."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_real(value, where: str, error: type[Exception], low: float = -math.inf,
+               high: float = math.inf, ends: str = "[]") -> None:
+    """The one range rule of a real-valued input: raise `error`, naming
+    `where`, unless `value` is a Python or numpy real number, finite, from
+    `low` to `high`, each end closed or open as `ends` ("[]", "[)", "(]" or
+    "()") says. A bool, a numpy bool, a string, None, NaN and an int past
+    the float range are refused; `value` is not converted."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{where} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise error(f"{where} is out of the float range") from None
+    if not (math.isfinite(x) and (low < x if ends[0] == "(" else low <= x)
+            and (x < high if ends[1] == ")" else x <= high)):
+        left, right = "(" if low == -math.inf else ends[0], ")" if high == math.inf else ends[1]
+        raise error(f"{where} must be finite and in {left}{low:g}, {high:g}{right}, "
+                    f"got {value!r}")
 
 
 def assert_hermitian(h: np.ndarray) -> None:

@@ -16,7 +16,6 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessRepo
                        equal_weight_score, omega1_grid)
 from .files import check_keys, json_number
 from .kernels import FitnessKernel
-from .operators import TWO_PI, is_integer
+from .operators import TWO_PI, check_real, is_integer
 from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
                        sequence_from_genome)
 from .system import MAX_CONFIG_VALUE
@@ -46,10 +45,8 @@ class ParameterBounds:
         if not (is_integer(self.n_pulses) and self.n_pulses >= 1):
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
         check_pulses(self.n_pulses, "n_pulses")
-        for name in ("tau_max", "t_max"):
-            v = getattr(self, name)
-            if not 0 < v <= MAX_DURATION_US:
-                raise ValueError(f"{name} must lie in (0, {MAX_DURATION_US:g}] us, got {v!r}")
+        check_real(self.tau_max, "tau_max", ValueError, 0.0, MAX_DURATION_US, "(]")
+        check_real(self.t_max, "t_max", ValueError, 0.0, MAX_DURATION_US, "(]")
 
     @property
     def genome_length(self) -> int:
@@ -95,26 +92,17 @@ class GAConfig:
             v = getattr(self, name)
             if not (is_integer(v) and v >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, Real)) and not (
-                    name == "early_stop" and v is None):
-                raise ValueError(f"{name} must be a number, got {v!r}")
         if self.elites >= self.population:
             raise ValueError("elites must be smaller than the population")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.early_stop is not None and not np.isfinite(self.early_stop):
-            raise ValueError("early_stop must be finite or null")
+        check_real(self.crossover_rate, "crossover_rate", ValueError, 0.0, 1.0)
+        check_real(self.mutation_rate, "mutation_rate", ValueError, 0.0, 1.0)
+        check_real(self.mutation_scale, "mutation_scale", ValueError, 0.0, MAX_CONFIG_VALUE)
+        if self.early_stop is not None:
+            check_real(self.early_stop, "early_stop", ValueError)
         try:
             omega1_grid(self.omega1_range, self.omega1_points)
         except ValueError as exc:
             raise ValueError(f"GA config omega1_grid {exc}") from exc
-        if not 0.0 <= self.mutation_scale <= MAX_CONFIG_VALUE:   # NaN fails too
-            raise ValueError(f"mutation_scale must be finite and in [0, {MAX_CONFIG_VALUE:g}], "
-                             f"got {self.mutation_scale!r}")
         if self.population > MAX_POPULATION:
             raise ValueError(f"GA config population must be at most {MAX_POPULATION}, "
                              f"got {self.population}")

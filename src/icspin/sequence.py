@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .files import check_keys, json_list, json_number, read_json, write_json
-from .operators import TWO_PI
+from .operators import TWO_PI, check_real
 
 
 # The longest delay or pulse, in us. With every frequency of a system config
@@ -44,8 +44,7 @@ class Delay:
     tau: float
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= MAX_DURATION_US:
-            raise SequenceError(f"delay_us must lie in [0, {MAX_DURATION_US:g}], got {self.tau!r}")
+        check_real(self.tau, "delay_us", SequenceError, 0.0, MAX_DURATION_US)
 
     @property
     def duration(self) -> float:
@@ -60,10 +59,8 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.t <= MAX_DURATION_US:
-            raise SequenceError(f"pulse_us must lie in [0, {MAX_DURATION_US:g}], got {self.t!r}")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise SequenceError(f"phase_rad must lie in [0, 2pi), got {self.phi!r}")
+        check_real(self.t, "pulse_us", SequenceError, 0.0, MAX_DURATION_US)
+        check_real(self.phi, "phase_rad", SequenceError, 0.0, TWO_PI, "[)")
 
     @property
     def duration(self) -> float:
@@ -78,8 +75,7 @@ class PulseSequence:
     omega1: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega1) and self.omega1 >= 0):
-            raise SequenceError(f"omega1_MHz must be finite and >= 0, got {self.omega1!r}")
+        check_real(self.omega1, "omega1_MHz", SequenceError, 0.0)
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
                 raise TypeError(f"unknown segment type: {type(seg).__name__}")

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .files import check_keys, json_list, json_number, read_json
-from .operators import is_integer
+from .operators import check_real, is_integer
 
 
 class ConfigError(ValueError):
@@ -28,8 +28,8 @@ class HyperfineCoupling:
     a_zx: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a_zz) and math.isfinite(self.a_zx)):
-            raise ConfigError(f"hyperfine couplings must be finite, got {self!r}")
+        check_real(self.a_zz, "A_zz_MHz", ConfigError)
+        check_real(self.a_zx, "A_zx_MHz", ConfigError)
         if self.a_zz == 0.0 and self.a_zx == 0.0:
             raise ConfigError("a physical carbon needs a non-zero A_zz_MHz or A_zx_MHz")
 
@@ -57,11 +57,8 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        if not self.d > 0:   # NaN fails this too
-            raise ConfigError(f"D_MHz must be positive, got {self.d!r}")
-        if not self.nu_c > 0:
-            raise ConfigError(f"nu_C_MHz must be positive (sign convention: nu_c > 0), "
-                              f"got {self.nu_c!r}")
+        check_real(self.d, "D_MHz", ConfigError, 0.0, math.inf, "()")
+        check_real(self.nu_c, "nu_C_MHz", ConfigError, 0.0, math.inf, "()")
         if not 1 <= len(self.carbons) <= 4:
             raise ConfigError("register supports 1 to 4 carbons")
 
@@ -77,9 +74,7 @@ class SpinSystemConfig:
         zero-field splitting D. Check the largest amplitude of a grid
         before propagating on it.
         """
-        if not 0.0 <= omega1 < self.d:
-            raise ConfigError(f"{where} must lie in [0, D_MHz = {self.d!r}) MHz, "
-                              f"got {omega1!r}")
+        check_real(omega1, f"{where} (below D_MHz)", ConfigError, 0.0, self.d, "[)")
 
     def single_carbon(self) -> HyperfineCoupling:
         if len(self.carbons) != 1:
@@ -113,9 +108,7 @@ MAX_CONFIG_VALUE = 1e6
 
 def _config_number(value, where: str) -> float:
     value = json_number(value, where, ConfigError)
-    if not abs(value) <= MAX_CONFIG_VALUE:   # NaN fails this too
-        raise ConfigError(f"{where} must be finite with magnitude at most "
-                          f"{MAX_CONFIG_VALUE:g}, got {value!r}")
+    check_real(value, where, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
     return value
 
 

@@ -7,11 +7,13 @@ m_N = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, is_integer, kron_all, rotation
+from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, check_real, is_integer, kron_all,
+                        rotation)
 from .system import MAX_CONFIG_VALUE
 
 
@@ -41,9 +43,8 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     MAX_CONFIG_VALUE degrees, where a float still holds the angle's
     fraction of a turn to about 1e-10 degrees."""
     _check_carbon(carbon, n_carbons)
-    if not abs(theta) <= np.radians(MAX_CONFIG_VALUE):   # NaN fails this too
-        raise TargetError(f"ccrot angle must be finite with magnitude at most "
-                          f"{MAX_CONFIG_VALUE:g} degrees, got {np.degrees(theta):.15g}")
+    limit = math.radians(MAX_CONFIG_VALUE)
+    check_real(theta, "ccrot angle in radians", TargetError, -limit, limit)
     rot_ops = [E2] * n_carbons
     rot_ops[carbon - 1] = rotation(theta, 0.0)
     e_carb = np.eye(2**n_carbons, dtype=complex)
@@ -68,7 +69,7 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
         try:
             carbon_str, theta_str = params.split(",")
             carbon = int(carbon_str)
-            theta = np.radians(float(theta_str))
+            theta = math.radians(float(theta_str))
         except ValueError as exc:
             raise TargetError(
                 f"ccrot parameters must be '<carbon>,<theta_deg>', got {params!r}"

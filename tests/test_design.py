@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,16 @@ import pytest
 import icspin
 from icspin import cli, experiments, system, targets
 from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
+from icspin.files import read_json
+from icspin.geometry import DipolarGeometry, GeometryError, dipolar_prefactor_mhz
 from icspin.kernels import FitnessKernel
 from icspin.operators import assert_hermitian
 from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, OptimizationResult,
                              ParameterBounds, ga_config_to_dict)
 from icspin.propagation import PropagationEngine
-from icspin.sequence import sequence_from_genome
-from icspin.system import ConfigError, HyperfineCoupling
+from icspin.sequence import Delay, Pulse, PulseSequence, SequenceError, sequence_from_genome
+from icspin.system import (ConfigError, HyperfineCoupling, SpinSystemConfig, data_path,
+                           system_from_dict)
 from icspin.targets import TargetError, cc_rotation
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
@@ -247,6 +251,89 @@ def test_library_counts_take_numpy_integers(registers):
         call(registers, np.int64(3))
 
 
+_SYSTEM_DOC = read_json(data_path("system_2q.json"), ConfigError)
+# Each real-valued library input: its error, the name its message gives, and
+# a call that passes `value` as the input
+REALS = {
+    "delay_us": (SequenceError, "delay_us", lambda cfg, value: Delay(value)),
+    "pulse_us": (SequenceError, "pulse_us", lambda cfg, value: Pulse(value, 0.0)),
+    "phase_rad": (SequenceError, "phase_rad", lambda cfg, value: Pulse(1.0, value)),
+    "omega1_MHz": (SequenceError, "omega1_MHz",
+                   lambda cfg, value: PulseSequence((Delay(1.0),), value)),
+    "A_zz_MHz": (ConfigError, "A_zz_MHz", lambda cfg, value: HyperfineCoupling(value, 0.1)),
+    "A_zx_MHz": (ConfigError, "A_zx_MHz", lambda cfg, value: HyperfineCoupling(-0.1, value)),
+    "D_MHz": (ConfigError, "D_MHz", lambda cfg, value: SpinSystemConfig(value, 0.4, cfg.carbons)),
+    "nu_C_MHz": (ConfigError, "nu_C_MHz",
+                 lambda cfg, value: SpinSystemConfig(3000.0, value, cfg.carbons)),
+    "drive_amplitude": (ConfigError, "grid max",
+                        lambda cfg, value: cfg.check_drive_amplitude(value, "grid max")),
+    "config_number": (ConfigError, "nu_e_MHz",
+                      lambda cfg, value: system_from_dict({**_SYSTEM_DOC, "nu_e_MHz": value})),
+    "geometry_r_nm": (GeometryError, "r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
+    "theta_deg": (GeometryError, "theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
+    "prefactor_r_nm": (GeometryError, "r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
+    "tau_max": (ValueError, "tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
+    "t_max": (ValueError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
+    **{f"ga_{name}": (ValueError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+       for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop")},
+    "ga_min_MHz": (ValueError, "omega1_grid min_MHz",
+                   lambda cfg, value: GAConfig(omega1_range=(value, 1.0))),
+    "ga_max_MHz": (ValueError, "omega1_grid max_MHz",
+                   lambda cfg, value: GAConfig(omega1_range=(0.4, value))),
+    "grid_min_MHz": (ValueError, "min_MHz", lambda cfg, value: omega1_grid((value, 1.0), 3)),
+    "grid_max_MHz": (ValueError, "max_MHz", lambda cfg, value: omega1_grid((0.4, value), 3)),
+    "time_step": (ConfigError, "--dt",
+                  lambda cfg, value: experiments.check_time_step(value, "--dt")),
+    "linewidth": (ConfigError, "--linewidth",
+                  lambda cfg, value: experiments.check_linewidth(value, "--linewidth")),
+    "detuning": (ConfigError, "--detuning",
+                 lambda cfg, value: experiments.check_detuning(value, "--detuning")),
+    "time_span": (ConfigError, "span",
+                  lambda cfg, value: experiments.check_time_span(value, "span")),
+    "ccrot_angle": (TargetError, "ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in REALS for value in (True, np.True_, "1", None, math.nan)
+    if (site, value) != ("ga_early_stop", None)   # None turns early stopping off
+])
+def test_library_reals_refuse_what_is_not_a_number(system, site, value):
+    """A bool, a string, None or NaN given as a real input raises the
+    module's own error, naming the input; a bool passed every range check
+    and a string raised a bare TypeError."""
+    error, name, call = REALS[site]
+    with pytest.raises(error, match=name):
+        call(system, value)
+
+
+def test_library_reals_take_numpy_floats_and_ints(system):
+    """A numpy float and a Python int are reals like a Python float."""
+    for _, _, call in REALS.values():
+        for value in (np.float64(1.0), 1):
+            call(system, value)
+
+
+def test_no_real_input_is_compared_outside_the_rule():
+    """A value that a library function hands to ``check_real`` is compared
+    with no bound and tested for finiteness nowhere else in that function,
+    and the ceilings of real inputs are compared only inside the rule."""
+    ceilings = {"MAX_DURATION_US", "MAX_CONFIG_VALUE"}
+    for where, func in _top_functions():
+        checked = {ast.unparse(node.args[0]) for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and _called_name(node) == "check_real"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+                refused = checked | ceilings
+            elif isinstance(node, ast.Call) and _called_name(node) in ("isfinite", "isnan"):
+                refused = checked
+            else:
+                continue
+            parts = {ast.unparse(part) for part in ast.walk(node)}
+            assert not parts & refused, f"{where}: {ast.unparse(node)}"
+
+
 def _spin_matrix_literals(tree: ast.Module) -> list:
     """2x2 nested list or tuple literals, and ``diag`` calls on a pair."""
     def pair(node):
@@ -273,31 +360,28 @@ def test_one_spin_half_algebra():
     assert not [module for module in imported if "hamiltonian" in (module or "")]
 
 
-# Each scan input's check, a phrase of its message, and every function that
-# calls it; bloch_trajectory reads dt through segment_samples
+# Each scan input's check and every function that calls it; bloch_trajectory
+# reads dt through segment_samples
 SCAN_INPUT_RULES = {
-    "check_time_step": ("at least 0.5 / {MAX_CONFIG_VALUE:g} MHz",
-                        {"experiments.py:_check_uniform", "experiments.py:segment_samples",
-                         "cli.py:cmd_scan"}),
-    "check_linewidth": ("at least 1 / (pi * {MAX_DURATION_US:g} us)",
-                        {"experiments.py:esr_spectrum", "experiments.py:min_coherence_time",
-                         "cli.py:cmd_scan", "cli.py:cmd_report"}),
-    "check_detuning": ("magnitude at most {MAX_CONFIG_VALUE:g} MHz",
-                       {"experiments.py:electron_fid_scan", "experiments.py:esr_spectrum",
-                        "cli.py:cmd_scan"}),
+    "check_time_step": {"experiments.py:_check_uniform", "experiments.py:segment_samples",
+                        "cli.py:cmd_scan"},
+    "check_linewidth": {"experiments.py:esr_spectrum", "experiments.py:min_coherence_time",
+                        "cli.py:cmd_scan", "cli.py:cmd_report"},
+    "check_detuning": {"experiments.py:electron_fid_scan", "experiments.py:esr_spectrum",
+                       "cli.py:cmd_scan"},
 }
 
 
 def test_each_scan_input_has_one_rule():
     """The time step, the linewidth and the detuning each have one range
-    rule, written in ``experiments``, which every library reader and the
-    CLI call; the CLI writes none of its own."""
+    rule, a single ``check_real`` call written in ``experiments``, which
+    every library reader and the CLI call; the CLI writes none of its own."""
     functions = [(f"{name}:{node.name}", node) for name, text in SOURCES.items()
                  for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
-    for check, (phrase, readers) in SCAN_INPUT_RULES.items():
-        writers = [where for where, func in functions for node in ast.walk(func)
-                   if isinstance(node, ast.JoinedStr) and phrase in ast.unparse(node)]
-        assert writers == [f"experiments.py:{check}"], check
+    for check, readers in SCAN_INPUT_RULES.items():
+        rule = dict(functions)[f"experiments.py:{check}"]
+        assert [_called_name(node) for node in ast.walk(rule)
+                if isinstance(node, ast.Call)] == ["check_real"], check
         callers = {where for where, func in functions
                    if any(isinstance(node, ast.Call) and _called_name(node) == check
                           for node in ast.walk(func))}
@@ -343,6 +427,16 @@ def _top_functions():
                             if isinstance(item, ast.FunctionDef))
 
 
+def _says_at_most(node: ast.AST, budget: str) -> bool:
+    """A message saying "at most {budget}", or a ``check_real`` call whose one
+    bound is ``high=budget``."""
+    if isinstance(node, ast.JoinedStr):
+        return f"at most {{{budget}}}" in ast.unparse(node)
+    return (isinstance(node, ast.Call) and _called_name(node) == "check_real"
+            and len(node.args) == 3
+            and list(map(ast.unparse, node.keywords)) == [f"high={budget}"])
+
+
 def test_each_size_has_one_budget():
     """Each size budget is one constant and one rule, which every library
     reader and the CLI call; the CLI holds no budget of its own."""
@@ -352,8 +446,7 @@ def test_each_size_has_one_budget():
                    if isinstance(node, ast.Assign) and budget in map(ast.unparse, node.targets)]
         assert len(defined) == 1, budget
         writers = [where for where, func in functions for node in ast.walk(func)
-                   if isinstance(node, ast.JoinedStr)
-                   and f"at most {{{budget}}}" in ast.unparse(node)]
+                   if _says_at_most(node, budget)]
         assert writers == [rule], budget
         called = rule.split(":")[1].split(".")[0]
         assert {where for where, func in functions

@@ -559,17 +559,19 @@ def test_scan_inputs_out_of_range_are_refused(system, h_subspace, cnot_seq, call
 
 def test_scan_input_checks_hold_their_bounds():
     """Each bound is accepted and the next float past it is refused, as
-    are NaN and infinity, with the caller's label."""
+    are NaN and infinity, with the caller's label. A NaN time span passed,
+    as ``span > MAX_DURATION_US`` is false for it."""
     dt_floor = 0.5 / MAX_CONFIG_VALUE
     linewidth_floor = 1.0 / (np.pi * MAX_DURATION_US)
     past = np.nextafter(MAX_CONFIG_VALUE, np.inf)
     cases = ((check_time_step, (dt_floor, 1e300), (np.nextafter(dt_floor, 0.0), np.inf)),
              (check_linewidth, (linewidth_floor, MAX_CONFIG_VALUE),
               (np.nextafter(linewidth_floor, 0.0), past)),
-             (check_detuning, (-MAX_CONFIG_VALUE, 0.0, MAX_CONFIG_VALUE), (-past, past)))
+             (check_detuning, (-MAX_CONFIG_VALUE, 0.0, MAX_CONFIG_VALUE), (-past, past)),
+             (check_time_span, (0.0, MAX_DURATION_US), (np.nextafter(MAX_DURATION_US, np.inf),)))
     for check, valid, invalid in cases:
         for value in valid:
-            check(value)
+            check(value, "--flag")
         for value in (*invalid, np.nan, -np.inf):
             with pytest.raises(ConfigError, match="^--flag must be finite"):
                 check(value, "--flag")
@@ -579,21 +581,22 @@ def test_scan_input_checks_hold_their_bounds():
 # the size budgets of the scans
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", np.arange(4) * 1e300, cfg), "t_grid span"),
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", np.arange(4) * 1e300, cfg),
+     r"t_grid span.* must be finite and in \(-inf, 1e\+06\]"),
     (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 3.0,
                                            np.arange(MAX_SCAN_POINTS + 1) * 0.01, cfg),
-     "t_grid points"),
+     "t_grid points.* must be at most"),
     (lambda cfg, h, seq: theta_scan("cnot", np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS + 1),
-                                    -1, cfg), "theta_grid points"),
-    (lambda cfg, h, seq: segment_samples(seq, 1e-3), "dt"),
-    (lambda cfg, h, seq: bloch_trajectory(seq, h, basis_state(0, 4), 1e-3), "dt"),
+                                    -1, cfg), "theta_grid points.* must be at most"),
+    (lambda cfg, h, seq: segment_samples(seq, 1e-3), "dt.* must be at most"),
+    (lambda cfg, h, seq: bloch_trajectory(seq, h, basis_state(0, 4), 1e-3), "dt.* must be at most"),
 ], ids=["hadamard_span", "fid_points", "theta_points", "segment_steps", "trajectory_steps"])
-def test_scan_sizes_past_their_budget_are_refused(system, h_subspace, cnot_seq, call, name):
+def test_scan_sizes_past_their_budget_are_refused(system, h_subspace, cnot_seq, call, message):
     """The CLI's budgets hold for every caller. The hadamard scan returned a
     signal of phases near 1e303 rad, and the CNOT's trajectory at 1e-3 us
     takes 16,410 samples."""
-    with pytest.raises(ConfigError, match=f"{name}.* must be at most"):
+    with pytest.raises(ConfigError, match=message):
         call(system, h_subspace, cnot_seq)
 
 
@@ -614,9 +617,10 @@ def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
     with pytest.raises(ConfigError, match=r"^trajectory steps \(each segment's duration / --dt"):
         segment_samples(PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25 + 0.25),), 0.0), 0.25,
                         "--dt")
-    for check, budget, past in ((check_scan_points, MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1),
-                                (check_time_span, MAX_DURATION_US,
-                                 np.nextafter(MAX_DURATION_US, np.inf))):
+    for check, budget, past, message in (
+            (check_scan_points, MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1, "must be at most"),
+            (check_time_span, MAX_DURATION_US, np.nextafter(MAX_DURATION_US, np.inf),
+             r"must be finite and in \(-inf, 1e\+06\]")):
         check(budget, "--flag")
-        with pytest.raises(ConfigError, match="^--flag must be at most"):
+        with pytest.raises(ConfigError, match=f"^--flag {message}"):
             check(past, "--flag")

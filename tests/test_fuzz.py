@@ -8,6 +8,8 @@ gets the edge value in one of them. Whatever the value, the command
 exits 0 and every data file it wrote holds only finite numbers, or it exits
 1 with a message that names the field or flag and writes no file. It never
 exits 2, and never runs on without bound: a case past CASE_SECONDS fails.
+Every real-valued library input of ``test_design.REALS`` gets each edge value
+too, and builds or raises its module's own error.
 """
 import contextlib
 import io
@@ -17,11 +19,13 @@ import signal
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icspin.cli import main
 from icspin.system import data_path
+from test_design import REALS
 
 EDGE_VALUES = (0, -1, 5e-324, 1e-320, 1e6 + 1, 1e308, math.nan, math.inf, -math.inf,
                "x", None, True, [1.0], 2**63, 10**400)
@@ -191,3 +195,17 @@ def test_edge_value_exits_zero_with_finite_files_or_one_naming_it(case):
                       for target, _ in changes if not isinstance(target, str)]
             assert any(name in err for name in names), err
             assert not files, files
+
+
+@pytest.mark.parametrize("site", sorted(REALS))
+def test_edge_value_builds_or_raises_the_library_error(system, site):
+    """No edge value, 10**400 and [1.0] among them, escapes a library input
+    as a bare TypeError or OverflowError."""
+    error, _, call = REALS[site]
+    for value in EDGE_VALUES:
+        try:
+            call(system, value)
+        except error:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{site} given {value!r} raised {exc!r}")

@@ -85,8 +85,9 @@ def test_ga_config_validation():
     for bad in (-0.01, np.inf, np.nan):
         with pytest.raises(ValueError, match="mutation_scale"):
             GAConfig(mutation_scale=bad)
-    for bad in ((-0.1, 0.5), (0.5, 0.4), (0.48, np.nan)):
-        with pytest.raises(ValueError, match="omega1_grid min_MHz"):
+    for bad, name in (((-0.1, 0.5), r"min_MHz"), ((0.5, 0.4), r"max_MHz \(at least min_MHz\)"),
+                      ((0.48, np.nan), r"max_MHz \(at least min_MHz\)")):
+        with pytest.raises(ValueError, match=f"omega1_grid {name} must be finite and in"):
             GAConfig(omega1_range=bad)
 
 

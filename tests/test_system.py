@@ -36,15 +36,16 @@ def test_zero_coupling_rejected():
 
 
 def test_negative_nu_c_rejected():
-    with pytest.raises(ConfigError, match="nu_c"):
+    with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, inf\)"):
         SpinSystemConfig(2870.0, -0.158, (HyperfineCoupling(-0.1, 0.1),))
 
 
-@pytest.mark.parametrize("d", [float("nan"), -5.0, 0.0])
+@pytest.mark.parametrize("d", [float("nan"), -5.0, 0.0, float("inf")])
 def test_zero_field_splitting_must_be_positive(d):
     """A D that is not positive was accepted, and ``verify`` then blamed the
-    drive amplitude against it; the register refuses it, naming D_MHz."""
-    with pytest.raises(ConfigError, match="D_MHz must be positive"):
+    drive amplitude against it; the register refuses it, naming D_MHz. An
+    infinite D, which documents cap, was accepted from library callers."""
+    with pytest.raises(ConfigError, match=r"D_MHz must be finite and in \(0, inf\)"):
         SpinSystemConfig(d, 0.158, (HyperfineCoupling(-0.152, 0.110),))
 
 
@@ -55,8 +56,9 @@ def test_nan_registers_are_refused_where_they_are_made():
     for a_zz, a_zx in ((nan, 0.1), (-0.152, nan), (inf, 0.1), (-0.152, -inf)):
         with pytest.raises(ConfigError, match="must be finite"):
             HyperfineCoupling(a_zz, a_zx)
-    with pytest.raises(ConfigError, match="nu_C_MHz must be positive"):
-        SpinSystemConfig(2870.0, nan, (HyperfineCoupling(-0.152, 0.110),))
+    for nu_c in (nan, inf):   # inf made the Hamiltonian builder find a NaN residual
+        with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, inf\)"):
+            SpinSystemConfig(2870.0, nu_c, (HyperfineCoupling(-0.152, 0.110),))
     with pytest.raises(ValueError, match="not Hermitian"):
         assert_hermitian(np.array([[0.0, nan], [nan, 0.0]]))
 
@@ -72,7 +74,8 @@ def test_drive_amplitude_must_lie_below_d(system, omega1):
     """The driven working subspace exists for 0 <= omega1 < D = 2870 MHz."""
     system.check_drive_amplitude(0.0)
     system.check_drive_amplitude(2869.0)
-    with pytest.raises(ConfigError, match=r"grid max must lie in \[0, D_MHz = 2870.0\)"):
+    with pytest.raises(ConfigError,
+                       match=r"grid max \(below D_MHz\) must be finite and in \[0, 2870\)"):
         system.check_drive_amplitude(omega1, "grid max")
 
 
