@@ -157,7 +157,7 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
 
 def _load_sequence(path):
     seq = load_sequence(path)
-    check_pulses(seq.n_pulses, "--sequence pulses")
+    check_pulses(seq.n_pulses, "--sequence pulses", 0)
     return seq
 
 
@@ -228,9 +228,9 @@ def cmd_optimize(args, phases: _Phases) -> int:
         }
     try:
         ga = ga_config_from_dict(ga_doc)
-        check_pulses(args.pulses, "--pulses")
+        check_pulses(args.pulses, "--pulses", 1)
         bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
@@ -411,8 +411,6 @@ def cmd_scan(args, phases: _Phases) -> int:
             raise CliError(f"--{name} is not read by --kind {args.kind}")
     check_time_step(args.dt, "--dt")
     check_linewidth(args.linewidth, "--linewidth")
-    if args.points < 1:
-        raise CliError(f"--points must be >= 1, got {args.points}")
     check_scan_points(args.points, "--points")
     check_detuning(args.detuning, "--detuning")
     cfg = load_system(args.system)

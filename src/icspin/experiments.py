@@ -12,11 +12,11 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import multiqubit_hamiltonian
-from .operators import PROJ_UP, TWO_PI, check_real, kron_all, rotation
+from .operators import PROJ_UP, TWO_PI, check_count, check_real, kron_all, rotation
 from .propagation import engine_for, sequence_propagator
 from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
-from .system import MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig
+from .system import MAX_CARBONS, MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
 
 
@@ -99,6 +99,7 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
     """Instantaneous hard rotation of the electron pseudo-qubit,
     ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
+    check_count(n_carbons, "n_carbons", ConfigError, 0, high=MAX_CARBONS)
     return np.kron(rotation(angle, axis_phi), np.eye(2**n_carbons))
 
 
@@ -177,8 +178,7 @@ MAX_TRAJECTORY_STEPS = 10_000
 
 
 def check_scan_points(points: int, where: str) -> None:
-    if points > MAX_SCAN_POINTS:
-        raise ConfigError(f"{where} must be at most {MAX_SCAN_POINTS}, got {points}")
+    check_count(points, where, ConfigError, 1, high=MAX_SCAN_POINTS)
 
 
 def check_time_span(span: float, where: str) -> None:
@@ -310,6 +310,8 @@ def theta_scan(
     if readout_branch not in (0, -1):
         raise ValueError("readout_branch must be 0 or -1")
     check_scan_points(np.size(theta_grid), "theta_grid points")
+    thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
+    check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)", ConfigError)
     config.single_carbon()   # the gate and the readout act on one carbon
     h = multiqubit_hamiltonian(config)
     if isinstance(gate, str) and gate.lower() == "cnot":
@@ -318,7 +320,7 @@ def theta_scan(
     flip = electron_rotation(np.pi, np.pi / 2)
     psi0 = basis_state(0, 4)
     # a rotation by theta about a fixed axis is cos(theta/2) I + sin(theta/2) R(pi)
-    half = np.asarray(theta_grid, dtype=float).reshape(-1) / 2
+    half = thetas / 2
     psi = g @ (np.outer(psi0, np.cos(half)) + np.outer(flip @ psi0, np.sin(half)))
     if readout_branch == -1:
         psi = flip @ psi

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FitnessKernel
-from .operators import check_real, is_integer
+from .operators import check_count, check_real
 from .sequence import PulseSequence, genome_from_sequence
 from .targets import TargetGate
 
@@ -32,9 +32,7 @@ def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
     lo, hi = omega1_range
     check_real(lo, "min_MHz", ValueError, 0.0)
     check_real(hi, "max_MHz (at least min_MHz)", ValueError, lo)
-    if not (is_integer(points) and 1 <= points <= MAX_GRID_POINTS):
-        raise ValueError(f"points must be at least one and at most {MAX_GRID_POINTS}, "
-                         f"got {points!r}")
+    check_count(points, "points", ValueError, 1, high=MAX_GRID_POINTS)
     if points == 1:
         return np.array([(lo + hi) / 2.0])
     return np.linspace(lo, hi, points)

@@ -1,12 +1,12 @@
 """The data-file format: reading and checking JSON documents, writing JSON
 and CSV.
 
-Every input document is checked with `check_keys`, `json_list` and
-`json_number`, and every file the package writes goes through here. JSON
-is sorted with a two-space indent; a CSV is a header line and one row per
-sample. Numbers are written with `repr`, which round-trips a float
-exactly, and each file ends in one newline, so the same inputs and seed
-give the same bytes.
+Every input document's structure is checked with `check_keys` and
+`json_list`, and its numbers by the constructors that take them; every
+file the package writes goes through here. JSON is sorted with a
+two-space indent; a CSV is a header line and one row per sample. Numbers
+are written with `repr`, which round-trips a float exactly, and each file
+ends in one newline, so the same inputs and seed give the same bytes.
 """
 from __future__ import annotations
 
@@ -44,18 +44,6 @@ def json_list(value, where: str, error: type[Exception]) -> list:
     if not isinstance(value, list):
         raise error(f"{where} must be a list, got {value!r}")
     return value
-
-
-def json_number(value, where: str, error: type[Exception], integer: bool = False):
-    """`value` as a float, or with `integer` as the int it must be; booleans,
-    strings, null and ints past the float range raise `error`, naming
-    `where`. NaN and infinity, which Python's json reads, pass."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise error(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    try:
-        return value if integer else float(value)
-    except OverflowError:
-        raise error(f"{where} is out of the float range, got {value!r}") from None
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -29,7 +29,6 @@ import threading
 
 import numpy as np
 
-from .operators import is_integer
 from .propagation import engine_for
 from .sequence import check_pulses
 
@@ -92,9 +91,7 @@ class FitnessKernel:
     """
 
     def __init__(self, h, target, omega1s, n_pulses):
-        if not (is_integer(n_pulses) and n_pulses >= 0):
-            raise ValueError(f"n_pulses must be >= 0, got {n_pulses!r}")
-        check_pulses(n_pulses, "n_pulses")
+        check_pulses(n_pulses, "n_pulses", 0)
         self.n_pulses = int(n_pulses)
         if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")

@@ -5,8 +5,8 @@ the Hadamard, the projectors and the closed-form rotation. All matrices are
 dense complex128 numpy arrays. Spin-1/2 operators use the convention
 s_z = diag(+1/2, -1/2) = PAULI_Z / 2; the electron pseudo-qubit spanned by
 m_S = 0, m_s is one too, with |0> playing the role of "up". The two
-input rules of the library live here too: `is_integer` for counts and
-`check_real` for every real-valued input.
+input rules of the library live here too: `check_count` for every count
+and `check_real` for every real-valued input.
 """
 from __future__ import annotations
 
@@ -44,10 +44,15 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool and for anything
-    else, a whole float or a digit string included."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_count(value, where: str, error: type[Exception], low: int,
+                high: int | None = None) -> None:
+    """The one rule of a count: raise `error`, naming `where`, unless `value`
+    is a Python or numpy integer from `low` to `high` (no ceiling for None).
+    A bool, a float (a whole one too), a string and None are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{where} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{where} must be at most {high}, got {value}")
 
 
 def check_real(value, where: str, error: type[Exception], low: float = -math.inf,

@@ -21,9 +21,9 @@ import numpy as np
 
 from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessReport,
                        equal_weight_score, omega1_grid)
-from .files import check_keys, json_number
+from .files import check_keys
 from .kernels import FitnessKernel
-from .operators import TWO_PI, check_real, is_integer
+from .operators import TWO_PI, check_count, check_real
 from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
                        sequence_from_genome)
 from .system import MAX_CONFIG_VALUE
@@ -42,9 +42,7 @@ class ParameterBounds:
     t_max: float = 4.0
 
     def __post_init__(self):
-        if not (is_integer(self.n_pulses) and self.n_pulses >= 1):
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
-        check_pulses(self.n_pulses, "n_pulses")
+        check_pulses(self.n_pulses, "n_pulses", 1)
         check_real(self.tau_max, "tau_max", ValueError, 0.0, MAX_DURATION_US, "(]")
         check_real(self.t_max, "t_max", ValueError, 0.0, MAX_DURATION_US, "(]")
 
@@ -61,13 +59,14 @@ class ParameterBounds:
         return up
 
 
-# The GA's integer settings and the least value of each
-_GA_COUNTS = {"population": 2, "generations": 0, "elites": 1, "seed": 0, "restarts": 1}
 # A search's size budgets. MAX_POPULATION genomes of MAX_PULSES pulses are 15 MB, and a
 # one-carbon search at both budgets peaks near 165 MB. A search scores population *
 # (generations + 1) * restarts genomes, about 13 us each on one carbon and 0.24 ms at d = 32
 # (5 amplitudes, 4 pulses): the 3.01e6 of MAX_GA_GENOMES take about 40 s and 12 min.
 MAX_POPULATION = 10_000
+# The GA's integer settings, each with its least and its greatest value (None: no ceiling)
+_GA_COUNTS = {"population": (2, MAX_POPULATION), "generations": (0, None), "elites": (1, None),
+              "seed": (0, None), "restarts": (1, None)}
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,8 @@ class GAConfig:
     omega1_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        for name, least in _GA_COUNTS.items():
-            v = getattr(self, name)
-            if not (is_integer(v) and v >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        for name, (least, most) in _GA_COUNTS.items():
+            check_count(getattr(self, name), name, ValueError, least, most)
         if self.elites >= self.population:
             raise ValueError("elites must be smaller than the population")
         check_real(self.crossover_rate, "crossover_rate", ValueError, 0.0, 1.0)
@@ -102,48 +99,37 @@ class GAConfig:
         try:
             omega1_grid(self.omega1_range, self.omega1_points)
         except ValueError as exc:
-            raise ValueError(f"GA config omega1_grid {exc}") from exc
-        if self.population > MAX_POPULATION:
-            raise ValueError(f"GA config population must be at most {MAX_POPULATION}, "
-                             f"got {self.population}")
+            raise ValueError(f"omega1_grid {exc}") from exc
         work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
-        if work > MAX_GA_GENOMES:
-            raise ValueError("GA work population * (generations + 1) * restarts must be "
-                             f"at most {MAX_GA_GENOMES}, got {work}")
+        check_count(work, "work population * (generations + 1) * restarts", ValueError, 0,
+                    high=MAX_GA_GENOMES)
 
 
 MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
 _GA_KEYS = tuple(f.name for f in fields(GAConfig)
                  if f.name not in ("omega1_range", "omega1_points"))
-_GA_INT_KEYS = {*_GA_COUNTS, "points"}
 _GRID_KEYS = ("min_MHz", "max_MHz", "points")
-
-
-def _ga_value(doc: dict, key: str, where: str = "GA config"):
-    return json_number(doc[key], f"{where} {key}", TypeError, integer=key in _GA_INT_KEYS)
 
 
 def ga_config_from_dict(doc: dict) -> GAConfig:
     """Build a GAConfig from its JSON document form.
 
     The document holds any of the keys ``ga_config_to_dict`` writes; an
-    ``omega1_grid`` needs all three of its fields. Wrong types raise
-    TypeError, unknown or missing keys ValueError, each naming the key.
+    ``omega1_grid`` needs all three of its fields. Every fault, a wrong
+    type, an unknown or missing key or a value out of range, raises
+    ValueError naming the key.
     """
-    if not isinstance(doc, dict):
-        raise TypeError("GA config must be a JSON object")
     check_keys(doc, "GA config", ValueError, optional=(*_GA_KEYS, "omega1_grid"))
-    kwargs = {key: None if key == "early_stop" and doc[key] is None else _ga_value(doc, key)
-              for key in _GA_KEYS if key in doc}
+    kwargs = {key: doc[key] for key in _GA_KEYS if key in doc}
     if "omega1_grid" in doc:
-        g = doc["omega1_grid"]
-        if not isinstance(g, dict):
-            raise TypeError("GA config omega1_grid must be a JSON object")
-        check_keys(g, "GA config omega1_grid", ValueError, required=_GRID_KEYS)
-        lo, hi, points = (_ga_value(g, k, "GA config omega1_grid") for k in _GRID_KEYS)
-        kwargs["omega1_range"] = (lo, hi)
-        kwargs["omega1_points"] = points
-    return GAConfig(**kwargs)
+        grid = doc["omega1_grid"]
+        check_keys(grid, "GA config omega1_grid", ValueError, required=_GRID_KEYS)
+        kwargs["omega1_range"] = (grid["min_MHz"], grid["max_MHz"])
+        kwargs["omega1_points"] = grid["points"]
+    try:
+        return GAConfig(**kwargs)
+    except ValueError as exc:   # each message starts with the field it names
+        raise ValueError(f"GA config {exc}") from exc
 
 
 def ga_config_to_dict(cfg: GAConfig) -> dict:

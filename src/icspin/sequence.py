@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import check_keys, json_list, json_number, read_json, write_json
-from .operators import TWO_PI, check_real
+from .files import check_keys, json_list, read_json, write_json
+from .operators import TWO_PI, check_count, check_real
 
 
 # The longest delay or pulse, in us. With every frequency of a system config
@@ -32,9 +32,8 @@ class SequenceError(ValueError):
     """Raised for malformed sequence documents or parameters."""
 
 
-def check_pulses(n_pulses: int, where: str) -> None:
-    if n_pulses > MAX_PULSES:
-        raise SequenceError(f"{where} must be at most {MAX_PULSES}, got {n_pulses}")
+def check_pulses(n_pulses: int, where: str, least: int) -> None:
+    check_count(n_pulses, where, SequenceError, least, high=MAX_PULSES)
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,10 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
         keys = _SEGMENT_KEYS[kind]
         check_keys(seg, f"segments[{i}]", SequenceError, required=keys[:1], optional=keys[1:])
         try:
-            segments.append(kind(*(json_number(seg.get(key, 0.0), key, SequenceError)
-                                   for key in keys)))
+            segments.append(kind(*(seg.get(key, 0.0) for key in keys)))
         except SequenceError as exc:   # each message starts with its key
             raise SequenceError(f"segments[{i}].{exc}") from exc
-    return PulseSequence(tuple(segments),
-                         json_number(doc["omega1_MHz"], "omega1_MHz", SequenceError))
+    return PulseSequence(tuple(segments), doc["omega1_MHz"])
 
 
 def load_sequence(path: str | Path) -> PulseSequence:

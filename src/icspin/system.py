@@ -7,13 +7,24 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .files import check_keys, json_list, json_number, read_json
-from .operators import check_real, is_integer
+from .files import check_keys, json_list, read_json
+from .operators import check_count, check_real
+
+
+# The largest magnitude of a register's numbers: MHz for every field but B0_mT. With
+# durations at most sequence.MAX_DURATION_US, the phases 2 pi f t stay near 1e13 rad, far
+# from overflow. It also caps the scan inputs' frequencies in experiments.check_time_step
+# (the Nyquist 0.5 / dt), check_linewidth and check_detuning, a GA config's mutation_scale
+# and a ccrot target's angle in degrees.
+MAX_CONFIG_VALUE = 1e6
+# The most carbons of a register and of a target: n carbons make 2^(n + 1)-dimensional
+# dense matrices, so a count is refused past this before anything is allocated.
+MAX_CARBONS = 4
+_CARBON_KEYS = ("A_zz_MHz", "A_zx_MHz")   # a carbon's document keys, in field order
 
 
 class ConfigError(ValueError):
@@ -31,7 +42,7 @@ class HyperfineCoupling:
         check_real(self.a_zz, "A_zz_MHz", ConfigError)
         check_real(self.a_zx, "A_zx_MHz", ConfigError)
         if self.a_zz == 0.0 and self.a_zx == 0.0:
-            raise ConfigError("a physical carbon needs a non-zero A_zz_MHz or A_zx_MHz")
+            raise ConfigError("A_zz_MHz and A_zx_MHz must not both be zero for a physical carbon")
 
 
 @dataclass(frozen=True)
@@ -57,10 +68,14 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        check_real(self.d, "D_MHz", ConfigError, 0.0, math.inf, "()")
-        check_real(self.nu_c, "nu_C_MHz", ConfigError, 0.0, math.inf, "()")
-        if not 1 <= len(self.carbons) <= 4:
-            raise ConfigError("register supports 1 to 4 carbons")
+        check_real(self.d, "D_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
+        check_real(self.nu_c, "nu_C_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
+        if not 1 <= len(self.carbons) <= MAX_CARBONS:
+            raise ConfigError(f"register supports 1 to {MAX_CARBONS} carbons")
+        for i, c in enumerate(self.carbons):   # HyperfineCoupling itself takes any float
+            for key, value in zip(_CARBON_KEYS, (c.a_zz, c.a_zx)):
+                check_real(value, f"carbons[{i}].{key}", ConfigError,
+                           -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
 
     @property
     def n_carbons(self) -> int:
@@ -86,30 +101,16 @@ class SpinSystemConfig:
         """A new config keeping the carbons with the given labels, in label
         order; it numbers them afresh from 1."""
         for i, label in enumerate(labels):
-            if (not is_integer(label) or not 1 <= label <= self.n_carbons
-                    or label in labels[:i]):
-                raise ConfigError(f"carbon labels must be distinct integers from 1 to "
-                                  f"{self.n_carbons}, got {label!r}")
+            check_count(label, "carbon labels", ConfigError, 1, self.n_carbons)
+            if label in labels[:i]:
+                raise ConfigError(f"carbon labels must be distinct, got {label!r} twice")
         chosen = tuple(self.carbons[label - 1] for label in sorted(labels))
         return SpinSystemConfig(self.d, self.nu_c, chosen)
 
 
-# The system document's numbers, checked in this order; all but the last,
-# B0_mT, are required
-_SYSTEM_NUMBERS = ("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "B0_mT")
-_CARBON_KEYS = {"A_zz_MHz": "a_zz", "A_zx_MHz": "a_zx"}
-# The largest magnitude of a system config's numbers: MHz for every field
-# but B0_mT. With durations at most sequence.MAX_DURATION_US, the phases
-# 2 pi f t stay near 1e13 rad, far from overflow. It also caps the scan inputs'
-# frequencies in experiments.check_time_step (the Nyquist 0.5 / dt), check_linewidth
-# and check_detuning, a GA config's mutation_scale and a ccrot target's angle in degrees.
-MAX_CONFIG_VALUE = 1e6
-
-
-def _config_number(value, where: str) -> float:
-    value = json_number(value, where, ConfigError)
-    check_real(value, where, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
-    return value
+# The numbers of a system document that the model does not read (see SpinSystemConfig),
+# checked here
+_UNMODELLED = ("nu_e_MHz", "A_N_MHz", "B0_mT")
 
 
 def system_from_dict(doc: dict) -> SpinSystemConfig:
@@ -118,16 +119,20 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
     SpinSystemConfig); B0_mT and a free-text name are optional, and any
     other key is rejected."""
     check_keys(doc, "system config", ConfigError, optional=("B0_mT", "name"),
-               required=(*_SYSTEM_NUMBERS[:-1], "carbons"))
-    numbers = {key: _config_number(doc[key], key) for key in _SYSTEM_NUMBERS if key in doc}
+               required=("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "carbons"))
+    for key in _UNMODELLED:
+        if key in doc:
+            check_real(doc[key], key, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
     if not json_list(doc["carbons"], "carbons", ConfigError):
         raise ConfigError("carbons must not be empty")
     carbons = []
     for i, c in enumerate(doc["carbons"]):
-        check_keys(c, f"carbons[{i}]", ConfigError, required=tuple(_CARBON_KEYS))
-        carbons.append(HyperfineCoupling(**{field: _config_number(c[key], f"carbons[{i}].{key}")
-                                            for key, field in _CARBON_KEYS.items()}))
-    return SpinSystemConfig(numbers["D_MHz"], numbers["nu_C_MHz"], tuple(carbons))
+        check_keys(c, f"carbons[{i}]", ConfigError, required=_CARBON_KEYS)
+        try:
+            carbons.append(HyperfineCoupling(*(c[key] for key in _CARBON_KEYS)))
+        except ConfigError as exc:   # each message starts with its key
+            raise ConfigError(f"carbons[{i}].{exc}") from exc
+    return SpinSystemConfig(doc["D_MHz"], doc["nu_C_MHz"], tuple(carbons))
 
 
 def load_system(path: str | Path) -> SpinSystemConfig:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, check_real, is_integer, kron_all,
+from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, check_count, check_real, kron_all,
                         rotation)
-from .system import MAX_CONFIG_VALUE
+from .system import MAX_CARBONS, MAX_CONFIG_VALUE
 
 
 class TargetError(ValueError):
@@ -52,8 +52,8 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:
-    if not (is_integer(carbon) and is_integer(n_carbons) and 1 <= carbon <= n_carbons):
-        raise TargetError(f"carbon index {carbon!r} out of range 1..{n_carbons!r}")
+    check_count(n_carbons, "n_carbons", TargetError, 1, high=MAX_CARBONS)
+    check_count(carbon, "carbon index", TargetError, 1, n_carbons)
 
 
 def target_library(name: str, n_carbons: int = 1) -> TargetGate:

@@ -1004,7 +1004,7 @@ def test_system_with_negative_d_is_usage_error(tmp_path, capsys, command):
     argv = {"report": ["report"],
             "verify": ["verify", "--sequence", CNOT, "--target", "cnot"]}[command]
     assert run(argv + ["--system", str(system), "--out", str(out)]) == 1
-    assert "error: D_MHz must be finite and in (0, inf), got -5.0" in capsys.readouterr().err
+    assert "error: D_MHz must be finite and in (0, 1e+06], got -5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1203,22 +1203,23 @@ def _edit_couplings_huge(doc):
     doc["carbons"][0].update(A_zz_MHz=1e308, A_zx_MHz=1e308)
 
 
-@pytest.mark.parametrize("argv,edit,field", [
-    (["verify", "--sequence", CNOT, "--target", "cnot"], _edit_nu_c_huge, "nu_C_MHz"),
-    (["optimize", "--target", "cnot", "--pulses", "1"], _edit_nu_c_huge, "nu_C_MHz"),
-    (["scan", "--kind", "fid"], _edit_nu_c_huge, "nu_C_MHz"),
-    (["scan", "--kind", "hadamard"], _edit_nu_c_huge, "nu_C_MHz"),
-    (["report"], _edit_couplings_huge, "carbons[0].A_zz_MHz"),
+@pytest.mark.parametrize("argv,edit,field,low", [
+    (["verify", "--sequence", CNOT, "--target", "cnot"], _edit_nu_c_huge, "nu_C_MHz", "(0"),
+    (["optimize", "--target", "cnot", "--pulses", "1"], _edit_nu_c_huge, "nu_C_MHz", "(0"),
+    (["scan", "--kind", "fid"], _edit_nu_c_huge, "nu_C_MHz", "(0"),
+    (["scan", "--kind", "hadamard"], _edit_nu_c_huge, "nu_C_MHz", "(0"),
+    (["report"], _edit_couplings_huge, "carbons[0].A_zz_MHz", "[-1e+06"),
 ], ids=["verify", "optimize", "scan_fid", "scan_hadamard", "report"])
-def test_system_number_past_its_ceiling_is_usage_error(tmp_path, capsys, argv, edit, field):
+def test_system_number_past_its_ceiling_is_usage_error(tmp_path, capsys, argv, edit, field,
+                                                       low):
     """A frequency of 1e308 MHz overflowed 2 pi f t into NaN signals, an
-    invalid report.json or a misleading internal error; the reader's
-    ceiling refuses it with the field named."""
+    invalid report.json or a misleading internal error; the register's
+    ceiling refuses it with the field (and the interval's floor) named."""
     out = tmp_path / "o"
     system = _overflowing_system(tmp_path, edit)
     assert run(argv + ["--system", system, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} must be finite and in [-1e+06, 1e+06], got 1e+308")
+    assert err.startswith(f"error: {field} must be finite and in {low}, 1e+06], got 1e+308")
     assert not out.exists()
 
 
@@ -1412,7 +1413,7 @@ def test_ga_work_past_its_budget_is_usage_error(tmp_path, capsys, monkeypatch, k
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "GA work population * (generations + 1) * restarts must be at most" in err
+    assert "GA config work population * (generations + 1) * restarts must be at most" in err
     assert not (out / "result.json").exists()
 
 

@@ -16,9 +16,10 @@ from icspin.geometry import DipolarGeometry, GeometryError, dipolar_prefactor_mh
 from icspin.kernels import FitnessKernel
 from icspin.operators import assert_hermitian
 from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, OptimizationResult,
-                             ParameterBounds, ga_config_to_dict)
+                             ParameterBounds, ga_config_from_dict, ga_config_to_dict)
 from icspin.propagation import PropagationEngine
-from icspin.sequence import Delay, Pulse, PulseSequence, SequenceError, sequence_from_genome
+from icspin.sequence import (Delay, Pulse, PulseSequence, SequenceError, check_pulses,
+                             sequence_from_genome)
 from icspin.system import (ConfigError, HyperfineCoupling, SpinSystemConfig, data_path,
                            system_from_dict)
 from icspin.targets import TargetError, cc_rotation
@@ -218,28 +219,39 @@ def test_each_value_has_one_source():
     assert MAX_GA_GENOMES == MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000
 
 
+_GA_COUNT_KEYS = ("population", "generations", "elites", "seed", "restarts")
 # Each library count: its error, the parameter its message names, and a call
 # that passes `value` as the count
 COUNTS = {
     "kernel_n_pulses": (ValueError, "n_pulses", lambda cfg, value: FitnessKernel(
         icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
     "bounds_n_pulses": (ValueError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
+    "check_pulses": (SequenceError, "--pulses",
+                     lambda cfg, value: check_pulses(value, "--pulses", 1)),
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
     "grid_points": (ValueError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
-    "ccrot_n_carbons": (TargetError, "out of range", lambda cfg, value: cc_rotation(value, 1, np.pi)),
+    "scan_points": (ConfigError, "--points",
+                    lambda cfg, value: experiments.check_scan_points(value, "--points")),
+    "ccrot_n_carbons": (TargetError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
     "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
+    "electron_rotation_n_carbons": (ConfigError, "n_carbons", lambda cfg, value:
+                                    experiments.electron_rotation(np.pi, 0.0, value)),
     **{f"ga_{name}": (ValueError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
-       for name in ("population", "generations", "elites", "seed", "restarts")},
+       for name in _GA_COUNT_KEYS},
+    **{f"ga_doc_{name}": (ValueError, f"GA config {name}",
+                          lambda cfg, value, name=name: ga_config_from_dict({name: value}))
+       for name in _GA_COUNT_KEYS},
+    "ga_doc_points": (ValueError, "GA config omega1_grid points", lambda cfg, value:
+                      ga_config_from_dict({"omega1_grid": {"min_MHz": 0.4, "max_MHz": 0.6,
+                                                           "points": value}})),
 }
 
 
 @pytest.mark.parametrize("site, value", [
-    *((site, value) for site in COUNTS if site != "subset_label" for value in (True, 1.0, 2.5, "1")),
-    ("subset_label", True),
-])
+    (site, value) for site in COUNTS for value in (True, 1.0, 2.5, "1", None)])
 def test_library_counts_refuse_what_is_not_an_integer(system, site, value):
-    """A bool, a float or a string given as a count raises the error of an
-    out-of-range count, naming the parameter."""
+    """A bool, a float, a string or None given as a count raises the error
+    of an out-of-range count, naming the parameter."""
     error, name, call = COUNTS[site]
     with pytest.raises(error, match=name):
         call(system, value)
@@ -334,6 +346,28 @@ def test_no_real_input_is_compared_outside_the_rule():
             assert not parts & refused, f"{where}: {ast.unparse(node)}"
 
 
+def test_one_rule_per_kind_of_number():
+    """Only ``operators`` asks whether a value is a number: its
+    ``check_count`` and ``check_real`` are the one rule of a count and of a
+    real input, for library callers and documents alike. No other module
+    tests for a bool, an int, a float, a ``numbers.Real`` or an
+    ``np.integer``, and neither a document number rule nor a count
+    predicate is defined."""
+    kinds = {"bool", "int", "float", "Real", "integer"}
+    askers = set()
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and _called_name(node) == "isinstance":
+                classes = node.args[1]
+                classes = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+                if {c.attr if isinstance(c, ast.Attribute) else getattr(c, "id", "")
+                        for c in classes} & kinds:
+                    askers.add(name)
+    assert askers == {"operators.py"}
+    assert [where for where, func in _top_functions()
+            if func.name in ("json_number", "is_integer")] == []
+
+
 def _spin_matrix_literals(tree: ast.Module) -> list:
     """2x2 nested list or tuple literals, and ``diag`` calls on a pair."""
     def pair(node):
@@ -412,6 +446,11 @@ SIZE_BUDGETS = {
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
     "MAX_GA_GENOMES": ("optimize.py:GAConfig.__post_init__",
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
+    # a register checks its carbons against MAX_CARBONS too, but takes no count
+    "MAX_CARBONS": (("targets.py:_check_carbon", "experiments.py:electron_rotation"),
+                    {"targets.py:hadamard_on_carbon", "targets.py:cc_rotation",
+                     "experiments.py:simulate_init_sequence", "experiments.py:cleanup_propagator",
+                     "experiments.py:electron_fid_scan", "experiments.py:theta_scan"}),
 }
 
 
@@ -427,30 +466,45 @@ def _top_functions():
                             if isinstance(item, ast.FunctionDef))
 
 
-def _says_at_most(node: ast.AST, budget: str) -> bool:
-    """A message saying "at most {budget}", or a ``check_real`` call whose one
-    bound is ``high=budget``."""
+def _says_at_most(node: ast.AST, budget: str, tables: set) -> bool:
+    """A message saying "at most {budget}", a ``check_real`` call whose one
+    bound is ``high=budget``, a ``check_count`` call with ``high=budget``, or
+    a loop that calls ``check_count`` over one of `tables`, the module
+    tables that hold the budget."""
     if isinstance(node, ast.JoinedStr):
         return f"at most {{{budget}}}" in ast.unparse(node)
-    return (isinstance(node, ast.Call) and _called_name(node) == "check_real"
-            and len(node.args) == 3
-            and list(map(ast.unparse, node.keywords)) == [f"high={budget}"])
+    if isinstance(node, ast.For):
+        return (ast.unparse(node.iter).split(".")[0] in tables
+                and any(isinstance(call, ast.Call) and _called_name(call) == "check_count"
+                        for call in ast.walk(node)))
+    if not isinstance(node, ast.Call):
+        return False
+    keywords = list(map(ast.unparse, node.keywords))
+    if _called_name(node) == "check_count":
+        return f"high={budget}" in keywords
+    return (_called_name(node) == "check_real" and len(node.args) == 3
+            and keywords == [f"high={budget}"])
 
 
 def test_each_size_has_one_budget():
     """Each size budget is one constant and one rule, which every library
     reader and the CLI call; the CLI holds no budget of its own."""
     functions = list(_top_functions())
-    for budget, (rule, callers) in SIZE_BUDGETS.items():
-        defined = [name for name, text in SOURCES.items() for node in ast.parse(text).body
-                   if isinstance(node, ast.Assign) and budget in map(ast.unparse, node.targets)]
+    assignments = [node for text in SOURCES.values() for node in ast.parse(text).body
+                   if isinstance(node, ast.Assign)]
+    for budget, (rules, callers) in SIZE_BUDGETS.items():
+        rules = [rules] if isinstance(rules, str) else sorted(rules)
+        defined = [node for node in assignments if budget in map(ast.unparse, node.targets)]
         assert len(defined) == 1, budget
-        writers = [where for where, func in functions for node in ast.walk(func)
-                   if _says_at_most(node, budget)]
-        assert writers == [rule], budget
-        called = rule.split(":")[1].split(".")[0]
+        tables = {ast.unparse(target) for node in assignments if isinstance(node.value, ast.Dict)
+                  and budget in {getattr(name, "id", "") for name in ast.walk(node.value)}
+                  for target in node.targets}
+        writers = sorted(where for where, func in functions for node in ast.walk(func)
+                         if _says_at_most(node, budget, tables))
+        assert writers == rules, budget
+        called = {rule.split(":")[1].split(".")[0] for rule in rules}
         assert {where for where, func in functions
-                if any(isinstance(node, ast.Call) and _called_name(node) == called
+                if any(isinstance(node, ast.Call) and _called_name(node) in called
                        for node in ast.walk(func))} == callers, budget
     tree = ast.parse(SOURCES["cli.py"])
     names = {getattr(node, "name", None) for node in tree.body}

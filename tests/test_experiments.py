@@ -624,3 +624,21 @@ def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
         check(budget, "--flag")
         with pytest.raises(ConfigError, match=f"^--flag {message}"):
             check(past, "--flag")
+
+
+def test_electron_rotation_refuses_a_carbon_count_past_the_budget(monkeypatch):
+    """Any count was taken, and a large one asked ``eye`` for a
+    2^(n + 1)-dimensional matrix; the count is refused before it is."""
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(np, "eye", no_matrix)
+    with pytest.raises(ConfigError, match="n_carbons must be at most 4, got 5"):
+        electron_rotation(np.pi, 0.0, 5)
+
+
+@pytest.mark.parametrize("thetas", [[0.0, np.nan, np.inf], [0.0, np.nan], [-np.inf, 0.0]])
+def test_theta_scan_refuses_a_non_finite_angle(system, thetas):
+    """[0, nan, inf] returned [0, nan, nan] with only a RuntimeWarning."""
+    with pytest.raises(ConfigError, match=r"theta_grid \(largest magnitude\) must be finite"):
+        theta_scan("cnot", thetas, -1, system)

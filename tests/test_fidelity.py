@@ -61,7 +61,7 @@ def test_single_point_grid_is_midpoint(h_subspace, hadamard_seq):
 
 
 def test_empty_grid_rejected(h_subspace, hadamard_seq):
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="points must be an integer >= 1, got 0"):
         robust_fidelity(hadamard_seq, icspin.hadamard_on_carbon(1), h_subspace,
                         grid_points=0)
 

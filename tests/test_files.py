@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from icspin.files import (check_keys, json_list, json_number, read_json, write_csv,
-                          write_json)
+from icspin.files import check_keys, json_list, read_json, write_csv, write_json
 
 
 def test_write_csv_keeps_ints_and_writes_floats_by_repr(tmp_path):
@@ -58,24 +57,6 @@ def test_json_list_rejects_an_object():
     assert json_list([1], "xs", ValueError) == [1]
     with pytest.raises(ValueError, match="xs must be a list"):
         json_list({"a": 1}, "xs", ValueError)
-
-
-@pytest.mark.parametrize("value", [True, "1", None])
-def test_json_number_rejects_booleans_strings_and_null(value):
-    with pytest.raises(TypeError, match="x must be a number"):
-        json_number(value, "x", TypeError)
-
-
-def test_json_number_integer_rejects_a_fraction_and_keeps_ints():
-    with pytest.raises(TypeError, match="x must be an integer"):
-        json_number(1.5, "x", TypeError, integer=True)
-    assert json_number(3, "x", TypeError, integer=True) == 3
-    assert type(json_number(3, "x", TypeError)) is float
-
-
-def test_json_number_rejects_an_integer_beyond_the_float_range():
-    with pytest.raises(ValueError, match="x is out of the float range"):
-        json_number(10**400, "x", ValueError)
 
 
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from icspin.operators import assert_hermitian
 from icspin.system import (
+    MAX_CONFIG_VALUE,
     ConfigError,
     HyperfineCoupling,
     SpinSystemConfig,
@@ -36,7 +37,7 @@ def test_zero_coupling_rejected():
 
 
 def test_negative_nu_c_rejected():
-    with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, inf\)"):
+    with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, 1e\+06\]"):
         SpinSystemConfig(2870.0, -0.158, (HyperfineCoupling(-0.1, 0.1),))
 
 
@@ -45,7 +46,7 @@ def test_zero_field_splitting_must_be_positive(d):
     """A D that is not positive was accepted, and ``verify`` then blamed the
     drive amplitude against it; the register refuses it, naming D_MHz. An
     infinite D, which documents cap, was accepted from library callers."""
-    with pytest.raises(ConfigError, match=r"D_MHz must be finite and in \(0, inf\)"):
+    with pytest.raises(ConfigError, match=r"D_MHz must be finite and in \(0, 1e\+06\]"):
         SpinSystemConfig(d, 0.158, (HyperfineCoupling(-0.152, 0.110),))
 
 
@@ -57,7 +58,7 @@ def test_nan_registers_are_refused_where_they_are_made():
         with pytest.raises(ConfigError, match="must be finite"):
             HyperfineCoupling(a_zz, a_zx)
     for nu_c in (nan, inf):   # inf made the Hamiltonian builder find a NaN residual
-        with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, inf\)"):
+        with pytest.raises(ConfigError, match=r"nu_C_MHz must be finite and in \(0, 1e\+06\]"):
             SpinSystemConfig(2870.0, nu_c, (HyperfineCoupling(-0.152, 0.110),))
     with pytest.raises(ValueError, match="not Hermitian"):
         assert_hermitian(np.array([[0.0, nan], [nan, 0.0]]))
@@ -94,12 +95,14 @@ def test_subset_selects_labels(registers):
     assert (sub.d, sub.nu_c) == (registers.d, registers.nu_c)
 
 
-@pytest.mark.parametrize("labels, named", [
-    ([7], "7"), ([0], "0"), ([1, 1], "1"), ([2, 3, 2], "2"), ([1.0], "1.0"), (["2"], "'2'"),
+@pytest.mark.parametrize("labels, message", [
+    ([7], r"must be at most 4, got 7"), ([0], r"must be an integer >= 1, got 0"),
+    ([1, 1], r"must be distinct, got 1 twice"), ([2, 3, 2], r"must be distinct, got 2 twice"),
+    ([1.0], r"must be an integer >= 1, got 1\.0"), (["2"], r"must be an integer >= 1, got '2'"),
 ], ids=["unknown", "zero", "repeated", "repeated_later", "float", "string"])
-def test_subset_refuses_bad_labels(registers, labels, named):
+def test_subset_refuses_bad_labels(registers, labels, message):
     """An unknown, repeated or non-integer label is refused, named."""
-    with pytest.raises(ConfigError, match=f"distinct integers from 1 to 4, got {named}$"):
+    with pytest.raises(ConfigError, match=f"^carbon labels {message}$"):
         registers.subset(labels)
 
 
@@ -120,3 +123,26 @@ def test_bundled_files_exist():
     load_system(data_path("system_4c.json"))
     with pytest.raises(FileNotFoundError):
         data_path("nope.json")
+
+
+def test_library_registers_meet_the_document_ceilings():
+    """D, nu_C and the couplings of a register are capped at MAX_CONFIG_VALUE
+    for library callers as for documents: nu_C = 1e200 gave 0.0431 at every
+    amplitude, and 1e308 a non-finite drive Hamiltonian blamed on the band.
+    A coupling alone keeps the full float range, which geometry needs."""
+    carbon = HyperfineCoupling(-0.152, 0.110)
+    for nu_c in (1e308, 1e200):
+        with pytest.raises(ConfigError, match=r"^nu_C_MHz must be finite and in \(0, 1e\+06\]"):
+            SpinSystemConfig(3000.0, nu_c, (carbon,))
+    with pytest.raises(ConfigError,
+                       match=r"^D_MHz must be finite and in \(0, 1e\+06\], got 2000000\.0$"):
+        SpinSystemConfig(2e6, 0.158, (carbon,))
+    with pytest.raises(ConfigError, match=r"^carbons\[1\]\.A_zz_MHz must be finite and in "
+                                          r"\[-1e\+06, 1e\+06\], got 10000000\.0$"):
+        SpinSystemConfig(2870.0, 0.158, (carbon, HyperfineCoupling(1e7, 0.1)))
+    with pytest.raises(ConfigError, match=r"^carbons\[0\]\.A_zx_MHz must be finite"):
+        SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.1, -1e300),))
+    assert HyperfineCoupling(1e300, 1e300).a_zz == 1e300
+    top = SpinSystemConfig(MAX_CONFIG_VALUE, MAX_CONFIG_VALUE,
+                           (HyperfineCoupling(-MAX_CONFIG_VALUE, MAX_CONFIG_VALUE),))
+    assert top.d == top.nu_c == MAX_CONFIG_VALUE

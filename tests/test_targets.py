@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from icspin import targets
 from icspin.fidelity import gate_fidelity
+from icspin.system import MAX_CARBONS
 from icspin.targets import (
     TargetError,
     cc_rotation,
@@ -62,7 +64,7 @@ def test_cc_rotation_spectator_carbons_untouched():
 
 
 def test_carbon_index_range():
-    with pytest.raises(TargetError, match="out of range"):
+    with pytest.raises(TargetError, match="carbon index must be at most 2, got 3"):
         cc_rotation(2, 3, 0.5)
 
 
@@ -90,3 +92,17 @@ def test_target_library_rejects_non_finite_angle(angle):
         target_library(f"ccrot:1,{angle}")
     with pytest.raises(TargetError, match="finite"):   # the library form refuses it too
         cc_rotation(1, 1, float(angle))
+
+
+def test_carbon_counts_past_the_budget_are_refused_before_any_matrix(monkeypatch):
+    """hadamard_on_carbon(6) returned a 128 x 128 gate: a count past
+    MAX_CARBONS is refused before the Kronecker product is asked for."""
+    def no_matrix(*ops):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(targets, "kron_all", no_matrix)
+    message = f"n_carbons must be at most {MAX_CARBONS}, got {MAX_CARBONS + 1}"
+    with pytest.raises(TargetError, match=message):
+        hadamard_on_carbon(MAX_CARBONS + 1)
+    with pytest.raises(TargetError, match=message):
+        cc_rotation(MAX_CARBONS + 1, 1, np.pi)
