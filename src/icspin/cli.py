@@ -8,10 +8,10 @@ scan      simulate a circuit scan (hadamard | theta | fid | spectrum | trajector
 report    derived quantities of a register config
 
 Exit codes: 0 = ran, 1 = usage/config error, 2 = internal invariant
-violation. Low fidelity is data, never an error. Every run writes a
-manifest next to its outputs; rerunning with the same inputs and seed
-reproduces all data files byte for byte (timestamps live only in the
-manifest).
+violation, each chosen in ``main`` by the error's type alone. Low
+fidelity is data, never an error. Every run writes a manifest next to
+its outputs; rerunning with the same inputs and seed reproduces all data
+files byte for byte (timestamps live only in the manifest).
 """
 from __future__ import annotations
 
@@ -150,7 +150,7 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
         raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
     try:
         omega1_grid((lo, hi), points)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise CliError(f"--grid {exc}") from exc
     return (lo, hi), points
 
@@ -226,12 +226,9 @@ def cmd_optimize(args, phases: _Phases) -> int:
         ga_doc["omega1_grid"] = {
             "min_MHz": omega1_range[0], "max_MHz": omega1_range[1], "points": points,
         }
-    try:
-        ga = ga_config_from_dict(ga_doc)
-        check_pulses(args.pulses, "--pulses", 1)
-        bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    ga = ga_config_from_dict(ga_doc)
+    check_pulses(args.pulses, "--pulses", 1)
+    bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_range[1], where)
     phases.done("load")
@@ -416,10 +413,7 @@ def cmd_scan(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)
     phases.done("load")
-    try:
-        write = scan(args, cfg, seq)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    write = scan(args, cfg, seq)
     phases.done("compute")
     return _finish(args, phases, f"scan:{args.kind}", write,
                    {"system": str(args.system), "kind": args.kind,
@@ -441,7 +435,7 @@ def cmd_report(args, phases: _Phases) -> int:
                             "nu_plus")(carbon_eigenstructure(cfg))),
         (("init_tau1_us", "init_tau2_us"), "init_delay_note",
          (InitializationDomainError, DegenerateManifoldError), lambda: analytic_init_delays(cfg)),
-        (("cleanup_tau_c_us",), "cleanup_note", ValueError, lambda: (cleanup_delay(cfg),)),
+        (("cleanup_tau_c_us",), "cleanup_note", ConfigError, lambda: (cleanup_delay(cfg),)),
         (("dipolar_r_nm", "dipolar_theta_deg"), "dipolar_note", GeometryError,
          lambda: attrgetter("r_nm", "theta_deg")(dipolar_geometry(carbon))),
     )

@@ -128,8 +128,8 @@ def cleanup_delay(config: SpinSystemConfig) -> float:
     a_zz = config.single_carbon().a_zz
     tau_c = 1.0 / (2.0 * abs(a_zz)) if a_zz else np.inf
     if not np.isfinite(tau_c):   # zero, or so small that the delay overflows
-        raise ValueError(f"clean-up needs a secular coupling with a finite delay "
-                         f"1 / (2 |A_zz|), got A_zz = {a_zz!r} MHz")
+        raise ConfigError(f"clean-up needs a secular coupling with a finite delay "
+                          f"1 / (2 |A_zz|), got A_zz = {a_zz!r} MHz")
     return tau_c
 
 
@@ -208,12 +208,12 @@ def signal_spectrum(times: np.ndarray, signal: np.ndarray) -> Spectrum:
 def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
-        raise ValueError("time grid needs at least two samples")
+        raise ConfigError("time grid needs at least two samples")
     check_scan_points(t_grid.size, "t_grid points")
     steps = np.diff(t_grid)
     check_time_step(float(steps[0]), "the step of an increasing t_grid")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):   # NaN fails too
-        raise ValueError("time grid must be finite and uniform")
+        raise ConfigError("time grid must be finite and uniform")
     check_time_span(t_grid[-1] - t_grid[0], "t_grid span (last - first) in us")
     return t_grid
 
@@ -265,12 +265,12 @@ def electron_fid_scan(
     lines = esr_lines(h)
     span = max(abs(p) for p, _ in lines)
     if abs(nu_d) < span:
-        raise ValueError(f"detuning {nu_d} MHz must reach the line span {span:.4f} in magnitude")
+        raise ConfigError(f"detuning {nu_d} MHz must reach the line span {span:.4f} in magnitude")
     f_max = abs(nu_d) + span
     dt = float(t_grid[1] - t_grid[0])
     if f_max >= 0.5 / dt:
-        raise ValueError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
-                         f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
+        raise ConfigError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
+                          f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
 
     rho0 = density_matrix(state)
     p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))
@@ -307,8 +307,7 @@ def theta_scan(
     population into m_S = 0 before the projective readout; branch 0 reads
     out directly.
     """
-    if readout_branch not in (0, -1):
-        raise ValueError("readout_branch must be 0 or -1")
+    check_count(readout_branch, "readout_branch", ConfigError, -1, high=0)
     check_scan_points(np.size(theta_grid), "theta_grid points")
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
     check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)", ConfigError)
@@ -362,7 +361,7 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
-        raise ValueError(f"detuning {detuning} MHz must exceed the line span {span:.4f}")
+        raise ConfigError(f"detuning {detuning} MHz must exceed the line span {span:.4f}")
     positions = np.array([detuning + p for p, _ in sticks])
     wts = np.array([wgt for _, wgt in sticks])
     lo = positions.min() - 8 * linewidth

@@ -8,6 +8,7 @@ import numpy as np
 from .kernels import FitnessKernel
 from .operators import check_count, check_real
 from .sequence import PulseSequence, genome_from_sequence
+from .system import ConfigError
 from .targets import TargetGate
 
 DEFAULT_OMEGA1_RANGE = (0.48, 0.52)
@@ -28,11 +29,11 @@ def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
 
 def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
     """`points` amplitudes spanning the band, or its centre for one point. The one
-    check of a band: ValueError names min_MHz, max_MHz or points for the caller to prefix."""
+    check of a band: ConfigError names min_MHz, max_MHz or points for the caller to prefix."""
     lo, hi = omega1_range
-    check_real(lo, "min_MHz", ValueError, 0.0)
-    check_real(hi, "max_MHz (at least min_MHz)", ValueError, lo)
-    check_count(points, "points", ValueError, 1, high=MAX_GRID_POINTS)
+    check_real(lo, "min_MHz", ConfigError, 0.0)
+    check_real(hi, "max_MHz (at least min_MHz)", ConfigError, lo)
+    check_count(points, "points", ConfigError, 1, high=MAX_GRID_POINTS)
     if points == 1:
         return np.array([(lo + hi) / 2.0])
     return np.linspace(lo, hi, points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import assert_hermitian
+from .operators import assert_hermitian, check_count
 from .system import SpinSystemConfig
 
 
@@ -28,8 +28,9 @@ def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarra
     |m_S> a_zx s_x term at (i, i ^ bit) in the |m_S> block. Summed in slot
     order, the entries equal the Kronecker sum's bit for bit.
     """
-    if m_s not in (-1, 1):
-        raise ValueError("m_s must be -1 or +1")
+    check_count(m_s, "m_s", ValueError, -1, high=1)
+    if m_s == 0:
+        raise ValueError("m_s must be -1 or +1, got 0")
     n = config.n_carbons
     dim = 2 ** (n + 1)
     rows = np.arange(dim)

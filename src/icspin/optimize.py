@@ -26,7 +26,7 @@ from .kernels import FitnessKernel
 from .operators import TWO_PI, check_count, check_real
 from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
                        sequence_from_genome)
-from .system import MAX_CONFIG_VALUE
+from .system import MAX_CONFIG_VALUE, ConfigError
 from .targets import TargetGate
 
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
@@ -43,8 +43,8 @@ class ParameterBounds:
 
     def __post_init__(self):
         check_pulses(self.n_pulses, "n_pulses", 1)
-        check_real(self.tau_max, "tau_max", ValueError, 0.0, MAX_DURATION_US, "(]")
-        check_real(self.t_max, "t_max", ValueError, 0.0, MAX_DURATION_US, "(]")
+        check_real(self.tau_max, "tau_max", ConfigError, 0.0, MAX_DURATION_US, "(]")
+        check_real(self.t_max, "t_max", ConfigError, 0.0, MAX_DURATION_US, "(]")
 
     @property
     def genome_length(self) -> int:
@@ -88,20 +88,20 @@ class GAConfig:
 
     def __post_init__(self):
         for name, (least, most) in _GA_COUNTS.items():
-            check_count(getattr(self, name), name, ValueError, least, most)
+            check_count(getattr(self, name), name, ConfigError, least, most)
         if self.elites >= self.population:
-            raise ValueError("elites must be smaller than the population")
-        check_real(self.crossover_rate, "crossover_rate", ValueError, 0.0, 1.0)
-        check_real(self.mutation_rate, "mutation_rate", ValueError, 0.0, 1.0)
-        check_real(self.mutation_scale, "mutation_scale", ValueError, 0.0, MAX_CONFIG_VALUE)
+            raise ConfigError("elites must be smaller than the population")
+        check_real(self.crossover_rate, "crossover_rate", ConfigError, 0.0, 1.0)
+        check_real(self.mutation_rate, "mutation_rate", ConfigError, 0.0, 1.0)
+        check_real(self.mutation_scale, "mutation_scale", ConfigError, 0.0, MAX_CONFIG_VALUE)
         if self.early_stop is not None:
-            check_real(self.early_stop, "early_stop", ValueError)
+            check_real(self.early_stop, "early_stop", ConfigError)
         try:
             omega1_grid(self.omega1_range, self.omega1_points)
-        except ValueError as exc:
-            raise ValueError(f"omega1_grid {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"omega1_grid {exc}") from exc
         work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
-        check_count(work, "work population * (generations + 1) * restarts", ValueError, 0,
+        check_count(work, "work population * (generations + 1) * restarts", ConfigError, 0,
                     high=MAX_GA_GENOMES)
 
 
@@ -117,19 +117,19 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
     The document holds any of the keys ``ga_config_to_dict`` writes; an
     ``omega1_grid`` needs all three of its fields. Every fault, a wrong
     type, an unknown or missing key or a value out of range, raises
-    ValueError naming the key.
+    ConfigError naming the key.
     """
-    check_keys(doc, "GA config", ValueError, optional=(*_GA_KEYS, "omega1_grid"))
+    check_keys(doc, "GA config", ConfigError, optional=(*_GA_KEYS, "omega1_grid"))
     kwargs = {key: doc[key] for key in _GA_KEYS if key in doc}
     if "omega1_grid" in doc:
         grid = doc["omega1_grid"]
-        check_keys(grid, "GA config omega1_grid", ValueError, required=_GRID_KEYS)
+        check_keys(grid, "GA config omega1_grid", ConfigError, required=_GRID_KEYS)
         kwargs["omega1_range"] = (grid["min_MHz"], grid["max_MHz"])
         kwargs["omega1_points"] = grid["points"]
     try:
         return GAConfig(**kwargs)
-    except ValueError as exc:   # each message starts with the field it names
-        raise ValueError(f"GA config {exc}") from exc
+    except ConfigError as exc:   # each message starts with the field it names
+        raise ConfigError(f"GA config {exc}") from exc
 
 
 def ga_config_to_dict(cfg: GAConfig) -> dict:

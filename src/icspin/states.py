@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import PAULI_X, PAULI_Y, PAULI_Z
+from .operators import PAULI_X, PAULI_Y, PAULI_Z, check_count
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:
+    check_count(index, "basis index", ValueError, 0, high=dim - 1)
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
     return psi

@@ -28,7 +28,8 @@ _CARBON_KEYS = ("A_zz_MHz", "A_zx_MHz")   # a carbon's document keys, in field o
 
 
 class ConfigError(ValueError):
-    """A malformed or physically invalid register config, or a scan input out of range."""
+    """A refused input value: a malformed or physically invalid register config, a scan
+    input, a search setting or an amplitude band out of range. The CLI exits 1 on it."""
 
 
 @dataclass(frozen=True)

@@ -1310,6 +1310,29 @@ def test_optimize_faulty_genome_is_internal_error(tmp_path, monkeypatch, capsys)
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["hadamard", "theta", "fid", "spectrum", "trajectory"])
+def test_scan_internal_fault_is_internal_error(tmp_path, monkeypatch, capsys, kind):
+    """A Hamiltonian builder that returns a complex h is the program's fault:
+    the propagation engine's plain ValueError exits 2, as it does in verify,
+    and no --out is made. A blanket re-wrap of every ValueError in the scans
+    made it exit 1, blaming the user."""
+    original = icspin.hamiltonian.multiqubit_hamiltonian
+
+    def complex_h(config, m_s=-1):
+        h = original(config, m_s)
+        h[0, 1], h[1, 0] = h[0, 1] + 1e-3j, h[1, 0] - 1e-3j   # still Hermitian
+        return h
+
+    for module in (icspin.experiments, icspin.cli):
+        monkeypatch.setattr(module, "multiqubit_hamiltonian", complex_h)
+    out = tmp_path / "o"
+    sequence = ["--sequence", CNOT] if kind in ("theta", "trajectory") else []
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, *sequence, "--out", str(out)]) == 2
+    assert "internal error: the propagation engine needs a real Hamiltonian" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,text,field", [
     ("--system", Path(SYSTEM).read_text().replace("0.158", "1" + "0" * 400), "nu_C_MHz"),
     ("--sequence", Path(CNOT).read_text().replace("3.78", "1" + "0" * 400), "delay_us"),

@@ -223,25 +223,25 @@ _GA_COUNT_KEYS = ("population", "generations", "elites", "seed", "restarts")
 # Each library count: its error, the parameter its message names, and a call
 # that passes `value` as the count
 COUNTS = {
-    "kernel_n_pulses": (ValueError, "n_pulses", lambda cfg, value: FitnessKernel(
+    "kernel_n_pulses": (SequenceError, "n_pulses", lambda cfg, value: FitnessKernel(
         icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
-    "bounds_n_pulses": (ValueError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
+    "bounds_n_pulses": (SequenceError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
     "check_pulses": (SequenceError, "--pulses",
                      lambda cfg, value: check_pulses(value, "--pulses", 1)),
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
-    "grid_points": (ValueError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
+    "grid_points": (ConfigError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
     "scan_points": (ConfigError, "--points",
                     lambda cfg, value: experiments.check_scan_points(value, "--points")),
     "ccrot_n_carbons": (TargetError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
     "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
     "electron_rotation_n_carbons": (ConfigError, "n_carbons", lambda cfg, value:
                                     experiments.electron_rotation(np.pi, 0.0, value)),
-    **{f"ga_{name}": (ValueError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+    **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
        for name in _GA_COUNT_KEYS},
-    **{f"ga_doc_{name}": (ValueError, f"GA config {name}",
+    **{f"ga_doc_{name}": (ConfigError, f"GA config {name}",
                           lambda cfg, value, name=name: ga_config_from_dict({name: value}))
        for name in _GA_COUNT_KEYS},
-    "ga_doc_points": (ValueError, "GA config omega1_grid points", lambda cfg, value:
+    "ga_doc_points": (ConfigError, "GA config omega1_grid points", lambda cfg, value:
                       ga_config_from_dict({"omega1_grid": {"min_MHz": 0.4, "max_MHz": 0.6,
                                                            "points": value}})),
 }
@@ -284,16 +284,16 @@ REALS = {
     "geometry_r_nm": (GeometryError, "r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
     "theta_deg": (GeometryError, "theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
     "prefactor_r_nm": (GeometryError, "r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
-    "tau_max": (ValueError, "tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
-    "t_max": (ValueError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
-    **{f"ga_{name}": (ValueError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+    "tau_max": (ConfigError, "tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
+    "t_max": (ConfigError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
+    **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop")},
-    "ga_min_MHz": (ValueError, "omega1_grid min_MHz",
+    "ga_min_MHz": (ConfigError, "omega1_grid min_MHz",
                    lambda cfg, value: GAConfig(omega1_range=(value, 1.0))),
-    "ga_max_MHz": (ValueError, "omega1_grid max_MHz",
+    "ga_max_MHz": (ConfigError, "omega1_grid max_MHz",
                    lambda cfg, value: GAConfig(omega1_range=(0.4, value))),
-    "grid_min_MHz": (ValueError, "min_MHz", lambda cfg, value: omega1_grid((value, 1.0), 3)),
-    "grid_max_MHz": (ValueError, "max_MHz", lambda cfg, value: omega1_grid((0.4, value), 3)),
+    "grid_min_MHz": (ConfigError, "min_MHz", lambda cfg, value: omega1_grid((value, 1.0), 3)),
+    "grid_max_MHz": (ConfigError, "max_MHz", lambda cfg, value: omega1_grid((0.4, value), 3)),
     "time_step": (ConfigError, "--dt",
                   lambda cfg, value: experiments.check_time_step(value, "--dt")),
     "linewidth": (ConfigError, "--linewidth",
@@ -366,6 +366,33 @@ def test_one_rule_per_kind_of_number():
     assert askers == {"operators.py"}
     assert [where for where, func in _top_functions()
             if func.name in ("json_number", "is_integer")] == []
+
+
+def test_main_alone_maps_errors_to_exit_codes():
+    """An error's type alone picks its exit code, in ``main``: a refused
+    input value raises ``ConfigError`` where it is checked, so no CLI
+    handler turns whatever it caught into a ``CliError``, and an internal
+    ValueError exits 2. The search, the band and the scans hand no bare
+    ValueError to an input rule; the one ``except ValueError`` of the CLI
+    reads the text of --grid."""
+    tree = ast.parse(SOURCES["cli.py"])
+    rewraps = [ast.unparse(node) for handler in ast.walk(tree)
+               if isinstance(handler, ast.ExceptHandler) and handler.name
+               for node in ast.walk(handler) if isinstance(node, ast.Raise)
+               and isinstance(node.exc, ast.Call) and _called_name(node.exc) == "CliError"
+               and [ast.unparse(arg) for arg in node.exc.args] == [f"str({handler.name})"]]
+    assert rewraps == []
+    catchers = [where for where, func in _top_functions() if where.startswith("cli.py:")
+                for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                and node.type is not None and "ValueError" in ast.unparse(node.type)]
+    assert catchers == ["cli.py:_parse_grid"]
+    bare = [f"{name}:{ast.unparse(node)}" for name in ("experiments.py", "optimize.py",
+                                                       "fidelity.py")
+            for node in ast.walk(ast.parse(SOURCES[name])) if isinstance(node, ast.Call)
+            and _called_name(node) in ("check_real", "check_count", "check_keys")
+            and "ValueError" in map(ast.unparse, node.args[2:3] + [
+                k.value for k in node.keywords if k.arg == "error"])]
+    assert bare == []
 
 
 def _spin_matrix_literals(tree: ast.Module) -> list:

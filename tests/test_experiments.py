@@ -107,7 +107,7 @@ def test_cleanup_preserves_up_population(system):
 
 def test_cleanup_needs_secular_coupling():
     cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(0.0, 0.1),))
-    with pytest.raises(ValueError, match="secular"):
+    with pytest.raises(ConfigError, match="secular"):
         cleanup_delay(cfg)
 
 
@@ -158,9 +158,9 @@ def test_hadamard_scan_with_bundled_sequence(system, hadamard_seq):
 @pytest.mark.parametrize("t_grid", [np.zeros(8), np.arange(8) * -0.1,
                                     np.array([0.0, np.nan, 0.2])])
 def test_scans_require_increasing_finite_grid(system, t_grid):
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(ConfigError, match="increasing"):
         hadamard_circuit_scan("ideal", t_grid, system)
-    with pytest.raises(ValueError, match="increasing"):
+    with pytest.raises(ConfigError, match="increasing"):
         electron_fid_scan(basis_state(0, 4), 3.0, t_grid, system)
 
 
@@ -175,12 +175,12 @@ def test_electron_rotation_closed_form_matches_eigh(n_carbons):
 
 
 def test_hadamard_scan_requires_uniform_grid(system):
-    with pytest.raises(ValueError, match="uniform"):
+    with pytest.raises(ConfigError, match="uniform"):
         hadamard_circuit_scan("ideal", np.array([0.0, 0.1, 0.5]), system)
 
 
 def test_scans_require_two_samples(system):
-    with pytest.raises(ValueError, match="at least two samples"):
+    with pytest.raises(ConfigError, match="at least two samples"):
         hadamard_circuit_scan("ideal", np.array([0.0]), system)
 
 
@@ -245,7 +245,7 @@ def test_fid_nyquist_guard(system):
     """A detuning of either sign beyond Nyquist is refused, not aliased."""
     t = np.arange(64) * 0.5  # Nyquist 1 MHz < |detuning| 3 MHz
     for detuning in (3.0, -3.0):
-        with pytest.raises(ValueError, match="undersamples"):
+        with pytest.raises(ConfigError, match="undersamples"):
             electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
 
 
@@ -263,7 +263,7 @@ def test_fid_detuning_inside_line_span_is_refused(system):
     a negative detuning outside the span is a mirrored, valid spectrum."""
     t = np.arange(64) * 0.1
     for detuning in (0.0, 0.05, -0.1):
-        with pytest.raises(ValueError, match="detuning"):
+        with pytest.raises(ConfigError, match="detuning"):
             electron_fid_scan(basis_state(0, 4), detuning, t, system)
     lines = electron_fid_scan(basis_state(0, 4), -3.0, t, system).spectrum.lines
     assert all(p < 0 for p, _ in lines)
@@ -350,8 +350,18 @@ def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cn
 
 
 def test_theta_scan_validates_branch(system):
-    with pytest.raises(ValueError, match="readout_branch"):
-        theta_scan("cnot", np.array([0.1]), 1, system)
+    """The branch is a count like any other: False ran as branch 0 and -1.0
+    as branch -1."""
+    for branch in (1, False, True, -1.0, 0.0, "0", None):
+        with pytest.raises(ConfigError, match="readout_branch"):
+            theta_scan("cnot", np.array([0.1]), branch, system)
+
+
+def test_theta_scan_takes_integer_branches(system):
+    direct = theta_scan("cnot", np.array([0.1, 2.0]), 0, system)
+    mapped = theta_scan("cnot", np.array([0.1, 2.0]), -1, system)
+    assert not np.array_equal(direct, mapped)
+    assert np.array_equal(theta_scan("cnot", np.array([0.1, 2.0]), np.int64(-1), system), mapped)
 
 
 def test_scans_refuse_a_gate_they_cannot_resolve(system):
@@ -395,19 +405,19 @@ def test_stick_positions_equal_fresh_eigendifferences(registers):
 
 def test_spectrum_rejects_bad_linewidth(h_subspace):
     for linewidth in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="linewidth"):
+        with pytest.raises(ConfigError, match="linewidth"):
             esr_spectrum(h_subspace, linewidth=linewidth, detuning=5.0)
 
 
 def test_spectrum_rejects_small_detuning(h_subspace):
-    with pytest.raises(ValueError, match="detuning"):
+    with pytest.raises(ConfigError, match="detuning"):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=0.01)
 
 
 def test_nan_detuning_rejected(system, h_subspace):
-    with pytest.raises(ValueError, match="detuning"):
+    with pytest.raises(ConfigError, match="detuning"):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=np.nan)
-    with pytest.raises(ValueError, match="detuning"):
+    with pytest.raises(ConfigError, match="detuning"):
         electron_fid_scan(basis_state(0, 4), np.nan, np.arange(64) * 0.1, system)
 
 
@@ -486,13 +496,13 @@ def test_trajectory_bloch_norm_bounded(system, h_subspace, cnot_seq):
 
 
 def test_trajectory_needs_positive_dt(system, h_subspace, cnot_seq):
-    with pytest.raises(ValueError, match="dt"):
+    with pytest.raises(ConfigError, match="dt"):
         bloch_trajectory(cnot_seq, h_subspace, basis_state(0, 4), dt=0.0)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
 def test_trajectory_needs_finite_dt(h_subspace, cnot_seq, dt):
-    with pytest.raises(ValueError, match="dt"):
+    with pytest.raises(ConfigError, match="dt"):
         bloch_trajectory(cnot_seq, h_subspace, basis_state(0, 4), dt=dt)
 
 
@@ -525,7 +535,7 @@ def test_min_coherence_time_values():
     assert min_coherence_time(0.0106) == pytest.approx(30.0, abs=0.1)
     assert min_coherence_time(0.02) == pytest.approx(min_coherence_time(0.01) / 2)
     for linewidth in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             min_coherence_time(linewidth)
 
 

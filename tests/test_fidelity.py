@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import icspin
 from icspin.fidelity import RobustnessReport, gate_fidelity, omega1_grid, robust_fidelity
+from icspin.system import ConfigError
 
 from oracles import random_unitary
 
@@ -61,9 +62,17 @@ def test_single_point_grid_is_midpoint(h_subspace, hadamard_seq):
 
 
 def test_empty_grid_rejected(h_subspace, hadamard_seq):
-    with pytest.raises(ValueError, match="points must be an integer >= 1, got 0"):
+    with pytest.raises(ConfigError, match="points must be an integer >= 1, got 0"):
         robust_fidelity(hadamard_seq, icspin.hadamard_on_carbon(1), h_subspace,
                         grid_points=0)
+
+
+@pytest.mark.parametrize("band, name", [((0.5, 0.4), "max_MHz"), ((-0.1, 0.4), "min_MHz")])
+def test_a_refused_band_is_a_config_error(band, name):
+    """A band is an input value, refused like a register's: the CLI exits 1
+    on a ConfigError, and 2 on any other ValueError."""
+    with pytest.raises(ConfigError, match=f"^{name}"):
+        omega1_grid(band, 3)
 
 
 def test_report_mean_and_min_consistent(h_subspace, cnot_seq):

@@ -112,6 +112,19 @@ def test_m_s_must_pick_a_partner_manifold(system):
         multiqubit_hamiltonian(system, m_s=0)
 
 
+@pytest.mark.parametrize("m_s", [True, False, -1.0, 1.0, 2, -2, "1", None])
+def test_m_s_is_an_integer(system, m_s):
+    """True built the m_s = +1 Hamiltonian and -1.0 passed as -1."""
+    with pytest.raises(ValueError, match="m_s must be"):
+        multiqubit_hamiltonian(system, m_s=m_s)
+
+
+def test_m_s_takes_numpy_integers(system):
+    for m_s in (-1, 1):
+        assert np.array_equal(multiqubit_hamiltonian(system, np.int64(m_s)),
+                              multiqubit_hamiltonian(system, m_s))
+
+
 def test_upper_manifold_block_structure(system):
     h = multiqubit_hamiltonian(system, m_s=+1)
     c = system.single_carbon()

@@ -21,7 +21,8 @@ from icspin.optimize import (
     ga_config_to_dict,
     optimize,
 )
-from icspin.sequence import MAX_PULSES
+from icspin.sequence import MAX_PULSES, SequenceError
+from icspin.system import ConfigError
 
 # the module; ``icspin.optimize`` the attribute is the function
 optimize_module = importlib.import_module("icspin.optimize")
@@ -62,32 +63,32 @@ def test_rank_keys_break_fitness_ties_by_duration_then_genome():
 
 
 def test_bounds_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SequenceError):
         ParameterBounds(n_pulses=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ParameterBounds(n_pulses=1, tau_max=-1.0)
     for field in ("tau_max", "t_max"):
         for value in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ConfigError, match=field):
                 ParameterBounds(n_pulses=2, **{field: value})
 
 
 def test_ga_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GAConfig(elites=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GAConfig(mutation_rate=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GAConfig(elites=100, population=100)
     for bad in (0, icspin.fidelity.MAX_GRID_POINTS + 1):
-        with pytest.raises(ValueError, match="omega1_grid points"):
+        with pytest.raises(ConfigError, match="omega1_grid points"):
             GAConfig(omega1_points=bad)
     for bad in (-0.01, np.inf, np.nan):
-        with pytest.raises(ValueError, match="mutation_scale"):
+        with pytest.raises(ConfigError, match="mutation_scale"):
             GAConfig(mutation_scale=bad)
     for bad, name in (((-0.1, 0.5), r"min_MHz"), ((0.5, 0.4), r"max_MHz \(at least min_MHz\)"),
                       ((0.48, np.nan), r"max_MHz \(at least min_MHz\)")):
-        with pytest.raises(ValueError, match=f"omega1_grid {name} must be finite and in"):
+        with pytest.raises(ConfigError, match=f"omega1_grid {name} must be finite and in"):
             GAConfig(omega1_range=bad)
 
 
@@ -97,7 +98,7 @@ def test_ga_config_validation():
 def test_ga_config_real_settings_refuse_what_is_not_a_number(name, value):
     """A bool passed the range checks, and a string reached them and raised
     numpy's or Python's bare TypeError."""
-    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+    with pytest.raises(ConfigError, match=f"^{name} must be a number"):
         GAConfig(**{name: value})
 
 
@@ -106,25 +107,25 @@ def test_ga_config_real_settings_take_numpy_floats_and_early_stop_none():
                    mutation_scale=np.int64(1), early_stop=np.float32(0.9))
     assert cfg.crossover_rate == 0.5
     assert GAConfig(early_stop=None).early_stop is None
-    with pytest.raises(ValueError, match="^crossover_rate must be a number"):
+    with pytest.raises(ConfigError, match="^crossover_rate must be a number"):
         GAConfig(crossover_rate=None)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda h: GAConfig(population=MAX_POPULATION + 1), "population"),
-    (lambda h: GAConfig(generations=2**63), "generations"),
-    (lambda h: GAConfig(restarts=2**63), "restarts"),
-    (lambda h: GAConfig(generations=np.int64(2**62)), "generations"),
-    (lambda h: ParameterBounds(MAX_PULSES + 1), "n_pulses"),
+@pytest.mark.parametrize("call, error, name", [
+    (lambda h: GAConfig(population=MAX_POPULATION + 1), ConfigError, "population"),
+    (lambda h: GAConfig(generations=2**63), ConfigError, "generations"),
+    (lambda h: GAConfig(restarts=2**63), ConfigError, "restarts"),
+    (lambda h: GAConfig(generations=np.int64(2**62)), ConfigError, "generations"),
+    (lambda h: ParameterBounds(MAX_PULSES + 1), SequenceError, "n_pulses"),
     (lambda h: icspin.FitnessKernel(h, icspin.cnot_on_carbon(1), [0.5], MAX_PULSES + 1),
-     "n_pulses"),
+     SequenceError, "n_pulses"),
 ], ids=["population", "generations", "restarts", "int64_generations", "bounds_pulses",
         "kernel_pulses"])
-def test_search_sizes_past_their_budget_are_refused(h_subspace, call, name):
+def test_search_sizes_past_their_budget_are_refused(h_subspace, call, error, name):
     """The CLI's budgets hold for every caller; a search of 2**63 generations
     never ended. The work is counted in Python integers, so numpy counts
     whose product overflows int64 are refused too."""
-    with pytest.raises(ValueError, match=f"{name}.* must be at most"):
+    with pytest.raises(error, match=f"{name}.* must be at most"):
         call(h_subspace)
 
 

@@ -50,6 +50,20 @@ def test_partial_trace_validates_args():
         partial_trace(psi, 2, (2, 2))
 
 
+@pytest.mark.parametrize("index", [True, False, -1, 4, 1.0, "0", None])
+def test_basis_state_refuses_what_is_no_index_of_the_space(index):
+    """True made the unnormalised all-ones vector (a bool mask), -1 the last
+    state, and 4 a bare IndexError."""
+    with pytest.raises(ValueError, match="basis index must be"):
+        basis_state(index, 4)
+
+
+def test_basis_state_takes_every_index_of_the_space():
+    for index in (0, 3, np.int64(2)):
+        psi = basis_state(index, 4)
+        assert psi[index] == 1.0 and np.linalg.norm(psi) == 1.0
+
+
 def test_bloch_vector_cardinal_states():
     up = np.array([1, 0], dtype=complex)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
