@@ -282,8 +282,7 @@ def _scan_sequence(args, cfg):
 
 def _scan_times(args) -> np.ndarray:
     """The sample times of a time-domain scan."""
-    if args.points < 2:   # a spectrum needs two samples
-        raise CliError(f"--points must be >= 2 for --kind {args.kind}, got {args.points}")
+    check_scan_points(args.points, f"--points for --kind {args.kind}", 2)
     check_time_span((args.points - 1) * args.dt, "scan time span (--points - 1) * --dt in us")
     return np.arange(args.points) * args.dt
 
@@ -408,7 +407,7 @@ def cmd_scan(args, phases: _Phases) -> int:
             raise CliError(f"--{name} is not read by --kind {args.kind}")
     check_time_step(args.dt, "--dt")
     check_linewidth(args.linewidth, "--linewidth")
-    check_scan_points(args.points, "--points")
+    check_scan_points(args.points, "--points", 1)
     check_detuning(args.detuning, "--detuning")
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)

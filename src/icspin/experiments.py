@@ -16,7 +16,7 @@ from .operators import PROJ_UP, TWO_PI, check_count, check_real, kron_all, rotat
 from .propagation import engine_for, sequence_propagator
 from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
-from .system import MAX_CARBONS, MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig
+from .system import MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig, check_carbons
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
 
 
@@ -99,7 +99,7 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
     """Instantaneous hard rotation of the electron pseudo-qubit,
     ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
-    check_count(n_carbons, "n_carbons", ConfigError, 0, high=MAX_CARBONS)
+    check_carbons(n_carbons, "n_carbons", ConfigError, 0)
     return np.kron(rotation(angle, axis_phi), np.eye(2**n_carbons))
 
 
@@ -177,8 +177,8 @@ MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 
 
-def check_scan_points(points: int, where: str) -> None:
-    check_count(points, where, ConfigError, 1, high=MAX_SCAN_POINTS)
+def check_scan_points(points: int, where: str, least: int) -> None:
+    check_count(points, where, ConfigError, least, high=MAX_SCAN_POINTS)
 
 
 def check_time_span(span: float, where: str) -> None:
@@ -207,9 +207,7 @@ def signal_spectrum(times: np.ndarray, signal: np.ndarray) -> Spectrum:
 
 def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 2:
-        raise ConfigError("time grid needs at least two samples")
-    check_scan_points(t_grid.size, "t_grid points")
+    check_scan_points(t_grid.size, "t_grid points", 2)   # a spectrum needs two samples
     steps = np.diff(t_grid)
     check_time_step(float(steps[0]), "the step of an increasing t_grid")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):   # NaN fails too
@@ -308,7 +306,7 @@ def theta_scan(
     out directly.
     """
     check_count(readout_branch, "readout_branch", ConfigError, -1, high=0)
-    check_scan_points(np.size(theta_grid), "theta_grid points")
+    check_scan_points(np.size(theta_grid), "theta_grid points", 1)
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
     check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)", ConfigError)
     config.single_carbon()   # the gate and the readout act on one carbon
@@ -385,9 +383,8 @@ def segment_samples(seq: PulseSequence, dt: float, where: str = "dt") -> list[in
     MAX_TRAJECTORY_STEPS. A check of `dt` raises ConfigError naming `where`."""
     check_time_step(dt, where)
     counts = [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
-    if sum(counts) > MAX_TRAJECTORY_STEPS:
-        raise ConfigError(f"trajectory steps (each segment's duration / {where}, rounded up) "
-                          f"must be at most {MAX_TRAJECTORY_STEPS}, got {sum(counts)}")
+    check_count(sum(counts), f"trajectory steps (each segment's duration / {where}, rounded up)",
+                ConfigError, 0, high=MAX_TRAJECTORY_STEPS)
     return counts
 
 

@@ -65,8 +65,8 @@ class ParameterBounds:
 # (5 amplitudes, 4 pulses): the 3.01e6 of MAX_GA_GENOMES take about 40 s and 12 min.
 MAX_POPULATION = 10_000
 # The GA's integer settings, each with its least and its greatest value (None: no ceiling)
-_GA_COUNTS = {"population": (2, MAX_POPULATION), "generations": (0, None), "elites": (1, None),
-              "seed": (0, None), "restarts": (1, None)}
+_GA_COUNTS = {"population": (2, MAX_POPULATION), "generations": (0, None), "seed": (0, None),
+              "restarts": (1, None)}
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class GAConfig:
     def __post_init__(self):
         for name, (least, most) in _GA_COUNTS.items():
             check_count(getattr(self, name), name, ConfigError, least, most)
-        if self.elites >= self.population:
-            raise ConfigError("elites must be smaller than the population")
+        check_count(self.elites, "elites (below population)", ConfigError, 1,
+                    high=self.population - 1)
         check_real(self.crossover_rate, "crossover_rate", ConfigError, 0.0, 1.0)
         check_real(self.mutation_rate, "mutation_rate", ConfigError, 0.0, 1.0)
         check_real(self.mutation_scale, "mutation_scale", ConfigError, 0.0, MAX_CONFIG_VALUE)

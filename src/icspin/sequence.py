@@ -137,8 +137,7 @@ def sequence_from_dict(doc: dict) -> PulseSequence:
     left out); any other key, a misspelt one say, is rejected."""
     check_keys(doc, "sequence document", SequenceError, required=("omega1_MHz", "segments"))
     raw = json_list(doc["segments"], "segments", SequenceError)
-    if len(raw) > MAX_SEGMENTS:
-        raise SequenceError(f"segments must hold at most {MAX_SEGMENTS} entries, got {len(raw)}")
+    check_count(len(raw), "number of segments", SequenceError, 0, high=MAX_SEGMENTS)
     segments = []
     for i, seg in enumerate(raw):
         kind = Delay if isinstance(seg, dict) and "delay_us" in seg else Pulse

@@ -31,8 +31,7 @@ def partial_trace(state: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.nda
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(f"state of dim {rho.shape[0]} does not factor as {dims}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"subsystem index {keep} out of range")
+    check_count(keep, "subsystem index", ValueError, 0, high=len(dims) - 1)
     n = len(dims)
     rho = rho.reshape(dims + dims)
     # trace out all other subsystems, highest axis first to keep indices stable

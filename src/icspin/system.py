@@ -32,6 +32,10 @@ class ConfigError(ValueError):
     input, a search setting or an amplitude band out of range. The CLI exits 1 on it."""
 
 
+def check_carbons(n_carbons: int, where: str, error: type[Exception], least: int) -> None:
+    check_count(n_carbons, where, error, least, high=MAX_CARBONS)
+
+
 @dataclass(frozen=True)
 class HyperfineCoupling:
     """Secular (a_zz) and anisotropic (a_zx) hyperfine couplings in MHz."""
@@ -71,8 +75,7 @@ class SpinSystemConfig:
     def __post_init__(self):
         check_real(self.d, "D_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
         check_real(self.nu_c, "nu_C_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
-        if not 1 <= len(self.carbons) <= MAX_CARBONS:
-            raise ConfigError(f"register supports 1 to {MAX_CARBONS} carbons")
+        check_carbons(len(self.carbons), "number of carbons", ConfigError, 1)
         for i, c in enumerate(self.carbons):   # HyperfineCoupling itself takes any float
             for key, value in zip(_CARBON_KEYS, (c.a_zz, c.a_zx)):
                 check_real(value, f"carbons[{i}].{key}", ConfigError,
@@ -124,8 +127,7 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
     for key in _UNMODELLED:
         if key in doc:
             check_real(doc[key], key, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
-    if not json_list(doc["carbons"], "carbons", ConfigError):
-        raise ConfigError("carbons must not be empty")
+    json_list(doc["carbons"], "carbons", ConfigError)
     carbons = []
     for i, c in enumerate(doc["carbons"]):
         check_keys(c, f"carbons[{i}]", ConfigError, required=_CARBON_KEYS)

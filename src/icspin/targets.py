@@ -14,7 +14,7 @@ import numpy as np
 
 from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, check_count, check_real, kron_all,
                         rotation)
-from .system import MAX_CARBONS, MAX_CONFIG_VALUE
+from .system import MAX_CONFIG_VALUE, check_carbons
 
 
 class TargetError(ValueError):
@@ -52,7 +52,7 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:
-    check_count(n_carbons, "n_carbons", TargetError, 1, high=MAX_CARBONS)
+    check_carbons(n_carbons, "n_carbons", TargetError, 1)
     check_count(carbon, "carbon index", TargetError, 1, n_carbons)
 
 

@@ -968,6 +968,14 @@ def _edit_couplings_zero(doc):
     doc["carbons"][0].update(A_zz_MHz=0, A_zx_MHz=0)
 
 
+def _edit_no_carbons(doc):
+    doc["carbons"] = []
+
+
+def _edit_five_carbons(doc):
+    doc["carbons"] *= 5
+
+
 @pytest.mark.parametrize("edit,field", [
     (_edit_nu_c_nan, "nu_C_MHz"),
     (_edit_coupling_inf, "carbons[0].A_zx_MHz"),
@@ -977,8 +985,10 @@ def _edit_couplings_zero(doc):
     (_edit_carbon_unknown_key, "label"),
     (_edit_nu_c_zero, "nu_C_MHz"),
     (_edit_couplings_zero, "A_zz_MHz"),
+    (_edit_no_carbons, "number of carbons must be an integer >= 1, got 0"),
+    (_edit_five_carbons, "number of carbons must be at most 4, got 5"),
 ], ids=["nu_c_nan", "coupling_inf", "d_bool", "coupling_string", "b0_string",
-        "carbon_unknown_key", "nu_c_zero", "couplings_zero"])
+        "carbon_unknown_key", "nu_c_zero", "couplings_zero", "no_carbons", "five_carbons"])
 def test_verify_malformed_system_is_usage_error(tmp_path, capsys, edit, field):
     doc = json.loads(Path(SYSTEM).read_text())
     edit(doc)
@@ -1016,7 +1026,7 @@ def test_report_on_a_system_without_carbons_is_usage_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["report", "--system", str(system), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "carbons" in err
+    assert err.startswith("error: number of carbons must be an integer >= 1, got 0")
     assert not out.exists()
 
 
@@ -1030,8 +1040,10 @@ def test_report_on_a_system_without_carbons_is_usage_error(tmp_path, capsys):
     (["report", "--linewidth", "1e308"], "--linewidth"),
     (["scan", "--kind", "spectrum", "--linewidth", "1e308"], "--linewidth"),
     (["optimize", "--target", "cnot", "--pulses", "0"], "pulses"),
-    (["scan", "--kind", "hadamard", "--points", "1"], "--points must be >= 2 for --kind hadamard"),
-    (["scan", "--kind", "fid", "--points", "1"], "--points must be >= 2 for --kind fid"),
+    (["scan", "--kind", "hadamard", "--points", "1"],
+     "--points for --kind hadamard must be an integer >= 2, got 1"),
+    (["scan", "--kind", "fid", "--points", "1"],
+     "--points for --kind fid must be an integer >= 2, got 1"),
 ], ids=["report_linewidth_nan", "spectrum_linewidth_nan", "optimize_tau_max_nan",
         "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan",
         "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_0",

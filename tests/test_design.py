@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,22 @@ def test_each_value_has_one_source():
     assert MAX_GA_GENOMES == MAX_POPULATION * (GAConfig.generations + 1) == 3_010_000
 
 
+def test_each_scan_flag_help_names_the_kinds_that_read_it():
+    """A scan flag's help that names scan kinds names exactly those that
+    ``cli._SCANS`` says read the flag, so the table and the help agree."""
+    scan = next(a for a in cli.build_parser()._actions
+                if a.dest == "command").choices["scan"]
+    helps = {action.dest: action.help or "" for action in scan._actions}
+    named = {}
+    for name in cli._SCAN_OPTIONS:
+        kinds = {kind for kind in cli._SCANS if re.search(rf"\b{kind}\b", helps[name])}
+        if kinds:
+            named[name] = kinds
+    assert named.keys() == {"gate", "noop", "readout", "points", "dt", "linewidth", "state"}
+    for name, kinds in named.items():
+        assert kinds == {kind for kind, (_, reads) in cli._SCANS.items() if name in reads}, name
+
+
 _GA_COUNT_KEYS = ("population", "generations", "elites", "seed", "restarts")
 # Each library count: its error, the parameter its message names, and a call
 # that passes `value` as the count
@@ -231,7 +248,7 @@ COUNTS = {
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
     "grid_points": (ConfigError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
     "scan_points": (ConfigError, "--points",
-                    lambda cfg, value: experiments.check_scan_points(value, "--points")),
+                    lambda cfg, value: experiments.check_scan_points(value, "--points", 1)),
     "ccrot_n_carbons": (TargetError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
     "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
     "electron_rotation_n_carbons": (ConfigError, "n_carbons", lambda cfg, value:
@@ -344,6 +361,59 @@ def test_no_real_input_is_compared_outside_the_rule():
                 continue
             parts = {ast.unparse(part) for part in ast.walk(node)}
             assert not parts & refused, f"{where}: {ast.unparse(node)}"
+
+
+def _is_number(node: ast.AST, kind: type) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def test_no_count_is_compared_outside_the_rule():
+    """Outside ``operators``, no library function compares a ``MAX_*``
+    budget, or the ``len()``, ``.size`` or ``sum()`` of an input, with an
+    integer by hand: ``check_count`` is the one rule of a count. No CLI
+    function compares a flag's value with a number."""
+    module_names = {module: {ast.unparse(target) for node in ast.parse(text).body
+                             if isinstance(node, (ast.Assign, ast.AnnAssign))
+                             for target in (node.targets if isinstance(node, ast.Assign)
+                                            else [node.target])}
+                    for module, text in SOURCES.items()}
+
+    def size_of_input(node, module):
+        if isinstance(node, ast.Call) and _called_name(node) in ("len", "sum") and node.args:
+            measured = node.args[0]
+        elif isinstance(node, ast.Attribute) and node.attr == "size":
+            measured = node.value
+        else:
+            return False
+        root = next((part.id for part in ast.walk(measured) if isinstance(part, ast.Name)), None)
+        return root is not None and root not in module_names[module]   # module state is no input
+
+    def budget(part):
+        return any(getattr(node, "id", getattr(node, "attr", "")).startswith("MAX_")
+                   for node in ast.walk(part))
+
+    found = []
+    for where, func in _top_functions():
+        module = where.split(":")[0]
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            ordered = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            if module == "cli.py":
+                if (any(ast.unparse(part).startswith("args.") for part in operands)
+                        and any(_is_number(part, (int, float)) for part in operands)):
+                    found.append(f"{where}: {ast.unparse(node)}")
+            elif module != "operators.py" and ordered and (
+                    any(budget(part) for part in operands)
+                    or (any(size_of_input(part, module) for part in operands)
+                        and any(_is_number(part, int) for part in operands))):
+                found.append(f"{where}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_one_rule_per_kind_of_number():
@@ -460,7 +530,7 @@ def test_each_scan_input_has_one_rule():
 SIZE_BUDGETS = {
     "MAX_SCAN_POINTS": ("experiments.py:check_scan_points",
                         {"experiments.py:_check_uniform", "experiments.py:theta_scan",
-                         "cli.py:cmd_scan"}),
+                         "cli.py:cmd_scan", "cli.py:_scan_times"}),
     "MAX_DURATION_US": ("experiments.py:check_time_span",
                         {"experiments.py:_check_uniform", "cli.py:_scan_times"}),
     "MAX_TRAJECTORY_STEPS": ("experiments.py:segment_samples",
@@ -469,16 +539,21 @@ SIZE_BUDGETS = {
                    {"optimize.py:ParameterBounds.__post_init__",
                     "kernels.py:FitnessKernel.__init__", "cli.py:_load_sequence",
                     "cli.py:cmd_optimize"}),
+    "MAX_SEGMENTS": ("sequence.py:sequence_from_dict", {"sequence.py:load_sequence"}),
+    "MAX_GRID_POINTS": ("fidelity.py:omega1_grid",
+                        {"fidelity.py:robust_fidelity", "optimize.py:GAConfig.__post_init__",
+                         "optimize.py:optimize", "cli.py:_parse_grid", "cli.py:cmd_verify",
+                         "cli.py:cmd_optimize"}),
     "MAX_POPULATION": ("optimize.py:GAConfig.__post_init__",
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
     "MAX_GA_GENOMES": ("optimize.py:GAConfig.__post_init__",
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
-    # a register checks its carbons against MAX_CARBONS too, but takes no count
-    "MAX_CARBONS": (("targets.py:_check_carbon", "experiments.py:electron_rotation"),
-                    {"targets.py:hadamard_on_carbon", "targets.py:cc_rotation",
-                     "experiments.py:simulate_init_sequence", "experiments.py:cleanup_propagator",
-                     "experiments.py:electron_fid_scan", "experiments.py:theta_scan"}),
+    "MAX_CARBONS": ("system.py:check_carbons",
+                    {"system.py:SpinSystemConfig.__post_init__", "targets.py:_check_carbon",
+                     "experiments.py:electron_rotation"}),
 }
+# The ceiling of a real input, not of a size: check_real holds its rule
+REAL_CEILINGS = {"MAX_CONFIG_VALUE"}
 
 
 def _top_functions():
@@ -515,12 +590,15 @@ def _says_at_most(node: ast.AST, budget: str, tables: set) -> bool:
 
 def test_each_size_has_one_budget():
     """Each size budget is one constant and one rule, which every library
-    reader and the CLI call; the CLI holds no budget of its own."""
+    reader and the CLI call; the CLI holds no budget of its own. Every
+    ``MAX_*`` constant of the package but a real ceiling is in the table."""
     functions = list(_top_functions())
     assignments = [node for text in SOURCES.values() for node in ast.parse(text).body
                    if isinstance(node, ast.Assign)]
-    for budget, (rules, callers) in SIZE_BUDGETS.items():
-        rules = [rules] if isinstance(rules, str) else sorted(rules)
+    budgets = {ast.unparse(target) for node in assignments for target in node.targets
+               if ast.unparse(target).startswith("MAX_")}
+    assert budgets == SIZE_BUDGETS.keys() | REAL_CEILINGS
+    for budget, (rule, callers) in SIZE_BUDGETS.items():
         defined = [node for node in assignments if budget in map(ast.unparse, node.targets)]
         assert len(defined) == 1, budget
         tables = {ast.unparse(target) for node in assignments if isinstance(node.value, ast.Dict)
@@ -528,10 +606,10 @@ def test_each_size_has_one_budget():
                   for target in node.targets}
         writers = sorted(where for where, func in functions for node in ast.walk(func)
                          if _says_at_most(node, budget, tables))
-        assert writers == rules, budget
-        called = {rule.split(":")[1].split(".")[0] for rule in rules}
+        assert writers == [rule], budget
+        called = rule.split(":")[1].split(".")[0]
         assert {where for where, func in functions
-                if any(isinstance(node, ast.Call) and _called_name(node) in called
+                if any(isinstance(node, ast.Call) and _called_name(node) == called
                        for node in ast.walk(func))} == callers, budget
     tree = ast.parse(SOURCES["cli.py"])
     names = {getattr(node, "name", None) for node in tree.body}

@@ -180,8 +180,10 @@ def test_hadamard_scan_requires_uniform_grid(system):
 
 
 def test_scans_require_two_samples(system):
-    with pytest.raises(ConfigError, match="at least two samples"):
-        hadamard_circuit_scan("ideal", np.array([0.0]), system)
+    for scan in (lambda t: hadamard_circuit_scan("ideal", t, system),
+                 lambda t: electron_fid_scan(basis_state(0, 4), 3.0, t, system)):
+        with pytest.raises(ConfigError, match=r"^t_grid points must be an integer >= 2, got 1"):
+            scan(np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +630,8 @@ def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
         segment_samples(PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25 + 0.25),), 0.0), 0.25,
                         "--dt")
     for check, budget, past, message in (
-            (check_scan_points, MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1, "must be at most"),
+            (lambda n, where: check_scan_points(n, where, 1), MAX_SCAN_POINTS,
+             MAX_SCAN_POINTS + 1, "must be at most"),
             (check_time_span, MAX_DURATION_US, np.nextafter(MAX_DURATION_US, np.inf),
              r"must be finite and in \(-inf, 1e\+06\]")):
         check(budget, "--flag")

@@ -78,7 +78,8 @@ def test_ga_config_validation():
         GAConfig(elites=0)
     with pytest.raises(ConfigError):
         GAConfig(mutation_rate=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^elites \(below population\) must be at most 99, "
+                                          r"got 100"):
         GAConfig(elites=100, population=100)
     for bad in (0, icspin.fidelity.MAX_GRID_POINTS + 1):
         with pytest.raises(ConfigError, match="omega1_grid points"):

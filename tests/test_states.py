@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icspin.operators import PROJ_DOWN, PROJ_UP
 from icspin.states import (
     basis_state,
     bloch_vector,
@@ -46,7 +47,7 @@ def test_partial_trace_validates_args():
     psi = basis_state(0, 4)
     with pytest.raises(ValueError, match="factor"):
         partial_trace(psi, 0, (2, 3))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="subsystem index must be at most 1, got 2"):
         partial_trace(psi, 2, (2, 2))
 
 
@@ -62,6 +63,19 @@ def test_basis_state_takes_every_index_of_the_space():
     for index in (0, 3, np.int64(2)):
         psi = basis_state(index, 4)
         assert psi[index] == 1.0 and np.linalg.norm(psi) == 1.0
+
+
+@pytest.mark.parametrize("keep", [True, 1.0, -1, 2, "0", None])
+def test_partial_trace_refuses_what_is_no_subsystem_index(keep):
+    """True and 1.0 silently kept subsystem 1."""
+    with pytest.raises(ValueError, match="subsystem index must be"):
+        partial_trace(basis_state(0, 4), keep, (2, 2))
+
+
+def test_partial_trace_takes_every_subsystem_index():
+    psi = np.kron([1.0, 0.0], [0.0, 1.0])
+    for keep, expected in ((0, PROJ_UP), (1, PROJ_DOWN), (np.int64(1), PROJ_DOWN)):
+        assert np.allclose(partial_trace(psi, keep, (2, 2)), expected, atol=1e-15)
 
 
 def test_bloch_vector_cardinal_states():

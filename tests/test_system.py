@@ -66,8 +66,10 @@ def test_nan_registers_are_refused_where_they_are_made():
 
 def test_carbon_count_limits():
     c = tuple(HyperfineCoupling(-0.1, 0.1) for _ in range(5))
-    with pytest.raises(ConfigError, match="1 to 4"):
+    with pytest.raises(ConfigError, match="^number of carbons must be at most 4, got 5"):
         SpinSystemConfig(2870.0, 0.158, c)
+    with pytest.raises(ConfigError, match="^number of carbons must be an integer >= 1, got 0"):
+        SpinSystemConfig(2870.0, 0.158, ())
 
 
 @pytest.mark.parametrize("omega1", [2870.0, 1e308, -0.1, float("nan")])
