@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict, astuple
 from operator import attrgetter
 from pathlib import Path
 
@@ -45,13 +46,13 @@ from .experiments import (
     segment_samples,
     theta_scan,
 )
-from .fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid, robust_fidelity
+from .fidelity import Band, robust_fidelity
 from .files import read_json, write_csv, write_json
 from .geometry import GeometryError, dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
 from .operators import E2, PROJ_UP
-from .optimize import ParameterBounds, ga_config_from_dict, ga_config_to_dict, optimize
+from .optimize import ParameterBounds, ga_config_from_dict, optimize
 from .propagation import engine_for
 from .sequence import SequenceError, check_pulses, load_sequence, save_sequence
 from .states import basis_state
@@ -142,17 +143,16 @@ def _finish(args, phases: _Phases, command: str, write, inputs: dict, seed: int 
     return 0
 
 
-def _parse_grid(text: str) -> tuple[tuple[float, float], int]:
+def _parse_grid(text: str) -> Band:
     try:
         lo, hi, points = text.split(",")
         lo, hi, points = float(lo), float(hi), int(points)
     except ValueError as exc:
         raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
     try:
-        omega1_grid((lo, hi), points)
+        return Band(lo, hi, points)
     except ConfigError as exc:
         raise CliError(f"--grid {exc}") from exc
-    return (lo, hi), points
 
 
 def _load_sequence(path):
@@ -172,13 +172,13 @@ def cmd_verify(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     seq = _load_sequence(args.sequence)
     target = _target(args, cfg)
-    omega1_range, points = _parse_grid(args.grid)
-    cfg.check_drive_amplitude(omega1_range[1], "--grid max")
+    band = _parse_grid(args.grid)
+    cfg.check_drive_amplitude(band.max_MHz, "--grid max")
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
-    engine_for(h, omega1_grid(omega1_range, points))   # the kernel reuses it
+    engine_for(h, band.omega1s())   # the kernel reuses it
     phases.done("hamiltonian")
-    report = robust_fidelity(seq, target, h, omega1_range, points)
+    report = robust_fidelity(seq, target, h, (band.min_MHz, band.max_MHz), band.points)
     phases.done("evaluate")
 
     def write(out: Path) -> None:
@@ -222,18 +222,15 @@ def cmd_optimize(args, phases: _Phases) -> int:
     if args.seed is not None:
         ga_doc["seed"] = args.seed
     if args.grid:
-        omega1_range, points = _parse_grid(args.grid)
-        ga_doc["omega1_grid"] = {
-            "min_MHz": omega1_range[0], "max_MHz": omega1_range[1], "points": points,
-        }
+        ga_doc["omega1_grid"] = asdict(_parse_grid(args.grid))
     ga = ga_config_from_dict(ga_doc)
     check_pulses(args.pulses, "--pulses", 1)
     bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
-    cfg.check_drive_amplitude(ga.omega1_range[1], where)
+    cfg.check_drive_amplitude(ga.omega1_grid.max_MHz, where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
-    engine_for(h, omega1_grid(ga.omega1_range, ga.omega1_points))   # the kernel reuses it
+    engine_for(h, ga.omega1_grid.omega1s())   # the kernel reuses it
     phases.done("hamiltonian")
 
     result = optimize(target, h, bounds, ga)
@@ -263,7 +260,7 @@ def cmd_optimize(args, phases: _Phases) -> int:
     return _finish(args, phases, "optimize", write,
                    {"system": str(args.system), "target": args.target,
                     "pulses": args.pulses, "tau_max": args.tau_max,
-                    "t_max": args.t_max, "ga": ga_config_to_dict(ga)},
+                    "t_max": args.t_max, "ga": asdict(ga)},
                    ga.seed,
                    generations_run=result.generations_run,
                    fitness_evaluations=result.fitness_evaluations,
@@ -469,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--grid", default=",".join(map(str, (*DEFAULT_OMEGA1_RANGE,
-                                                       DEFAULT_GRID_POINTS))))
+    p.add_argument("--grid", default=",".join(map(str, astuple(Band()))))
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_verify)
 

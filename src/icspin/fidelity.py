@@ -11,8 +11,6 @@ from .sequence import PulseSequence, genome_from_sequence
 from .system import ConfigError
 from .targets import TargetGate
 
-DEFAULT_OMEGA1_RANGE = (0.48, 0.52)
-DEFAULT_GRID_POINTS = 5
 # At d = 32 a grid point costs about 32 kB in the engine's batched
 # eigensystem (96 MB peak at 4096 points), so a band is refused past this
 # many points before anything is allocated.
@@ -27,16 +25,27 @@ def gate_fidelity(u: np.ndarray, u_target: np.ndarray) -> float:
     return float(abs(np.trace(u.conj().T @ u_target)) / d)
 
 
-def omega1_grid(omega1_range: tuple[float, float], points: int) -> np.ndarray:
-    """`points` amplitudes spanning the band, or its centre for one point. The one
-    check of a band: ConfigError names min_MHz, max_MHz or points for the caller to prefix."""
-    lo, hi = omega1_range
-    check_real(lo, "min_MHz", ConfigError, 0.0)
-    check_real(hi, "max_MHz (at least min_MHz)", ConfigError, lo)
-    check_count(points, "points", ConfigError, 1, high=MAX_GRID_POINTS)
-    if points == 1:
-        return np.array([(lo + hi) / 2.0])
-    return np.linspace(lo, hi, points)
+@dataclass(frozen=True)
+class Band:
+    """A band of drive amplitudes in MHz, sampled at `points` amplitudes. Its
+    fields are the keys of a GA document's "omega1_grid" object. The one check
+    of a band: ConfigError names min_MHz, max_MHz or points for the caller to
+    prefix."""
+
+    min_MHz: float = 0.48
+    max_MHz: float = 0.52
+    points: int = 5
+
+    def __post_init__(self):
+        check_real(self.min_MHz, "min_MHz", ConfigError, 0.0)
+        check_real(self.max_MHz, "max_MHz (at least min_MHz)", ConfigError, self.min_MHz)
+        check_count(self.points, "points", ConfigError, 1, high=MAX_GRID_POINTS)
+
+    def omega1s(self) -> np.ndarray:
+        """`points` amplitudes spanning the band, or its centre for one point."""
+        if self.points == 1:
+            return np.array([(self.min_MHz + self.max_MHz) / 2.0])
+        return np.linspace(self.min_MHz, self.max_MHz, self.points)
 
 
 def equal_weight_score(fidelities: np.ndarray) -> np.ndarray:
@@ -78,17 +87,23 @@ def robust_fidelity(
     seq: PulseSequence,
     target: TargetGate | np.ndarray,
     h: np.ndarray,
-    omega1_range: tuple[float, float] = DEFAULT_OMEGA1_RANGE,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    omega1_range: tuple[float, float] = (Band.min_MHz, Band.max_MHz),
+    grid_points: int = Band.points,
 ) -> RobustnessReport:
     """Evaluate the sequence against the target across an amplitude grid.
 
     The sequence runs as its template genome through the fitness kernel,
     which chunks the grid under BATCH_ENTRIES and reads the trace against
-    V^T T V in the free eigenbasis. A target of the wrong dimension raises
-    ValueError; a fidelity that is not finite or exceeds 1 is an internal
-    invariant violation and raises RuntimeError.
+    V^T T V in the free eigenbasis. A band that is no pair of numbers or
+    fails ``Band``'s check raises ConfigError; a target of the wrong
+    dimension raises ValueError; a fidelity that is not finite or exceeds 1
+    is an internal invariant violation and raises RuntimeError.
     """
-    grid = omega1_grid(omega1_range, grid_points)
+    try:
+        lo, hi = omega1_range
+    except (TypeError, ValueError):
+        raise ConfigError(f"omega1_range must be a pair (min_MHz, max_MHz), "
+                          f"got {omega1_range!r}") from None
+    grid = Band(lo, hi, grid_points).omega1s()
     kernel = FitnessKernel(h, target, grid, seq.n_pulses)
     return RobustnessReport(grid, kernel.evaluate(genome_from_sequence(seq))[0])

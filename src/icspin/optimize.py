@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fidelity import (DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, RobustnessReport,
-                       equal_weight_score, omega1_grid)
+from .fidelity import Band, RobustnessReport, equal_weight_score
 from .files import check_keys
 from .kernels import FitnessKernel
 from .operators import TWO_PI, check_count, check_real
@@ -71,8 +70,8 @@ _GA_COUNTS = {"population": (2, MAX_POPULATION), "generations": (0, None), "seed
 
 @dataclass(frozen=True)
 class GAConfig:
-    """The GA's settings; each field but the band is a GA-document key of its
-    own name, and the band is the document's one "omega1_grid" object."""
+    """The GA's settings; each field is the GA-document key of its own name,
+    and the band is a ``Band``, the document's "omega1_grid" object."""
 
     population: int = 100
     generations: int = 300
@@ -83,8 +82,7 @@ class GAConfig:
     seed: int = 0
     restarts: int = 1
     early_stop: float | None = 0.999
-    omega1_range: tuple[float, float] = DEFAULT_OMEGA1_RANGE
-    omega1_points: int = DEFAULT_GRID_POINTS
+    omega1_grid: Band = Band()
 
     def __post_init__(self):
         for name, (least, most) in _GA_COUNTS.items():
@@ -96,46 +94,35 @@ class GAConfig:
         check_real(self.mutation_scale, "mutation_scale", ConfigError, 0.0, MAX_CONFIG_VALUE)
         if self.early_stop is not None:
             check_real(self.early_stop, "early_stop", ConfigError)
-        try:
-            omega1_grid(self.omega1_range, self.omega1_points)
-        except ConfigError as exc:
-            raise ConfigError(f"omega1_grid {exc}") from exc
+        if not isinstance(self.omega1_grid, Band):
+            raise ConfigError(f"omega1_grid must be a Band, got {self.omega1_grid!r}")
         work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
         check_count(work, "work population * (generations + 1) * restarts", ConfigError, 0,
                     high=MAX_GA_GENOMES)
 
 
 MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
-_GA_KEYS = tuple(f.name for f in fields(GAConfig)
-                 if f.name not in ("omega1_range", "omega1_points"))
-_GRID_KEYS = ("min_MHz", "max_MHz", "points")
 
 
 def ga_config_from_dict(doc: dict) -> GAConfig:
-    """Build a GAConfig from its JSON document form.
-
-    The document holds any of the keys ``ga_config_to_dict`` writes; an
-    ``omega1_grid`` needs all three of its fields. Every fault, a wrong
-    type, an unknown or missing key or a value out of range, raises
-    ConfigError naming the key.
+    """Build a GAConfig from its JSON document form, ``dataclasses.asdict``
+    of one, or any part of it; an ``omega1_grid`` needs all of ``Band``'s
+    fields. Every fault, a wrong type, an unknown or missing key or a value
+    out of range, raises ConfigError naming the key.
     """
-    check_keys(doc, "GA config", ConfigError, optional=(*_GA_KEYS, "omega1_grid"))
-    kwargs = {key: doc[key] for key in _GA_KEYS if key in doc}
+    check_keys(doc, "GA config", ConfigError, optional=[f.name for f in fields(GAConfig)])
+    kwargs = dict(doc)
     if "omega1_grid" in doc:
-        grid = doc["omega1_grid"]
-        check_keys(grid, "GA config omega1_grid", ConfigError, required=_GRID_KEYS)
-        kwargs["omega1_range"] = (grid["min_MHz"], grid["max_MHz"])
-        kwargs["omega1_points"] = grid["points"]
+        check_keys(doc["omega1_grid"], "GA config omega1_grid", ConfigError,
+                   required=[f.name for f in fields(Band)])
+        try:
+            kwargs["omega1_grid"] = Band(**doc["omega1_grid"])
+        except ConfigError as exc:   # each message starts with the field it names
+            raise ConfigError(f"GA config omega1_grid {exc}") from exc
     try:
         return GAConfig(**kwargs)
-    except ConfigError as exc:   # each message starts with the field it names
+    except ConfigError as exc:
         raise ConfigError(f"GA config {exc}") from exc
-
-
-def ga_config_to_dict(cfg: GAConfig) -> dict:
-    doc = {key: getattr(cfg, key) for key in _GA_KEYS}
-    doc["omega1_grid"] = dict(zip(_GRID_KEYS, (*cfg.omega1_range, cfg.omega1_points)))
-    return doc
 
 
 @dataclass(frozen=True)
@@ -350,7 +337,7 @@ def optimize(
     which then scores the best genome once for ``robustness``;
     ``fitness_evaluations`` counts the genomes scored times the grid points.
     """
-    grid = omega1_grid(cfg.omega1_range, cfg.omega1_points)
+    grid = cfg.omega1_grid.omega1s()
     kern = FitnessKernel(h, target, grid, bounds.n_pulses)
     runs = [_single_run(kern, bounds, cfg, cfg.seed + i) for i in range(cfg.restarts)]
     # the run whose history ends highest, the first of equal ones

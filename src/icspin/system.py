@@ -128,6 +128,7 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
         if key in doc:
             check_real(doc[key], key, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
     json_list(doc["carbons"], "carbons", ConfigError)
+    check_carbons(len(doc["carbons"]), "number of carbons", ConfigError, 1)
     carbons = []
     for i, c in enumerate(doc["carbons"]):
         check_keys(c, f"carbons[{i}]", ConfigError, required=_CARBON_KEYS)

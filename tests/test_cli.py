@@ -317,6 +317,27 @@ def test_optimize_saves_the_sequence_at_the_band_centre(tmp_path, band):
     assert json.loads((tmp_path / "o" / "best_sequence.json").read_text())["omega1_MHz"] == 1.0
 
 
+def test_grid_flag_and_ga_document_band_write_the_same_files(tmp_path):
+    """--grid and a GA document's omega1_grid are one band: the same data
+    files byte for byte, and the same ``ga`` in the manifest."""
+    band = {"min_MHz": 0.45, "max_MHz": 0.55, "points": 4}
+    ga = {"population": 12, "elites": 1, "generations": 3}
+    argv = ["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "2", "--seed", "3"]
+    (tmp_path / "flag.json").write_text(json.dumps(ga))
+    (tmp_path / "doc.json").write_text(json.dumps({**ga, "omega1_grid": band}))
+    assert run(argv + ["--grid", "0.45,0.55,4", "--ga-config", str(tmp_path / "flag.json"),
+                       "--out", str(tmp_path / "flag")]) == 0
+    assert run(argv + ["--ga-config", str(tmp_path / "doc.json"),
+                       "--out", str(tmp_path / "doc")]) == 0
+    flag, doc = data_files(tmp_path / "flag"), data_files(tmp_path / "doc")
+    assert [p.name for p in flag] == [p.name for p in doc]
+    assert [p.read_bytes() for p in flag] == [p.read_bytes() for p in doc]
+    manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in ("flag", "doc")]
+    assert manifests[0]["inputs"]["ga"] == manifests[1]["inputs"]["ga"]
+    assert manifests[0]["inputs"]["ga"]["omega1_grid"] == band
+
+
 def test_optimize_invalid_bounds_usage_error(tmp_path):
     assert run(["optimize", "--system", SYSTEM, "--target", "hadamard",
                 "--pulses", "0", "--out", str(tmp_path / "o")]) == 1

@@ -11,13 +11,13 @@ import pytest
 
 import icspin
 from icspin import cli, experiments, system, targets
-from icspin.fidelity import DEFAULT_GRID_POINTS, DEFAULT_OMEGA1_RANGE, omega1_grid
+from icspin.fidelity import Band
 from icspin.files import read_json
 from icspin.geometry import DipolarGeometry, GeometryError, dipolar_prefactor_mhz
 from icspin.kernels import FitnessKernel
 from icspin.operators import assert_hermitian
 from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, OptimizationResult,
-                             ParameterBounds, ga_config_from_dict, ga_config_to_dict)
+                             ParameterBounds, ga_config_from_dict)
 from icspin.propagation import PropagationEngine
 from icspin.sequence import (Delay, Pulse, PulseSequence, SequenceError, check_pulses,
                              sequence_from_genome)
@@ -184,12 +184,18 @@ def test_no_library_setting_without_a_caller():
 
 
 def test_each_ga_setting_has_one_name():
-    """GAConfig's fields are the GA document's keys, but for the band, which
-    the document holds as one ``omega1_grid``; the fields' retired names
-    are gone from the package."""
-    settings = {f.name for f in dataclasses.fields(GAConfig)} - {"omega1_range", "omega1_points"}
-    assert settings == ga_config_to_dict(GAConfig()).keys() - {"omega1_grid"}
-    retired = ("population_size", "elite_count", "rng_seed", "early_stop_fitness")
+    """GAConfig's fields are exactly the GA document's keys, and the band's
+    fields those of the document's ``omega1_grid``: ``asdict`` writes a
+    document that ``ga_config_from_dict`` reads back, and any other key is
+    refused. The fields' retired names are gone from the package."""
+    doc = dataclasses.asdict(GAConfig())
+    assert ga_config_from_dict(doc) == GAConfig()
+    for retired in ("omega1_range", "omega1_points"):
+        with pytest.raises(ConfigError, match=f"unknown keys: \\['{retired}'\\]"):
+            ga_config_from_dict({retired: doc["omega1_grid"]["points"]})
+    retired = ("population_size", "elite_count", "rng_seed", "early_stop_fitness",
+               "omega1_points", "DEFAULT_OMEGA1_RANGE", "DEFAULT_GRID_POINTS",
+               "ga_config_to_dict", "_GRID_KEYS", "def omega1_grid")
     assert [name for name in retired if any(name in text for text in SOURCES.values())] == []
 
 
@@ -207,7 +213,7 @@ def test_each_value_has_one_source():
 
     parser = cli.build_parser()
     verify = parser.parse_args(["verify", "--system", "s", "--sequence", "q", "--target", "t"])
-    assert cli._parse_grid(verify.grid) == (DEFAULT_OMEGA1_RANGE, DEFAULT_GRID_POINTS)
+    assert cli._parse_grid(verify.grid) == Band()
     search = parser.parse_args(["optimize", "--system", "s", "--target", "t"])
     assert (search.tau_max, search.t_max) == (ParameterBounds.tau_max, ParameterBounds.t_max)
     assert parser.parse_args(["report", "--system", "s"]).linewidth == \
@@ -246,7 +252,7 @@ COUNTS = {
     "check_pulses": (SequenceError, "--pulses",
                      lambda cfg, value: check_pulses(value, "--pulses", 1)),
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
-    "grid_points": (ConfigError, "points", lambda cfg, value: omega1_grid((0.4, 0.6), value)),
+    "grid_points": (ConfigError, "points", lambda cfg, value: Band(0.4, 0.6, value)),
     "scan_points": (ConfigError, "--points",
                     lambda cfg, value: experiments.check_scan_points(value, "--points", 1)),
     "ccrot_n_carbons": (TargetError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
@@ -305,12 +311,13 @@ REALS = {
     "t_max": (ConfigError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
     **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop")},
-    "ga_min_MHz": (ConfigError, "omega1_grid min_MHz",
-                   lambda cfg, value: GAConfig(omega1_range=(value, 1.0))),
-    "ga_max_MHz": (ConfigError, "omega1_grid max_MHz",
-                   lambda cfg, value: GAConfig(omega1_range=(0.4, value))),
-    "grid_min_MHz": (ConfigError, "min_MHz", lambda cfg, value: omega1_grid((value, 1.0), 3)),
-    "grid_max_MHz": (ConfigError, "max_MHz", lambda cfg, value: omega1_grid((0.4, value), 3)),
+    # a GA document's band, then a library caller's
+    **{f"ga_{name}": (ConfigError, f"GA config omega1_grid {name}",
+                      lambda cfg, value, name=name: ga_config_from_dict({"omega1_grid": {
+                          "min_MHz": 0.4, "max_MHz": 1.0, "points": 3, name: value}}))
+       for name in ("min_MHz", "max_MHz")},
+    "grid_min_MHz": (ConfigError, "min_MHz", lambda cfg, value: Band(value, 1.0)),
+    "grid_max_MHz": (ConfigError, "max_MHz", lambda cfg, value: Band(0.4, value)),
     "time_step": (ConfigError, "--dt",
                   lambda cfg, value: experiments.check_time_step(value, "--dt")),
     "linewidth": (ConfigError, "--linewidth",
@@ -525,8 +532,9 @@ def test_each_scan_input_has_one_rule():
 
 
 # Each size budget: the function that holds its one rule, and every function
-# that calls that rule. The hadamard and fid scans check their grids in
-# _check_uniform, and bloch_trajectory counts its steps with segment_samples.
+# that calls that rule (for a method, that builds its class). The hadamard and
+# fid scans check their grids in _check_uniform, and bloch_trajectory counts
+# its steps with segment_samples.
 SIZE_BUDGETS = {
     "MAX_SCAN_POINTS": ("experiments.py:check_scan_points",
                         {"experiments.py:_check_uniform", "experiments.py:theta_scan",
@@ -540,17 +548,16 @@ SIZE_BUDGETS = {
                     "kernels.py:FitnessKernel.__init__", "cli.py:_load_sequence",
                     "cli.py:cmd_optimize"}),
     "MAX_SEGMENTS": ("sequence.py:sequence_from_dict", {"sequence.py:load_sequence"}),
-    "MAX_GRID_POINTS": ("fidelity.py:omega1_grid",
-                        {"fidelity.py:robust_fidelity", "optimize.py:GAConfig.__post_init__",
-                         "optimize.py:optimize", "cli.py:_parse_grid", "cli.py:cmd_verify",
-                         "cli.py:cmd_optimize"}),
+    "MAX_GRID_POINTS": ("fidelity.py:Band.__post_init__",
+                        {"fidelity.py:robust_fidelity", "optimize.py:ga_config_from_dict",
+                         "cli.py:_parse_grid", "cli.py:build_parser"}),
     "MAX_POPULATION": ("optimize.py:GAConfig.__post_init__",
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
     "MAX_GA_GENOMES": ("optimize.py:GAConfig.__post_init__",
                        {"optimize.py:ga_config_from_dict", "optimize.py:optimize"}),
     "MAX_CARBONS": ("system.py:check_carbons",
-                    {"system.py:SpinSystemConfig.__post_init__", "targets.py:_check_carbon",
-                     "experiments.py:electron_rotation"}),
+                    {"system.py:SpinSystemConfig.__post_init__", "system.py:system_from_dict",
+                     "targets.py:_check_carbon", "experiments.py:electron_rotation"}),
 }
 # The ceiling of a real input, not of a size: check_real holds its rule
 REAL_CEILINGS = {"MAX_CONFIG_VALUE"}
@@ -619,3 +626,22 @@ def test_each_size_has_one_budget():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not [name for name in names if name and name.startswith("MAX_")]
     assert "_check_size" not in names
+
+
+def test_a_band_document_is_only_a_band():
+    """No module writes the band's document keys by hand: a band document is
+    ``asdict`` of a ``Band``, and ``Band(**obj)`` reads one, so no dict is
+    built, and no value subscripted, with the literal key "min_MHz" or
+    "max_MHz"."""
+    keys = {"min_MHz", "max_MHz"}
+
+    def literal(node):
+        return isinstance(node, ast.Constant) and node.value in keys
+
+    found = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, text in SOURCES.items()
+             for node in ast.walk(ast.parse(text))
+             if (isinstance(node, ast.Dict) and any(map(literal, node.keys)))
+             or (isinstance(node, ast.Subscript) and literal(node.slice))
+             or (isinstance(node, ast.Call) and _called_name(node) == "dict"
+                 and {k.arg for k in node.keywords} & keys)]
+    assert found == []

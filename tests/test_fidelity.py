@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icspin
-from icspin.fidelity import RobustnessReport, gate_fidelity, omega1_grid, robust_fidelity
+from icspin.fidelity import Band, RobustnessReport, gate_fidelity, robust_fidelity
 from icspin.system import ConfigError
 
 from oracles import random_unitary
@@ -47,8 +49,10 @@ def test_dimension_mismatch_raises():
 
 
 def test_grid_endpoints():
-    g = omega1_grid((0.48, 0.52), 5)
+    g = Band(0.48, 0.52, 5).omega1s()
     assert np.allclose(g, [0.48, 0.49, 0.50, 0.51, 0.52])
+    assert np.array_equal(Band().omega1s(), np.linspace(0.48, 0.52, 5))
+    assert Band(0.4, 0.6, 1).omega1s().tolist() == [0.5]
 
 
 def test_single_point_grid_is_midpoint(h_subspace, hadamard_seq):
@@ -67,12 +71,26 @@ def test_empty_grid_rejected(h_subspace, hadamard_seq):
                         grid_points=0)
 
 
-@pytest.mark.parametrize("band, name", [((0.5, 0.4), "max_MHz"), ((-0.1, 0.4), "min_MHz")])
-def test_a_refused_band_is_a_config_error(band, name):
+@pytest.mark.parametrize("band, message", [
+    ((0.5, 0.4, 3), r"max_MHz \(at least min_MHz\) must be finite and in \[0.5, inf\), got 0.4"),
+    ((-0.1, 0.4, 3), r"min_MHz must be finite and in \[0, inf\), got -0.1"),
+    ((0.48, 0.52, 0), r"points must be an integer >= 1, got 0"),
+    ((True, 0.52, 5), r"min_MHz must be a number, got True"),
+], ids=["band0-max_MHz", "band1-min_MHz", "band2-points", "band3-min_MHz"])
+def test_a_refused_band_is_a_config_error(band, message):
     """A band is an input value, refused like a register's: the CLI exits 1
     on a ConfigError, and 2 on any other ValueError."""
-    with pytest.raises(ConfigError, match=f"^{name}"):
-        omega1_grid(band, 3)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Band(*band)
+
+
+@pytest.mark.parametrize("omega1_range", [(0.4, 0.6, 0.7), (0.5,), 0.5, None])
+def test_robust_fidelity_refuses_a_range_that_is_no_pair(h_subspace, hadamard_seq, omega1_range):
+    """These raised a bare ValueError or TypeError, which the CLI would take
+    for an internal fault."""
+    with pytest.raises(ConfigError, match=r"^omega1_range must be a pair \(min_MHz, max_MHz\), "
+                                          rf"got {re.escape(repr(omega1_range))}$"):
+        robust_fidelity(hadamard_seq, icspin.hadamard_on_carbon(1), h_subspace, omega1_range, 3)
 
 
 def test_report_mean_and_min_consistent(h_subspace, cnot_seq):

@@ -1,4 +1,7 @@
 import importlib
+import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icspin
-from icspin.fidelity import omega1_grid
+from icspin.fidelity import Band
 from icspin.optimize import (
     MAX_GA_GENOMES,
     MAX_POPULATION,
@@ -18,7 +21,6 @@ from icspin.optimize import (
     _tournament_draws,
     _words_to_doubles,
     ga_config_from_dict,
-    ga_config_to_dict,
     optimize,
 )
 from icspin.sequence import MAX_PULSES, SequenceError
@@ -30,7 +32,7 @@ optimize_module = importlib.import_module("icspin.optimize")
 
 def fitness(genome, target, h, cfg):
     """The GA objective of one genome: its mean fidelity over cfg's grid."""
-    grid = omega1_grid(cfg.omega1_range, cfg.omega1_points)
+    grid = cfg.omega1_grid.omega1s()
     n_pulses = (genome.size - 1) // 3
     return icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome).mean()
 
@@ -81,16 +83,30 @@ def test_ga_config_validation():
     with pytest.raises(ConfigError, match=r"^elites \(below population\) must be at most 99, "
                                           r"got 100"):
         GAConfig(elites=100, population=100)
-    for bad in (0, icspin.fidelity.MAX_GRID_POINTS + 1):
-        with pytest.raises(ConfigError, match="omega1_grid points"):
-            GAConfig(omega1_points=bad)
+    top = icspin.fidelity.MAX_GRID_POINTS
+    for bad, message in ((0, "an integer >= 1, got 0"), (top + 1, f"at most {top}, got {top + 1}")):
+        with pytest.raises(ConfigError, match=f"^points must be {message}$"):
+            GAConfig(omega1_grid=Band(points=bad))
     for bad in (-0.01, np.inf, np.nan):
         with pytest.raises(ConfigError, match="mutation_scale"):
             GAConfig(mutation_scale=bad)
-    for bad, name in (((-0.1, 0.5), r"min_MHz"), ((0.5, 0.4), r"max_MHz \(at least min_MHz\)"),
-                      ((0.48, np.nan), r"max_MHz \(at least min_MHz\)")):
-        with pytest.raises(ConfigError, match=f"omega1_grid {name} must be finite and in"):
-            GAConfig(omega1_range=bad)
+    for bad, message in (((-0.1, 0.5), r"min_MHz must be finite and in \[0, inf\)"),
+                         ((0.5, 0.4), r"max_MHz \(at least min_MHz\) must be finite and in "
+                                      r"\[0.5, inf\)"),
+                         ((0.48, np.nan), r"max_MHz \(at least min_MHz\) must be finite and in "
+                                          r"\[0.48, inf\)")):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            GAConfig(omega1_grid=Band(*bad))
+
+
+@pytest.mark.parametrize("value", [(0.4, 0.6, 3), {"min_MHz": 0.4, "max_MHz": 0.6, "points": 3},
+                                   None])
+def test_ga_config_band_must_be_a_band(value):
+    """A band in another form is refused, not read as one: the fields are a
+    ``Band``'s, checked once where it is built."""
+    message = f"omega1_grid must be a Band, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        GAConfig(omega1_grid=value)
 
 
 @pytest.mark.parametrize("name", ["crossover_rate", "mutation_rate", "mutation_scale",
@@ -160,10 +176,18 @@ def test_ga_config_from_dict_names_the_bad_key(doc, exc, key):
 
 
 def test_ga_config_json_roundtrip():
-    cfg = GAConfig(population=64, seed=7, omega1_range=(0.4, 0.6), omega1_points=3)
-    doc = ga_config_to_dict(cfg)
+    cfg = GAConfig(population=64, seed=7, omega1_grid=Band(0.4, 0.6, 3))
+    doc = json.loads(json.dumps(asdict(cfg)))
     again = ga_config_from_dict(doc)
     assert again == cfg
+
+
+def test_ga_document_with_a_band_roundtrips():
+    """A document's band is a ``Band`` in the config and its own object again in ``asdict``."""
+    doc = {"population": 64, "omega1_grid": {"min_MHz": 0.45, "max_MHz": 0.55, "points": 4}}
+    cfg = ga_config_from_dict(doc)
+    assert cfg.omega1_grid == Band(0.45, 0.55, 4)
+    assert asdict(cfg) == {**asdict(GAConfig()), **doc}
 
 
 def test_fitness_equals_robust_mean(system, h_subspace, cnot_seq):

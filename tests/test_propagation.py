@@ -236,7 +236,7 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
         + data.draw(st.lists(phases, min_size=n_pulses, max_size=n_pulses))
     )
     band = (0.48, 0.52)
-    grid = icspin.fidelity.omega1_grid(band, 5)
+    grid = icspin.fidelity.Band(*band, 5).omega1s()
     fast = icspin.FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
     seq = sequence_from_genome(genome, 0.5)
     assert np.abs(fast - icspin.robust_fidelity(seq, target, h, band, 5).fidelities).max() < 1e-13

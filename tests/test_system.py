@@ -72,6 +72,19 @@ def test_carbon_count_limits():
         SpinSystemConfig(2870.0, 0.158, ())
 
 
+def test_a_document_past_the_carbon_budget_is_refused_before_any_carbon_is_read(monkeypatch):
+    """The reader counts the carbons first: 100,000 of them took about 0.5 s
+    to refuse, each built and checked before the register counted them."""
+    def no_carbon(*args):
+        raise AssertionError("a carbon was built")
+
+    monkeypatch.setattr("icspin.system.HyperfineCoupling", no_carbon)
+    doc = json.loads(data_path("system_2q.json").read_text())
+    doc["carbons"] *= 100_000
+    with pytest.raises(ConfigError, match="^number of carbons must be at most 4, got 100000$"):
+        system_from_dict(doc)
+
+
 @pytest.mark.parametrize("omega1", [2870.0, 1e308, -0.1, float("nan")])
 def test_drive_amplitude_must_lie_below_d(system, omega1):
     """The driven working subspace exists for 0 <= omega1 < D = 2870 MHz."""
