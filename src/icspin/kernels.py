@@ -30,7 +30,7 @@ import threading
 import numpy as np
 
 from .propagation import engine_for
-from .sequence import check_pulses
+from .sequence import check_pulses, genome_length
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
 
@@ -118,9 +118,12 @@ class FitnessKernel:
         every thread has finished.
         """
         genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
-        n = self.n_pulses
-        if genomes.shape[1] != 3 * n + 1:
-            raise ValueError(f"genomes must have {3 * n + 1} columns, got {genomes.shape[1]}")
+        if genomes.ndim != 2:
+            raise ValueError("genomes must be one genome or a 2-D array of them, "
+                             f"got shape {genomes.shape}")
+        width = genome_length(self.n_pulses)
+        if genomes.shape[1] != width:
+            raise ValueError(f"genomes must have {width} columns, got {genomes.shape[1]}")
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
         d = self.engine.dim

@@ -24,7 +24,7 @@ from .files import check_keys
 from .kernels import FitnessKernel
 from .operators import TWO_PI, check_count, check_real
 from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
-                       sequence_from_genome)
+                       genome_durations, genome_length, genome_parts, sequence_from_genome)
 from .system import MAX_CONFIG_VALUE, ConfigError
 from .targets import TargetGate
 
@@ -47,14 +47,14 @@ class ParameterBounds:
 
     @property
     def genome_length(self) -> int:
-        return 3 * self.n_pulses + 1
+        return genome_length(self.n_pulses)
 
     def upper(self) -> np.ndarray:
-        n = self.n_pulses
         up = np.empty(self.genome_length)
-        up[: n + 1] = self.tau_max
-        up[n + 1 : 2 * n + 1] = self.t_max
-        up[2 * n + 1 :] = _PHASE_MAX
+        taus, ts, phis = genome_parts(up)
+        taus[:] = self.tau_max
+        ts[:] = self.t_max
+        phis[:] = _PHASE_MAX
         return up
 
 
@@ -143,7 +143,7 @@ class OptimizationResult:
 
     @property
     def n_pulses(self) -> int:
-        return self.best_genome.size // 3
+        return genome_parts(self.best_genome)[1].size
 
     @property
     def generations_run(self) -> int:
@@ -163,10 +163,9 @@ class OptimizationResult:
 
 
 def _rank_keys(fits: np.ndarray, genomes: np.ndarray):
-    """Sort order: fitness desc, then duration (the 2n + 1 delays and pulses
-    of 3n + 1 genes) asc, then genome lexicographic."""
-    dur = genomes[:, : 2 * (genomes.shape[1] // 3) + 1].sum(axis=1)
-    return np.lexsort(tuple(genomes.T[::-1]) + (dur, -fits))
+    """Sort order: fitness desc, then duration (``genome_durations``) asc,
+    then genome lexicographic."""
+    return np.lexsort(tuple(genomes.T[::-1]) + (genome_durations(genomes), -fits))
 
 
 _DOUBLE_UNIT = 2.0**-53       # Generator.random's double is (word >> 11) * 2**-53

@@ -43,7 +43,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .operators import PAULI_X, TWO_PI, assert_hermitian
-from .sequence import PulseSequence, genome_from_sequence
+from .sequence import PulseSequence, genome_from_sequence, genome_parts
 
 
 def real_left_mul(a: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -132,13 +132,12 @@ class PropagationEngine:
         and returns the one holding the result (the identity when n = 0) and
         the (P, d) row phase of the last delay.
         """
-        n = (genomes.shape[1] - 1) // 3
-        taus = genomes[:, : n + 1]
-        ts = genomes[:, n + 1 : 2 * n + 1]
+        taus, ts, inner_phis = genome_parts(genomes)
+        n = ts.shape[1]
         # phi_0..phi_{n+1}; np.diff with prepend and append takes five times
         # as long, and the kernel calls the chain once a chunk
         phis = np.zeros((len(genomes), n + 2))
-        phis[:, 1:-1] = genomes[:, 2 * n + 1 :]
+        phis[:, 1:-1] = inner_phis
         dphis = phis[:, 1:] - phis[:, :-1]                                    # (P, n+1)
         rows = np.exp(-1j * (TWO_PI * taus[:, :, None] * self.w
                              - dphis[:, :, None] * self.zhalf))               # (P, n+1, d)

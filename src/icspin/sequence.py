@@ -4,6 +4,8 @@ A sequence alternates free-evolution delays and resonant microwave pulses;
 the canonical template with n pulses carries n+1 delays (leading and
 trailing included) and maps to the flat genome layout
 [tau_0..tau_n, t_1..t_n, phi_1..phi_n] used by the optimizer.
+``genome_length``, ``genome_parts`` and ``genome_durations`` are that
+layout's one home: the engine, the kernel and the optimizer read it here.
 """
 from __future__ import annotations
 
@@ -88,19 +90,45 @@ class PulseSequence:
         return sum(isinstance(seg, Pulse) for seg in self.segments)
 
 
+def genome_length(n_pulses: int) -> int:
+    """Genes of the n-pulse template genome: n + 1 delays, n pulses and n phases."""
+    return 3 * n_pulses + 1
+
+
+def _pulses_of(genomes: np.ndarray) -> int:
+    """n of genomes 3n + 1 wide along the last axis."""
+    if genomes.ndim == 0 or genomes.shape[-1] % 3 != 1:
+        raise SequenceError("a genome needs 3n + 1 entries for n pulses, "
+                            f"got shape {genomes.shape}")
+    return genomes.shape[-1] // 3
+
+
+def genome_parts(genomes):
+    """Views of the delays tau_0..tau_n, the pulse lengths t_1..t_n and the
+    phases phi_1..phi_n of one genome or of an array of them along the last
+    axis; a width that is not 3n + 1 raises SequenceError."""
+    genomes = np.asarray(genomes)
+    n = _pulses_of(genomes)
+    return genomes[..., : n + 1], genomes[..., n + 1 : 2 * n + 1], genomes[..., 2 * n + 1 :]
+
+
+def genome_durations(genomes):
+    """The template durations (us): each genome's 2n + 1 delays and pulses
+    summed in one reduction along the last axis."""
+    genomes = np.asarray(genomes)
+    return genomes[..., : 2 * _pulses_of(genomes) + 1].sum(axis=-1)
+
+
 def sequence_from_genome(genome, omega1: float) -> PulseSequence:
     """Decode [tau_0..tau_n, t_1..t_n, phi_1..phi_n], 3n + 1 genes, into a sequence."""
     genome = np.asarray(genome, dtype=float)
-    if genome.ndim != 1 or genome.size % 3 != 1:
-        raise SequenceError(f"a genome needs 3n + 1 entries for n pulses, got {genome.shape}")
-    n_pulses = genome.size // 3
-    taus = genome[: n_pulses + 1]
-    ts = genome[n_pulses + 1 : 2 * n_pulses + 1]
-    phis = np.mod(genome[2 * n_pulses + 1 :], TWO_PI)
+    if genome.ndim != 1:
+        raise SequenceError(f"a genome is one row of 3n + 1 entries, got shape {genome.shape}")
+    taus, ts, phis = genome_parts(genome)
     segments: list = []
-    for i in range(n_pulses):
-        segments.append(Delay(float(taus[i])))
-        segments.append(Pulse(float(ts[i]), float(phis[i])))
+    for tau, t, phi in zip(taus, ts, np.mod(phis, TWO_PI)):
+        segments.append(Delay(float(tau)))
+        segments.append(Pulse(float(t), float(phi)))
     segments.append(Delay(float(taus[-1])))
     return PulseSequence(tuple(segments), omega1)
 

@@ -8,7 +8,6 @@ their secular/anisotropic hyperfine couplings. All frequencies are in MHz
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .files import check_keys, json_list, read_json
@@ -145,8 +144,7 @@ def load_system(path: str | Path) -> SpinSystemConfig:
 
 def data_path(name: str) -> Path:
     """Path to a bundled data file, e.g. 'system_2q.json' or 'sequences/cnot.json'."""
-    root = resources.files("icspin") / "data"
-    p = Path(str(root / name))
+    p = Path(__file__).parent / "data" / name
     if not p.exists():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return p

@@ -645,3 +645,83 @@ def test_a_band_document_is_only_a_band():
              or (isinstance(node, ast.Call) and _called_name(node) == "dict"
                  and {k.arg for k in node.keywords} & keys)]
     assert found == []
+
+
+def _constant(node, value) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+
+
+def _scaled(node, factor):
+    """x of ``factor * x`` or ``x * factor``, else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        if _constant(node.left, factor):
+            return node.right
+        if _constant(node.right, factor):
+            return node.left
+    return None
+
+
+def _plus_one(node):
+    """x of ``x + 1`` or ``1 + x``, else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        if _constant(node.right, 1):
+            return node.left
+        if _constant(node.left, 1):
+            return node.right
+    return None
+
+
+def _is_pulse_count(node) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name == "n" or name.endswith("n_pulses")
+
+
+def _layout_arithmetic(tree: ast.AST) -> list:
+    """The genome-layout arithmetic of a module, as "line: code": a floor
+    division or remainder by 3, a ``3 * x + 1``, and a slice bound at
+    ``2 * x + 1`` or at ``n + 1`` for a pulse count n (a name ``n`` or one
+    ending in ``n_pulses``). Slices at ``n_genes + 1``, the breeding draws'
+    coin and genes, are no layout."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            right = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(node.op, (ast.FloorDiv, ast.Mod)) and _constant(right, 3):
+                found.append(node)
+            elif _scaled(_plus_one(node), 3) is not None:
+                found.append(node)
+        elif isinstance(node, ast.Slice):
+            for bound in (node.lower, node.upper):
+                x = _plus_one(bound)
+                if x is not None and (_scaled(x, 2) is not None or _is_pulse_count(x)):
+                    found.append(node)
+                    break
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("code, layout", [
+    ("n = (genomes.shape[1] - 1) // 3", True),
+    ("n = genome.size // 3", True),
+    ("ok = genome.size % 3 != 1", True),
+    ("width = 3 * self.n_pulses + 1", True),
+    ("taus = genomes[:, : n + 1]", True),
+    ("ts = genome[n_pulses + 1 : 2 * n_pulses + 1]", True),
+    ("dur = genomes[:, : 2 * (genomes.shape[1] // 3) + 1].sum(axis=1)", True),
+    ("up[n + 1 :] = t_max", True),
+    ("azz = np.ldexp(f * (3 * np.cos(th) ** 2 - 1), -3 * e)", False),
+    ("genes = doubles[:, 1 : n_genes + 1]", False),
+    ("doubles = np.empty((n_children, 2 * n_genes + 1))", False),
+    ("dim = 2 ** (n + 1)", False),
+])
+def test_the_layout_detector(code, layout):
+    assert bool(_layout_arithmetic(ast.parse(code))) is layout
+
+
+def test_only_sequence_knows_the_genome_layout():
+    """The template genome [tau_0..tau_n, t_1..t_n, phi_1..phi_n] is laid out
+    in sequence.py alone: every other module reads it through
+    ``genome_length``, ``genome_parts`` and ``genome_durations``."""
+    assert _layout_arithmetic(ast.parse(SOURCES["sequence.py"]))
+    found = [f"{name}:{where}" for name, text in sorted(SOURCES.items()) if name != "sequence.py"
+             for where in _layout_arithmetic(ast.parse(text))]
+    assert found == []

@@ -325,6 +325,13 @@ def test_column_count_validated(workspace):
         kern.evaluate(np.zeros((2, 7)))
 
 
+def test_genome_array_dimensions_validated(workspace):
+    h, target, grid = workspace
+    kern = FitnessKernel(h, target, grid, 3)
+    with pytest.raises(ValueError, match=r"2-D.*\(2, 10, 1\)"):
+        kern.evaluate(np.zeros((2, 10, 1)))
+
+
 def test_rejects_complex_hamiltonian(workspace):
     h, target, grid = workspace
     h = h.copy()

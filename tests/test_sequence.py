@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from icspin.sequence import (
+    MAX_PULSES,
     Delay,
     Pulse,
     PulseSequence,
     SequenceError,
+    genome_durations,
     genome_from_sequence,
+    genome_length,
+    genome_parts,
     load_sequence,
     save_sequence,
     sequence_from_dict,
@@ -55,6 +59,52 @@ def test_genome_phase_wrapping():
 def test_genome_length_check():
     with pytest.raises(SequenceError, match="entries"):
         sequence_from_genome([0.0, 1.0], omega1=0.5)
+
+
+def test_genome_parts_are_views_of_the_genome():
+    """For every pulse count, the parts have n + 1, n and n widths and a
+    write through each reaches the genome."""
+    for n in range(MAX_PULSES + 1):
+        genome = np.zeros(genome_length(n))
+        taus, ts, phis = genome_parts(genome)
+        assert (taus.size, ts.size, phis.size) == (n + 1, n, n)
+        taus[:], ts[:], phis[:] = 1.0, 2.0, 3.0
+        assert genome.tolist() == [1.0] * (n + 1) + [2.0] * n + [3.0] * n
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, MAX_PULSES])
+def test_genome_parts_row_by_row(n):
+    genomes = np.random.default_rng(n).uniform(0.0, 4.0, size=(5, genome_length(n)))
+    batch = genome_parts(genomes)
+    for row, genome in enumerate(genomes):
+        for part, alone in zip(batch, genome_parts(genome)):
+            assert part[row].tolist() == alone.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_genome_width_check(n, extra):
+    """Widths 3n and 3n + 2, one genome or a population, are refused."""
+    for shape in [(3 * n + extra,), (3, 3 * n + extra)]:
+        with pytest.raises(SequenceError, match="entries"):
+            genome_parts(np.zeros(shape))
+        with pytest.raises(SequenceError, match="entries"):
+            genome_durations(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_genome_durations(n):
+    """The one sum over the 2n + 1 delays and pulses, so it ranks as it
+    always has, bit for bit; the sequence's own duration agrees."""
+    rng = np.random.default_rng(100 + n)
+    genomes = rng.uniform(0.0, 4.0, size=(50, genome_length(n)))
+    genomes[:, 2 * n + 1 :] = rng.uniform(0.0, 2 * np.pi, size=(50, n))
+    durations = genome_durations(genomes)
+    summed = genomes[:, : 2 * (genomes.shape[1] // 3) + 1].sum(axis=1)
+    assert durations.tobytes() == summed.tobytes()
+    for genome, duration in zip(genomes, durations):
+        assert genome_durations(genome) == duration
+        assert abs(sequence_from_genome(genome, omega1=0.5).duration - duration) <= 1e-12
 
 
 def test_genome_from_non_template_sequence():
