@@ -7,8 +7,8 @@ optimize  run the genetic-algorithm search and write the best sequence
 scan      simulate a circuit scan (hadamard | theta | fid | spectrum | trajectory)
 report    derived quantities of a register config
 
-Exit codes: 0 = ran, 1 = usage/config error, 2 = internal invariant
-violation, each chosen in ``main`` by the error's type alone. Low
+Exit codes: 0 = ran, 1 = a refused input (``ConfigError``), 2 = an internal
+invariant violation, each chosen in ``main`` by the error's type alone. Low
 fidelity is data, never an error. Every run writes a manifest next to
 its outputs; rerunning with the same inputs and seed reproduces all data
 files byte for byte (timestamps live only in the manifest).
@@ -28,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .eigenstructure import DegenerateManifoldError, carbon_eigenstructure
+from .eigenstructure import carbon_eigenstructure
 from .experiments import (
-    InitializationDomainError,
     analytic_init_delays,
     bloch_trajectory,
     check_detuning,
@@ -48,26 +47,19 @@ from .experiments import (
 )
 from .fidelity import Band, robust_fidelity
 from .files import read_json, write_csv, write_json
-from .geometry import GeometryError, dipolar_geometry
+from .geometry import dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
-from .operators import E2, PROJ_UP
+from .operators import E2, PROJ_UP, ConfigError
 from .optimize import ParameterBounds, ga_config_from_dict, optimize
 from .propagation import engine_for
-from .sequence import SequenceError, check_pulses, load_sequence, save_sequence
+from .sequence import check_pulses, load_sequence, save_sequence
 from .states import basis_state
-from .system import ConfigError, load_system
-from .targets import TargetError, target_library
+from .system import load_system
+from .targets import target_library
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
-
-
-class CliError(Exception):
-    """Usage problem found by the CLI itself; maps to exit code 1."""
-
-
-USAGE_ERRORS = (CliError, ConfigError, SequenceError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +131,7 @@ def _finish(args, phases: _Phases, command: str, write, inputs: dict, seed: int 
         _write_manifest(out, command, inputs, seed, **run_facts, phase_seconds=phases.seconds,
                         phase_cpu_seconds=phases.cpu_seconds)
     except OSError as exc:
-        raise CliError(f"--out {args.out} cannot be written: {exc}") from exc
+        raise ConfigError(f"--out {args.out} cannot be written: {exc}") from exc
     return 0
 
 
@@ -148,11 +140,11 @@ def _parse_grid(text: str) -> Band:
         lo, hi, points = text.split(",")
         lo, hi, points = float(lo), float(hi), int(points)
     except ValueError as exc:
-        raise CliError(f"--grid expects 'min,max,points', got {text!r}") from exc
+        raise ConfigError(f"--grid expects 'min,max,points', got {text!r}") from exc
     try:
         return Band(lo, hi, points)
     except ConfigError as exc:
-        raise CliError(f"--grid {exc}") from exc
+        raise ConfigError(f"--grid {exc}") from exc
 
 
 def _load_sequence(path):
@@ -164,8 +156,8 @@ def _load_sequence(path):
 def _target(args, cfg):
     try:
         return target_library(args.target, n_carbons=cfg.n_carbons)
-    except TargetError as exc:
-        raise CliError(f"--target: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"--target: {exc}") from exc
 
 
 def cmd_verify(args, phases: _Phases) -> int:
@@ -213,12 +205,12 @@ def cmd_optimize(args, phases: _Phases) -> int:
     target = _target(args, cfg)
     ga_doc = {}
     if args.ga_config:
-        ga_doc = read_json(args.ga_config, CliError)
+        ga_doc = read_json(args.ga_config)
         if not isinstance(ga_doc, dict):
-            raise CliError("GA config must be a JSON object")
+            raise ConfigError("GA config must be a JSON object")
     for flag, value, key in (("--seed", args.seed, "seed"), ("--grid", args.grid, "omega1_grid")):
         if value is not None and key in ga_doc:
-            raise CliError(f"{flag} and the GA config's {key} set the same value; give one")
+            raise ConfigError(f"{flag} and the GA config's {key} set the same value; give one")
     if args.seed is not None:
         ga_doc["seed"] = args.seed
     if args.grid:
@@ -355,7 +347,7 @@ def _scan_spectrum(args, cfg, seq):
 
 def _scan_trajectory(args, cfg, seq):
     if seq is None:
-        raise CliError("trajectory scan needs --sequence")
+        raise ConfigError("trajectory scan needs --sequence")
     segment_samples(seq, args.dt, "--dt")   # the step budget, before anything is built
     h = multiqubit_hamiltonian(cfg)
     initial = basis_state(0, h.shape[0])
@@ -395,13 +387,13 @@ def cmd_scan(args, phases: _Phases) -> int:
     scan, reads = _SCANS[args.kind]
     if args.kind == "theta" and args.sequence is not None:
         if args.gate is not None:
-            raise CliError("--gate and --sequence both choose the theta scan's gate; give one")
+            raise ConfigError("--gate and --sequence both choose the theta scan's gate; give one")
         reads = tuple(name for name in reads if name != "gate")   # the sequence is the gate
     for name, default in _SCAN_OPTIONS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif name not in reads:
-            raise CliError(f"--{name} is not read by --kind {args.kind}")
+            raise ConfigError(f"--{name} is not read by --kind {args.kind}")
     check_time_step(args.dt, "--dt")
     check_linewidth(args.linewidth, "--linewidth")
     check_scan_points(args.points, "--points", 1)
@@ -422,24 +414,24 @@ def cmd_report(args, phases: _Phases) -> int:
     phases.done("load")
     carbon = cfg.single_carbon()   # every quantity below describes one carbon
     # What a register may lack, in report order: keys, the note saying why they
-    # are "n/a", the errors that mean so, and the computation (its names looked
-    # up when called, so a patched icspin.cli.<name> is the one that runs).
+    # are "n/a" when the computation refuses the register, and the computation
+    # (its names looked up when called, so a patched icspin.cli.<name> is the one
+    # that runs). A fault that is no ConfigError reaches main and exits 2.
     groups = (
         (("kappa_minus_deg", "kappa_plus_deg", "nu_minus_MHz", "nu_plus_MHz"),
-         "eigenstructure_note", DegenerateManifoldError,
+         "eigenstructure_note",
          lambda: attrgetter("kappa_minus_deg", "kappa_plus_deg", "nu_minus",
                             "nu_plus")(carbon_eigenstructure(cfg))),
-        (("init_tau1_us", "init_tau2_us"), "init_delay_note",
-         (InitializationDomainError, DegenerateManifoldError), lambda: analytic_init_delays(cfg)),
-        (("cleanup_tau_c_us",), "cleanup_note", ConfigError, lambda: (cleanup_delay(cfg),)),
-        (("dipolar_r_nm", "dipolar_theta_deg"), "dipolar_note", GeometryError,
+        (("init_tau1_us", "init_tau2_us"), "init_delay_note", lambda: analytic_init_delays(cfg)),
+        (("cleanup_tau_c_us",), "cleanup_note", lambda: (cleanup_delay(cfg),)),
+        (("dipolar_r_nm", "dipolar_theta_deg"), "dipolar_note",
          lambda: attrgetter("r_nm", "theta_deg")(dipolar_geometry(carbon))),
     )
     payload: dict = {}
-    for keys, note, errors, compute in groups:
+    for keys, note, compute in groups:
         try:
             payload.update(zip(keys, compute()))
-        except errors as exc:
+        except ConfigError as exc:
             payload.update(dict.fromkeys(keys, "n/a"), **{note: str(exc)})
     payload["esr_linewidth_MHz"] = args.linewidth
     payload["min_T2_star_us"] = min_coherence_time(args.linewidth)
@@ -524,7 +516,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args, _Phases())
-    except USAGE_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # invariant violations and bugs

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import ConfigError
 from .system import SpinSystemConfig
-
-
-class DegenerateManifoldError(ValueError):
-    """Both effective-field components vanish; the tilt angle is undefined."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +46,7 @@ class CarbonEigenstructure:
 def _tilt_angle(a_zx: float, denom: float) -> float:
     if denom == 0.0:
         if a_zx == 0.0:
-            raise DegenerateManifoldError(
-                "effective field vanishes; quantization axis undefined"
-            )
+            raise ConfigError("effective field vanishes; quantization axis undefined")
         return np.pi / 2 if a_zx > 0 else -np.pi / 2
     return float(np.arctan(a_zx / denom))
 

@@ -12,16 +12,12 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import multiqubit_hamiltonian
-from .operators import PROJ_UP, TWO_PI, check_count, check_real, kron_all, rotation
+from .operators import PROJ_UP, TWO_PI, ConfigError, check_count, check_real, kron_all, rotation
 from .propagation import engine_for, sequence_propagator
 from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
-from .system import MAX_CONFIG_VALUE, ConfigError, SpinSystemConfig, check_carbons
+from .system import MAX_CONFIG_VALUE, SpinSystemConfig, check_carbons
 from .targets import TargetGate, cnot_on_carbon, hadamard_on_carbon
-
-
-class InitializationDomainError(ValueError):
-    """No analytic initialization delays exist for this coupling regime."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +73,7 @@ class Trajectory:
 def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
     """Delays (tau_1, tau_2) of the two-pulse mapping |0,up> -> |0,(up+dn)/sqrt2>.
 
-    Raises InitializationDomainError when the carbon tilt angle is below 45
+    Raises ConfigError when the carbon tilt angle is below 45
     degrees, where the arcsine argument leaves its domain, or when a delay
     overflows.
     """
@@ -85,21 +81,19 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
     kappa = abs(eig.kappa_minus)
     sin_k = np.sin(kappa)
     if sin_k < 1.0 / np.sqrt(2.0) - 1e-15:
-        raise InitializationDomainError(
-            "no solution for this coupling regime (tilt angle below 45 degrees)"
-        )
+        raise ConfigError("no solution for this coupling regime (tilt angle below 45 degrees)")
     arg = min(1.0 / (np.sqrt(2.0) * sin_k), 1.0)
     tau1 = float(np.arcsin(arg) / (np.pi * eig.nu_minus))
     tau2 = float(np.arccos(np.cos(kappa) / sin_k) / (TWO_PI * config.nu_c))
     if not (np.isfinite(tau1) and np.isfinite(tau2)):
-        raise InitializationDomainError(f"the delays overflow, got ({tau1}, {tau2}) us")
+        raise ConfigError(f"the delays overflow, got ({tau1}, {tau2}) us")
     return tau1, tau2
 
 
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
     """Instantaneous hard rotation of the electron pseudo-qubit,
     ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
-    check_carbons(n_carbons, "n_carbons", ConfigError, 0)
+    check_carbons(n_carbons, "n_carbons", 0)
     return np.kron(rotation(angle, axis_phi), np.eye(2**n_carbons))
 
 
@@ -108,7 +102,7 @@ def simulate_init_sequence(config: SpinSystemConfig):
 
     Returns (populations of |0,up> and |0,dn>, coherence magnitude between
     them, final state). Like any delay, tau_1 and tau_2 must not pass
-    MAX_DURATION_US, else SequenceError.
+    MAX_DURATION_US, else ConfigError.
     """
     h = multiqubit_hamiltonian(config)
     delay1, delay2 = (sequence_propagator(PulseSequence((Delay(tau),), 0.0), h)
@@ -139,7 +133,7 @@ def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
     Moves the |0,dn> population to |+1,dn> while returning |0,up> to itself.
     The second pulse rotates about -y, which closes the transfer for the
     phase accumulated over tau_c = 1/(2|a_zz|) under this sign convention.
-    tau_c past MAX_DURATION_US (|a_zz| < 5e-7 MHz) raises SequenceError.
+    tau_c past MAX_DURATION_US (|a_zz| < 5e-7 MHz) raises ConfigError.
     """
     h = multiqubit_hamiltonian(config, m_s=+1)
     delay = sequence_propagator(PulseSequence((Delay(cleanup_delay(config)),), 0.0), h)
@@ -156,18 +150,18 @@ def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
 def check_time_step(dt: float, where: str = "dt") -> None:
     """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
     largest frequency a config may hold; below it the spectra overflow."""
-    check_real(dt, where, ConfigError, 0.5 / MAX_CONFIG_VALUE)
+    check_real(dt, where, 0.5 / MAX_CONFIG_VALUE)
 
 
 def check_linewidth(linewidth: float, where: str = "linewidth") -> None:
     """At the floor 1 / (pi * MAX_DURATION_US) T2* is the longest duration allowed; below
     it the Lorentzians underflow, and past the ceiling their squared half widths overflow."""
-    check_real(linewidth, where, ConfigError, 1.0 / (np.pi * MAX_DURATION_US), MAX_CONFIG_VALUE)
+    check_real(linewidth, where, 1.0 / (np.pi * MAX_DURATION_US), MAX_CONFIG_VALUE)
 
 
 def check_detuning(detuning: float, where: str = "detuning") -> None:
     """A detuning is capped like any frequency a config may hold."""
-    check_real(detuning, where, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
+    check_real(detuning, where, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
 
 
 # Scan sizes, checked before they are allocated; a check raises ConfigError naming `where`.
@@ -178,11 +172,11 @@ MAX_TRAJECTORY_STEPS = 10_000
 
 
 def check_scan_points(points: int, where: str, least: int) -> None:
-    check_count(points, where, ConfigError, least, high=MAX_SCAN_POINTS)
+    check_count(points, where, least, high=MAX_SCAN_POINTS)
 
 
 def check_time_span(span: float, where: str) -> None:
-    check_real(span, where, ConfigError, high=MAX_DURATION_US)
+    check_real(span, where, high=MAX_DURATION_US)
 
 
 def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
@@ -305,10 +299,10 @@ def theta_scan(
     population into m_S = 0 before the projective readout; branch 0 reads
     out directly.
     """
-    check_count(readout_branch, "readout_branch", ConfigError, -1, high=0)
+    check_count(readout_branch, "readout_branch", -1, high=0)
     check_scan_points(np.size(theta_grid), "theta_grid points", 1)
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
-    check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)", ConfigError)
+    check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)")
     config.single_carbon()   # the gate and the readout act on one carbon
     h = multiqubit_hamiltonian(config)
     if isinstance(gate, str) and gate.lower() == "cnot":
@@ -359,7 +353,7 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
-        raise ConfigError(f"detuning {detuning} MHz must exceed the line span {span:.4f}")
+        raise ConfigError(f"detuning {detuning} MHz must reach the line span {span:.4f}")
     positions = np.array([detuning + p for p, _ in sticks])
     wts = np.array([wgt for _, wgt in sticks])
     lo = positions.min() - 8 * linewidth
@@ -384,7 +378,7 @@ def segment_samples(seq: PulseSequence, dt: float, where: str = "dt") -> list[in
     check_time_step(dt, where)
     counts = [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
     check_count(sum(counts), f"trajectory steps (each segment's duration / {where}, rounded up)",
-                ConfigError, 0, high=MAX_TRAJECTORY_STEPS)
+                0, high=MAX_TRAJECTORY_STEPS)
     return counts
 
 

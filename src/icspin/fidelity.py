@@ -6,9 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FitnessKernel
-from .operators import check_count, check_real
+from .operators import ConfigError, check_count, check_real
 from .sequence import PulseSequence, genome_from_sequence
-from .system import ConfigError
 from .targets import TargetGate
 
 # At d = 32 a grid point costs about 32 kB in the engine's batched
@@ -37,9 +36,9 @@ class Band:
     points: int = 5
 
     def __post_init__(self):
-        check_real(self.min_MHz, "min_MHz", ConfigError, 0.0)
-        check_real(self.max_MHz, "max_MHz (at least min_MHz)", ConfigError, self.min_MHz)
-        check_count(self.points, "points", ConfigError, 1, high=MAX_GRID_POINTS)
+        check_real(self.min_MHz, "min_MHz", 0.0)
+        check_real(self.max_MHz, "max_MHz (at least min_MHz)", self.min_MHz)
+        check_count(self.points, "points", 1, high=MAX_GRID_POINTS)
 
     def omega1s(self) -> np.ndarray:
         """`points` amplitudes spanning the band, or its centre for one point."""

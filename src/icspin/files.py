@@ -15,34 +15,36 @@ from pathlib import Path
 
 import numpy as np
 
+from .operators import ConfigError
 
-def read_json(path: str | Path, error: type[Exception]):
+
+def read_json(path: str | Path):
     """The JSON document at `path`. A file that is missing, unreadable, not
-    UTF-8 or not JSON raises `error`, naming the path."""
+    UTF-8 or not JSON raises ConfigError, naming the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or bad JSON
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def check_keys(doc, where: str, error: type[Exception], required=(), optional=()) -> None:
-    """Raise `error`, naming `where`, unless `doc` is a JSON object with all
+def check_keys(doc, where: str, required=(), optional=()) -> None:
+    """Raise ConfigError, naming `where`, unless `doc` is a JSON object with all
     of `required` and no other key outside `optional`. Unknown keys are
     named before missing ones, so a misspelt key is reported as itself."""
     if not isinstance(doc, dict):
-        raise error(f"{where} must be a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
     unknown = doc.keys() - {*required, *optional}
     if unknown:
-        raise error(f"{where} has unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
     missing = [key for key in required if key not in doc]
     if missing:
-        raise error(f"{where} is missing keys: {missing}")
+        raise ConfigError(f"{where} is missing keys: {missing}")
 
 
-def json_list(value, where: str, error: type[Exception]) -> list:
-    """`value`, which must be a JSON list; anything else raises `error`."""
+def json_list(value, where: str) -> list:
+    """`value`, which must be a JSON list; anything else raises ConfigError."""
     if not isinstance(value, list):
-        raise error(f"{where} must be a list, got {value!r}")
+        raise ConfigError(f"{where} must be a list, got {value!r}")
     return value
 
 

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_real
+from .operators import ConfigError, check_real
 from .system import HyperfineCoupling
 
 MU0_OVER_4PI = 1e-7            # T m / A
 PLANCK_H = 6.62607015e-34      # J s
 GAMMA_E = -1.761e11            # rad s^-1 T^-1
 GAMMA_C13 = 6.728e7            # rad s^-1 T^-1
-
-
-class GeometryError(ValueError):
-    """No physical (r, theta) reproduces the requested couplings."""
 
 
 @dataclass(frozen=True)
@@ -38,8 +34,8 @@ class DipolarGeometry:
     theta_deg: float
 
     def __post_init__(self):
-        check_real(self.r_nm, "r_nm", GeometryError, 0.0, np.inf, "()")
-        check_real(self.theta_deg, "theta_deg", GeometryError, 0.0, 180.0)
+        check_real(self.r_nm, "r_nm", 0.0, np.inf, "()")
+        check_real(self.theta_deg, "theta_deg", 0.0, 180.0)
 
 
 @np.errstate(over="ignore", under="ignore")   # the prefactor is checked
@@ -48,14 +44,14 @@ def dipolar_prefactor_mhz(r_nm: float) -> float:
 
     r is split exactly as m 2^e and f(r) = f(m) 2^(-3e), so r^3 cannot
     underflow; a distance that is not positive and finite, or whose f(r)
-    leaves the float range, raises GeometryError.
+    leaves the float range, raises ConfigError.
     """
-    check_real(r_nm, "r_nm", GeometryError, 0.0, np.inf, "()")
+    check_real(r_nm, "r_nm", 0.0, np.inf, "()")
     m, e = np.frexp(r_nm)
     b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / (m * 1e-9) ** 3  # rad/s scale
     f = np.ldexp(b / (2 * np.pi) / 1e6, -3 * e)
     if not 0.0 < f < np.inf:
-        raise GeometryError(f"r_nm = {r_nm!r} gives a prefactor outside the float range")
+        raise ConfigError(f"r_nm = {r_nm!r} gives a prefactor outside the float range")
     return float(f)
 
 
@@ -72,7 +68,7 @@ def coupling_from_geometry(geom: DipolarGeometry) -> HyperfineCoupling:
     azz = np.ldexp(f * (3 * np.cos(th) ** 2 - 1), -3 * e)
     azx = np.ldexp(f * (3 * np.sin(th) * np.cos(th)), -3 * e)
     if not (np.isfinite(azz) and np.isfinite(azx)) or azz == azx == 0.0:
-        raise GeometryError(f"r_nm = {geom.r_nm!r} gives couplings outside the float range")
+        raise ConfigError(f"r_nm = {geom.r_nm!r} gives couplings outside the float range")
     return HyperfineCoupling(a_zz=azz, a_zx=azx)
 
 
@@ -101,6 +97,6 @@ def dipolar_geometry(coupling: HyperfineCoupling) -> DipolarGeometry:
     root = (zz + np.sqrt(zz * zz + 8 * r2)) / (2 * r2)
     r = (dipolar_prefactor_mhz(1.0) * np.ldexp(root, -e)) ** (1.0 / 3.0)
     if not np.isfinite(r):
-        raise GeometryError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")
+        raise ConfigError(f"the couplings ({azz:+g}, {azx:+g}) give no finite distance")
     theta = np.arctan2(2 * zx * root, 2 * zz * root - 1) / 2 % np.pi
     return DipolarGeometry(r_nm=float(r), theta_deg=float(np.degrees(theta)))

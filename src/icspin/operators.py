@@ -5,8 +5,9 @@ the Hadamard, the projectors and the closed-form rotation. All matrices are
 dense complex128 numpy arrays. Spin-1/2 operators use the convention
 s_z = diag(+1/2, -1/2) = PAULI_Z / 2; the electron pseudo-qubit spanned by
 m_S = 0, m_s is one too, with |0> playing the role of "up". The two
-input rules of the library live here too: `check_count` for every count
-and `check_real` for every real-valued input.
+input rules of the library live here too, `check_count` for every count
+and `check_real` for every real-valued input, beside `ConfigError`, the
+package's one error type: every refused input raises it.
 """
 from __future__ import annotations
 
@@ -44,35 +45,42 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_count(value, where: str, error: type[Exception], low: int,
-                high: int | None = None) -> None:
+class ConfigError(ValueError):
+    """A refused input value: a malformed or physically invalid register, sequence, target
+    or search setting, a scan input or an amplitude band out of range, a document that
+    cannot be read. The package's one error type; the CLI exits 1 on it."""
+
+
+def check_count(value, where: str, low: int, high: int | None = None, *,
+                error: type[Exception] = ConfigError) -> None:
     """The one rule of a count: raise `error`, naming `where`, unless `value`
     is a Python or numpy integer from `low` to `high` (no ceiling for None).
-    A bool, a float (a whole one too), a string and None are refused."""
+    A bool, a float (a whole one too), a string and None are refused. A
+    code-supplied argument passes ``error=ValueError``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise error(f"{where} must be an integer >= {low}, got {value!r}")
     if high is not None and value > high:
         raise error(f"{where} must be at most {high}, got {value}")
 
 
-def check_real(value, where: str, error: type[Exception], low: float = -math.inf,
-               high: float = math.inf, ends: str = "[]") -> None:
-    """The one range rule of a real-valued input: raise `error`, naming
+def check_real(value, where: str, low: float = -math.inf, high: float = math.inf,
+               ends: str = "[]") -> None:
+    """The one range rule of a real-valued input: raise ConfigError, naming
     `where`, unless `value` is a Python or numpy real number, finite, from
     `low` to `high`, each end closed or open as `ends` ("[]", "[)", "(]" or
     "()") says. A bool, a numpy bool, a string, None, NaN and an int past
     the float range are refused; `value` is not converted."""
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise error(f"{where} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
-        raise error(f"{where} is out of the float range") from None
+        raise ConfigError(f"{where} is out of the float range") from None
     if not (math.isfinite(x) and (low < x if ends[0] == "(" else low <= x)
             and (x < high if ends[1] == ")" else x <= high)):
         left, right = "(" if low == -math.inf else ends[0], ")" if high == math.inf else ends[1]
-        raise error(f"{where} must be finite and in {left}{low:g}, {high:g}{right}, "
-                    f"got {value!r}")
+        raise ConfigError(f"{where} must be finite and in {left}{low:g}, {high:g}{right}, "
+                          f"got {value!r}")
 
 
 def assert_hermitian(h: np.ndarray) -> None:

@@ -22,10 +22,10 @@ import numpy as np
 from .fidelity import Band, RobustnessReport, equal_weight_score
 from .files import check_keys
 from .kernels import FitnessKernel
-from .operators import TWO_PI, check_count, check_real
-from .sequence import (MAX_DURATION_US, PulseSequence, SequenceError, check_pulses,
-                       genome_durations, genome_length, genome_parts, sequence_from_genome)
-from .system import MAX_CONFIG_VALUE, ConfigError
+from .operators import TWO_PI, ConfigError, check_count, check_real
+from .sequence import (MAX_DURATION_US, PulseSequence, check_pulses, genome_durations,
+                       genome_length, genome_parts, sequence_from_genome)
+from .system import MAX_CONFIG_VALUE
 from .targets import TargetGate
 
 _PHASE_MAX = np.nextafter(TWO_PI, 0.0)
@@ -42,8 +42,8 @@ class ParameterBounds:
 
     def __post_init__(self):
         check_pulses(self.n_pulses, "n_pulses", 1)
-        check_real(self.tau_max, "tau_max", ConfigError, 0.0, MAX_DURATION_US, "(]")
-        check_real(self.t_max, "t_max", ConfigError, 0.0, MAX_DURATION_US, "(]")
+        check_real(self.tau_max, "tau_max", 0.0, MAX_DURATION_US, "(]")
+        check_real(self.t_max, "t_max", 0.0, MAX_DURATION_US, "(]")
 
     @property
     def genome_length(self) -> int:
@@ -86,19 +86,17 @@ class GAConfig:
 
     def __post_init__(self):
         for name, (least, most) in _GA_COUNTS.items():
-            check_count(getattr(self, name), name, ConfigError, least, most)
-        check_count(self.elites, "elites (below population)", ConfigError, 1,
-                    high=self.population - 1)
-        check_real(self.crossover_rate, "crossover_rate", ConfigError, 0.0, 1.0)
-        check_real(self.mutation_rate, "mutation_rate", ConfigError, 0.0, 1.0)
-        check_real(self.mutation_scale, "mutation_scale", ConfigError, 0.0, MAX_CONFIG_VALUE)
+            check_count(getattr(self, name), name, least, most)
+        check_count(self.elites, "elites (below population)", 1, high=self.population - 1)
+        check_real(self.crossover_rate, "crossover_rate", 0.0, 1.0)
+        check_real(self.mutation_rate, "mutation_rate", 0.0, 1.0)
+        check_real(self.mutation_scale, "mutation_scale", 0.0, MAX_CONFIG_VALUE)
         if self.early_stop is not None:
-            check_real(self.early_stop, "early_stop", ConfigError)
+            check_real(self.early_stop, "early_stop", 0.0, 1.0)
         if not isinstance(self.omega1_grid, Band):
             raise ConfigError(f"omega1_grid must be a Band, got {self.omega1_grid!r}")
         work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
-        check_count(work, "work population * (generations + 1) * restarts", ConfigError, 0,
-                    high=MAX_GA_GENOMES)
+        check_count(work, "work population * (generations + 1) * restarts", 0, high=MAX_GA_GENOMES)
 
 
 MAX_GA_GENOMES = MAX_POPULATION * (GAConfig.generations + 1)
@@ -110,10 +108,10 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
     fields. Every fault, a wrong type, an unknown or missing key or a value
     out of range, raises ConfigError naming the key.
     """
-    check_keys(doc, "GA config", ConfigError, optional=[f.name for f in fields(GAConfig)])
+    check_keys(doc, "GA config", optional=[f.name for f in fields(GAConfig)])
     kwargs = dict(doc)
     if "omega1_grid" in doc:
-        check_keys(doc["omega1_grid"], "GA config omega1_grid", ConfigError,
+        check_keys(doc["omega1_grid"], "GA config omega1_grid",
                    required=[f.name for f in fields(Band)])
         try:
             kwargs["omega1_grid"] = Band(**doc["omega1_grid"])
@@ -155,10 +153,10 @@ class OptimizationResult:
 
     def best_sequence(self) -> PulseSequence:
         """The best genome as a sequence; a genome that is no valid sequence
-        is an internal fault, so its SequenceError becomes RuntimeError."""
+        is an internal fault, so its ConfigError becomes RuntimeError."""
         try:
             return sequence_from_genome(self.best_genome, self.omega1_nominal)
-        except SequenceError as exc:
+        except ConfigError as exc:
             raise RuntimeError(f"the best genome is no valid sequence: {exc}") from exc
 
 

@@ -25,8 +25,10 @@ times. A delay and the z-rotations on either side of it merge into one row
 phase, and each pulse costs two left-multiplications by a real matrix, each
 run as one real matmul on the float64 view of the complex propagator.
 ``PropagationEngine.chain`` is that one chain; ``sequence_propagator`` and
-the fitness kernel, and through them every propagator of the package, run
-on it.
+the fitness kernel, and through them every whole-sequence propagator of
+the package, run on it. ``hadamard_circuit_scan``, ``electron_fid_scan``
+and ``bloch_trajectory`` do not: they sample free and pulse evolution
+directly from the engine's ``w``, ``v``, ``zhalf``, ``mix`` and ``w_p``.
 
 Every engine of the package comes from ``engine_for``, which keeps the
 engines of its recent calls, least recently used first, within

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .files import check_keys, json_list, read_json, write_json
-from .operators import TWO_PI, check_count, check_real
+from .operators import TWO_PI, ConfigError, check_count, check_real
 
 
 # The longest delay or pulse, in us. With every frequency of a system config
@@ -30,12 +30,8 @@ MAX_SEGMENTS = 2**15
 MAX_PULSES = 64
 
 
-class SequenceError(ValueError):
-    """Raised for malformed sequence documents or parameters."""
-
-
 def check_pulses(n_pulses: int, where: str, least: int) -> None:
-    check_count(n_pulses, where, SequenceError, least, high=MAX_PULSES)
+    check_count(n_pulses, where, least, high=MAX_PULSES)
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class Delay:
     tau: float
 
     def __post_init__(self):
-        check_real(self.tau, "delay_us", SequenceError, 0.0, MAX_DURATION_US)
+        check_real(self.tau, "delay_us", 0.0, MAX_DURATION_US)
 
     @property
     def duration(self) -> float:
@@ -60,8 +56,8 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        check_real(self.t, "pulse_us", SequenceError, 0.0, MAX_DURATION_US)
-        check_real(self.phi, "phase_rad", SequenceError, 0.0, TWO_PI, "[)")
+        check_real(self.t, "pulse_us", 0.0, MAX_DURATION_US)
+        check_real(self.phi, "phase_rad", 0.0, TWO_PI, "[)")
 
     @property
     def duration(self) -> float:
@@ -76,7 +72,7 @@ class PulseSequence:
     omega1: float
 
     def __post_init__(self):
-        check_real(self.omega1, "omega1_MHz", SequenceError, 0.0)
+        check_real(self.omega1, "omega1_MHz", 0.0)
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
                 raise TypeError(f"unknown segment type: {type(seg).__name__}")
@@ -98,7 +94,7 @@ def genome_length(n_pulses: int) -> int:
 def _pulses_of(genomes: np.ndarray) -> int:
     """n of genomes 3n + 1 wide along the last axis."""
     if genomes.ndim == 0 or genomes.shape[-1] % 3 != 1:
-        raise SequenceError("a genome needs 3n + 1 entries for n pulses, "
+        raise ConfigError("a genome needs 3n + 1 entries for n pulses, "
                             f"got shape {genomes.shape}")
     return genomes.shape[-1] // 3
 
@@ -106,7 +102,7 @@ def _pulses_of(genomes: np.ndarray) -> int:
 def genome_parts(genomes):
     """Views of the delays tau_0..tau_n, the pulse lengths t_1..t_n and the
     phases phi_1..phi_n of one genome or of an array of them along the last
-    axis; a width that is not 3n + 1 raises SequenceError."""
+    axis; a width that is not 3n + 1 raises ConfigError."""
     genomes = np.asarray(genomes)
     n = _pulses_of(genomes)
     return genomes[..., : n + 1], genomes[..., n + 1 : 2 * n + 1], genomes[..., 2 * n + 1 :]
@@ -123,7 +119,7 @@ def sequence_from_genome(genome, omega1: float) -> PulseSequence:
     """Decode [tau_0..tau_n, t_1..t_n, phi_1..phi_n], 3n + 1 genes, into a sequence."""
     genome = np.asarray(genome, dtype=float)
     if genome.ndim != 1:
-        raise SequenceError(f"a genome is one row of 3n + 1 entries, got shape {genome.shape}")
+        raise ConfigError(f"a genome is one row of 3n + 1 entries, got shape {genome.shape}")
     taus, ts, phis = genome_parts(genome)
     segments: list = []
     for tau, t, phi in zip(taus, ts, np.mod(phis, TWO_PI)):
@@ -163,23 +159,23 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 def sequence_from_dict(doc: dict) -> PulseSequence:
     """The document ``sequence_to_dict`` writes, phase_rad optional (0 when
     left out); any other key, a misspelt one say, is rejected."""
-    check_keys(doc, "sequence document", SequenceError, required=("omega1_MHz", "segments"))
-    raw = json_list(doc["segments"], "segments", SequenceError)
-    check_count(len(raw), "number of segments", SequenceError, 0, high=MAX_SEGMENTS)
+    check_keys(doc, "sequence document", required=("omega1_MHz", "segments"))
+    raw = json_list(doc["segments"], "segments")
+    check_count(len(raw), "number of segments", 0, high=MAX_SEGMENTS)
     segments = []
     for i, seg in enumerate(raw):
         kind = Delay if isinstance(seg, dict) and "delay_us" in seg else Pulse
         keys = _SEGMENT_KEYS[kind]
-        check_keys(seg, f"segments[{i}]", SequenceError, required=keys[:1], optional=keys[1:])
+        check_keys(seg, f"segments[{i}]", required=keys[:1], optional=keys[1:])
         try:
             segments.append(kind(*(seg.get(key, 0.0) for key in keys)))
-        except SequenceError as exc:   # each message starts with its key
-            raise SequenceError(f"segments[{i}].{exc}") from exc
+        except ConfigError as exc:   # each message starts with its key
+            raise ConfigError(f"segments[{i}].{exc}") from exc
     return PulseSequence(tuple(segments), doc["omega1_MHz"])
 
 
 def load_sequence(path: str | Path) -> PulseSequence:
-    return sequence_from_dict(read_json(path, SequenceError))
+    return sequence_from_dict(read_json(path))
 
 
 def save_sequence(seq: PulseSequence, path: str | Path) -> None:

@@ -7,7 +7,7 @@ from .operators import PAULI_X, PAULI_Y, PAULI_Z, check_count
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:
-    check_count(index, "basis index", ValueError, 0, high=dim - 1)
+    check_count(index, "basis index", 0, high=dim - 1, error=ValueError)
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
     return psi
@@ -31,7 +31,7 @@ def partial_trace(state: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.nda
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(f"state of dim {rho.shape[0]} does not factor as {dims}")
-    check_count(keep, "subsystem index", ValueError, 0, high=len(dims) - 1)
+    check_count(keep, "subsystem index", 0, high=len(dims) - 1, error=ValueError)
     n = len(dims)
     rho = rho.reshape(dims + dims)
     # trace out all other subsystems, highest axis first to keep indices stable

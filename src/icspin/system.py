@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .files import check_keys, json_list, read_json
-from .operators import check_count, check_real
+from .operators import ConfigError, check_count, check_real
 
 
 # The largest magnitude of a register's numbers: MHz for every field but B0_mT. With
@@ -26,13 +26,8 @@ MAX_CARBONS = 4
 _CARBON_KEYS = ("A_zz_MHz", "A_zx_MHz")   # a carbon's document keys, in field order
 
 
-class ConfigError(ValueError):
-    """A refused input value: a malformed or physically invalid register config, a scan
-    input, a search setting or an amplitude band out of range. The CLI exits 1 on it."""
-
-
-def check_carbons(n_carbons: int, where: str, error: type[Exception], least: int) -> None:
-    check_count(n_carbons, where, error, least, high=MAX_CARBONS)
+def check_carbons(n_carbons: int, where: str, least: int) -> None:
+    check_count(n_carbons, where, least, high=MAX_CARBONS)
 
 
 @dataclass(frozen=True)
@@ -43,8 +38,8 @@ class HyperfineCoupling:
     a_zx: float
 
     def __post_init__(self):
-        check_real(self.a_zz, "A_zz_MHz", ConfigError)
-        check_real(self.a_zx, "A_zx_MHz", ConfigError)
+        check_real(self.a_zz, "A_zz_MHz")
+        check_real(self.a_zx, "A_zx_MHz")
         if self.a_zz == 0.0 and self.a_zx == 0.0:
             raise ConfigError("A_zz_MHz and A_zx_MHz must not both be zero for a physical carbon")
 
@@ -72,13 +67,12 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        check_real(self.d, "D_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
-        check_real(self.nu_c, "nu_C_MHz", ConfigError, 0.0, MAX_CONFIG_VALUE, "(]")
-        check_carbons(len(self.carbons), "number of carbons", ConfigError, 1)
+        check_real(self.d, "D_MHz", 0.0, MAX_CONFIG_VALUE, "(]")
+        check_real(self.nu_c, "nu_C_MHz", 0.0, MAX_CONFIG_VALUE, "(]")
+        check_carbons(len(self.carbons), "number of carbons", 1)
         for i, c in enumerate(self.carbons):   # HyperfineCoupling itself takes any float
             for key, value in zip(_CARBON_KEYS, (c.a_zz, c.a_zx)):
-                check_real(value, f"carbons[{i}].{key}", ConfigError,
-                           -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
+                check_real(value, f"carbons[{i}].{key}", -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
 
     @property
     def n_carbons(self) -> int:
@@ -92,7 +86,7 @@ class SpinSystemConfig:
         zero-field splitting D. Check the largest amplitude of a grid
         before propagating on it.
         """
-        check_real(omega1, f"{where} (below D_MHz)", ConfigError, 0.0, self.d, "[)")
+        check_real(omega1, f"{where} (below D_MHz)", 0.0, self.d, "[)")
 
     def single_carbon(self) -> HyperfineCoupling:
         if len(self.carbons) != 1:
@@ -104,7 +98,7 @@ class SpinSystemConfig:
         """A new config keeping the carbons with the given labels, in label
         order; it numbers them afresh from 1."""
         for i, label in enumerate(labels):
-            check_count(label, "carbon labels", ConfigError, 1, self.n_carbons)
+            check_count(label, "carbon labels", 1, self.n_carbons)
             if label in labels[:i]:
                 raise ConfigError(f"carbon labels must be distinct, got {label!r} twice")
         chosen = tuple(self.carbons[label - 1] for label in sorted(labels))
@@ -121,16 +115,16 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
     but only D_MHz, nu_C_MHz and the carbons are kept (see
     SpinSystemConfig); B0_mT and a free-text name are optional, and any
     other key is rejected."""
-    check_keys(doc, "system config", ConfigError, optional=("B0_mT", "name"),
+    check_keys(doc, "system config", optional=("B0_mT", "name"),
                required=("D_MHz", "nu_e_MHz", "nu_C_MHz", "A_N_MHz", "carbons"))
     for key in _UNMODELLED:
         if key in doc:
-            check_real(doc[key], key, ConfigError, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
-    json_list(doc["carbons"], "carbons", ConfigError)
-    check_carbons(len(doc["carbons"]), "number of carbons", ConfigError, 1)
+            check_real(doc[key], key, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
+    json_list(doc["carbons"], "carbons")
+    check_carbons(len(doc["carbons"]), "number of carbons", 1)
     carbons = []
     for i, c in enumerate(doc["carbons"]):
-        check_keys(c, f"carbons[{i}]", ConfigError, required=_CARBON_KEYS)
+        check_keys(c, f"carbons[{i}]", required=_CARBON_KEYS)
         try:
             carbons.append(HyperfineCoupling(*(c[key] for key in _CARBON_KEYS)))
         except ConfigError as exc:   # each message starts with its key
@@ -139,7 +133,7 @@ def system_from_dict(doc: dict) -> SpinSystemConfig:
 
 
 def load_system(path: str | Path) -> SpinSystemConfig:
-    return system_from_dict(read_json(path, ConfigError))
+    return system_from_dict(read_json(path))
 
 
 def data_path(name: str) -> Path:

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, check_count, check_real, kron_all,
-                        rotation)
+from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, ConfigError, check_count, check_real,
+                        kron_all, rotation)
 from .system import MAX_CONFIG_VALUE, check_carbons
-
-
-class TargetError(ValueError):
-    """Unknown target name or invalid target parameters."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     fraction of a turn to about 1e-10 degrees."""
     _check_carbon(carbon, n_carbons)
     limit = math.radians(MAX_CONFIG_VALUE)
-    check_real(theta, "ccrot angle in radians", TargetError, -limit, limit)
+    check_real(theta, "ccrot angle in radians", -limit, limit)
     rot_ops = [E2] * n_carbons
     rot_ops[carbon - 1] = rotation(theta, 0.0)
     e_carb = np.eye(2**n_carbons, dtype=complex)
@@ -52,8 +48,8 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:
-    check_carbons(n_carbons, "n_carbons", TargetError, 1)
-    check_count(carbon, "carbon index", TargetError, 1, n_carbons)
+    check_carbons(n_carbons, "n_carbons", 1)
+    check_count(carbon, "carbon index", 1, n_carbons)
 
 
 def target_library(name: str, n_carbons: int = 1) -> TargetGate:
@@ -71,9 +67,8 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
             carbon = int(carbon_str)
             theta = math.radians(float(theta_str))
         except ValueError as exc:
-            raise TargetError(
-                f"ccrot parameters must be '<carbon>,<theta_deg>', got {params!r}"
-            ) from exc
+            raise ConfigError("ccrot parameters must be '<carbon>,<theta_deg>', "
+                              f"got {params!r}") from exc
         return cc_rotation(n_carbons, carbon, theta)
-    raise TargetError(f"unknown target {name!r}; the forms are hadamard, cnot and "
+    raise ConfigError(f"unknown target {name!r}; the forms are hadamard, cnot and "
                       f"ccrot:<carbon>,<theta_deg>")

@@ -15,7 +15,8 @@ from icspin.cli import main
 from icspin.fidelity import RobustnessReport
 from icspin.kernels import BATCH_ENTRIES
 from icspin.optimize import MAX_POPULATION, ga_config_from_dict
-from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS, SequenceError
+from icspin.operators import ConfigError
+from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS
 from icspin.system import MAX_CONFIG_VALUE, data_path
 
 
@@ -496,6 +497,36 @@ def test_report_nan_quantity_is_internal_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(icspin.cli, "min_coherence_time", lambda linewidth: float("nan"))
     assert run(["report", "--system", SYSTEM, "--out", str(tmp_path / "r")]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["carbon_eigenstructure", "dipolar_geometry"])
+def test_report_program_fault_is_no_na(tmp_path, monkeypatch, capsys, name):
+    """The n/a table catches only ConfigError, a refused register: a plain
+    ValueError from a computation is a fault of the program, which exits 2
+    and is written as no "n/a"."""
+    def fault(*args):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(icspin.cli, name, fault)
+    out = tmp_path / "r"
+    assert run(["report", "--system", SYSTEM, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "internal error: planted fault" in captured.err
+    assert "n/a" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("early_stop", [2.0, -1.0])
+def test_early_stop_outside_the_unit_interval_is_usage_error(tmp_path, capsys, early_stop):
+    """A fidelity threshold lies in [0, 1]: 2.0 ran the whole budget like
+    null, and -1.0 stopped before the first generation like 0.0."""
+    (tmp_path / "ga.json").write_text(json.dumps({"early_stop": early_stop}))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot",
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "GA config early_stop must be finite and in [0, 1]" in err
+    assert not out.exists()
 
 
 # One cheap run of each command, and a data file it writes
@@ -1328,10 +1359,10 @@ def test_flag_and_the_ga_config_key_it_also_sets_is_usage_error(tmp_path, capsys
 
 def test_optimize_faulty_genome_is_internal_error(tmp_path, monkeypatch, capsys):
     """A best genome that is no valid sequence is the GA's fault, not the
-    user's: the SequenceError it raises exits 2, not 1, and nothing is
+    user's: the ConfigError it raises exits 2, not 1, and nothing is
     written."""
     def faulty(*args, **kwargs):
-        raise SequenceError("faulty genome")
+        raise ConfigError("faulty genome")
 
     monkeypatch.setattr(sys.modules["icspin.optimize"], "sequence_from_genome", faulty)
     (tmp_path / "ga.json").write_text(json.dumps({"population": 4, "elites": 1,

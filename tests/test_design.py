@@ -1,6 +1,7 @@
 """Design invariants of the package, most of them read from its source files."""
 import ast
 import dataclasses
+import importlib
 import inspect
 import math
 import re
@@ -13,17 +14,15 @@ import icspin
 from icspin import cli, experiments, system, targets
 from icspin.fidelity import Band
 from icspin.files import read_json
-from icspin.geometry import DipolarGeometry, GeometryError, dipolar_prefactor_mhz
+from icspin.geometry import DipolarGeometry, dipolar_prefactor_mhz
 from icspin.kernels import FitnessKernel
-from icspin.operators import assert_hermitian
+from icspin.operators import ConfigError, assert_hermitian, check_count
 from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, OptimizationResult,
                              ParameterBounds, ga_config_from_dict)
 from icspin.propagation import PropagationEngine
-from icspin.sequence import (Delay, Pulse, PulseSequence, SequenceError, check_pulses,
-                             sequence_from_genome)
-from icspin.system import (ConfigError, HyperfineCoupling, SpinSystemConfig, data_path,
-                           system_from_dict)
-from icspin.targets import TargetError, cc_rotation
+from icspin.sequence import Delay, Pulse, PulseSequence, check_pulses, sequence_from_genome
+from icspin.system import HyperfineCoupling, SpinSystemConfig, data_path, system_from_dict
+from icspin.targets import cc_rotation
 
 SOURCES = {path.name: path.read_text(encoding="utf-8")
            for path in Path(icspin.__file__).parent.glob("*.py")}
@@ -65,7 +64,9 @@ def test_every_engine_comes_from_the_memo():
 
 
 def test_the_engine_has_three_entry_points():
-    """Every propagator is one ``chain``; the rest is a change of basis."""
+    """Every whole-sequence propagator is one ``chain``, and the rest a
+    change of basis; the Hadamard and FID scans and ``bloch_trajectory``
+    sample free and pulse evolution from the engine's arrays directly."""
     public = sorted(name for name in vars(PropagationEngine) if not name.startswith("_"))
     assert public == ["chain", "dim", "to_eigenbasis", "to_lab"]
     assert isinstance(vars(PropagationEngine)["dim"], property)
@@ -246,17 +247,17 @@ _GA_COUNT_KEYS = ("population", "generations", "elites", "seed", "restarts")
 # Each library count: its error, the parameter its message names, and a call
 # that passes `value` as the count
 COUNTS = {
-    "kernel_n_pulses": (SequenceError, "n_pulses", lambda cfg, value: FitnessKernel(
+    "kernel_n_pulses": (ConfigError, "n_pulses", lambda cfg, value: FitnessKernel(
         icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
-    "bounds_n_pulses": (SequenceError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
-    "check_pulses": (SequenceError, "--pulses",
+    "bounds_n_pulses": (ConfigError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
+    "check_pulses": (ConfigError, "--pulses",
                      lambda cfg, value: check_pulses(value, "--pulses", 1)),
     "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
     "grid_points": (ConfigError, "points", lambda cfg, value: Band(0.4, 0.6, value)),
     "scan_points": (ConfigError, "--points",
                     lambda cfg, value: experiments.check_scan_points(value, "--points", 1)),
-    "ccrot_n_carbons": (TargetError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
-    "ccrot_carbon": (TargetError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
+    "ccrot_n_carbons": (ConfigError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
+    "ccrot_carbon": (ConfigError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
     "electron_rotation_n_carbons": (ConfigError, "n_carbons", lambda cfg, value:
                                     experiments.electron_rotation(np.pi, 0.0, value)),
     **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
@@ -286,14 +287,14 @@ def test_library_counts_take_numpy_integers(registers):
         call(registers, np.int64(3))
 
 
-_SYSTEM_DOC = read_json(data_path("system_2q.json"), ConfigError)
+_SYSTEM_DOC = read_json(data_path("system_2q.json"))
 # Each real-valued library input: its error, the name its message gives, and
 # a call that passes `value` as the input
 REALS = {
-    "delay_us": (SequenceError, "delay_us", lambda cfg, value: Delay(value)),
-    "pulse_us": (SequenceError, "pulse_us", lambda cfg, value: Pulse(value, 0.0)),
-    "phase_rad": (SequenceError, "phase_rad", lambda cfg, value: Pulse(1.0, value)),
-    "omega1_MHz": (SequenceError, "omega1_MHz",
+    "delay_us": (ConfigError, "delay_us", lambda cfg, value: Delay(value)),
+    "pulse_us": (ConfigError, "pulse_us", lambda cfg, value: Pulse(value, 0.0)),
+    "phase_rad": (ConfigError, "phase_rad", lambda cfg, value: Pulse(1.0, value)),
+    "omega1_MHz": (ConfigError, "omega1_MHz",
                    lambda cfg, value: PulseSequence((Delay(1.0),), value)),
     "A_zz_MHz": (ConfigError, "A_zz_MHz", lambda cfg, value: HyperfineCoupling(value, 0.1)),
     "A_zx_MHz": (ConfigError, "A_zx_MHz", lambda cfg, value: HyperfineCoupling(-0.1, value)),
@@ -304,9 +305,9 @@ REALS = {
                         lambda cfg, value: cfg.check_drive_amplitude(value, "grid max")),
     "config_number": (ConfigError, "nu_e_MHz",
                       lambda cfg, value: system_from_dict({**_SYSTEM_DOC, "nu_e_MHz": value})),
-    "geometry_r_nm": (GeometryError, "r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
-    "theta_deg": (GeometryError, "theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
-    "prefactor_r_nm": (GeometryError, "r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
+    "geometry_r_nm": (ConfigError, "r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
+    "theta_deg": (ConfigError, "theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
+    "prefactor_r_nm": (ConfigError, "r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
     "tau_max": (ConfigError, "tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
     "t_max": (ConfigError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
     **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
@@ -326,7 +327,7 @@ REALS = {
                  lambda cfg, value: experiments.check_detuning(value, "--detuning")),
     "time_span": (ConfigError, "span",
                   lambda cfg, value: experiments.check_time_span(value, "span")),
-    "ccrot_angle": (TargetError, "ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
+    "ccrot_angle": (ConfigError, "ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
 }
 
 
@@ -448,7 +449,7 @@ def test_one_rule_per_kind_of_number():
 def test_main_alone_maps_errors_to_exit_codes():
     """An error's type alone picks its exit code, in ``main``: a refused
     input value raises ``ConfigError`` where it is checked, so no CLI
-    handler turns whatever it caught into a ``CliError``, and an internal
+    handler re-raises the bare text of what it caught, and an internal
     ValueError exits 2. The search, the band and the scans hand no bare
     ValueError to an input rule; the one ``except ValueError`` of the CLI
     reads the text of --grid."""
@@ -456,7 +457,7 @@ def test_main_alone_maps_errors_to_exit_codes():
     rewraps = [ast.unparse(node) for handler in ast.walk(tree)
                if isinstance(handler, ast.ExceptHandler) and handler.name
                for node in ast.walk(handler) if isinstance(node, ast.Raise)
-               and isinstance(node.exc, ast.Call) and _called_name(node.exc) == "CliError"
+               and isinstance(node.exc, ast.Call) and _called_name(node.exc) == "ConfigError"
                and [ast.unparse(arg) for arg in node.exc.args] == [f"str({handler.name})"]]
     assert rewraps == []
     catchers = [where for where, func in _top_functions() if where.startswith("cli.py:")
@@ -467,9 +468,41 @@ def test_main_alone_maps_errors_to_exit_codes():
                                                        "fidelity.py")
             for node in ast.walk(ast.parse(SOURCES[name])) if isinstance(node, ast.Call)
             and _called_name(node) in ("check_real", "check_count", "check_keys")
-            and "ValueError" in map(ast.unparse, node.args[2:3] + [
-                k.value for k in node.keywords if k.arg == "error"])]
+            and "ValueError" in [ast.unparse(k.value) for k in node.keywords if k.arg == "error"]]
     assert bare == []
+
+
+def test_one_error_type():
+    """``operators.ConfigError``, a ValueError, is the package's one
+    exception class, and the input rules raise it themselves: only
+    ``check_count`` takes an ``error``, for a code-supplied argument.
+    ``main`` maps it to exit 1 and every other exception to exit 2."""
+    modules = [importlib.import_module(f"icspin.{name[:-3]}") for name in SOURCES
+               if name not in ("__init__.py", "__main__.py")]
+    raisable = [f"{module.__name__}.{name}" for module in modules
+                for name, value in vars(module).items() if inspect.isclass(value)
+                and issubclass(value, BaseException) and value.__module__ == module.__name__]
+    assert raisable == ["icspin.operators.ConfigError"]
+    assert ConfigError.__bases__ == (ValueError,)
+    retired = ("CliError", "TargetError", "GeometryError", "DegenerateManifoldError",
+               "InitializationDomainError", "SequenceError", "USAGE_ERRORS")
+    assert [name for name in retired if any(name in text for text in SOURCES.values())] == []
+    rules = {"operators": ("check_real",), "files": ("check_keys", "json_list", "read_json"),
+             "system": ("check_carbons",)}
+    for module, names in rules.items():
+        for name in names:
+            func = getattr(importlib.import_module(f"icspin.{module}"), name)
+            assert "error" not in inspect.signature(func).parameters, name
+    error = inspect.signature(check_count).parameters["error"]
+    assert (error.kind, error.default) == (inspect.Parameter.KEYWORD_ONLY, ConfigError)
+
+    main = next(node for node in ast.parse(SOURCES["cli.py"]).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [(ast.unparse(handler.type), [getattr(cli, ast.unparse(node.value))
+                                             for node in ast.walk(handler)
+                                             if isinstance(node, ast.Return)])
+                for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)]
+    assert handlers == [("ConfigError", [1]), ("Exception", [2])]
 
 
 def _spin_matrix_literals(tree: ast.Module) -> list:
@@ -591,7 +624,7 @@ def _says_at_most(node: ast.AST, budget: str, tables: set) -> bool:
     keywords = list(map(ast.unparse, node.keywords))
     if _called_name(node) == "check_count":
         return f"high={budget}" in keywords
-    return (_called_name(node) == "check_real" and len(node.args) == 3
+    return (_called_name(node) == "check_real" and len(node.args) == 2
             and keywords == [f"high={budget}"])
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from icspin.eigenstructure import DegenerateManifoldError, carbon_eigenstructure
+from icspin.eigenstructure import carbon_eigenstructure
 from icspin.hamiltonian import multiqubit_hamiltonian
+from icspin.operators import ConfigError
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
 
@@ -51,7 +52,7 @@ def test_zero_transverse_coupling_gives_bare_states():
 def test_degenerate_block_raises():
     # a_zz + nu_c = 0 and a_zx = 0 leaves the lower manifold with no field
     cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-0.158, 0.0),))
-    with pytest.raises(DegenerateManifoldError):
+    with pytest.raises(ConfigError):
         carbon_eigenstructure(cfg)
 
 

@@ -8,7 +8,6 @@ from icspin.eigenstructure import carbon_eigenstructure
 from icspin.experiments import (
     MAX_SCAN_POINTS,
     MAX_TRAJECTORY_STEPS,
-    InitializationDomainError,
     Spectrum,
     analytic_init_delays,
     bloch_trajectory,
@@ -21,6 +20,7 @@ from icspin.experiments import (
     cleanup_propagator,
     electron_fid_scan,
     electron_rotation,
+    esr_lines,
     esr_spectrum,
     hadamard_circuit_scan,
     min_coherence_time,
@@ -29,7 +29,7 @@ from icspin.experiments import (
     theta_scan,
 )
 from icspin.fidelity import gate_fidelity
-from icspin.sequence import MAX_DURATION_US, Delay, Pulse, PulseSequence, SequenceError
+from icspin.sequence import MAX_DURATION_US, Delay, Pulse, PulseSequence
 from icspin.states import (
     basis_state,
     bloch_vector,
@@ -70,7 +70,7 @@ def test_init_delays_orthogonal_tilt_limit():
 def test_init_delays_domain_error():
     # small transverse coupling -> tilt below 45 degrees
     cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(0.3, 0.1),))
-    with pytest.raises(InitializationDomainError, match="no solution"):
+    with pytest.raises(ConfigError, match="no solution"):
         analytic_init_delays(cfg)
 
 
@@ -115,7 +115,7 @@ def test_cleanup_delay_past_the_duration_ceiling_is_a_sequence_error():
     """The clean-up's delay is an engine delay, bounded like any other."""
     cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(-1e-7, 0.11),))
     assert cleanup_delay(cfg) > MAX_DURATION_US
-    with pytest.raises(SequenceError, match="delay_us"):
+    with pytest.raises(ConfigError, match="delay_us"):
         cleanup_propagator(cfg)
 
 
@@ -412,8 +412,14 @@ def test_spectrum_rejects_bad_linewidth(h_subspace):
 
 
 def test_spectrum_rejects_small_detuning(h_subspace):
+    """The detuning must reach the line span: the span itself runs, the
+    float below it is refused."""
     with pytest.raises(ConfigError, match="detuning"):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=0.01)
+    span = max(abs(p) for p, _ in esr_lines(h_subspace))
+    assert esr_spectrum(h_subspace, linewidth=0.01, detuning=span).lines
+    with pytest.raises(ConfigError, match="must reach the line span"):
+        esr_spectrum(h_subspace, linewidth=0.01, detuning=np.nextafter(span, 0))
 
 
 def test_nan_detuning_rejected(system, h_subspace):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icspin.files import check_keys, json_list, read_json, write_csv, write_json
+from icspin.operators import ConfigError
 
 
 def test_write_csv_keeps_ints_and_writes_floats_by_repr(tmp_path):
@@ -40,23 +41,23 @@ def test_write_json_round_trips_sorted_with_one_newline(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("}\n") and not text.endswith("\n\n")
-    assert read_json(path, ValueError) == doc
+    assert read_json(path) == doc
 
 
 def test_check_keys_names_unknown_keys_before_missing_ones():
-    with pytest.raises(KeyError, match=r"unknown keys: \['omega1_Mhz'\]"):
-        check_keys({"omega1_Mhz": 0.5}, "doc", KeyError, required=("omega1_MHz",))
-    with pytest.raises(KeyError, match=r"doc is missing keys: \['a'\]"):
-        check_keys({"b": 1}, "doc", KeyError, required=("a",), optional=("b",))
-    with pytest.raises(KeyError, match="doc must be a JSON object"):
-        check_keys([("a", 1)], "doc", KeyError, required=("a",))
-    check_keys({"a": 1}, "doc", KeyError, required=("a",), optional=("b",))
+    with pytest.raises(ConfigError, match=r"unknown keys: \['omega1_Mhz'\]"):
+        check_keys({"omega1_Mhz": 0.5}, "doc", required=("omega1_MHz",))
+    with pytest.raises(ConfigError, match=r"doc is missing keys: \['a'\]"):
+        check_keys({"b": 1}, "doc", required=("a",), optional=("b",))
+    with pytest.raises(ConfigError, match="doc must be a JSON object"):
+        check_keys([("a", 1)], "doc", required=("a",))
+    check_keys({"a": 1}, "doc", required=("a",), optional=("b",))
 
 
 def test_json_list_rejects_an_object():
-    assert json_list([1], "xs", ValueError) == [1]
-    with pytest.raises(ValueError, match="xs must be a list"):
-        json_list({"a": 1}, "xs", ValueError)
+    assert json_list([1], "xs") == [1]
+    with pytest.raises(ConfigError, match="xs must be a list"):
+        json_list({"a": 1}, "xs")
 
 
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):

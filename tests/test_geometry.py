@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from icspin.geometry import (
     DipolarGeometry,
-    GeometryError,
     coupling_from_geometry,
     dipolar_geometry,
     dipolar_prefactor_mhz,
 )
+from icspin.operators import ConfigError
 from icspin.system import HyperfineCoupling
 
 
@@ -62,9 +62,9 @@ def test_zero_coupling_rejected_by_geometry():
 
 
 def test_invalid_geometry_values():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         DipolarGeometry(r_nm=-1.0, theta_deg=10.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         DipolarGeometry(r_nm=1.0, theta_deg=200.0)
 
 
@@ -72,7 +72,7 @@ def test_invalid_geometry_values():
 def test_non_finite_distance_rejected(r_nm):
     """A NaN distance was accepted, and the forward map turned it into a
     NaN coupling."""
-    with pytest.raises(GeometryError, match="r_nm"):
+    with pytest.raises(ConfigError, match="r_nm"):
         DipolarGeometry(r_nm=r_nm, theta_deg=10.0)
 
 
@@ -125,7 +125,7 @@ def test_tiny_component_gives_the_geometry_of_its_zero_limit(tiny, limit, theta_
                          ids=["infinite_distance", "both_squares_underflow"])
 def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
     """Subnormal couplings give a distance past the float range."""
-    with pytest.raises(GeometryError, match="no finite distance"):
+    with pytest.raises(ConfigError, match="no finite distance"):
         dipolar_geometry(HyperfineCoupling(a_zz, a_zx))
 
 
@@ -133,7 +133,7 @@ def test_subnormal_coupling_has_no_finite_geometry(a_zz, a_zx):
 def test_geometry_past_the_float_range_is_refused(r_nm):
     """r^3 underflowed to zero and the forward map divided by it; now a
     distance whose couplings leave the float range is named."""
-    with pytest.raises(GeometryError, match="r_nm"):
+    with pytest.raises(ConfigError, match="r_nm"):
         coupling_from_geometry(DipolarGeometry(r_nm=r_nm, theta_deg=30.0))
 
 
@@ -146,7 +146,7 @@ def test_prefactor_is_positive_or_refused(r_nm, want):
     taken on the exact split of r, and a distance with no positive finite
     f(r) is named."""
     if want is None:
-        with pytest.raises(GeometryError, match="r_nm"):
+        with pytest.raises(ConfigError, match="r_nm"):
             dipolar_prefactor_mhz(r_nm)
     else:
         assert dipolar_prefactor_mhz(r_nm) == pytest.approx(want, rel=1e-12)

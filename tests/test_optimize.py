@@ -23,7 +23,7 @@ from icspin.optimize import (
     ga_config_from_dict,
     optimize,
 )
-from icspin.sequence import MAX_PULSES, SequenceError
+from icspin.sequence import MAX_PULSES
 from icspin.system import ConfigError
 
 # the module; ``icspin.optimize`` the attribute is the function
@@ -65,7 +65,7 @@ def test_rank_keys_break_fitness_ties_by_duration_then_genome():
 
 
 def test_bounds_validation():
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         ParameterBounds(n_pulses=0)
     with pytest.raises(ConfigError):
         ParameterBounds(n_pulses=1, tau_max=-1.0)
@@ -133,9 +133,9 @@ def test_ga_config_real_settings_take_numpy_floats_and_early_stop_none():
     (lambda h: GAConfig(generations=2**63), ConfigError, "generations"),
     (lambda h: GAConfig(restarts=2**63), ConfigError, "restarts"),
     (lambda h: GAConfig(generations=np.int64(2**62)), ConfigError, "generations"),
-    (lambda h: ParameterBounds(MAX_PULSES + 1), SequenceError, "n_pulses"),
+    (lambda h: ParameterBounds(MAX_PULSES + 1), ConfigError, "n_pulses"),
     (lambda h: icspin.FitnessKernel(h, icspin.cnot_on_carbon(1), [0.5], MAX_PULSES + 1),
-     SequenceError, "n_pulses"),
+     ConfigError, "n_pulses"),
 ], ids=["population", "generations", "restarts", "int64_generations", "bounds_pulses",
         "kernel_pulses"])
 def test_search_sizes_past_their_budget_are_refused(h_subspace, call, error, name):

@@ -8,7 +8,6 @@ from icspin.sequence import (
     Delay,
     Pulse,
     PulseSequence,
-    SequenceError,
     genome_durations,
     genome_from_sequence,
     genome_length,
@@ -19,15 +18,16 @@ from icspin.sequence import (
     sequence_from_genome,
     sequence_to_dict,
 )
+from icspin.operators import ConfigError
 from icspin.system import data_path
 
 
 def test_segment_validation():
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         Delay(-0.1)
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         Pulse(-1.0, 0.0)
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         Pulse(1.0, 7.0)  # phase outside [0, 2pi)
 
 
@@ -57,7 +57,7 @@ def test_genome_phase_wrapping():
 
 
 def test_genome_length_check():
-    with pytest.raises(SequenceError, match="entries"):
+    with pytest.raises(ConfigError, match="entries"):
         sequence_from_genome([0.0, 1.0], omega1=0.5)
 
 
@@ -86,9 +86,9 @@ def test_genome_parts_row_by_row(n):
 def test_genome_width_check(n, extra):
     """Widths 3n and 3n + 2, one genome or a population, are refused."""
     for shape in [(3 * n + extra,), (3, 3 * n + extra)]:
-        with pytest.raises(SequenceError, match="entries"):
+        with pytest.raises(ConfigError, match="entries"):
             genome_parts(np.zeros(shape))
-        with pytest.raises(SequenceError, match="entries"):
+        with pytest.raises(ConfigError, match="entries"):
             genome_durations(np.zeros(shape))
 
 
@@ -135,9 +135,9 @@ def test_dict_schema():
 
 
 def test_malformed_documents_rejected():
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         sequence_from_dict({"segments": []})
-    with pytest.raises(SequenceError):
+    with pytest.raises(ConfigError):
         sequence_from_dict({"omega1_MHz": 0.5, "segments": [{"bogus": 1}]})
 
 
@@ -150,7 +150,7 @@ def test_malformed_documents_rejected():
     ({"omega1_MHz": float("inf"), "segments": []}, "omega1"),
 ])
 def test_non_numbers_and_non_finite_values_rejected(doc, where):
-    with pytest.raises(SequenceError, match=where):
+    with pytest.raises(ConfigError, match=where):
         sequence_from_dict(doc)
 
 

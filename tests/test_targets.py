@@ -3,9 +3,9 @@ import pytest
 
 from icspin import targets
 from icspin.fidelity import gate_fidelity
+from icspin.operators import ConfigError
 from icspin.system import MAX_CARBONS
 from icspin.targets import (
-    TargetError,
     cc_rotation,
     cnot_on_carbon,
     hadamard_on_carbon,
@@ -64,7 +64,7 @@ def test_cc_rotation_spectator_carbons_untouched():
 
 
 def test_carbon_index_range():
-    with pytest.raises(TargetError, match="carbon index must be at most 2, got 3"):
+    with pytest.raises(ConfigError, match="carbon index must be at most 2, got 3"):
         cc_rotation(2, 3, 0.5)
 
 
@@ -77,20 +77,20 @@ def test_target_library_parsing():
 
 
 def test_target_library_errors():
-    with pytest.raises(TargetError, match="unknown target"):
+    with pytest.raises(ConfigError, match="unknown target"):
         target_library("toffoli")
-    with pytest.raises(TargetError, match="parameters"):
+    with pytest.raises(ConfigError, match="parameters"):
         target_library("ccrot:nope")
     for name in ("hadamard:7", "cnot:junk", "CNOT:"):
-        with pytest.raises(TargetError, match="unknown target"):
+        with pytest.raises(ConfigError, match="unknown target"):
             target_library(name)
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_target_library_rejects_non_finite_angle(angle):
-    with pytest.raises(TargetError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         target_library(f"ccrot:1,{angle}")
-    with pytest.raises(TargetError, match="finite"):   # the library form refuses it too
+    with pytest.raises(ConfigError, match="finite"):   # the library form refuses it too
         cc_rotation(1, 1, float(angle))
 
 
@@ -102,7 +102,7 @@ def test_carbon_counts_past_the_budget_are_refused_before_any_matrix(monkeypatch
 
     monkeypatch.setattr(targets, "kron_all", no_matrix)
     message = f"n_carbons must be at most {MAX_CARBONS}, got {MAX_CARBONS + 1}"
-    with pytest.raises(TargetError, match=message):
+    with pytest.raises(ConfigError, match=message):
         hadamard_on_carbon(MAX_CARBONS + 1)
-    with pytest.raises(TargetError, match=message):
+    with pytest.raises(ConfigError, match=message):
         cc_rotation(MAX_CARBONS + 1, 1, np.pi)
