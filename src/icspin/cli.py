@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -203,22 +203,21 @@ def cmd_verify(args, phases: _Phases) -> int:
 def cmd_optimize(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     target = _target(args, cfg)
-    ga_doc = {}
-    if args.ga_config:
-        ga_doc = read_json(args.ga_config)
-        if not isinstance(ga_doc, dict):
-            raise ConfigError("GA config must be a JSON object")
+    ga_doc = read_json(args.ga_config) if args.ga_config is not None else {}
+    ga = ga_config_from_dict(ga_doc)
     for flag, value, key in (("--seed", args.seed, "seed"), ("--grid", args.grid, "omega1_grid")):
         if value is not None and key in ga_doc:
             raise ConfigError(f"{flag} and the GA config's {key} set the same value; give one")
     if args.seed is not None:
-        ga_doc["seed"] = args.seed
-    if args.grid:
-        ga_doc["omega1_grid"] = asdict(_parse_grid(args.grid))
-    ga = ga_config_from_dict(ga_doc)
+        try:
+            ga = replace(ga, seed=args.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
+    if args.grid is not None:
+        ga = replace(ga, omega1_grid=_parse_grid(args.grid))
     check_pulses(args.pulses, "--pulses", 1)
     bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
-    where = "--grid max" if args.grid else "GA config omega1_grid max_MHz"
+    where = "--grid max" if args.grid is not None else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_grid.max_MHz, where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
@@ -226,10 +225,11 @@ def cmd_optimize(args, phases: _Phases) -> int:
     phases.done("hamiltonian")
 
     result = optimize(target, h, bounds, ga)
+    best = result.best_sequence()
     phases.done("search")
 
     def write(out: Path) -> None:
-        save_sequence(result.best_sequence(), out / "best_sequence.json")
+        save_sequence(best, out / "best_sequence.json")
         write_csv(out / "history.csv", ("generation", "best_fitness"),
                   range(len(result.history)), result.history)
         write_json(out / "result.json", {
@@ -247,7 +247,7 @@ def cmd_optimize(args, phases: _Phases) -> int:
             "omega1_nominal_MHz": result.omega1_nominal,
         })
         print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
-        print(f"  duration = {result.best_sequence().duration:.4f} us over "
+        print(f"  duration = {best.duration:.4f} us over "
               f"{result.generations_run} generations (seed {result.seed})")
     return _finish(args, phases, "optimize", write,
                    {"system": str(args.system), "target": args.target,
@@ -475,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("scan", help="simulate a circuit scan")
-    p.add_argument("--kind", required=True,
-                   choices=list(_SCANS))
+    p.add_argument("--kind", required=True, choices=list(_SCANS))
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
     d = _SCAN_OPTIONS   # each scan flag's help names its default

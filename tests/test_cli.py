@@ -590,7 +590,8 @@ def test_rerun_reproduces_data_files_byte_identically(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (kind, name)
 
 
-BAD_GRIDS = ["0.48,0.52,0", "0.48,0.52,-3", "0.52,0.48,5", "nan,0.52,5", "0.48,inf,5"]
+# "" is a given --grid, refused like any other
+BAD_GRIDS = ["0.48,0.52,0", "0.48,0.52,-3", "0.52,0.48,5", "nan,0.52,5", "0.48,inf,5", ""]
 
 
 @pytest.mark.parametrize("grid", BAD_GRIDS)
@@ -638,6 +639,36 @@ def test_optimize_bad_ga_config_is_usage_error(tmp_path, capsys, ga_doc):
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
     assert not (out / "result.json").exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "2"], ["--grid", "0.48,0.52,3"]],
+                         ids=["no_flag", "seed", "grid"])
+@pytest.mark.parametrize("ga_doc", [[1, 2], "abc", 5], ids=["list", "str", "int"])
+def test_optimize_non_object_ga_config_is_usage_error(tmp_path, capsys, ga_doc, flags):
+    """The document reaches ga_config_from_dict before a flag is applied, so
+    its one rule refuses it, with or without --seed and --grid."""
+    (tmp_path / "ga.json").write_text(json.dumps(ga_doc))
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", *flags,
+                "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"GA config must be a JSON object, got {type(ga_doc).__name__}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,error", [
+    ("--seed", "-1", "error: --seed: seed must be an integer >= 0, got -1"),
+    ("--grid", "", "error: --grid expects 'min,max,points', got ''"),
+    ("--ga-config", "", "error: cannot read "),
+], ids=["seed", "grid", "ga_config"])
+def test_optimize_refuses_a_given_flag_value(tmp_path, capsys, flag, value, error):
+    """A refused --seed names --seed, not the GA config's seed; an empty
+    --grid or --ga-config is given, not left out (both ran on the defaults)."""
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", flag, value,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ga_doc,key", [
@@ -1371,7 +1402,7 @@ def test_optimize_faulty_genome_is_internal_error(tmp_path, monkeypatch, capsys)
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "1",
                 "--ga-config", str(tmp_path / "ga.json"), "--out", str(out)]) == 2
     assert "internal error" in capsys.readouterr().err
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["hadamard", "theta", "fid", "spectrum", "trajectory"])

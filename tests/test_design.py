@@ -244,28 +244,27 @@ def test_each_scan_flag_help_names_the_kinds_that_read_it():
 
 
 _GA_COUNT_KEYS = ("population", "generations", "elites", "seed", "restarts")
-# Each library count: its error, the parameter its message names, and a call
-# that passes `value` as the count
+# Each library count: the parameter its ConfigError names, and a call that
+# passes `value` as the count
 COUNTS = {
-    "kernel_n_pulses": (ConfigError, "n_pulses", lambda cfg, value: FitnessKernel(
+    "kernel_n_pulses": ("n_pulses", lambda cfg, value: FitnessKernel(
         icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
-    "bounds_n_pulses": (ConfigError, "n_pulses", lambda cfg, value: ParameterBounds(value)),
-    "check_pulses": (ConfigError, "--pulses",
-                     lambda cfg, value: check_pulses(value, "--pulses", 1)),
-    "subset_label": (ConfigError, "carbon labels", lambda cfg, value: cfg.subset([value])),
-    "grid_points": (ConfigError, "points", lambda cfg, value: Band(0.4, 0.6, value)),
-    "scan_points": (ConfigError, "--points",
+    "bounds_n_pulses": ("n_pulses", lambda cfg, value: ParameterBounds(value)),
+    "check_pulses": ("--pulses", lambda cfg, value: check_pulses(value, "--pulses", 1)),
+    "subset_label": ("carbon labels", lambda cfg, value: cfg.subset([value])),
+    "grid_points": ("points", lambda cfg, value: Band(0.4, 0.6, value)),
+    "scan_points": ("--points",
                     lambda cfg, value: experiments.check_scan_points(value, "--points", 1)),
-    "ccrot_n_carbons": (ConfigError, "n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
-    "ccrot_carbon": (ConfigError, "carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
-    "electron_rotation_n_carbons": (ConfigError, "n_carbons", lambda cfg, value:
+    "ccrot_n_carbons": ("n_carbons", lambda cfg, value: cc_rotation(value, 1, np.pi)),
+    "ccrot_carbon": ("carbon index", lambda cfg, value: cc_rotation(3, value, np.pi)),
+    "electron_rotation_n_carbons": ("n_carbons", lambda cfg, value:
                                     experiments.electron_rotation(np.pi, 0.0, value)),
-    **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+    **{f"ga_{name}": (name, lambda cfg, value, name=name: GAConfig(**{name: value}))
        for name in _GA_COUNT_KEYS},
-    **{f"ga_doc_{name}": (ConfigError, f"GA config {name}",
+    **{f"ga_doc_{name}": (f"GA config {name}",
                           lambda cfg, value, name=name: ga_config_from_dict({name: value}))
        for name in _GA_COUNT_KEYS},
-    "ga_doc_points": (ConfigError, "GA config omega1_grid points", lambda cfg, value:
+    "ga_doc_points": ("GA config omega1_grid points", lambda cfg, value:
                       ga_config_from_dict({"omega1_grid": {"min_MHz": 0.4, "max_MHz": 0.6,
                                                            "points": value}})),
 }
@@ -274,60 +273,56 @@ COUNTS = {
 @pytest.mark.parametrize("site, value", [
     (site, value) for site in COUNTS for value in (True, 1.0, 2.5, "1", None)])
 def test_library_counts_refuse_what_is_not_an_integer(system, site, value):
-    """A bool, a float, a string or None given as a count raises the error
-    of an out-of-range count, naming the parameter."""
-    error, name, call = COUNTS[site]
-    with pytest.raises(error, match=name):
+    """A bool, a float, a string or None given as a count raises the
+    ConfigError of an out-of-range count, naming the parameter."""
+    name, call = COUNTS[site]
+    with pytest.raises(ConfigError, match=name):
         call(system, value)
 
 
 def test_library_counts_take_numpy_integers(registers):
     """A numpy integer is a count like a Python int."""
-    for site, (_, _, call) in COUNTS.items():
+    for _, call in COUNTS.values():
         call(registers, np.int64(3))
 
 
 _SYSTEM_DOC = read_json(data_path("system_2q.json"))
-# Each real-valued library input: its error, the name its message gives, and
-# a call that passes `value` as the input
+# Each real-valued library input: the name its ConfigError gives, and a call
+# that passes `value` as the input
 REALS = {
-    "delay_us": (ConfigError, "delay_us", lambda cfg, value: Delay(value)),
-    "pulse_us": (ConfigError, "pulse_us", lambda cfg, value: Pulse(value, 0.0)),
-    "phase_rad": (ConfigError, "phase_rad", lambda cfg, value: Pulse(1.0, value)),
-    "omega1_MHz": (ConfigError, "omega1_MHz",
-                   lambda cfg, value: PulseSequence((Delay(1.0),), value)),
-    "A_zz_MHz": (ConfigError, "A_zz_MHz", lambda cfg, value: HyperfineCoupling(value, 0.1)),
-    "A_zx_MHz": (ConfigError, "A_zx_MHz", lambda cfg, value: HyperfineCoupling(-0.1, value)),
-    "D_MHz": (ConfigError, "D_MHz", lambda cfg, value: SpinSystemConfig(value, 0.4, cfg.carbons)),
-    "nu_C_MHz": (ConfigError, "nu_C_MHz",
-                 lambda cfg, value: SpinSystemConfig(3000.0, value, cfg.carbons)),
-    "drive_amplitude": (ConfigError, "grid max",
+    "delay_us": ("delay_us", lambda cfg, value: Delay(value)),
+    "pulse_us": ("pulse_us", lambda cfg, value: Pulse(value, 0.0)),
+    "phase_rad": ("phase_rad", lambda cfg, value: Pulse(1.0, value)),
+    "omega1_MHz": ("omega1_MHz", lambda cfg, value: PulseSequence((Delay(1.0),), value)),
+    "A_zz_MHz": ("A_zz_MHz", lambda cfg, value: HyperfineCoupling(value, 0.1)),
+    "A_zx_MHz": ("A_zx_MHz", lambda cfg, value: HyperfineCoupling(-0.1, value)),
+    "D_MHz": ("D_MHz", lambda cfg, value: SpinSystemConfig(value, 0.4, cfg.carbons)),
+    "nu_C_MHz": ("nu_C_MHz", lambda cfg, value: SpinSystemConfig(3000.0, value, cfg.carbons)),
+    "drive_amplitude": ("grid max",
                         lambda cfg, value: cfg.check_drive_amplitude(value, "grid max")),
-    "config_number": (ConfigError, "nu_e_MHz",
+    "config_number": ("nu_e_MHz",
                       lambda cfg, value: system_from_dict({**_SYSTEM_DOC, "nu_e_MHz": value})),
-    "geometry_r_nm": (ConfigError, "r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
-    "theta_deg": (ConfigError, "theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
-    "prefactor_r_nm": (ConfigError, "r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
-    "tau_max": (ConfigError, "tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
-    "t_max": (ConfigError, "t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
-    **{f"ga_{name}": (ConfigError, name, lambda cfg, value, name=name: GAConfig(**{name: value}))
+    "geometry_r_nm": ("r_nm", lambda cfg, value: DipolarGeometry(value, 90.0)),
+    "theta_deg": ("theta_deg", lambda cfg, value: DipolarGeometry(1.0, value)),
+    "prefactor_r_nm": ("r_nm", lambda cfg, value: dipolar_prefactor_mhz(value)),
+    "tau_max": ("tau_max", lambda cfg, value: ParameterBounds(3, tau_max=value)),
+    "t_max": ("t_max", lambda cfg, value: ParameterBounds(3, t_max=value)),
+    **{f"ga_{name}": (name, lambda cfg, value, name=name: GAConfig(**{name: value}))
        for name in ("crossover_rate", "mutation_rate", "mutation_scale", "early_stop")},
     # a GA document's band, then a library caller's
-    **{f"ga_{name}": (ConfigError, f"GA config omega1_grid {name}",
+    **{f"ga_{name}": (f"GA config omega1_grid {name}",
                       lambda cfg, value, name=name: ga_config_from_dict({"omega1_grid": {
                           "min_MHz": 0.4, "max_MHz": 1.0, "points": 3, name: value}}))
        for name in ("min_MHz", "max_MHz")},
-    "grid_min_MHz": (ConfigError, "min_MHz", lambda cfg, value: Band(value, 1.0)),
-    "grid_max_MHz": (ConfigError, "max_MHz", lambda cfg, value: Band(0.4, value)),
-    "time_step": (ConfigError, "--dt",
-                  lambda cfg, value: experiments.check_time_step(value, "--dt")),
-    "linewidth": (ConfigError, "--linewidth",
+    "grid_min_MHz": ("min_MHz", lambda cfg, value: Band(value, 1.0)),
+    "grid_max_MHz": ("max_MHz", lambda cfg, value: Band(0.4, value)),
+    "time_step": ("--dt", lambda cfg, value: experiments.check_time_step(value, "--dt")),
+    "linewidth": ("--linewidth",
                   lambda cfg, value: experiments.check_linewidth(value, "--linewidth")),
-    "detuning": (ConfigError, "--detuning",
+    "detuning": ("--detuning",
                  lambda cfg, value: experiments.check_detuning(value, "--detuning")),
-    "time_span": (ConfigError, "span",
-                  lambda cfg, value: experiments.check_time_span(value, "span")),
-    "ccrot_angle": (ConfigError, "ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
+    "time_span": ("span", lambda cfg, value: experiments.check_time_span(value, "span")),
+    "ccrot_angle": ("ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
 }
 
 
@@ -336,17 +331,17 @@ REALS = {
     if (site, value) != ("ga_early_stop", None)   # None turns early stopping off
 ])
 def test_library_reals_refuse_what_is_not_a_number(system, site, value):
-    """A bool, a string, None or NaN given as a real input raises the
-    module's own error, naming the input; a bool passed every range check
-    and a string raised a bare TypeError."""
-    error, name, call = REALS[site]
-    with pytest.raises(error, match=name):
+    """A bool, a string, None or NaN given as a real input raises
+    ConfigError, naming the input; a bool passed every range check and a
+    string raised a bare TypeError."""
+    name, call = REALS[site]
+    with pytest.raises(ConfigError, match=name):
         call(system, value)
 
 
 def test_library_reals_take_numpy_floats_and_ints(system):
     """A numpy float and a Python int are reals like a Python float."""
-    for _, _, call in REALS.values():
+    for _, call in REALS.values():
         for value in (np.float64(1.0), 1):
             call(system, value)
 
