@@ -56,7 +56,7 @@ from .propagation import engine_for
 from .sequence import check_pulses, load_sequence, save_sequence
 from .states import basis_state
 from .system import load_system
-from .targets import target_library
+from .targets import TargetGate, target_library
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
@@ -213,11 +213,11 @@ def cmd_optimize(args, phases: _Phases) -> int:
             ga = replace(ga, seed=args.seed)
         except ConfigError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
+    where = "GA config omega1_grid max_MHz" if "omega1_grid" in ga_doc else "default band max_MHz"
     if args.grid is not None:
-        ga = replace(ga, omega1_grid=_parse_grid(args.grid))
+        ga, where = replace(ga, omega1_grid=_parse_grid(args.grid)), "--grid max"
     check_pulses(args.pulses, "--pulses", 1)
     bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
-    where = "--grid max" if args.grid is not None else "GA config omega1_grid max_MHz"
     cfg.check_drive_amplitude(ga.omega1_grid.max_MHz, where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)
@@ -296,8 +296,7 @@ def _write_time_scan(out: Path, kind: str, result) -> None:
 
 def _scan_hadamard(args, cfg, seq):
     t_grid = _scan_times(args)
-    first = "noop" if args.noop else None
-    result = hadamard_circuit_scan(seq, t_grid, cfg, first_gate=first)
+    result = hadamard_circuit_scan(seq, t_grid, cfg, _GATES["noop"] if args.noop else None)
 
     def write(out: Path) -> None:
         _write_time_scan(out, "hadamard", result)
@@ -308,7 +307,7 @@ def _scan_hadamard(args, cfg, seq):
 
 def _scan_theta(args, cfg, seq):
     thetas = np.linspace(0.0, 2 * np.pi, args.points)
-    values = theta_scan(args.gate if seq is None else seq, thetas, args.readout, cfg)
+    values = theta_scan(_GATES[args.gate] if seq is None else seq, thetas, args.readout, cfg)
 
     def write(out: Path) -> None:
         write_csv(out / "theta_scan.csv", ("theta_rad", "p0_down"), thetas, values)
@@ -371,7 +370,7 @@ def _scan_trajectory(args, cfg, seq):
 # parser leaves those None, so one given to a kind that never reads it is
 # refused. --detuning is not among them: every kind accepts it, as scripts
 # pass it to all five. _SCANS: kind -> (scan, the flags it reads, which the
-# manifest records).
+# manifest records). _GATES: --gate name (and --noop: "noop") -> gate, None = ideal.
 _SCAN_OPTIONS = {"sequence": None, "gate": "cnot", "noop": False, "readout": -1,
                  "state": "pure", "points": 256, "dt": 0.1, "linewidth": 0.0106}
 _SCANS = {
@@ -381,6 +380,7 @@ _SCANS = {
     "spectrum": (_scan_spectrum, ("detuning", "linewidth")),
     "trajectory": (_scan_trajectory, ("sequence", "dt")),
 }
+_GATES = {"cnot": None, "noop": TargetGate(np.eye(4, dtype=complex))}
 
 
 def cmd_scan(args, phases: _Phases) -> int:
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
     d = _SCAN_OPTIONS   # each scan flag's help names its default
-    p.add_argument("--gate", choices=["noop", "cnot"], help=f"theta only; default {d['gate']}")
+    p.add_argument("--gate", choices=list(_GATES), help=f"theta only; default {d['gate']}")
     p.add_argument("--noop", action="store_true", default=None,
                    help="replace the first gate of the hadamard scan with NOOP")
     p.add_argument("--readout", type=int, choices=[0, -1],

@@ -179,16 +179,14 @@ def check_time_span(span: float, where: str) -> None:
     check_real(span, where, high=MAX_DURATION_US)
 
 
-def _gate_matrix(gate, h: np.ndarray, default: TargetGate) -> np.ndarray:
-    """Resolve a gate argument: None/'ideal' -> default target matrix,
-    'noop' -> identity, PulseSequence -> its propagator."""
-    if gate is None or (isinstance(gate, str) and gate.lower() == "ideal"):
-        return default.matrix
-    if isinstance(gate, str) and gate.lower() == "noop":
-        return np.eye(h.shape[0], dtype=complex)
+def _gate_matrix(gate: TargetGate | PulseSequence, h: np.ndarray) -> np.ndarray:
+    """A TargetGate's matrix or a PulseSequence's propagator under `h`. Only
+    code supplies a gate, so any other, or a matrix of another shape, is a ValueError."""
     if isinstance(gate, PulseSequence):
         return sequence_propagator(gate, h)
-    raise ValueError(f"gate must be 'ideal', 'noop' or a PulseSequence, got {gate!r}")
+    if isinstance(gate, TargetGate) and np.shape(gate.matrix) == h.shape:
+        return gate.matrix
+    raise ValueError(f"gate must be a PulseSequence or a {h.shape} TargetGate, got {gate!r}")
 
 
 def signal_spectrum(times: np.ndarray, signal: np.ndarray) -> Spectrum:
@@ -211,23 +209,22 @@ def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
 
 
 def hadamard_circuit_scan(
-    gate,
+    gate: TargetGate | PulseSequence | None,
     t_grid: np.ndarray,
     config: SpinSystemConfig,
-    first_gate=None,
+    first_gate: TargetGate | PulseSequence | None = None,
 ) -> ScanResult:
     """Population of |0,up> after (gate - free t - gate) applied to |0,up>.
 
-    `gate` is the carbon Hadamard: 'ideal' or a PulseSequence. `first_gate`
-    defaults to the same gate; pass 'noop' for the control run without the
-    initial gate.
+    `gate` is the carbon Hadamard, None for the ideal one. `first_gate`
+    defaults to the same gate; pass the identity TargetGate for the control
+    run without the initial gate.
     """
     t_grid = _check_uniform(t_grid)
     config.single_carbon()   # the gate and the readout act on one carbon
     h = multiqubit_hamiltonian(config)
-    u_h = hadamard_on_carbon(1)
-    g2 = _gate_matrix(gate, h, u_h)
-    g1 = g2 if first_gate is None else _gate_matrix(first_gate, h, u_h)
+    g2 = _gate_matrix(hadamard_on_carbon(1) if gate is None else gate, h)
+    g1 = g2 if first_gate is None else _gate_matrix(first_gate, h)
     engine = engine_for(h)
     # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
     amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
@@ -287,13 +284,13 @@ def electron_fid_scan(
 
 
 def theta_scan(
-    gate,
+    gate: TargetGate | PulseSequence | None,
     theta_grid: np.ndarray,
     readout_branch: int,
     config: SpinSystemConfig,
 ) -> np.ndarray:
     """P(|0,dn>) after preparing cos(t/2)|0,up> + sin(t/2)|-1,up> and applying
-    `gate` ('noop', 'cnot' or a PulseSequence).
+    `gate`, None for the ideal CNOT.
 
     readout_branch -1 inserts the hard 180_y that maps the m_S = -1
     population into m_S = 0 before the projective readout; branch 0 reads
@@ -304,10 +301,7 @@ def theta_scan(
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
     check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)")
     config.single_carbon()   # the gate and the readout act on one carbon
-    h = multiqubit_hamiltonian(config)
-    if isinstance(gate, str) and gate.lower() == "cnot":
-        gate = "ideal"
-    g = _gate_matrix(gate, h, cnot_on_carbon(1))
+    g = _gate_matrix(cnot_on_carbon(1) if gate is None else gate, multiqubit_hamiltonian(config))
     flip = electron_rotation(np.pi, np.pi / 2)
     psi0 = basis_state(0, 4)
     # a rotation by theta about a fixed axis is cos(theta/2) I + sin(theta/2) R(pi)

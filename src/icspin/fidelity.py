@@ -84,7 +84,7 @@ class RobustnessReport:
 
 def robust_fidelity(
     seq: PulseSequence,
-    target: TargetGate | np.ndarray,
+    target: TargetGate,
     h: np.ndarray,
     omega1_range: tuple[float, float] = (Band.min_MHz, Band.max_MHz),
     grid_points: int = Band.points,

@@ -19,8 +19,10 @@ from .operators import ConfigError
 
 
 def read_json(path: str | Path):
-    """The JSON document at `path`. A file that is missing, unreadable, not
-    UTF-8 or not JSON raises ConfigError, naming the path."""
+    """The JSON document at `path`. An empty path (the working directory) or a file that is
+    missing, unreadable, not UTF-8 or not JSON raises ConfigError, naming the path."""
+    if not str(path):
+        raise ConfigError(f"cannot read {path!r}: the path is empty")
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or bad JSON

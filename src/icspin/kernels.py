@@ -31,6 +31,7 @@ import numpy as np
 
 from .propagation import engine_for
 from .sequence import check_pulses, genome_length
+from .targets import TargetGate
 
 FIDELITY_SLACK = 1e-9   # roundoff allowed above a fidelity of 1
 
@@ -47,9 +48,10 @@ BATCH_ENTRIES = 2**15
 def cpu_workers() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
+    try:
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    except AttributeError:   # the platform keeps no affinity mask
+        return os.cpu_count() or 1
 
 
 def _dealer(items):
@@ -80,7 +82,7 @@ class FitnessKernel:
     ----------
     h : working-subspace Hamiltonian (MHz); real and block-diagonal in the
         electron, as every register builder in the package produces it
-    target : target unitary matrix (or TargetGate)
+    target : the TargetGate
     omega1s : amplitude grid (MHz)
     n_pulses : number of pulses in the genome template, 0 (one delay) to MAX_PULSES
 
@@ -90,17 +92,16 @@ class FitnessKernel:
     two threads at once. Different kernels may be.
     """
 
-    def __init__(self, h, target, omega1s, n_pulses):
+    def __init__(self, h, target: TargetGate, omega1s, n_pulses):
         check_pulses(n_pulses, "n_pulses", 0)
         self.n_pulses = int(n_pulses)
         if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")
         self.engine = engine_for(h, omega1s)
-        u_target = target.matrix if hasattr(target, "matrix") else np.asarray(target)
         g, d = self.engine.omega1s.size, self.engine.dim
-        if u_target.shape != (d, d):
-            raise ValueError(f"dimension mismatch: {(d, d)} vs {u_target.shape}")
-        self._target_conj = self.engine.to_eigenbasis(u_target).conj()
+        if target.matrix.shape != (d, d):
+            raise ValueError(f"dimension mismatch: {(d, d)} vs {target.matrix.shape}")
+        self._target_conj = self.engine.to_eigenbasis(target.matrix).conj()
         self._points = min(g, max(1, BATCH_ENTRIES // (d * d)))
         self._chunk = max(1, BATCH_ENTRIES // (self._points * d * d))
         self._grid_slices = [slice(s, min(s + self._points, g))

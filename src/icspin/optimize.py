@@ -336,12 +336,14 @@ def optimize(
     """
     grid = cfg.omega1_grid.omega1s()
     kern = FitnessKernel(h, target, grid, bounds.n_pulses)
-    runs = [_single_run(kern, bounds, cfg, cfg.seed + i) for i in range(cfg.restarts)]
-    # the run whose history ends highest, the first of equal ones
-    best = max(range(cfg.restarts), key=lambda i: runs[i][1][-1])
-    genome, history, stop_reason, _ = runs[best]
+    best, scored = None, 0   # only the run whose history ends highest is kept
+    for seed in range(cfg.seed, cfg.seed + cfg.restarts):
+        run = _single_run(kern, bounds, cfg, seed)
+        scored += run[-1]
+        if best is None or run[1][-1] > best[1][-1]:   # the first of equal ones stays
+            best, best_seed = run, seed
+    genome, history, stop_reason, _ = best
     report = RobustnessReport(grid, kern.evaluate(genome)[0])
     return OptimizationResult(
-        best_genome=genome, history=history, robustness=report, seed=cfg.seed + best,
-        stop_reason=stop_reason,
-        fitness_evaluations=(sum(run[-1] for run in runs) + 1) * grid.size)
+        best_genome=genome, history=history, robustness=report, seed=best_seed,
+        stop_reason=stop_reason, fitness_evaluations=(scored + 1) * grid.size)

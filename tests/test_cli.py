@@ -18,6 +18,7 @@ from icspin.optimize import MAX_POPULATION, ga_config_from_dict
 from icspin.operators import ConfigError
 from icspin.sequence import MAX_DURATION_US, MAX_SEGMENTS
 from icspin.system import MAX_CONFIG_VALUE, data_path
+from icspin.targets import TargetGate
 
 
 SYSTEM = str(data_path("system_2q.json"))
@@ -379,6 +380,33 @@ def test_scan_theta_matches_law(tmp_path):
     assert np.abs(p - (1 - np.cos(thetas)) / 2).max() < 1e-9
 
 
+NOOP = TargetGate(np.eye(4))   # the control runs' gate: the identity on electron and carbon
+
+
+@pytest.mark.parametrize("kind, flags, gate", [
+    ("hadamard", ["--noop"], NOOP),
+    ("theta", ["--gate", "noop"], NOOP),
+    ("theta", ["--gate", "cnot"], None),
+    ("theta", ["--gate", "noop", "--readout", "0"], NOOP),
+], ids=["hadamard_noop", "theta_noop", "theta_cnot", "theta_noop_readout_0"])
+def test_scan_gate_flags_are_gate_values(tmp_path, kind, flags, gate):
+    """--noop and --gate noop are the identity TargetGate, and --gate cnot
+    is None, the scan's ideal gate: the CLI writes the library's arrays."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", kind, "--system", SYSTEM, "--points", "64", *flags,
+                "--out", str(out)]) == 0
+    cfg = icspin.load_system(SYSTEM)
+    if kind == "hadamard":
+        written = np.loadtxt(out / "hadamard_signal.csv", delimiter=",", skiprows=1)[:, 1]
+        expected = icspin.hadamard_circuit_scan(None, np.arange(64) * 0.1, cfg,
+                                                first_gate=gate).signal
+    else:
+        written = np.loadtxt(out / "theta_scan.csv", delimiter=",", skiprows=1)[:, 1]
+        readout = int(flags[-1]) if "--readout" in flags else -1
+        expected = icspin.theta_scan(gate, np.linspace(0.0, 2 * np.pi, 64), readout, cfg)
+    assert np.array_equal(written, expected)
+
+
 def test_scan_fid_and_spectrum_and_trajectory(tmp_path):
     out = tmp_path / "f"
     assert run(["scan", "--kind", "fid", "--system", SYSTEM, "--state", "thermal",
@@ -718,6 +746,45 @@ def test_amplitude_not_below_d_is_usage_error(tmp_path, capsys, command, where, 
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert where in err and "D_MHz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ga, flags, where", [
+    (None, [], "default band max_MHz"),
+    ({"population": 4, "elites": 1}, [], "default band max_MHz"),
+    (None, ["--grid", "0.48,0.52,5"], "--grid max"),
+    ({"omega1_grid": {"min_MHz": 0.48, "max_MHz": 0.52, "points": 5}}, [],
+     "GA config omega1_grid max_MHz"),
+], ids=["default", "ga_config_without_band", "grid", "ga_config_band"])
+def test_amplitude_not_below_d_names_what_set_the_band(tmp_path, capsys, ga, flags, where):
+    """With D_MHz 0.5 the default band's 0.52 MHz is refused. Without --grid
+    the message named the GA config's omega1_grid, also when no GA config
+    was given or it set no band."""
+    doc = json.loads(Path(SYSTEM).read_text())
+    doc["D_MHz"] = 0.5
+    (tmp_path / "system.json").write_text(json.dumps(doc))
+    if ga is not None:
+        (tmp_path / "ga.json").write_text(json.dumps(ga))
+        flags = flags + ["--ga-config", str(tmp_path / "ga.json")]
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", str(tmp_path / "system.json"), "--target", "cnot",
+                *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {where} (below D_MHz) must be finite and in [0, 0.5), got 0.52" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--system", ""],
+    ["verify", "--system", SYSTEM, "--sequence", "", "--target", "cnot"],
+    ["optimize", "--system", SYSTEM, "--target", "cnot", "--ga-config", ""],
+], ids=["report_system", "verify_sequence", "optimize_ga_config"])
+def test_an_empty_path_flag_is_usage_error(tmp_path, capsys, argv):
+    """An empty path named the working directory, and the command said
+    "cannot read : [Errno 21] Is a directory: '.'"."""
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "error: cannot read '': the path is empty" in capsys.readouterr().err
     assert not out.exists()
 
 

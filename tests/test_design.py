@@ -753,3 +753,73 @@ def test_only_sequence_knows_the_genome_layout():
     found = [f"{name}:{where}" for name, text in sorted(SOURCES.items()) if name != "sequence.py"
              for where in _layout_arithmetic(ast.parse(text))]
     assert found == []
+
+
+_CASE_FOLDS = {"lower", "casefold"}   # upper() is also ParameterBounds' box
+
+
+def _spelling_reads(func: ast.AST) -> list:
+    """Where a function reads a spelling: a case-folding call, and a
+    comparison of one of its arguments, case-folded or not, with a string
+    literal, or its membership in a collection of them. A key looked up in
+    an argument (``"seed" in doc``) reads a document, not a spelling."""
+    arguments = {node.arg for node in ast.walk(func.args) if isinstance(node, ast.arg)}
+
+    def case_fold(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _CASE_FOLDS)
+
+    def argument(node):
+        node = node.func.value if case_fold(node) else node
+        return isinstance(node, ast.Name) and node.id in arguments
+
+    def spelling(node):
+        try:
+            value = ast.literal_eval(node)
+        except (ValueError, TypeError):
+            return False
+        values = value if isinstance(value, (tuple, list, set, frozenset)) else [value]
+        return bool(values) and all(isinstance(v, str) for v in values)
+
+    def compares(node):
+        operands = [node.left, *node.comparators]
+        for left, op, right in zip(operands, node.ops, operands[1:]):
+            if isinstance(op, (ast.In, ast.NotIn)):
+                if argument(left) and spelling(right):
+                    return True
+            elif (argument(left) and spelling(right)) or (spelling(left) and argument(right)):
+                return True
+        return False
+
+    return [node for node in ast.walk(func)
+            if case_fold(node) or (isinstance(node, ast.Compare) and compares(node))]
+
+
+@pytest.mark.parametrize("code, reads", [
+    ("def f(gate):\n    return gate == 'noop'", True),
+    ("def f(gate):\n    return gate.lower() in ('ideal', 'noop')", True),
+    ("def f(gate):\n    return isinstance(gate, str) and 'cnot' == gate", True),
+    ("def f(name):\n    base = name.strip().casefold()", True),
+    ("def f(ends):\n    return ends[0] == '('", False),
+    ("def f(gate):\n    return gate is None", False),
+    ("def f(kind):\n    return kind == 3", False),
+    ("def f():\n    name = 'a'\n    return name == 'a'", False),
+    ("def f(doc):\n    return 'seed' in doc", False),
+    ("def f(gate):\n    return gate not in {'noop'}", True),
+])
+def test_the_spelling_detector(code, reads):
+    assert bool(_spelling_reads(ast.parse(code).body[0])) is reads
+
+
+def test_only_the_cli_reads_gate_spellings():
+    """A library gate is a value: a ``TargetGate`` or a ``PulseSequence``,
+    and the kernel takes a ``TargetGate``. Outside cli.py and the target
+    names of ``targets.target_library``, no function compares an argument
+    with a string literal or case-folds a string, and the kernel asks no
+    object what it has."""
+    found = [f"{where}: {ast.unparse(node)}" for where, func in _top_functions()
+             if not where.startswith("cli.py:") and where != "targets.py:target_library"
+             for node in _spelling_reads(func)]
+    assert found == []
+    assert [node for node in ast.walk(ast.parse(SOURCES["kernels.py"]))
+            if isinstance(node, ast.Call) and _called_name(node) == "hasattr"] == []

@@ -38,6 +38,7 @@ from icspin.states import (
     qubit_bloch_vectors,
 )
 from icspin.system import MAX_CONFIG_VALUE, ConfigError, HyperfineCoupling, SpinSystemConfig
+from icspin.targets import TargetGate
 
 from oracles import (
     eigen_difference_lines,
@@ -45,6 +46,9 @@ from oracles import (
     oracle_propagator,
     oracle_sequence_propagator,
 )
+
+# The control runs' gate, NOOP: the identity on the electron and the carbon
+NOOP = TargetGate(np.eye(4, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def test_cleanup_delay_past_the_duration_ceiling_is_a_sequence_error():
 
 def test_hadamard_scan_ideal_law(system):
     t = np.arange(512) * 0.2
-    result = hadamard_circuit_scan("ideal", t, system)
+    result = hadamard_circuit_scan(None, t, system)
     law = (1 + np.cos(2 * np.pi * system.nu_c * t)) / 2
     assert np.abs(result.signal - law).max() < 1e-9
     assert result.spectrum.peak_frequency() == pytest.approx(0.158, abs=0.005)
@@ -133,7 +137,7 @@ def test_hadamard_scan_ideal_law(system):
 
 def test_hadamard_scan_noop_control_is_flat(system):
     t = np.arange(512) * 0.2
-    result = hadamard_circuit_scan("ideal", t, system, first_gate="noop")
+    result = hadamard_circuit_scan(None, t, system, first_gate=NOOP)
     assert np.abs(result.signal - result.signal.mean()).max() < 1e-9
     # no carbon-frequency component survives mean subtraction
     bin_at_peak = np.argmin(np.abs(result.spectrum.frequencies - system.nu_c))
@@ -142,7 +146,7 @@ def test_hadamard_scan_noop_control_is_flat(system):
 
 def test_hadamard_scan_zero_time_is_unity(system):
     t = np.arange(8) * 0.2
-    result = hadamard_circuit_scan("ideal", t, system)
+    result = hadamard_circuit_scan(None, t, system)
     assert result.signal[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -159,7 +163,7 @@ def test_hadamard_scan_with_bundled_sequence(system, hadamard_seq):
                                     np.array([0.0, np.nan, 0.2])])
 def test_scans_require_increasing_finite_grid(system, t_grid):
     with pytest.raises(ConfigError, match="increasing"):
-        hadamard_circuit_scan("ideal", t_grid, system)
+        hadamard_circuit_scan(None, t_grid, system)
     with pytest.raises(ConfigError, match="increasing"):
         electron_fid_scan(basis_state(0, 4), 3.0, t_grid, system)
 
@@ -176,11 +180,11 @@ def test_electron_rotation_closed_form_matches_eigh(n_carbons):
 
 def test_hadamard_scan_requires_uniform_grid(system):
     with pytest.raises(ConfigError, match="uniform"):
-        hadamard_circuit_scan("ideal", np.array([0.0, 0.1, 0.5]), system)
+        hadamard_circuit_scan(None, np.array([0.0, 0.1, 0.5]), system)
 
 
 def test_scans_require_two_samples(system):
-    for scan in (lambda t: hadamard_circuit_scan("ideal", t, system),
+    for scan in (lambda t: hadamard_circuit_scan(None, t, system),
                  lambda t: electron_fid_scan(basis_state(0, 4), 3.0, t, system)):
         with pytest.raises(ConfigError, match=r"^t_grid points must be an integer >= 2, got 1"):
             scan(np.array([0.0]))
@@ -277,27 +281,27 @@ def test_fid_detuning_inside_line_span_is_refused(system):
 
 def test_theta_scan_ideal_law(system):
     thetas = np.linspace(0, 2 * np.pi, 101)
-    p = theta_scan("cnot", thetas, -1, system)
+    p = theta_scan(None, thetas, -1, system)
     law = (1 - np.cos(thetas)) / 2
     assert np.abs(p - law).max() < 1e-9
 
 
 def test_theta_scan_noop_readout_minus_is_zero(system):
     thetas = np.linspace(0, 2 * np.pi, 101)
-    p = theta_scan("noop", thetas, -1, system)
+    p = theta_scan(NOOP, thetas, -1, system)
     assert np.abs(p).max() < 1e-9
 
 
 def test_theta_scan_zero_angle_always_dark(system):
-    for gate in ("noop", "cnot"):
+    for gate in (NOOP, None):
         for branch in (0, -1):
             assert theta_scan(gate, np.array([0.0]), branch, system)[0] < 1e-12
 
 
 def test_theta_scan_ms0_readout_identical_for_both_gates(system):
     thetas = np.linspace(0, 2 * np.pi, 101)
-    p_noop = theta_scan("noop", thetas, 0, system)
-    p_cnot = theta_scan("cnot", thetas, 0, system)
+    p_noop = theta_scan(NOOP, thetas, 0, system)
+    p_cnot = theta_scan(None, thetas, 0, system)
     assert np.abs(p_noop - p_cnot).max() < 1e-9
 
 
@@ -356,20 +360,33 @@ def test_theta_scan_validates_branch(system):
     as branch -1."""
     for branch in (1, False, True, -1.0, 0.0, "0", None):
         with pytest.raises(ConfigError, match="readout_branch"):
-            theta_scan("cnot", np.array([0.1]), branch, system)
+            theta_scan(None, np.array([0.1]), branch, system)
 
 
 def test_theta_scan_takes_integer_branches(system):
-    direct = theta_scan("cnot", np.array([0.1, 2.0]), 0, system)
-    mapped = theta_scan("cnot", np.array([0.1, 2.0]), -1, system)
+    direct = theta_scan(None, np.array([0.1, 2.0]), 0, system)
+    mapped = theta_scan(None, np.array([0.1, 2.0]), -1, system)
     assert not np.array_equal(direct, mapped)
-    assert np.array_equal(theta_scan("cnot", np.array([0.1, 2.0]), np.int64(-1), system), mapped)
+    assert np.array_equal(theta_scan(None, np.array([0.1, 2.0]), np.int64(-1), system), mapped)
 
 
 def test_scans_refuse_a_gate_they_cannot_resolve(system):
-    for gate in (icspin.cnot_on_carbon(1).matrix, icspin.cnot_on_carbon(1), "cz"):
-        with pytest.raises(ValueError, match="gate"):
-            theta_scan(gate, np.array([0.1]), -1, system)
+    """A gate is a TargetGate of the register's shape or a PulseSequence, and
+    None is the scan's ideal gate. The spellings 'ideal', 'noop' and 'cnot',
+    which the scans once read, are refused like any other string."""
+    thetas, times = np.array([0.1, 2.0]), np.arange(4) * 0.1
+    for gate in (icspin.cnot_on_carbon(1).matrix, TargetGate(np.eye(8, dtype=complex)),
+                 "ideal", "noop", "cnot", "cz"):
+        with pytest.raises(ValueError, match="gate must be"):
+            theta_scan(gate, thetas, -1, system)
+        with pytest.raises(ValueError, match="gate must be"):
+            hadamard_circuit_scan(gate, times, system)
+        with pytest.raises(ValueError, match="gate must be"):
+            hadamard_circuit_scan(None, times, system, first_gate=gate)
+    assert np.array_equal(theta_scan(icspin.cnot_on_carbon(1), thetas, -1, system),
+                          theta_scan(None, thetas, -1, system))
+    assert np.array_equal(hadamard_circuit_scan(icspin.hadamard_on_carbon(1), times, system).signal,
+                          hadamard_circuit_scan(None, times, system).signal)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +575,7 @@ TINY_GRID = np.arange(4) * 1e-310
     (lambda cfg, h, seq: esr_spectrum(h, 1e-300, 3.0), "linewidth"),
     (lambda cfg, h, seq: esr_spectrum(h, 0.0106, 1e300), "detuning"),
     (lambda cfg, h, seq: esr_spectrum(h, 1e300, 1e300), "linewidth"),
-    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", TINY_GRID, cfg), "t_grid"),
+    (lambda cfg, h, seq: hadamard_circuit_scan(None, TINY_GRID, cfg), "t_grid"),
     (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 3.0, TINY_GRID, cfg), "t_grid"),
     (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 1e300, np.arange(64) * 0.1, cfg),
      "nu_d"),
@@ -600,12 +617,12 @@ def test_scan_input_checks_hold_their_bounds():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda cfg, h, seq: hadamard_circuit_scan("ideal", np.arange(4) * 1e300, cfg),
+    (lambda cfg, h, seq: hadamard_circuit_scan(None, np.arange(4) * 1e300, cfg),
      r"t_grid span.* must be finite and in \(-inf, 1e\+06\]"),
     (lambda cfg, h, seq: electron_fid_scan(basis_state(0, 4), 3.0,
                                            np.arange(MAX_SCAN_POINTS + 1) * 0.01, cfg),
      "t_grid points.* must be at most"),
-    (lambda cfg, h, seq: theta_scan("cnot", np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS + 1),
+    (lambda cfg, h, seq: theta_scan(None, np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS + 1),
                                     -1, cfg), "theta_grid points.* must be at most"),
     (lambda cfg, h, seq: segment_samples(seq, 1e-3), "dt.* must be at most"),
     (lambda cfg, h, seq: bloch_trajectory(seq, h, basis_state(0, 4), 1e-3), "dt.* must be at most"),
@@ -623,11 +640,11 @@ def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
     MAX_TRAJECTORY_STEPS steps of a trajectory pass; one more is refused,
     with the caller's label."""
     times = np.arange(MAX_SCAN_POINTS) * 0.01
-    assert hadamard_circuit_scan("ideal", times, system).signal.size == MAX_SCAN_POINTS
+    assert hadamard_circuit_scan(None, times, system).signal.size == MAX_SCAN_POINTS
     assert electron_fid_scan(basis_state(0, 4), 3.0, times, system).signal.size == MAX_SCAN_POINTS
     thetas = np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS)
-    assert theta_scan("cnot", thetas, -1, system).size == MAX_SCAN_POINTS
-    hadamard_circuit_scan("ideal", np.array([0.0, MAX_DURATION_US]), system)
+    assert theta_scan(None, thetas, -1, system).size == MAX_SCAN_POINTS
+    hadamard_circuit_scan(None, np.array([0.0, MAX_DURATION_US]), system)
     seq = PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25),), 0.0)
     assert segment_samples(seq, 0.25) == [MAX_TRAJECTORY_STEPS]
     traj = bloch_trajectory(seq, h_subspace, basis_state(0, 4), 0.25)
@@ -660,4 +677,4 @@ def test_electron_rotation_refuses_a_carbon_count_past_the_budget(monkeypatch):
 def test_theta_scan_refuses_a_non_finite_angle(system, thetas):
     """[0, nan, inf] returned [0, nan, nan] with only a RuntimeWarning."""
     with pytest.raises(ConfigError, match=r"theta_grid \(largest magnitude\) must be finite"):
-        theta_scan("cnot", thetas, -1, system)
+        theta_scan(None, thetas, -1, system)

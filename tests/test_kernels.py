@@ -14,6 +14,7 @@ from icspin import kernels
 from icspin.kernels import BATCH_ENTRIES, FitnessKernel
 from icspin.propagation import engine_for
 from icspin.sequence import sequence_from_genome
+from icspin.targets import TargetGate
 
 from oracles import oracle_sequence_propagator, random_unitary
 
@@ -63,7 +64,7 @@ def test_kernel_matches_taylor_oracle(register_hamiltonians, n_carbons, n_pulses
         data.draw(st.lists(durations, min_size=2 * n_pulses + 1, max_size=2 * n_pulses + 1))
         + data.draw(st.lists(phases, min_size=n_pulses, max_size=n_pulses))
     )
-    out = FitnessKernel(h, target, grid, n_pulses).evaluate(genome)[0]
+    out = FitnessKernel(h, TargetGate(target), grid, n_pulses).evaluate(genome)[0]
     seq = sequence_from_genome(genome, 0.5)
     for g, w1 in enumerate(grid):
         u = oracle_sequence_propagator(seq.segments, h, w1)
@@ -83,7 +84,7 @@ def test_pure_delay_kernel_matches_taylor_oracle(register_hamiltonians, n_carbon
     """n_pulses = 0 is one delay, the same on every grid point."""
     h = register_hamiltonians[n_carbons]
     target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
-    out = FitnessKernel(h, target, grid, 0).evaluate([tau])[0]
+    out = FitnessKernel(h, TargetGate(target), grid, 0).evaluate([tau])[0]
     u = oracle_sequence_propagator([icspin.Delay(tau)], h, 0.5)
     ref = abs(np.trace(target.conj().T @ u)) / h.shape[0]
     assert np.abs(out - ref).max() < 1e-12
@@ -313,7 +314,7 @@ def test_fidelity_outside_unit_interval_raises(workspace, scale):
     """A target that is not unitary stands in for a broken chain: the empty
     chain scores 2 against 2I, and NaN against a NaN target."""
     h, _, grid = workspace
-    kern = FitnessKernel(h, scale * np.eye(h.shape[0]), grid, 1)
+    kern = FitnessKernel(h, TargetGate(scale * np.eye(h.shape[0])), grid, 1)
     with pytest.raises(RuntimeError, match="outside"):
         kern.evaluate(np.zeros(4))
 

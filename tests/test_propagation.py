@@ -15,6 +15,7 @@ from icspin.fidelity import gate_fidelity
 from icspin import propagation
 from icspin.propagation import PropagationEngine, engine_for, sequence_propagator
 from icspin.sequence import Delay, Pulse, PulseSequence, sequence_from_genome
+from icspin.targets import TargetGate
 
 from oracles import (
     closed_form_free_propagator,
@@ -211,7 +212,7 @@ def test_robust_fidelity_matches_series_oracle(register_hamiltonians, n_carbons,
                                                width, points, target_seed):
     h = register_hamiltonians[n_carbons]
     target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
-    rep = icspin.robust_fidelity(PulseSequence(tuple(segs), 0.5), target, h,
+    rep = icspin.robust_fidelity(PulseSequence(tuple(segs), 0.5), TargetGate(target), h,
                                  (lo, lo + width), points)
     for w1, f in zip(rep.omega1s, rep.fidelities):
         u = oracle_sequence_propagator(segs, h, w1)
@@ -230,7 +231,7 @@ def test_kernel_matches_robust_fidelity(register_hamiltonians, n_carbons, n_puls
     """The genome fast path and the per-segment path share one precompute
     and agree to roundoff."""
     h = register_hamiltonians[n_carbons]
-    target = random_unitary(np.random.default_rng(target_seed), h.shape[0])
+    target = TargetGate(random_unitary(np.random.default_rng(target_seed), h.shape[0]))
     genome = np.array(
         data.draw(st.lists(durations, min_size=2 * n_pulses + 1, max_size=2 * n_pulses + 1))
         + data.draw(st.lists(phases, min_size=n_pulses, max_size=n_pulses))
@@ -278,14 +279,14 @@ def test_sequence_propagator_needs_register_structure(h_subspace):
 def test_robust_fidelity_out_of_range_is_an_invariant_error(h_subspace, hadamard_seq, scale):
     """A NaN fidelity, or one above 1 (here from a non-unitary target),
     raises instead of being reported as data."""
-    target = scale * sequence_propagator(hadamard_seq, h_subspace)
+    target = TargetGate(scale * sequence_propagator(hadamard_seq, h_subspace))
     with pytest.raises(RuntimeError, match="fidelity"):
         icspin.robust_fidelity(hadamard_seq, target, h_subspace)
 
 
 def test_robust_fidelity_checks_target_dimension(h_subspace, hadamard_seq):
     with pytest.raises(ValueError, match="mismatch"):
-        icspin.robust_fidelity(hadamard_seq, np.eye(8), h_subspace)
+        icspin.robust_fidelity(hadamard_seq, TargetGate(np.eye(8)), h_subspace)
 
 
 def test_robust_fidelity_chunks_cover_the_grid(register_hamiltonians):
