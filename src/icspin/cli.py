@@ -46,7 +46,7 @@ from .experiments import (
     theta_scan,
 )
 from .fidelity import Band, robust_fidelity
-from .files import read_json, write_csv, write_json
+from .files import read_json, write_csv, write_json, write_text
 from .geometry import dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
@@ -440,7 +440,7 @@ def cmd_report(args, phases: _Phases) -> int:
     def write(out: Path) -> None:
         write_json(out / "report.json", payload)
         text = "".join(f"{key:>22s} : {value}\n" for key, value in payload.items())
-        (out / "report.txt").write_text(text, encoding="utf-8")
+        write_text(out / "report.txt", text)
         print(text, end="")
     return _finish(args, phases, "report", write,
                    {"system": str(args.system), "linewidth": args.linewidth})

@@ -7,10 +7,14 @@ file the package writes goes through here. JSON is sorted with a
 two-space indent; a CSV is a header line and one row per sample. Numbers
 are written with `repr`, which round-trips a float exactly, and each file
 ends in one newline, so the same inputs and seed give the same bytes.
+`write_text` writes an existing file over in place and then cuts it to
+length, since emptying it first frees its blocks, which costs several
+times the write on a filesystem that discards freed blocks.
 """
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,21 @@ def json_list(value, where: str) -> list:
     return value
 
 
+# os.O_BINARY, on Windows only, stops the C runtime from translating line
+# ends a second time, so the bytes are those of Path.write_text
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """`text` as the whole of the file at `path`, in UTF-8. An existing file
+    is written over from its start and then cut at the end of the new bytes;
+    a new file gets the mode that ``open(path, "w")`` gives. A crash before
+    the cut may leave the new bytes followed by the old file's tail."""
+    with open(os.open(path, _WRITE_FLAGS, 0o666), "w", encoding="utf-8") as file:
+        file.write(text)
+        file.truncate()
+
+
 def write_json(path: str | Path, doc) -> None:
     """`doc` as sorted JSON. A NaN or an infinity is not JSON, so it raises
     RuntimeError, an internal fault, before the file is touched."""
@@ -57,7 +76,7 @@ def write_json(path: str | Path, doc) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text(path, text + "\n")
 
 
 def write_csv(path: str | Path, header, *columns) -> None:
@@ -70,4 +89,4 @@ def write_csv(path: str | Path, header, *columns) -> None:
     cells = [map(repr, (c if c.dtype.kind in "iu" else c.astype(float)).tolist())
              for c in columns]
     rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(rows) + "\n")

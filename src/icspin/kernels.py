@@ -9,9 +9,10 @@ pulse and delay n times. The kernel runs the template on
   T~ = V^T T V, the row phase of the last delay folded into T~.
 * The work runs in chunks under the BATCH_ENTRIES budget: several genomes
   on the whole grid, or one genome on a slice of the grid when its grid
-  alone exceeds the budget (32 points at d = 32). Two chunk-sized
-  propagator stacks hold every chunk, so the chain builds no (P, G, d, d)
-  temporaries of the whole population.
+  alone exceeds the budget (32 points at d = 32). Two propagator stacks
+  and the pulse phases, each as deep as the deepest chunk so far, hold
+  every chunk, so the chain builds no temporaries of a chunk's size, and
+  a call on a few genomes makes stacks of a few genomes.
 * A call runs its genome chunks on min(``cpu_workers()``, chunks) threads:
   the calling thread and the threads of an executor that the call opens
   and joins before it returns. Each thread works in two stacks of its own,
@@ -86,10 +87,12 @@ class FitnessKernel:
     omega1s : amplitude grid (MHz)
     n_pulses : number of pulses in the genome template, 0 (one delay) to MAX_PULSES
 
-    ``evaluate`` works in propagator stacks that the kernel keeps, one pair
-    per thread a call has run on, made by the first call on that many
-    threads. So one kernel is not re-entrant: it must not be evaluated from
-    two threads at once. Different kernels may be.
+    ``evaluate`` works in propagator stacks and pulse phases that the
+    kernel keeps, one set per thread a call has run on, as deep as the
+    deepest chunk a call on that thread has needed: a call makes the sets
+    it lacks and replaces those too shallow for its chunks. So one kernel
+    is not re-entrant: it must not be evaluated from two threads at once.
+    Different kernels may be.
     """
 
     def __init__(self, h, target: TargetGate, omega1s, n_pulses):
@@ -106,7 +109,8 @@ class FitnessKernel:
         self._chunk = max(1, BATCH_ENTRIES // (self._points * d * d))
         self._grid_slices = [slice(s, min(s + self._points, g))
                              for s in range(0, g, self._points)]
-        self._stacks = []   # two propagator stacks per thread a call has run on
+        # per thread a call has run on: two propagator stacks and the pulse phases
+        self._stacks, self._pulses = [], []
 
     def evaluate(self, genomes) -> np.ndarray:
         """Fidelities of shape (n_genomes, n_grid).
@@ -127,34 +131,41 @@ class FitnessKernel:
             raise ValueError(f"genomes must have {width} columns, got {genomes.shape[1]}")
         starts = range(0, len(genomes), self._chunk)
         threads = max(1, min(cpu_workers(), len(starts)))
-        d = self.engine.dim
-        while len(self._stacks) < threads:
-            self._stacks.append(np.empty((2, self._chunk, self._points, d, d), dtype=complex))
+        d, depth = self.engine.dim, min(self._chunk, len(genomes))   # this call's deepest chunk
+        for i in range(threads):   # make the stacks it lacks, replace those too shallow
+            if i == len(self._stacks) or self._stacks[i].shape[1] < depth:
+                # at i == len(self._stacks) the slice assignments append
+                self._stacks[i:i + 1] = [np.empty((2, depth, self._points, d, d), dtype=complex)]
+                self._pulses[i:i + 1] = [np.empty((depth, self.n_pulses, self._points, d),
+                                                  dtype=complex)]
         fids = np.empty((len(genomes), self.engine.omega1s.size))
         work = (_dealer(starts), genomes, fids)
         if threads == 1:
-            self._run_chunks(self._stacks[0], *work)
+            self._run_chunks(self._stacks[0], self._pulses[0], *work)
         else:
             # imported here: it loads logging, which no one-thread command needs
             from concurrent.futures import ThreadPoolExecutor
             # leaving the block joins every thread, also when this one raises
             with ThreadPoolExecutor(threads - 1, thread_name_prefix="icspin-kernel") as pool:
-                futures = [pool.submit(self._run_chunks, stacks, *work)
-                           for stacks in self._stacks[1:threads]]
-                self._run_chunks(self._stacks[0], *work)
+                futures = [pool.submit(self._run_chunks, stacks, pulses, *work)
+                           for stacks, pulses in zip(self._stacks[1:threads],
+                                                     self._pulses[1:threads])]
+                self._run_chunks(self._stacks[0], self._pulses[0], *work)
             for future in futures:
                 future.result()
         check_fidelities(fids)
         return fids
 
-    def _run_chunks(self, stacks, deal, genomes, fids):
+    def _run_chunks(self, stacks, pulses, deal, genomes, fids):
         """Write the fidelities of the chunks that `deal` hands out into
-        `fids`, in the two propagator stacks `stacks`."""
+        `fids`, in the two propagator stacks `stacks` and the pulse phases
+        `pulses`."""
         while (start := deal()) is not None:
             chunk = slice(start, start + self._chunk)
             for grid in self._grid_slices:
-                u, spare = stacks[:, : len(genomes[chunk]), : grid.stop - grid.start]
-                u, last = self.engine.chain(genomes[chunk], u, spare, grid)
+                p, g = len(genomes[chunk]), grid.stop - grid.start
+                u, spare = stacks[:, :p, :g]
+                u, last = self.engine.chain(genomes[chunk], u, spare, pulses[:p, :, :g], grid)
                 weights = last[:, :, None] * self._target_conj                # (P, d, d)
                 traces = np.einsum("pij,pgij->pg", weights, u)
                 fids[chunk, grid] = np.abs(traces) / self.engine.dim

@@ -122,7 +122,7 @@ class PropagationEngine:
         """V u V^T for one operator or a stack of them."""
         return self.v @ u @ self.v.T
 
-    def chain(self, genomes, u, spare, grid):
+    def chain(self, genomes, u, spare, pulses, grid):
         """Propagators of template genomes on the grid points `grid`, in the
         free eigenbasis, less the row phase of the last delay.
 
@@ -132,7 +132,9 @@ class PropagationEngine:
         phi_{i+1} - phi_i, with phi_0 = phi_{n+1} = 0. The chain alternates
         between the C-contiguous (P, len(grid), d, d) stacks `u` and `spare`
         and returns the one holding the result (the identity when n = 0) and
-        the (P, d) row phase of the last delay.
+        the (P, d) row phase of the last delay. It writes the pulses'
+        eigenphase factors into the caller's (P, n, len(grid), d) complex
+        `pulses`, so a chain allocates no array of a chunk's size.
         """
         taus, ts, inner_phis = genome_parts(genomes)
         n = ts.shape[1]
@@ -148,7 +150,8 @@ class PropagationEngine:
             return u, rows[:, 0]
         mix = self.mix[grid]
         mix_t = mix.transpose(0, 2, 1)
-        q = np.exp(-1j * TWO_PI * ts[:, :, None, None] * self.w_p[grid])      # (P, n, G, d)
+        q = np.multiply(-1j * TWO_PI * ts[:, :, None, None], self.w_p[grid], out=pulses)
+        np.exp(q, out=q)                                                      # (P, n, G, d)
         np.multiply(q[:, 0, :, :, None], mix_t, out=u)
         u *= rows[:, 0, None, None, :]
         u, spare = real_left_mul(mix, u, out=spare), u
@@ -211,5 +214,7 @@ def sequence_propagator(seq: PulseSequence, h: np.ndarray) -> np.ndarray:
     """
     engine = engine_for(h, [seq.omega1])
     u = np.empty((1, 1, engine.dim, engine.dim), dtype=complex)
-    u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), slice(None))
+    pulses = np.empty((1, seq.n_pulses, 1, engine.dim), dtype=complex)
+    u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), pulses,
+                           slice(None))
     return engine.to_lab(u[0, 0] * last[0, :, None])

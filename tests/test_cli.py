@@ -588,6 +588,33 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, command, case):
     assert afile.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", list(OUT_RUNS))
+def test_rerun_over_longer_files_writes_the_same_bytes(tmp_path, command):
+    """A rerun into an --out whose every output file holds longer bytes
+    writes each file over in place and cuts it to length: the data files
+    are byte-equal to those of the run into a fresh --out, and the manifest
+    differs only in its timings and its time of writing."""
+    argv, _ = OUT_RUNS[command]
+    if command == "optimize":
+        (tmp_path / "ga.json").write_text(json.dumps({"population": 4, "generations": 2}))
+        argv = argv + ["--ga-config", str(tmp_path / "ga.json"), "--seed", "3"]
+    out = tmp_path / "o"
+    argv = argv + ["--system", SYSTEM, "--out", str(out)]
+    assert run(argv) == 0
+    fresh = {path.name: path.read_bytes() for path in out.iterdir()}
+    for name, data in fresh.items():
+        (out / name).write_bytes(data * 3 + b"\x00stale tail\n")
+    assert run(argv) == 0
+    rerun = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert rerun.keys() == fresh.keys() and len(fresh) > 1
+    manifests = [json.loads(files.pop("manifest.json")) for files in (fresh, rerun)]
+    assert rerun == fresh
+    for manifest in manifests:
+        for key in ("phase_seconds", "phase_cpu_seconds", "written_at_unix"):
+            del manifest[key]
+    assert manifests[0] == manifests[1]
+
+
 def test_report_needs_one_carbon(tmp_path, capsys):
     """Its tilt angles, delays and geometry describe one carbon; on a larger
     register they described carbon 1 without saying so."""
@@ -950,7 +977,7 @@ def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
 def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, capsys):
     """A chain that produced NaN propagators makes verify exit 2 and
     write no data file."""
-    def broken(self, genomes, u, spare, grid):
+    def broken(self, genomes, u, spare, pulses, grid):
         u[...] = np.nan
         return u, np.ones((len(genomes), self.dim), dtype=complex)
 
@@ -988,8 +1015,8 @@ def test_optimize_nan_from_a_pool_thread_is_internal_error(tmp_path, monkeypatch
     original = icspin.propagation.PropagationEngine.chain
     poisoned = threading.Event()
 
-    def broken(self, genomes, u, spare, grid):
-        u, last = original(self, genomes, u, spare, grid)
+    def broken(self, genomes, u, spare, pulses, grid):
+        u, last = original(self, genomes, u, spare, pulses, grid)
         if threading.current_thread() is threading.main_thread():
             poisoned.wait(timeout=30.0)
         else:

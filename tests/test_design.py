@@ -88,6 +88,20 @@ def test_result_objects_write_no_files():
     assert methods == []
 
 
+def test_only_files_writes_files():
+    """Every file the package writes goes through ``files``: no other module
+    calls ``open``, ``os.open`` or a path's ``write_text`` or ``write_bytes``."""
+    def opens(call: ast.Call) -> bool:
+        func = call.func
+        return (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr in ("open", "write_text", "write_bytes"))
+
+    openers = sorted({name for name, text in SOURCES.items()
+                      for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.Call) and opens(node)})
+    assert openers == ["files.py"]
+
+
 def _called_name(call: ast.Call) -> str:
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
 

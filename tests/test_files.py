@@ -1,7 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from icspin.files import check_keys, json_list, read_json, write_csv, write_json
+from icspin.files import check_keys, json_list, read_json, write_csv, write_json, write_text
 from icspin.operators import ConfigError
 
 
@@ -73,3 +76,40 @@ def test_write_csv_refuses_non_finite_and_leaves_no_file(tmp_path, value):
     with pytest.raises(RuntimeError, match="t.csv"):
         write_csv(path, ("generation", "best_fitness"), range(2), [0.5, value])
     assert not path.exists()
+
+
+def test_write_text_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"old bytes, three times longer than the new ones\n" * 3 + b"\xff\x00junk")
+    write_text(path, "new \u00b5s\n")
+    assert path.read_bytes() == "new \u00b5s\n".encode("utf-8")
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_write_text_gives_a_new_file_the_mode_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open", "w", encoding="utf-8") as file:
+            file.write("x")
+        write_text(tmp_path / "by_write_text", "x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("by_open", "by_write_text")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def test_refused_writes_leave_an_existing_file_untouched(tmp_path):
+    """The NaN refusals run before the file is opened, so an old file keeps
+    its bytes."""
+    for name, refused in (
+        ("t.json", lambda path: write_json(path, {"a": float("nan")})),
+        ("t.csv", lambda path: write_csv(path, ("x",), [np.inf])),
+    ):
+        path = tmp_path / name
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match=name):
+            refused(path)
+        assert path.read_bytes() == b"old bytes\n"

@@ -229,9 +229,10 @@ def test_kernel_returns_in_a_forked_child(register_hamiltonians, monkeypatch):
 
 def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch):
     """A population of 100 at d32 never materializes as (P, G, d, d) arrays,
-    each 8 MB. The kernel keeps two chunk-sized stacks (983 kB) per thread,
-    made by the first call on that many threads, so the count is fixed at
-    two and the warm-up makes them; a pass then peaks near 0.7 MB."""
+    each 8 MB. The kernel keeps two stacks per thread, as deep as the
+    deepest chunk so far: here a whole chunk of 6 genomes (983 kB), so the
+    count is fixed at two and the warm-up makes them; a pass then peaks
+    near 0.7 MB."""
     monkeypatch.setattr(kernels, "cpu_workers", lambda: 2)
     h = register_hamiltonians[4]
     kern = FitnessKernel(h, icspin.cc_rotation(4, 1, np.pi), np.linspace(0.48, 0.52, 5), 4)
@@ -289,6 +290,39 @@ def test_two_kernels_on_one_engine_run_at_once(register_hamiltonians, monkeypatc
     for rows, serial in zip(out, expected):
         assert len(rows) == 3 and all(np.array_equal(r, serial) for r in rows)
     assert not any(np.shares_memory(a, b) for a in kerns[0]._stacks for b in kerns[1]._stacks)
+
+
+def test_stacks_are_as_deep_as_the_call_needs(h_subspace):
+    """robust_fidelity of the bundled CNOT on the 81-point band at d4 runs
+    one genome, whose two stacks take 41 kB; stacks a whole chunk of 25
+    genomes deep would take 1.04 MB. The warm-up call leaves the engine in
+    the memo."""
+    seq = icspin.load_sequence(icspin.data_path("sequences/cnot.json"))
+    target = icspin.cnot_on_carbon(1)
+    icspin.robust_fidelity(seq, target, h_subspace, (0.48, 0.52), 81)
+    tracemalloc.start()
+    try:
+        icspin.robust_fidelity(seq, target, h_subspace, (0.48, 0.52), 81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 2**20
+
+
+def test_a_deeper_call_replaces_shallow_stacks_and_rows_stay_bitwise(workspace):
+    """A call on more genomes than the kept stacks hold replaces them with
+    deeper ones, and a later smaller call keeps those; every row is the one
+    the genome gets alone."""
+    h, target, grid = workspace
+    kern = FitnessKernel(h, target, grid, 2)
+    genomes = np.random.default_rng(3).uniform(0.0, 4.0, size=(40, 7))
+    alone = np.vstack([kern.evaluate(genome) for genome in genomes])
+    assert kern._stacks[0].shape[1] == 1
+    assert np.array_equal(kern.evaluate(genomes), alone)
+    deepest = min(kern._chunk, len(genomes))
+    assert kern._stacks[0].shape[1] == deepest
+    assert np.array_equal(kern.evaluate(genomes[:3]), alone[:3])
+    assert kern._stacks[0].shape[1] == deepest
 
 
 def test_robust_fidelity_peak_memory_is_grid_chunked(register_hamiltonians):
