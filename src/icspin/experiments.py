@@ -347,7 +347,9 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
-        raise ConfigError(f"detuning {detuning} MHz must reach the line span {span:.4f}")
+        raise ConfigError(f"detuning {detuning} MHz must reach the line span {span:.4f}: "
+                          f"the spectrum needs detuning >= {span:.4f} MHz, and a negative "
+                          "detuning is below it")
     positions = np.array([detuning + p for p, _ in sticks])
     wts = np.array([wgt for _, wgt in sticks])
     lo = positions.min() - 8 * linewidth

@@ -9,10 +9,10 @@ pulse and delay n times. The kernel runs the template on
   T~ = V^T T V, the row phase of the last delay folded into T~.
 * The work runs in chunks under the BATCH_ENTRIES budget: several genomes
   on the whole grid, or one genome on a slice of the grid when its grid
-  alone exceeds the budget (32 points at d = 32). Two propagator stacks
-  and the pulse phases, each as deep as the deepest chunk so far, hold
-  every chunk, so the chain builds no temporaries of a chunk's size, and
-  a call on a few genomes makes stacks of a few genomes.
+  alone exceeds the budget (32 points at d = 32). Two propagator stacks,
+  as deep as the deepest chunk so far, hold every chunk's products, and
+  a call on a few genomes makes stacks of a few genomes. The chain makes
+  each chunk's row phases and pulse factors.
 * A call runs its genome chunks on min(``cpu_workers()``, chunks) threads:
   the calling thread and the threads of an executor that the call opens
   and joins before it returns. Each thread works in two stacks of its own,
@@ -87,12 +87,12 @@ class FitnessKernel:
     omega1s : amplitude grid (MHz)
     n_pulses : number of pulses in the genome template, 0 (one delay) to MAX_PULSES
 
-    ``evaluate`` works in propagator stacks and pulse phases that the
-    kernel keeps, one set per thread a call has run on, as deep as the
-    deepest chunk a call on that thread has needed: a call makes the sets
-    it lacks and replaces those too shallow for its chunks. So one kernel
-    is not re-entrant: it must not be evaluated from two threads at once.
-    Different kernels may be.
+    ``evaluate`` works in propagator stacks that the kernel keeps, one
+    pair per thread a call has run on, as deep as the deepest chunk a call
+    on that thread has needed: a call makes the pairs it lacks and replaces
+    those too shallow for its chunks. So one kernel is not re-entrant: it
+    must not be evaluated from two threads at once. Different kernels may
+    be.
     """
 
     def __init__(self, h, target: TargetGate, omega1s, n_pulses):
@@ -109,8 +109,7 @@ class FitnessKernel:
         self._chunk = max(1, BATCH_ENTRIES // (self._points * d * d))
         self._grid_slices = [slice(s, min(s + self._points, g))
                              for s in range(0, g, self._points)]
-        # per thread a call has run on: two propagator stacks and the pulse phases
-        self._stacks, self._pulses = [], []
+        self._stacks = []   # two propagator stacks per thread a call has run on
 
     def evaluate(self, genomes) -> np.ndarray:
         """Fidelities of shape (n_genomes, n_grid).
@@ -134,38 +133,33 @@ class FitnessKernel:
         d, depth = self.engine.dim, min(self._chunk, len(genomes))   # this call's deepest chunk
         for i in range(threads):   # make the stacks it lacks, replace those too shallow
             if i == len(self._stacks) or self._stacks[i].shape[1] < depth:
-                # at i == len(self._stacks) the slice assignments append
+                # at i == len(self._stacks) the slice assignment appends
                 self._stacks[i:i + 1] = [np.empty((2, depth, self._points, d, d), dtype=complex)]
-                self._pulses[i:i + 1] = [np.empty((depth, self.n_pulses, self._points, d),
-                                                  dtype=complex)]
         fids = np.empty((len(genomes), self.engine.omega1s.size))
         work = (_dealer(starts), genomes, fids)
         if threads == 1:
-            self._run_chunks(self._stacks[0], self._pulses[0], *work)
+            self._run_chunks(self._stacks[0], *work)
         else:
             # imported here: it loads logging, which no one-thread command needs
             from concurrent.futures import ThreadPoolExecutor
             # leaving the block joins every thread, also when this one raises
             with ThreadPoolExecutor(threads - 1, thread_name_prefix="icspin-kernel") as pool:
-                futures = [pool.submit(self._run_chunks, stacks, pulses, *work)
-                           for stacks, pulses in zip(self._stacks[1:threads],
-                                                     self._pulses[1:threads])]
-                self._run_chunks(self._stacks[0], self._pulses[0], *work)
+                futures = [pool.submit(self._run_chunks, stacks, *work)
+                           for stacks in self._stacks[1:threads]]
+                self._run_chunks(self._stacks[0], *work)
             for future in futures:
                 future.result()
         check_fidelities(fids)
         return fids
 
-    def _run_chunks(self, stacks, pulses, deal, genomes, fids):
+    def _run_chunks(self, stacks, deal, genomes, fids):
         """Write the fidelities of the chunks that `deal` hands out into
-        `fids`, in the two propagator stacks `stacks` and the pulse phases
-        `pulses`."""
+        `fids`, in the two propagator stacks `stacks`."""
         while (start := deal()) is not None:
             chunk = slice(start, start + self._chunk)
             for grid in self._grid_slices:
-                p, g = len(genomes[chunk]), grid.stop - grid.start
-                u, spare = stacks[:, :p, :g]
-                u, last = self.engine.chain(genomes[chunk], u, spare, pulses[:p, :, :g], grid)
+                u, spare = stacks[:, : len(genomes[chunk]), : grid.stop - grid.start]
+                u, last = self.engine.chain(genomes[chunk], u, spare, grid)
                 weights = last[:, :, None] * self._target_conj                # (P, d, d)
                 traces = np.einsum("pij,pgij->pg", weights, u)
                 fids[chunk, grid] = np.abs(traces) / self.engine.dim

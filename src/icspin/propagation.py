@@ -122,7 +122,7 @@ class PropagationEngine:
         """V u V^T for one operator or a stack of them."""
         return self.v @ u @ self.v.T
 
-    def chain(self, genomes, u, spare, pulses, grid):
+    def chain(self, genomes, u, spare, grid):
         """Propagators of template genomes on the grid points `grid`, in the
         free eigenbasis, less the row phase of the last delay.
 
@@ -132,9 +132,9 @@ class PropagationEngine:
         phi_{i+1} - phi_i, with phi_0 = phi_{n+1} = 0. The chain alternates
         between the C-contiguous (P, len(grid), d, d) stacks `u` and `spare`
         and returns the one holding the result (the identity when n = 0) and
-        the (P, d) row phase of the last delay. It writes the pulses'
-        eigenphase factors into the caller's (P, n, len(grid), d) complex
-        `pulses`, so a chain allocates no array of a chunk's size.
+        the (P, d) row phase of the last delay. The caller keeps the two
+        stacks; the chain makes each call's row phases and the pulses'
+        (P, n, len(grid), d) eigenphase factors itself.
         """
         taus, ts, inner_phis = genome_parts(genomes)
         n = ts.shape[1]
@@ -150,7 +150,7 @@ class PropagationEngine:
             return u, rows[:, 0]
         mix = self.mix[grid]
         mix_t = mix.transpose(0, 2, 1)
-        q = np.multiply(-1j * TWO_PI * ts[:, :, None, None], self.w_p[grid], out=pulses)
+        q = np.multiply(-1j * TWO_PI * ts[:, :, None, None], self.w_p[grid])
         np.exp(q, out=q)                                                      # (P, n, G, d)
         np.multiply(q[:, 0, :, :, None], mix_t, out=u)
         u *= rows[:, 0, None, None, :]
@@ -214,7 +214,5 @@ def sequence_propagator(seq: PulseSequence, h: np.ndarray) -> np.ndarray:
     """
     engine = engine_for(h, [seq.omega1])
     u = np.empty((1, 1, engine.dim, engine.dim), dtype=complex)
-    pulses = np.empty((1, seq.n_pulses, 1, engine.dim), dtype=complex)
-    u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), pulses,
-                           slice(None))
+    u, last = engine.chain(genome_from_sequence(seq)[None], u, np.empty_like(u), slice(None))
     return engine.to_lab(u[0, 0] * last[0, :, None])

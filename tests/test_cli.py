@@ -977,7 +977,7 @@ def test_scan_bad_dt_is_usage_error(tmp_path, kind, dt):
 def test_verify_non_finite_fidelity_is_internal_error(tmp_path, monkeypatch, capsys):
     """A chain that produced NaN propagators makes verify exit 2 and
     write no data file."""
-    def broken(self, genomes, u, spare, pulses, grid):
+    def broken(self, genomes, u, spare, grid):
         u[...] = np.nan
         return u, np.ones((len(genomes), self.dim), dtype=complex)
 
@@ -1015,8 +1015,8 @@ def test_optimize_nan_from_a_pool_thread_is_internal_error(tmp_path, monkeypatch
     original = icspin.propagation.PropagationEngine.chain
     poisoned = threading.Event()
 
-    def broken(self, genomes, u, spare, pulses, grid):
-        u, last = original(self, genomes, u, spare, pulses, grid)
+    def broken(self, genomes, u, spare, grid):
+        u, last = original(self, genomes, u, spare, grid)
         if threading.current_thread() is threading.main_thread():
             poisoned.wait(timeout=30.0)
         else:

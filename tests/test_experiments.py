@@ -430,13 +430,19 @@ def test_spectrum_rejects_bad_linewidth(h_subspace):
 
 def test_spectrum_rejects_small_detuning(h_subspace):
     """The detuning must reach the line span: the span itself runs, the
-    float below it is refused."""
+    float below it is refused, and so is a negative detuning whose
+    magnitude reaches the span, with a message saying that the detuning
+    must be at least the span."""
     with pytest.raises(ConfigError, match="detuning"):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=0.01)
     span = max(abs(p) for p, _ in esr_lines(h_subspace))
     assert esr_spectrum(h_subspace, linewidth=0.01, detuning=span).lines
     with pytest.raises(ConfigError, match="must reach the line span"):
         esr_spectrum(h_subspace, linewidth=0.01, detuning=np.nextafter(span, 0))
+    with pytest.raises(ConfigError, match="must reach the line span") as refused:
+        esr_spectrum(h_subspace, linewidth=0.01, detuning=-3.0)
+    assert f"detuning >= {span:.4f} MHz" in str(refused.value)
+    assert "negative" in str(refused.value)
 
 
 def test_nan_detuning_rejected(system, h_subspace):

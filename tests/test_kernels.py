@@ -247,6 +247,26 @@ def test_evaluate_peak_memory_is_chunk_sized(register_hamiltonians, monkeypatch)
     assert peak < 2 * 2**20
 
 
+def test_warm_ga_shaped_evaluate_at_d4_allocates_no_stack(workspace):
+    """A warm call on a GA population at d4 (98 genomes, 3 pulses, five
+    amplitudes: one chunk) reuses the kept stacks (0.24 MiB) and traces
+    about 0.37 MiB, at the chain's first pulse product: the chunk's pulse
+    factors (92 kB) and numpy's buffers for the real mixing matrices. Fresh
+    stacks, or one more (P, G, d, d) array of the chunk (0.12 MiB) held
+    across the chain, break the bound."""
+    h, target, grid = workspace
+    kern = FitnessKernel(h, target, grid, 3)
+    genomes = np.random.default_rng(4).uniform(0.0, 4.0, size=(98, 10))
+    kern.evaluate(genomes)
+    tracemalloc.start()
+    try:
+        kern.evaluate(genomes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * 2**20
+
+
 def test_kernel_allocates_no_stack_until_its_first_call(register_hamiltonians):
     """Building a d32 kernel on an engine the memo holds traces no
     propagator stack (two would take 983 kB): the first call makes them."""
