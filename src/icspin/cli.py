@@ -50,7 +50,7 @@ from .files import read_json, write_csv, write_json, write_text
 from .geometry import dipolar_geometry
 from .hamiltonian import multiqubit_hamiltonian
 from .kernels import cpu_workers
-from .operators import E2, PROJ_UP, ConfigError
+from .operators import PROJ_UP, ConfigError, on_register
 from .optimize import ParameterBounds, ga_config_from_dict, optimize
 from .propagation import engine_for
 from .sequence import check_pulses, load_sequence, save_sequence
@@ -322,7 +322,7 @@ def _scan_fid(args, cfg, seq):
     if args.state == "thermal":
         # electron polarized, carbon unpolarized: the no-carbon-init control.
         # A fully mixed 4-level state is unitary-invariant and gives no signal.
-        state = np.kron(PROJ_UP, E2) / 2
+        state = on_register(PROJ_UP, 1) / 2
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
 
     def write(out: Path) -> None:

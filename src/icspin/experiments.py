@@ -12,7 +12,7 @@ import numpy as np
 
 from .eigenstructure import carbon_eigenstructure
 from .hamiltonian import multiqubit_hamiltonian
-from .operators import PROJ_UP, TWO_PI, ConfigError, check_count, check_real, kron_all, rotation
+from .operators import PROJ_UP, TWO_PI, ConfigError, check_count, check_real, on_register, rotation
 from .propagation import engine_for, sequence_propagator
 from .sequence import MAX_DURATION_US, Delay, PulseSequence
 from .states import basis_state, density_matrix, qubit_bloch_vectors
@@ -94,7 +94,7 @@ def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.n
     """Instantaneous hard rotation of the electron pseudo-qubit,
     ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
     check_carbons(n_carbons, "n_carbons", 0)
-    return np.kron(rotation(angle, axis_phi), np.eye(2**n_carbons))
+    return on_register(rotation(angle, axis_phi), n_carbons)
 
 
 def simulate_init_sequence(config: SpinSystemConfig):
@@ -262,7 +262,7 @@ def electron_fid_scan(
                           f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
 
     rho0 = density_matrix(state)
-    p0 = kron_all(PROJ_UP, np.eye(2**config.n_carbons, dtype=complex))
+    p0 = on_register(PROJ_UP, config.n_carbons)
     pulse = electron_rotation(np.pi / 2, 0.0, config.n_carbons)
     rho1 = pulse @ rho0 @ pulse.conj().T
 

@@ -1,13 +1,13 @@
-"""The spin-1/2 algebra and tensor-product helpers.
+"""The spin-1/2 algebra and the register's tensor order.
 
 Every 2x2 spin matrix of the package is defined here: the Pauli matrices,
-the Hadamard, the projectors and the closed-form rotation. All matrices are
-dense complex128 numpy arrays. Spin-1/2 operators use the convention
-s_z = diag(+1/2, -1/2) = PAULI_Z / 2; the electron pseudo-qubit spanned by
-m_S = 0, m_s is one too, with |0> playing the role of "up". The two
-input rules of the library live here too, `check_count` for every count
-and `check_real` for every real-valued input, beside `ConfigError`, the
-package's one error type: every refused input raises it.
+the Hadamard, the projectors and the closed-form rotation, all dense
+complex128. Spin-1/2 operators use s_z = diag(+1/2, -1/2) = PAULI_Z / 2;
+the electron pseudo-qubit m_S = 0, m_s is one too, |0> playing "up".
+`on_register` alone writes the register's order: electron, then carbons
+by label. The two input rules of the library live here too, `check_count`
+for every count and `check_real` for every real-valued input, beside
+`ConfigError`, the package's one error type: every refused input raises it.
 """
 from __future__ import annotations
 
@@ -37,11 +37,13 @@ def rotation(angle: float, axis_phi: float) -> np.ndarray:
     return np.array([[c, s * np.exp(-1j * axis_phi)], [s * np.exp(1j * axis_phi), c]])
 
 
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given operators, left to right."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
+def on_register(electron_op: np.ndarray, n_carbons: int, carbons=None) -> np.ndarray:
+    """electron_op ⊗ carbon 1 ⊗ ... ⊗ carbon n folded left to right, the
+    register's one tensor order: ``carbons`` maps a label to its 2x2 operator,
+    every other slot is a real np.eye(2), and the dtype is numpy's promotion."""
+    out, carbons = np.array(electron_op), carbons or {}
+    for label in range(1, n_carbons + 1):
+        out = np.kron(out, carbons.get(label, np.eye(2)))
     return out
 
 

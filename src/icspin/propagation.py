@@ -44,7 +44,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .operators import PAULI_X, TWO_PI, assert_hermitian
+from .operators import PAULI_X, TWO_PI, assert_hermitian, on_register
 from .sequence import PulseSequence, genome_from_sequence, genome_parts
 
 
@@ -59,8 +59,8 @@ class PropagationEngine:
 
     Parameters
     ----------
-    h : working-subspace Hamiltonian (MHz); real and block-diagonal in the
-        electron
+    h : working-subspace Hamiltonian (MHz) of 2^(n+1) levels; real and
+        block-diagonal in the electron
     omega1s : amplitude grid (MHz), finite and non-negative; may be empty
         when only delays are propagated. A grid on which the drive
         Hamiltonian's angular frequencies 2 pi w_p overflow raises
@@ -100,7 +100,7 @@ class PropagationEngine:
         self.v[half:, half:] = v_dn
         self.zhalf = np.repeat([0.5, -0.5], half)
 
-        drive = np.kron(PAULI_X.real / 2, np.eye(half))
+        drive = on_register(PAULI_X.real / 2, half.bit_length() - 1)
         self.w_p, v_p = np.linalg.eigh(h + self.omega1s[:, None, None] * drive)
         if not (np.abs(self.w_p) < np.finfo(float).max / TWO_PI).all():   # NaN too
             raise ValueError("amplitude grid too large: the drive Hamiltonian's angular "

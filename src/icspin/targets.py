@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (E2, HADAMARD_2, PROJ_DOWN, PROJ_UP, ConfigError, check_count, check_real,
-                        kron_all, rotation)
+                        on_register, rotation)
 from .system import MAX_CONFIG_VALUE, check_carbons
 
 
@@ -25,7 +25,7 @@ class TargetGate:
 def hadamard_on_carbon(n_carbons: int = 1) -> TargetGate:
     """Hadamard on carbon 1, identity on the electron and other carbons."""
     _check_carbon(1, n_carbons)
-    return TargetGate(kron_all(E2, HADAMARD_2, *[E2] * (n_carbons - 1)))
+    return TargetGate(on_register(E2, n_carbons, {1: HADAMARD_2}))
 
 
 def cnot_on_carbon(n_carbons: int = 1) -> TargetGate:
@@ -41,10 +41,8 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     _check_carbon(carbon, n_carbons)
     limit = math.radians(MAX_CONFIG_VALUE)
     check_real(theta, "ccrot angle in radians", -limit, limit)
-    rot_ops = [E2] * n_carbons
-    rot_ops[carbon - 1] = rotation(theta, 0.0)
-    e_carb = np.eye(2**n_carbons, dtype=complex)
-    return TargetGate(kron_all(PROJ_UP, e_carb) + kron_all(PROJ_DOWN, kron_all(*rot_ops)))
+    return TargetGate(on_register(PROJ_UP, n_carbons)
+                      + on_register(PROJ_DOWN, n_carbons, {carbon: rotation(theta, 0.0)}))
 
 
 def _check_carbon(carbon: int, n_carbons: int) -> None:

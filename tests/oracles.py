@@ -83,29 +83,69 @@ def closed_form_free_propagator(config, tau: float) -> np.ndarray:
     return u
 
 
+EYE2 = np.eye(2, dtype=complex)
+PROJ_UP = np.diag([1.0, 0.0]).astype(complex)     # electron |0><0|
+PROJ_DOWN = np.diag([0.0, 1.0]).astype(complex)   # electron |m_s><m_s|
+
+
+def kron_fold(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of the operators left to right, the first cast to complex."""
+    out = np.asarray(ops[0], dtype=complex)
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
 def kronecker_register_hamiltonian(config, m_s: int = -1) -> np.ndarray:
     """The working-subspace Hamiltonian as a sum of Kronecker products, one
     |0>-conditioned and one |m_S>-conditioned term per carbon, added in slot
     order."""
     n = config.n_carbons
-    eye2 = np.eye(2, dtype=complex)
-    proj_up = np.diag([1.0, 0.0]).astype(complex)
-    proj_down = np.diag([0.0, 1.0]).astype(complex)
-
-    def kron_all(ops):
-        out = ops[0]
-        for op in ops[1:]:
-            out = np.kron(out, op)
-        return out
-
     h = np.zeros((2 ** (n + 1),) * 2, dtype=complex)
     for slot, c in enumerate(config.carbons):
-        ops0 = [proj_up] + [eye2] * n
-        opsm = [proj_down] + [eye2] * n
+        ops0 = [PROJ_UP] + [EYE2] * n
+        opsm = [PROJ_DOWN] + [EYE2] * n
         ops0[slot + 1] = -config.nu_c * SZ_HALF
         opsm[slot + 1] = -(config.nu_c - m_s * c.a_zz) * SZ_HALF + m_s * c.a_zx * SX_HALF
-        h += kron_all(ops0) + kron_all(opsm)
+        h += kron_fold(*ops0) + kron_fold(*opsm)
     return h
+
+
+# The register operators as Kronecker products written out one by one,
+# electron first, then carbons in label order. The package places each of
+# them with ``operators.on_register``; these are the forms it must equal.
+def kron_hadamard_on_carbon(n_carbons: int) -> np.ndarray:
+    """Hadamard on carbon 1, identity on the electron and the other carbons."""
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return kron_fold(EYE2, hadamard, *[EYE2] * (n_carbons - 1))
+
+
+def kron_cc_rotation(rot: np.ndarray, n_carbons: int, carbon: int) -> np.ndarray:
+    """The 2x2 `rot` on `carbon` if the electron is in |m_s>, identity if in |0>."""
+    ops = [EYE2] * n_carbons
+    ops[carbon - 1] = rot
+    return (kron_fold(PROJ_UP, np.eye(2**n_carbons, dtype=complex))
+            + kron_fold(PROJ_DOWN, kron_fold(*ops)))
+
+
+def kron_electron_rotation(rot: np.ndarray, n_carbons: int) -> np.ndarray:
+    """The 2x2 `rot` on the electron, identity on the carbons."""
+    return np.kron(rot, np.eye(2**n_carbons))
+
+
+def kron_fid_readout(n_carbons: int) -> np.ndarray:
+    """The projector on electron |0>, identity on the carbons."""
+    return kron_fold(PROJ_UP, np.eye(2**n_carbons, dtype=complex))
+
+
+def kron_thermal_state() -> np.ndarray:
+    """Electron |0>, one fully mixed carbon."""
+    return np.kron(PROJ_UP, EYE2) / 2
+
+
+def kron_drive(dim: int) -> np.ndarray:
+    """The real phase-zero drive s_x ⊗ E of a dim-level register."""
+    return np.kron(SX_HALF.real, np.eye(dim // 2))
 
 
 def random_register_hamiltonian(rng: np.random.Generator, dim: int,

@@ -540,6 +540,17 @@ def test_one_spin_half_algebra():
     assert not [module for module in imported if "hamiltonian" in (module or "")]
 
 
+def test_one_home_for_the_register_tensor_order():
+    """Electron first, then carbons by label: only ``operators`` writes that
+    order, in ``on_register``; no other module calls a Kronecker product,
+    and ``kron_all`` is gone."""
+    callers = sorted(name for name, text in SOURCES.items()
+                     if any(isinstance(node, ast.Call) and "kron" in _called_name(node)
+                            for node in ast.walk(ast.parse(text))))
+    assert callers == ["operators.py"]
+    assert not [name for name, text in SOURCES.items() if "kron_all" in text]
+
+
 # Each scan input's check and every function that calls it; bloch_trajectory
 # reads dt through segment_samples
 SCAN_INPUT_RULES = {

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import icspin
 from icspin.hamiltonian import multiqubit_hamiltonian
-from icspin.operators import kron_all
+from icspin.operators import PAULI_X, PAULI_Y, PAULI_Z, on_register
+from icspin.propagation import engine_for
 from icspin.system import HyperfineCoupling, SpinSystemConfig
 
 from oracles import SX_HALF, SZ_HALF, kronecker_register_hamiltonian
@@ -23,10 +24,10 @@ def test_subspace_matches_four_operator_expansion(system):
     nu_c, azz, azx = system.nu_c, c.a_zz, c.a_zx
     ez = SZ_HALF  # electron pseudo-qubit z
     expansion = (
-        (-nu_c - azz / 2) * kron_all(E2, SZ_HALF)
-        + azz * kron_all(ez, SZ_HALF)
-        + azx * kron_all(ez, SX_HALF)
-        - (azx / 2) * kron_all(E2, SX_HALF)
+        (-nu_c - azz / 2) * np.kron(E2, SZ_HALF)
+        + azz * np.kron(ez, SZ_HALF)
+        + azx * np.kron(ez, SX_HALF)
+        - (azx / 2) * np.kron(E2, SX_HALF)
     )
     assert np.abs(multiqubit_hamiltonian(system) - expansion).max() < 1e-12
 
@@ -162,3 +163,20 @@ def _registers(draw):
 def test_index_placement_equals_the_kronecker_sum(cfg, m_s):
     """1-4 carbons, with zero a_zz or a_zx components."""
     assert np.array_equal(multiqubit_hamiltonian(cfg, m_s), kronecker_register_hamiltonian(cfg, m_s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_registers(), st.sampled_from([-1, 1]), st.floats(0.0, 3.0))
+def test_the_driven_register_is_chirally_antisymmetric(cfg, m_s, omega1):
+    """S H S^dag = -H for S = sigma_z ⊗ sigma_y ⊗ ... ⊗ sigma_y and the
+    driven H = h + omega1 s_x ⊗ E: S keeps the electron projectors, flips
+    the electron's s_x and each carbon's s_x and s_z. So every drive
+    Hamiltonian's eigenvalues come in +- pairs. No code uses this yet."""
+    n = cfg.n_carbons
+    s = on_register(PAULI_Z, n, dict.fromkeys(range(1, n + 1), PAULI_Y))
+    h = multiqubit_hamiltonian(cfg, m_s)
+    driven = h + omega1 * on_register(PAULI_X / 2, n)
+    scale = np.abs(driven).max()
+    assert np.abs(s @ driven @ s.conj().T + driven).max() <= 1e-12 * scale
+    w_p = engine_for(h, [omega1]).w_p
+    assert np.abs(w_p + w_p[:, ::-1]).max() <= 1e-12 * scale

@@ -97,10 +97,10 @@ def test_target_library_rejects_non_finite_angle(angle):
 def test_carbon_counts_past_the_budget_are_refused_before_any_matrix(monkeypatch):
     """hadamard_on_carbon(6) returned a 128 x 128 gate: a count past
     MAX_CARBONS is refused before the Kronecker product is asked for."""
-    def no_matrix(*ops):
+    def no_matrix(*args):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(targets, "kron_all", no_matrix)
+    monkeypatch.setattr(targets, "on_register", no_matrix)
     message = f"n_carbons must be at most {MAX_CARBONS}, got {MAX_CARBONS + 1}"
     with pytest.raises(ConfigError, match=message):
         hadamard_on_carbon(MAX_CARBONS + 1)
