@@ -1,0 +1,137 @@
+"""Check that two source trees give the CLI's outputs byte for byte.
+
+    python scripts/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Runs one command set in each tree, with ``PYTHONPATH=<tree>/src`` and
+``OPENBLAS_NUM_THREADS=1``, on the same input files (the parent tree's
+bundled data), each command in a process of its own and its outputs in a
+temporary directory. It reports every data file, stdout or exit code that
+differs. Manifests are compared as JSON without their timings
+(``phase_seconds`` and ``phase_cpu_seconds`` are reduced to their keys),
+``written_at_unix`` and ``output_dir``. Exits 0 when the outputs are
+identical and 1 otherwise.
+
+The command set: one ``verify_scan`` pass of perfbench (nine verifies,
+every scan kind and ``report``); ``optimize`` cnot on ``system_2q.json``
+with the default GA at seeds 0-3; perfbench's ``GA_4C`` search for
+``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; the
+controls ``scan --kind hadamard --noop``, ``scan --kind theta --gate noop
+--readout 0`` and ``scan --kind fid --state thermal``; and one refused
+command.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMINGS = ("phase_seconds", "phase_cpu_seconds")
+UNCOMPARED = ("written_at_unix", "output_dir")
+
+
+def _without_out(argv: list) -> tuple[str, list]:
+    """The name of a call's --out directory, and its argv without --out."""
+    at = argv.index("--out")
+    return Path(argv[at + 1]).name, argv[:at] + argv[at + 2:]
+
+
+def commands(tree: Path, inputs: Path) -> dict:
+    """name -> argv without --out, reading `tree`'s bundled data and the
+    files this writes under `inputs`."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    inputs.mkdir(parents=True)
+    data = workloads.data_dir(tree)
+    system_2q, system_4c = str(data / "system_2q.json"), data / "system_4c.json"
+    named = dict(_without_out(call.argv)
+                 for call in workloads.verify_scan_pass(tree, inputs, random.Random(0)))
+    for seed in range(4):
+        named[f"optimize_cnot_{seed}"] = ["optimize", "--system", system_2q, "--target", "cnot",
+                                          "--seed", str(seed)]
+    ga_path = inputs / "ga_4c.json"
+    ga_path.write_text(json.dumps(workloads.GA_4C), encoding="utf-8")
+    for seed in range(2):
+        call = workloads.optimize_call(system_4c, "ccrot:1,180", 4, ga_path, workloads.GA_4C,
+                                       seed, Path(f"ga_4c_{seed}"), {})
+        named.update([_without_out(call.argv)])
+    named["control_hadamard_noop"] = ["scan", "--kind", "hadamard", "--noop",
+                                      "--system", system_2q]
+    named["control_theta_noop"] = ["scan", "--kind", "theta", "--gate", "noop", "--readout", "0",
+                                   "--system", system_2q]
+    named["control_fid_thermal"] = ["scan", "--kind", "fid", "--state", "thermal",
+                                    "--system", system_2q]
+    named["refused_grid"] = ["verify", "--system", system_2q, "--target", "cnot",
+                             "--sequence", str(data / "sequences" / "cnot.json"),
+                             "--grid", "0.52,0.48,5"]
+    return named
+
+
+def run(tree: Path, named: dict, dest: Path) -> None:
+    """Each command of `named` in `tree`, its outputs in dest/<name>, and its
+    stdout and exit code in dest/<name>.stdout and dest/<name>.exit."""
+    dest.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    for name, argv in named.items():
+        proc = subprocess.run([sys.executable, "-m", "icspin", *argv, "--out", str(dest / name)],
+                              capture_output=True, text=True, env=env, timeout=600)
+        (dest / f"{name}.stdout").write_text(proc.stdout, encoding="utf-8")
+        (dest / f"{name}.exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def _manifest(path: Path) -> dict:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in UNCOMPARED:
+        doc.pop(key, None)
+    for key in TIMINGS:
+        if key in doc:
+            doc[key] = sorted(doc[key])
+    return doc
+
+
+def differences(parent: Path, change: Path) -> list[str]:
+    """One line for each file that is on one side only or differs: a
+    manifest as `_manifest` reads it, any other file byte for byte."""
+    names = sorted({path.relative_to(side) for side in (parent, change)
+                    for path in side.rglob("*") if path.is_file()})
+    found = []
+    for name in names:
+        old, new = parent / name, change / name
+        if not (old.is_file() and new.is_file()):
+            found.append(f"{name}: only in {'parent' if old.is_file() else 'change'}")
+        elif name.name == "manifest.json":
+            if _manifest(old) != _manifest(new):
+                found.append(f"{name}: the manifests differ")
+        elif old.read_bytes() != new.read_bytes():
+            found.append(f"{name}: differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the tree whose outputs are the reference")
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        named = commands(args.parent.resolve(), tmp / "inputs")
+        for side, tree in (("parent", args.parent), ("change", args.change)):
+            run(tree.resolve(), named, tmp / side)
+        found = differences(tmp / "parent", tmp / "change")
+        files = sum(1 for path in (tmp / "change").rglob("*") if path.is_file())
+    for line in found:
+        print(line)
+    print(f"{len(named)} commands, {files} files and captures: "
+          + (f"{len(found)} differ" if found else "identical"))
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

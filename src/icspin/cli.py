@@ -53,7 +53,7 @@ from .kernels import cpu_workers
 from .operators import PROJ_UP, ConfigError, on_register
 from .optimize import ParameterBounds, ga_config_from_dict, optimize
 from .propagation import engine_for
-from .sequence import check_pulses, load_sequence, save_sequence
+from .sequence import check_pulses, load_sequence, sequence_to_dict
 from .states import basis_state
 from .system import load_system
 from .targets import TargetGate, target_library
@@ -118,15 +118,23 @@ def _write_manifest(out: Path, command: str, inputs: dict, seed: int | None,
     write_json(out / "manifest.json", manifest)
 
 
-def _finish(args, phases: _Phases, command: str, write, inputs: dict, seed: int | None = None,
-            **run_facts) -> int:
+def _finish(args, phases: _Phases, command: str, files: dict, summary: str, inputs: dict,
+            seed: int | None = None, **run_facts) -> int:
     """The end of every command once it has computed: make --out (only now, so a
-    failed command leaves no directory), write the data files and the summary,
-    then the manifest. An --out that cannot be made or written is a usage error."""
+    failed command leaves no directory), write `files` in order, a name's content
+    by its suffix (a CSV's ``(header, *columns)``, a JSON document or text), print
+    the summary, then write the manifest. An --out not made or written is a usage error."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write(out)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            elif name.endswith(".json"):
+                write_json(out / name, content)
+            else:
+                write_text(out / name, content)
+        print(summary)
         phases.done("write")
         _write_manifest(out, command, inputs, seed, **run_facts, phase_seconds=phases.seconds,
                         phase_cpu_seconds=phases.cpu_seconds)
@@ -172,30 +180,27 @@ def cmd_verify(args, phases: _Phases) -> int:
     phases.done("hamiltonian")
     report = robust_fidelity(seq, target, h, (band.min_MHz, band.max_MHz), band.points)
     phases.done("evaluate")
-
-    def write(out: Path) -> None:
-        write_csv(out / "fidelity_points.csv", ("omega1_MHz", "fidelity"),
-                  report.omega1s, report.fidelities)
-        write_json(
-            out / "verify.json",
-            {
-                "system": str(args.system),
-                "sequence": str(args.sequence),
-                "target": args.target,
-                "omega1_grid_MHz": report.omega1s.tolist(),
-                "fidelities": report.fidelities.tolist(),
-                "mean_fidelity": report.mean,
-                "band_mean_fidelity": report.band_mean,
-                "min_fidelity": report.min,
-                "duration_us": seq.duration,
-            },
-        )
-        print(f"verify: target={args.target} duration={seq.duration:.4f} us")
-        for w, f in zip(report.omega1s, report.fidelities):
-            print(f"  omega1 = {w:.4f} MHz  F = {f:.6f}")
-        print(f"  mean F = {report.mean:.6f}   band mean F = {report.band_mean:.6f}"
-              f"   min F = {report.min:.6f}")
-    return _finish(args, phases, "verify", write,
+    files = {
+        "fidelity_points.csv": (("omega1_MHz", "fidelity"), report.omega1s, report.fidelities),
+        "verify.json": {
+            "system": str(args.system),
+            "sequence": str(args.sequence),
+            "target": args.target,
+            "omega1_grid_MHz": report.omega1s,
+            "fidelities": report.fidelities,
+            "mean_fidelity": report.mean,
+            "band_mean_fidelity": report.band_mean,
+            "min_fidelity": report.min,
+            "duration_us": seq.duration,
+        },
+    }
+    summary = "\n".join([
+        f"verify: target={args.target} duration={seq.duration:.4f} us",
+        *(f"  omega1 = {w:.4f} MHz  F = {f:.6f}"
+          for w, f in zip(report.omega1s, report.fidelities)),
+        f"  mean F = {report.mean:.6f}   band mean F = {report.band_mean:.6f}"
+        f"   min F = {report.min:.6f}"])
+    return _finish(args, phases, "verify", files, summary,
                    {"system": str(args.system), "sequence": str(args.sequence),
                     "target": args.target, "grid": args.grid})
 
@@ -227,29 +232,29 @@ def cmd_optimize(args, phases: _Phases) -> int:
     result = optimize(target, h, bounds, ga)
     best = result.best_sequence()
     phases.done("search")
-
-    def write(out: Path) -> None:
-        save_sequence(best, out / "best_sequence.json")
-        write_csv(out / "history.csv", ("generation", "best_fitness"),
-                  range(len(result.history)), result.history)
-        write_json(out / "result.json", {
-            "best_genome": result.best_genome.tolist(),
+    files = {
+        "best_sequence.json": sequence_to_dict(best),
+        "history.csv": (("generation", "best_fitness"), range(len(result.history)),
+                        result.history),
+        "result.json": {
+            "best_genome": result.best_genome,
             "best_fitness": result.best_fitness,
-            "history": result.history.tolist(),
+            "history": result.history,
             "robustness": {
                 "mean": result.robustness.mean,
                 "min": result.robustness.min,
-                "omega1s_MHz": result.robustness.omega1s.tolist(),
-                "fidelities": result.robustness.fidelities.tolist(),
+                "omega1s_MHz": result.robustness.omega1s,
+                "fidelities": result.robustness.fidelities,
             },
             "seed": result.seed,
             "n_pulses": result.n_pulses,
             "omega1_nominal_MHz": result.omega1_nominal,
-        })
-        print(f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}")
-        print(f"  duration = {best.duration:.4f} us over "
-              f"{result.generations_run} generations (seed {result.seed})")
-    return _finish(args, phases, "optimize", write,
+        },
+    }
+    summary = (f"optimize: target={args.target} best mean-robust F = {result.best_fitness:.6f}\n"
+               f"  duration = {best.duration:.4f} us over "
+               f"{result.generations_run} generations (seed {result.seed})")
+    return _finish(args, phases, "optimize", files, summary,
                    {"system": str(args.system), "target": args.target,
                     "pulses": args.pulses, "tau_max": args.tau_max,
                     "t_max": args.t_max, "ga": asdict(ga)},
@@ -277,42 +282,32 @@ def _scan_times(args) -> np.ndarray:
 
 
 # Each scan computes its result from the flags, the config and the loaded
-# --sequence (or None), and returns the function that writes its files into
-# the output directory and prints its summary. The arrays live in the CSVs;
-# a JSON companion holds only what no CSV does.
+# --sequence (or None), and returns its files, as `_finish` takes them, and its
+# summary. The arrays live in the CSVs; a JSON companion holds only what no CSV
+# does, its arrays as they are, so that `write_json` lists them in the write phase.
 
-def _write_spectrum(path: Path, spec) -> None:
-    write_csv(path, ("frequency_MHz", "amplitude"), spec.frequencies, spec.amplitudes)
-
-
-def _write_lines(path: Path, spec) -> None:
-    write_json(path, {"lines": [[p, w] for p, w in spec.lines]})
+def _spectrum_csv(spec) -> tuple:
+    return ("frequency_MHz", "amplitude"), spec.frequencies, spec.amplitudes
 
 
-def _write_time_scan(out: Path, kind: str, result) -> None:
-    write_csv(out / f"{kind}_signal.csv", ("time_us", "signal"), result.times, result.signal)
-    _write_spectrum(out / f"{kind}_spectrum.csv", result.spectrum)
+def _time_scan_files(kind: str, result) -> dict:
+    return {f"{kind}_signal.csv": (("time_us", "signal"), result.times, result.signal),
+            f"{kind}_spectrum.csv": _spectrum_csv(result.spectrum)}
 
 
 def _scan_hadamard(args, cfg, seq):
     t_grid = _scan_times(args)
     result = hadamard_circuit_scan(seq, t_grid, cfg, _GATES["noop"] if args.noop else None)
-
-    def write(out: Path) -> None:
-        _write_time_scan(out, "hadamard", result)
-        write_json(out / "hadamard.json", {"peak_MHz": result.spectrum.peak_frequency()})
-        print(f"scan hadamard: spectrum peak at {result.spectrum.peak_frequency():.4f} MHz")
-    return write
+    peak = result.spectrum.peak_frequency()
+    return ({**_time_scan_files("hadamard", result), "hadamard.json": {"peak_MHz": peak}},
+            f"scan hadamard: spectrum peak at {peak:.4f} MHz")
 
 
 def _scan_theta(args, cfg, seq):
     thetas = np.linspace(0.0, 2 * np.pi, args.points)
     values = theta_scan(_GATES[args.gate] if seq is None else seq, thetas, args.readout, cfg)
-
-    def write(out: Path) -> None:
-        write_csv(out / "theta_scan.csv", ("theta_rad", "p0_down"), thetas, values)
-        print(f"scan theta: {args.points} points, readout m_S={args.readout}")
-    return write
+    return ({"theta_scan.csv": (("theta_rad", "p0_down"), thetas, values)},
+            f"scan theta: {args.points} points, readout m_S={args.readout}")
 
 
 def _scan_fid(args, cfg, seq):
@@ -324,24 +319,16 @@ def _scan_fid(args, cfg, seq):
         # A fully mixed 4-level state is unitary-invariant and gives no signal.
         state = on_register(PROJ_UP, 1) / 2
     result = electron_fid_scan(state, args.detuning, t_grid, cfg)
-
-    def write(out: Path) -> None:
-        _write_time_scan(out, "fid", result)
-        _write_lines(out / "fid_spectrum.json", result.spectrum)
-        print(f"scan fid: {len(result.spectrum.lines)} transition sticks")
-    return write
+    return ({**_time_scan_files("fid", result),
+             "fid_spectrum.json": {"lines": result.spectrum.lines}},
+            f"scan fid: {len(result.spectrum.lines)} transition sticks")
 
 
 def _scan_spectrum(args, cfg, seq):
     h = multiqubit_hamiltonian(cfg)
     spec = esr_spectrum(h, linewidth=args.linewidth, detuning=args.detuning)
-
-    def write(out: Path) -> None:
-        _write_spectrum(out / "esr_spectrum.csv", spec)
-        _write_lines(out / "esr_lines.json", spec)
-        print(f"scan spectrum: {len(spec.lines)} sticks, "
-              f"{len(spec.resolvable_lines())} resolvable")
-    return write
+    return ({"esr_spectrum.csv": _spectrum_csv(spec), "esr_lines.json": {"lines": spec.lines}},
+            f"scan spectrum: {len(spec.lines)} sticks, {len(spec.resolvable_lines())} resolvable")
 
 
 def _scan_trajectory(args, cfg, seq):
@@ -354,16 +341,9 @@ def _scan_trajectory(args, cfg, seq):
     # one carbon is c, several are c1, c2, ... in label order
     carbons = [""] if cfg.n_carbons == 1 else range(1, cfg.n_carbons + 1)
     header = ["time_us", "ex", "ey", "ez", *(f"c{j}{axis}" for j in carbons for axis in "xyz")]
-
-    def write(out: Path) -> None:
-        write_csv(out / "trajectory.csv", header, traj.times,
-                  *traj.vectors.reshape(traj.times.size, -1).T)
-        write_json(out / "trajectory.json", {
-            "times_us": traj.times.tolist(),
-            "bloch_vectors": traj.vectors.tolist(),
-        })
-        print(f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
-    return write
+    return ({"trajectory.csv": (header, traj.times, *traj.vectors.reshape(traj.times.size, -1).T),
+             "trajectory.json": {"times_us": traj.times, "bloch_vectors": traj.vectors}},
+            f"scan trajectory: {traj.times.size} samples over {traj.times[-1]:.4f} us")
 
 
 # _SCAN_OPTIONS: the defaults of the flags only some scan kinds read. The
@@ -401,9 +381,9 @@ def cmd_scan(args, phases: _Phases) -> int:
     cfg = load_system(args.system)
     seq = _scan_sequence(args, cfg)
     phases.done("load")
-    write = scan(args, cfg, seq)
+    files, summary = scan(args, cfg, seq)
     phases.done("compute")
-    return _finish(args, phases, f"scan:{args.kind}", write,
+    return _finish(args, phases, f"scan:{args.kind}", files, summary,
                    {"system": str(args.system), "kind": args.kind,
                     **{name: getattr(args, name) for name in reads}})
 
@@ -436,14 +416,9 @@ def cmd_report(args, phases: _Phases) -> int:
     payload["esr_linewidth_MHz"] = args.linewidth
     payload["min_T2_star_us"] = min_coherence_time(args.linewidth)
     phases.done("compute")
-
-    def write(out: Path) -> None:
-        write_json(out / "report.json", payload)
-        text = "".join(f"{key:>22s} : {value}\n" for key, value in payload.items())
-        write_text(out / "report.txt", text)
-        print(text, end="")
-    return _finish(args, phases, "report", write,
-                   {"system": str(args.system), "linewidth": args.linewidth})
+    text = "\n".join(f"{key:>22s} : {value}" for key, value in payload.items())
+    return _finish(args, phases, "report", {"report.json": payload, "report.txt": text + "\n"},
+                   text, {"system": str(args.system), "linewidth": args.linewidth})
 
 
 def build_parser() -> argparse.ArgumentParser:

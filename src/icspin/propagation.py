@@ -80,6 +80,10 @@ class PropagationEngine:
 
     def __init__(self, h, omega1s=()):
         h = np.asarray(h)
+        d = h.shape[0] if h.ndim == 2 else 0
+        if h.shape != (d, d) or d < 2 or d & (d - 1):
+            raise ValueError("the propagation engine needs a square Hamiltonian of 2^(n+1) "
+                             f"levels for n carbons, got shape {h.shape}")
         assert_hermitian(h)
         if np.iscomplexobj(h) and np.any(h.imag != 0):
             raise ValueError("the propagation engine needs a real Hamiltonian")

@@ -74,8 +74,9 @@ def test_the_engine_has_three_entry_points():
 
 def test_result_objects_write_no_files():
     """The CLI lays out every output file; of the input formats, only the
-    sequence, which ``optimize`` saves, keeps a writer next to its reader.
-    No class writes itself."""
+    sequence keeps a writer next to its reader, ``save_sequence``, library
+    API that the CLI does not call: ``optimize`` hands ``_finish`` the
+    sequence's document. No class writes itself."""
     writers = sorted(name for name, text in SOURCES.items()
                      for node in ast.walk(ast.parse(text))
                      if isinstance(node, ast.ImportFrom)
@@ -178,6 +179,30 @@ def test_one_function_ends_every_command():
                          if any(isinstance(node, ast.Call) and _called_name(node) == name
                                 for node in ast.walk(func)))
         assert callers == ["_finish"], name
+
+
+def test_one_function_writes_every_data_file():
+    """A command returns its files and summary as data, and only ``_finish``
+    writes the files and prints the summary: no other CLI function calls a
+    writer or prints, but ``_write_manifest`` writes the manifest and
+    ``main`` prints errors to stderr. No CLI function nests another."""
+    allowed = {"write_csv": {"_finish"}, "write_text": {"_finish"}, "save_sequence": set(),
+               "write_json": {"_finish", "_write_manifest"}, "print": {"_finish", "main"}}
+    calls, nested = set(), []
+    for where, func in _top_functions():
+        if where.startswith("cli.py:"):
+            name = where[len("cli.py:"):]
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and _called_name(node) in allowed:
+                    calls.add((name, _called_name(node)))
+                elif isinstance(node, ast.FunctionDef) and node is not func:
+                    nested.append(f"{name}.{node.name}")
+    assert sorted(call for call in calls if call[0] not in allowed[call[1]]) == []
+    assert calls == {(name, callee) for callee, names in allowed.items() for name in names}
+    assert nested == []
+    main = next(func for where, func in _top_functions() if where == "cli.py:main")
+    assert all("file=sys.stderr" in map(ast.unparse, node.keywords) for node in ast.walk(main)
+               if isinstance(node, ast.Call) and _called_name(node) == "print")
 
 
 def test_no_library_setting_without_a_caller():

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 from collections import OrderedDict
@@ -266,6 +267,21 @@ def test_engine_rejects_negative_or_non_finite_grid(h_subspace, grid):
     too, not the invariant RuntimeError of the NaN fidelities it would give."""
     with pytest.raises(ValueError, match="grid"):
         engine_for(h_subspace, grid)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 4), (1, 1)])
+def test_engine_refuses_a_hamiltonian_of_the_wrong_size(shape):
+    """Only 2^(n+1) levels are an electron and n carbons; any other shape is
+    refused by name before the Hermiticity check or numpy sees it."""
+    with pytest.raises(ValueError, match=r"propagation engine needs .* 2\^\(n\+1\) levels"
+                                         rf".*{re.escape(str(shape))}"):
+        PropagationEngine(np.zeros(shape), [0.5])
+
+
+@pytest.mark.parametrize("d", [2, 32])
+def test_engine_builds_at_every_register_size(d):
+    engine = PropagationEngine(np.diag(np.arange(float(d))), [0.5])
+    assert engine.dim == d and engine.mix.shape == (1, d, d)
 
 
 def test_sequence_propagator_needs_register_structure(h_subspace):

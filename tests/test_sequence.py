@@ -61,6 +61,11 @@ def test_genome_length_check():
         sequence_from_genome([0.0, 1.0], omega1=0.5)
 
 
+def test_genome_must_be_one_row():
+    with pytest.raises(ConfigError, match=r"one row .* got shape \(2, 4\)"):
+        sequence_from_genome(np.zeros((2, 4)), omega1=0.5)
+
+
 def test_genome_parts_are_views_of_the_genome():
     """For every pulse count, the parts have n + 1, n and n widths and a
     write through each reaches the genome."""
