@@ -12,8 +12,9 @@ differs. Manifests are compared as JSON without their timings
 identical and 1 otherwise.
 
 The command set: one ``verify_scan`` pass of perfbench (nine verifies,
-every scan kind and ``report``); ``optimize`` cnot on ``system_2q.json``
-with the default GA at seeds 0-3; perfbench's ``GA_4C`` search for
+every scan kind and ``report``); ``optimize`` cnot and hadamard on
+``system_2q.json`` with the default GA at seeds 0-3, criterion 7's two
+gates; perfbench's ``GA_4C`` search for
 ``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; the
 controls ``scan --kind hadamard --noop``, ``scan --kind theta --gate noop
 --readout 0`` and ``scan --kind fid --state thermal``; and one refused
@@ -52,9 +53,10 @@ def commands(tree: Path, inputs: Path) -> dict:
     system_2q, system_4c = str(data / "system_2q.json"), data / "system_4c.json"
     named = dict(_without_out(call.argv)
                  for call in workloads.verify_scan_pass(tree, inputs, random.Random(0)))
-    for seed in range(4):
-        named[f"optimize_cnot_{seed}"] = ["optimize", "--system", system_2q, "--target", "cnot",
-                                          "--seed", str(seed)]
+    for target in ("cnot", "hadamard"):
+        for seed in range(4):
+            named[f"optimize_{target}_{seed}"] = ["optimize", "--system", system_2q,
+                                                  "--target", target, "--seed", str(seed)]
     ga_path = inputs / "ga_4c.json"
     ga_path.write_text(json.dumps(workloads.GA_4C), encoding="utf-8")
     for seed in range(2):

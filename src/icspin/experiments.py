@@ -208,6 +208,15 @@ def _check_uniform(t_grid: np.ndarray) -> np.ndarray:
     return t_grid
 
 
+def _check_sampling(t_grid: np.ndarray, f_max: float, what: str) -> None:
+    """Refuse a uniform grid whose step undersamples the signal's highest
+    frequency f_max (MHz), `what` saying what sets it."""
+    dt = float(t_grid[1] - t_grid[0])
+    if f_max >= 0.5 / dt:
+        raise ConfigError(f"dt = {dt} us undersamples f_max = {f_max} MHz, {what} "
+                          f"(need dt < {0.5 / f_max:.4g} us)")
+
+
 def hadamard_circuit_scan(
     gate: TargetGate | PulseSequence | None,
     t_grid: np.ndarray,
@@ -218,14 +227,17 @@ def hadamard_circuit_scan(
 
     `gate` is the carbon Hadamard, None for the ideal one. `first_gate`
     defaults to the same gate; pass the identity TargetGate for the control
-    run without the initial gate.
+    run without the initial gate. The signal's frequencies reach the span of
+    the register's eigenfrequencies, so a step that undersamples it is refused.
     """
     t_grid = _check_uniform(t_grid)
     config.single_carbon()   # the gate and the readout act on one carbon
     h = multiqubit_hamiltonian(config)
+    engine = engine_for(h)
+    _check_sampling(t_grid, float(np.ptp(engine.w)),
+                    "the span of the register's eigenfrequencies")
     g2 = _gate_matrix(hadamard_on_carbon(1) if gate is None else gate, h)
     g1 = g2 if first_gate is None else _gate_matrix(first_gate, h)
-    engine = engine_for(h)
     # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
     amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
     signal = np.abs(np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w)) @ amps) ** 2
@@ -255,11 +267,7 @@ def electron_fid_scan(
     span = max(abs(p) for p, _ in lines)
     if abs(nu_d) < span:
         raise ConfigError(f"detuning {nu_d} MHz must reach the line span {span:.4f} in magnitude")
-    f_max = abs(nu_d) + span
-    dt = float(t_grid[1] - t_grid[0])
-    if f_max >= 0.5 / dt:
-        raise ConfigError(f"dt = {dt} us undersamples f_max = {f_max} MHz, the detuning "
-                          f"plus the line span (need dt < {0.5 / f_max:.4g} us)")
+    _check_sampling(t_grid, abs(nu_d) + span, "the detuning plus the line span")
 
     rho0 = density_matrix(state)
     p0 = on_register(PROJ_UP, config.n_carbons)

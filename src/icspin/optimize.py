@@ -175,58 +175,29 @@ def _words_to_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * _DOUBLE_UNIT
 
 
-def _tournament_draws(words: np.ndarray, population: int):
-    """The draws ``integers(0, population, size=2k)`` makes of k PCG64 words
-    a row, and whether any of them needed more words.
-
-    The 2k 32-bit halves are used low half first, each by Lemire's method:
-    the draw is (u32 * P) >> 32, unless the low 32 bits of u32 * P fall
-    below (2**32 - P) % P, where numpy rejects it and draws again. Returns
-    the (rows, 2k) draws and True when any draw was rejected, which makes
-    the draws wrong from that one on.
-    """
+def _tournament_draws(words: np.ndarray, population: int) -> np.ndarray:
+    """The (rows, 2k) tournament draws of k PCG64 words a row: each 32-bit
+    half, low half first, becomes (u32 * P) >> 32, Lemire's draw. numpy
+    redraws a half whose low 32 bits of u32 * P fall below (2**32 - P) % P
+    (probability below P / 2**32); this keeps it."""
     halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(len(words), -1)
-    scaled = halves * np.uint64(population)
-    rejected = bool(((scaled & 0xFFFFFFFF) < (2**32 - population) % population).any())
-    return (scaled >> 32).astype(np.int64), rejected
-
-
-def _draws_per_call(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
-    """Each child's draws by one Generator call per draw kind, in the order
-    ``_breed`` documents. The reference stream, and the path for the
-    generations that ``_draws_from_words`` cannot decode."""
-    n_children = cfg.population - cfg.elites
-    draws = np.empty((n_children, 2 * TOURNAMENT_SIZE), dtype=np.int64)
-    doubles = np.empty((n_children, 2 * n_genes + 1))
-    noise = np.empty((n_children, n_genes))
-    for c in range(n_children):
-        draws[c] = rng.integers(0, cfg.population, size=2 * TOURNAMENT_SIZE)
-        doubles[c, : n_genes + 1] = rng.random(n_genes + 1)
-        if doubles[c, 0] < cfg.crossover_rate:
-            doubles[c, n_genes + 1 :] = rng.random(n_genes)
-        noise[c] = rng.normal(0.0, cfg.mutation_scale, n_genes)
-    return draws, doubles, noise
+    return ((halves * np.uint64(population)) >> 32).astype(np.int64)
 
 
 def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
-    """``_draws_per_call``'s draws and end state, from one ``random_raw``
-    and one ``standard_normal`` call per child; None, with the stream as
-    it was at entry, when the generation cannot be decoded this way.
+    """The draws and end state of the Generator calls ``_breed`` lists, from
+    one ``random_raw`` and one ``standard_normal`` call per child.
 
     A child's k + 2L + 1 words are its tournaments' k words, the coin and
     the L gene doubles, then the L mask doubles, which are stepped back
     over when the coin does not cross over. The noise is what
     ``normal(0, s, L)`` computes, 0.0 + s * z. Integer draws leave the
     high half of the last tournament word in PCG64's ``uinteger``, so the
-    end state gets it too. Decoding needs PCG64 with no spare 32-bit half
-    buffered, and no tournament draw that Lemire's method rejects.
+    end state gets it too. The Generator is PCG64 with no spare 32-bit
+    half buffered, as ``_single_run`` makes it and as every generation
+    leaves it.
     """
     bit_gen = rng.bit_generator
-    if type(bit_gen) is not np.random.PCG64:
-        return None
-    entry = bit_gen.state
-    if entry["has_uint32"]:
-        return None
     n_children, k = cfg.population - cfg.elites, TOURNAMENT_SIZE
     words = np.empty((n_children, k + 2 * n_genes + 1), dtype=np.uint64)
     z = np.empty((n_children, n_genes))
@@ -236,14 +207,11 @@ def _draws_from_words(rng: np.random.Generator, cfg: GAConfig, n_genes: int):
             bit_gen.advance(_REWIND - n_genes)
         rng.standard_normal(out=z[c])
 
-    draws, rejected = _tournament_draws(words[:, :k], cfg.population)
-    if rejected:
-        bit_gen.state = entry
-        return None
     end = bit_gen.state
     end["uinteger"] = int(words[-1, k - 1] >> 32)
     bit_gen.state = end
-    return draws, _words_to_doubles(words[:, k:]), 0.0 + cfg.mutation_scale * z
+    return (_tournament_draws(words[:, :k], cfg.population), _words_to_doubles(words[:, k:]),
+            0.0 + cfg.mutation_scale * z)
 
 
 def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
@@ -267,13 +235,13 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
     separate masks drew: PCG64 keeps its spare 32-bit half in the
     bit-generator state, and doubles take whole 64-bit words. Drawing the
     masks as whole (children, L) arrays would reorder the stream.
-    ``_draws_from_words`` decodes steps 1-3 from raw PCG64 words, and
-    ``_draws_per_call`` makes the calls themselves where it cannot. The
+    ``_draws_from_words`` decodes steps 1-3 from raw PCG64 words; the one
+    difference from the calls is that a tournament draw numpy would reject
+    and redraw is kept, and the stream changes from there on. The
     comparisons and the arithmetic run once over all children.
     """
     n_genes = bounds.genome_length
-    tournaments, doubles, noise = (_draws_from_words(rng, cfg, n_genes)
-                                   or _draws_per_call(rng, cfg, n_genes))
+    tournaments, doubles, noise = _draws_from_words(rng, cfg, n_genes)
     n_children, k = len(tournaments), TOURNAMENT_SIZE
     parents = tournaments.reshape(n_children, 2, k).min(axis=2)
     crossed = doubles[:, :1] < cfg.crossover_rate
@@ -289,7 +257,7 @@ def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
                 seed: int) -> tuple[np.ndarray, np.ndarray, str, int]:
     """One search from `seed`: its best genome, best-fitness history, stop
     reason and the number of genomes it scored."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))   # _breed decodes PCG64 words
     pop = rng.uniform(0.0, bounds.upper(), size=(cfg.population, bounds.genome_length))
 
     fits = equal_weight_score(kern.evaluate(pop))

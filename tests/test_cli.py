@@ -1070,6 +1070,20 @@ def test_scan_fid_negative_detuning_beyond_nyquist_is_usage_error(tmp_path, caps
     assert not out.exists()
 
 
+def test_scan_hadamard_dt_beyond_nyquist_is_usage_error(tmp_path, capsys):
+    """--dt 5 undersamples the register's 0.158 MHz and once wrote a false
+    peak at 0.0422 MHz; --dt 2 still peaks at nu_C."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", "hadamard", "--system", SYSTEM, "--dt", "5",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: dt = 5.0 us undersamples f_max = 0.158")
+    assert not out.exists()
+    assert run(["scan", "--kind", "hadamard", "--system", SYSTEM, "--dt", "2",
+                "--out", str(out)]) == 0
+    peak = json.loads((out / "hadamard.json").read_text())["peak_MHz"]
+    assert peak == pytest.approx(0.158, abs=2e-3)
+
+
 def test_scan_fid_detuning_inside_line_span_is_usage_error(tmp_path, capsys):
     """The sticks sit at detuning + offset, offsets up to 0.134 MHz on this
     register: a smaller |--detuning| folded lines over zero, as spectrum

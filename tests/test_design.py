@@ -576,6 +576,28 @@ def test_one_home_for_the_register_tensor_order():
     assert not [name for name, text in SOURCES.items() if "kron_all" in text]
 
 
+# What makes a numpy random stream: the Generator, its seeding and every bit generator
+_RANDOM_MAKERS = {"default_rng", "Generator", "RandomState", "SeedSequence", "BitGenerator",
+                  "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+
+
+def test_one_random_generator():
+    """The GA decodes raw PCG64 words, so the package makes one random
+    Generator, in ``optimize._single_run``, from ``np.random.PCG64``. No
+    other code calls ``default_rng``, ``Generator`` or a bit generator, and
+    no module imports from ``numpy.random``."""
+    calls = [node for text in SOURCES.values() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and _called_name(node) in _RANDOM_MAKERS]
+    single_run = dict(_top_functions())["optimize.py:_single_run"]
+    made = [node for node in ast.walk(single_run)
+            if isinstance(node, ast.Call) and _called_name(node) in _RANDOM_MAKERS]
+    assert len(calls) == len(made) == 2
+    assert ast.unparse(made[0]) == "np.random.Generator(np.random.PCG64(seed))"
+    imports = [node.module for text in SOURCES.values() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.ImportFrom)]
+    assert not [module for module in imports if (module or "").startswith("numpy.random")]
+
+
 # Each scan input's check and every function that calls it; bloch_trajectory
 # reads dt through segment_samples
 SCAN_INPUT_RULES = {

@@ -255,6 +255,17 @@ def test_fid_nyquist_guard(system):
             electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
 
 
+def test_hadamard_scan_nyquist_guard(system):
+    """The scan's frequencies are differences of the register's
+    eigenfrequencies, up to their span 0.158 MHz here: a step at or past
+    0.5 / 0.158 us is refused, not aliased to a false peak, and one below
+    it still finds nu_C."""
+    with pytest.raises(ConfigError, match=r"^dt = 5\.0 us undersamples f_max = 0\.158"):
+        hadamard_circuit_scan(None, np.arange(256) * 5.0, system)
+    result = hadamard_circuit_scan(None, np.arange(256) * 2.0, system)
+    assert result.spectrum.peak_frequency() == pytest.approx(system.nu_c, abs=2e-3)
+
+
 @pytest.mark.parametrize("state", [basis_state(0, 8), np.eye(3), np.ones((4, 4, 1))],
                          ids=["vector8", "matrix3", "rank3"])
 def test_fid_state_of_another_shape_is_refused(system, state):
@@ -650,7 +661,8 @@ def test_scan_sizes_at_their_budget_are_accepted(system, h_subspace):
     assert electron_fid_scan(basis_state(0, 4), 3.0, times, system).signal.size == MAX_SCAN_POINTS
     thetas = np.linspace(0.0, 2 * np.pi, MAX_SCAN_POINTS)
     assert theta_scan(None, thetas, -1, system).size == MAX_SCAN_POINTS
-    hadamard_circuit_scan(None, np.array([0.0, MAX_DURATION_US]), system)
+    slow = SpinSystemConfig(2870.0, 1e-7, (HyperfineCoupling(1e-7, 0.0),))   # step 1e6 us
+    hadamard_circuit_scan(None, np.array([0.0, MAX_DURATION_US]), slow)
     seq = PulseSequence((Delay(MAX_TRAJECTORY_STEPS * 0.25),), 0.0)
     assert segment_samples(seq, 0.25) == [MAX_TRAJECTORY_STEPS]
     traj = bloch_trajectory(seq, h_subspace, basis_state(0, 4), 0.25)

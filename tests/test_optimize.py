@@ -342,48 +342,6 @@ def test_breed_keeps_the_per_child_stream(crossover_rate, mutation_rate, tournam
                 pop = np.vstack([pop[: cfg.elites], children])
 
 
-def _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds):
-    children = _breed(rng, pop, cfg, bounds)
-    expected = _breed_per_child(oracle_rng, pop, cfg, bounds)
-    assert children.tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    return children
-
-
-def test_breed_after_a_buffered_half_keeps_the_per_child_stream():
-    """A generation entered with PCG64's spare 32-bit half buffered cannot
-    be decoded from whole words; it is drawn call by call, in the oracle's
-    stream, and so is the next one."""
-    cfg = GAConfig(population=30, mutation_scale=0.3)
-    bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
-    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-    pop = rng.uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
-    oracle_rng.uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
-    rng.integers(0, 10)
-    oracle_rng.integers(0, 10)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    assert _draws_from_words(rng, cfg, bounds.genome_length) is None
-    for _ in range(2):
-        pop = _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
-
-
-def test_breed_on_another_bit_generator_draws_call_by_call():
-    """Only PCG64 words can be decoded: on an MT19937 Generator
-    ``_draws_from_words`` declines and leaves the stream as it was, and
-    ``_breed`` gives the per-call draws' children."""
-    cfg = GAConfig(population=30, mutation_scale=0.3)
-    bounds = ParameterBounds(3, tau_max=2.0, t_max=1.5)
-    rng, twin = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
-    assert _draws_from_words(rng, cfg, bounds.genome_length) is None
-    assert rng.random(8).tobytes() == twin.random(8).tobytes()
-
-    rng, oracle_rng = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
-    pop = np.random.default_rng(0).uniform(0.0, bounds.upper(), size=(30, bounds.genome_length))
-    children = _breed(rng, pop, cfg, bounds)
-    assert children.tobytes() == _breed_per_child(oracle_rng, pop, cfg, bounds).tobytes()
-    assert rng.random(8).tobytes() == oracle_rng.random(8).tobytes()
-
-
 def _zero_word_next(seed):
     """A Generator whose next PCG64 word is 0: its XSL-RR output is the
     rotated xor of the state's halves, which are equal here."""
@@ -401,22 +359,25 @@ def _zero_word_next(seed):
 
 
 @pytest.mark.parametrize("population", [3, 100])
-def test_breed_falls_back_on_a_rejected_tournament_draw(population):
+def test_breed_keeps_a_rejection_zone_draw(population):
     """u32 = 0 is in Lemire's rejection zone for any P that does not divide
-    2**32: numpy draws again, so the generation is drawn call by call."""
-    rejected = np.array([[0]], dtype=np.uint64)
-    accepted = np.array([[(7 << 32) | 1]], dtype=np.uint64)
-    assert _tournament_draws(rejected, population)[1]
-    draws, flagged = _tournament_draws(accepted, population)
-    assert not flagged and draws.tolist() == [[population >> 32, (7 * population) >> 32]]
+    2**32, where numpy draws again. The decoder keeps every draw as
+    (u32 * P) >> 32, so a first word of 0 gives the first child the
+    tournament winner 0, the best-ranked genome."""
+    words = np.array([[0, (0xFFFFFFFF << 32) | (1 << 31)]], dtype=np.uint64)
+    assert _tournament_draws(words, population).tolist() == [[0, 0, population // 2,
+                                                              population - 1]]
 
-    cfg = GAConfig(population=population, elites=1, mutation_scale=0.3)
+    cfg = GAConfig(population=population, elites=1, crossover_rate=0.0, mutation_rate=0.0)
     bounds = ParameterBounds(2)
-    assert _draws_from_words(_zero_word_next(4), cfg, bounds.genome_length) is None
-    rng, oracle_rng = _zero_word_next(4), _zero_word_next(4)
+    tournaments = _draws_from_words(_zero_word_next(4), cfg, bounds.genome_length)[0]
+    assert tournaments[0, :2].tolist() == [0, 0]
     pop = np.random.default_rng(0).uniform(0.0, bounds.upper(),
                                            size=(population, bounds.genome_length))
-    _assert_breeds_like_the_oracle(rng, oracle_rng, pop, cfg, bounds)
+    rng = _zero_word_next(4)
+    children = _breed(rng, pop, cfg, bounds)
+    assert children[0].tobytes() == pop[0].tobytes()
+    assert rng.bit_generator.state["has_uint32"] == 0
 
 
 def test_raw_word_decodes_match_numpy():
@@ -441,8 +402,7 @@ def test_raw_word_decodes_match_numpy():
             after_integers = bit_gen.state
             bit_gen.state = state
             words = bit_gen.random_raw(3)
-            draws, rejected = _tournament_draws(words[None], population)
-            assert not rejected
+            draws = _tournament_draws(words[None], population)
             assert draws[0].tolist() == expected.tolist(), \
                 "Generator.integers no longer draws (u32 * P) >> 32, low half first"
             assert after_integers["has_uint32"] == 0
@@ -456,25 +416,36 @@ def test_raw_word_decodes_match_numpy():
             "Generator.normal(0, s) is no longer 0.0 + s * standard_normal"
 
 
-def test_optimize_draws_the_same_call_by_call(h_subspace, monkeypatch):
-    """Forcing every generation onto the per-call draws changes no bit of
-    the search, on seeds whose generations otherwise all decode raw words."""
+def test_a_search_leaves_no_half_buffered(h_subspace, monkeypatch):
+    """The decoder's one assumption holds in every generation: ``_single_run``
+    draws from PCG64, and no generation starts or ends with PCG64's spare
+    32-bit half buffered."""
+    buffered = []
+    breed = optimize_module._breed
+
+    def checked(rng, *args):
+        assert type(rng.bit_generator) is np.random.PCG64
+        buffered.append(rng.bit_generator.state["has_uint32"])
+        children = breed(rng, *args)
+        buffered.append(rng.bit_generator.state["has_uint32"])
+        return children
+
+    monkeypatch.setattr(optimize_module, "_breed", checked)
+    for seed in range(4):
+        optimize(icspin.cnot_on_carbon(1), h_subspace, ParameterBounds(n_pulses=3),
+                 small_cfg(seed=seed, generations=20, early_stop=None))
+    assert len(buffered) == 4 * 2 * 20 and not any(buffered)
+
+
+def test_optimize_breeds_like_the_per_child_oracle(h_subspace, monkeypatch):
+    """Whole searches give the same bits with ``_breed`` swapped for the
+    per-child oracle, on seeds that draw nothing in the rejection zone."""
     target = icspin.hadamard_on_carbon(1)
     bounds = ParameterBounds(n_pulses=3)
-    decoded = []
-    from_words = optimize_module._draws_from_words
-
-    def counted(*args):
-        draws = from_words(*args)
-        decoded.append(draws is not None)
-        return draws
-
-    monkeypatch.setattr(optimize_module, "_draws_from_words", counted)
-    raw = [optimize(target, h_subspace, bounds, small_cfg(seed=s, generations=20))
-           for s in range(4)]
-    assert decoded and all(decoded)
-    monkeypatch.setattr(optimize_module, "_draws_from_words", lambda *args: None)
-    for seed, result in enumerate(raw):
+    decoded = [optimize(target, h_subspace, bounds, small_cfg(seed=s, generations=20))
+               for s in range(4)]
+    monkeypatch.setattr(optimize_module, "_breed", _breed_per_child)
+    for seed, result in enumerate(decoded):
         again = optimize(target, h_subspace, bounds, small_cfg(seed=seed, generations=20))
         assert again.best_genome.tobytes() == result.best_genome.tobytes()
         assert again.history.tobytes() == result.history.tobytes()
