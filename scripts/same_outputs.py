@@ -15,10 +15,13 @@ The command set: one ``verify_scan`` pass of perfbench (nine verifies,
 every scan kind and ``report``); ``optimize`` cnot and hadamard on
 ``system_2q.json`` with the default GA at seeds 0-3, criterion 7's two
 gates; perfbench's ``GA_4C`` search for
-``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; the
-controls ``scan --kind hadamard --noop``, ``scan --kind theta --gate noop
---readout 0`` and ``scan --kind fid --state thermal``; and one refused
-command.
+``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; ``verify``
+of ``ccrot_n6_a.json`` for ``ccrot:1,180`` on ``system_4c.json`` at 600 grid
+points, whose d32 engine (5.08 MB) is over ``ENGINE_MEMO_BYTES``, so the
+memo hands the newest engine, kept over budget, from the CLI's pre-build to
+the kernel; the controls ``scan --kind hadamard --noop``, ``scan --kind theta
+--gate noop --readout 0`` and ``scan --kind fid --state thermal``; and one
+refused command.
 """
 from __future__ import annotations
 
@@ -63,6 +66,9 @@ def commands(tree: Path, inputs: Path) -> dict:
         call = workloads.optimize_call(system_4c, "ccrot:1,180", 4, ga_path, workloads.GA_4C,
                                        seed, Path(f"ga_4c_{seed}"), {})
         named.update([_without_out(call.argv)])
+    named["verify_over_budget"] = ["verify", "--system", str(system_4c),
+                                   "--sequence", str(data / "sequences" / "ccrot_n6_a.json"),
+                                   "--target", "ccrot:1,180", "--grid", "0.48,0.52,600"]
     named["control_hadamard_noop"] = ["scan", "--kind", "hadamard", "--noop",
                                       "--system", system_2q]
     named["control_theta_noop"] = ["scan", "--kind", "theta", "--gate", "noop", "--readout", "0",

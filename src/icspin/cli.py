@@ -428,17 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"icspin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--system", required=True)
+    common.add_argument("--out", default="out")
 
-    p = sub.add_parser("verify", help="evaluate a sequence against a target")
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("verify", parents=[common], help="evaluate a sequence against a target")
     p.add_argument("--sequence", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--grid", default=",".join(map(str, astuple(Band()))))
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("optimize", help="search pulse parameters for a target")
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("optimize", parents=[common], help="search pulse parameters for a target")
     p.add_argument("--target", required=True)
     p.add_argument("--pulses", type=int, default=3)
     p.add_argument("--tau-max", type=float, default=ParameterBounds.tau_max)
@@ -446,12 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ga-config", default=None)
     p.add_argument("--grid", default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("scan", help="simulate a circuit scan")
+    p = sub.add_parser("scan", parents=[common], help="simulate a circuit scan")
     p.add_argument("--kind", required=True, choices=list(_SCANS))
-    p.add_argument("--system", required=True)
     p.add_argument("--sequence", default=None)
     d = _SCAN_OPTIONS   # each scan flag's help names its default
     p.add_argument("--gate", choices=list(_GATES), help=f"theta only; default {d['gate']}")
@@ -464,13 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detuning", type=float, default=3.0)
     p.add_argument("--linewidth", type=float, help=f"spectrum only; default {d['linewidth']} MHz")
     p.add_argument("--state", choices=["pure", "thermal"], help=f"fid only; default {d['state']}")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("report", help="derived quantities of a register")
-    p.add_argument("--system", required=True)
+    p = sub.add_parser("report", parents=[common], help="derived quantities of a register")
     p.add_argument("--linewidth", type=float, default=_SCAN_OPTIONS["linewidth"])
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_report)
     return parser
 

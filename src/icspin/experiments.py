@@ -358,16 +358,13 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
         raise ConfigError(f"detuning {detuning} MHz must reach the line span {span:.4f}: "
                           f"the spectrum needs detuning >= {span:.4f} MHz, and a negative "
                           "detuning is below it")
-    positions = np.array([detuning + p for p, _ in sticks])
-    wts = np.array([wgt for _, wgt in sticks])
-    lo = positions.min() - 8 * linewidth
-    hi = positions.max() + 8 * linewidth
-    freqs = np.linspace(lo, hi, _SPECTRUM_POINTS)
+    lines = tuple((float(detuning + p), wgt) for p, wgt in sticks)
+    freqs = np.linspace(min(lines)[0] - 8 * linewidth, max(lines)[0] + 8 * linewidth,
+                        _SPECTRUM_POINTS)
     half = linewidth / 2.0
     amps = np.zeros_like(freqs)
-    for pos, wgt in zip(positions, wts):
+    for pos, wgt in lines:
         amps += wgt * half**2 / ((freqs - pos) ** 2 + half**2)
-    lines = tuple((float(p), float(wgt)) for p, wgt in zip(positions, wts))
     return Spectrum(frequencies=freqs, amplitudes=amps, lines=lines)
 
 

@@ -9,10 +9,10 @@ adds omega1 * (cos phi s_x + sin phi s_y) ⊗ E to the free Hamiltonian.
 amplitude grid in the eigenbasis of the free Hamiltonian h, which every
 register builder gives real and block-diagonal in the electron:
 
-* Each electron block is diagonalized on its own. The eigenvector matrix
-  V = diag(V_0, V_1) is real orthogonal, and the electron z-rotation
-  Z(phi) = exp(-i phi s_z) stays diagonal even when eigenvalues of the two
-  blocks coincide.
+* Each electron block is diagonalized on its own, both in one batched
+  eigh. The eigenvector matrix V = diag(V_0, V_1) is real orthogonal, and
+  the electron z-rotation Z(phi) = exp(-i phi s_z) stays diagonal even when
+  eigenvalues of the two blocks coincide.
 * A delay tau is the diagonal exp(-i 2pi w tau).
 * A pulse at phase phi is Z(phi) P Z(phi)^dag, where P is the phase-zero
   pulse. The phase-zero drive Hamiltonian at grid point g is real with
@@ -96,12 +96,10 @@ class PropagationEngine:
         if not np.isfinite(self.omega1s).all() or np.any(self.omega1s < 0):
             raise ValueError("amplitude grid must be finite and non-negative")
 
-        w_up, v_up = np.linalg.eigh(h[:half, :half])
-        w_dn, v_dn = np.linalg.eigh(h[half:, half:])
-        self.w = np.concatenate([w_up, w_dn])
+        w, v = np.linalg.eigh(np.stack([h[:half, :half], h[half:, half:]]))
+        self.w = w.reshape(-1)
         self.v = np.zeros_like(h)
-        self.v[:half, :half] = v_up
-        self.v[half:, half:] = v_dn
+        self.v[:half, :half], self.v[half:, half:] = v
         self.zhalf = np.repeat([0.5, -0.5], half)
 
         drive = on_register(PAULI_X.real / 2, half.bit_length() - 1)
@@ -173,7 +171,7 @@ class PropagationEngine:
 ENGINE_MEMO_BYTES = 2**22
 
 # The engines of recent ``engine_for`` calls, least recently used first, by
-# (h key, grid key). The lock guards the bookkeeping, not the builds.
+# (h key, grid key). The lock covers lookup, build and eviction.
 _engines: OrderedDict = OrderedDict()
 _engines_lock = threading.Lock()
 
@@ -186,8 +184,9 @@ def engine_for(h, omega1s=()) -> PropagationEngine:
     ``ENGINE_MEMO_BYTES``; then the least recently used go first. The newest
     engine is always kept, however large: at d = 32 an engine holds about
     8 kB a grid point, 17 MB at 2048 points. A one-ulp change in h or the
-    grid builds anew. Two threads that miss on one key at once each build an
-    engine; the one stored first is kept and handed to both.
+    grid builds anew. One lock covers lookup, build and eviction, so a key is
+    built once while it is kept, and builds of different keys wait for each
+    other.
     """
     h = np.asarray(h)
     grid = np.asarray(omega1s, dtype=float).reshape(-1)
@@ -196,14 +195,11 @@ def engine_for(h, omega1s=()) -> PropagationEngine:
         if key in _engines:
             _engines.move_to_end(key)
             return _engines[key]
-    engine = PropagationEngine(h, grid)
-    with _engines_lock:
-        engine = _engines.setdefault(key, engine)
-        _engines.move_to_end(key)
+        engine = _engines[key] = PropagationEngine(h, grid)
         kept = sum(_nbytes(e) for e in _engines.values())
         while kept > ENGINE_MEMO_BYTES and len(_engines) > 1:
             kept -= _nbytes(_engines.popitem(last=False)[1])
-    return engine
+        return engine
 
 
 def _nbytes(engine: PropagationEngine) -> int:

@@ -33,6 +33,15 @@ def test_one_propagation_engine_and_one_hamiltonian_builder():
     the register Hamiltonian."""
     eigh_users = sorted(name for name, text in SOURCES.items() if "linalg.eigh" in text)
     assert eigh_users == ["propagation.py"]
+    tree = ast.parse(SOURCES["propagation.py"])
+    eighs = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "np.linalg.eigh"]
+    assert len(eighs) == 2   # both free blocks in one batched call, and the drive grid
+    memo = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "engine_for")
+    locks = [ast.unparse(item.context_expr) for node in ast.walk(memo)
+             if isinstance(node, ast.With) for item in node.items]
+    assert locks == ["_engines_lock"]   # lookup, build and eviction in one critical section
     builders = sorted(f"{name}:{node.name}" for name, text in SOURCES.items()
                       for node in ast.walk(ast.parse(text))
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from icspin.targets import TargetGate
 from oracles import (
     closed_form_free_propagator,
     oracle_sequence_propagator,
+    random_register_hamiltonian,
     random_unitary,
 )
 
@@ -284,6 +286,23 @@ def test_engine_builds_at_every_register_size(d):
     assert engine.dim == d and engine.mix.shape == (1, d, d)
 
 
+def test_the_batched_free_eigh_is_the_per_block_eigh(h_subspace, register_hamiltonians):
+    """One batched eigh of both electron blocks gives the bits of one eigh of
+    each block of h's real part, on the bundled registers and random ones."""
+    rng = np.random.default_rng(50)
+    randoms = [random_register_hamiltonian(rng, d) for d in (2, 4, 8, 16, 32) for _ in range(3)]
+    for h in (h_subspace, *register_hamiltonians.values(), *randoms):
+        engine = PropagationEngine(h)
+        h = h.real
+        half = h.shape[0] // 2
+        w_up, v_up = np.linalg.eigh(h[:half, :half])
+        w_dn, v_dn = np.linalg.eigh(h[half:, half:])
+        v = np.zeros_like(h)
+        v[:half, :half], v[half:, half:] = v_up, v_dn
+        assert np.array_equal(engine.w, np.concatenate([w_up, w_dn]))
+        assert np.array_equal(engine.v, v)
+
+
 def test_sequence_propagator_needs_register_structure(h_subspace):
     h = h_subspace.copy()
     h[0, 2] = h[2, 0] = 1e-3
@@ -484,3 +503,32 @@ def test_threads_sharing_the_memo_get_their_own_engines(h_subspace, monkeypatch)
     kept = sum(propagation._nbytes(e) for e in propagation._engines.values())
     assert 1 <= len(propagation._engines) <= 2
     assert kept <= propagation.ENGINE_MEMO_BYTES
+
+
+def test_two_threads_that_miss_one_key_build_it_once(h_subspace, monkeypatch):
+    """Two threads released together ask for an engine that is not kept,
+    and the build takes 50 ms: it is built once, and both get it."""
+    built = []
+    original = PropagationEngine.__init__
+
+    def slow(self, *args, **kwargs):
+        built.append(None)
+        time.sleep(0.05)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PropagationEngine, "__init__", slow)
+    barrier = threading.Barrier(2)
+    got = []
+
+    def work():
+        barrier.wait(timeout=60)
+        got.append(engine_for(h_subspace, [0.48, 0.5, 0.52]))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 1
+    assert len(got) == 2 and got[0] is got[1]
