@@ -14,7 +14,8 @@ identical and 1 otherwise.
 The command set: one ``verify_scan`` pass of perfbench (nine verifies,
 every scan kind and ``report``); ``optimize`` cnot and hadamard on
 ``system_2q.json`` with the default GA at seeds 0-3, criterion 7's two
-gates; perfbench's ``GA_4C`` search for
+gates; the pulse-free CNOT search (``--pulses 0 --tau-max 16``, one delay,
+seed 0); perfbench's ``GA_4C`` search for
 ``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; ``verify``
 of ``ccrot_n6_a.json`` for ``ccrot:1,180`` on ``system_4c.json`` at 600 grid
 points, whose d32 engine (5.08 MB) is over ``ENGINE_MEMO_BYTES``, so the
@@ -60,6 +61,8 @@ def commands(tree: Path, inputs: Path) -> dict:
         for seed in range(4):
             named[f"optimize_{target}_{seed}"] = ["optimize", "--system", system_2q,
                                                   "--target", target, "--seed", str(seed)]
+    named["optimize_cnot_pulse_free"] = ["optimize", "--system", system_2q, "--target", "cnot",
+                                         "--pulses", "0", "--tau-max", "16", "--seed", "0"]
     ga_path = inputs / "ga_4c.json"
     ga_path.write_text(json.dumps(workloads.GA_4C), encoding="utf-8")
     for seed in range(2):

@@ -157,7 +157,7 @@ def _parse_grid(text: str) -> Band:
 
 def _load_sequence(path):
     seq = load_sequence(path)
-    check_pulses(seq.n_pulses, "--sequence pulses", 0)
+    check_pulses(seq.n_pulses, "--sequence pulses")
     return seq
 
 
@@ -221,7 +221,7 @@ def cmd_optimize(args, phases: _Phases) -> int:
     where = "GA config omega1_grid max_MHz" if "omega1_grid" in ga_doc else "default band max_MHz"
     if args.grid is not None:
         ga, where = replace(ga, omega1_grid=_parse_grid(args.grid)), "--grid max"
-    check_pulses(args.pulses, "--pulses", 1)
+    check_pulses(args.pulses, "--pulses")
     bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
     cfg.check_drive_amplitude(ga.omega1_grid.max_MHz, where)
     phases.done("load")

@@ -41,7 +41,7 @@ class ParameterBounds:
     t_max: float = 4.0
 
     def __post_init__(self):
-        check_pulses(self.n_pulses, "n_pulses", 1)
+        check_pulses(self.n_pulses, "n_pulses")
         check_real(self.tau_max, "tau_max", 0.0, MAX_DURATION_US, "(]")
         check_real(self.t_max, "t_max", 0.0, MAX_DURATION_US, "(]")
 

@@ -30,8 +30,8 @@ MAX_SEGMENTS = 2**15
 MAX_PULSES = 64
 
 
-def check_pulses(n_pulses: int, where: str, least: int) -> None:
-    check_count(n_pulses, where, least, high=MAX_PULSES)
+def check_pulses(n_pulses: int, where: str) -> None:
+    check_count(n_pulses, where, 0, high=MAX_PULSES)
 
 
 @dataclass(frozen=True)

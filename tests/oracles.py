@@ -33,6 +33,21 @@ def oracle_propagator(h: np.ndarray, t: float) -> np.ndarray:
     return taylor_expm(-2j * np.pi * h * t)
 
 
+def best_single_delay(h: np.ndarray, target: np.ndarray, tau_max: float) -> tuple[float, float]:
+    """The delay in [0, tau_max] whose series propagator is closest to
+    `target` in |Tr(U_T^dag U)| / d, and that fidelity: a 0.01 us grid,
+    then a 1e-5 us grid over the best point's two neighbours."""
+    def fidelity(tau):
+        return abs(np.trace(target.conj().T @ oracle_propagator(h, tau))) / h.shape[0]
+
+    coarse = np.linspace(0.0, tau_max, int(round(tau_max / 0.01)) + 1)
+    best = coarse[int(np.argmax([fidelity(tau) for tau in coarse]))]
+    fine = np.linspace(max(0.0, best - 0.01), min(tau_max, best + 0.01), 2001)
+    fids = [fidelity(tau) for tau in fine]
+    at = int(np.argmax(fids))
+    return float(fine[at]), float(fids[at])
+
+
 def electron_drive(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Hand-written (s_x ⊗ E, s_y ⊗ E) on the electron of a dim-level register."""
     half = dim // 2

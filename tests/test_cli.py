@@ -342,7 +342,29 @@ def test_grid_flag_and_ga_document_band_write_the_same_files(tmp_path):
 
 def test_optimize_invalid_bounds_usage_error(tmp_path):
     assert run(["optimize", "--system", SYSTEM, "--target", "hadamard",
-                "--pulses", "0", "--out", str(tmp_path / "o")]) == 1
+                "--pulses", "-1", "--out", str(tmp_path / "o")]) == 1
+
+
+def test_optimize_zero_pulses_searches_one_delay(tmp_path):
+    """--pulses 0 searches the one-delay template: the file holds one delay,
+    verify reads it back with the search's fidelities bit for bit, and a
+    rerun writes the same bytes."""
+    args = ["optimize", "--system", SYSTEM, "--target", "cnot", "--pulses", "0",
+            "--tau-max", "16", "--seed", "0"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(args + ["--out", str(out1)]) == 0
+    assert run(args + ["--out", str(out2)]) == 0
+    assert [p.read_bytes() for p in data_files(out1)] == [p.read_bytes() for p in data_files(out2)]
+    segments = json.loads((out1 / "best_sequence.json").read_text())["segments"]
+    assert len(segments) == 1 and list(segments[0]) == ["delay_us"]
+    assert 12.9 < segments[0]["delay_us"] < 13.05
+    result = json.loads((out1 / "result.json").read_text())
+    assert result["n_pulses"] == 0 and result["best_fitness"] >= 0.9808
+    assert run(["verify", "--system", SYSTEM, "--sequence", str(out1 / "best_sequence.json"),
+                "--target", "cnot", "--out", str(tmp_path / "v")]) == 0
+    verified = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert verified["omega1_grid_MHz"] == result["robustness"]["omega1s_MHz"]
+    assert verified["fidelities"] == result["robustness"]["fidelities"]
 
 
 def test_optimize_multiqubit_target(tmp_path):
@@ -1230,14 +1252,14 @@ def test_report_on_a_system_without_carbons_is_usage_error(tmp_path, capsys):
     (["scan", "--kind", "fid", "--detuning", "nan"], "--detuning"),
     (["report", "--linewidth", "1e308"], "--linewidth"),
     (["scan", "--kind", "spectrum", "--linewidth", "1e308"], "--linewidth"),
-    (["optimize", "--target", "cnot", "--pulses", "0"], "pulses"),
+    (["optimize", "--target", "cnot", "--pulses", "-1"], "pulses"),
     (["scan", "--kind", "hadamard", "--points", "1"],
      "--points for --kind hadamard must be an integer >= 2, got 1"),
     (["scan", "--kind", "fid", "--points", "1"],
      "--points for --kind fid must be an integer >= 2, got 1"),
 ], ids=["report_linewidth_nan", "spectrum_linewidth_nan", "optimize_tau_max_nan",
         "theta_points_0", "spectrum_detuning_nan", "fid_detuning_nan",
-        "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_0",
+        "report_linewidth_1e308", "spectrum_linewidth_1e308", "optimize_pulses_negative",
         "hadamard_points_1", "fid_points_1"])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, field):
     out = tmp_path / "o"

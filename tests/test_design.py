@@ -298,7 +298,7 @@ COUNTS = {
     "kernel_n_pulses": ("n_pulses", lambda cfg, value: FitnessKernel(
         icspin.multiqubit_hamiltonian(cfg), cc_rotation(cfg.n_carbons, 1, np.pi), [0.5], value)),
     "bounds_n_pulses": ("n_pulses", lambda cfg, value: ParameterBounds(value)),
-    "check_pulses": ("--pulses", lambda cfg, value: check_pulses(value, "--pulses", 1)),
+    "check_pulses": ("--pulses", lambda cfg, value: check_pulses(value, "--pulses")),
     "subset_label": ("carbon labels", lambda cfg, value: cfg.subset([value])),
     "grid_points": ("points", lambda cfg, value: Band(0.4, 0.6, value)),
     "scan_points": ("--points",
@@ -735,6 +735,17 @@ def test_each_size_has_one_budget():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not [name for name in names if name and name.startswith("MAX_")]
     assert "_check_size" not in names
+
+
+def test_one_pulse_floor():
+    """Every pulse count, a search's, a kernel's and a sequence file's, meets
+    one rule with one floor: ``check_pulses`` takes no floor, and each call
+    passes the count and its label only."""
+    assert list(inspect.signature(check_pulses).parameters) == ["n_pulses", "where"]
+    calls = [(where, node) for where, func in _top_functions() for node in ast.walk(func)
+             if isinstance(node, ast.Call) and _called_name(node) == "check_pulses"]
+    assert {where for where, _ in calls} == SIZE_BUDGETS["MAX_PULSES"][1]
+    assert [where for where, node in calls if len(node.args) != 2 or node.keywords] == []
 
 
 def test_a_band_document_is_only_a_band():

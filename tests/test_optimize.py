@@ -26,6 +26,7 @@ from icspin.optimize import (
 )
 from icspin.sequence import MAX_PULSES
 from icspin.system import ConfigError
+from oracles import best_single_delay
 
 # the module; ``icspin.optimize`` the attribute is the function
 optimize_module = importlib.import_module("icspin.optimize")
@@ -67,7 +68,7 @@ def test_rank_keys_break_fitness_ties_by_duration_then_genome():
 
 def test_bounds_validation():
     with pytest.raises(ConfigError):
-        ParameterBounds(n_pulses=0)
+        ParameterBounds(n_pulses=-1)
     with pytest.raises(ConfigError):
         ParameterBounds(n_pulses=1, tau_max=-1.0)
     for field in ("tau_max", "t_max"):
@@ -207,6 +208,26 @@ def test_empty_sequence_fidelity_to_hadamard_is_zero(h_subspace):
     genome = np.zeros(10)
     f = fitness(genome, icspin.hadamard_on_carbon(1), h_subspace, GAConfig())
     assert f == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("carbons, name", [
+    (None, "cnot"), (None, "hadamard"), ([1, 2], "ccrot:1,180"), ([1, 2], "ccrot:2,180")],
+    ids=["d4_cnot", "d4_hadamard", "d8_ccrot_1", "d8_ccrot_2"])
+def test_zero_pulse_search_finds_the_best_single_delay(system, registers, carbons, name):
+    """ParameterBounds(0) searches the one-gene genome [tau_0], and the GA
+    finds the best delay of a brute-force series scan; d4 is system_2q.json,
+    d8 carbons 1-2 of system_4c.json."""
+    cfg = system if carbons is None else registers.subset(carbons)
+    h = icspin.multiqubit_hamiltonian(cfg)
+    target = icspin.target_library(name, n_carbons=cfg.n_carbons)
+    res = optimize(target, h, ParameterBounds(0, tau_max=16.0), GAConfig(seed=0))
+    assert res.best_genome.shape == (1,) and res.n_pulses == 0
+    assert 0.0 <= res.best_genome[0] <= 16.0
+    tau, best = best_single_delay(h, target.matrix, 16.0)
+    assert abs(res.best_fitness - best) < 1e-6 and abs(res.best_genome[0] - tau) < 1e-3
+    assert res.robustness.fidelities == pytest.approx([res.best_fitness] * 5, abs=1e-12)
+    if name == "cnot":
+        assert round(best, 6) == 0.980852
 
 
 def test_same_seed_reproduces_bitwise(h_subspace):
