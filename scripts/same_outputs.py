@@ -21,8 +21,16 @@ of ``ccrot_n6_a.json`` for ``ccrot:1,180`` on ``system_4c.json`` at 600 grid
 points, whose d32 engine (5.08 MB) is over ``ENGINE_MEMO_BYTES``, so the
 memo hands the newest engine, kept over budget, from the CLI's pre-build to
 the kernel; the controls ``scan --kind hadamard --noop``, ``scan --kind theta
---gate noop --readout 0`` and ``scan --kind fid --state thermal``; and one
-refused command.
+--gate noop --readout 0`` and ``scan --kind fid --state thermal``; one refused
+command; and seven commands that give every scan flag, ``report --linewidth``
+and a one-point ``verify`` grid a value other than its default:
+``scan --kind spectrum`` on ``system_4c.json`` (``--linewidth 0.02 --detuning
+5``), ``scan --kind hadamard --sequence hadamard.json --points 512 --dt
+0.05``, ``scan --kind fid --points 300 --dt 0.05 --detuning -3``, ``scan
+--kind theta --sequence cnot.json --points 33 --readout 0``, ``scan --kind
+trajectory`` on ``system_4c.json`` with ``ccrot_n6_a.json`` at ``--dt 0.05``,
+``verify --grid 0.5,0.5,1`` of ``hadamard.json``, and ``report --linewidth
+0.02``.
 """
 from __future__ import annotations
 
@@ -81,6 +89,24 @@ def commands(tree: Path, inputs: Path) -> dict:
     named["refused_grid"] = ["verify", "--system", system_2q, "--target", "cnot",
                              "--sequence", str(data / "sequences" / "cnot.json"),
                              "--grid", "0.52,0.48,5"]
+    sequences = data / "sequences"
+    named["flags_spectrum_4c"] = ["scan", "--kind", "spectrum", "--system", str(system_4c),
+                                  "--linewidth", "0.02", "--detuning", "5"]
+    named["flags_hadamard"] = ["scan", "--kind", "hadamard", "--system", system_2q,
+                               "--sequence", str(sequences / "hadamard.json"),
+                               "--points", "512", "--dt", "0.05"]
+    named["flags_fid"] = ["scan", "--kind", "fid", "--system", system_2q,
+                          "--points", "300", "--dt", "0.05", "--detuning", "-3"]
+    named["flags_theta"] = ["scan", "--kind", "theta", "--system", system_2q,
+                            "--sequence", str(sequences / "cnot.json"),
+                            "--points", "33", "--readout", "0"]
+    named["flags_trajectory_4c"] = ["scan", "--kind", "trajectory", "--system", str(system_4c),
+                                    "--sequence", str(sequences / "ccrot_n6_a.json"),
+                                    "--dt", "0.05"]
+    named["flags_verify_one_point"] = ["verify", "--system", system_2q, "--target", "hadamard",
+                                       "--sequence", str(sequences / "hadamard.json"),
+                                       "--grid", "0.5,0.5,1"]
+    named["flags_report"] = ["report", "--system", system_2q, "--linewidth", "0.02"]
     return named
 
 

@@ -93,8 +93,8 @@ def analytic_init_delays(config: SpinSystemConfig) -> tuple[float, float]:
 def electron_rotation(angle: float, axis_phi: float, n_carbons: int = 1) -> np.ndarray:
     """Instantaneous hard rotation of the electron pseudo-qubit,
     ``operators.rotation(angle, axis_phi)``, times E on the carbons."""
-    check_carbons(n_carbons, "n_carbons", 0)
-    return on_register(rotation(angle, axis_phi), n_carbons)
+    rot = rotation(check_real(angle, "angle"), check_real(axis_phi, "axis_phi"))
+    return on_register(rot, check_carbons(n_carbons, "n_carbons", 0))
 
 
 def simulate_init_sequence(config: SpinSystemConfig):
@@ -147,21 +147,21 @@ def cleanup_propagator(config: SpinSystemConfig) -> np.ndarray:
 
 
 # The range of each scan input; a check raises ConfigError naming `where`.
-def check_time_step(dt: float, where: str = "dt") -> None:
+def check_time_step(dt: float, where: str = "dt") -> float:
     """At the floor 0.5 / MAX_CONFIG_VALUE a scan's Nyquist frequency is the
     largest frequency a config may hold; below it the spectra overflow."""
-    check_real(dt, where, 0.5 / MAX_CONFIG_VALUE)
+    return check_real(dt, where, 0.5 / MAX_CONFIG_VALUE)
 
 
-def check_linewidth(linewidth: float, where: str = "linewidth") -> None:
+def check_linewidth(linewidth: float, where: str = "linewidth") -> float:
     """At the floor 1 / (pi * MAX_DURATION_US) T2* is the longest duration allowed; below
     it the Lorentzians underflow, and past the ceiling their squared half widths overflow."""
-    check_real(linewidth, where, 1.0 / (np.pi * MAX_DURATION_US), MAX_CONFIG_VALUE)
+    return check_real(linewidth, where, 1.0 / (np.pi * MAX_DURATION_US), MAX_CONFIG_VALUE)
 
 
-def check_detuning(detuning: float, where: str = "detuning") -> None:
+def check_detuning(detuning: float, where: str = "detuning") -> float:
     """A detuning is capped like any frequency a config may hold."""
-    check_real(detuning, where, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
+    return check_real(detuning, where, -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
 
 
 # Scan sizes, checked before they are allocated; a check raises ConfigError naming `where`.
@@ -171,12 +171,12 @@ MAX_SCAN_POINTS = 2**16
 MAX_TRAJECTORY_STEPS = 10_000
 
 
-def check_scan_points(points: int, where: str, least: int) -> None:
-    check_count(points, where, least, high=MAX_SCAN_POINTS)
+def check_scan_points(points: int, where: str, least: int) -> int:
+    return check_count(points, where, least, high=MAX_SCAN_POINTS)
 
 
-def check_time_span(span: float, where: str) -> None:
-    check_real(span, where, high=MAX_DURATION_US)
+def check_time_span(span: float, where: str) -> float:
+    return check_real(span, where, high=MAX_DURATION_US)
 
 
 def _gate_matrix(gate: TargetGate | PulseSequence, h: np.ndarray) -> np.ndarray:
@@ -258,7 +258,7 @@ def electron_fid_scan(
     must reach the line span, else lines of either sign fold over zero.
     """
     t_grid = _check_uniform(t_grid)
-    check_detuning(nu_d, "detuning nu_d")
+    nu_d = check_detuning(nu_d, "detuning nu_d")
     h = multiqubit_hamiltonian(config)
     state = np.asarray(state, dtype=complex)
     if state.shape not in ((h.shape[0],), h.shape):
@@ -304,7 +304,7 @@ def theta_scan(
     population into m_S = 0 before the projective readout; branch 0 reads
     out directly.
     """
-    check_count(readout_branch, "readout_branch", -1, high=0)
+    readout_branch = check_count(readout_branch, "readout_branch", -1, high=0)
     check_scan_points(np.size(theta_grid), "theta_grid points", 1)
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
     check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)")
@@ -350,15 +350,14 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     eigenstates connected by the electron flip operator. Weights are squared
     matrix elements (see ``esr_lines``).
     """
-    check_linewidth(linewidth)
-    check_detuning(detuning)
+    linewidth, detuning = check_linewidth(linewidth), check_detuning(detuning)
     sticks = esr_lines(h)
     span = max(abs(p) for p, _ in sticks)
     if not detuning >= span:   # NaN fails too
         raise ConfigError(f"detuning {detuning} MHz must reach the line span {span:.4f}: "
                           f"the spectrum needs detuning >= {span:.4f} MHz, and a negative "
                           "detuning is below it")
-    lines = tuple((float(detuning + p), wgt) for p, wgt in sticks)
+    lines = tuple((detuning + p, wgt) for p, wgt in sticks)
     freqs = np.linspace(min(lines)[0] - 8 * linewidth, max(lines)[0] + 8 * linewidth,
                         _SPECTRUM_POINTS)
     half = linewidth / 2.0
@@ -376,7 +375,7 @@ def segment_samples(seq: PulseSequence, dt: float, where: str = "dt") -> list[in
     """The samples ``bloch_trajectory`` takes of each segment of `seq` at
     step `dt`, the segment's start left out; their sum is at most
     MAX_TRAJECTORY_STEPS. A check of `dt` raises ConfigError naming `where`."""
-    check_time_step(dt, where)
+    dt = check_time_step(dt, where)
     counts = [int(np.ceil((seg.duration - 1e-15) / dt)) for seg in seq.segments]
     check_count(sum(counts), f"trajectory steps (each segment's duration / {where}, rounded up)",
                 0, high=MAX_TRAJECTORY_STEPS)
@@ -396,6 +395,7 @@ def bloch_trajectory(
     k = 1 .. ceil((T - 1e-15) / dt), so the last point equals the one-shot
     sequence propagator applied to the initial state.
     """
+    dt = check_time_step(dt)
     counts = segment_samples(seq, dt)
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (h.shape[0],):

@@ -36,9 +36,11 @@ class Band:
     points: int = 5
 
     def __post_init__(self):
-        check_real(self.min_MHz, "min_MHz", 0.0)
-        check_real(self.max_MHz, "max_MHz (at least min_MHz)", self.min_MHz)
-        check_count(self.points, "points", 1, high=MAX_GRID_POINTS)
+        object.__setattr__(self, "min_MHz", check_real(self.min_MHz, "min_MHz", 0.0))
+        object.__setattr__(self, "max_MHz", check_real(self.max_MHz, "max_MHz (at least min_MHz)",
+                                                       self.min_MHz))
+        object.__setattr__(self, "points", check_count(self.points, "points", 1,
+                                                       high=MAX_GRID_POINTS))
 
     def omega1s(self) -> np.ndarray:
         """`points` amplitudes spanning the band, or its centre for one point."""

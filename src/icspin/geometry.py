@@ -34,8 +34,8 @@ class DipolarGeometry:
     theta_deg: float
 
     def __post_init__(self):
-        check_real(self.r_nm, "r_nm", 0.0, np.inf, "()")
-        check_real(self.theta_deg, "theta_deg", 0.0, 180.0)
+        object.__setattr__(self, "r_nm", check_real(self.r_nm, "r_nm", 0.0, np.inf, "()"))
+        object.__setattr__(self, "theta_deg", check_real(self.theta_deg, "theta_deg", 0.0, 180.0))
 
 
 @np.errstate(over="ignore", under="ignore")   # the prefactor is checked
@@ -46,7 +46,7 @@ def dipolar_prefactor_mhz(r_nm: float) -> float:
     underflow; a distance that is not positive and finite, or whose f(r)
     leaves the float range, raises ConfigError.
     """
-    check_real(r_nm, "r_nm", 0.0, np.inf, "()")
+    r_nm = check_real(r_nm, "r_nm", 0.0, np.inf, "()")
     m, e = np.frexp(r_nm)
     b = -MU0_OVER_4PI * GAMMA_E * GAMMA_C13 * PLANCK_H / (m * 1e-9) ** 3  # rad/s scale
     f = np.ldexp(b / (2 * np.pi) / 1e6, -3 * e)

@@ -28,7 +28,7 @@ def multiqubit_hamiltonian(config: SpinSystemConfig, m_s: int = -1) -> np.ndarra
     |m_S> a_zx s_x term at (i, i ^ bit) in the |m_S> block. Summed in slot
     order, the entries equal the Kronecker sum's bit for bit.
     """
-    check_count(m_s, "m_s", -1, high=1, error=ValueError)
+    m_s = check_count(m_s, "m_s", -1, high=1, error=ValueError)
     if m_s == 0:
         raise ValueError("m_s must be -1 or +1, got 0")
     n = config.n_carbons

@@ -96,8 +96,7 @@ class FitnessKernel:
     """
 
     def __init__(self, h, target: TargetGate, omega1s, n_pulses):
-        check_pulses(n_pulses, "n_pulses")
-        self.n_pulses = int(n_pulses)
+        self.n_pulses = check_pulses(n_pulses, "n_pulses")
         if np.size(omega1s) == 0:
             raise ValueError("amplitude grid must be non-empty")
         self.engine = engine_for(h, omega1s)

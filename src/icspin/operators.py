@@ -6,8 +6,9 @@ complex128. Spin-1/2 operators use s_z = diag(+1/2, -1/2) = PAULI_Z / 2;
 the electron pseudo-qubit m_S = 0, m_s is one too, |0> playing "up".
 `on_register` alone writes the register's order: electron, then carbons
 by label. The two input rules of the library live here too, `check_count`
-for every count and `check_real` for every real-valued input, beside
-`ConfigError`, the package's one error type: every refused input raises it.
+for every count and `check_real` for every real-valued input, each returning
+the Python int or float it checked, beside `ConfigError`, the package's one
+error type: every refused input raises it.
 """
 from __future__ import annotations
 
@@ -54,24 +55,26 @@ class ConfigError(ValueError):
 
 
 def check_count(value, where: str, low: int, high: int | None = None, *,
-                error: type[Exception] = ConfigError) -> None:
-    """The one rule of a count: raise `error`, naming `where`, unless `value`
-    is a Python or numpy integer from `low` to `high` (no ceiling for None).
-    A bool, a float (a whole one too), a string and None are refused. A
-    code-supplied argument passes ``error=ValueError``."""
+                error: type[Exception] = ConfigError) -> int:
+    """The one rule of a count: return ``int(value)``, or raise `error`,
+    naming `where`, unless `value` is a Python or numpy integer from `low`
+    to `high` (no ceiling for None). A bool, a float (a whole one too), a
+    string and None are refused. A code-supplied argument passes
+    ``error=ValueError``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise error(f"{where} must be an integer >= {low}, got {value!r}")
     if high is not None and value > high:
         raise error(f"{where} must be at most {high}, got {value}")
+    return int(value)
 
 
 def check_real(value, where: str, low: float = -math.inf, high: float = math.inf,
-               ends: str = "[]") -> None:
-    """The one range rule of a real-valued input: raise ConfigError, naming
-    `where`, unless `value` is a Python or numpy real number, finite, from
-    `low` to `high`, each end closed or open as `ends` ("[]", "[)", "(]" or
-    "()") says. A bool, a numpy bool, a string, None, NaN and an int past
-    the float range are refused; `value` is not converted."""
+               ends: str = "[]") -> float:
+    """The one range rule of a real-valued input: return ``float(value)``,
+    or raise ConfigError, naming `where`, unless `value` is a Python or
+    numpy real number, finite, from `low` to `high`, each end closed or open
+    as `ends` ("[]", "[)", "(]" or "()") says. A bool, a numpy bool, a
+    string, None, NaN and an int past the float range are refused."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
@@ -82,7 +85,8 @@ def check_real(value, where: str, low: float = -math.inf, high: float = math.inf
             and (x < high if ends[1] == ")" else x <= high)):
         left, right = "(" if low == -math.inf else ends[0], ")" if high == math.inf else ends[1]
         raise ConfigError(f"{where} must be finite and in {left}{low:g}, {high:g}{right}, "
-                          f"got {value!r}")
+                          f"got {value}")
+    return x
 
 
 def assert_hermitian(h: np.ndarray) -> None:

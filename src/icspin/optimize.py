@@ -41,9 +41,10 @@ class ParameterBounds:
     t_max: float = 4.0
 
     def __post_init__(self):
-        check_pulses(self.n_pulses, "n_pulses")
-        check_real(self.tau_max, "tau_max", 0.0, MAX_DURATION_US, "(]")
-        check_real(self.t_max, "t_max", 0.0, MAX_DURATION_US, "(]")
+        object.__setattr__(self, "n_pulses", check_pulses(self.n_pulses, "n_pulses"))
+        for name in ("tau_max", "t_max"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, 0.0,
+                                                      MAX_DURATION_US, "(]"))
 
     @property
     def genome_length(self) -> int:
@@ -86,16 +87,16 @@ class GAConfig:
 
     def __post_init__(self):
         for name, (least, most) in _GA_COUNTS.items():
-            check_count(getattr(self, name), name, least, most)
-        check_count(self.elites, "elites (below population)", 1, high=self.population - 1)
-        check_real(self.crossover_rate, "crossover_rate", 0.0, 1.0)
-        check_real(self.mutation_rate, "mutation_rate", 0.0, 1.0)
-        check_real(self.mutation_scale, "mutation_scale", 0.0, MAX_CONFIG_VALUE)
-        if self.early_stop is not None:
-            check_real(self.early_stop, "early_stop", 0.0, 1.0)
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least, most))
+        object.__setattr__(self, "elites", check_count(self.elites, "elites (below population)",
+                                                       1, high=self.population - 1))
+        for name, most in (("crossover_rate", 1.0), ("mutation_rate", 1.0),
+                           ("mutation_scale", MAX_CONFIG_VALUE), ("early_stop", 1.0)):
+            if name != "early_stop" or self.early_stop is not None:   # None: no early stop
+                object.__setattr__(self, name, check_real(getattr(self, name), name, 0.0, most))
         if not isinstance(self.omega1_grid, Band):
             raise ConfigError(f"omega1_grid must be a Band, got {self.omega1_grid!r}")
-        work = int(self.population) * (int(self.generations) + 1) * int(self.restarts)
+        work = self.population * (self.generations + 1) * self.restarts
         check_count(work, "work population * (generations + 1) * restarts", 0, high=MAX_GA_GENOMES)
 
 

@@ -30,8 +30,8 @@ MAX_SEGMENTS = 2**15
 MAX_PULSES = 64
 
 
-def check_pulses(n_pulses: int, where: str) -> None:
-    check_count(n_pulses, where, 0, high=MAX_PULSES)
+def check_pulses(n_pulses: int, where: str) -> int:
+    return check_count(n_pulses, where, 0, high=MAX_PULSES)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class Delay:
     tau: float
 
     def __post_init__(self):
-        check_real(self.tau, "delay_us", 0.0, MAX_DURATION_US)
+        object.__setattr__(self, "tau", check_real(self.tau, "delay_us", 0.0, MAX_DURATION_US))
 
     @property
     def duration(self) -> float:
@@ -56,8 +56,8 @@ class Pulse:
     phi: float
 
     def __post_init__(self):
-        check_real(self.t, "pulse_us", 0.0, MAX_DURATION_US)
-        check_real(self.phi, "phase_rad", 0.0, TWO_PI, "[)")
+        object.__setattr__(self, "t", check_real(self.t, "pulse_us", 0.0, MAX_DURATION_US))
+        object.__setattr__(self, "phi", check_real(self.phi, "phase_rad", 0.0, TWO_PI, "[)"))
 
     @property
     def duration(self) -> float:
@@ -72,7 +72,7 @@ class PulseSequence:
     omega1: float
 
     def __post_init__(self):
-        check_real(self.omega1, "omega1_MHz", 0.0)
+        object.__setattr__(self, "omega1", check_real(self.omega1, "omega1_MHz", 0.0))
         for seg in self.segments:
             if not isinstance(seg, (Delay, Pulse)):
                 raise TypeError(f"unknown segment type: {type(seg).__name__}")
@@ -123,9 +123,9 @@ def sequence_from_genome(genome, omega1: float) -> PulseSequence:
     taus, ts, phis = genome_parts(genome)
     segments: list = []
     for tau, t, phi in zip(taus, ts, np.mod(phis, TWO_PI)):
-        segments.append(Delay(float(tau)))
-        segments.append(Pulse(float(t), float(phi)))
-    segments.append(Delay(float(taus[-1])))
+        segments.append(Delay(tau))
+        segments.append(Pulse(t, phi))
+    segments.append(Delay(taus[-1]))
     return PulseSequence(tuple(segments), omega1)
 
 

@@ -26,8 +26,8 @@ MAX_CARBONS = 4
 _CARBON_KEYS = ("A_zz_MHz", "A_zx_MHz")   # a carbon's document keys, in field order
 
 
-def check_carbons(n_carbons: int, where: str, least: int) -> None:
-    check_count(n_carbons, where, least, high=MAX_CARBONS)
+def check_carbons(n_carbons: int, where: str, least: int) -> int:
+    return check_count(n_carbons, where, least, high=MAX_CARBONS)
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class HyperfineCoupling:
     a_zx: float
 
     def __post_init__(self):
-        check_real(self.a_zz, "A_zz_MHz")
-        check_real(self.a_zx, "A_zx_MHz")
+        object.__setattr__(self, "a_zz", check_real(self.a_zz, "A_zz_MHz"))
+        object.__setattr__(self, "a_zx", check_real(self.a_zx, "A_zx_MHz"))
         if self.a_zz == 0.0 and self.a_zx == 0.0:
             raise ConfigError("A_zz_MHz and A_zx_MHz must not both be zero for a physical carbon")
 
@@ -67,8 +67,9 @@ class SpinSystemConfig:
     carbons: tuple[HyperfineCoupling, ...]
 
     def __post_init__(self):
-        check_real(self.d, "D_MHz", 0.0, MAX_CONFIG_VALUE, "(]")
-        check_real(self.nu_c, "nu_C_MHz", 0.0, MAX_CONFIG_VALUE, "(]")
+        object.__setattr__(self, "d", check_real(self.d, "D_MHz", 0.0, MAX_CONFIG_VALUE, "(]"))
+        object.__setattr__(self, "nu_c", check_real(self.nu_c, "nu_C_MHz", 0.0,
+                                                    MAX_CONFIG_VALUE, "(]"))
         check_carbons(len(self.carbons), "number of carbons", 1)
         for i, c in enumerate(self.carbons):   # HyperfineCoupling itself takes any float
             for key, value in zip(_CARBON_KEYS, (c.a_zz, c.a_zx)):

@@ -40,7 +40,7 @@ def cc_rotation(n_carbons: int, carbon: int, theta: float) -> TargetGate:
     fraction of a turn to about 1e-10 degrees."""
     _check_carbon(carbon, n_carbons)
     limit = math.radians(MAX_CONFIG_VALUE)
-    check_real(theta, "ccrot angle in radians", -limit, limit)
+    theta = check_real(theta, "ccrot angle in radians", -limit, limit)
     return TargetGate(on_register(PROJ_UP, n_carbons)
                       + on_register(PROJ_DOWN, n_carbons, {carbon: rotation(theta, 0.0)}))
 

@@ -21,6 +21,7 @@ from icspin.optimize import (MAX_GA_GENOMES, MAX_POPULATION, GAConfig, Optimizat
                              ParameterBounds, ga_config_from_dict)
 from icspin.propagation import PropagationEngine
 from icspin.sequence import Delay, Pulse, PulseSequence, check_pulses, sequence_from_genome
+from icspin.states import basis_state
 from icspin.system import HyperfineCoupling, SpinSystemConfig, data_path, system_from_dict
 from icspin.targets import cc_rotation
 
@@ -371,17 +372,20 @@ REALS = {
                  lambda cfg, value: experiments.check_detuning(value, "--detuning")),
     "time_span": ("span", lambda cfg, value: experiments.check_time_span(value, "span")),
     "ccrot_angle": ("ccrot angle", lambda cfg, value: cc_rotation(1, 1, value)),
+    "rotation_angle": ("angle", lambda cfg, value: experiments.electron_rotation(value, 0.0)),
+    "rotation_axis_phi": ("axis_phi",
+                          lambda cfg, value: experiments.electron_rotation(np.pi, value)),
 }
 
 
 @pytest.mark.parametrize("site, value", [
     (site, value) for site in REALS for value in (True, np.True_, "1", None, math.nan)
     if (site, value) != ("ga_early_stop", None)   # None turns early stopping off
-])
+] + [(site, -math.inf) for site in REALS])
 def test_library_reals_refuse_what_is_not_a_number(system, site, value):
-    """A bool, a string, None or NaN given as a real input raises
-    ConfigError, naming the input; a bool passed every range check and a
-    string raised a bare TypeError."""
+    """A bool, a string, None, NaN or an infinity given as a real input
+    raises ConfigError, naming the input; a bool passed every range check
+    and a string raised a bare TypeError."""
     name, call = REALS[site]
     with pytest.raises(ConfigError, match=name):
         call(system, value)
@@ -392,6 +396,112 @@ def test_library_reals_take_numpy_floats_and_ints(system):
     for _, call in REALS.values():
         for value in (np.float64(1.0), 1):
             call(system, value)
+
+
+def _same(got, want):
+    """`got` equals `want` in value and in type, through dataclass fields,
+    an object's attributes, tuples and lists, and arrays with their dtype."""
+    assert type(got) is type(want), (got, want)
+    if got is want:
+        return
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+    elif dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            _same(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same(a, b)
+    elif hasattr(got, "__dict__"):
+        _same(vars(got), vars(want))
+    elif isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            _same(got[key], want[key])
+    else:
+        assert got == want, (got, want)
+
+
+REAL_DTYPES = (np.float16, np.float32, np.float64, np.int8, np.int32, np.int64, np.uint16)
+COUNT_DTYPES = (np.int8, np.int32, np.int64, np.uint16)
+
+
+@pytest.mark.parametrize("dtype", REAL_DTYPES)
+@pytest.mark.parametrize("site", sorted(REALS))
+def test_a_numpy_real_is_stored_and_used_as_a_python_float(system, site, dtype):
+    """Every real input given as a numpy float (0.7, which no float16 or
+    float32 holds exactly) or a numpy int (1) gives what ``float(value)``
+    gives, in value and type: a constructor stores the Python float and a
+    computation runs in float64."""
+    value = dtype(0.7 if np.issubdtype(dtype, np.floating) else 1)
+    _, call = REALS[site]
+    _same(call(system, value), call(system, float(value)))
+
+
+@pytest.mark.parametrize("dtype", COUNT_DTYPES)
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_a_numpy_integer_is_stored_and_used_as_a_python_int(registers, site, dtype):
+    """Every count given as a numpy integer gives what ``int(value)`` gives,
+    in value and type: a constructor stores the Python int."""
+    _, call = COUNTS[site]
+    _same(call(registers, dtype(3)), call(registers, 3))
+
+
+# Library entry points that compute with a checked input: a call on inputs
+# made by `real` and `count`, at the values a CLI run uses
+ENTRY_POINTS = {
+    "esr_spectrum": lambda cfg, real, count: experiments.esr_spectrum(
+        icspin.multiqubit_hamiltonian(cfg), real(0.0106), real(3.3)),
+    "band_omega1s": lambda cfg, real, count: Band(real(0.48), real(0.52), count(5)).omega1s(),
+    "robust_fidelity": lambda cfg, real, count: icspin.robust_fidelity(
+        icspin.load_sequence(data_path("sequences/cnot.json")), cc_rotation(1, 1, np.pi),
+        icspin.multiqubit_hamiltonian(cfg), (real(0.48), real(0.52)), count(5)),
+    "cc_rotation": lambda cfg, real, count: cc_rotation(count(1), count(1), real(np.pi / 3)),
+    "fid_sticks": lambda cfg, real, count: experiments.electron_fid_scan(
+        basis_state(0, 4), real(3.3), np.arange(64) * 0.1, cfg).spectrum.lines,
+    "trajectory": lambda cfg, real, count: experiments.bloch_trajectory(
+        icspin.load_sequence(data_path("sequences/cnot.json")), icspin.multiqubit_hamiltonian(cfg),
+        basis_state(0, 4), real(0.3)),
+}
+
+
+@pytest.mark.parametrize("real", (np.float16, np.float32, np.float64))
+@pytest.mark.parametrize("count", COUNT_DTYPES)
+@pytest.mark.parametrize("site", sorted(ENTRY_POINTS))
+def test_entry_points_compute_on_python_numbers(system, site, real, count):
+    """A float32 linewidth gave float32 spectra, a float32 angle moved a
+    ccrot matrix by 1.3e-8 and a float32 band gave float32 amplitudes: each
+    result now equals the one for the same values as Python numbers."""
+    call = ENTRY_POINTS[site]
+    _same(call(system, real, count),
+          call(system, lambda x: float(real(x)), lambda x: int(count(x))))
+
+
+def test_ga_counts_at_the_work_budget_are_python_ints():
+    """np.int32 counts at the work budget make the GAConfig of Python ints,
+    and np.int32 counts whose product passes 2**31 are refused by the
+    budget, not wrapped by numpy arithmetic."""
+    fields = {"population": MAX_POPULATION, "generations": GAConfig.generations, "elites": 5,
+              "seed": 7, "restarts": 1}
+    _same(GAConfig(**{name: np.int32(value) for name, value in fields.items()}),
+          GAConfig(**fields))
+    with pytest.raises(ConfigError, match="work"):
+        GAConfig(population=np.int32(MAX_POPULATION), generations=np.int32(2**31 - 2))
+
+
+def test_no_post_init_drops_a_checked_value():
+    """A ``__post_init__`` stores what a rule returns for each field it
+    checks; no ``check_*`` call on ``self.<field>`` is a bare statement."""
+    dropped = [f"{name}: {ast.unparse(node)}" for name, text in SOURCES.items()
+               for func in ast.walk(ast.parse(text))
+               if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+               for node in ast.walk(func) if isinstance(node, ast.Expr)
+               and isinstance(node.value, ast.Call) and node.value.args
+               and _called_name(node.value).startswith("check_")
+               and isinstance(node.value.args[0], ast.Attribute)
+               and ast.unparse(node.value.args[0].value) == "self"]
+    assert dropped == []
 
 
 def test_no_real_input_is_compared_outside_the_rule():
@@ -607,11 +717,10 @@ def test_one_random_generator():
     assert not [module for module in imports if (module or "").startswith("numpy.random")]
 
 
-# Each scan input's check and every function that calls it; bloch_trajectory
-# reads dt through segment_samples
+# Each scan input's check and every function that calls it
 SCAN_INPUT_RULES = {
     "check_time_step": {"experiments.py:_check_uniform", "experiments.py:segment_samples",
-                        "cli.py:cmd_scan"},
+                        "experiments.py:bloch_trajectory", "cli.py:cmd_scan"},
     "check_linewidth": {"experiments.py:esr_spectrum", "experiments.py:min_coherence_time",
                         "cli.py:cmd_scan", "cli.py:cmd_report"},
     "check_detuning": {"experiments.py:electron_fid_scan", "experiments.py:esr_spectrum",
