@@ -30,7 +30,9 @@ and a one-point ``verify`` grid a value other than its default:
 --kind theta --sequence cnot.json --points 33 --readout 0``, ``scan --kind
 trajectory`` on ``system_4c.json`` with ``ccrot_n6_a.json`` at ``--dt 0.05``,
 ``verify --grid 0.5,0.5,1`` of ``hadamard.json``, and ``report --linewidth
-0.02``.
+0.02``; and ``scan --kind spectrum`` just above each register's resolution
+floor, ``--linewidth 0.00021`` on ``system_2q.json`` and ``0.0011`` on
+``system_4c.json``, which the spectrum's resolution rule must not refuse.
 """
 from __future__ import annotations
 
@@ -107,6 +109,10 @@ def commands(tree: Path, inputs: Path) -> dict:
                                        "--sequence", str(sequences / "hadamard.json"),
                                        "--grid", "0.5,0.5,1"]
     named["flags_report"] = ["report", "--system", system_2q, "--linewidth", "0.02"]
+    named["resolved_spectrum_2q"] = ["scan", "--kind", "spectrum", "--system", system_2q,
+                                     "--linewidth", "0.00021"]
+    named["resolved_spectrum_4c"] = ["scan", "--kind", "spectrum", "--system", str(system_4c),
+                                     "--linewidth", "0.0011"]
     return named
 
 

@@ -221,8 +221,11 @@ def cmd_optimize(args, phases: _Phases) -> int:
     where = "GA config omega1_grid max_MHz" if "omega1_grid" in ga_doc else "default band max_MHz"
     if args.grid is not None:
         ga, where = replace(ga, omega1_grid=_parse_grid(args.grid)), "--grid max"
-    check_pulses(args.pulses, "--pulses")
-    bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
+    try:
+        bounds = ParameterBounds(args.pulses, args.tau_max, args.t_max)
+    except ConfigError as exc:   # each message starts with the field it names
+        flags = {"n_pulses": "--pulses", "tau_max": "--tau-max", "t_max": "--t-max"}
+        raise ConfigError(f"{flags[str(exc).split()[0]]}: {exc}") from exc
     cfg.check_drive_amplitude(ga.omega1_grid.max_MHz, where)
     phases.done("load")
     h = multiqubit_hamiltonian(cfg)

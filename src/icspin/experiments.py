@@ -217,6 +217,14 @@ def _check_sampling(t_grid: np.ndarray, f_max: float, what: str) -> None:
                           f"(need dt < {0.5 / f_max:.4g} us)")
 
 
+def _check_resolution(freqs: np.ndarray, linewidth: float) -> None:
+    """Refuse a uniform frequency grid (MHz) whose step exceeds a third of the
+    linewidth; up to that step a line midway between two samples keeps 90% of its peak."""
+    if (step := float(freqs[1] - freqs[0])) > linewidth / 3:
+        raise ConfigError(f"linewidth {linewidth} MHz is below three steps of the "
+                          f"spectrum grid, {step:.4g} MHz each, so the lines are not resolved")
+
+
 def hadamard_circuit_scan(
     gate: TargetGate | PulseSequence | None,
     t_grid: np.ndarray,
@@ -252,7 +260,7 @@ def electron_fid_scan(
 ) -> ScanResult:
     """Electron FID (90_x - t - 90_phi) with phase ramp phi(t) = -2pi nu_d t.
 
-    `state` is a state vector or a density matrix of the register. The
+    `state` is a state of the register, as ``density_matrix`` takes it. The
     population of m_S = 0 is recorded as a function of t; its spectrum
     is centered at the detuning nu_d and split by the carbon state. |nu_d|
     must reach the line span, else lines of either sign fold over zero.
@@ -260,16 +268,13 @@ def electron_fid_scan(
     t_grid = _check_uniform(t_grid)
     nu_d = check_detuning(nu_d, "detuning nu_d")
     h = multiqubit_hamiltonian(config)
-    state = np.asarray(state, dtype=complex)
-    if state.shape not in ((h.shape[0],), h.shape):
-        raise ValueError(f"state must have shape ({h.shape[0]},) or {h.shape}, got {state.shape}")
+    rho0 = density_matrix(state, h.shape[0])
     lines = esr_lines(h)
     span = max(abs(p) for p, _ in lines)
     if abs(nu_d) < span:
         raise ConfigError(f"detuning {nu_d} MHz must reach the line span {span:.4f} in magnitude")
     _check_sampling(t_grid, abs(nu_d) + span, "the detuning plus the line span")
 
-    rho0 = density_matrix(state)
     p0 = on_register(PROJ_UP, config.n_carbons)
     pulse = electron_rotation(np.pi / 2, 0.0, config.n_carbons)
     rho1 = pulse @ rho0 @ pulse.conj().T
@@ -348,7 +353,7 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
 
     Stick positions sit at detuning + (E_upper - E_lower) for every pair of
     eigenstates connected by the electron flip operator. Weights are squared
-    matrix elements (see ``esr_lines``).
+    matrix elements (see ``esr_lines``). A linewidth under three grid steps is refused.
     """
     linewidth, detuning = check_linewidth(linewidth), check_detuning(detuning)
     sticks = esr_lines(h)
@@ -360,6 +365,7 @@ def esr_spectrum(h: np.ndarray, linewidth: float, detuning: float) -> Spectrum:
     lines = tuple((detuning + p, wgt) for p, wgt in sticks)
     freqs = np.linspace(min(lines)[0] - 8 * linewidth, max(lines)[0] + 8 * linewidth,
                         _SPECTRUM_POINTS)
+    _check_resolution(freqs, linewidth)
     half = linewidth / 2.0
     amps = np.zeros_like(freqs)
     for pos, wgt in lines:
@@ -390,17 +396,17 @@ def bloch_trajectory(
 ) -> Trajectory:
     """Bloch vectors of the electron and each carbon sampled every `dt` us.
 
-    `initial` is a state vector of the register's dimension. A segment of
+    `initial` is a state vector that ``density_matrix`` takes. A segment of
     duration T starting at s is sampled in closed form at s + min(k dt, T),
     k = 1 .. ceil((T - 1e-15) / dt), so the last point equals the one-shot
     sequence propagator applied to the initial state.
     """
     dt = check_time_step(dt)
     counts = segment_samples(seq, dt)
+    density_matrix(initial, h.shape[0], "initial")
     psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (h.shape[0],):
-        raise ValueError(f"initial must be a state vector of shape ({h.shape[0]},), "
-                         f"got shape {psi.shape}")
+    if psi.ndim != 1:
+        raise ValueError(f"initial must be a state vector, got shape {psi.shape}")
     engine = engine_for(h, [seq.omega1])
     state = engine.v.T @ psi   # free eigenbasis
 

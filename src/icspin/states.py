@@ -13,24 +13,25 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     return psi
 
 
-def density_matrix(state: np.ndarray) -> np.ndarray:
-    """Promote a state vector to a density matrix; pass density matrices through."""
+STATE_SLACK = 1e-9   # roundoff allowed in a state's trace and Hermiticity
+
+
+def density_matrix(state, dim: int, where: str = "state") -> np.ndarray:
+    """The one rule of a register state, which only code supplies: a unit vector of
+    shape (dim,) gives ``np.outer(state, state.conj())``, a Hermitian unit-trace (dim, dim)
+    matrix itself, within STATE_SLACK. Anything else, NaN too, raises ValueError naming `where`."""
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return state
+    rho = np.outer(state, state.conj()) if state.shape == (dim,) else state
+    if not (rho.shape == (dim, dim) and abs(np.trace(rho) - 1.0) <= STATE_SLACK
+            and np.abs(rho - rho.conj().T).max() <= STATE_SLACK):
+        raise ValueError(f"{where} must have shape ({dim},) and unit norm, or shape "
+                         f"({dim}, {dim}), unit trace and Hermitian, got shape {state.shape}")
+    return rho
 
 
 def partial_trace(state: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of subsystem `keep` from a state over `dims`.
-
-    `state` may be a vector or a density matrix whose dimension is the
-    product of `dims`.
-    """
-    rho = density_matrix(state)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"state of dim {rho.shape[0]} does not factor as {dims}")
+    """Reduced density matrix of subsystem `keep` of a state of dimension prod(dims)."""
+    rho = density_matrix(state, int(np.prod(dims)), f"a state that factors as {dims}")
     check_count(keep, "subsystem index", 0, high=len(dims) - 1, error=ValueError)
     n = len(dims)
     rho = rho.reshape(dims + dims)
@@ -43,14 +44,8 @@ def partial_trace(state: np.ndarray, keep: int, dims: tuple[int, ...]) -> np.nda
 
 def bloch_vector(rho2: np.ndarray) -> np.ndarray:
     """(x, y, z) expectation values of a single-qubit density matrix."""
-    rho2 = density_matrix(rho2)
-    return np.array(
-        [
-            np.real(np.trace(rho2 @ PAULI_X)),
-            np.real(np.trace(rho2 @ PAULI_Y)),
-            np.real(np.trace(rho2 @ PAULI_Z)),
-        ]
-    )
+    rho2 = density_matrix(rho2, 2)
+    return np.array([np.trace(rho2 @ pauli).real for pauli in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 def qubit_bloch_vectors(states: np.ndarray) -> np.ndarray:

@@ -21,6 +21,13 @@ from .system import MAX_CONFIG_VALUE, check_carbons
 class TargetGate:
     matrix: np.ndarray
 
+    def __post_init__(self):   # code supplies a gate, so a bad one is a ValueError
+        u = np.asarray(self.matrix, dtype=complex)
+        if not (u.ndim == 2 and u.shape[0] == u.shape[1] > 0 and np.isfinite(u).all()
+                and np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-9):
+            raise ValueError(f"a TargetGate must be a finite square matrix with "
+                             f"max|U^dag U - I| <= 1e-9, got shape {u.shape}")
+
 
 def hadamard_on_carbon(n_carbons: int = 1) -> TargetGate:
     """Hadamard on carbon 1, identity on the electron and other carbons."""
@@ -63,10 +70,11 @@ def target_library(name: str, n_carbons: int = 1) -> TargetGate:
         try:
             carbon_str, theta_str = params.split(",")
             carbon = int(carbon_str)
-            theta = math.radians(float(theta_str))
+            theta = float(theta_str)
         except ValueError as exc:
             raise ConfigError("ccrot parameters must be '<carbon>,<theta_deg>', "
                               f"got {params!r}") from exc
-        return cc_rotation(n_carbons, carbon, theta)
+        theta = check_real(theta, "ccrot angle in degrees", -MAX_CONFIG_VALUE, MAX_CONFIG_VALUE)
+        return cc_rotation(n_carbons, carbon, math.radians(theta))
     raise ConfigError(f"unknown target {name!r}; the forms are hadamard, cnot and "
                       f"ccrot:<carbon>,<theta_deg>")

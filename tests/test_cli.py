@@ -1070,15 +1070,15 @@ def test_verify_non_finite_target_angle_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("angle, code", [("1e308", 1), ("-1e7", 1), ("-720", 0), ("1e6", 0)])
 def test_verify_target_angle_past_its_ceiling_is_usage_error(tmp_path, capsys, angle, code):
     """A ccrot angle of 1e308 degrees kept no digit below 720 and was scored;
-    |theta| is capped at MAX_CONFIG_VALUE degrees, like the CLI's other numbers."""
+    |theta| is capped at MAX_CONFIG_VALUE degrees, like the CLI's other numbers,
+    and the refusal names the degrees the flag was given in."""
     out = tmp_path / "o"
     assert run(["verify", "--system", SYSTEM, "--sequence", CNOT,
                 "--target", f"ccrot:1,{angle}", "--out", str(out)]) == code
     if code:
         err = capsys.readouterr().err
-        limit = np.radians(MAX_CONFIG_VALUE)
-        assert err.startswith(f"error: --target: ccrot angle in radians must be finite and in "
-                              f"[{-limit:g}, {limit:g}], got {math.radians(float(angle))!r}")
+        assert err.startswith(f"error: --target: ccrot angle in degrees must be finite and in "
+                              f"[{-MAX_CONFIG_VALUE:g}, {MAX_CONFIG_VALUE:g}], got {float(angle)}")
         assert not out.exists()
 
 
@@ -1286,15 +1286,22 @@ def test_linewidth_below_its_floor_is_usage_error(tmp_path, capsys, argv, linewi
     assert not out.exists()
 
 
-def test_linewidth_at_its_floor_runs(tmp_path):
+def test_linewidth_at_its_floor_runs(tmp_path, capsys):
+    """The report runs at the linewidth floor. The spectrum's 4,001-point grid
+    cannot resolve lines that narrow, so it is refused there, naming the
+    linewidth and the grid step, before --out is made."""
     out = tmp_path / "o"
     floor = repr(LINEWIDTH_FLOOR)
     assert run(["report", "--system", SYSTEM, "--linewidth", floor, "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["min_T2_star_us"] == \
         pytest.approx(MAX_DURATION_US, rel=1e-12)
+    spectrum = tmp_path / "spectrum"
+    capsys.readouterr()
     assert run(["scan", "--kind", "spectrum", "--system", SYSTEM, "--linewidth", floor,
-                "--out", str(out)]) == 0
-    assert "nan" not in (out / "esr_spectrum.csv").read_text()
+                "--out", str(spectrum)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: linewidth {LINEWIDTH_FLOOR} MHz is below "
+                                              "three steps of the spectrum grid")
+    assert not spectrum.exists()
 
 
 @pytest.mark.parametrize("kind,flag", [
@@ -1488,6 +1495,32 @@ def test_optimize_bound_past_the_duration_ceiling_is_usage_error(tmp_path, capsy
     assert run(["optimize", "--system", SYSTEM, "--target", "cnot", flag, "1e308",
                 "--out", str(out)]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tau-max", "0"], "--tau-max: tau_max must be finite and in (0, 1e+06], got 0.0"),
+    (["--t-max", "0"], "--t-max: t_max must be finite and in (0, 1e+06], got 0.0"),
+    (["--pulses", "-1"], "--pulses: n_pulses must be an integer >= 0, got -1"),
+], ids=["tau_max", "t_max", "pulses"])
+def test_optimize_bound_refusal_names_its_flag(tmp_path, capsys, argv, message):
+    """--tau-max 0 and --t-max 0 named only the bounds' field; every bound
+    refusal names the flag that set it, as --seed and --grid do."""
+    out = tmp_path / "o"
+    assert run(["optimize", "--system", SYSTEM, "--target", "cnot", *argv,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_spectrum_at_a_linewidth_it_cannot_resolve_is_usage_error(tmp_path, capsys):
+    """--linewidth 1e-6 ran, and its spectrum peaked at 0.002 against 0.5 at
+    the default while the summary still counted 4 resolvable lines."""
+    out = tmp_path / "o"
+    assert run(["scan", "--kind", "spectrum", "--system", SYSTEM, "--linewidth", "1e-6",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: linewidth 1e-06 MHz is below three steps "
+                                              "of the spectrum grid")
     assert not out.exists()
 
 

@@ -763,8 +763,7 @@ SIZE_BUDGETS = {
                              {"experiments.py:bloch_trajectory", "cli.py:_scan_trajectory"}),
     "MAX_PULSES": ("sequence.py:check_pulses",
                    {"optimize.py:ParameterBounds.__post_init__",
-                    "kernels.py:FitnessKernel.__init__", "cli.py:_load_sequence",
-                    "cli.py:cmd_optimize"}),
+                    "kernels.py:FitnessKernel.__init__", "cli.py:_load_sequence"}),
     "MAX_SEGMENTS": ("sequence.py:sequence_from_dict", {"sequence.py:load_sequence"}),
     "MAX_GRID_POINTS": ("fidelity.py:Band.__post_init__",
                         {"fidelity.py:robust_fidelity", "optimize.py:ga_config_from_dict",
@@ -1024,3 +1023,54 @@ def test_only_the_cli_reads_gate_spellings():
     assert found == []
     assert [node for node in ast.walk(ast.parse(SOURCES["kernels.py"]))
             if isinstance(node, ast.Call) and _called_name(node) == "hasattr"] == []
+
+
+# The names the package gives a register state
+STATE_NAMES = {"state", "states", "initial", "psi", "rho", "rho0", "rho1", "rho2"}
+
+
+def _state_checks(func: ast.AST) -> list:
+    """The comparisons in `func` that read a state's shape, ``x.shape`` or
+    ``np.shape(x)``, or its norm, ``np.trace``, ``np.linalg.norm`` or
+    ``np.vdot`` of x, for x one of STATE_NAMES."""
+    def reads(node):
+        if isinstance(node, ast.Attribute) and node.attr == "shape":
+            base = node.value
+        elif (isinstance(node, ast.Call) and node.args
+              and _called_name(node) in ("shape", "trace", "norm", "vdot")):
+            base = node.args[0]
+        else:
+            return False
+        return isinstance(base, ast.Name) and base.id in STATE_NAMES
+
+    return [node for node in ast.walk(func) if isinstance(node, ast.Compare)
+            and any(reads(part) for part in ast.walk(node))]
+
+
+@pytest.mark.parametrize("code, checks", [
+    ("def f(state, h):\n    return state.shape not in ((h.shape[0],), h.shape)", True),
+    ("def f(psi, h):\n    return psi.shape != (h.shape[0],)", True),
+    ("def f(rho, total):\n    return rho.shape != (total, total)", True),
+    ("def f(rho):\n    return abs(np.trace(rho) - 1.0) <= 1e-9", True),
+    ("def f(psi):\n    return np.linalg.norm(psi) == 1.0", True),
+    ("def f(psi):\n    return np.shape(psi) == (4,)", True),
+    ("def f(psi):\n    return psi.ndim != 1", False),
+    ("def f(states):\n    k, d = states.shape", False),
+    ("def f(gate, h):\n    return np.shape(gate.matrix) == h.shape", False),
+    ("def f(u, v):\n    return u.shape != v.shape", False),
+])
+def test_the_state_check_detector(code, checks):
+    assert bool(_state_checks(ast.parse(code).body[0])) is checks
+
+
+def test_one_rule_per_register_state():
+    """``states.density_matrix`` is the one rule of a register state: no other
+    function compares a state's shape with a dimension or checks its norm, and
+    each library function that takes a state calls it."""
+    assert [where for where, func in _top_functions() if _state_checks(func)] == \
+        ["states.py:density_matrix"]
+    callers = {where for where, func in _top_functions()
+               if any(isinstance(node, ast.Call) and _called_name(node) == "density_matrix"
+                      for node in ast.walk(func))}
+    assert callers == {"experiments.py:electron_fid_scan", "experiments.py:bloch_trajectory",
+                       "states.py:partial_trace", "states.py:bloch_vector"}

@@ -209,7 +209,7 @@ def test_fid_peaks_match_line_list_for_flipped_state(system, h_subspace):
     sits on a transition stick."""
     psi = basis_state(2, 4)  # |-1,up>
     t = np.arange(4096) * 0.12
-    result = electron_fid_scan(density_matrix(psi), 3.0, t, system)
+    result = electron_fid_scan(density_matrix(psi, 4), 3.0, t, system)
     res = 1.0 / (t[-1] + t[1])
     positions = np.array([p for p, _ in result.spectrum.lines])
     for peak in _strong_peaks(result.spectrum):
@@ -242,7 +242,7 @@ def test_fid_fully_mixed_state_is_flat(system):
 def test_fid_zero_coupling_single_line_at_detuning():
     cfg = SpinSystemConfig(2870.0, 0.158, (HyperfineCoupling(1e-30, 0.0),))
     t = np.arange(2048) * 0.12
-    result = electron_fid_scan(density_matrix(basis_state(0, 4)), 3.0, t, config=cfg)
+    result = electron_fid_scan(density_matrix(basis_state(0, 4), 4), 3.0, t, config=cfg)
     assert np.allclose([p for p, _ in result.spectrum.lines], 3.0, atol=1e-12)
     assert result.spectrum.peak_frequency() == pytest.approx(3.0, abs=2e-3)
 
@@ -252,7 +252,7 @@ def test_fid_nyquist_guard(system):
     t = np.arange(64) * 0.5  # Nyquist 1 MHz < |detuning| 3 MHz
     for detuning in (3.0, -3.0):
         with pytest.raises(ConfigError, match="undersamples"):
-            electron_fid_scan(density_matrix(basis_state(0, 4)), detuning, t, system)
+            electron_fid_scan(density_matrix(basis_state(0, 4), 4), detuning, t, system)
 
 
 def test_hadamard_scan_nyquist_guard(system):
@@ -273,6 +273,28 @@ def test_fid_state_of_another_shape_is_refused(system, state):
     a state; any other shape names `state` instead of failing in a matmul."""
     with pytest.raises(ValueError, match="state must have shape"):
         electron_fid_scan(state, 3.0, np.arange(64) * 0.1, system)
+
+
+def _trace_two(psi):
+    return 2 * np.outer(psi, psi.conj())
+
+
+def _non_hermitian(psi):
+    rho = np.outer(psi, psi.conj())
+    rho[0, 1] += 1e-6
+    return rho
+
+
+BROKEN_STATES = {"norm_3": lambda psi: 3 * psi, "nan": lambda psi: np.where(psi == 0, np.nan, psi),
+                 "trace_2": _trace_two, "non_hermitian": _non_hermitian}
+
+
+@pytest.mark.parametrize("broken", BROKEN_STATES.values(), ids=BROKEN_STATES.keys())
+def test_fid_state_must_be_normalized(system, broken):
+    """[3, 0, 0, 0] gave an m_S = 0 population of 8.81; a state that is not
+    a unit vector or a Hermitian unit-trace matrix is refused, naming `state`."""
+    with pytest.raises(ValueError, match="state must have shape"):
+        electron_fid_scan(broken(basis_state(0, 4)), 3.0, np.arange(64) * 0.1, system)
 
 
 def test_fid_detuning_inside_line_span_is_refused(system):
@@ -354,7 +376,7 @@ def test_scans_match_step_by_step_references(system, registers, hadamard_seq, cn
                              (pair, basis_state(3, 8), 3.0)):
         hh = icspin.multiqubit_hamiltonian(cfg)
         n = cfg.n_carbons
-        rho = density_matrix(state)
+        rho = density_matrix(state, hh.shape[0])
         p0 = np.kron(np.diag([1.0, 0.0]), np.eye(2**n))
         first = electron_rotation(np.pi / 2, 0.0, n)
         rho1 = first @ rho @ first.conj().T
@@ -550,9 +572,36 @@ def test_trajectory_needs_finite_dt(h_subspace, cnot_seq, dt):
 
 def test_trajectory_needs_a_state_vector(h_subspace, cnot_seq):
     psi0 = basis_state(0, 4)
-    for initial in (density_matrix(psi0), basis_state(0, 8)):
+    for initial in (density_matrix(psi0, 4), basis_state(0, 8)):
         with pytest.raises(ValueError, match="initial"):
             bloch_trajectory(cnot_seq, h_subspace, initial, dt=0.1)
+
+
+@pytest.mark.parametrize("initial", [[3, 0, 0, 0], [np.nan, 0, 0, 0], np.ones(4)],
+                         ids=["norm_3", "nan", "norm_2"])
+def test_trajectory_state_must_be_normalized(h_subspace, cnot_seq, initial):
+    """[3, 0, 0, 0] gave Bloch vectors of length 9; a state vector that is
+    not of unit norm is refused, naming `initial`."""
+    with pytest.raises(ValueError, match="initial must have shape"):
+        bloch_trajectory(cnot_seq, h_subspace, initial, dt=0.5)
+
+
+def test_spectrum_refuses_a_linewidth_its_grid_cannot_resolve(system, registers):
+    """At 1e-6 MHz the 4,001-point grid put a step of about 0.02 MHz
+    between samples and the spectrum peaked at 0.002 instead of about 0.5.
+    A step of at most a third of the linewidth keeps a line midway between
+    two samples at 90% of its peak; the floors sit near 2.04e-4 MHz on two
+    qubits and 1.04e-3 MHz on four carbons."""
+    for cfg, floor in ((system, 2.04e-4), (registers, 1.04e-3)):
+        h = icspin.multiqubit_hamiltonian(cfg)
+        for linewidth in (1e-6, 0.98 * floor):
+            with pytest.raises(ConfigError, match=f"linewidth {linewidth} MHz is below three "
+                                                  "steps of the spectrum grid"):
+                esr_spectrum(h, linewidth=linewidth, detuning=5.0)
+        spec = esr_spectrum(h, linewidth=1.02 * floor, detuning=5.0)
+        step = spec.frequencies[1] - spec.frequencies[0]
+        assert step <= 1.02 * floor / 3
+        assert spec.amplitudes.max() > 0.9 * max(w for _, w in spec.lines)
 
 
 @pytest.mark.parametrize("dt", [2e-3, 0.1, 0.37, 40.0])

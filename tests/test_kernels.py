@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import icspin
 from icspin import kernels
 from icspin.kernels import BATCH_ENTRIES, FitnessKernel
-from icspin.propagation import engine_for
+from icspin.propagation import PropagationEngine, engine_for
 from icspin.sequence import sequence_from_genome
 from icspin.targets import TargetGate
 
@@ -364,11 +364,18 @@ def test_robust_fidelity_peak_memory_is_grid_chunked(register_hamiltonians):
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan])
-def test_fidelity_outside_unit_interval_raises(workspace, scale):
-    """A target that is not unitary stands in for a broken chain: the empty
-    chain scores 2 against 2I, and NaN against a NaN target."""
+def test_fidelity_outside_unit_interval_raises(workspace, monkeypatch, scale):
+    """A broken chain that scales its propagators by 2, or fills them with
+    NaN, scores the empty chain 2 or NaN against the identity."""
     h, _, grid = workspace
-    kern = FitnessKernel(h, TargetGate(scale * np.eye(h.shape[0])), grid, 1)
+    chain = PropagationEngine.chain
+
+    def broken(self, *args):
+        u, last = chain(self, *args)
+        return scale * u, last
+
+    monkeypatch.setattr(PropagationEngine, "chain", broken)
+    kern = FitnessKernel(h, TargetGate(np.eye(h.shape[0])), grid, 1)
     with pytest.raises(RuntimeError, match="outside"):
         kern.evaluate(np.zeros(4))
 

@@ -311,10 +311,18 @@ def test_sequence_propagator_needs_register_structure(h_subspace):
 
 
 @pytest.mark.parametrize("scale", [np.nan, 2.0])
-def test_robust_fidelity_out_of_range_is_an_invariant_error(h_subspace, hadamard_seq, scale):
-    """A NaN fidelity, or one above 1 (here from a non-unitary target),
-    raises instead of being reported as data."""
-    target = TargetGate(scale * sequence_propagator(hadamard_seq, h_subspace))
+def test_robust_fidelity_out_of_range_is_an_invariant_error(h_subspace, hadamard_seq, monkeypatch,
+                                                            scale):
+    """A NaN fidelity, or one above 1 (here from a chain broken to scale its
+    propagators), raises instead of being reported as data."""
+    target = TargetGate(sequence_propagator(hadamard_seq, h_subspace))
+    chain = PropagationEngine.chain
+
+    def broken(self, *args):
+        u, last = chain(self, *args)
+        return scale * u, last
+
+    monkeypatch.setattr(PropagationEngine, "chain", broken)
     with pytest.raises(RuntimeError, match="fidelity"):
         icspin.robust_fidelity(hadamard_seq, target, h_subspace)
 

@@ -82,9 +82,9 @@ def test_bloch_vector_cardinal_states():
     up = np.array([1, 0], dtype=complex)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     plus_i = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-    assert np.allclose(bloch_vector(density_matrix(up)), [0, 0, 1])
-    assert np.allclose(bloch_vector(density_matrix(plus)), [1, 0, 0])
-    assert np.allclose(bloch_vector(density_matrix(plus_i)), [0, 1, 0])
+    assert np.allclose(bloch_vector(density_matrix(up, 2)), [0, 0, 1])
+    assert np.allclose(bloch_vector(density_matrix(plus, 2)), [1, 0, 0])
+    assert np.allclose(bloch_vector(density_matrix(plus_i, 2)), [0, 1, 0])
 
 
 def test_bloch_norm_bounded():
@@ -92,7 +92,7 @@ def test_bloch_norm_bounded():
     for _ in range(50):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        assert np.linalg.norm(bloch_vector(density_matrix(psi))) <= 1 + 1e-10
+        assert np.linalg.norm(bloch_vector(density_matrix(psi, 2))) <= 1 + 1e-10
 
 
 def test_qubit_bloch_vectors_match_partial_traces():
@@ -107,3 +107,59 @@ def test_qubit_bloch_vectors_match_partial_traces():
             for s in range(n):
                 ref = bloch_vector(partial_trace(psis[k], s, (2,) * n))
                 assert np.abs(out[k, s] - ref).max() < 1e-14
+
+
+def _unit_state(dim: int, seed: int, mixed: bool) -> np.ndarray:
+    """A random unit vector of dimension `dim`, or a random mixture of three."""
+    rng = np.random.default_rng(seed)
+    psis = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    if not mixed:
+        return psis[0]
+    weights = rng.dirichlet(np.ones(3))
+    return sum(w * np.outer(psi, psi.conj()) for w, psi in zip(weights, psis))
+
+
+UNIT_STATES = st.builds(_unit_state, st.integers(2, 32), st.integers(0, 2**32 - 1), st.booleans())
+
+
+def _one_nan(state):
+    state = state.copy()
+    state.flat[-1] = np.nan
+    return state
+
+
+def _non_hermitian(state):
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state.copy()
+    rho[0, -1] += 1e-6
+    return rho
+
+
+BREAKS = {"scaled by 3": lambda state: 3 * state, "one NaN entry": _one_nan,
+          "not Hermitian": _non_hermitian, "another shape": lambda state: np.pad(state, (0, 1))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=UNIT_STATES)
+def test_density_matrix_takes_a_unit_state_as_it_is(state):
+    """A unit vector gives its outer product and a Hermitian unit-trace
+    matrix comes back unchanged, bit for bit."""
+    rho = density_matrix(state, len(state), "probe")
+    assert np.array_equal(rho, np.outer(state, state.conj()) if state.ndim == 1 else state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=UNIT_STATES, broken=st.sampled_from(sorted(BREAKS)))
+def test_density_matrix_refuses_what_is_no_unit_state(state, broken):
+    """The rule of a register state: scaled, NaN, non-Hermitian or of
+    another shape raises ValueError naming `where`; a zero-padded state of
+    unit norm or trace shows that the shape alone is checked too."""
+    with pytest.raises(ValueError, match="^probe must have shape"):
+        density_matrix(BREAKS[broken](state), len(state), "probe")
+
+
+@pytest.mark.parametrize("state", [[3, 0], [np.nan, 0], np.eye(2), [[1, 1], [0, 0]], np.ones(2)],
+                         ids=["norm_3", "nan", "trace_2", "non_hermitian", "norm_2"])
+def test_bloch_vector_refuses_what_is_no_qubit_state(state):
+    with pytest.raises(ValueError, match="state must have shape"):
+        bloch_vector(state)

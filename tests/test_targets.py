@@ -6,6 +6,7 @@ from icspin.fidelity import gate_fidelity
 from icspin.operators import ConfigError
 from icspin.system import MAX_CARBONS
 from icspin.targets import (
+    TargetGate,
     cc_rotation,
     cnot_on_carbon,
     hadamard_on_carbon,
@@ -106,3 +107,20 @@ def test_carbon_counts_past_the_budget_are_refused_before_any_matrix(monkeypatch
         hadamard_on_carbon(MAX_CARBONS + 1)
     with pytest.raises(ConfigError, match=message):
         cc_rotation(MAX_CARBONS + 1, 1, np.pi)
+
+
+@pytest.mark.parametrize("matrix", [2 * np.eye(4), np.full((4, 4), np.nan), np.zeros((4, 3)),
+                                    np.eye(4)[None], np.zeros((0, 0)), np.eye(4) + 1e-6],
+                         ids=["2I", "nan", "4x3", "rank3", "empty", "off_by_1e-6"])
+def test_target_gate_is_a_unitary(matrix):
+    """2I gave a Hadamard scan a population of 16 and robust_fidelity the
+    kernel's internal 'fidelity outside [0, 1]'; a TargetGate that is not a
+    finite square unitary within 1e-9 is refused where it is made."""
+    with pytest.raises(ValueError, match="a TargetGate must be a finite square matrix"):
+        TargetGate(matrix)
+
+
+def test_target_gate_keeps_its_unitary_as_given():
+    u = cc_rotation(2, 2, 0.3).matrix
+    assert TargetGate(u).matrix is u
+    assert TargetGate(np.eye(2, dtype=int)).matrix.dtype == int
