@@ -8,14 +8,17 @@ bundled data), each command in a process of its own and its outputs in a
 temporary directory. It reports every data file, stdout or exit code that
 differs. Manifests are compared as JSON without their timings
 (``phase_seconds`` and ``phase_cpu_seconds`` are reduced to their keys),
-``written_at_unix`` and ``output_dir``. Exits 0 when the outputs are
+``written_at_unix`` and ``output_dir``, and two that differ are reported
+with the top-level keys they differ in. Exits 0 when the outputs are
 identical and 1 otherwise.
 
-The command set: one ``verify_scan`` pass of perfbench (nine verifies,
-every scan kind and ``report``); ``optimize`` cnot and hadamard on
+The command set, 42 commands: one ``verify_scan`` pass of perfbench (nine
+verifies, every scan kind and ``report``); ``optimize`` cnot and hadamard on
 ``system_2q.json`` with the default GA at seeds 0-3, criterion 7's two
 gates; the pulse-free CNOT search (``--pulses 0 --tau-max 16``, one delay,
-seed 0); perfbench's ``GA_4C`` search for
+seed 0); two CNOT searches at seed 0 with a GA document, one of ``restarts``
+3, ``generations`` 40 and ``early_stop`` null, one of ``generations`` 0;
+perfbench's ``GA_4C`` search for
 ``ccrot:1,180`` on ``system_4c.json`` with 4 pulses at seeds 0-1; ``verify``
 of ``ccrot_n6_a.json`` for ``ccrot:1,180`` on ``system_4c.json`` at 600 grid
 points, whose d32 engine (5.08 MB) is over ``ENGINE_MEMO_BYTES``, so the
@@ -48,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMINGS = ("phase_seconds", "phase_cpu_seconds")
 UNCOMPARED = ("written_at_unix", "output_dir")
+_ABSENT = object()   # a manifest key that one side lacks
 
 
 def _without_out(argv: list) -> tuple[str, list]:
@@ -73,6 +77,13 @@ def commands(tree: Path, inputs: Path) -> dict:
                                                   "--target", target, "--seed", str(seed)]
     named["optimize_cnot_pulse_free"] = ["optimize", "--system", system_2q, "--target", "cnot",
                                          "--pulses", "0", "--tau-max", "16", "--seed", "0"]
+    for name, doc in (("optimize_cnot_restarts", {"restarts": 3, "generations": 40,
+                                                   "early_stop": None}),
+                      ("optimize_cnot_generations_0", {"generations": 0})):
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        named[name] = ["optimize", "--system", system_2q, "--target", "cnot",
+                       "--ga-config", str(path), "--seed", "0"]
     ga_path = inputs / "ga_4c.json"
     ga_path.write_text(json.dumps(workloads.GA_4C), encoding="utf-8")
     for seed in range(2):
@@ -141,7 +152,8 @@ def _manifest(path: Path) -> dict:
 
 def differences(parent: Path, change: Path) -> list[str]:
     """One line for each file that is on one side only or differs: a
-    manifest as `_manifest` reads it, any other file byte for byte."""
+    manifest as `_manifest` reads it, naming the top-level keys that differ,
+    any other file byte for byte."""
     names = sorted({path.relative_to(side) for side in (parent, change)
                     for path in side.rglob("*") if path.is_file()})
     found = []
@@ -150,8 +162,10 @@ def differences(parent: Path, change: Path) -> list[str]:
         if not (old.is_file() and new.is_file()):
             found.append(f"{name}: only in {'parent' if old.is_file() else 'change'}")
         elif name.name == "manifest.json":
-            if _manifest(old) != _manifest(new):
-                found.append(f"{name}: the manifests differ")
+            old_doc, new_doc = _manifest(old), _manifest(new)
+            if keys := sorted(key for key in old_doc.keys() | new_doc.keys()
+                              if old_doc.get(key, _ABSENT) != new_doc.get(key, _ABSENT)):
+                found.append(f"{name}: the manifests differ in {', '.join(keys)}")
         elif old.read_bytes() != new.read_bytes():
             found.append(f"{name}: differs")
     return found

@@ -179,10 +179,13 @@ def check_time_span(span: float, where: str) -> float:
     return check_real(span, where, high=MAX_DURATION_US)
 
 
-def _gate_matrix(gate: TargetGate | PulseSequence, h: np.ndarray) -> np.ndarray:
-    """A TargetGate's matrix or a PulseSequence's propagator under `h`. Only
-    code supplies a gate, so any other, or a matrix of another shape, is a ValueError."""
+def _gate_matrix(gate: TargetGate | PulseSequence, h: np.ndarray,
+                 config: SpinSystemConfig) -> np.ndarray:
+    """A TargetGate's matrix or a PulseSequence's propagator under `h`, the
+    Hamiltonian of `config`, whose D bounds the sequence's amplitude (ConfigError).
+    Only code supplies a gate, so any other, or a matrix of another shape, is a ValueError."""
     if isinstance(gate, PulseSequence):
+        config.check_drive_amplitude(gate.omega1, "sequence omega1_MHz")
         return sequence_propagator(gate, h)
     if isinstance(gate, TargetGate) and np.shape(gate.matrix) == h.shape:
         return gate.matrix
@@ -244,8 +247,8 @@ def hadamard_circuit_scan(
     engine = engine_for(h)
     _check_sampling(t_grid, float(np.ptp(engine.w)),
                     "the span of the register's eigenfrequencies")
-    g2 = _gate_matrix(hadamard_on_carbon(1) if gate is None else gate, h)
-    g1 = g2 if first_gate is None else _gate_matrix(first_gate, h)
+    g2 = _gate_matrix(hadamard_on_carbon(1) if gate is None else gate, h, config)
+    g1 = g2 if first_gate is None else _gate_matrix(first_gate, h, config)
     # <0,up| g2 V exp(-i 2pi w t) V^T g1 |0,up> for every t at once
     amps = (g2[0] @ engine.v) * (engine.v.T @ g1[:, 0])
     signal = np.abs(np.exp(-1j * TWO_PI * np.outer(t_grid, engine.w)) @ amps) ** 2
@@ -314,7 +317,8 @@ def theta_scan(
     thetas = np.asarray(theta_grid, dtype=float).reshape(-1)
     check_real(float(np.abs(thetas).max()), "theta_grid (largest magnitude)")
     config.single_carbon()   # the gate and the readout act on one carbon
-    g = _gate_matrix(cnot_on_carbon(1) if gate is None else gate, multiqubit_hamiltonian(config))
+    g = _gate_matrix(cnot_on_carbon(1) if gate is None else gate,
+                     multiqubit_hamiltonian(config), config)
     flip = electron_rotation(np.pi, np.pi / 2)
     psi0 = basis_state(0, 4)
     # a rotation by theta about a fixed axis is cos(theta/2) I + sin(theta/2) R(pi)

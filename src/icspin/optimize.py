@@ -15,7 +15,7 @@ for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -126,8 +126,9 @@ def ga_config_from_dict(doc: dict) -> GAConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """The best restart's search, and ``robustness``: its genome's report on the
-    band. The best fitness is the history's last entry; n pulses take 3n + 1 genes."""
+    """One search, ``optimize``'s the best restart's, and ``robustness``: the report
+    on the band of its best genome's row as the search measured it. The best fitness
+    is the history's last entry; n pulses take 3n + 1 genes."""
 
     best_genome: np.ndarray
     history: np.ndarray
@@ -255,34 +256,34 @@ def _breed(rng: np.random.Generator, pop: np.ndarray, cfg: GAConfig,
 
 
 def _single_run(kern: FitnessKernel, bounds: ParameterBounds, cfg: GAConfig,
-                seed: int) -> tuple[np.ndarray, np.ndarray, str, int]:
-    """One search from `seed`: its best genome, best-fitness history, stop
-    reason and the number of genomes it scored."""
+                seed: int) -> OptimizationResult:
+    """One search from `seed`. Each generation's (population, grid) fidelities
+    stay next to its population, so the result reads the best genome's
+    ``robustness`` from the row the search measured."""
     rng = np.random.Generator(np.random.PCG64(seed))   # _breed decodes PCG64 words
     pop = rng.uniform(0.0, bounds.upper(), size=(cfg.population, bounds.genome_length))
-
-    fits = equal_weight_score(kern.evaluate(pop))
-    order = _rank_keys(fits, pop)
-    pop, fits = pop[order], fits[order]
-    history = [float(fits[0])]
-    scored = len(pop)
-
-    def reached() -> bool:
-        return cfg.early_stop is not None and fits[0] >= cfg.early_stop
-
-    for _ in range(cfg.generations):
-        if reached():
+    rows, history = kern.evaluate(pop), []
+    while True:
+        fits = equal_weight_score(rows)
+        order = _rank_keys(fits, pop)
+        pop, rows = pop[order], rows[order]
+        history.append(float(fits[order[0]]))
+        if cfg.early_stop is not None and history[-1] >= cfg.early_stop:
+            stop_reason = "early_stop"
+            break
+        if len(history) > cfg.generations:
+            stop_reason = "budget"
             break
         children = _breed(rng, pop, cfg, bounds)
-        child_fits = equal_weight_score(kern.evaluate(children))
-        scored += len(children)
         pop = np.vstack([pop[: cfg.elites], children])
-        fits = np.concatenate([fits[: cfg.elites], child_fits])
-        order = _rank_keys(fits, pop)
-        pop, fits = pop[order], fits[order]
-        history.append(float(fits[0]))
+        rows = np.vstack([rows[: cfg.elites], kern.evaluate(children)])
 
-    return pop[0].copy(), np.array(history), "early_stop" if reached() else "budget", scored
+    scored = cfg.population + (len(history) - 1) * (cfg.population - cfg.elites)
+    grid = cfg.omega1_grid.omega1s()
+    return OptimizationResult(
+        best_genome=pop[0].copy(), history=np.array(history),
+        robustness=RobustnessReport(grid, rows[0].copy()), seed=seed,
+        fitness_evaluations=scored * grid.size, stop_reason=stop_reason)
 
 
 def optimize(
@@ -298,21 +299,17 @@ def optimize(
     low best fitness, never an exception.
 
     The result's ``stop_reason`` ("early_stop" once the best fitness
-    reaches cfg.early_stop, else "budget") and ``generations_run``
-    describe the returned run. Every restart runs on one fitness kernel,
-    which then scores the best genome once for ``robustness``;
-    ``fitness_evaluations`` counts the genomes scored times the grid points.
+    reaches cfg.early_stop, else "budget"), ``generations_run`` and
+    ``robustness``, the best genome's fidelities as the search measured
+    them, describe the returned run. Every restart runs on one fitness
+    kernel; ``fitness_evaluations`` counts the genomes scored over all
+    restarts times the grid points.
     """
-    grid = cfg.omega1_grid.omega1s()
-    kern = FitnessKernel(h, target, grid, bounds.n_pulses)
+    kern = FitnessKernel(h, target, cfg.omega1_grid.omega1s(), bounds.n_pulses)
     best, scored = None, 0   # only the run whose history ends highest is kept
     for seed in range(cfg.seed, cfg.seed + cfg.restarts):
         run = _single_run(kern, bounds, cfg, seed)
-        scored += run[-1]
-        if best is None or run[1][-1] > best[1][-1]:   # the first of equal ones stays
-            best, best_seed = run, seed
-    genome, history, stop_reason, _ = best
-    report = RobustnessReport(grid, kern.evaluate(genome)[0])
-    return OptimizationResult(
-        best_genome=genome, history=history, robustness=report, seed=best_seed,
-        stop_reason=stop_reason, fitness_evaluations=(scored + 1) * grid.size)
+        scored += run.fitness_evaluations
+        if best is None or run.best_fitness > best.best_fitness:   # the first of equal ones stays
+            best = run
+    return replace(best, fitness_evaluations=scored)

@@ -13,19 +13,23 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     return psi
 
 
-STATE_SLACK = 1e-9   # roundoff allowed in a state's trace and Hermiticity
+STATE_SLACK = 1e-9   # roundoff allowed in a state's trace, Hermiticity and eigenvalues
 
 
 def density_matrix(state, dim: int, where: str = "state") -> np.ndarray:
     """The one rule of a register state, which only code supplies: a unit vector of
     shape (dim,) gives ``np.outer(state, state.conj())``, a Hermitian unit-trace (dim, dim)
-    matrix itself, within STATE_SLACK. Anything else, NaN too, raises ValueError naming `where`."""
+    matrix with no eigenvalue below 0 itself, within STATE_SLACK. Anything else, NaN too,
+    raises ValueError naming `where`."""
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if state.shape == (dim,) else state
     if not (rho.shape == (dim, dim) and abs(np.trace(rho) - 1.0) <= STATE_SLACK
-            and np.abs(rho - rho.conj().T).max() <= STATE_SLACK):
+            and np.abs(rho - rho.conj().T).max() <= STATE_SLACK
+            # an outer product has no negative eigenvalue
+            and (state.ndim == 1 or np.linalg.eigvalsh(rho)[0] >= -STATE_SLACK)):
         raise ValueError(f"{where} must have shape ({dim},) and unit norm, or shape "
-                         f"({dim}, {dim}), unit trace and Hermitian, got shape {state.shape}")
+                         f"({dim}, {dim}), unit trace, Hermitian and no negative eigenvalue, "
+                         f"got shape {state.shape}")
     return rho
 
 

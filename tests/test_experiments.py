@@ -286,13 +286,15 @@ def _non_hermitian(psi):
 
 
 BROKEN_STATES = {"norm_3": lambda psi: 3 * psi, "nan": lambda psi: np.where(psi == 0, np.nan, psi),
-                 "trace_2": _trace_two, "non_hermitian": _non_hermitian}
+                 "trace_2": _trace_two, "non_hermitian": _non_hermitian,
+                 "not_positive": lambda psi: np.diag([2.0, -1.0, 0.0, 0.0])}
 
 
 @pytest.mark.parametrize("broken", BROKEN_STATES.values(), ids=BROKEN_STATES.keys())
 def test_fid_state_must_be_normalized(system, broken):
-    """[3, 0, 0, 0] gave an m_S = 0 population of 8.81; a state that is not
-    a unit vector or a Hermitian unit-trace matrix is refused, naming `state`."""
+    """[3, 0, 0, 0] gave an m_S = 0 population of 8.81, diag(2, -1, 0, 0) ones
+    from -0.417 to 1.462; a state that is not a unit vector or a Hermitian
+    unit-trace matrix with no negative eigenvalue is refused, naming `state`."""
     with pytest.raises(ValueError, match="state must have shape"):
         electron_fid_scan(broken(basis_state(0, 4)), 3.0, np.arange(64) * 0.1, system)
 
@@ -420,6 +422,20 @@ def test_scans_refuse_a_gate_they_cannot_resolve(system):
                           theta_scan(None, thetas, -1, system))
     assert np.array_equal(hadamard_circuit_scan(icspin.hadamard_on_carbon(1), times, system).signal,
                           hadamard_circuit_scan(None, times, system).signal)
+
+
+@pytest.mark.parametrize("omega1", [2870.0, 5000.0])
+def test_scans_refuse_a_sequence_at_or_above_d(system, cnot_seq, omega1):
+    """system_2q.json has D = 2870 MHz, where the driven two-level subspace
+    ends; a sequence at 5000 MHz gave populations and a signal."""
+    seq = PulseSequence(cnot_seq.segments, omega1)
+    thetas, times = np.array([0.1, 2.0]), np.arange(4) * 0.1
+    calls = (lambda: theta_scan(seq, thetas, -1, system),
+             lambda: hadamard_circuit_scan(seq, times, system),
+             lambda: hadamard_circuit_scan(None, times, system, first_gate=seq))
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"sequence omega1_MHz \(below D_MHz\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------

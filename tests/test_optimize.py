@@ -484,6 +484,27 @@ def test_restarts_pick_best(h_subspace):
     assert multi.seed in (0, 1)
 
 
+@pytest.mark.parametrize("carbons, name, cfg", [
+    (None, "cnot", small_cfg(seed=3, restarts=2, early_stop=None)),
+    ([1, 2], "ccrot:2,180", small_cfg(seed=1, population=8, generations=3, early_stop=None))],
+    ids=["d4_restarts", "d8_small_budget"])
+def test_robustness_is_the_row_the_search_measured(system, registers, carbons, name, cfg):
+    """The report holds the best genome's fidelities bit for bit as a fresh
+    kernel gives them, and no scoring is counted but the search's own:
+    restarts * (population + generations * (population - elites)) * points."""
+    register = system if carbons is None else registers.subset(carbons)
+    h = icspin.multiqubit_hamiltonian(register)
+    target = icspin.target_library(name, n_carbons=register.n_carbons)
+    bounds = ParameterBounds(n_pulses=2)
+    res = optimize(target, h, bounds, cfg)
+    grid = cfg.omega1_grid.omega1s()
+    fresh = icspin.FitnessKernel(h, target, grid, bounds.n_pulses).evaluate(res.best_genome)[0]
+    assert np.array_equal(res.robustness.fidelities, fresh)
+    assert np.array_equal(res.robustness.omega1s, grid)
+    per_run = cfg.population + cfg.generations * (cfg.population - cfg.elites)
+    assert res.fitness_evaluations == cfg.restarts * per_run * grid.size
+
+
 def test_restarts_keep_only_the_best_run(h_subspace):
     """Each restart's genome and history were kept until the end, about
     0.38 kB a restart (1.11 MB traced at 100 restarts, 1.46 MB at 1,000).

@@ -37,10 +37,12 @@ def test_manifests_that_differ_in_timings_and_paths_compare_equal(tmp_path):
 @pytest.mark.parametrize("data, manifest, found", [
     (b"omega1_MHz,fidelity\n0.5,0.99\n", MANIFEST, "verify/fidelity_points.csv: differs"),
     (b"omega1_MHz,fidelity\n0.5,0.98\n", {**MANIFEST, "seed": 0},
-     "verify/manifest.json: the manifests differ"),
+     "verify/manifest.json: the manifests differ in seed"),
     (b"omega1_MHz,fidelity\n0.5,0.98\n", {**MANIFEST, "phase_seconds": {"load": 0.1}},
-     "verify/manifest.json: the manifests differ"),
-], ids=["one_byte", "manifest_value", "phase_keys"])
+     "verify/manifest.json: the manifests differ in phase_seconds"),
+    (b"omega1_MHz,fidelity\n0.5,0.98\n", {**MANIFEST, "seed": 0, "cpus": 2, "command": None},
+     "verify/manifest.json: the manifests differ in command, cpus, seed"),
+], ids=["one_byte", "manifest_value", "phase_keys", "keys_named"])
 def test_a_changed_output_is_reported(tmp_path, data, manifest, found):
     parent = _outputs(tmp_path / "parent", b"omega1_MHz,fidelity\n0.5,0.98\n", MANIFEST)
     change = _outputs(tmp_path / "change", data, manifest)

@@ -135,8 +135,18 @@ def _non_hermitian(state):
     return rho
 
 
+def _not_positive(state):
+    """A Hermitian unit-trace matrix with the eigenvalue -0.5: the lowest
+    eigenvalue's weight goes to the highest."""
+    w, v = np.linalg.eigh(np.outer(state, state.conj()) if state.ndim == 1 else state)
+    w[-1] += w[0] + 0.5
+    w[0] = -0.5
+    return (v * w) @ v.conj().T
+
+
 BREAKS = {"scaled by 3": lambda state: 3 * state, "one NaN entry": _one_nan,
-          "not Hermitian": _non_hermitian, "another shape": lambda state: np.pad(state, (0, 1))}
+          "not Hermitian": _non_hermitian, "not positive": _not_positive,
+          "another shape": lambda state: np.pad(state, (0, 1))}
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,15 +161,24 @@ def test_density_matrix_takes_a_unit_state_as_it_is(state):
 @settings(max_examples=100, deadline=None)
 @given(state=UNIT_STATES, broken=st.sampled_from(sorted(BREAKS)))
 def test_density_matrix_refuses_what_is_no_unit_state(state, broken):
-    """The rule of a register state: scaled, NaN, non-Hermitian or of
-    another shape raises ValueError naming `where`; a zero-padded state of
+    """The rule of a register state: scaled, NaN, non-Hermitian, with a
+    negative eigenvalue or of another shape raises ValueError naming `where`; a zero-padded state of
     unit norm or trace shows that the shape alone is checked too."""
     with pytest.raises(ValueError, match="^probe must have shape"):
         density_matrix(BREAKS[broken](state), len(state), "probe")
 
 
-@pytest.mark.parametrize("state", [[3, 0], [np.nan, 0], np.eye(2), [[1, 1], [0, 0]], np.ones(2)],
-                         ids=["norm_3", "nan", "trace_2", "non_hermitian", "norm_2"])
+@pytest.mark.parametrize("state", [[3, 0], [np.nan, 0], np.eye(2), [[1, 1], [0, 0]], np.ones(2),
+                                   [[2, 0], [0, -1]]],
+                         ids=["norm_3", "nan", "trace_2", "non_hermitian", "norm_2", "not_positive"])
 def test_bloch_vector_refuses_what_is_no_qubit_state(state):
+    """[[2, 0], [0, -1]] gave a Bloch vector of length 3."""
     with pytest.raises(ValueError, match="state must have shape"):
         bloch_vector(state)
+
+
+def test_partial_trace_refuses_a_matrix_with_a_negative_eigenvalue():
+    """diag(2, -1, 0, 0) has unit trace and is Hermitian, and its reduction
+    on the first qubit was the pure state [[1, 0], [0, 0]]."""
+    with pytest.raises(ValueError, match="no negative eigenvalue"):
+        partial_trace(np.diag([2.0, -1.0, 0.0, 0.0]), 0, (2, 2))
